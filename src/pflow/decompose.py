@@ -1,12 +1,13 @@
 """Turn an arc-level processed-flow solution into explicit 2-walks.
 
 Split each commodity's flow into its unprocessed part (f1 = w) and processed
-part (f2 = f - w). After cancelling cycles that live entirely in one part,
-every remaining unit can be pulled out as a walk: from a node with processed
-volume, trace unprocessed flow backwards to the source and processed flow
-forwards to the sink, each leg guided by the unprocessed fraction rho = w/f.
-Cancellation leaves both part-subgraphs acyclic, so the two legs are simple
-paths and their concatenation visits no vertex more than twice.
+part (f2 = f - w, the edge LP's g). After cancelling cycles that live
+entirely in one part, every remaining unit can be pulled out as a walk: from
+a node with processed volume, trace unprocessed flow backwards to the source
+and processed flow forwards to the sink, each leg guided by the unprocessed
+fraction rho = w/f. Cancellation leaves both part-subgraphs acyclic, so the
+two legs are simple paths and their concatenation visits no vertex more than
+twice.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Linear programs over flow networks: model container, edge formulation, solver.
 
 The arc formulation is polynomially sized and equivalent to optimizing over
-all 2-walks directly: per demand it tracks total flow f and still-unprocessed
-flow w on each arc plus processed volume p at each node, tied together by a
-processing-balance constraint. Unprocessed flow must leave the source as such
-and may not reach the sink; the delivered value of a demand is therefore the
-net flow out of its source (gross outflow minus anything that circles back,
-which processing detours through the source can legitimately do).
+all 2-walks directly. It splits each demand's flow as the paper does: an
+unprocessed part w and a processed part g on each arc, plus the volume p
+processed at each node, which moves flow from the first part to the second.
+Flow leaves the source unprocessed (g = 0 on its out-arcs) and reaches the
+sink processed (w = 0 on its in-arcs). An arc's load is w + g, and the
+delivered value of a demand is the net w + g out of its source (gross outflow
+minus anything that circles back, which processing detours through the
+source can legitimately do).
 """
 
 from __future__ import annotations
@@ -158,13 +160,17 @@ class Objective:
 
 def build_edge_lp(net: FlowNetwork, demands: list[Demand],
                   objective: Objective = Objective()) -> LPModel:
-    """Arc formulation of the processed-flow problem.
+    """Arc formulation of the processed-flow problem, split as in the paper.
 
-    Per demand and arc: f (total flow) and w (unprocessed part); per demand
-    and non-source node: p (processed volume). Flow is conserved away from the
-    demand endpoints, processing balance p = w_in - w_out holds at every
-    non-source node, flow leaves the source unprocessed and reaches the sink
-    processed. Finite demand amounts cap net delivery.
+    Per demand and arc: w (unprocessed flow), barred from arcs into the sink,
+    and g (processed flow), barred from arcs out of the source; per demand and
+    non-source node: p (volume processed there). Node processing links the two
+    parts: p = w_in - w_out at every non-source node, and g_out - g_in = p
+    away from both endpoints. An arc's total flow w + g draws on its shared
+    bandwidth, Σp on node capacity, and the net source outflow of w + g is
+    what a demand delivers: capped by a finite amount, or required in full
+    under the congestion objectives, where a zero-capacity edge carries
+    nothing and a zero-capacity node processes nothing.
     """
     kind = objective.kind
     if kind not in ("max-total-flow", "min-max-congestion", "min-weighted-congestion"):
@@ -175,54 +181,45 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
 
     m = LPModel(name=f"edge-{kind}", sense="min" if congestion else "max")
     nd = len(demands)
-    fvar: list[dict[int, int]] = [{} for _ in range(nd)]
     wvar: list[dict[int, int]] = [{} for _ in range(nd)]
+    gvar: list[dict[int, int]] = [{} for _ in range(nd)]
     pvar: list[dict[str, int]] = [{} for _ in range(nd)]
 
     for i, d in enumerate(demands):
-        for a in range(net.n_arcs):
-            arc = net.arcs[a]
-            fvar[i][a] = m.add_var(f"f_{i}_{a}")
-            # unprocessed flow may not enter the sink
-            hi = 0.0 if arc.head == d.sink else math.inf
-            wvar[i][a] = m.add_var(f"w_{i}_{a}", hi=hi)
+        for a, arc in enumerate(net.arcs):
+            shut = congestion and net.group_capacity[arc.group] <= 0
+            wvar[i][a] = m.add_var(f"w_{i}_{a}",
+                                   hi=0.0 if shut or arc.head == d.sink else math.inf)
+            gvar[i][a] = m.add_var(f"g_{i}_{a}",
+                                   hi=0.0 if shut or arc.tail == d.source else math.inf)
         for v in net.nodes:
             if v != d.source:
                 hi = 0.0 if congestion and net.node_capacity[v] <= 0 else math.inf
                 pvar[i][v] = m.add_var(f"p_{i}_{net.node_index(v)}", hi=hi)
 
-    if congestion:
-        for i in range(nd):
-            for g, cap in enumerate(net.group_capacity):
-                if cap <= 0:
-                    for a in net.groups[g]:
-                        m.variables[fvar[i][a]].hi = 0.0
+    def terms(parts, arcs, sign: float) -> list[tuple[int, float]]:
+        return [(part[a], sign) for a in arcs for part in parts]
 
+    net_out = []
     for i, d in enumerate(demands):
+        wi, gi, both = (wvar[i],), (gvar[i],), (wvar[i], gvar[i])
         for v in net.nodes:
+            if v == d.source:
+                continue
             ins, outs = net.in_arcs[v], net.out_arcs[v]
-            if v not in (d.source, d.sink):
-                coeffs = [(fvar[i][a], 1.0) for a in ins] + [(fvar[i][a], -1.0) for a in outs]
-                if coeffs:
-                    m.add_constraint(coeffs, "==", 0.0, f"cons_{i}_{net.node_index(v)}")
-            if v != d.source:
-                coeffs = [(pvar[i][v], 1.0)]
-                coeffs += [(wvar[i][a], -1.0) for a in ins]
-                coeffs += [(wvar[i][a], 1.0) for a in outs]
-                m.add_constraint(coeffs, "==", 0.0, f"proc_{i}_{net.node_index(v)}")
-        for a in range(net.n_arcs):
-            if net.arcs[a].tail == d.source:
-                m.add_constraint([(wvar[i][a], 1.0), (fvar[i][a], -1.0)], "==", 0.0,
-                                 f"srcw_{i}_{a}")
-            else:
-                m.add_constraint([(wvar[i][a], 1.0), (fvar[i][a], -1.0)], "<=", 0.0,
-                                 f"wlef_{i}_{a}")
-        net_out = [(fvar[i][a], 1.0) for a in net.out_arcs[d.source]]
-        net_out += [(fvar[i][a], -1.0) for a in net.in_arcs[d.source]]
+            p = [(pvar[i][v], 1.0)]
+            m.add_constraint(p + terms(wi, ins, -1.0) + terms(wi, outs, 1.0), "==", 0.0,
+                             f"unproc_{i}_{net.node_index(v)}")
+            if v != d.sink:
+                m.add_constraint(p + terms(gi, ins, 1.0) + terms(gi, outs, -1.0), "==", 0.0,
+                                 f"proc_{i}_{net.node_index(v)}")
+        out_i = (terms(both, net.out_arcs[d.source], 1.0)
+                 + terms(both, net.in_arcs[d.source], -1.0))
         if congestion:
-            m.add_constraint(net_out, ">=", d.amount, f"need_{i}")
-        elif math.isfinite(d.amount) and net_out:
-            m.add_constraint(net_out, "<=", d.amount, f"cap_{i}")
+            m.add_constraint(out_i, ">=", d.amount, f"need_{i}")
+        elif math.isfinite(d.amount) and out_i:
+            m.add_constraint(out_i, "<=", d.amount, f"cap_{i}")
+        net_out += out_i
 
     theta = None
     if kind == "min-max-congestion":
@@ -232,7 +229,7 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     weighted_obj: dict[int, float] = {}
 
     for g, cap in enumerate(net.group_capacity):
-        coeffs = [(fvar[i][a], 1.0) for i in range(nd) for a in net.groups[g]]
+        coeffs = terms(wvar + gvar, net.groups[g], 1.0)
         if not coeffs:
             continue
         if kind == "max-total-flow":
@@ -259,49 +256,50 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
 
     if kind == "max-total-flow":
         obj: dict[int, float] = {}
-        for i, d in enumerate(demands):
-            for a in net.out_arcs[d.source]:
-                obj[fvar[i][a]] = obj.get(fvar[i][a], 0.0) + 1.0
-            for a in net.in_arcs[d.source]:
-                obj[fvar[i][a]] = obj.get(fvar[i][a], 0.0) - 1.0
+        for j, c in net_out:
+            obj[j] = obj.get(j, 0.0) + c
         m.set_objective(obj)
     elif kind == "min-max-congestion":
         m.set_objective({theta: 1.0})
     else:
         m.set_objective(weighted_obj)
 
-    m.info = {"f": fvar, "w": wvar, "p": pvar, "theta": theta, "kind": kind}
+    m.info = {"w": wvar, "g": gvar, "p": pvar, "theta": theta, "kind": kind}
     return m
 
 
 SNAP = 1e-12
 
 
-def _sparse(values: dict, assignment_get) -> dict:
-    out = {}
-    for key, var in values.items():
-        x = assignment_get(var)
-        if x > SNAP:
-            out[key] = x
-    return out
+def _sparse(values: dict) -> dict:
+    return {key: x for key, x in values.items() if x > SNAP}
 
 
 def extract_edge_solution(model: LPModel, assignment: dict[str, float],
                           net: FlowNetwork, demands: list[Demand]) -> EdgeFlowSolution:
-    """Pull per-demand flows out of a solved edge LP, snapping float dust to zero."""
-    if not model.info or "f" not in model.info:
+    """Pull per-demand flows out of a solved edge LP, snapping float dust to zero.
+
+    The solution carries each arc's total flow w + g next to its unprocessed
+    part w, so flow >= unprocessed holds by construction.
+    """
+    if not model.info or "g" not in model.info:
         raise ValueError("model was not built by build_edge_lp")
 
     def get(var_idx: int) -> float:
         return max(0.0, assignment.get(model.variables[var_idx].name, 0.0))
 
-    flow = [_sparse(model.info["f"][i], get) for i in range(len(demands))]
-    unproc = [_sparse(model.info["w"][i], get) for i in range(len(demands))]
-    proc = [_sparse(model.info["p"][i], get) for i in range(len(demands))]
+    info = model.info
+    flow, unproc, proc = [], [], []
+    for i in range(len(demands)):
+        w = {a: get(j) for a, j in info["w"][i].items()}
+        g = {a: get(j) for a, j in info["g"][i].items()}
+        flow.append(_sparse({a: w[a] + g[a] for a in w}))
+        unproc.append(_sparse(w))
+        proc.append(_sparse({v: get(j) for v, j in info["p"][i].items()}))
     sol = EdgeFlowSolution(flow, unproc, proc, 0.0,
-                           meta={"algorithm": "lp", "objective_kind": model.info["kind"]})
+                           meta={"algorithm": "lp", "objective_kind": info["kind"]})
     sol.objective = sum(sol.delivered(net, demands, i) for i in range(len(demands)))
-    theta = model.info.get("theta")
+    theta = info.get("theta")
     if theta is not None:
         sol.meta["congestion"] = assignment.get(model.variables[theta].name, 0.0)
     return sol

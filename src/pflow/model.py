@@ -147,21 +147,22 @@ class ValidationReport:
         return self.ok
 
 
-def _bad_number(x: float) -> bool:
-    return math.isnan(x) or x == -math.inf
-
-
 def validate_instance(net: FlowNetwork, demands: list[Demand]) -> ValidationReport:
-    """Check well-formedness; reports problems instead of raising."""
+    """Check well-formedness; reports problems instead of raising.
+
+    Edge and node capacities must be finite and non-negative. A demand amount
+    of inf is legal and means uncapped.
+    """
     problems = []
     for a in net.arcs:
-        if _bad_number(a.capacity) or a.capacity < 0:
-            problems.append(f"edge {a.tail}->{a.head}: negative or invalid capacity {a.capacity}")
+        if not math.isfinite(a.capacity) or a.capacity < 0:
+            problems.append(
+                f"edge {a.tail}->{a.head}: negative or non-finite capacity {a.capacity}")
         if a.tail == a.head:
             problems.append(f"edge {a.tail}->{a.head}: self-loop")
     for v, c in net.node_capacity.items():
-        if _bad_number(c) or c < 0:
-            problems.append(f"node {v}: negative or invalid processing capacity {c}")
+        if not math.isfinite(c) or c < 0:
+            problems.append(f"node {v}: negative or non-finite processing capacity {c}")
     for i, d in enumerate(demands):
         if d.source not in net.node_capacity:
             problems.append(f"demand {i}: unknown source {d.source!r}")
@@ -226,8 +227,10 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
                          sol: WalkFlowSolution) -> ValidationReport:
     """Feasibility check for a walk solution against network and demands.
 
-    Structural nonsense (unknown demand, node, or arc) raises StructuralError;
-    quantitative violations come back in the report with their magnitude.
+    Processing may sit only at nodes visited after the walk's last visit to
+    its source and before its first arrival at its sink. Structural nonsense
+    (unknown demand, node, or arc) raises StructuralError; quantitative
+    violations come back in the report with their magnitude.
     """
     problems = []
     for k, e in enumerate(sol.entries):
@@ -241,6 +244,10 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
                 raise StructuralError(f"entry {k}: missing arc {u!r}->{v!r}")
         if len(e.nodes) < 2 or e.nodes[0] != d.source or e.nodes[-1] != d.sink:
             problems.append(f"entry {k}: not a {d.source}->{d.sink} route")
+            between = set(e.nodes)
+        else:
+            last_s = len(e.nodes) - 1 - e.nodes[::-1].index(d.source)
+            between = set(e.nodes[last_s + 1:e.nodes.index(d.sink)])
         visits: dict[str, int] = {}
         for v in e.nodes:
             visits[v] = visits.get(v, 0) + 1
@@ -255,6 +262,9 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
                 problems.append(f"entry {k}: processing at {v} which is not on the walk")
             if v == d.source or v == d.sink:
                 problems.append(f"entry {k}: processing at demand endpoint {v}")
+            elif v in visits and v not in between:
+                problems.append(f"entry {k}: processing at {v} outside the stretch "
+                                f"between leaving {d.source} and reaching {d.sink}")
             if p < -ABS_TOL:
                 problems.append(f"entry {k}: negative processing {p} at {v}")
             total_p += p

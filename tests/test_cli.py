@@ -123,6 +123,15 @@ class TestSolve:
         assert run("solve", "--alg", "lp", "--input", bad,
                    "-o", tmp_path / "x.json") == 2
 
+    @pytest.mark.parametrize("alg", ["lp", "naive", "mwu"])
+    @pytest.mark.parametrize("line", ["edge s a cap=10", "node a cap=3"])
+    def test_infinite_capacity_rejected(self, tmp_path, capsys, alg, line):
+        src = tmp_path / "inf.pf"
+        src.write_text(LINE.replace(line, line.split("=")[0] + "=inf"))
+        assert run("solve", "--alg", alg, "--input", src,
+                   "-o", tmp_path / "x.json") == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_resource_limit_maps_to_4(self, line_pf, tmp_path, monkeypatch):
         def blow_up(*a, **k):
             raise ResourceLimitError("walk budget exhausted")

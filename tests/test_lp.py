@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from pflow.generators import gen_random_instance
 from pflow.lp import (Objective, build_edge_lp, read_mps, solve_edge_lp,
                       solve_lp, write_mps)
-from pflow.model import Demand, FlowNetwork, InfeasibleError
+from pflow.model import Demand, FlowNetwork, InfeasibleError, verify_edge_solution
 
 from oracles import walk_lp_optimum
 
@@ -133,3 +134,64 @@ def test_matches_walk_enumeration_on_random_instances():
         assert abs(sol.objective - opt) < 1e-6 * max(1.0, opt)
         checked += 1
     assert checked == 20
+
+
+def test_split_model_dimensions(inst_loop):
+    # per demand: one unprocessed-balance row per non-source node, one
+    # processed-balance row per node off both endpoints, a cap row when the
+    # amount is finite; then one bandwidth row per edge and one node-capacity
+    # row per node that some demand may process at. No row ties w to a total.
+    net, _ = inst_loop
+    demands = [Demand("s", "t"), Demand("a", "t", 1.0)]
+    model = build_edge_lp(net, demands)
+    assert len(model.constraints) == (3 + 2) + (3 + 2 + 1) + 4 + 4
+    assert model.n_vars == 2 * (2 * net.n_arcs + 3)
+
+
+def _peak_ratio(net, sol):
+    ratios = [load / net.group_capacity[g] for g, load in sol.group_loads(net).items()
+              if load > 0]
+    ratios += [load / net.node_capacity[v] for v, load in sol.node_loads().items()
+               if load > 0]
+    return max(ratios, default=0.0)
+
+
+def _scaled(net, factor):
+    edges = [(net.arcs[arcs[0]].tail, net.arcs[arcs[0]].head, cap * factor)
+             for arcs, cap in zip(net.groups, net.group_capacity)]
+    caps = {v: c * factor for v, c in net.node_capacity.items()}
+    return FlowNetwork(net.nodes, edges, caps, directed=net.directed)
+
+
+@pytest.mark.parametrize("kind", ["max-total-flow", "min-max-congestion",
+                                  "min-weighted-congestion"])
+def test_solutions_verify_and_respect_the_split(kind):
+    # congestion objectives soften capacities into load ratios, so their
+    # solutions are verified against capacities scaled by the peak ratio
+    checked = 0
+    for seed in range(12):
+        inst = gen_random_instance(6, 0.5, node_cap=(0, 4), n_demands=3,
+                                   seed=seed, directed=seed % 2 == 0,
+                                   amounts=(1, 4))
+        net, demands = inst.net, inst.demands
+        try:
+            sol, _ = solve_edge_lp(net, demands, Objective(kind=kind))
+        except InfeasibleError:
+            continue
+        if kind != "max-total-flow":
+            peak = _peak_ratio(net, sol)
+            if kind == "min-max-congestion":
+                assert peak <= sol.meta["congestion"] * (1 + 1e-9)
+            net = _scaled(net, max(1.0, peak))
+            for i, d in enumerate(demands):
+                assert sol.delivered(net, demands, i) >= d.amount * (1 - 1e-9)
+        rep = verify_edge_solution(net, demands, sol)
+        assert rep.ok, rep.problems
+        for i, d in enumerate(demands):
+            w, f = sol.unprocessed[i], sol.flow[i]
+            for a in net.in_arcs[d.sink]:
+                assert w.get(a, 0.0) == 0.0
+            for a in net.out_arcs[d.source]:
+                assert f.get(a, 0.0) == w.get(a, 0.0)
+        checked += 1
+    assert checked >= 6

@@ -146,3 +146,25 @@ def test_verify_enforces_demand_cap():
     sol = WalkFlowSolution([WalkEntry(0, ("s", "a", "t"), 5.0, {"a": 5.0})])
     rep = verify_walk_solution(net, [Demand("s", "t", 4.0)], sol)
     assert any("exceeds requested" in p for p in rep.problems)
+
+
+def test_verify_enforces_processing_position():
+    # processing sits after the walk's last visit to the source and before
+    # its first arrival at the sink, as in the edge LP
+    net = FlowNetwork(
+        "sabt",
+        [("s", "a", 9.0), ("a", "t", 9.0), ("t", "b", 9.0), ("b", "t", 9.0),
+         ("a", "s", 9.0), ("s", "t", 9.0)],
+        {"a": 9.0, "b": 9.0})
+
+    def report(nodes, at):
+        return verify_walk_solution(net, [Demand("s", "t")], WalkFlowSolution(
+            [WalkEntry(0, nodes, 1.0, {at: 1.0})]))
+
+    assert report(("s", "a", "t"), "a").ok
+    assert report(("s", "a", "t", "b", "t"), "a").ok
+    for nodes, at in [(("s", "a", "t", "b", "t"), "b"),
+                      (("s", "a", "s", "t"), "a")]:
+        rep = report(nodes, at)
+        assert not rep.ok
+        assert any("outside the stretch" in p for p in rep.problems)
