@@ -14,8 +14,8 @@ from .instance_io import (InstanceFormatError, ParsedInstance, emit_instance,
                           emit_solution, instance_text, parse_instance,
                           parse_instance_text, parse_solution,
                           solution_document)
-from .lp import (LPModel, LPResult, Objective, build_edge_lp, read_mps,
-                 solve_edge_lp, solve_lp, write_mps)
+from .lp import (LPModel, LPResult, Objective, build_edge_lp, solve_edge_lp,
+                 solve_lp, write_mps)
 from .model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     ResourceLimitError, StructuralError, WalkEntry,
                     WalkFlowSolution, validate_instance, verify_walk_solution)
@@ -40,7 +40,7 @@ __all__ = [
     "emit_instance", "emit_solution", "extraction_bound",
     "gen_random_instance", "gen_random_purchase", "gen_reduction_instance",
     "greedy_budgeted_single_source", "instance_text", "mwu_solve", "naive_solve", "objective_ratio", "parse_instance",
-    "parse_instance_text", "parse_solution", "ratio_series", "read_mps",
+    "parse_instance_text", "parse_solution", "ratio_series",
     "round_budgeted_purchase", "round_min_purchase", "rounding_rounds",
     "shortest_processing_2walk", "solution_document", "solve_edge_lp",
     "solve_lp", "solve_purchase_lp", "validate_instance",

@@ -17,14 +17,12 @@ import sys
 
 from .decompose import decompose
 from .generators import gen_random_instance, gen_reduction_instance
-from .harness import KNOWN_ALGS, SweepSpec, compare_runs, write_csv
+from .harness import KNOWN_ALGS, SweepSpec, compare_runs, run_solver, write_csv
 from .instance_io import (emit_edge_solution, emit_instance, emit_solution,
                           parse_instance, parse_solution)
-from .lp import Objective, build_edge_lp, solve_edge_lp, write_mps
+from .lp import Objective, build_edge_lp, write_mps
 from .model import (InfeasibleError, ResourceLimitError, StructuralError,
                     validate_instance)
-from .mwu import MWUConfig, mwu_solve
-from .naive import naive_solve
 from .purchase import (PurchaseInstance, round_budgeted_purchase,
                        round_min_purchase, solve_purchase_lp,
                        validate_purchase_instance)
@@ -60,17 +58,12 @@ def _cmd_solve(args) -> int:
         # algorithm then solves it
         write_mps(build_edge_lp(inst.net, inst.demands, objective), args.emit_lp)
 
+    sol = run_solver(args.alg, inst.net, inst.demands, args.epsilon, objective)
     if args.alg == "lp":
-        edge_sol, _ = solve_edge_lp(inst.net, inst.demands, objective)
-        edge_sol.meta["algorithm"] = "lp"
         if args.format == "edge-flows":
-            emit_edge_solution(edge_sol, inst, args.output)
+            emit_edge_solution(sol, inst, args.output)
             return EXIT_OK
-        sol = decompose(edge_sol, inst.net, inst.demands)
-    elif args.alg == "mwu":
-        sol = mwu_solve(inst.net, inst.demands, MWUConfig(epsilon=args.epsilon))
-    else:
-        sol = naive_solve(inst.net, inst.demands)
+        sol = decompose(sol, inst.net, inst.demands)
     emit_solution(sol, args.output, format=args.format)
     return EXIT_OK
 

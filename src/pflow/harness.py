@@ -81,21 +81,20 @@ def _capacitate(net: FlowNetwork, c: float, dist: str,
     return net.with_node_capacity(caps)
 
 
-def _run_one(alg: str, net: FlowNetwork, demands: list[Demand],
-             epsilon: float) -> tuple[float, float, int]:
-    t0 = time.perf_counter()
+def run_solver(alg: str, net: FlowNetwork, demands: list[Demand],
+               epsilon: float, objective: Objective = Objective()):
+    """The one solver dispatch behind `pflow solve` and `compare_runs`.
+
+    lp returns its edge flows (an EdgeFlowSolution, not yet decomposed);
+    mwu, with accuracy `epsilon`, and naive return walks. Only lp takes an
+    objective other than the default.
+    """
     if alg == "lp":
-        sol, res = solve_edge_lp(net, demands, Objective())
-        dt = time.perf_counter() - t0
-        return sol.objective, dt, res.iterations
+        return solve_edge_lp(net, demands, objective)[0]
     if alg == "mwu":
-        sol = mwu_solve(net, demands, MWUConfig(epsilon=epsilon))
-        dt = time.perf_counter() - t0
-        return sol.objective, dt, int(sol.meta.get("iterations", 0))
+        return mwu_solve(net, demands, MWUConfig(epsilon=epsilon))
     if alg == "naive":
-        sol = naive_solve(net, demands)
-        dt = time.perf_counter() - t0
-        return sol.objective, dt, int(sol.meta.get("lp_iterations", 0))
+        return naive_solve(net, demands)
     raise StructuralError(f"unknown algorithm {alg!r}")
 
 
@@ -120,8 +119,12 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
             inst_id = f"cap={c:g}/{sweep.dist}{rep_tag}"
             for alg in algs:
                 try:
-                    obj, dt, iters = _run_one(alg, capped, demands, epsilon)
-                    records.append(RunRecord(inst_id, alg, obj, dt, iters, True))
+                    t0 = time.perf_counter()
+                    sol = run_solver(alg, capped, demands, epsilon)
+                    dt = time.perf_counter() - t0
+                    iters = sol.meta["iterations" if alg == "mwu" else "lp_iterations"]
+                    records.append(RunRecord(inst_id, alg, sol.objective, dt,
+                                             int(iters), True))
                 except Exception as exc:  # record and continue, per contract
                     records.append(RunRecord(inst_id, alg, math.nan, 0.0, 0,
                                              False, f"{type(exc).__name__}: {exc}"))

@@ -1,4 +1,10 @@
-"""Linear programs over flow networks: model container, edge formulation, solver.
+"""Linear programs over flow networks: model container, solver, edge and
+routing formulations.
+
+An LPModel is plain arrays: columns and rows are added by index and carry no
+names, and solve_lp returns the column values as an array read by index.
+`balance` writes the flow-conservation terms every formulation here and in
+the purchase module shares. write_mps names column j C<j> and row k R<k>.
 
 The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
@@ -14,81 +20,92 @@ source can legitimately do).
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     ResourceLimitError)
 
-DEFAULT_MAXITER = 200_000
+MAXITER = 200_000
 
-
-@dataclass
-class Variable:
-    name: str
-    lo: float = 0.0
-    hi: float = math.inf
-
-
-@dataclass
-class Constraint:
-    coeffs: list[tuple[int, float]]
-    sense: str  # "<=", ">=", "=="
-    rhs: float
-    name: str = ""
+# row sense -> sign that turns the row into a `<=` row; 0 marks an equation
+_SIGN = {"<=": 1.0, ">=": -1.0, "==": 0.0}
 
 
 class LPModel:
-    """A sparse LP: named variables, linear constraints, one linear objective."""
+    """A sparse LP held as arrays: column bounds `lo`/`hi`, rows as COO
+    triplets (`rows`, `cols`, `coefs`) with `senses` and `rhs`, and one
+    linear objective keyed by column index."""
 
     def __init__(self, name: str = "lp", sense: str = "max"):
         if sense not in ("max", "min"):
             raise ValueError(f"bad objective sense {sense!r}")
         self.name = name
         self.sense = sense
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
+        self.lo: list[float] = []
+        self.hi: list[float] = []
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.coefs: list[float] = []
+        self.senses: list[str] = []
+        self.rhs: list[float] = []
         self.objective: dict[int, float] = {}
-        self.info: dict = {}  # builder-specific handles, e.g. variable index maps
+        self.info: dict = {}  # handles set by the formulation, e.g. column index maps
 
-    def add_var(self, name: str, lo: float = 0.0, hi: float = math.inf) -> int:
-        self.variables.append(Variable(name, lo, hi))
-        return len(self.variables) - 1
+    def add_var(self, lo: float = 0.0, hi: float = math.inf) -> int:
+        self.lo.append(lo)
+        self.hi.append(hi)
+        return len(self.lo) - 1
 
-    def add_constraint(self, coeffs, sense: str, rhs: float, name: str = "") -> int:
-        if sense not in ("<=", ">=", "=="):
+    def add_constraint(self, coeffs, sense: str, rhs: float) -> int:
+        if sense not in _SIGN:
             raise ValueError(f"bad constraint sense {sense!r}")
-        self.constraints.append(Constraint(list(coeffs), sense, rhs, name))
-        return len(self.constraints) - 1
+        k = len(self.rhs)
+        for j, coef in coeffs:
+            self.rows.append(k)
+            self.cols.append(j)
+            self.coefs.append(coef)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+        return k
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
         self.objective = dict(coeffs)
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.lo)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rhs)
 
 
 @dataclass
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    assignment: dict[str, float]
+    x: np.ndarray | None  # column values, indexed like the model's columns
     objective: float
     iterations: int = 0
 
 
-def solve_lp(model: LPModel, maxiter: int = DEFAULT_MAXITER) -> LPResult:
+def solve_lp(model: LPModel) -> LPResult:
     """Solve with a simplex backend; desk-scale models only.
 
     Raises ResourceLimitError if the iteration budget is exhausted.
     """
     n = model.n_vars
+    sign = np.array([_SIGN[s] for s in model.senses])
+    rhs = np.asarray(model.rhs, dtype=float)
+    ub = sign != 0.0
     if n == 0:
-        return LPResult("optimal", {}, 0.0, 0)
+        # every row reads 0, so the model is feasible iff each row holds at 0
+        if np.all(sign[ub] * rhs[ub] >= 0.0) and np.all(rhs[~ub] == 0.0):
+            return LPResult("optimal", np.zeros(0), 0.0, 0)
+        return LPResult("infeasible", None, math.nan, 0)
 
     c = np.zeros(n)
     for j, coef in model.objective.items():
@@ -96,50 +113,68 @@ def solve_lp(model: LPModel, maxiter: int = DEFAULT_MAXITER) -> LPResult:
     if model.sense == "max":
         c = -c
 
-    ub_rows, ub_cols, ub_data, b_ub = [], [], [], []
-    eq_rows, eq_cols, eq_data, b_eq = [], [], [], []
-    for con in model.constraints:
-        if con.sense == "==":
-            r = len(b_eq)
-            for j, coef in con.coeffs:
-                eq_rows.append(r)
-                eq_cols.append(j)
-                eq_data.append(coef)
-            b_eq.append(con.rhs)
-        else:
-            flip = -1.0 if con.sense == ">=" else 1.0
-            r = len(b_ub)
-            for j, coef in con.coeffs:
-                ub_rows.append(r)
-                ub_cols.append(j)
-                ub_data.append(flip * coef)
-            b_ub.append(flip * con.rhs)
-
-    A_ub = csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(len(b_ub), n)) if b_ub else None
-    A_eq = csr_matrix((eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n)) if b_eq else None
-    bounds = [(v.lo if math.isfinite(v.lo) else None,
-               v.hi if math.isfinite(v.hi) else None) for v in model.variables]
-
-    res = linprog(c, A_ub=A_ub, b_ub=np.asarray(b_ub) if b_ub else None,
-                  A_eq=A_eq, b_eq=np.asarray(b_eq) if b_eq else None,
-                  bounds=bounds, method="highs-ds",
-                  options={"maxiter": maxiter})
+    flip = np.where(ub, sign, 1.0)
+    data = np.asarray(model.coefs, dtype=float) * flip[np.asarray(model.rows, dtype=np.intp)]
+    A = csr_matrix((data, (model.rows, model.cols)), shape=(model.n_rows, n))
+    has_ub, has_eq = bool(ub.any()), not ub.all()
+    res = linprog(c, A_ub=A[ub] if has_ub else None,
+                  b_ub=(flip * rhs)[ub] if has_ub else None,
+                  A_eq=A[~ub] if has_eq else None,
+                  b_eq=rhs[~ub] if has_eq else None,
+                  bounds=np.column_stack((model.lo, model.hi)),
+                  method="highs-ds", options={"maxiter": MAXITER})
 
     nit = int(getattr(res, "nit", 0) or 0)
     if res.status == 1:
-        raise ResourceLimitError(f"simplex iteration limit {maxiter} exhausted")
+        raise ResourceLimitError(f"simplex iteration limit {MAXITER} exhausted")
     if res.status == 2:
-        return LPResult("infeasible", {}, math.nan, nit)
+        return LPResult("infeasible", None, math.nan, nit)
     if res.status == 3:
-        return LPResult("unbounded", {}, math.inf if model.sense == "max" else -math.inf, nit)
+        return LPResult("unbounded", None, math.inf if model.sense == "max" else -math.inf, nit)
     if res.status != 0:
         raise ResourceLimitError(f"solver failed with status {res.status}: {res.message}")
 
-    assignment = {v.name: float(x) for v, x in zip(model.variables, res.x)}
     obj = float(res.fun)
     if model.sense == "max":
         obj = -obj
-    return LPResult("optimal", assignment, obj, nit)
+    return LPResult("optimal", res.x, obj, nit)
+
+
+def balance(net: FlowNetwork, var, v: str, sign: float = 1.0) -> list[tuple[int, float]]:
+    """Inflow minus outflow at node v, times `sign`, of the per-arc columns
+    `var[a]`: terms for a conservation row, or (sign -1) a net outflow."""
+    return ([(var[a], sign) for a in net.in_arcs[v]]
+            + [(var[a], -sign) for a in net.out_arcs[v]])
+
+
+def build_routing_lp(net: FlowNetwork, demands: list[Demand],
+                     group_cap) -> LPModel:
+    """Plain multicommodity max flow, blind to processing.
+
+    Column i * n_arcs + a is demand i's flow on arc a. Flow is conserved away
+    from each demand's endpoints, a finite amount caps the demand's net
+    source outflow, each bandwidth group g carries at most group_cap[g] over
+    all demands, and the objective is the total net source outflow.
+    """
+    m = LPModel("route", sense="max")
+    for _ in range(len(demands) * net.n_arcs):
+        m.add_var()
+    obj: dict[int, float] = {}
+    for i, d in enumerate(demands):
+        fvar = range(i * net.n_arcs, (i + 1) * net.n_arcs)
+        for v in net.nodes:
+            if v != d.source and v != d.sink:
+                m.add_constraint(balance(net, fvar, v), "==", 0.0)
+        net_out = balance(net, fvar, d.source, -1.0)
+        if math.isfinite(d.amount):
+            m.add_constraint(net_out, "<=", d.amount)
+        for j, coef in net_out:
+            obj[j] = obj.get(j, 0.0) + coef
+    for g, arcs in enumerate(net.groups):
+        m.add_constraint([(i * net.n_arcs + a, 1.0) for i in range(len(demands))
+                          for a in arcs], "<=", group_cap[g])
+    m.set_objective(obj)
+    return m
 
 
 @dataclass(frozen=True)
@@ -181,62 +216,53 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
 
     m = LPModel(name=f"edge-{kind}", sense="min" if congestion else "max")
     nd = len(demands)
-    wvar: list[dict[int, int]] = [{} for _ in range(nd)]
-    gvar: list[dict[int, int]] = [{} for _ in range(nd)]
+    wvar: list[list[int]] = [[] for _ in range(nd)]
+    gvar: list[list[int]] = [[] for _ in range(nd)]
     pvar: list[dict[str, int]] = [{} for _ in range(nd)]
 
     for i, d in enumerate(demands):
-        for a, arc in enumerate(net.arcs):
+        for arc in net.arcs:
             shut = congestion and net.group_capacity[arc.group] <= 0
-            wvar[i][a] = m.add_var(f"w_{i}_{a}",
-                                   hi=0.0 if shut or arc.head == d.sink else math.inf)
-            gvar[i][a] = m.add_var(f"g_{i}_{a}",
-                                   hi=0.0 if shut or arc.tail == d.source else math.inf)
+            wvar[i].append(m.add_var(hi=0.0 if shut or arc.head == d.sink else math.inf))
+            gvar[i].append(m.add_var(hi=0.0 if shut or arc.tail == d.source else math.inf))
         for v in net.nodes:
             if v != d.source:
                 hi = 0.0 if congestion and net.node_capacity[v] <= 0 else math.inf
-                pvar[i][v] = m.add_var(f"p_{i}_{net.node_index(v)}", hi=hi)
-
-    def terms(parts, arcs, sign: float) -> list[tuple[int, float]]:
-        return [(part[a], sign) for a in arcs for part in parts]
+                pvar[i][v] = m.add_var(hi=hi)
 
     net_out = []
     for i, d in enumerate(demands):
-        wi, gi, both = (wvar[i],), (gvar[i],), (wvar[i], gvar[i])
         for v in net.nodes:
             if v == d.source:
                 continue
-            ins, outs = net.in_arcs[v], net.out_arcs[v]
             p = [(pvar[i][v], 1.0)]
-            m.add_constraint(p + terms(wi, ins, -1.0) + terms(wi, outs, 1.0), "==", 0.0,
-                             f"unproc_{i}_{net.node_index(v)}")
+            m.add_constraint(p + balance(net, wvar[i], v, -1.0), "==", 0.0)
             if v != d.sink:
-                m.add_constraint(p + terms(gi, ins, 1.0) + terms(gi, outs, -1.0), "==", 0.0,
-                                 f"proc_{i}_{net.node_index(v)}")
-        out_i = (terms(both, net.out_arcs[d.source], 1.0)
-                 + terms(both, net.in_arcs[d.source], -1.0))
+                m.add_constraint(p + balance(net, gvar[i], v), "==", 0.0)
+        out_i = (balance(net, wvar[i], d.source, -1.0)
+                 + balance(net, gvar[i], d.source, -1.0))
         if congestion:
-            m.add_constraint(out_i, ">=", d.amount, f"need_{i}")
+            m.add_constraint(out_i, ">=", d.amount)
         elif math.isfinite(d.amount) and out_i:
-            m.add_constraint(out_i, "<=", d.amount, f"cap_{i}")
+            m.add_constraint(out_i, "<=", d.amount)
         net_out += out_i
 
     theta = None
     if kind == "min-max-congestion":
-        theta = m.add_var("cong")
+        theta = m.add_var()
     ew = objective.edge_weights or {}
     nw = objective.node_weights or {}
     weighted_obj: dict[int, float] = {}
 
     for g, cap in enumerate(net.group_capacity):
-        coeffs = terms(wvar + gvar, net.groups[g], 1.0)
+        coeffs = [(part[a], 1.0) for a in net.groups[g] for part in wvar + gvar]
         if not coeffs:
             continue
         if kind == "max-total-flow":
-            m.add_constraint(coeffs, "<=", cap, f"bw_{g}")
+            m.add_constraint(coeffs, "<=", cap)
         elif cap > 0:
             if theta is not None:
-                m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0, f"bw_{g}")
+                m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
             else:
                 for j, c in coeffs:
                     weighted_obj[j] = weighted_obj.get(j, 0.0) + ew.get(g, 1.0) * c / cap
@@ -246,10 +272,10 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
         if not coeffs:
             continue
         if kind == "max-total-flow":
-            m.add_constraint(coeffs, "<=", cap, f"pc_{net.node_index(v)}")
+            m.add_constraint(coeffs, "<=", cap)
         elif cap > 0:
             if theta is not None:
-                m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0, f"pc_{net.node_index(v)}")
+                m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
             else:
                 for j, c in coeffs:
                     weighted_obj[j] = weighted_obj.get(j, 0.0) + nw.get(v, 1.0) * c / cap
@@ -275,7 +301,7 @@ def _sparse(values: dict) -> dict:
     return {key: x for key, x in values.items() if x > SNAP}
 
 
-def extract_edge_solution(model: LPModel, assignment: dict[str, float],
+def extract_edge_solution(model: LPModel, x: np.ndarray,
                           net: FlowNetwork, demands: list[Demand]) -> EdgeFlowSolution:
     """Pull per-demand flows out of a solved edge LP, snapping float dust to zero.
 
@@ -284,24 +310,21 @@ def extract_edge_solution(model: LPModel, assignment: dict[str, float],
     """
     if not model.info or "g" not in model.info:
         raise ValueError("model was not built by build_edge_lp")
-
-    def get(var_idx: int) -> float:
-        return max(0.0, assignment.get(model.variables[var_idx].name, 0.0))
-
+    vals = [max(0.0, val) for val in x.tolist()]
     info = model.info
     flow, unproc, proc = [], [], []
     for i in range(len(demands)):
-        w = {a: get(j) for a, j in info["w"][i].items()}
-        g = {a: get(j) for a, j in info["g"][i].items()}
-        flow.append(_sparse({a: w[a] + g[a] for a in w}))
-        unproc.append(_sparse(w))
-        proc.append(_sparse({v: get(j) for v, j in info["p"][i].items()}))
+        w = [vals[j] for j in info["w"][i]]
+        g = [vals[j] for j in info["g"][i]]
+        flow.append(_sparse({a: w[a] + g[a] for a in range(len(w))}))
+        unproc.append(_sparse(dict(enumerate(w))))
+        proc.append(_sparse({v: vals[j] for v, j in info["p"][i].items()}))
     sol = EdgeFlowSolution(flow, unproc, proc, 0.0,
                            meta={"algorithm": "lp", "objective_kind": info["kind"]})
     sol.objective = sum(sol.delivered(net, demands, i) for i in range(len(demands)))
     theta = info.get("theta")
     if theta is not None:
-        sol.meta["congestion"] = assignment.get(model.variables[theta].name, 0.0)
+        sol.meta["congestion"] = float(x[theta])
     return sol
 
 
@@ -314,151 +337,44 @@ def solve_edge_lp(net: FlowNetwork, demands: list[Demand],
         raise InfeasibleError("edge LP infeasible (demands cannot all be met)")
     if res.status != "optimal":
         raise ResourceLimitError(f"edge LP ended {res.status}")
-    sol = extract_edge_solution(model, res.assignment, net, demands)
+    sol = extract_edge_solution(model, res.x, net, demands)
     sol.meta["lp_objective"] = res.objective
     sol.meta["lp_iterations"] = res.iterations
     return sol, res
 
 
-_NAME_RE = re.compile(r"[^A-Za-z0-9_.]")
-
-
-def _mps_name(base: str, taken: set, fallback: str) -> str:
-    name = _NAME_RE.sub("_", base) if base else fallback
-    if not name or name in taken:
-        name = fallback
-    taken.add(name)
-    return name
-
-
 def write_mps(model: LPModel, path: str) -> None:
-    """Serialize to the row/column interchange format most LP tools accept."""
-    taken: set[str] = set()
-    rownames = [_mps_name(c.name, taken, f"R{k}") for k, c in enumerate(model.constraints)]
-    taken = set()
-    colnames = [_mps_name(v.name, taken, f"C{j}") for j, v in enumerate(model.variables)]
+    """Serialize to the row/column interchange format most LP tools accept.
 
-    by_col: list[list[tuple[str, float]]] = [[] for _ in model.variables]
-    for k, con in enumerate(model.constraints):
-        merged: dict[int, float] = {}
-        for j, coef in con.coeffs:
-            merged[j] = merged.get(j, 0.0) + coef
-        for j, coef in merged.items():
-            if coef != 0.0:
-                by_col[j].append((rownames[k], coef))
-    for j, coef in model.objective.items():
-        if coef != 0.0:
-            by_col[j].append(("OBJ", coef))
-
+    Column j is named C<j> and row k R<k>.
+    """
+    A = csc_matrix((model.coefs, (model.rows, model.cols)),
+                   shape=(model.n_rows, model.n_vars))
     sense_tag = {"<=": "L", ">=": "G", "==": "E"}
     lines = [f"NAME          {model.name}", "OBJSENSE",
              f"    {'MAXIMIZE' if model.sense == 'max' else 'MINIMIZE'}", "ROWS",
              " N  OBJ"]
-    for k, con in enumerate(model.constraints):
-        lines.append(f" {sense_tag[con.sense]}  {rownames[k]}")
+    lines += [f" {sense_tag[s]}  R{k}" for k, s in enumerate(model.senses)]
     lines.append("COLUMNS")
-    for j, entries in enumerate(by_col):
-        for row, coef in entries:
-            lines.append(f"    {colnames[j]}  {row}  {coef!r}")
+    for j in range(model.n_vars):
+        span = slice(A.indptr[j], A.indptr[j + 1])
+        entries = [(f"R{k}", coef) for k, coef in
+                   zip(A.indices[span].tolist(), A.data[span].tolist())]
+        entries.append(("OBJ", model.objective.get(j, 0.0)))
+        lines += [f"    C{j}  {row}  {coef!r}" for row, coef in entries if coef != 0.0]
     lines.append("RHS")
-    for k, con in enumerate(model.constraints):
-        if con.rhs != 0.0:
-            lines.append(f"    RHS  {rownames[k]}  {con.rhs!r}")
+    lines += [f"    RHS  R{k}  {rhs!r}" for k, rhs in enumerate(model.rhs) if rhs != 0.0]
     lines.append("BOUNDS")
-    for j, v in enumerate(model.variables):
-        if v.lo == v.hi:
-            lines.append(f" FX BND  {colnames[j]}  {v.lo!r}")
+    for j, (lo, hi) in enumerate(zip(model.lo, model.hi)):
+        if lo == hi:
+            lines.append(f" FX BND  C{j}  {lo!r}")
             continue
-        if v.lo == -math.inf:
-            lines.append(f" MI BND  {colnames[j]}")
-        elif v.lo != 0.0:
-            lines.append(f" LO BND  {colnames[j]}  {v.lo!r}")
-        if math.isfinite(v.hi):
-            lines.append(f" UP BND  {colnames[j]}  {v.hi!r}")
+        if lo == -math.inf:
+            lines.append(f" MI BND  C{j}")
+        elif lo != 0.0:
+            lines.append(f" LO BND  C{j}  {lo!r}")
+        if math.isfinite(hi):
+            lines.append(f" UP BND  C{j}  {hi!r}")
     lines.append("ENDATA")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_mps(path: str) -> LPModel:
-    """Parse the subset of the interchange format that write_mps emits."""
-    sense = "min"
-    rows: dict[str, str] = {}
-    order: list[str] = []
-    cols: dict[str, list[tuple[str, float]]] = {}
-    col_order: list[str] = []
-    rhs: dict[str, float] = {}
-    bounds: dict[str, list[float]] = {}
-    name = "lp"
-    section = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("*"):
-                continue
-            head = line.split()
-            if not line[0].isspace():
-                key = head[0].upper()
-                if key == "NAME":
-                    name = head[1] if len(head) > 1 else "lp"
-                    section = None
-                elif key in ("OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS", "RANGES"):
-                    section = key
-                elif key == "ENDATA":
-                    break
-                else:
-                    raise ValueError(f"unsupported section {key!r}")
-                continue
-            if section == "OBJSENSE":
-                sense = "max" if head[0].upper().startswith("MAX") else "min"
-            elif section == "ROWS":
-                tag, rname = head[0].upper(), head[1]
-                if tag == "N":
-                    rows[rname] = "N"
-                elif tag in ("L", "G", "E"):
-                    rows[rname] = tag
-                    order.append(rname)
-                else:
-                    raise ValueError(f"unsupported row tag {tag!r}")
-            elif section == "COLUMNS":
-                cname = head[0]
-                if cname not in cols:
-                    cols[cname] = []
-                    col_order.append(cname)
-                for rname, val in zip(head[1::2], head[2::2]):
-                    cols[cname].append((rname, float(val)))
-            elif section == "RHS":
-                for rname, val in zip(head[1::2], head[2::2]):
-                    rhs[rname] = float(val)
-            elif section == "BOUNDS":
-                tag, cname = head[0].upper(), head[2]
-                if cname not in bounds:
-                    bounds[cname] = [0.0, math.inf]
-                if tag == "UP":
-                    bounds[cname][1] = float(head[3])
-                elif tag == "LO":
-                    bounds[cname][0] = float(head[3])
-                elif tag == "MI":
-                    bounds[cname][0] = -math.inf
-                elif tag == "FX":
-                    bounds[cname] = [float(head[3])] * 2
-                else:
-                    raise ValueError(f"unsupported bound tag {tag!r}")
-
-    model = LPModel(name=name, sense=sense)
-    var_idx = {c: model.add_var(c, *(bounds.get(c, [0.0, math.inf]))) for c in col_order}
-    objn = next((r for r, t in rows.items() if t == "N"), None)
-    per_row: dict[str, list[tuple[int, float]]] = {r: [] for r in order}
-    obj: dict[int, float] = {}
-    for cname, entries in cols.items():
-        for rname, val in entries:
-            if rname == objn:
-                obj[var_idx[cname]] = val
-            else:
-                per_row[rname].append((var_idx[cname], val))
-    sense_of = {"L": "<=", "G": ">=", "E": "=="}
-    for rname in order:
-        model.add_constraint(per_row[rname], sense_of[rows[rname]],
-                             rhs.get(rname, 0.0), rname)
-    model.set_objective(obj)
-    return model

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .model import (
@@ -34,9 +33,6 @@ from .model import (
 @dataclass(frozen=True)
 class MWUConfig:
     epsilon: float = 0.1
-    delta: float | None = None        # initial expert weight; default from epsilon
-    max_iterations: int | None = None  # hard guard; default is 4x the analytic bound
-    verbose: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -325,10 +321,9 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
     uniform analytic scale-down while staying exactly feasible.
     """
     n_edges = net.edge_count
-    delta = config.delta if config.delta is not None else default_delta(config.epsilon, n_edges)
+    delta = default_delta(config.epsilon, n_edges)
     bound = iteration_bound(net.n_nodes, n_edges, config.epsilon, delta)
-    guard = config.max_iterations if config.max_iterations is not None \
-        else max(1000, int(4 * bound) + 1)
+    guard = max(1000, int(4 * bound) + 1)  # hard guard: 4x the analytic bound
 
     empty_meta = {
         "algorithm": "mwu", "epsilon": config.epsilon, "delta": delta,
@@ -344,10 +339,7 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
             raise ResourceLimitError(
                 f"mwu exceeded the iteration guard of {guard}; "
                 f"epsilon={config.epsilon} may be pathologically small")
-        placed = mwu_iterate(state)
-        if config.verbose and placed is not None:
-            print(f"iter {state.iteration}: demand {placed[0]} flow {placed[2]:.6g}",
-                  file=sys.stderr)
+        mwu_iterate(state)
 
     group_load = [0.0] * len(net.group_capacity)
     node_load: dict[str, float] = {}

@@ -1,7 +1,8 @@
 """Route-then-process baseline.
 
-Phase 1 solves plain max multi-commodity flow, blind to processing capacity,
-and splits it into simple paths. Phase 2 walks each path in order and assigns
+Phase 1 solves plain max multi-commodity flow, blind to processing capacity
+(the routing LP of `lp.build_routing_lp` at full edge capacity), and splits
+it into simple paths. Phase 2 walks each path in order and assigns
 processing greedily at the first interior vertices that still have capacity
 left. Flow that finds no processing on its own path is discarded; nothing is
 ever re-routed. The gap to the LP optimum is the whole point of this
@@ -10,10 +11,8 @@ algorithm, so its weaknesses are deliberate and must stay.
 
 from __future__ import annotations
 
-import math
-
 from .decompose import SNAP, DecompositionError, _find_cycle
-from .lp import DEFAULT_MAXITER, LPModel, solve_lp
+from .lp import build_routing_lp, solve_lp
 from .model import (
     Demand,
     FlowNetwork,
@@ -22,37 +21,6 @@ from .model import (
     WalkEntry,
     WalkFlowSolution,
 )
-
-
-def _routing_lp(net: FlowNetwork, demands: list[Demand]) -> tuple[LPModel, list[list[int]]]:
-    m = LPModel("route-only", sense="max")
-    fvar: list[list[int]] = []
-    for i, _ in enumerate(demands):
-        fvar.append([m.add_var(f"f_{i}_{a}") for a in range(net.n_arcs)])
-
-    obj: dict[int, float] = {}
-    for i, d in enumerate(demands):
-        for v in net.nodes:
-            if v == d.source or v == d.sink:
-                continue
-            coeffs = [(fvar[i][a], 1.0) for a in net.in_arcs[v]]
-            coeffs += [(fvar[i][a], -1.0) for a in net.out_arcs[v]]
-            m.add_constraint(coeffs, "==", 0.0, name=f"cons_{i}_{v}")
-        # objective and demand cap are both the net outflow of the source
-        net_out = {fvar[i][a]: 1.0 for a in net.out_arcs[d.source]}
-        for a in net.in_arcs[d.source]:
-            net_out[fvar[i][a]] = net_out.get(fvar[i][a], 0.0) - 1.0
-        if d.amount is not None and math.isfinite(d.amount):
-            m.add_constraint(list(net_out.items()), "<=", d.amount, name=f"cap_{i}")
-        for var, coef in net_out.items():
-            obj[var] = obj.get(var, 0.0) + coef
-
-    for g, arcs in enumerate(net.groups):
-        coeffs = [(fvar[i][a], 1.0) for i in range(len(demands)) for a in arcs]
-        m.add_constraint(coeffs, "<=", net.group_capacity[g], name=f"bw_{g}")
-
-    m.set_objective(obj)
-    return m, fvar
 
 
 def _paths(net: FlowNetwork, flow: list[float], d: Demand) -> list[tuple[list[str], float]]:
@@ -90,8 +58,7 @@ def _paths(net: FlowNetwork, flow: list[float], d: Demand) -> list[tuple[list[st
 
 def naive_solve(net: FlowNetwork, demands: list[Demand]) -> WalkFlowSolution:
     """Max-flow first, then process greedily along each chosen path."""
-    model, fvar = _routing_lp(net, demands)
-    res = solve_lp(model, maxiter=DEFAULT_MAXITER)
+    res = solve_lp(build_routing_lp(net, demands, net.group_capacity))
     if res.status == "infeasible":
         raise InfeasibleError("routing LP infeasible")
     if res.status != "optimal":
@@ -100,11 +67,10 @@ def naive_solve(net: FlowNetwork, demands: list[Demand]) -> WalkFlowSolution:
     residual = {v: net.capacity(v) for v in net.nodes}
     entries: list[WalkEntry] = []
     routed = 0.0
+    x = res.x.tolist()
     for i, d in enumerate(demands):
-        flow = [max(0.0, res.assignment.get(f"f_{i}_{a}", 0.0)) for a in range(net.n_arcs)]
-        for a in range(net.n_arcs):
-            if flow[a] < SNAP:
-                flow[a] = 0.0
+        flow = [val if val >= SNAP else 0.0
+                for val in x[i * net.n_arcs:(i + 1) * net.n_arcs]]
         while True:
             cycle = _find_cycle(net, lambda a: flow[a])
             if cycle is None:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .decompose import SNAP
-from .lp import LPModel, LPResult, solve_lp
+from .lp import LPModel, LPResult, balance, build_routing_lp, solve_lp
 from .model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     StructuralError, ValidationReport, feas_slack,
                     validate_instance)
@@ -158,10 +158,10 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
         lo, hi = 0.0, 1.0
         if fix is not None:
             lo = hi = float(fix.get(v, 0.0))
-        xvar[v] = m.add_var(f"x.{v}", lo, hi)
+        xvar[v] = m.add_var(lo, hi)
 
-    pre: dict[tuple[int, str], dict[int, int]] = {}
-    post: dict[tuple[int, str], dict[int, int]] = {}
+    pre: dict[tuple[int, str], list[int]] = {}
+    post: dict[tuple[int, str], list[int]] = {}
     served_terms: dict[tuple[int, str], list[tuple[int, float]]] = {}
     proc_terms: dict[tuple[int, str], list[tuple[int, float]]] = {}
 
@@ -171,21 +171,15 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                 # degenerate leg: one end of the itinerary IS the processing
                 # point, so a single source->sink flow carries everything
                 blocked = set(net.in_arcs[d.source]) | set(net.out_arcs[d.sink])
-                tag = "p" if v == d.source else "u"
-                fv = {a: m.add_var(f"{tag}{i}.{v}.{a}", 0.0,
-                                   0.0 if a in blocked else math.inf)
-                      for a in range(net.n_arcs)}
+                fv = [m.add_var(hi=0.0 if a in blocked else math.inf)
+                      for a in range(net.n_arcs)]
                 if v == d.source:
                     post[(i, v)] = fv
                 else:
                     pre[(i, v)] = fv
                 for u in net.nodes:
-                    if u == d.source or u == d.sink:
-                        continue
-                    coeffs = [(fv[a], 1.0) for a in net.in_arcs[u]]
-                    coeffs += [(fv[a], -1.0) for a in net.out_arcs[u]]
-                    if coeffs:
-                        m.add_constraint(coeffs, "==", 0.0, f"{tag}{i}.{v}@{u}")
+                    if u != d.source and u != d.sink:
+                        _conserve(m, balance(net, fv, u))
                 served_terms[(i, v)] = [(fv[a], 1.0)
                                         for a in net.out_arcs[d.source]]
                 if v == d.source:
@@ -196,32 +190,24 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                 continue
             # unprocessed leg: may not leave v, may not re-enter the source
             blocked = set(net.out_arcs[v]) | set(net.in_arcs[d.source])
-            pv = {a: m.add_var(f"u{i}.{v}.{a}", 0.0,
-                               0.0 if a in blocked else math.inf)
-                  for a in range(net.n_arcs)}
+            pv = [m.add_var(hi=0.0 if a in blocked else math.inf)
+                  for a in range(net.n_arcs)]
             # processed leg: may not enter v, may not leave the sink
             blocked = set(net.in_arcs[v]) | set(net.out_arcs[d.sink])
-            qv = {a: m.add_var(f"p{i}.{v}.{a}", 0.0,
-                               0.0 if a in blocked else math.inf)
-                  for a in range(net.n_arcs)}
+            qv = [m.add_var(hi=0.0 if a in blocked else math.inf)
+                  for a in range(net.n_arcs)]
             pre[(i, v)] = pv
             post[(i, v)] = qv
 
             for u in net.nodes:
                 if u != d.source and u != v:
-                    coeffs = [(pv[a], 1.0) for a in net.in_arcs[u]]
-                    coeffs += [(pv[a], -1.0) for a in net.out_arcs[u]]
-                    if coeffs:
-                        m.add_constraint(coeffs, "==", 0.0, f"u{i}.{v}@{u}")
+                    _conserve(m, balance(net, pv, u))
                 if u != v and u != d.sink:
-                    coeffs = [(qv[a], 1.0) for a in net.in_arcs[u]]
-                    coeffs += [(qv[a], -1.0) for a in net.out_arcs[u]]
-                    if coeffs:
-                        m.add_constraint(coeffs, "==", 0.0, f"p{i}.{v}@{u}")
+                    _conserve(m, balance(net, qv, u))
             # everything delivered to v unprocessed leaves it processed
             coeffs = [(pv[a], 1.0) for a in net.in_arcs[v]]
             coeffs += [(qv[a], -1.0) for a in net.out_arcs[v]]
-            m.add_constraint(coeffs, "==", 0.0, f"conv{i}.{v}")
+            m.add_constraint(coeffs, "==", 0.0)
 
             served_terms[(i, v)] = [(pv[a], 1.0) for a in net.out_arcs[d.source]]
             proc_terms[(i, v)] = [(pv[a], 1.0) for a in net.in_arcs[v]]
@@ -232,19 +218,19 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
             terms += served_terms.get((i, v), [])
         sense = ">=" if mode == "min" else "<="
         if terms or mode == "min":
-            m.add_constraint(terms, sense, d.amount, f"demand{i}")
+            m.add_constraint(terms, sense, d.amount)
         for v in cands:
             if (i, v) not in served_terms:
                 continue
             coeffs = list(served_terms[(i, v)]) + [(xvar[v], -d.amount)]
-            m.add_constraint(coeffs, "<=", 0.0, f"cap{i}.{v}")
+            m.add_constraint(coeffs, "<=", 0.0)
 
     for v in cands:
         coeffs = []
         for i in range(len(inst.demands)):
             coeffs += proc_terms.get((i, v), [])
         coeffs.append((xvar[v], -inst.potential[v]))
-        m.add_constraint(coeffs, "<=", 0.0, f"proc.{v}")
+        m.add_constraint(coeffs, "<=", 0.0)
 
     for g, arcs in enumerate(net.groups):
         if not math.isfinite(net.group_capacity[g]):
@@ -256,14 +242,12 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                 for leg in (pre.get((i, v)), post.get((i, v))):
                     if leg is None:
                         continue
-                    for a in arcs:
-                        if a in leg:
-                            coeffs.append((leg[a], 1.0))
+                    coeffs += [(leg[a], 1.0) for a in arcs]
             total += coeffs
             coeffs.append((xvar[v], -net.group_capacity[g]))
-            m.add_constraint(coeffs, "<=", 0.0, f"bw.{g}.{v}")
+            m.add_constraint(coeffs, "<=", 0.0)
         if total:
-            m.add_constraint(total, "<=", net.group_capacity[g], f"bw.{g}")
+            m.add_constraint(total, "<=", net.group_capacity[g])
 
     if mode == "min":
         m.set_objective({xvar[v]: inst.price(v) for v in cands})
@@ -275,20 +259,21 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
         m.set_objective(obj)
         if budget_cap is not None:
             coeffs = [(xvar[v], inst.price(v)) for v in cands]
-            m.add_constraint(coeffs, "<=", budget_cap, "budget")
+            m.add_constraint(coeffs, "<=", budget_cap)
 
     m.info = {"x": xvar, "pre": pre, "post": post,
               "served": served_terms, "processed": proc_terms, "mode": mode}
     return m
 
 
-def _leg_values(var_map: dict[int, int], get) -> dict[int, float]:
-    out = {}
-    for a, j in var_map.items():
-        val = get(j)
-        if val > SNAP:
-            out[a] = val
-    return out
+def _conserve(m: LPModel, coeffs: list[tuple[int, float]]) -> None:
+    """A conservation row, skipped at a node with no arcs."""
+    if coeffs:
+        m.add_constraint(coeffs, "==", 0.0)
+
+
+def _leg_values(leg: list[int], x: list[float]) -> dict[int, float]:
+    return {a: x[j] for a, j in enumerate(leg) if x[j] > SNAP}
 
 
 def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
@@ -315,18 +300,14 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     if res.status != "optimal":
         raise InfeasibleError(f"purchase LP ended {res.status}")
 
-    names = {j: var.name for j, var in enumerate(model.variables)}
-
-    def get(j: int) -> float:
-        return res.assignment.get(names[j], 0.0)
-
+    vals = res.x.tolist()
     info = model.info
-    x = {v: min(1.0, max(0.0, get(j))) for v, j in info["x"].items()}
-    pre_leg = {key: _leg_values(vm, get) for key, vm in info["pre"].items()}
-    post_leg = {key: _leg_values(vm, get) for key, vm in info["post"].items()}
-    served = {key: max(0.0, sum(get(j) * c for j, c in terms))
+    x = {v: min(1.0, max(0.0, vals[j])) for v, j in info["x"].items()}
+    pre_leg = {key: _leg_values(leg, vals) for key, leg in info["pre"].items()}
+    post_leg = {key: _leg_values(leg, vals) for key, leg in info["post"].items()}
+    served = {key: max(0.0, sum(vals[j] * c for j, c in terms))
               for key, terms in info["served"].items()}
-    processed = {key: max(0.0, sum(get(j) * c for j, c in terms))
+    processed = {key: max(0.0, sum(vals[j] * c for j, c in terms))
                  for key, terms in info["processed"].items()}
     sol = PurchaseLPSolution(x, pre_leg, post_leg, served, processed,
                              res.objective,
@@ -587,14 +568,14 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
 
 # --- undirected single-source greedy ---------------------------------------
 
-def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, dict[int, float]]:
+def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]:
     """Max source->sink flow; arcs as (tail, head, group), caps per group.
 
     Returns value and per-arc flows. Group capacity is shared across every
     arc in the group (an undirected edge is two arcs in one group).
     """
     m = LPModel("maxflow", sense="max")
-    var = [m.add_var(f"a{j}") for j in range(len(arcs))]
+    var = [m.add_var() for _ in arcs]
     by_tail: dict[str, list[int]] = {v: [] for v in nodes}
     by_head: dict[str, list[int]] = {v: [] for v in nodes}
     for j, (tail, head, _) in enumerate(arcs):
@@ -606,14 +587,14 @@ def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, dict[int, fl
         coeffs = [(var[j], 1.0) for j in by_head[u]]
         coeffs += [(var[j], -1.0) for j in by_tail[u]]
         if coeffs:
-            m.add_constraint(coeffs, "==", 0.0, f"bal@{u}")
+            m.add_constraint(coeffs, "==", 0.0)
     groups: dict[int, list[int]] = {}
     for j, (_, _, g) in enumerate(arcs):
         groups.setdefault(g, []).append(j)
     for g, members in groups.items():
         cap = group_cap[g]
         if math.isfinite(cap):
-            m.add_constraint([(var[j], 1.0) for j in members], "<=", cap, f"cap{g}")
+            m.add_constraint([(var[j], 1.0) for j in members], "<=", cap)
     obj = {var[j]: 1.0 for j in by_tail[source]}
     for j in by_head[source]:
         obj[var[j]] = obj.get(var[j], 0.0) - 1.0
@@ -621,8 +602,7 @@ def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, dict[int, fl
     res = solve_lp(m)
     if res.status != "optimal":
         raise InfeasibleError(f"max-flow LP ended {res.status}")
-    flows = {j: res.assignment.get(f"a{j}", 0.0) for j in range(len(arcs))}
-    return res.objective, flows
+    return res.objective, res.x.tolist()
 
 
 class _ProcessingFlowOracle:
@@ -750,51 +730,21 @@ def greedy_budgeted_single_source(inst: PurchaseInstance,
     # routing half: one commodity per demand over B/2, total throttled by
     # what the detour can process
     net = inst.net
-    m = LPModel("route", sense="max")
-    fvar: list[dict[int, int]] = []
-    for i in range(len(inst.demands)):
-        fvar.append({a: m.add_var(f"f{i}.{a}") for a in range(net.n_arcs)})
-    deliver_terms = []
-    for i, d in enumerate(inst.demands):
-        for u in net.nodes:
-            if u in (d.source, d.sink):
-                continue
-            coeffs = [(fvar[i][a], 1.0) for a in net.in_arcs[u]]
-            coeffs += [(fvar[i][a], -1.0) for a in net.out_arcs[u]]
-            m.add_constraint(coeffs, "==", 0.0, f"bal{i}@{u}")
-        terms = [(fvar[i][a], 1.0) for a in net.out_arcs[d.source]]
-        terms += [(fvar[i][a], -1.0) for a in net.in_arcs[d.source]]
-        m.add_constraint(terms, "<=", d.amount, f"demand{i}")
-        deliver_terms.append(terms)
-    for g, arcs in enumerate(net.groups):
-        coeffs = []
-        for i in range(len(inst.demands)):
-            coeffs += [(fvar[i][a], 1.0) for a in arcs]
-        m.add_constraint(coeffs, "<=", net.group_capacity[g] / 2.0, f"bw{g}")
-    total = []
-    for terms in deliver_terms:
-        total += terms
-    m.add_constraint(total, "<=", proc_value, "processed")
-    obj: dict[int, float] = {}
-    for terms in deliver_terms:
-        for j, c in terms:
-            obj[j] = obj.get(j, 0.0) + c
-    m.set_objective(obj)
+    m = build_routing_lp(net, inst.demands, [c / 2.0 for c in net.group_capacity])
+    m.add_constraint(list(m.objective.items()), "<=", proc_value)
     res = solve_lp(m)
     if res.status != "optimal":
         raise InfeasibleError(f"routing LP ended {res.status}")
 
     n = len(inst.demands)
-    flow = [{} for _ in range(n)]
-    delivered = [0.0] * n
+    flow, delivered = [], []
+    x = res.x.tolist()
     for i, d in enumerate(inst.demands):
-        for a in range(net.n_arcs):
-            val = res.assignment.get(f"f{i}.{a}", 0.0)
-            if val > SNAP:
-                flow[i][a] = val
-        out = sum(res.assignment.get(f"f{i}.{a}", 0.0) for a in net.out_arcs[d.source])
-        inc = sum(res.assignment.get(f"f{i}.{a}", 0.0) for a in net.in_arcs[d.source])
-        delivered[i] = max(0.0, out - inc)
+        f = x[i * net.n_arcs:(i + 1) * net.n_arcs]
+        flow.append({a: val for a, val in enumerate(f) if val > SNAP})
+        out = sum(f[a] for a in net.out_arcs[d.source])
+        inc = sum(f[a] for a in net.in_arcs[d.source])
+        delivered.append(max(0.0, out - inc))
     served_total = sum(delivered)
 
     # attribute processing to demands pro rata; the detour legs live on the

@@ -87,7 +87,7 @@ def walk_lp_optimum(net: FlowNetwork, demands: list[Demand],
             mult = _group_multiplicity(net, walk)
             for v in processing_vertices(walk, d.source, d.sink, allow_endpoints):
                 if net.node_capacity[v] > 0:
-                    cols.append((i, mult, v, m.add_var(f"x{len(cols)}")))
+                    cols.append((i, mult, v, m.add_var()))
     if len(cols) > max_columns:
         raise OracleBlowup(f"{len(cols)} columns")
     if not cols:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-import pflow.cli as cli
+import pflow.harness as harness
 from pflow.cli import main
 from pflow.model import ResourceLimitError
 
@@ -135,7 +135,7 @@ class TestSolve:
     def test_resource_limit_maps_to_4(self, line_pf, tmp_path, monkeypatch):
         def blow_up(*a, **k):
             raise ResourceLimitError("walk budget exhausted")
-        monkeypatch.setattr(cli, "solve_edge_lp", blow_up)
+        monkeypatch.setattr(harness, "solve_edge_lp", blow_up)
         assert run("solve", "--alg", "lp", "--input", line_pf,
                    "-o", tmp_path / "x.json") == 4
 
@@ -187,6 +187,14 @@ class TestPurchase:
     def test_nothing_for_sale(self, line_pf, tmp_path):
         assert run("purchase", "--mode", "min", "--input", line_pf,
                    "-o", tmp_path / "x.json") == 2
+
+    def test_no_candidate_with_potential_is_infeasible(self, tmp_path):
+        # every node is for sale at zero potential, so the relaxation has no
+        # columns and its demand row cannot hold
+        src = tmp_path / "nopot.pf"
+        src.write_text(PUR.replace("potential=10", "potential=0"))
+        assert run("purchase", "--mode", "min", "--input", src,
+                   "-o", tmp_path / "x.json") == 3
 
     def test_unservable_demand_is_infeasible(self, tmp_path):
         src = tmp_path / "nopay.pf"

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from pflow.generators import gen_random_instance
-from pflow.lp import (Objective, build_edge_lp, read_mps, solve_edge_lp,
+from pflow.decompose import decompose
+from pflow.lp import (LPModel, Objective, build_edge_lp, solve_edge_lp,
                       solve_lp, write_mps)
-from pflow.model import Demand, FlowNetwork, InfeasibleError, verify_edge_solution
+from pflow.model import (Demand, FlowNetwork, InfeasibleError,
+                         verify_edge_solution, verify_walk_solution)
 
 from oracles import walk_lp_optimum
 
@@ -96,6 +98,120 @@ class TestCongestion:
                           Objective(kind="min-max-congestion"))
 
 
+def _lp(sense, rows, bounds=None, objective=None):
+    """A hand-sized model: rows are (coeffs, sense, rhs); one column per
+    bound pair (default two columns in [0, inf))."""
+    m = LPModel(sense=sense)
+    for lo, hi in [(0.0, math.inf)] * 2 if bounds is None else bounds:
+        m.add_var(lo, hi)
+    for coeffs, row_sense, rhs in rows:
+        m.add_constraint(coeffs, row_sense, rhs)
+    m.set_objective(objective if objective is not None else {0: 1.0, 1: 1.0})
+    return m
+
+
+@pytest.mark.parametrize("model, status, objective, x", [
+    # max x0 + x1 with x0 + 2 x1 <= 4, x0 - x1 == 1, x1 >= 0.5: x = (2, 1)
+    (_lp("max", [([(0, 1.0), (1, 2.0)], "<=", 4.0), ([(0, 1.0), (1, -1.0)], "==", 1.0),
+                 ([(1, 1.0)], ">=", 0.5)]), "optimal", 3.0, [2.0, 1.0]),
+    # min x0 + 3 x1 with x0 + x1 >= 2, x0 <= 1.5: x = (1.5, 0.5)
+    (_lp("min", [([(0, 1.0), (1, 1.0)], ">=", 2.0), ([(0, 1.0)], "<=", 1.5)],
+         objective={0: 1.0, 1: 3.0}), "optimal", 3.0, [1.5, 0.5]),
+    (_lp("max", [([(0, 1.0), (1, 1.0)], "<=", 1.0), ([(0, 1.0)], ">=", 2.0)]),
+     "infeasible", math.nan, None),
+    (_lp("max", [([(0, 1.0), (1, -1.0)], "<=", 1.0)]), "unbounded", math.inf, None),
+    (_lp("max", [([], "<=", 1.0), ([], ">=", -1.0), ([], "==", 0.0)], bounds=[],
+         objective={}), "optimal", 0.0, []),
+    (_lp("min", [([], ">=", 2.0)], bounds=[], objective={}), "infeasible", math.nan, None),
+], ids=["mixed-rows", "min", "infeasible", "unbounded", "empty-feasible",
+        "empty-infeasible"])
+def test_solve_lp(model, status, objective, x):
+    res = solve_lp(model)
+    assert res.status == status
+    if math.isnan(objective):
+        assert math.isnan(res.objective)
+    else:
+        assert res.objective == pytest.approx(objective, abs=1e-9)
+    if x is None:
+        assert res.x is None
+    else:
+        assert res.x.tolist() == pytest.approx(x, abs=1e-9)
+
+
+def read_mps(path: str) -> LPModel:
+    """Parse the subset of the interchange format that write_mps emits."""
+    sense = "min"
+    rows: dict[str, str] = {}
+    order: list[str] = []
+    cols: dict[str, list[tuple[str, float]]] = {}
+    rhs: dict[str, float] = {}
+    bounds: dict[str, list[float]] = {}
+    name = "lp"
+    section = None
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("*"):
+                continue
+            head = line.split()
+            if not line[0].isspace():
+                key = head[0].upper()
+                if key == "NAME":
+                    name = head[1] if len(head) > 1 else "lp"
+                    section = None
+                elif key in ("OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS", "RANGES"):
+                    section = key
+                elif key == "ENDATA":
+                    break
+                else:
+                    raise ValueError(f"unsupported section {key!r}")
+                continue
+            if section == "OBJSENSE":
+                sense = "max" if head[0].upper().startswith("MAX") else "min"
+            elif section == "ROWS":
+                tag, rname = head[0].upper(), head[1]
+                if tag not in ("N", "L", "G", "E"):
+                    raise ValueError(f"unsupported row tag {tag!r}")
+                rows[rname] = tag
+                if tag != "N":
+                    order.append(rname)
+            elif section == "COLUMNS":
+                cols.setdefault(head[0], []).extend(
+                    (rname, float(val)) for rname, val in zip(head[1::2], head[2::2]))
+            elif section == "RHS":
+                for rname, val in zip(head[1::2], head[2::2]):
+                    rhs[rname] = float(val)
+            elif section == "BOUNDS":
+                tag, cname = head[0].upper(), head[2]
+                bnd = bounds.setdefault(cname, [0.0, math.inf])
+                if tag == "UP":
+                    bnd[1] = float(head[3])
+                elif tag == "LO":
+                    bnd[0] = float(head[3])
+                elif tag == "MI":
+                    bnd[0] = -math.inf
+                elif tag == "FX":
+                    bnd[:] = [float(head[3])] * 2
+                else:
+                    raise ValueError(f"unsupported bound tag {tag!r}")
+
+    model = LPModel(name=name, sense=sense)
+    var_idx = {c: model.add_var(*bounds.get(c, [0.0, math.inf])) for c in cols}
+    per_row: dict[str, list[tuple[int, float]]] = {r: [] for r in order}
+    obj: dict[int, float] = {}
+    for cname, entries in cols.items():
+        for rname, val in entries:
+            if rows[rname] == "N":
+                obj[var_idx[cname]] = val
+            else:
+                per_row[rname].append((var_idx[cname], val))
+    sense_of = {"L": "<=", "G": ">=", "E": "=="}
+    for rname in order:
+        model.add_constraint(per_row[rname], sense_of[rows[rname]], rhs.get(rname, 0.0))
+    model.set_objective(obj)
+    return model
+
+
 def test_mps_round_trip(inst_line, tmp_path):
     net, demands = inst_line
     model = build_edge_lp(net, demands)
@@ -106,8 +222,8 @@ def test_mps_round_trip(inst_line, tmp_path):
         assert section in text
     back = read_mps(str(path))
     assert back.sense == model.sense
-    assert len(back.variables) == len(model.variables)
-    assert len(back.constraints) == len(model.constraints)
+    assert back.n_vars == model.n_vars
+    assert back.n_rows == model.n_rows
     a = solve_lp(model)
     b = solve_lp(back)
     assert a.status == b.status == "optimal"
@@ -144,7 +260,7 @@ def test_split_model_dimensions(inst_loop):
     net, _ = inst_loop
     demands = [Demand("s", "t"), Demand("a", "t", 1.0)]
     model = build_edge_lp(net, demands)
-    assert len(model.constraints) == (3 + 2) + (3 + 2 + 1) + 4 + 4
+    assert model.n_rows == (3 + 2) + (3 + 2 + 1) + 4 + 4
     assert model.n_vars == 2 * (2 * net.n_arcs + 3)
 
 
@@ -186,6 +302,8 @@ def test_solutions_verify_and_respect_the_split(kind):
             for i, d in enumerate(demands):
                 assert sol.delivered(net, demands, i) >= d.amount * (1 - 1e-9)
         rep = verify_edge_solution(net, demands, sol)
+        assert rep.ok, rep.problems
+        rep = verify_walk_solution(net, demands, decompose(sol, net, demands))
         assert rep.ok, rep.problems
         for i, d in enumerate(demands):
             w, f = sol.unprocessed[i], sol.flow[i]
