@@ -10,6 +10,7 @@ off-path processing nodes expressible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -116,6 +117,16 @@ class FlowNetwork:
     def edge_count(self) -> int:
         """Number of independent bandwidth budgets (undirected edges count once)."""
         return len(self.group_capacity)
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node index, the (head index, arc index) of each out-arc.
+
+        Built on first use; only the MWU walk oracle reads it.
+        """
+        idx = self._index
+        return tuple(tuple((idx[self.arcs[a].head], a) for a in self.out_arcs[v])
+                     for v in self.nodes)
 
     def node_index(self, v: str) -> int:
         try:

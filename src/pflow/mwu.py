@@ -8,6 +8,15 @@ and multiplies the touched experts' weights by (1+eps)^gain. The run stops
 when any weight passes 1; dividing all placed flow by the peak constraint
 utilization then yields a feasible solution within (1-eps) of the LP optimum.
 
+Weights only grow, so a demand's last walk cost is a lower bound on its
+current one. A round therefore reprices demands cheapest bound first and
+stops once no stale bound could still win (the argument Garg-Koenemann and
+Fleischer 2000 build on); arc and node costs change only for the experts the
+round's walk touched. The round's cheapest cost alpha is exact, so with D the
+total weight of the experts with capacity, D/alpha bounds the optimum from
+above (weak duality); when no demand is capped, the least such value is
+reported as meta["upper_bound"].
+
 All of a round's processing lands on the single vertex that minimizes
 weight/capacity along the walk. Spreading it over the other walk vertices
 proportionally to C(v) looks natural but silently charges the C-weighted
@@ -113,15 +122,6 @@ class ShortestWalkResult:
         return tuple(nodes), net.nodes[proc], arcs
 
 
-def _adjacency(net: FlowNetwork):
-    """Flat per-node lists of (head index, arc index) for the hot loops."""
-    idx = {v: i for i, v in enumerate(net.nodes)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
-    for a, arc in enumerate(net.arcs):
-        adj[idx[arc.tail]].append((idx[arc.head], a))
-    return adj
-
-
 def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
                               source: str,
                               forbid_first=(), forbid_second=()) -> ShortestWalkResult:
@@ -135,7 +135,7 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     away from its source); they never block a node from seeding.
     """
     n = net.n_nodes
-    adj = _adjacency(net)
+    adj = net.adjacency
     cost = [float(edge_cost[a]) for a in range(net.n_arcs)]
     src = net.node_index(source)
     inf = math.inf
@@ -189,9 +189,23 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     return ShortestWalkResult(net, src, dist, pred, r, origin)
 
 
+# A repriced demand displaces the round's running best only if it is cheaper
+# by more than _TIE, so among near-ties the lowest index wins.
+_TIE = 1e-15
+# Stale costs are repriced while within this relative margin of the cheapest
+# fresh cost, which also absorbs rounding in the weights' powers.
+_REPRICE_MARGIN = 1e-9
+
+
 @dataclass
 class MWUState:
-    """Everything the outer loop mutates between rounds."""
+    """Everything the outer loop mutates between rounds.
+
+    `arc_cost`, `node_cost`, `total_weight` and the loads follow the expert
+    weights and change only where a round's walk touched them. `heap` holds
+    (last walk cost, demand index) for every active demand; weights only
+    grow, so each entry bounds that demand's current cost from below.
+    """
 
     net: FlowNetwork
     demands: list[Demand]
@@ -204,16 +218,37 @@ class MWUState:
     placements: list[tuple[int, tuple, float, dict]] = field(default_factory=list)
     iteration: int = 0
     stopped: bool = False
+    # min over rounds of total_weight / (round's cheapest walk cost); an upper
+    # bound on the optimum when no demand is capped
+    upper_bound: float = field(default=math.inf, init=False)
+    arc_cost: list[float] = field(init=False)
+    node_cost: dict[str, float] = field(init=False)
+    total_weight: float = field(init=False)  # experts with capacity > 0
+    group_load: list[float] = field(init=False)   # pre-scaling, per group
+    node_load: dict[str, float] = field(init=False)
+    heap: list[tuple[float, int]] = field(init=False)
 
     def __post_init__(self):
+        net = self.net
         if not self.group_gain:
-            self.group_gain = [0.0] * len(self.net.group_capacity)
+            self.group_gain = [0.0] * len(net.group_capacity)
         if not self.node_gain:
-            self.node_gain = {v: 0.0 for v in self.net.nodes if self.net.capacity(v) > 0}
+            self.node_gain = {v: 0.0 for v in net.nodes if net.capacity(v) > 0}
         if not self.active:
             self.active = [True] * len(self.demands)
         if not self.placed_raw:
             self.placed_raw = [0.0] * len(self.demands)
+        group_w = [self.weight(g) for g in self.group_gain]
+        caps = net.group_capacity
+        self.arc_cost = [group_w[a.group] / caps[a.group] if caps[a.group] > 0
+                         else math.inf for a in net.arcs]
+        node_w = {v: self.weight(g) for v, g in self.node_gain.items()}
+        self.node_cost = {v: w / net.capacity(v) for v, w in node_w.items()}
+        self.total_weight = (sum(w for w, c in zip(group_w, caps) if c > 0)
+                             + sum(node_w.values()))
+        self.group_load = [0.0] * len(caps)
+        self.node_load = {}
+        self.heap = [(0.0, i) for i, on in enumerate(self.active) if on]
 
     def weight(self, gain: float) -> float:
         return self.delta * (1.0 + self.epsilon) ** gain
@@ -224,19 +259,44 @@ class MWUState:
         return -math.log(self.delta) / math.log1p(self.epsilon)
 
 
-def _arc_costs(state: MWUState) -> list[float]:
-    net = state.net
-    group_w = [state.weight(g) for g in state.group_gain]
-    out = []
-    for arc in net.arcs:
-        cap = net.group_capacity[arc.group]
-        out.append(group_w[arc.group] / cap if cap > 0 else math.inf)
-    return out
+def _reprice(state: MWUState) -> dict[int, tuple[float, ShortestWalkResult]]:
+    """Walk costs of every demand that could win this round, by index.
 
-
-def _node_costs(state: MWUState) -> dict[str, float]:
-    net = state.net
-    return {v: state.weight(g) / net.capacity(v) for v, g in state.node_gain.items()}
+    Demands leave the heap cheapest bound first and are priced until the next
+    bound exceeds the cheapest fresh cost by the margin plus 2*_TIE per active
+    demand. The winner of the index-order scan in `mwu_iterate` is decided by
+    the cheapest cost and a chain of near-ties above it, each link at most
+    2*_TIE (the rounding of `best - _TIE` included) and at most one per
+    demand, so no demand left stale could change it. A demand with no valid
+    walk drops out.
+    """
+    net, demands, heap = state.net, state.demands, state.heap
+    node_cost = state.node_cost
+    slack = 2.0 * _TIE * len(heap)
+    fresh = {}
+    alpha = math.inf
+    while heap and heap[0][0] <= alpha * (1.0 + _REPRICE_MARGIN) + slack:
+        _, i = heapq.heappop(heap)
+        d = demands[i]
+        # no processing at the source; the sink is never entered by the
+        # first leg, so its node cost is never charged
+        saved = node_cost.get(d.source)
+        if saved is not None:
+            node_cost[d.source] = math.inf
+        try:
+            res = shortest_processing_2walk(net, state.arc_cost, node_cost, d.source,
+                                            forbid_first=(d.sink,),
+                                            forbid_second=(d.source,))
+        finally:
+            if saved is not None:
+                node_cost[d.source] = saved
+        c = res.cost_to(d.sink)
+        if not math.isfinite(c):
+            state.active[i] = False  # structurally no valid processing walk
+            continue
+        fresh[i] = (c, res)
+        alpha = min(alpha, c)
+    return fresh
 
 
 def mwu_iterate(state: MWUState):
@@ -249,33 +309,23 @@ def mwu_iterate(state: MWUState):
     if state.stopped:
         raise RuntimeError("solver already stopped")
     net, demands = state.net, state.demands
-    arc_cost = _arc_costs(state)
-    base_node_cost = _node_costs(state)
-    sigma = scaling_factor(state.epsilon, state.delta)
+    fresh = _reprice(state)
 
-    best = None  # (cost, demand idx, walk nodes, processing vertex, arcs)
-    for i, d in enumerate(demands):
-        if not state.active[i]:
-            continue
-        node_cost = dict(base_node_cost)
-        node_cost[d.source] = math.inf
-        node_cost[d.sink] = math.inf
-        res = shortest_processing_2walk(net, arc_cost, node_cost, d.source,
-                                        forbid_first=(d.sink,),
-                                        forbid_second=(d.source,))
-        c = res.cost_to(d.sink)
-        if not math.isfinite(c):
-            state.active[i] = False  # structurally no valid processing walk
-            continue
-        if best is None or c < best[0] - 1e-15:
-            got = res.walk_to(d.sink)
-            best = (c, i, got[0], got[1], got[2])
-
+    best = None  # (cost, demand idx)
+    for i in sorted(fresh):
+        c = fresh[i][0]
+        if best is None or c < best[0] - _TIE:
+            best = (c, i)
     if best is None:
-        state.stopped = True
+        state.upper_bound = 0.0  # no demand has a valid walk
         return None
-    _, i, nodes, v_star, arcs = best
+    # the scan may settle on a near-tie above the round's exact minimum
+    alpha = min(c for c, _ in fresh.values())
+    if alpha > 0.0:
+        state.upper_bound = min(state.upper_bound, state.total_weight / alpha)
+    i = best[1]
     d = demands[i]
+    nodes, v_star, arcs = fresh[i][1].walk_to(d.sink)
 
     mult: dict[int, int] = {}
     for a in arcs:
@@ -285,11 +335,14 @@ def mwu_iterate(state: MWUState):
     flow = min(bw_limit, net.capacity(v_star))
 
     if d.amount is not None and math.isfinite(d.amount):
-        budget = d.amount * sigma
+        budget = d.amount * scaling_factor(state.epsilon, state.delta)
         remaining = budget - state.placed_raw[i]
         if flow >= remaining - 1e-12:
             flow = max(remaining, 0.0)
             state.active[i] = False
+    for j, (c, _) in fresh.items():
+        if state.active[j]:
+            heapq.heappush(state.heap, (c, j))
     if flow <= 0.0:
         state.iteration += 1
         return None
@@ -297,10 +350,23 @@ def mwu_iterate(state: MWUState):
     processing = {v_star: flow}
     limit = state.gain_limit
     for g, m in mult.items():
-        state.group_gain[g] += m * flow / net.group_capacity[g]
+        cap = net.group_capacity[g]
+        old = state.weight(state.group_gain[g])
+        state.group_gain[g] += m * flow / cap
+        w = state.weight(state.group_gain[g])
+        state.total_weight += w - old
+        for a in net.groups[g]:
+            state.arc_cost[a] = w / cap
+        state.group_load[g] += m * flow
         if state.group_gain[g] > limit:
             state.stopped = True
-    state.node_gain[v_star] += flow / net.capacity(v_star)
+    cap = net.capacity(v_star)
+    old = state.weight(state.node_gain[v_star])
+    state.node_gain[v_star] += flow / cap
+    w = state.weight(state.node_gain[v_star])
+    state.total_weight += w - old
+    state.node_cost[v_star] = w / cap
+    state.node_load[v_star] = state.node_load.get(v_star, 0.0) + flow
     if state.node_gain[v_star] > limit:
         state.stopped = True
 
@@ -319,19 +385,28 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
     including per-demand limits); the stopping rule bounds that peak by
     log_{1+eps}((1+eps)/delta), so this is at least as much flow as the
     uniform analytic scale-down while staying exactly feasible.
+
+    Every path returns the same meta keys. `stopped_by` is "weight" once a
+    weight passed 1 and "demands" when no demand was left to route (caps met,
+    no valid walk, or nothing to route at all); `upper_bound` is present
+    exactly when no demand is capped.
     """
     n_edges = net.edge_count
     delta = default_delta(config.epsilon, n_edges)
     bound = iteration_bound(net.n_nodes, n_edges, config.epsilon, delta)
     guard = max(1000, int(4 * bound) + 1)  # hard guard: 4x the analytic bound
 
-    empty_meta = {
+    meta = {
         "algorithm": "mwu", "epsilon": config.epsilon, "delta": delta,
         "iterations": 0, "iteration_bound": bound, "scale": 1.0,
-        "sigma": scaling_factor(config.epsilon, delta),
+        "sigma": scaling_factor(config.epsilon, delta), "stopped_by": "demands",
     }
+    # the bound prices edges and nodes only; capped demands would need duals
+    uncapped = all(d.amount is None or not math.isfinite(d.amount) for d in demands)
     if not demands or all(net.capacity(v) <= 0 for v in net.nodes):
-        return WalkFlowSolution([], meta=empty_meta)
+        if uncapped:
+            meta["upper_bound"] = 0.0
+        return WalkFlowSolution([], meta=meta)
 
     state = MWUState(net, demands, config.epsilon, delta)
     while not state.stopped and any(state.active):
@@ -341,21 +416,8 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
                 f"epsilon={config.epsilon} may be pathologically small")
         mwu_iterate(state)
 
-    group_load = [0.0] * len(net.group_capacity)
-    node_load: dict[str, float] = {}
-    demand_load = [0.0] * len(demands)
     merged: dict[tuple[int, tuple], tuple[float, dict]] = {}
     for i, nodes, flow, processing in state.placements:
-        demand_load[i] += flow
-        seen: dict[int, int] = {}
-        for j in range(len(nodes) - 1):
-            a = net.arc_index[(nodes[j], nodes[j + 1])]
-            g = net.arcs[a].group
-            seen[g] = seen.get(g, 0) + 1
-        for g, m in seen.items():
-            group_load[g] += m * flow
-        for v, amt in processing.items():
-            node_load[v] = node_load.get(v, 0.0) + amt
         key = (i, nodes)
         old_f, old_p = merged.get(key, (0.0, {}))
         for v, amt in processing.items():
@@ -363,15 +425,16 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
         merged[key] = (old_f + flow, old_p)
 
     peak = 0.0
-    for g, load in enumerate(group_load):
+    for g, load in enumerate(state.group_load):
         if load > 0:
             peak = max(peak, load / net.group_capacity[g])
-    for v, load in node_load.items():
+    for v, load in state.node_load.items():
         if load > 0:
             peak = max(peak, load / net.capacity(v))
     scale = max(peak, 1.0) * (1.0 + 1e-12)
     # shared constraints scale together; a demand that still overshoots its
     # cap shrinks alone, which cannot disturb any shared load
+    demand_load = state.placed_raw
     demand_scale = [scale] * len(demands)
     for i, d in enumerate(demands):
         if demand_load[i] > 0 and d.amount is not None and math.isfinite(d.amount):
@@ -383,7 +446,8 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
                   {v: amt / demand_scale[i] for v, amt in proc.items()})
         for (i, nodes), (flow, proc) in merged.items()
     ]
-    meta = dict(empty_meta)
     meta.update(iterations=state.iteration, scale=scale,
                 stopped_by="weight" if state.stopped else "demands")
+    if uncapped:
+        meta["upper_bound"] = state.upper_bound
     return WalkFlowSolution(entries, meta=meta)

@@ -201,3 +201,82 @@ def brute_min_processing_walk_costs(n: int, arcs: list[tuple[int, int, float]],
                 if cand < result[v]:
                     result[v] = cand
     return result
+
+
+def mwu_full_scan_placements(net: FlowNetwork, demands: list[Demand],
+                             epsilon: float, delta: float | None = None,
+                             max_rounds: float = math.inf) -> tuple[list[tuple], int]:
+    """MWU rounds that reprice every active demand each round.
+
+    The reference for the lazy argmin in `pflow.mwu`: every round recomputes
+    all expert weights and node costs from the gains, prices each active
+    demand through the public walk oracle and scans them in index order
+    (a demand replaces the running best only if cheaper by more than 1e-15).
+    Returns the placements as (demand, walk nodes, flow) and the round count.
+    `delta` overrides the initial weight; `max_rounds` cuts the run short.
+    """
+    from pflow.mwu import default_delta, scaling_factor, shortest_processing_2walk
+
+    if delta is None:
+        delta = default_delta(epsilon, net.edge_count)
+    sigma = scaling_factor(epsilon, delta)
+    limit = -math.log(delta) / math.log1p(epsilon)
+
+    def weight(gain: float) -> float:
+        return delta * (1.0 + epsilon) ** gain
+
+    group_gain = [0.0] * net.edge_count
+    node_gain = {v: 0.0 for v in net.nodes if net.capacity(v) > 0}
+    active = [True] * len(demands)
+    placed = [0.0] * len(demands)
+    placements: list[tuple] = []
+    rounds = 0
+    if not node_gain:
+        return placements, rounds
+    while any(active) and rounds < max_rounds:
+        arc_cost = []
+        for arc in net.arcs:
+            cap = net.group_capacity[arc.group]
+            arc_cost.append(weight(group_gain[arc.group]) / cap if cap > 0 else math.inf)
+        best = None
+        for i, d in enumerate(demands):
+            if not active[i]:
+                continue
+            node_cost = {v: weight(g) / net.capacity(v) for v, g in node_gain.items()}
+            node_cost[d.source] = node_cost[d.sink] = math.inf
+            res = shortest_processing_2walk(net, arc_cost, node_cost, d.source,
+                                            forbid_first=(d.sink,),
+                                            forbid_second=(d.source,))
+            c = res.cost_to(d.sink)
+            if not math.isfinite(c):
+                active[i] = False
+                continue
+            if best is None or c < best[0] - 1e-15:
+                best = (c, i, res.walk_to(d.sink))
+        if best is None:
+            break
+        _, i, (nodes, stop, arcs) = best
+        mult: dict[int, int] = {}
+        for a in arcs:
+            mult[net.arcs[a].group] = mult.get(net.arcs[a].group, 0) + 1
+        flow = min(min(net.group_capacity[g] / m for g, m in mult.items()),
+                   net.capacity(stop))
+        if math.isfinite(demands[i].amount):
+            remaining = demands[i].amount * sigma - placed[i]
+            if flow >= remaining - 1e-12:
+                flow = max(remaining, 0.0)
+                active[i] = False
+        rounds += 1
+        if flow <= 0.0:
+            continue
+        over = False
+        for g, m in mult.items():
+            group_gain[g] += m * flow / net.group_capacity[g]
+            over |= group_gain[g] > limit
+        node_gain[stop] += flow / net.capacity(stop)
+        over |= node_gain[stop] > limit
+        placed[i] += flow
+        placements.append((i, nodes, flow))
+        if over:
+            break
+    return placements, rounds

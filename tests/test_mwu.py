@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+from pflow import mwu as mwu_module
 from pflow.lp import solve_edge_lp
 from pflow.model import Demand, FlowNetwork, verify_walk_solution
 from pflow.mwu import (MWUConfig, MWUState, default_delta, iteration_bound,
                        mwu_iterate, mwu_solve, shortest_processing_2walk)
 
-from oracles import brute_min_processing_walk_costs
+from oracles import brute_min_processing_walk_costs, mwu_full_scan_placements
 
 
 def test_default_delta_pinned():
@@ -162,3 +163,108 @@ def test_iteration_bound_monotone_in_size():
     small = iteration_bound(4, 5, 0.1, default_delta(0.1, 5))
     big = iteration_bound(40, 80, 0.1, default_delta(0.1, 80))
     assert 0 < small < big
+
+
+def _random_network(rng, n):
+    names = [f"v{i}" for i in range(n)]
+    directed = rng.random() < 0.5
+    pairs = [(a, b) for a in names for b in names if a != b]
+    if not directed:
+        pairs = [(a, b) for a, b in pairs if a < b]
+    rng.shuffle(pairs)
+    m = rng.randint(n, min(len(pairs), 3 * n))
+    edges = [(a, b, float(rng.choice([1, 2, 3, 5, 8]))) for a, b in pairs[:m]]
+    caps = {v: float(rng.choice([0, 1, 2, 4])) for v in names}
+    caps[rng.choice(names)] = 2.0
+    # z has no arcs, so any demand into it has no valid walk
+    return FlowNetwork(names + ["z"], edges, node_capacity=caps, directed=directed), names
+
+
+def test_lazy_argmin_matches_full_scan(monkeypatch):
+    # The solver reprices only demands whose last cost could still win; the
+    # reference reprices every active demand every round. Duplicated demands
+    # tie exactly.
+    seen = []
+
+    def recording(state):
+        placement = mwu_iterate(state)
+        if placement is not None:
+            seen.append(placement[:3])
+        return placement
+
+    monkeypatch.setattr(mwu_module, "mwu_iterate", recording)
+    rng = random.Random(52117)
+    for trial in range(36):
+        net, names = _random_network(rng, rng.randint(3, 6))
+        demands = []
+        for _ in range(rng.randint(1, 3)):
+            s, t = rng.sample(names, 2)
+            demands.append(Demand(s, t, rng.choice([math.inf, math.inf, 2.0, 5.0])))
+        twin = rng.choice(demands)
+        demands.append(Demand(twin.source, twin.sink, rng.choice([math.inf, 3.0])))
+        demands.append(Demand(rng.choice(names), "z"))
+        rng.shuffle(demands)
+        eps = rng.choice([0.1, 0.3, 0.5])
+
+        seen.clear()
+        sol = mwu_solve(net, demands, MWUConfig(epsilon=eps))
+        want, rounds = mwu_full_scan_placements(net, demands, eps)
+        assert seen == want, f"trial {trial}"
+        assert sol.meta["iterations"] == rounds
+
+
+def test_lazy_argmin_matches_full_scan_among_near_ties():
+    # With an initial weight near 1e-16 the walk costs start below the 1e-15
+    # tie tolerance and climb through it, so the index-order scan follows
+    # chains of near-ties that a purely relative reprice margin would cut.
+    rng = random.Random(61307)
+    for trial in range(20):
+        net, names = _random_network(rng, rng.randint(4, 6))
+        demands = [Demand(*rng.sample(names, 2)) for _ in range(rng.randint(4, 7))]
+        eps, delta = 0.5, rng.choice([1e-17, 1e-16, 4e-16, 1e-15])
+        st = MWUState(net, demands, eps, delta)
+        got = []
+        while not st.stopped and any(st.active) and st.iteration < 60:
+            placement = mwu_iterate(st)
+            if placement is not None:
+                got.append(placement[:3])
+        want, rounds = mwu_full_scan_placements(net, demands, eps, delta, max_rounds=60)
+        assert got == want, f"trial {trial}"
+        assert st.iteration == rounds
+
+
+def test_upper_bound_certifies_uncapped_instances():
+    rng = random.Random(80233)
+    checked = 0
+    for _ in range(30):
+        net, names = _random_network(rng, rng.randint(3, 7))
+        demands = [Demand(*rng.sample(names, 2)) for _ in range(rng.randint(1, 3))]
+        sol = mwu_solve(net, demands, MWUConfig(epsilon=0.2))
+        lp_sol, _ = solve_edge_lp(net, demands)
+        bound = sol.meta["upper_bound"]
+        assert bound >= sol.objective
+        assert bound >= lp_sol.objective * (1.0 - 1e-9)
+        checked += lp_sol.objective > 1e-9
+    assert checked >= 20
+
+
+def test_upper_bound_absent_when_a_demand_is_capped(inst_line):
+    net, demands = inst_line
+    capped = demands + [Demand("s", "t", 1.0)]
+    assert "upper_bound" not in mwu_solve(net, capped, MWUConfig(epsilon=0.3)).meta
+    assert "upper_bound" not in mwu_solve(FlowNetwork("st", [("s", "t", 1.0)]),
+                                          [Demand("s", "t", 1.0)]).meta
+
+
+def test_every_path_reports_the_same_meta_keys(inst_line):
+    net, demands = inst_line
+    main = mwu_solve(net, demands, MWUConfig(epsilon=0.3)).meta
+    no_demands = mwu_solve(net, []).meta
+    no_capacity = mwu_solve(FlowNetwork("st", [("s", "t", 1.0)]), [Demand("s", "t")]).meta
+    isolated = FlowNetwork("satz", [("s", "a", 1.0), ("a", "t", 1.0)], {"a": 1.0})
+    unroutable = mwu_solve(isolated, [Demand("s", "z")]).meta
+    assert main["stopped_by"] == "weight"
+    for meta in (no_demands, no_capacity, unroutable):
+        assert set(meta) == set(main)
+        assert meta["stopped_by"] == "demands"
+        assert meta["upper_bound"] == 0.0
