@@ -22,7 +22,7 @@ from .instance_io import (emit_edge_solution, emit_instance, emit_solution,
                           parse_instance, parse_solution)
 from .lp import Objective, build_edge_lp, write_mps
 from .model import (InfeasibleError, ResourceLimitError, StructuralError,
-                    validate_instance)
+                    validate_instance, verify_edge_solution)
 from .purchase import (PurchaseInstance, round_budgeted_purchase,
                        round_min_purchase, solve_purchase_lp,
                        validate_purchase_instance)
@@ -36,11 +36,14 @@ EXIT_LIMIT = 4
 _OBJECTIVES = {"maxflow": "max-total-flow", "congestion": "min-max-congestion"}
 
 
-def _checked_instance(path: str):
-    inst = parse_instance(path)
-    report = validate_instance(inst.net, inst.demands)
+def _require(report) -> None:
     if not report:
         raise StructuralError("; ".join(report.problems))
+
+
+def _checked_instance(path: str):
+    inst = parse_instance(path)
+    _require(validate_instance(inst.net, inst.demands))
     return inst
 
 
@@ -74,6 +77,9 @@ def _cmd_decompose(args) -> int:
         raise StructuralError("input is not an edge-flows document "
                               "(produce one with: solve --alg lp --format edge-flows)")
     edge_sol, inst = parsed
+    # decompose reads the flows as they are, so it gets only a feasible solution
+    _require(validate_instance(inst.net, inst.demands))
+    _require(verify_edge_solution(inst.net, inst.demands, edge_sol))
     sol = decompose(edge_sol, inst.net, inst.demands)
     emit_solution(sol, args.output, format="document")
     return EXIT_OK
@@ -86,9 +92,7 @@ def _cmd_purchase(args) -> int:
         pinst = PurchaseInstance(pinst.net, pinst.demands, pinst.potential,
                                  pinst.cost, args.budget)
     mode = "budgeted" if args.mode == "budget" else args.mode
-    report = validate_purchase_instance(pinst, mode)
-    if not report:
-        raise StructuralError("; ".join(report.problems))
+    _require(validate_purchase_instance(pinst, mode))
     if args.mode == "min":
         lp_sol, _ = solve_purchase_lp(pinst, "min")
         sol = round_min_purchase(pinst, lp_sol, delta=args.delta,

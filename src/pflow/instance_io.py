@@ -36,10 +36,6 @@ class ParsedInstance:
     potential: dict[str, float] = field(default_factory=dict)
     budget: float | None = None
 
-    @property
-    def has_purchase(self) -> bool:
-        return bool(self.potential) or self.budget is not None
-
     def purchase(self) -> PurchaseInstance:
         if not self.potential:
             raise StructuralError("instance declares no purchasable nodes")

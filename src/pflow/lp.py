@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_matrix, csr_matrix
 
-from .model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
+from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     ResourceLimitError)
 
 MAXITER = 200_000
@@ -292,9 +292,6 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
 
     m.info = {"w": wvar, "g": gvar, "p": pvar, "theta": theta, "kind": kind}
     return m
-
-
-SNAP = 1e-12
 
 
 def _sparse(values: dict) -> dict:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 REL_TOL = 1e-6
 ABS_TOL = 1e-9
+SNAP = 1e-12  # below this a residual is float dust, not flow
 
 
 def feas_slack(capacity: float) -> float:
@@ -234,6 +235,24 @@ class WalkFlowSolution:
         return sum(e.flow for e in self.entries if e.demand == demand)
 
 
+def _capacity_problems(net: FlowNetwork, sol) -> list[str]:
+    """Bandwidth groups and processing nodes that `sol` (walk or edge
+    solution) loads past their capacity."""
+    problems = []
+    for g, load in sol.group_loads(net).items():
+        cap = net.group_capacity[g]
+        if load > cap + feas_slack(cap):
+            a = net.arcs[net.groups[g][0]]
+            problems.append(
+                f"edge {a.tail}-{a.head}: load {load} exceeds capacity {cap} by {load - cap}")
+    for v, load in sol.node_loads().items():
+        cap = net.node_capacity[v]
+        if load > cap + feas_slack(cap):
+            problems.append(
+                f"node {v}: processing {load} exceeds capacity {cap} by {load - cap}")
+    return problems
+
+
 def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
                          sol: WalkFlowSolution) -> ValidationReport:
     """Feasibility check for a walk solution against network and demands.
@@ -283,17 +302,7 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
             problems.append(
                 f"entry {k}: processing sums to {total_p}, flow is {e.flow}")
 
-    for g, load in sol.group_loads(net).items():
-        cap = net.group_capacity[g]
-        if load > cap + feas_slack(cap):
-            a = net.arcs[net.groups[g][0]]
-            problems.append(
-                f"edge {a.tail}-{a.head}: load {load} exceeds capacity {cap} by {load - cap}")
-    for v, load in sol.node_loads().items():
-        cap = net.node_capacity[v]
-        if load > cap + feas_slack(cap):
-            problems.append(
-                f"node {v}: processing {load} exceeds capacity {cap} by {load - cap}")
+    problems += _capacity_problems(net, sol)
     for i, d in enumerate(demands):
         got = sol.delivered(i)
         if got > d.amount + feas_slack(d.amount):
@@ -401,15 +410,5 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
         if got > d.amount + feas_slack(d.amount):
             problems.append(f"demand {i}: delivered {got} exceeds requested {d.amount}")
 
-    for g, load in sol.group_loads(net).items():
-        cap = net.group_capacity[g]
-        if load > cap + feas_slack(cap):
-            a = net.arcs[net.groups[g][0]]
-            problems.append(
-                f"edge {a.tail}-{a.head}: load {load} exceeds capacity {cap} by {load - cap}")
-    for v, load in sol.node_loads().items():
-        cap = net.node_capacity[v]
-        if load > cap + feas_slack(cap):
-            problems.append(
-                f"node {v}: processing {load} exceeds capacity {cap} by {load - cap}")
+    problems += _capacity_problems(net, sol)
     return ValidationReport(not problems, problems)

@@ -127,6 +127,9 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
                               forbid_first=(), forbid_second=()) -> ShortestWalkResult:
     """Two chained Dijkstra passes over arc costs plus one node-cost charge.
 
+    `edge_cost[a]` is read per arc index, so it must be a list or an
+    int-keyed mapping that covers every arc.
+
     Pass one computes plain distances d(v); pass two re-runs Dijkstra seeded
     with d(v) + node_cost(v), so settling v at cost r(v) means some walk
     reaches v with its processing already paid. forbid_first / forbid_second
@@ -136,7 +139,6 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     """
     n = net.n_nodes
     adj = net.adjacency
-    cost = [float(edge_cost[a]) for a in range(net.n_arcs)]
     src = net.node_index(source)
     inf = math.inf
 
@@ -154,7 +156,7 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
         for u, a in adj[v]:
             if block1[u]:
                 continue
-            nd = dv + cost[a]
+            nd = dv + edge_cost[a]
             if nd < dist[u]:
                 dist[u] = nd
                 pred[u] = a
@@ -180,7 +182,7 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
         for u, a in adj[v]:
             if block2[u]:
                 continue
-            nr = rv + cost[a]
+            nr = rv + edge_cost[a]
             if nr < r[u]:
                 r[u] = nr
                 origin[u] = a

@@ -11,9 +11,10 @@ algorithm, so its weaknesses are deliberate and must stay.
 
 from __future__ import annotations
 
-from .decompose import SNAP, DecompositionError, _find_cycle
+from .decompose import DecompositionError, cancel_cycles, subtract
 from .lp import build_routing_lp, solve_lp
 from .model import (
+    SNAP,
     Demand,
     FlowNetwork,
     InfeasibleError,
@@ -45,10 +46,7 @@ def _paths(net: FlowNetwork, flow: list[float], d: Demand) -> list[tuple[list[st
         if not arcs:
             break
         delta = min(flow[a] for a in arcs)
-        for a in arcs:
-            flow[a] -= delta
-            if flow[a] < SNAP:
-                flow[a] = 0.0
+        subtract(flow, arcs, delta)
         out.append((path, delta))
         guard += 1
         if guard > net.n_arcs + net.n_nodes:
@@ -71,15 +69,7 @@ def naive_solve(net: FlowNetwork, demands: list[Demand]) -> WalkFlowSolution:
     for i, d in enumerate(demands):
         flow = [val if val >= SNAP else 0.0
                 for val in x[i * net.n_arcs:(i + 1) * net.n_arcs]]
-        while True:
-            cycle = _find_cycle(net, lambda a: flow[a])
-            if cycle is None:
-                break
-            delta = min(flow[a] for a in cycle)
-            for a in cycle:
-                flow[a] -= delta
-                if flow[a] < SNAP:
-                    flow[a] = 0.0
+        cancel_cycles(net, flow)
         for path, amount in _paths(net, flow, d):
             routed += amount
             remaining = amount

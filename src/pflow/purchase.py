@@ -19,9 +19,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .decompose import SNAP
 from .lp import LPModel, LPResult, balance, build_routing_lp, solve_lp
-from .model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
+from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     StructuralError, ValidationReport, feas_slack,
                     validate_instance)
 

@@ -152,6 +152,33 @@ class TestDecompose:
         assert doc["kind"] == "walks"
         assert doc["objective"] == pytest.approx(3.0, abs=1e-9)
 
+    # each corruption of the seed-3 document breaks a different part of
+    # feasibility: conservation, the processing balance, edge capacity
+    @pytest.mark.parametrize("corrupt", [
+        "intact", "flow_is_unprocessed", "unprocessed_x3", "flow_x5"])
+    def test_edge_flows_verified_before_decompose(self, corrupt, tmp_path, capsys):
+        inst = tmp_path / "inst.pf"
+        assert run("gen", "--kind", "random", "--nodes", 6, "--density", 0.5,
+                   "--demands", 2, "--seed", 3, "-o", inst) == 0
+        edges = tmp_path / "edges.json"
+        assert run("solve", "--alg", "lp", "--format", "edge-flows",
+                   "--input", inst, "-o", edges) == 0
+        doc = json.loads(edges.read_text())
+        for i, (f, w) in enumerate(zip(doc["flow"], doc["unprocessed"])):
+            if corrupt == "flow_is_unprocessed":
+                doc["flow"][i] = dict(w)
+            elif corrupt == "unprocessed_x3":
+                doc["unprocessed"][i] = {a: 3 * x for a, x in w.items()}
+            elif corrupt == "flow_x5":
+                doc["flow"][i] = {a: 5 * x for a, x in f.items()}
+        edges.write_text(json.dumps(doc))
+        code = run("decompose", "--input", edges, "-o", tmp_path / "w.json")
+        if corrupt == "intact":
+            assert code == 0
+        else:
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_walk_document_rejected(self, line_pf, tmp_path, capsys):
         walks = tmp_path / "walks.json"
         run("solve", "--alg", "lp", "--input", line_pf, "-o", walks)

@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from pflow.decompose import decompose, extraction_bound
+from pflow.decompose import cancel_cycles, decompose, extraction_bound
 from pflow.lp import solve_edge_lp
-from pflow.model import Demand, FlowNetwork, verify_walk_solution
+from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork,
+                         verify_edge_solution, verify_walk_solution)
 
 from oracles import walk_lp_optimum
 
 
-def _solve_and_decompose(net, demands, selection="heap"):
+def _solve_and_decompose(net, demands):
     sol, _ = solve_edge_lp(net, demands)
-    walks = decompose(sol, net, demands, selection=selection)
+    walks = decompose(sol, net, demands)
     return sol, walks
 
 
@@ -53,20 +54,32 @@ def test_extraction_bound_formula():
     assert extraction_bound(undirected) == 2 + 2 * 2
 
 
-def test_selection_strategies_agree(inst_loop):
-    net, demands = inst_loop
-    sol, _ = solve_edge_lp(net, demands)
-    heap = decompose(sol, net, demands, selection="heap")
-    scan = decompose(sol, net, demands, selection="scan")
-    assert [(e.nodes, round(e.flow, 9)) for e in heap.entries] == \
-           [(e.nodes, round(e.flow, 9)) for e in scan.entries]
+def test_cancel_cycles_empties_a_circulation():
+    net = FlowNetwork("uvwx", [("u", "v", 1.0), ("v", "u", 1.0), ("v", "w", 1.0),
+                               ("w", "u", 1.0), ("w", "x", 1.0), ("x", "w", 1.0)])
+    # u-v-u and u-v-w-u share arc u->v; w-x-w leaves float dust on x->w
+    value = [3.0, 1.0, 2.0, 2.0, 0.3, 0.1 + 0.2]
+    assert cancel_cycles(net, value) == 3
+    assert value == [0.0] * 6
 
 
-def test_unknown_selection_rejected(inst_line):
-    net, demands = inst_line
-    sol, _ = solve_edge_lp(net, demands)
-    with pytest.raises(ValueError):
-        decompose(sol, net, demands, selection="magic")
+def test_cycles_in_both_parts_are_cancelled():
+    # one walk s->a->t processed at a, plus an unprocessed loop a->b->a and a
+    # processed loop a->c->a that carry no delivered flow
+    net = FlowNetwork("sabct", [("s", "a", 10.0), ("a", "t", 10.0),
+                                ("a", "b", 10.0), ("b", "a", 10.0),
+                                ("a", "c", 10.0), ("c", "a", 10.0)], {"a": 1.0})
+    demands = [Demand("s", "t")]
+    arc = net.arc_index
+    unprocessed = {arc["s", "a"]: 1.0, arc["a", "b"]: 1.0, arc["b", "a"]: 1.0}
+    flow = {**unprocessed, arc["a", "t"]: 1.0, arc["a", "c"]: 1.0, arc["c", "a"]: 1.0}
+    sol = EdgeFlowSolution([flow], [unprocessed], [{"a": 1.0}], 1.0)
+    assert verify_edge_solution(net, demands, sol).ok
+    walks = decompose(sol, net, demands)
+    assert walks.meta["cancelled_cycles"] == [2]
+    assert verify_walk_solution(net, demands, walks).ok
+    assert walks.objective == pytest.approx(sol.objective, abs=1e-12)
+    assert [e.nodes for e in walks.entries] == [("s", "a", "t")]
 
 
 def test_random_instances_round_trip():
