@@ -8,8 +8,7 @@ capacity, instance generators, and a sweep harness.
 from .decompose import DecompositionError, decompose, extraction_bound
 from .generators import (gen_random_instance, gen_random_purchase,
                          gen_reduction_instance)
-from .harness import (RunRecord, SweepSpec, compare_runs, objective_ratio,
-                      ratio_series, write_csv)
+from .harness import RunRecord, SweepSpec, compare_runs, write_csv
 from .instance_io import (InstanceFormatError, ParsedInstance, emit_instance,
                           emit_solution, instance_text, parse_instance,
                           parse_instance_text, parse_solution,
@@ -39,8 +38,8 @@ __all__ = [
     "default_delta", "iteration_bound",
     "emit_instance", "emit_solution", "extraction_bound",
     "gen_random_instance", "gen_random_purchase", "gen_reduction_instance",
-    "greedy_budgeted_single_source", "instance_text", "mwu_solve", "naive_solve", "objective_ratio", "parse_instance",
-    "parse_instance_text", "parse_solution", "ratio_series",
+    "greedy_budgeted_single_source", "instance_text", "mwu_solve", "naive_solve", "parse_instance",
+    "parse_instance_text", "parse_solution",
     "round_budgeted_purchase", "round_min_purchase", "rounding_rounds",
     "shortest_processing_2walk", "solution_document", "solve_edge_lp",
     "solve_lp", "solve_purchase_lp", "validate_instance",

@@ -5,7 +5,9 @@ until the node is purchased at cost q(v): minimize purchase cost subject to
 serving every demand in full, or maximize served flow under a budget. Both
 are solved as LP relaxations over fractional purchase levels x(v) in [0,1]
 and rounded randomly; an exact greedy with a max-flow oracle covers the
-undirected single-source budgeted case.
+undirected single-source budgeted case. That oracle is combinatorial
+(Edmonds-Karp augmenting paths in pure Python), so the greedy solves a
+single LP, its final routing.
 
 Flow bookkeeping differs from the fixed-capacity world: each unit is routed
 as a two-leg itinerary through its chosen processing vertex v, an unprocessed
@@ -51,12 +53,15 @@ class PurchaseInstance:
 
 def validate_purchase_instance(inst: PurchaseInstance,
                                mode: str = "min") -> ValidationReport:
+    """`validate_instance` plus the purchase fields: potentials must be
+    finite and non-negative, costs too, demand amounts finite, and budgeted
+    mode needs a non-negative budget."""
     problems = list(validate_instance(inst.net, inst.demands).problems)
     for v, c in inst.potential.items():
         if v not in inst.net.node_capacity:
             problems.append(f"potential at unknown node {v!r}")
-        elif math.isnan(c) or c < 0:
-            problems.append(f"node {v}: negative or invalid potential {c}")
+        elif not math.isfinite(c) or c < 0:
+            problems.append(f"node {v}: negative or non-finite potential {c}")
     for v, q in inst.cost.items():
         if v not in inst.net.node_capacity:
             problems.append(f"cost at unknown node {v!r}")
@@ -84,7 +89,9 @@ class PurchaseLPSolution:
     processing vertex v. When v is the demand's own source only a post leg
     exists (flow departs processed); when v is its sink only a pre leg does
     (flow converts on arrival). `served[(i, v)]` is what that leg pair
-    delivers, `processed[(i, v)]` the processing volume it uses at v.
+    delivers, `processed[(i, v)]` the processing volume it uses at v. A
+    candidate pinned to 0 by `fix` has no entry in any of these four maps;
+    `x` still lists every candidate.
     """
 
     x: dict[str, float]
@@ -147,6 +154,11 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     purchase cost is capped by `budget_cap` (pass None to drop the cap, e.g.
     when `fix` pins the purchase vector to an integral point and the cost is
     known anyway).
+
+    `fix` pins x(v) to fix.get(v, 0). A candidate pinned to 0 keeps its x
+    column but gets no leg columns and none of the rows its legs would feed:
+    served <= R x = 0 and processing <= C x = 0 let such legs deliver
+    nothing, so dropping them leaves the optimum as it is.
     """
     net = inst.net
     cands = inst.candidates()
@@ -158,6 +170,7 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
         if fix is not None:
             lo = hi = float(fix.get(v, 0.0))
         xvar[v] = m.add_var(lo, hi)
+    opened = [v for v in cands if fix is None or fix.get(v, 0.0) != 0.0]
 
     pre: dict[tuple[int, str], list[int]] = {}
     post: dict[tuple[int, str], list[int]] = {}
@@ -165,7 +178,7 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     proc_terms: dict[tuple[int, str], list[tuple[int, float]]] = {}
 
     for i, d in enumerate(inst.demands):
-        for v in cands:
+        for v in opened:
             if v == d.source or v == d.sink:
                 # degenerate leg: one end of the itinerary IS the processing
                 # point, so a single source->sink flow carries everything
@@ -213,21 +226,19 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
 
     for i, d in enumerate(inst.demands):
         terms = []
-        for v in cands:
-            terms += served_terms.get((i, v), [])
+        for v in opened:
+            terms += served_terms[(i, v)]
         sense = ">=" if mode == "min" else "<="
         if terms or mode == "min":
             m.add_constraint(terms, sense, d.amount)
-        for v in cands:
-            if (i, v) not in served_terms:
-                continue
+        for v in opened:
             coeffs = list(served_terms[(i, v)]) + [(xvar[v], -d.amount)]
             m.add_constraint(coeffs, "<=", 0.0)
 
-    for v in cands:
+    for v in opened:
         coeffs = []
         for i in range(len(inst.demands)):
-            coeffs += proc_terms.get((i, v), [])
+            coeffs += proc_terms[(i, v)]
         coeffs.append((xvar[v], -inst.potential[v]))
         m.add_constraint(coeffs, "<=", 0.0)
 
@@ -235,7 +246,7 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
         if not math.isfinite(net.group_capacity[g]):
             continue
         total = []
-        for v in cands:
+        for v in opened:
             coeffs = []
             for i in range(len(inst.demands)):
                 for leg in (pre.get((i, v)), post.get((i, v))):
@@ -570,38 +581,81 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
 def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]:
     """Max source->sink flow; arcs as (tail, head, group), caps per group.
 
-    Returns value and per-arc flows. Group capacity is shared across every
-    arc in the group (an undirected edge is two arcs in one group).
+    Returns the value and the flow on each arc. A group is either one arc or
+    the two opposite arcs of one undirected edge, whose directions share the
+    capacity; any other shape is rejected. Edmonds-Karp: augment along
+    BFS-shortest paths of the residual network, in which a residual at or
+    below SNAP counts as saturated. An edge of capacity c carrying net flow
+    phi from a to b has residual c - phi forward and c + phi back (0 + phi
+    for a lone arc), which is exact because opposite flows on one edge only
+    waste capacity. An augmenting path of infinite capacity raises
+    InfeasibleError.
     """
-    m = LPModel("maxflow", sense="max")
-    var = [m.add_var() for _ in arcs]
-    by_tail: dict[str, list[int]] = {v: [] for v in nodes}
-    by_head: dict[str, list[int]] = {v: [] for v in nodes}
-    for j, (tail, head, _) in enumerate(arcs):
-        by_tail[tail].append(j)
-        by_head[head].append(j)
-    for u in nodes:
-        if u in (source, sink):
-            continue
-        coeffs = [(var[j], 1.0) for j in by_head[u]]
-        coeffs += [(var[j], -1.0) for j in by_tail[u]]
-        if coeffs:
-            m.add_constraint(coeffs, "==", 0.0)
-    groups: dict[int, list[int]] = {}
+    members: dict[int, list[int]] = {}
     for j, (_, _, g) in enumerate(arcs):
-        groups.setdefault(g, []).append(j)
-    for g, members in groups.items():
-        cap = group_cap[g]
-        if math.isfinite(cap):
-            m.add_constraint([(var[j], 1.0) for j in members], "<=", cap)
-    obj = {var[j]: 1.0 for j in by_tail[source]}
-    for j in by_head[source]:
-        obj[var[j]] = obj.get(var[j], 0.0) - 1.0
-    m.set_objective(obj)
-    res = solve_lp(m)
-    if res.status != "optimal":
-        raise InfeasibleError(f"max-flow LP ended {res.status}")
-    return res.objective, res.x.tolist()
+        members.setdefault(g, []).append(j)
+    groups = list(members.values())
+    # group k's first arc is (a, b); phi[k] is its net flow from a to b,
+    # up[k] the capacity a->b and down[k] the capacity b->a
+    up, down = [], []
+    adj: dict[str, list[tuple[int, int, str]]] = {v: [] for v in nodes}
+    for k, js in enumerate(groups):
+        a, b, g = arcs[js[0]]
+        if len(js) == 1:
+            down.append(0.0)
+        elif len(js) == 2 and arcs[js[1]][:2] == (b, a):
+            down.append(group_cap[g])
+        else:
+            raise StructuralError(
+                f"max-flow group {g} is neither one arc nor one undirected edge")
+        up.append(group_cap[g])
+        adj[a].append((k, 1, b))
+        adj[b].append((k, -1, a))
+
+    phi = [0.0] * len(groups)
+
+    def residual(k: int, sign: int) -> float:
+        return up[k] - phi[k] if sign > 0 else down[k] + phi[k]
+
+    value = 0.0
+    while True:
+        prev: dict[str, tuple[str, int, int] | None] = {source: None}
+        layer = [source]
+        while layer and sink not in prev:
+            reached = []
+            for u in layer:
+                for k, sign, w in adj[u]:
+                    if w in prev:
+                        continue
+                    if residual(k, sign) > SNAP:
+                        prev[w] = (u, k, sign)
+                        reached.append(w)
+            layer = reached
+        if sink not in prev:
+            break
+        path = []
+        w = sink
+        while prev[w] is not None:
+            u, k, sign = prev[w]
+            path.append((k, sign))
+            w = u
+        delta = min(residual(k, sign) for k, sign in path)
+        if delta == math.inf:
+            raise InfeasibleError("max flow unbounded: a path of infinite capacity")
+        for k, sign in path:
+            # clamped, so that a saturated edge holds its capacity exactly
+            if sign > 0:
+                phi[k] = min(phi[k] + delta, up[k])
+            else:
+                phi[k] = max(phi[k] - delta, -down[k])
+        value += delta
+
+    flows = [0.0] * len(arcs)
+    for k, js in enumerate(groups):
+        flows[js[0]] = max(phi[k], 0.0)
+        if len(js) == 2:
+            flows[js[1]] = max(-phi[k], 0.0)
+    return value, flows
 
 
 class _ProcessingFlowOracle:
@@ -696,7 +750,10 @@ def greedy_budgeted_single_source(inst: PurchaseInstance,
     feasibility is free). Purchases maximize the quarter-capacity flow the
     bought nodes can process and return, a monotone submodular objective
     handled by the knapsack greedy; the delivered value is that flow pushed
-    through the routing half toward the sinks, demand-capped.
+    through the routing half toward the sinks, demand-capped. Each oracle
+    call is a combinatorial max-flow (`_max_flow`, Edmonds-Karp), and its
+    net flow on each feeder arc is that node's processing load; the routing
+    LP is the only LP solved.
 
     `depth` is the partial-enumeration depth (3 for the guarantee, 1 as a
     faster weaker mode).

@@ -153,6 +153,41 @@ def budgeted_purchase_bruteforce(net: FlowNetwork, demands: list[Demand],
     return best_val, best_set
 
 
+def max_flow_lp(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]:
+    """Max source->sink flow as an LP; arcs as (tail, head, group), caps per
+    group, a group's capacity shared by all its arcs. The reference for
+    `pflow.purchase._max_flow`. Returns the value and per-arc flows.
+    """
+    m = LPModel("maxflow", sense="max")
+    var = [m.add_var() for _ in arcs]
+    by_tail: dict[str, list[int]] = {v: [] for v in nodes}
+    by_head: dict[str, list[int]] = {v: [] for v in nodes}
+    for j, (tail, head, _) in enumerate(arcs):
+        by_tail[tail].append(j)
+        by_head[head].append(j)
+    for u in nodes:
+        if u in (source, sink):
+            continue
+        coeffs = [(var[j], 1.0) for j in by_head[u]]
+        coeffs += [(var[j], -1.0) for j in by_tail[u]]
+        if coeffs:
+            m.add_constraint(coeffs, "==", 0.0)
+    groups: dict[int, list[int]] = {}
+    for j, (_, _, g) in enumerate(arcs):
+        groups.setdefault(g, []).append(j)
+    for g, members in groups.items():
+        cap = group_cap[g]
+        if math.isfinite(cap):
+            m.add_constraint([(var[j], 1.0) for j in members], "<=", cap)
+    obj = {var[j]: 1.0 for j in by_tail[source]}
+    for j in by_head[source]:
+        obj[var[j]] = obj.get(var[j], 0.0) - 1.0
+    m.set_objective(obj)
+    res = solve_lp(m)
+    assert res.status == "optimal", res.status
+    return res.objective, res.x.tolist()
+
+
 def _all_simple_path_costs(n: int, out: list[list[tuple[int, float]]],
                            s: int) -> list[float]:
     """Min cost over explicitly enumerated simple paths from s to every node."""

@@ -17,7 +17,7 @@ from oracles import (budgeted_purchase_bruteforce,
 from pflow.decompose import decompose, extraction_bound
 from pflow.generators import (gen_random_instance, gen_random_purchase,
                               gen_reduction_instance)
-from pflow.harness import SweepSpec, compare_runs, ratio_series
+from pflow.harness import SweepSpec, compare_runs
 from pflow.lp import solve_edge_lp
 from pflow.model import (Demand, FlowNetwork, InfeasibleError,
                          verify_walk_solution)
@@ -27,6 +27,7 @@ from pflow.naive import naive_solve
 from pflow.purchase import (PurchaseInstance, greedy_budgeted_single_source,
                             round_budgeted_purchase, round_min_purchase,
                             rounding_rounds, solve_purchase_lp)
+from ratios import ratio_series
 
 # --------------------------------------------------------------------------
 # shared corpus for the first three criteria: small seeded instances whose

@@ -223,6 +223,15 @@ class TestPurchase:
         assert run("purchase", "--mode", "min", "--input", src,
                    "-o", tmp_path / "x.json") == 3
 
+    @pytest.mark.parametrize("mode", ["min", "budget"])
+    def test_infinite_potential_rejected(self, mode, tmp_path, capsys):
+        src = tmp_path / "infpot.pf"
+        src.write_text(PUR.replace("potential=10", "potential=inf"))
+        assert run("purchase", "--mode", mode, "--budget", "5", "--input", src,
+                   "-o", tmp_path / "x.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node a: ") and "potential inf" in err
+
     def test_unservable_demand_is_infeasible(self, tmp_path):
         src = tmp_path / "nopay.pf"
         src.write_text(PUR.replace("potential=10", "potential=1")

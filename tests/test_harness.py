@@ -5,9 +5,9 @@ import math
 import pytest
 
 from pflow.harness import (CSV_HEADER, KNOWN_ALGS, RunRecord, SweepSpec,
-                           compare_runs, half_subset, objective_ratio,
-                           ratio_series, write_csv)
+                           compare_runs, half_subset, write_csv)
 from pflow.model import Demand, FlowNetwork, StructuralError
+from ratios import objective_ratio, ratio_series
 
 
 def test_grid_endpoints():

@@ -7,14 +7,15 @@ from itertools import combinations
 
 import pytest
 
-from pflow.model import Demand, FlowNetwork, InfeasibleError
-from pflow.purchase import (PurchaseInstance, _ProcessingFlowOracle,
-                            greedy_budgeted_single_source,
+from pflow.generators import gen_random_purchase
+from pflow.model import Demand, FlowNetwork, InfeasibleError, StructuralError
+from pflow.purchase import (PurchaseInstance, _max_flow, _ProcessingFlowOracle,
+                            build_purchase_lp, greedy_budgeted_single_source,
                             round_budgeted_purchase, round_min_purchase,
                             rounding_rounds, solve_purchase_lp,
                             validate_purchase_instance)
 
-from oracles import served_with_purchases
+from oracles import max_flow_lp, served_with_purchases
 
 
 def make_pur1(pur1):
@@ -130,6 +131,15 @@ class TestBudgetedGreedy:
         # routing at half capacity caps the realized value
         assert g.value == pytest.approx(3.0, abs=1e-6)
 
+    def test_infinite_potential_rejected(self, bud1):
+        # the max-flow oracle must never push an unbounded amount
+        net, demands, _, cost, budget = bud1
+        inst = PurchaseInstance(net, demands,
+                                potential={"s": math.inf, "a": 3.0},
+                                cost=cost, budget=budget)
+        with pytest.raises(StructuralError, match="potential"):
+            greedy_budgeted_single_source(inst)
+
 
 class TestBudgetedRounding:
     def test_respects_budget(self, bud1):
@@ -184,6 +194,143 @@ class TestValidation:
         assert "unknown node 'zz'" in text
         assert "potential" in text and "cost" in text
         assert "finite amount" in text
+
+
+def _pinned_objective(inst, mode, fix):
+    try:
+        sol, _ = solve_purchase_lp(inst, mode, budget_cap=None, fix=fix)
+    except InfeasibleError:
+        return None
+    return sol.objective
+
+
+def _random_purchase_instances(count):
+    # small graphs, so that some candidates sit on demand endpoints
+    for seed in range(count):
+        n = 4 + seed % 4
+        parsed = gen_random_purchase(n, 0.5, n_candidates=min(4, n - 1),
+                                     n_demands=2, seed=seed, budget=2.0,
+                                     directed=seed % 2 == 0)
+        yield parsed.purchase()
+
+
+class TestPinnedLP:
+    # A candidate pinned to 0 has no leg columns, so a pinned LP must have
+    # the optimum of the same LP over an instance that sells only the
+    # candidates left open.
+
+    def test_closed_candidates_change_no_optimum(self):
+        rng = random.Random(606)
+        for inst in _random_purchase_instances(40):
+            names = inst.candidates()
+            subsets = [{v} for v in names]
+            subsets += [set(rng.sample(names, rng.randint(0, len(names))))
+                        for _ in range(2)]
+            for sub in subsets:
+                fix = {v: (1.0 if v in sub else 0.0) for v in names}
+                pruned = PurchaseInstance(
+                    inst.net, inst.demands,
+                    {v: c for v, c in inst.potential.items() if v in sub},
+                    inst.cost, inst.budget)
+                for mode in ("min", "budgeted"):
+                    got = _pinned_objective(inst, mode, fix)
+                    want = _pinned_objective(pruned, mode, fix)
+                    if want is None:
+                        assert got is None, (mode, sorted(sub))
+                    else:
+                        assert got == pytest.approx(want, abs=1e-9), \
+                            (mode, sorted(sub))
+
+    def test_one_open_candidate_has_one_set_of_legs(self):
+        for inst in _random_purchase_instances(12):
+            names = inst.candidates()
+            arcs = inst.net.n_arcs
+            for v in names:
+                model = build_purchase_lp(inst, "budgeted", fix={v: 1.0})
+                # a candidate on a demand's endpoint has a single leg for it
+                legs = sum(arcs if v in (d.source, d.sink) else 2 * arcs
+                           for d in inst.demands)
+                assert model.n_vars == len(names) + legs
+                sol, _ = solve_purchase_lp(inst, "budgeted", fix={v: 1.0})
+                assert sorted(sol.x) == sorted(names)
+                assert {u for _, u in sol.served} <= {v}
+
+
+def _random_max_flow_case(rng, trial):
+    """Nodes, arcs (tail, head, group), group caps, sink and feeder arcs of
+    a random network fed from a '+pool' source, as the greedy's oracle
+    builds it: directed or undirected edges, parallel ones included, plus
+    one directed feeder arc per chosen node."""
+    n = rng.randint(2, 7)
+    names = [f"v{i}" for i in range(n)]
+    directed = trial % 2 == 0
+    arcs, caps = [], []
+    for _ in range(rng.randint(0, 3 * n)):
+        a, b = rng.sample(names, 2)
+        g = len(caps)
+        caps.append(rng.choice([0.0, float(rng.randint(1, 4)),
+                                rng.uniform(0.05, 5.0)]))
+        arcs.append((a, b, g))
+        if not directed:
+            arcs.append((b, a, g))
+    sink = rng.choice(names)
+    fed = rng.sample(names, rng.randint(1, n))
+    if trial % 3 == 0 and sink not in fed:
+        fed.append(sink)   # a feeder straight into the sink
+    feeders = {}
+    for p in fed:
+        feeders[p] = len(arcs)
+        arcs.append(("+pool", p, len(caps)))
+        caps.append(rng.choice([float(rng.randint(1, 3)), rng.uniform(0.05, 4.0)]))
+    return names + ["+pool"], arcs, caps, sink, feeders
+
+
+class TestMaxFlow:
+    def test_matches_the_lp_reference(self):
+        rng = random.Random(707)
+        for trial in range(120):
+            nodes, arcs, caps, sink, feeders = _random_max_flow_case(rng, trial)
+            value, flows = _max_flow(nodes, arcs, caps, "+pool", sink)
+            want, _ = max_flow_lp(nodes, arcs, caps, "+pool", sink)
+            assert value == pytest.approx(want, abs=1e-9), trial
+            for p, j in feeders.items():
+                assert 0.0 <= flows[j] <= caps[arcs[j][2]], (trial, p)
+            assert sum(flows[j] for j in feeders.values()) == \
+                pytest.approx(value, abs=1e-9), trial
+            # and the arc flows are a feasible flow of that value
+            load, net_out = [0.0] * len(caps), {v: 0.0 for v in nodes}
+            for (tail, head, g), f in zip(arcs, flows):
+                assert f >= 0.0
+                load[g] += f
+                net_out[tail] += f
+                net_out[head] -= f
+            for g, cap in enumerate(caps):
+                assert load[g] <= cap + 1e-9, (trial, g)
+            for v in nodes:
+                if v not in ("+pool", sink):
+                    assert net_out[v] == pytest.approx(0.0, abs=1e-9), (trial, v)
+            assert net_out["+pool"] == pytest.approx(value, abs=1e-9), trial
+
+    def test_reroutes_through_a_reverse_residual(self):
+        # The one shortest path s-a-b-t blocks both longer paths; the second
+        # augmentation must send flow back along b->a to reach value 2.
+        arcs = [("s", "a", 0), ("a", "b", 1), ("b", "t", 2), ("a", "c", 3),
+                ("c", "d", 4), ("d", "t", 5), ("s", "e", 6), ("e", "f", 7),
+                ("f", "b", 8)]
+        nodes = sorted({u for arc in arcs for u in arc[:2]})
+        caps = [1.0] * len(arcs)
+        value, flows = _max_flow(nodes, arcs, caps, "s", "t")
+        assert value == pytest.approx(2.0, abs=1e-12)
+        assert flows[1] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("arcs", [
+        [("a", "b", 0), ("b", "c", 0)],     # a path, not one edge
+        [("a", "b", 0), ("a", "b", 0)],     # the same direction twice
+        [("a", "b", 0), ("b", "a", 0), ("a", "b", 0)],
+    ])
+    def test_rejects_other_group_shapes(self, arcs):
+        with pytest.raises(StructuralError, match="group 0"):
+            _max_flow(["a", "b", "c"], arcs, [1.0], "a", "c")
 
 
 def _vertex_cover_brute(inst):
