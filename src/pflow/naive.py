@@ -1,15 +1,20 @@
-"""Route-then-process baseline.
+"""Route-then-process baseline, in two phases.
 
-Phase 1 solves plain max multi-commodity flow, blind to processing capacity
-(the routing LP of `lp.build_routing_lp` at full edge capacity), and splits
-it into simple paths. Phase 2 walks each path in order and assigns
-processing greedily at the first interior vertices that still have capacity
-left. Flow that finds no processing on its own path is discarded; nothing is
-ever re-routed. The gap to the LP optimum is the whole point of this
-algorithm, so its weaknesses are deliberate and must stay.
+Phase 1 (`route_paths`) solves plain max multi-commodity flow (the routing
+LP of `lp.build_routing_lp` at full edge capacity), cancels its cycles and
+splits it into simple paths. It reads only the arcs, their groups and
+capacities and the demands, never node capacity, so its answer holds for
+every processing capacity on one topology: a capacity sweep solves it once.
+Phase 2 (`process_paths`) walks each path in order and assigns processing
+greedily at the first interior vertices that still have capacity left. Flow
+that finds no processing on its own path is discarded; nothing is ever
+re-routed. The gap to the LP optimum is the whole point of this algorithm,
+so its weaknesses are deliberate and must stay.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .decompose import DecompositionError, cancel_cycles, subtract
 from .lp import build_routing_lp, solve_lp
@@ -54,16 +59,25 @@ def _paths(net: FlowNetwork, flow: list[float], d: Demand) -> list[tuple[list[st
     return out
 
 
-def naive_solve(net: FlowNetwork, demands: list[Demand]) -> WalkFlowSolution:
-    """Max-flow first, then process greedily along each chosen path."""
+@dataclass(frozen=True)
+class Routing:
+    """Phase 1's output: (demand index, path, amount) in processing order,
+    the total routed and the routing LP's iteration count."""
+
+    paths: list[tuple[int, tuple[str, ...], float]]
+    routed: float
+    iterations: int
+
+
+def route_paths(net: FlowNetwork, demands: list[Demand]) -> Routing:
+    """Phase 1: the max-flow routing, split into paths per demand."""
     res = solve_lp(build_routing_lp(net, demands, net.group_capacity))
     if res.status == "infeasible":
         raise InfeasibleError("routing LP infeasible")
     if res.status != "optimal":
         raise ResourceLimitError(f"routing LP ended {res.status}")
 
-    residual = {v: net.capacity(v) for v in net.nodes}
-    entries: list[WalkEntry] = []
+    paths = []
     routed = 0.0
     x = res.x.tolist()
     for i, d in enumerate(demands):
@@ -72,22 +86,37 @@ def naive_solve(net: FlowNetwork, demands: list[Demand]) -> WalkFlowSolution:
         cancel_cycles(net, flow)
         for path, amount in _paths(net, flow, d):
             routed += amount
-            remaining = amount
-            processing: dict[str, float] = {}
-            for v in path[1:-1]:
-                if remaining <= SNAP:
-                    break
-                take = min(remaining, residual[v])
-                if take > SNAP:
-                    processing[v] = processing.get(v, 0.0) + take
-                    residual[v] -= take
-                    remaining -= take
-            processed = amount - remaining
-            if processed > SNAP:
-                entries.append(WalkEntry(i, tuple(path), processed, processing))
+            paths.append((i, tuple(path), amount))
+    return Routing(paths, routed, res.iterations)
+
+
+def process_paths(net: FlowNetwork, routing: Routing) -> WalkFlowSolution:
+    """Phase 2: process along each routed path against `net`'s node
+    capacities; `routing` must come from a network with the same arcs."""
+    residual = {v: net.capacity(v) for v in net.nodes}
+    entries: list[WalkEntry] = []
+    for i, path, amount in routing.paths:
+        remaining = amount
+        processing: dict[str, float] = {}
+        for v in path[1:-1]:
+            if remaining <= SNAP:
+                break
+            take = min(remaining, residual[v])
+            if take > SNAP:
+                processing[v] = processing.get(v, 0.0) + take
+                residual[v] -= take
+                remaining -= take
+        processed = amount - remaining
+        if processed > SNAP:
+            entries.append(WalkEntry(i, path, processed, processing))
 
     return WalkFlowSolution(entries, meta={
         "algorithm": "naive",
-        "routed": routed,
-        "lp_iterations": res.iterations,
+        "routed": routing.routed,
+        "lp_iterations": routing.iterations,
     })
+
+
+def naive_solve(net: FlowNetwork, demands: list[Demand]) -> WalkFlowSolution:
+    """Max-flow first, then process greedily along each chosen path."""
+    return process_paths(net, route_paths(net, demands))

@@ -55,7 +55,7 @@ def validate_purchase_instance(inst: PurchaseInstance,
                                mode: str = "min") -> ValidationReport:
     """`validate_instance` plus the purchase fields: potentials must be
     finite and non-negative, costs too, demand amounts finite, and budgeted
-    mode needs a non-negative budget."""
+    mode needs a finite non-negative budget."""
     problems = list(validate_instance(inst.net, inst.demands).problems)
     for v, c in inst.potential.items():
         if v not in inst.net.node_capacity:
@@ -73,8 +73,8 @@ def validate_purchase_instance(inst: PurchaseInstance,
     if mode == "budgeted":
         if inst.budget is None:
             problems.append("budgeted mode needs a budget")
-        elif math.isnan(inst.budget) or inst.budget < 0:
-            problems.append(f"invalid budget {inst.budget}")
+        elif not math.isfinite(inst.budget) or inst.budget < 0:
+            problems.append(f"negative or non-finite budget {inst.budget}")
     elif mode != "min":
         problems.append(f"unknown purchase mode {mode!r}")
     return ValidationReport(not problems, problems)
@@ -668,7 +668,10 @@ class _ProcessingFlowOracle:
         net = inst.net
         self.inst = inst
         self.source = source
-        self.nodes = list(net.nodes) + ["+pool"]
+        # the super-source feeding every purchased node: an object, not a
+        # string, so that no node id can be it
+        self.pool = object()
+        self.nodes = list(net.nodes) + [self.pool]
         self.base_arcs = [(a.tail, a.head, a.group) for a in net.arcs]
         self.base_caps = [c / 4.0 for c in net.group_capacity]
         self.cache: dict[frozenset, tuple[float, dict]] = {}
@@ -687,9 +690,9 @@ class _ProcessingFlowOracle:
         for p in sorted(key):
             g = len(caps)
             feeders[p] = len(arcs)
-            arcs.append(("+pool", p, g))
+            arcs.append((self.pool, p, g))
             caps.append(self.inst.potential.get(p, 0.0))
-        value, flows = _max_flow(self.nodes, arcs, caps, "+pool", self.source)
+        value, flows = _max_flow(self.nodes, arcs, caps, self.pool, self.source)
         load = {p: flows[j] for p, j in feeders.items() if flows[j] > SNAP}
         out = (value, load)
         self.cache[key] = out

@@ -232,6 +232,12 @@ class TestPurchase:
         err = capsys.readouterr().err
         assert err.startswith("error: node a: ") and "potential inf" in err
 
+    def test_infinite_budget_rejected(self, pur_pf, tmp_path, capsys):
+        assert run("purchase", "--mode", "budget", "--budget", "inf",
+                   "--input", pur_pf, "-o", tmp_path / "x.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget inf" in err
+
     def test_unservable_demand_is_infeasible(self, tmp_path):
         src = tmp_path / "nopay.pf"
         src.write_text(PUR.replace("potential=10", "potential=1")

@@ -4,9 +4,13 @@ import math
 
 import pytest
 
+import pflow.naive
+from pflow.generators import gen_random_instance
 from pflow.harness import (CSV_HEADER, KNOWN_ALGS, RunRecord, SweepSpec,
                            compare_runs, half_subset, write_csv)
+from pflow.lp import LPResult
 from pflow.model import Demand, FlowNetwork, StructuralError
+from pflow.naive import naive_solve
 from ratios import objective_ratio, ratio_series
 
 
@@ -99,6 +103,63 @@ def test_solver_failure_becomes_row(naive_gap):
     assert not r.feasible
     assert r.error is not None
     assert math.isnan(r.objective)
+
+
+def _sweep_cases():
+    """Seeded random instances, each with both distributions, two reps."""
+    for seed in range(4):
+        inst = gen_random_instance(8, 0.35, n_demands=3, seed=seed,
+                                   directed=seed % 2 == 0)
+        for dist in ("all", "half"):
+            yield inst.net, inst.demands, SweepSpec(
+                lo=0.0, hi=3.0, step=1.5, dist=dist, seed=seed, repetitions=2)
+
+
+def test_naive_records_match_a_fresh_solve_per_point():
+    for net, demands, spec in _sweep_cases():
+        recs = compare_runs(net, demands, spec, algorithms=("lp", "naive"))
+        half = set(half_subset(net, spec.seed))
+        naive = [r for r in recs if r.algorithm == "naive"]
+        assert len(naive) == 2 * len(spec.grid())
+        for r in naive:
+            c = float(r.instance.split("/")[0].removeprefix("cap="))
+            caps = {v: c if spec.dist == "all" or v in half else 0.0
+                    for v in net.nodes}
+            fresh = naive_solve(net.with_node_capacity(caps), demands)
+            assert r.feasible and r.error is None
+            assert r.objective == fresh.objective, r.instance
+            assert r.iterations == fresh.meta["lp_iterations"]
+
+
+def test_naive_routing_lp_solved_once_per_sweep(monkeypatch):
+    # phase 1 ignores node capacity, so no grid point or repetition after
+    # the first needs another routing LP
+    calls = []
+    real = pflow.naive.solve_lp
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(pflow.naive, "solve_lp", counting)
+    for net, demands, spec in _sweep_cases():
+        calls.clear()
+        recs = compare_runs(net, demands, spec, algorithms=("lp", "naive"))
+        assert all(r.feasible for r in recs)
+        assert len(calls) == 1
+
+
+def test_failed_routing_fails_every_naive_record(monkeypatch):
+    monkeypatch.setattr(pflow.naive, "solve_lp",
+                        lambda model: LPResult("unbounded", None, math.nan))
+    for net, demands, spec in _sweep_cases():
+        recs = compare_runs(net, demands, spec, algorithms=("lp", "naive"))
+        naive = [r for r in recs if r.algorithm == "naive"]
+        assert len(naive) == 2 * len(spec.grid())
+        for r in naive:
+            assert not r.feasible and math.isnan(r.objective)
+            assert r.error == "ResourceLimitError: routing LP ended unbounded"
+        assert all(r.feasible for r in recs if r.algorithm == "lp")
 
 
 def test_objective_ratio_conventions():

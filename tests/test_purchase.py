@@ -141,6 +141,22 @@ class TestBudgetedGreedy:
             greedy_budgeted_single_source(inst)
 
 
+    def test_a_node_named_like_the_pool_is_an_ordinary_node(self):
+        # the oracle's super-source is no node id: a node called "+pool"
+        # must not feed processing into the detour network
+        results = []
+        for m in ("m", "+pool"):
+            net = FlowNetwork(["s", m, "t"], [("s", m, 40.0), ("s", "t", 4.0)],
+                              directed=False)
+            inst = PurchaseInstance(net, [Demand("s", "t", 10.0)],
+                                    potential={"t": 3.0}, cost={"t": 1.0},
+                                    budget=1.0)
+            g = greedy_budgeted_single_source(inst)
+            results.append((g.value, g.meta["processable"]))
+        assert results[0] == pytest.approx((1.0, 1.0), abs=1e-9)
+        assert results[1] == results[0]
+
+
 class TestBudgetedRounding:
     def test_respects_budget(self, bud1):
         net, demands, potential, cost, budget = bud1
@@ -183,6 +199,17 @@ class TestValidation:
         rep = validate_purchase_instance(inst, "budgeted")
         assert not rep.ok
         assert any("budget" in p for p in rep.problems)
+
+    @pytest.mark.parametrize("solve", [
+        lambda inst: round_budgeted_purchase(inst, rng_seed=1),
+        greedy_budgeted_single_source,
+    ], ids=["rounding", "greedy"])
+    def test_infinite_budget_rejected(self, bud1, solve):
+        net, demands, potential, cost, _ = bud1
+        inst = PurchaseInstance(net, demands, potential=potential, cost=cost,
+                                budget=math.inf)
+        with pytest.raises(StructuralError, match="budget inf"):
+            solve(inst)
 
     def test_rejects_unknown_and_unbounded(self, bud1):
         net, demands, _, _, _ = bud1
