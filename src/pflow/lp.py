@@ -23,8 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix
+
+try:  # the HiGHS binding scipy vendors as highspy's `_core` since 1.15
+    from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
+                                               MatrixFormat, _Highs)
+except ImportError as exc:
+    raise ImportError("pflow needs scipy>=1.15: solve_lp calls the HiGHS binding "
+                      "scipy.optimize._highspy._core") from exc
 
 from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     ResourceLimitError)
@@ -33,6 +39,10 @@ MAXITER = 200_000
 
 # row sense -> sign that turns the row into a `<=` row; 0 marks an equation
 _SIGN = {"<=": 1.0, ">=": -1.0, "==": 0.0}
+
+# the HiGHS options linprog(method="highs-ds") sets; threads stays HiGHS's default
+_OPTIONS = {"solver": "simplex", "simplex_strategy": 1, "presolve": "on",
+            "output_flag": False}
 
 
 class LPModel:
@@ -93,51 +103,84 @@ class LPResult:
 
 
 def solve_lp(model: LPModel) -> LPResult:
-    """Solve with a simplex backend; desk-scale models only.
+    """Solve with HiGHS's dual simplex; desk-scale models only.
 
-    Raises ResourceLimitError if the iteration budget is exhausted.
+    HiGHS gets the model scipy's `linprog(method="highs-ds")` would hand it:
+    the `<=` rows (`>=` rows sign-flipped) first, then the equations, each
+    in model order, and a minimized objective. That order fixes the vertex
+    HiGHS lands on. Raises ValueError on a non-finite objective or matrix
+    coefficient or rhs, or a NaN column bound, and ResourceLimitError if the
+    iteration budget is exhausted or HiGHS ends in any other state.
     """
     n = model.n_vars
     sign = np.array([_SIGN[s] for s in model.senses])
     rhs = np.asarray(model.rhs, dtype=float)
+    coefs = np.asarray(model.coefs, dtype=float)
+    lo = np.asarray(model.lo, dtype=float)
+    hi = np.asarray(model.hi, dtype=float)
+    c = np.zeros(n)
+    for j, coef in model.objective.items():
+        c[j] = coef
+    for what, vals in (("objective coefficient", c), ("matrix coefficient", coefs),
+                       ("rhs", rhs)):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"LP {model.name!r} has a non-finite {what}")
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError(f"LP {model.name!r} has a NaN column bound")
+
     ub = sign != 0.0
     if n == 0:
         # every row reads 0, so the model is feasible iff each row holds at 0
         if np.all(sign[ub] * rhs[ub] >= 0.0) and np.all(rhs[~ub] == 0.0):
             return LPResult("optimal", np.zeros(0), 0.0, 0)
         return LPResult("infeasible", None, math.nan, 0)
-
-    c = np.zeros(n)
-    for j, coef in model.objective.items():
-        c[j] = coef
     if model.sense == "max":
         c = -c
 
+    order = np.argsort(~ub, kind="stable")  # `<=` rows first, then equations
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    rows = np.asarray(model.rows, dtype=np.intp)
     flip = np.where(ub, sign, 1.0)
-    data = np.asarray(model.coefs, dtype=float) * flip[np.asarray(model.rows, dtype=np.intp)]
-    A = csr_matrix((data, (model.rows, model.cols)), shape=(model.n_rows, n))
-    has_ub, has_eq = bool(ub.any()), not ub.all()
-    res = linprog(c, A_ub=A[ub] if has_ub else None,
-                  b_ub=(flip * rhs)[ub] if has_ub else None,
-                  A_eq=A[~ub] if has_eq else None,
-                  b_eq=rhs[~ub] if has_eq else None,
-                  bounds=np.column_stack((model.lo, model.hi)),
-                  method="highs-ds", options={"maxiter": MAXITER})
+    A = csc_matrix((coefs * flip[rows], (pos[rows], model.cols)), shape=(order.size, n))
 
-    nit = int(getattr(res, "nit", 0) or 0)
-    if res.status == 1:
+    # the binding copies a list into HiGHS's vectors faster than a numpy array
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = order.size
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr.tolist()
+    lp.a_matrix_.index_ = A.indices.tolist()
+    lp.a_matrix_.value_ = A.data.tolist()
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = model.lo
+    lp.col_upper_ = model.hi
+    lp.row_lower_ = np.where(ub, -math.inf, rhs)[order].tolist()
+    lp.row_upper_ = (flip * rhs)[order].tolist()
+
+    highs = _Highs()
+    for key, val in _OPTIONS.items():
+        highs.setOptionValue(key, val)
+    highs.setOptionValue("simplex_iteration_limit", MAXITER)
+    if highs.passModel(lp) == HighsStatus.kError:
+        # a model HiGHS cannot load, e.g. with a lower bound of inf, has no
+        # feasible point; scipy's front end reported it infeasible too
+        return LPResult("infeasible", None, math.nan, 0)
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    nit = int(info.simplex_iteration_count)
+    if status == HighsModelStatus.kOptimal:
+        obj = float(info.objective_function_value)
+        x = np.array(highs.getSolution().col_value)
+        return LPResult("optimal", x, -obj if model.sense == "max" else obj, nit)
+    if status in (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit):
         raise ResourceLimitError(f"simplex iteration limit {MAXITER} exhausted")
-    if res.status == 2:
+    if status == HighsModelStatus.kInfeasible:
         return LPResult("infeasible", None, math.nan, nit)
-    if res.status == 3:
+    if status == HighsModelStatus.kUnbounded:
         return LPResult("unbounded", None, math.inf if model.sense == "max" else -math.inf, nit)
-    if res.status != 0:
-        raise ResourceLimitError(f"solver failed with status {res.status}: {res.message}")
-
-    obj = float(res.fun)
-    if model.sense == "max":
-        obj = -obj
-    return LPResult("optimal", res.x, obj, nit)
+    raise ResourceLimitError(f"solver failed: HiGHS status {highs.modelStatusToString(status)!r}")
 
 
 def balance(net: FlowNetwork, var, v: str, sign: float = 1.0) -> list[tuple[int, float]]:

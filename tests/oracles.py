@@ -4,6 +4,8 @@ Everything here trades efficiency for obviousness: explicit enumeration of
 2-walks, simple paths, and purchase subsets on instances small enough that
 brute force is the ground truth. The only shared component with the package
 under test is the LP backend; every formulation is built independently.
+`solve_lp_linprog` reaches HiGHS through scipy's `linprog` front end instead;
+`solve_lp` must agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -11,8 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from pflow.lp import LPModel, solve_lp
-from pflow.model import Demand, FlowNetwork
+import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
+
+import pflow.lp
+from pflow.lp import LPModel, LPResult, solve_lp
+from pflow.model import Demand, FlowNetwork, ResourceLimitError
 
 
 class OracleBlowup(RuntimeError):
@@ -315,3 +322,51 @@ def mwu_full_scan_placements(net: FlowNetwork, demands: list[Demand],
         if over:
             break
     return placements, rounds
+
+
+def solve_lp_linprog(model: LPModel) -> LPResult:
+    """`solve_lp` through scipy's `linprog(method="highs-ds")` front end. The
+    reference for `pflow.lp.solve_lp`, which hands HiGHS the same LP itself."""
+    sign_of = {"<=": 1.0, ">=": -1.0, "==": 0.0}
+    n = model.n_vars
+    sign = np.array([sign_of[s] for s in model.senses])
+    rhs = np.asarray(model.rhs, dtype=float)
+    ub = sign != 0.0
+    if n == 0:
+        # every row reads 0, so the model is feasible iff each row holds at 0
+        if np.all(sign[ub] * rhs[ub] >= 0.0) and np.all(rhs[~ub] == 0.0):
+            return LPResult("optimal", np.zeros(0), 0.0, 0)
+        return LPResult("infeasible", None, math.nan, 0)
+
+    c = np.zeros(n)
+    for j, coef in model.objective.items():
+        c[j] = coef
+    if model.sense == "max":
+        c = -c
+
+    maxiter = pflow.lp.MAXITER
+    flip = np.where(ub, sign, 1.0)
+    data = np.asarray(model.coefs, dtype=float) * flip[np.asarray(model.rows, dtype=np.intp)]
+    A = csr_matrix((data, (model.rows, model.cols)), shape=(model.n_rows, n))
+    has_ub, has_eq = bool(ub.any()), not ub.all()
+    res = linprog(c, A_ub=A[ub] if has_ub else None,
+                  b_ub=(flip * rhs)[ub] if has_ub else None,
+                  A_eq=A[~ub] if has_eq else None,
+                  b_eq=rhs[~ub] if has_eq else None,
+                  bounds=np.column_stack((model.lo, model.hi)),
+                  method="highs-ds", options={"maxiter": maxiter})
+
+    nit = int(getattr(res, "nit", 0) or 0)
+    if res.status == 1:
+        raise ResourceLimitError(f"simplex iteration limit {maxiter} exhausted")
+    if res.status == 2:
+        return LPResult("infeasible", None, math.nan, nit)
+    if res.status == 3:
+        return LPResult("unbounded", None, math.inf if model.sense == "max" else -math.inf, nit)
+    if res.status != 0:
+        raise ResourceLimitError(f"solver failed with status {res.status}: {res.message}")
+
+    obj = float(res.fun)
+    if model.sense == "max":
+        obj = -obj
+    return LPResult("optimal", res.x, obj, nit)

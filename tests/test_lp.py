@@ -1,16 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from pflow.generators import gen_random_instance
+import pflow.lp
+from pflow.generators import gen_random_instance, gen_random_purchase
 from pflow.decompose import decompose
-from pflow.lp import (LPModel, Objective, build_edge_lp, solve_edge_lp,
-                      solve_lp, write_mps)
-from pflow.model import (Demand, FlowNetwork, InfeasibleError,
+from pflow.lp import (LPModel, Objective, build_edge_lp, build_routing_lp,
+                      solve_edge_lp, solve_lp, write_mps)
+from pflow.model import (Demand, FlowNetwork, InfeasibleError, ResourceLimitError,
                          verify_edge_solution, verify_walk_solution)
+from pflow.purchase import build_purchase_lp
 
-from oracles import walk_lp_optimum
+from oracles import solve_lp_linprog, walk_lp_optimum
 
 
 def test_mandatory_relay_caps_throughput(inst_line):
@@ -123,8 +126,13 @@ def _lp(sense, rows, bounds=None, objective=None):
     (_lp("max", [([], "<=", 1.0), ([], ">=", -1.0), ([], "==", 0.0)], bounds=[],
          objective={}), "optimal", 0.0, []),
     (_lp("min", [([], ">=", 2.0)], bounds=[], objective={}), "infeasible", math.nan, None),
+    (_lp("max", [([(0, 1.0), (1, 1.0)], "<=", 4.0)], bounds=[(2.0, 1.0), (0.0, math.inf)]),
+     "infeasible", math.nan, None),
+    # duplicate entries of a row add up: 2 x0 + x1 <= 4 and x0 == 0
+    (_lp("max", [([(0, 1.0), (0, 1.0), (1, 1.0)], "<=", 4.0),
+                 ([(0, 1.0), (0, -1.0), (0, 1.0)], "==", 0.0)]), "optimal", 4.0, [0.0, 4.0]),
 ], ids=["mixed-rows", "min", "infeasible", "unbounded", "empty-feasible",
-        "empty-infeasible"])
+        "empty-infeasible", "crossed-bounds", "duplicate-entries"])
 def test_solve_lp(model, status, objective, x):
     res = solve_lp(model)
     assert res.status == status
@@ -136,6 +144,99 @@ def test_solve_lp(model, status, objective, x):
         assert res.x is None
     else:
         assert res.x.tolist() == pytest.approx(x, abs=1e-9)
+
+
+_ROW = ([(0, 1.0), (1, 1.0)], "<=", 1.0)
+
+
+@pytest.mark.parametrize("rows, bounds, objective", [
+    ([([(0, 1.0), (1, 1.0)], "<=", math.nan)], None, None),
+    ([([(0, 1.0), (1, 1.0)], "<=", math.inf)], None, None),
+    ([([(0, 1.0), (1, 1.0)], ">=", -math.inf)], None, None),
+    ([([(0, math.inf), (1, 1.0)], "<=", 1.0)], None, None),
+    ([([(0, math.nan), (1, 1.0)], "==", 1.0)], None, None),
+    ([_ROW], None, {0: math.inf, 1: 1.0}),
+    ([_ROW], None, {0: math.nan}),
+    ([_ROW], [(math.nan, 1.0), (0.0, 1.0)], None),
+    ([_ROW], [(0.0, math.nan), (0.0, 1.0)], None),
+], ids=["nan-rhs", "inf-rhs", "minus-inf-rhs", "inf-coefficient", "nan-coefficient",
+        "inf-objective", "nan-objective", "nan-lower-bound", "nan-upper-bound"])
+def test_non_finite_input_rejected(rows, bounds, objective):
+    # HiGHS takes these without complaint and answers wrongly, so they never reach it
+    with pytest.raises(ValueError):
+        solve_lp(_lp("max", rows, bounds, objective))
+
+
+def test_iteration_limit_raises(monkeypatch):
+    inst = gen_random_instance(8, 0.5, n_demands=3, seed=3, amounts=(1, 4))
+    model = build_edge_lp(inst.net, inst.demands)
+    assert solve_lp(model).iterations > 1
+    monkeypatch.setattr(pflow.lp, "MAXITER", 1)
+    with pytest.raises(ResourceLimitError, match="iteration limit 1 exhausted"):
+        solve_lp(model)
+
+
+def _edge_models(kind):
+    for seed in range(3):
+        inst = gen_random_instance(7, 0.5, node_cap=(0, 4), n_demands=3, seed=seed,
+                                   directed=seed % 2 == 0, amounts=(1, 4))
+        yield build_edge_lp(inst.net, inst.demands, Objective(kind=kind))
+
+
+def _routing_models():
+    for seed in range(3):
+        inst = gen_random_instance(7, 0.5, n_demands=3, seed=seed, directed=seed % 2 == 0)
+        yield build_routing_lp(inst.net, inst.demands, inst.net.group_capacity)
+
+
+def _purchase_models(mode, fixed):
+    for seed in range(4):
+        inst = gen_random_purchase(6 + seed % 3, 0.5, n_candidates=3, n_demands=2,
+                                   seed=seed, budget=2.0).purchase()
+        # pinning only the first candidate leaves some min models infeasible
+        fix = {inst.candidates()[0]: 1.0} if fixed else None
+        cap = inst.budget / 2.0 if mode == "budgeted" and not fixed else None
+        yield build_purchase_lp(inst, mode, budget_cap=cap, fix=fix)
+
+
+def _infeasible_models():
+    # every demand required in full where nothing may be processed
+    net = FlowNetwork("sat", [("s", "a", 1.0), ("a", "t", 1.0)], {"a": 0.0})
+    yield build_edge_lp(net, [Demand("s", "t", 1.0)], Objective(kind="min-max-congestion"))
+    inst = gen_random_purchase(6, 0.5, n_candidates=3, n_demands=2, seed=0).purchase()
+    yield build_purchase_lp(inst, "min", fix={})
+
+
+_BOTH = {"optimal", "infeasible"}
+
+
+@pytest.mark.parametrize("models, statuses", [
+    (lambda: _edge_models("max-total-flow"), {"optimal"}),
+    (lambda: _edge_models("min-max-congestion"), _BOTH),
+    (lambda: _edge_models("min-weighted-congestion"), _BOTH),
+    (_routing_models, {"optimal"}),
+    (lambda: _purchase_models("min", False), {"optimal"}),
+    (lambda: _purchase_models("min", True), _BOTH),
+    (lambda: _purchase_models("budgeted", False), {"optimal"}),
+    (lambda: _purchase_models("budgeted", True), {"optimal"}),
+    (_infeasible_models, {"infeasible"}),
+], ids=["edge-max-total-flow", "edge-min-max-congestion", "edge-min-weighted-congestion",
+        "routing", "purchase-min", "purchase-min-fixed", "purchase-budgeted",
+        "purchase-budgeted-fixed", "infeasible"])
+def test_highs_backend_matches_linprog(models, statuses):
+    """solve_lp hands HiGHS the LP linprog would, so both land on the same
+    vertex after the same number of simplex iterations."""
+    seen = set()
+    for model in models():
+        res, ref = solve_lp(model), solve_lp_linprog(model)
+        assert (res.status, res.iterations) == (ref.status, ref.iterations)
+        if ref.status == "optimal":
+            assert res.objective == ref.objective
+            assert np.array_equal(res.x, ref.x)
+        else:
+            assert res.x is None and math.isnan(res.objective)
+        seen.add(res.status)
+    assert seen == statuses
 
 
 def read_mps(path: str) -> LPModel:
