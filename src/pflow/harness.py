@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .lp import Objective, solve_edge_lp
+from .lp import LoadedLP, Objective, build_edge_lp, edge_lp_solution, solve_edge_lp
 from .model import Demand, FlowNetwork, StructuralError
 from .mwu import MWUConfig, mwu_solve
 from .naive import naive_solve, process_paths, route_paths
@@ -60,8 +60,11 @@ class RunRecord:
     algorithm: str
     objective: float     # nan when the solver errored
     wall_time: float     # seconds of solver work done for this record; naive's
-                         # shared routing counts in the sweep's first naive record
-    iterations: int
+                         # shared routing and lp's one LP build count in the
+                         # sweep's first naive and lp record
+    iterations: int      # lp, naive: simplex iterations of this record's own
+                         # solves (lp's start from the previous grid point's
+                         # basis); mwu: rounds
     feasible: bool
     error: str | None = None
 
@@ -112,6 +115,15 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     the first naive record; every naive run then repeats only the processing
     phase against its grid point's capacities. If the routing fails, every
     naive record carries its error.
+
+    lp's edge LP differs between grid points only in the right-hand sides of
+    its node-capacity rows, so it is built and loaded once, inside the timer
+    of the first lp record. Each later grid point sets those right-hand sides
+    and solves from the optimal basis of the previous grid point (the last
+    optimal one, if a point failed); the first point solves cold, and every
+    repetition of a point starts from the same basis. An lp record's
+    iterations are those of its own warm-started solve, and its objective
+    equals a fresh solve_edge_lp of its grid point to rounding.
     """
     algs = list(algorithms)
     for a in algs:
@@ -121,9 +133,22 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     half = half_subset(net, sweep.seed) if sweep.dist == "half" else []
     records: list[RunRecord] = []
     routing = None  # naive's phase 1 once solved, or the exception it raised
+    edge = None     # lp's edge LP once built: the model and its LoadedLP
+    start = basis = None  # optimal bases: the previous grid point's, the latest
 
     def solve(alg: str, capped: FlowNetwork):
-        nonlocal routing
+        nonlocal routing, edge, basis
+        if alg == "lp":
+            if edge is None:
+                model = build_edge_lp(capped, demands)
+                edge = model, LoadedLP(model)
+            model, loaded = edge
+            for v, k in model.info["node_rows"].items():
+                loaded.set_rhs(k, capped.node_capacity[v])
+            res = loaded.solve(start)
+            if res.status == "optimal":
+                basis = res.basis
+            return edge_lp_solution(model, res, capped, demands)
         if alg != "naive":
             return run_solver(alg, capped, demands, epsilon)
         if routing is None:
@@ -137,6 +162,7 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
 
     for c in sweep.grid():
         capped = _capacitate(net, c, sweep.dist, half)
+        start = basis
         for rep in range(1, sweep.repetitions + 1):
             rep_tag = f"/r{rep}" if sweep.repetitions > 1 else ""
             inst_id = f"cap={c:g}/{sweep.dist}{rep_tag}"

@@ -3,6 +3,10 @@ routing formulations.
 
 An LPModel is plain arrays: columns and rows are added by index and carry no
 names, and solve_lp returns the column values as an array read by index.
+A LoadedLP is an LPModel loaded once into HiGHS's form: it re-solves after
+`set_rhs` changes right-hand sides, optionally starting from the optimal
+basis of an earlier solve, which is how a capacity sweep solves its grid
+points. solve_lp is a LoadedLP solved once, cold.
 `balance` writes the flow-conservation terms every formulation here and in
 the purchase module shares. write_mps names column j C<j> and row k R<k>.
 
@@ -26,8 +30,8 @@ import numpy as np
 from scipy.sparse import csc_matrix
 
 try:  # the HiGHS binding scipy vendors as highspy's `_core` since 1.15
-    from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
-                                               MatrixFormat, _Highs)
+    from scipy.optimize._highspy._core import (HighsBasis, HighsLp, HighsModelStatus,
+                                               HighsStatus, MatrixFormat, _Highs)
 except ImportError as exc:
     raise ImportError("pflow needs scipy>=1.15: solve_lp calls the HiGHS binding "
                       "scipy.optimize._highspy._core") from exc
@@ -100,87 +104,141 @@ class LPResult:
     x: np.ndarray | None  # column values, indexed like the model's columns
     objective: float
     iterations: int = 0
+    basis: HighsBasis | None = None  # HiGHS's final basis of an optimal solve
 
 
-def solve_lp(model: LPModel) -> LPResult:
-    """Solve with HiGHS's dual simplex; desk-scale models only.
+class LoadedLP:
+    """An LPModel in the form HiGHS takes, built once and solved on demand.
 
     HiGHS gets the model scipy's `linprog(method="highs-ds")` would hand it:
     the `<=` rows (`>=` rows sign-flipped) first, then the equations, each
     in model order, and a minimized objective. That order fixes the vertex
-    HiGHS lands on. Raises ValueError on a non-finite objective or matrix
-    coefficient or rhs, or a NaN column bound, and ResourceLimitError if the
-    iteration budget is exhausted or HiGHS ends in any other state.
+    HiGHS lands on. `set_rhs` changes one model row's right-hand side in
+    place, so LPs that differ only there share one build. Every `solve` runs
+    a fresh HiGHS instance, started from `basis` when one is given, so its
+    result depends only on the loaded LP and that basis.
+
+    Raises ValueError on a non-finite objective or matrix coefficient or
+    rhs, or a NaN column bound.
     """
-    n = model.n_vars
-    sign = np.array([_SIGN[s] for s in model.senses])
-    rhs = np.asarray(model.rhs, dtype=float)
-    coefs = np.asarray(model.coefs, dtype=float)
-    lo = np.asarray(model.lo, dtype=float)
-    hi = np.asarray(model.hi, dtype=float)
-    c = np.zeros(n)
-    for j, coef in model.objective.items():
-        c[j] = coef
-    for what, vals in (("objective coefficient", c), ("matrix coefficient", coefs),
-                       ("rhs", rhs)):
-        if not np.isfinite(vals).all():
-            raise ValueError(f"LP {model.name!r} has a non-finite {what}")
-    if np.isnan(lo).any() or np.isnan(hi).any():
-        raise ValueError(f"LP {model.name!r} has a NaN column bound")
 
-    ub = sign != 0.0
-    if n == 0:
-        # every row reads 0, so the model is feasible iff each row holds at 0
-        if np.all(sign[ub] * rhs[ub] >= 0.0) and np.all(rhs[~ub] == 0.0):
-            return LPResult("optimal", np.zeros(0), 0.0, 0)
-        return LPResult("infeasible", None, math.nan, 0)
-    if model.sense == "max":
-        c = -c
+    def __init__(self, model: LPModel):
+        n = model.n_vars
+        sign = np.array([_SIGN[s] for s in model.senses])
+        rhs = np.asarray(model.rhs, dtype=float)
+        coefs = np.asarray(model.coefs, dtype=float)
+        lo = np.asarray(model.lo, dtype=float)
+        hi = np.asarray(model.hi, dtype=float)
+        c = np.zeros(n)
+        for j, coef in model.objective.items():
+            c[j] = coef
+        for what, vals in (("objective coefficient", c), ("matrix coefficient", coefs),
+                           ("rhs", rhs)):
+            if not np.isfinite(vals).all():
+                raise ValueError(f"LP {model.name!r} has a non-finite {what}")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError(f"LP {model.name!r} has a NaN column bound")
+        self.name = model.name
+        self.sense = model.sense
+        self._sign = sign.tolist()
+        self._rhs = rhs
+        self._lp = None
+        if n == 0:
+            return
+        if model.sense == "max":
+            c = -c
 
-    order = np.argsort(~ub, kind="stable")  # `<=` rows first, then equations
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    rows = np.asarray(model.rows, dtype=np.intp)
-    flip = np.where(ub, sign, 1.0)
-    A = csc_matrix((coefs * flip[rows], (pos[rows], model.cols)), shape=(order.size, n))
+        ub = sign != 0.0
+        order = np.argsort(~ub, kind="stable")  # `<=` rows first, then equations
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        rows = np.asarray(model.rows, dtype=np.intp)
+        flip = np.where(ub, sign, 1.0)
+        A = csc_matrix((coefs * flip[rows], (pos[rows], model.cols)), shape=(order.size, n))
 
-    # the binding copies a list into HiGHS's vectors faster than a numpy array
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = order.size
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr.tolist()
-    lp.a_matrix_.index_ = A.indices.tolist()
-    lp.a_matrix_.value_ = A.data.tolist()
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = model.lo
-    lp.col_upper_ = model.hi
-    lp.row_lower_ = np.where(ub, -math.inf, rhs)[order].tolist()
-    lp.row_upper_ = (flip * rhs)[order].tolist()
+        # the binding copies a list into HiGHS's vectors faster than a numpy
+        # array, and hands the vectors back as copies, so the row bounds are
+        # kept here as lists and passed again whenever one changes
+        lp = HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = order.size
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr.tolist()
+        lp.a_matrix_.index_ = A.indices.tolist()
+        lp.a_matrix_.value_ = A.data.tolist()
+        lp.col_cost_ = c.tolist()
+        lp.col_lower_ = model.lo
+        lp.col_upper_ = model.hi
+        self._lower = np.where(ub, -math.inf, rhs)[order].tolist()
+        self._upper = (flip * rhs)[order].tolist()
+        lp.row_lower_ = self._lower
+        lp.row_upper_ = self._upper
+        self._pos = pos.tolist()
+        self._lp = lp
 
-    highs = _Highs()
-    for key, val in _OPTIONS.items():
-        highs.setOptionValue(key, val)
-    highs.setOptionValue("simplex_iteration_limit", MAXITER)
-    if highs.passModel(lp) == HighsStatus.kError:
-        # a model HiGHS cannot load, e.g. with a lower bound of inf, has no
-        # feasible point; scipy's front end reported it infeasible too
-        return LPResult("infeasible", None, math.nan, 0)
-    highs.run()
-    status = highs.getModelStatus()
-    info = highs.getInfo()
-    nit = int(info.simplex_iteration_count)
-    if status == HighsModelStatus.kOptimal:
-        obj = float(info.objective_function_value)
-        x = np.array(highs.getSolution().col_value)
-        return LPResult("optimal", x, -obj if model.sense == "max" else obj, nit)
-    if status in (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit):
-        raise ResourceLimitError(f"simplex iteration limit {MAXITER} exhausted")
-    if status == HighsModelStatus.kInfeasible:
-        return LPResult("infeasible", None, math.nan, nit)
-    if status == HighsModelStatus.kUnbounded:
-        return LPResult("unbounded", None, math.inf if model.sense == "max" else -math.inf, nit)
-    raise ResourceLimitError(f"solver failed: HiGHS status {highs.modelStatusToString(status)!r}")
+    def set_rhs(self, k: int, value: float) -> None:
+        """Make `value` the right-hand side of model row k."""
+        if not math.isfinite(value):
+            raise ValueError(f"LP {self.name!r} has a non-finite rhs")
+        self._rhs[k] = value
+        if self._lp is None:
+            return
+        r, sign = self._pos[k], self._sign[k]
+        if sign == 0.0:
+            self._lower[r] = self._upper[r] = value
+            self._lp.row_lower_ = self._lower
+        else:
+            self._upper[r] = sign * value
+        self._lp.row_upper_ = self._upper
+
+    def solve(self, basis: HighsBasis | None = None) -> LPResult:
+        """Solve with HiGHS's dual simplex, from `basis` if given (a basis of
+        an earlier optimal solve of this LP). Raises ResourceLimitError if
+        the iteration budget is exhausted or HiGHS ends in any other state.
+        """
+        if self._lp is None:
+            # every row reads 0, so the model is feasible iff each row holds at 0
+            if all(rhs == 0.0 if sign == 0.0 else sign * rhs >= 0.0
+                   for sign, rhs in zip(self._sign, self._rhs.tolist())):
+                return LPResult("optimal", np.zeros(0), 0.0, 0)
+            return LPResult("infeasible", None, math.nan, 0)
+        highs = _Highs()
+        for key, val in _OPTIONS.items():
+            highs.setOptionValue(key, val)
+        highs.setOptionValue("simplex_iteration_limit", MAXITER)
+        if highs.passModel(self._lp) == HighsStatus.kError:
+            # a model HiGHS cannot load, e.g. with a lower bound of inf, has no
+            # feasible point; scipy's front end reported it infeasible too
+            return LPResult("infeasible", None, math.nan, 0)
+        if basis is not None and highs.setBasis(basis) == HighsStatus.kError:
+            raise ValueError(f"basis does not fit LP {self.name!r}")
+        highs.run()
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        nit = int(info.simplex_iteration_count)
+        if status == HighsModelStatus.kOptimal:
+            obj = float(info.objective_function_value)
+            x = np.array(highs.getSolution().col_value)
+            return LPResult("optimal", x, -obj if self.sense == "max" else obj, nit,
+                            highs.getBasis())
+        if status in (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit):
+            raise ResourceLimitError(f"simplex iteration limit {MAXITER} exhausted")
+        if status == HighsModelStatus.kInfeasible:
+            return LPResult("infeasible", None, math.nan, nit)
+        if status == HighsModelStatus.kUnbounded:
+            return LPResult("unbounded", None,
+                            math.inf if self.sense == "max" else -math.inf, nit)
+        raise ResourceLimitError(
+            f"solver failed: HiGHS status {highs.modelStatusToString(status)!r}")
+
+
+def solve_lp(model: LPModel) -> LPResult:
+    """Solve once, cold, with HiGHS's dual simplex; desk-scale models only.
+
+    Every LP in pflow reaches HiGHS through here or a LoadedLP, whose
+    checks, row order and errors it shares.
+    """
+    return LoadedLP(model).solve()
 
 
 def balance(net: FlowNetwork, var, v: str, sign: float = 1.0) -> list[tuple[int, float]]:
@@ -309,13 +367,14 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
             else:
                 for j, c in coeffs:
                     weighted_obj[j] = weighted_obj.get(j, 0.0) + ew.get(g, 1.0) * c / cap
+    node_rows: dict[str, int] = {}
     for v in net.nodes:
         cap = net.node_capacity[v]
         coeffs = [(pvar[i][v], 1.0) for i in range(nd) if v in pvar[i]]
         if not coeffs:
             continue
         if kind == "max-total-flow":
-            m.add_constraint(coeffs, "<=", cap)
+            node_rows[v] = m.add_constraint(coeffs, "<=", cap)
         elif cap > 0:
             if theta is not None:
                 m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
@@ -333,7 +392,10 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     else:
         m.set_objective(weighted_obj)
 
-    m.info = {"w": wvar, "g": gvar, "p": pvar, "theta": theta, "kind": kind}
+    # node_rows: the row whose rhs is node v's capacity, under max-total-flow
+    # (a node that only sources demands processes nothing and has no row)
+    m.info = {"w": wvar, "g": gvar, "p": pvar, "theta": theta, "kind": kind,
+              "node_rows": node_rows}
     return m
 
 
@@ -370,9 +432,16 @@ def extract_edge_solution(model: LPModel, x: np.ndarray,
 
 def solve_edge_lp(net: FlowNetwork, demands: list[Demand],
                   objective: Objective = Objective()) -> tuple[EdgeFlowSolution, LPResult]:
-    """Build, solve, and extract in one go."""
+    """Build, solve cold, and extract in one go."""
     model = build_edge_lp(net, demands, objective)
     res = solve_lp(model)
+    return edge_lp_solution(model, res, net, demands), res
+
+
+def edge_lp_solution(model: LPModel, res: LPResult, net: FlowNetwork,
+                     demands: list[Demand]) -> EdgeFlowSolution:
+    """The edge flows of a solved edge LP, or the error its status maps to:
+    InfeasibleError, or ResourceLimitError for any other non-optimal end."""
     if res.status == "infeasible":
         raise InfeasibleError("edge LP infeasible (demands cannot all be met)")
     if res.status != "optimal":
@@ -380,7 +449,7 @@ def solve_edge_lp(net: FlowNetwork, demands: list[Demand],
     sol = extract_edge_solution(model, res.x, net, demands)
     sol.meta["lp_objective"] = res.objective
     sol.meta["lp_iterations"] = res.iterations
-    return sol, res
+    return sol
 
 
 def write_mps(model: LPModel, path: str) -> None:

@@ -179,6 +179,43 @@ class TestDecompose:
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    @staticmethod
+    def _congestion_edges(seed, tmp_path):
+        inst = tmp_path / "inst.pf"
+        assert run("gen", "--kind", "random", "--nodes", 6, "--density", 0.5,
+                   "--demands", 3, "--seed", seed, "--amount", "5:9",
+                   "--node-cap", "1:2", "-o", inst) == 0
+        edges = tmp_path / "edges.json"
+        assert run("solve", "--alg", "lp", "--objective", "congestion",
+                   "--format", "edge-flows", "--input", inst, "-o", edges) == 0
+        return edges
+
+    # these seeds need congestion 4.5, 2.22 and 9.0: loads above the hard
+    # capacities, checked against capacity x the reported congestion
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_congestion_round_trip(self, seed, tmp_path):
+        edges = self._congestion_edges(seed, tmp_path)
+        doc = json.loads(edges.read_text())
+        assert doc["meta"]["congestion"] > 2
+        out = tmp_path / "dec.json"
+        assert run("decompose", "--input", edges, "-o", out) == 0
+        walks = json.loads(out.read_text())
+        assert walks["objective"] == pytest.approx(doc["objective"], rel=1e-9)
+        assert walks["meta"]["congestion"] == doc["meta"]["congestion"]
+
+    @pytest.mark.parametrize("tamper", ["lowered", "missing"])
+    def test_congestion_document_must_cover_its_loads(self, tamper, tmp_path, capsys):
+        edges = self._congestion_edges(3, tmp_path)
+        doc = json.loads(edges.read_text())
+        if tamper == "lowered":
+            doc["meta"]["congestion"] *= 0.9  # below the real peak ratio
+        else:
+            del doc["meta"]["congestion"]
+        edges.write_text(json.dumps(doc))
+        assert run("decompose", "--input", edges, "-o", tmp_path / "w.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds capacity" in err
+
     def test_walk_document_rejected(self, line_pf, tmp_path, capsys):
         walks = tmp_path / "walks.json"
         run("solve", "--alg", "lp", "--input", line_pf, "-o", walks)

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+import pflow.harness
+import pflow.lp
 import pflow.naive
 from pflow.generators import gen_random_instance
 from pflow.harness import (CSV_HEADER, KNOWN_ALGS, RunRecord, SweepSpec,
                            compare_runs, half_subset, write_csv)
-from pflow.lp import LPResult
-from pflow.model import Demand, FlowNetwork, StructuralError
+from pflow.lp import LoadedLP, LPResult, solve_edge_lp
+from pflow.model import Demand, FlowNetwork, StructuralError, verify_edge_solution
 from pflow.naive import naive_solve
 from ratios import objective_ratio, ratio_series
 
@@ -115,17 +117,21 @@ def _sweep_cases():
                 lo=0.0, hi=3.0, step=1.5, dist=dist, seed=seed, repetitions=2)
 
 
+def _point_network(net, spec, instance):
+    """The network of the grid point a record id such as cap=1.5/half/r2 names."""
+    c = float(instance.split("/")[0].removeprefix("cap="))
+    half = set(half_subset(net, spec.seed))
+    return net.with_node_capacity({v: c if spec.dist == "all" or v in half else 0.0
+                                   for v in net.nodes})
+
+
 def test_naive_records_match_a_fresh_solve_per_point():
     for net, demands, spec in _sweep_cases():
         recs = compare_runs(net, demands, spec, algorithms=("lp", "naive"))
-        half = set(half_subset(net, spec.seed))
         naive = [r for r in recs if r.algorithm == "naive"]
         assert len(naive) == 2 * len(spec.grid())
         for r in naive:
-            c = float(r.instance.split("/")[0].removeprefix("cap="))
-            caps = {v: c if spec.dist == "all" or v in half else 0.0
-                    for v in net.nodes}
-            fresh = naive_solve(net.with_node_capacity(caps), demands)
+            fresh = naive_solve(_point_network(net, spec, r.instance), demands)
             assert r.feasible and r.error is None
             assert r.objective == fresh.objective, r.instance
             assert r.iterations == fresh.meta["lp_iterations"]
@@ -160,6 +166,96 @@ def test_failed_routing_fails_every_naive_record(monkeypatch):
             assert not r.feasible and math.isnan(r.objective)
             assert r.error == "ResourceLimitError: routing LP ended unbounded"
         assert all(r.feasible for r in recs if r.algorithm == "lp")
+
+
+def _lp_records(recs):
+    """lp records by grid point, each a list of its repetitions."""
+    points: dict[str, list[RunRecord]] = {}
+    for r in recs:
+        if r.algorithm == "lp":
+            points.setdefault(r.instance.rsplit("/", 1)[0], []).append(r)
+    return points
+
+
+def test_lp_records_match_a_fresh_solve_per_point():
+    for net, demands, spec in _sweep_cases():
+        recs = compare_runs(net, demands, spec, algorithms=("lp", "naive"))
+        points = _lp_records(recs)
+        assert len(points) == len(spec.grid())
+        for k, (point, reps) in enumerate(points.items()):
+            fresh, res = solve_edge_lp(_point_network(net, spec, point), demands)
+            assert [r.instance for r in reps] == [f"{point}/r1", f"{point}/r2"]
+            for r in reps:
+                assert r.feasible and r.error is None
+                assert r.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+                # repetitions of a point start from the same basis
+                assert (r.objective, r.iterations) == (reps[0].objective,
+                                                       reps[0].iterations)
+                if k == 0:  # the first point solves cold
+                    assert (r.objective, r.iterations) == (fresh.objective,
+                                                           res.iterations)
+
+
+def test_warm_started_sweep_takes_fewer_iterations():
+    inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
+    spec = SweepSpec(lo=0.0, hi=5.0, step=0.5, dist="half", seed=1)
+    recs = compare_runs(inst.net, inst.demands, spec, algorithms=("lp",))
+    assert all(r.feasible for r in recs)
+    warm = sum(r.iterations for r in recs)
+    cold = sum(solve_edge_lp(_point_network(inst.net, spec, r.instance),
+                             inst.demands)[1].iterations for r in recs)
+    assert 0 < warm < cold
+
+
+def test_warm_started_solutions_verify(monkeypatch):
+    solved = []
+    real = pflow.harness.edge_lp_solution
+
+    def keeping(model, res, net, demands):
+        sol = real(model, res, net, demands)
+        solved.append((net, demands, sol))
+        return sol
+
+    monkeypatch.setattr(pflow.harness, "edge_lp_solution", keeping)
+    for net, demands, spec in _sweep_cases():
+        compare_runs(net, demands, spec, algorithms=("lp",))
+    assert len(solved) == 8 * 2 * 3  # sweeps x repetitions x grid points
+    for net, demands, sol in solved:
+        rep = verify_edge_solution(net, demands, sol)
+        assert rep.ok, rep.problems
+
+
+def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
+    # the second grid point's warm solves get no simplex iterations; later
+    # points start from the first point's basis and still solve right
+    calls = 0
+    real = LoadedLP.solve
+
+    def limited(self, basis=None):
+        nonlocal calls
+        calls += 1
+        if calls not in (3, 4):
+            return real(self, basis)
+        with monkeypatch.context() as m:
+            m.setattr(pflow.lp, "MAXITER", 0)
+            return real(self, basis)
+
+    monkeypatch.setattr(LoadedLP, "solve", limited)
+    for net, demands, spec in _sweep_cases():
+        calls = 0
+        recs = compare_runs(net, demands, spec, algorithms=("lp",))
+        failed_point = f"cap={spec.grid()[1]:g}/{spec.dist}"
+        for point, reps in _lp_records(recs).items():
+            if point == failed_point:
+                for r in reps:
+                    assert not r.feasible and math.isnan(r.objective)
+                    assert r.error == ("ResourceLimitError: "
+                                       "simplex iteration limit 0 exhausted")
+                continue
+            fresh, _ = solve_edge_lp(_point_network(net, spec, point), demands)
+            for r in reps:
+                assert r.feasible
+                assert r.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
 
 
 def test_objective_ratio_conventions():

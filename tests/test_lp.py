@@ -7,7 +7,7 @@ import pytest
 import pflow.lp
 from pflow.generators import gen_random_instance, gen_random_purchase
 from pflow.decompose import decompose
-from pflow.lp import (LPModel, Objective, build_edge_lp, build_routing_lp,
+from pflow.lp import (LoadedLP, LPModel, Objective, build_edge_lp, build_routing_lp,
                       solve_edge_lp, solve_lp, write_mps)
 from pflow.model import (Demand, FlowNetwork, InfeasibleError, ResourceLimitError,
                          verify_edge_solution, verify_walk_solution)
@@ -237,6 +237,42 @@ def test_highs_backend_matches_linprog(models, statuses):
             assert res.x is None and math.isnan(res.objective)
         seen.add(res.status)
     assert seen == statuses
+
+
+def test_loaded_lp_set_rhs_matches_a_fresh_build():
+    """After set_rhs the loaded LP is the one solve_lp builds from a model with
+    that rhs, for `<=`, `>=` and `==` rows alike, so a cold solve of it is
+    bit-identical; a warm solve from its own optimal basis takes no iteration."""
+    senses, statuses = set(), set()
+    for model in [*_edge_models("max-total-flow"), *_edge_models("min-max-congestion"),
+                  *_purchase_models("min", False)]:
+        loaded = LoadedLP(model)
+        for sense in ("<=", ">=", "=="):
+            rows = [k for k, s in enumerate(model.senses) if s == sense]
+            for k in rows[:1] + rows[-1:]:
+                model.rhs[k] = 0.5 * model.rhs[k] + 0.25
+                loaded.set_rhs(k, model.rhs[k])
+                senses.add(sense)
+        res, ref = loaded.solve(), solve_lp(model)
+        assert (res.status, res.iterations) == (ref.status, ref.iterations)
+        statuses.add(res.status)
+        if ref.status == "optimal":
+            assert res.objective == ref.objective
+            assert np.array_equal(res.x, ref.x)
+            warm = loaded.solve(res.basis)
+            assert warm.iterations == 0 and warm.objective == res.objective
+    assert senses == {"<=", ">=", "=="} and statuses == {"optimal", "infeasible"}
+
+
+def test_loaded_lp_rejects_bad_input():
+    first, second = list(_edge_models("max-total-flow"))[:2]
+    loaded = LoadedLP(first)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite rhs"):
+            loaded.set_rhs(0, bad)
+    other = solve_lp(second)
+    with pytest.raises(ValueError, match="basis does not fit"):
+        loaded.solve(other.basis)
 
 
 def read_mps(path: str) -> LPModel:
