@@ -408,7 +408,10 @@ def extract_edge_solution(model: LPModel, x: np.ndarray,
     """Pull per-demand flows out of a solved edge LP, snapping float dust to zero.
 
     The solution carries each arc's total flow w + g next to its unprocessed
-    part w, so flow >= unprocessed holds by construction.
+    part w, so flow >= unprocessed holds by construction. A congestion
+    solution reports its peak load/capacity ratio as meta["congestion"]: the
+    LP's theta under min-max, the ratio of the extracted loads under
+    min-weighted.
     """
     if not model.info or "g" not in model.info:
         raise ValueError("model was not built by build_edge_lp")
@@ -427,7 +430,19 @@ def extract_edge_solution(model: LPModel, x: np.ndarray,
     theta = info.get("theta")
     if theta is not None:
         sol.meta["congestion"] = float(x[theta])
+    elif info["kind"] == "min-weighted-congestion":
+        sol.meta["congestion"] = _peak_ratio(net, sol)
     return sol
+
+
+def _peak_ratio(net: FlowNetwork, sol: EdgeFlowSolution) -> float:
+    """The largest load/capacity ratio over the resources with capacity;
+    a congestion LP puts no load on the others."""
+    caps = net.group_capacity
+    ratios = [load / caps[g] for g, load in sol.group_loads(net).items() if caps[g] > 0]
+    ratios += [load / net.node_capacity[v] for v, load in sol.node_loads().items()
+               if net.node_capacity[v] > 0]
+    return max(ratios, default=0.0)
 
 
 def solve_edge_lp(net: FlowNetwork, demands: list[Demand],

@@ -239,18 +239,19 @@ def _capacity_problems(net: FlowNetwork, sol) -> list[str]:
     """Bandwidth groups and processing nodes that `sol` (walk or edge
     solution) loads past their capacity.
 
-    A min-max-congestion solution softens every capacity into a load ratio,
-    so its loads are checked against capacity x its reported
-    `meta["congestion"]`, or x 1 if that is lower.
+    A congestion solution (min-max or min-weighted) softens every capacity
+    into a load ratio, so its loads are checked against capacity x its
+    reported `meta["congestion"]`, or x 1 if that is lower.
     """
     problems = []
     scale = 1.0
-    if sol.meta.get("objective_kind") == "min-max-congestion":
+    kind = sol.meta.get("objective_kind")
+    if kind in ("min-max-congestion", "min-weighted-congestion"):
         ratio = sol.meta.get("congestion")
         if isinstance(ratio, (int, float)) and math.isfinite(ratio):
             scale = max(1.0, ratio)
         else:
-            problems.append(f"min-max-congestion solution reports congestion {ratio!r}")
+            problems.append(f"{kind} solution reports congestion {ratio!r}")
     limit = f" x congestion {scale}" if scale != 1.0 else ""
     for g, load in sol.group_loads(net).items():
         cap = net.group_capacity[g]
@@ -370,8 +371,8 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
     processing balance (processed volume at v equals unprocessed inflow minus
     unprocessed outflow), unprocessed <= total on every arc, everything leaving
     the source unprocessed, everything entering the sink processed. Then joint
-    bandwidth and processing budgets, softened for a min-max-congestion
-    solution by its reported congestion.
+    bandwidth and processing budgets, softened for a congestion solution by
+    its reported congestion.
     """
     problems = []
     if not (len(sol.flow) == len(sol.unprocessed) == len(sol.processing) == len(demands)):

@@ -473,6 +473,26 @@ def _prune_potential(inst: PurchaseInstance, keep) -> PurchaseInstance:
     return PurchaseInstance(inst.net, inst.demands, pot, inst.cost, inst.budget)
 
 
+def _best_single(cands: list[str], bound: list[float], evaluate):
+    """The highest-valued `evaluate(v)` over `cands`, ties going to the
+    earliest candidate, evaluating only candidates that could still win.
+
+    `bound[j]` caps the value of `cands[j]`. Candidates are tried in
+    decreasing bound (stable, so equal bounds keep their order), and the
+    scan stops at the first whose bound plus the verifier's feasibility
+    slack is below the best value so far: no later bound is larger.
+    """
+    best, best_j = None, -1
+    for j in sorted(range(len(cands)), key=lambda j: -bound[j]):
+        if best is not None and bound[j] + feas_slack(bound[j]) < best.value:
+            break
+        sol = evaluate(cands[j])
+        if best is None or sol.value > best.value or \
+                (sol.value == best.value and j < best_j):
+            best, best_j = sol, j
+    return best
+
+
 def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
                             repetitions: int | None = None) -> PurchaseSolution:
     """Budget-constrained purchase by LP rounding, best of several attempts.
@@ -491,6 +511,12 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
     full candidate set (both evaluated by the same pinned-purchase LP); a
     generous budget therefore degrades to the exact relaxation optimum
     instead of stopping at one vertex.
+
+    A pinned vertex v serves at most min(C(v), sum of the demand amounts),
+    so single vertices are tried best bound first, and a vertex whose bound
+    cannot beat the best value so far is not solved. The best single vertex
+    is still the one an exhaustive scan in node order keeps: the first of
+    the highest value.
     """
     rep_check = validate_purchase_instance(inst, "budgeted")
     if not rep_check:
@@ -525,11 +551,9 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
                          "lp_value": lp_sol.objective})
 
     pool: list[PurchaseSolution] = []
-    best_single = None
-    for v in cands:
-        cand = restricted({v}, "single")
-        if best_single is None or cand.value > best_single.value:
-            best_single = cand
+    total = sum(d.amount for d in inst.demands)
+    bound = [min(affordable.potential[v], total) for v in cands]
+    best_single = _best_single(cands, bound, lambda v: restricted({v}, "single"))
     if best_single is not None and best_single.value > SNAP:
         pool.append(best_single)
     if len(cands) > 1 and sum(inst.price(v) for v in cands) <= k:

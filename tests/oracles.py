@@ -160,6 +160,18 @@ def budgeted_purchase_bruteforce(net: FlowNetwork, demands: list[Demand],
     return best_val, best_set
 
 
+def best_single_exhaustive(cands: list[str], evaluate):
+    """The best single vertex as an exhaustive scan finds it: every
+    candidate evaluated, in the order given, and one kept only if strictly
+    better than the best before it."""
+    best = None
+    for v in cands:
+        sol = evaluate(v)
+        if best is None or sol.value > best.value:
+            best = sol
+    return best
+
+
 def max_flow_lp(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]:
     """Max source->sink flow as an LP; arcs as (tail, head, group), caps per
     group, a group's capacity shared by all its arcs. The reference for

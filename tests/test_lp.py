@@ -9,8 +9,9 @@ from pflow.generators import gen_random_instance, gen_random_purchase
 from pflow.decompose import decompose
 from pflow.lp import (LoadedLP, LPModel, Objective, build_edge_lp, build_routing_lp,
                       solve_edge_lp, solve_lp, write_mps)
-from pflow.model import (Demand, FlowNetwork, InfeasibleError, ResourceLimitError,
-                         verify_edge_solution, verify_walk_solution)
+from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
+                         ResourceLimitError, verify_edge_solution,
+                         verify_walk_solution)
 from pflow.purchase import build_purchase_lp
 
 from oracles import solve_lp_linprog, walk_lp_optimum
@@ -409,19 +410,13 @@ def _peak_ratio(net, sol):
     return max(ratios, default=0.0)
 
 
-def _scaled(net, factor):
-    edges = [(net.arcs[arcs[0]].tail, net.arcs[arcs[0]].head, cap * factor)
-             for arcs, cap in zip(net.groups, net.group_capacity)]
-    caps = {v: c * factor for v, c in net.node_capacity.items()}
-    return FlowNetwork(net.nodes, edges, caps, directed=net.directed)
-
-
 @pytest.mark.parametrize("kind", ["max-total-flow", "min-max-congestion",
                                   "min-weighted-congestion"])
 def test_solutions_verify_and_respect_the_split(kind):
-    # congestion objectives soften capacities into load ratios, so their
-    # solutions are verified against capacities scaled by the peak ratio
-    checked = 0
+    # congestion objectives soften capacities into load ratios: a solution
+    # reports its peak ratio, the verifiers check its loads against capacity
+    # x that ratio, and reject it once the ratio is understated
+    checked = overloaded = 0
     for seed in range(12):
         inst = gen_random_instance(6, 0.5, node_cap=(0, 4), n_demands=3,
                                    seed=seed, directed=seed % 2 == 0,
@@ -433,11 +428,15 @@ def test_solutions_verify_and_respect_the_split(kind):
             continue
         if kind != "max-total-flow":
             peak = _peak_ratio(net, sol)
-            if kind == "min-max-congestion":
-                assert peak <= sol.meta["congestion"] * (1 + 1e-9)
-            net = _scaled(net, max(1.0, peak))
+            assert peak <= sol.meta["congestion"] * (1 + 1e-9)
             for i, d in enumerate(demands):
                 assert sol.delivered(net, demands, i) >= d.amount * (1 - 1e-9)
+            if peak > 1.01:
+                overloaded += 1
+                low = EdgeFlowSolution(sol.flow, sol.unprocessed, sol.processing,
+                                       sol.objective,
+                                       {**sol.meta, "congestion": peak / 1.01})
+                assert not verify_edge_solution(net, demands, low).ok
         rep = verify_edge_solution(net, demands, sol)
         assert rep.ok, rep.problems
         rep = verify_walk_solution(net, demands, decompose(sol, net, demands))
@@ -450,3 +449,4 @@ def test_solutions_verify_and_respect_the_split(kind):
                 assert f.get(a, 0.0) == w.get(a, 0.0)
         checked += 1
     assert checked >= 6
+    assert kind == "max-total-flow" or overloaded >= 3

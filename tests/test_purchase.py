@@ -1,21 +1,26 @@
 """Capacity-purchase variants: coverage LP, rounding, budgeted greedy."""
 
 import itertools
+import json
 import math
 import random
 from itertools import combinations
 
 import pytest
 
+from pflow import purchase
 from pflow.generators import gen_random_purchase
-from pflow.model import Demand, FlowNetwork, InfeasibleError, StructuralError
+from pflow.instance_io import solution_document
+from pflow.model import (Demand, FlowNetwork, InfeasibleError, StructuralError,
+                         feas_slack)
 from pflow.purchase import (PurchaseInstance, _max_flow, _ProcessingFlowOracle,
                             build_purchase_lp, greedy_budgeted_single_source,
                             round_budgeted_purchase, round_min_purchase,
                             rounding_rounds, solve_purchase_lp,
                             validate_purchase_instance)
 
-from oracles import max_flow_lp, served_with_purchases
+from oracles import (best_single_exhaustive, max_flow_lp,
+                     served_with_purchases)
 
 
 def make_pur1(pur1):
@@ -190,6 +195,78 @@ class TestBudgetedRounding:
         assert r.purchased == {"a"}
         assert r.value == pytest.approx(4.0, abs=1e-6)   # demand cap binds
         assert r.meta["shortcut"] is True
+
+
+def _budgeted_instances(count):
+    # every third draw sells all its candidates at one potential, so their
+    # bounds tie and the scan order falls back to node order
+    for seed in range(count):
+        n = 5 + seed % 6
+        parsed = gen_random_purchase(
+            n, 0.45, potential_cap=(3, 3) if seed % 3 == 0 else (1, 6),
+            n_candidates=min(4, n - 1), n_demands=2 + seed % 2, seed=seed,
+            budget=2.0 + seed % 3, directed=seed % 2 == 0)
+        yield seed, parsed.purchase()
+
+
+def _document(sol, inst):
+    return json.dumps(solution_document(sol, net=inst.net), sort_keys=True)
+
+
+class TestBestSingleVertex:
+    """`round_budgeted_purchase` tries single vertices best bound first and
+    skips those that cannot win; the exhaustive scan in node order is the
+    reference."""
+
+    def test_pruned_scan_returns_the_exhaustive_answer(self, monkeypatch):
+        real = purchase._best_single
+        skipped = ties = 0
+        for seed, inst in _budgeted_instances(36):
+            values = {}
+
+            def reference(cands, bound, evaluate):
+                def record(v):
+                    sol = evaluate(v)
+                    values[v] = sol.value
+                    return sol
+                return best_single_exhaustive(cands, record)
+
+            with monkeypatch.context() as m:
+                m.setattr(purchase, "_best_single", reference)
+                want = round_budgeted_purchase(inst, rng_seed=seed)
+            calls = []
+
+            def counted(cands, bound, evaluate):
+                return real(cands, bound,
+                            lambda v: calls.append(v) or evaluate(v))
+
+            with monkeypatch.context() as m:
+                m.setattr(purchase, "_best_single", counted)
+                got = round_budgeted_purchase(inst, rng_seed=seed)
+            assert _document(got, inst) == _document(want, inst), seed
+
+            total = sum(d.amount for d in inst.demands)
+            for v, value in values.items():
+                ub = min(inst.potential[v], total)
+                assert value <= ub + feas_slack(ub), (seed, v)
+            skipped += len(values) - len(calls)
+            if values:
+                top = max(values.values())
+                ties += sum(val == top for val in values.values()) > 1
+        # the pruning and the tie-break both ran
+        assert skipped > 0 and ties > 0
+
+    def test_equal_values_go_to_the_earlier_vertex(self):
+        # b's bound (5) is tried first, but a (bound 2) ties it at 2 and
+        # comes first in node order, so a wins as in the exhaustive scan
+        net = FlowNetwork("sabt", [("s", "a", 9.0), ("a", "t", 9.0),
+                                   ("s", "b", 2.0), ("b", "t", 2.0)], {})
+        inst = PurchaseInstance(net, [Demand("s", "t", 10.0)],
+                                potential={"a": 2.0, "b": 5.0},
+                                cost={"a": 1.0, "b": 1.0}, budget=1.0)
+        r = round_budgeted_purchase(inst, rng_seed=1)
+        assert r.purchased == {"a"} and r.value == 2.0
+        assert r.meta["branch"] == "single"
 
 
 class TestValidation:
