@@ -16,14 +16,15 @@ from .instance_io import (InstanceFormatError, ParsedInstance, emit_instance,
 from .lp import (LPModel, LPResult, Objective, build_edge_lp, solve_edge_lp,
                  solve_lp, write_mps)
 from .model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
-                    ResourceLimitError, StructuralError, WalkEntry,
-                    WalkFlowSolution, validate_instance, verify_walk_solution)
+                    PurchaseInstance, PurchaseSolution, ResourceLimitError,
+                    StructuralError, WalkEntry, WalkFlowSolution,
+                    validate_instance, verify_walk_solution)
 from .mwu import (MWUConfig, default_delta, iteration_bound, mwu_solve,
                   shortest_processing_2walk)
 from .naive import naive_solve
-from .purchase import (PurchaseInstance, PurchaseLPSolution, PurchaseSolution,
-                       greedy_budgeted_single_source, round_budgeted_purchase,
-                       round_min_purchase, rounding_rounds, solve_purchase_lp,
+from .purchase import (PurchaseLPSolution, greedy_budgeted_single_source,
+                       round_budgeted_purchase, round_min_purchase,
+                       rounding_rounds, solve_purchase_lp,
                        validate_purchase_instance)
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .decompose import decompose
 from .generators import gen_random_instance, gen_reduction_instance
@@ -23,9 +24,8 @@ from .instance_io import (emit_edge_solution, emit_instance, emit_solution,
 from .lp import Objective, build_edge_lp, write_mps
 from .model import (InfeasibleError, ResourceLimitError, StructuralError,
                     validate_instance, verify_edge_solution)
-from .purchase import (PurchaseInstance, round_budgeted_purchase,
-                       round_min_purchase, solve_purchase_lp,
-                       validate_purchase_instance)
+from .purchase import (round_budgeted_purchase, round_min_purchase,
+                       solve_purchase_lp, validate_purchase_instance)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -89,8 +89,7 @@ def _cmd_purchase(args) -> int:
     inst = _checked_instance(args.input)
     pinst = inst.purchase()
     if args.budget is not None:
-        pinst = PurchaseInstance(pinst.net, pinst.demands, pinst.potential,
-                                 pinst.cost, args.budget)
+        pinst = replace(pinst, budget=args.budget)
     mode = "budgeted" if args.mode == "budget" else args.mode
     _require(validate_purchase_instance(pinst, mode))
     if args.mode == "min":

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from .instance_io import ParsedInstance
-from .model import Demand, FlowNetwork, StructuralError
+from .model import Demand, FlowNetwork, ParsedInstance, StructuralError
 
 
 def gen_random_instance(n_nodes: int, density: float, edge_cap=(1, 5),
@@ -87,9 +86,10 @@ def gen_random_purchase(n_nodes: int, density: float, edge_cap=(2, 8),
                         amounts=(1, 4), budget: float | None = None,
                         seed: int = 0, directed: bool = True,
                         single_source: bool = False) -> ParsedInstance:
-    """Random purchase instance; candidates avoid demand endpoints when
-    possible (endpoint processing never counts, so such candidates would be
-    dead weight)."""
+    """Random purchase instance on `gen_random_instance`'s network, with
+    no node capacity until bought. Candidates are drawn from the nodes that
+    are no demand's source or sink, topped up from the rest when too few
+    are."""
     base = gen_random_instance(n_nodes, density, edge_cap, (0, 0), n_demands,
                                seed, directed, amounts=amounts)
     rng = random.Random(seed + 0x9E3779B9)
@@ -106,7 +106,7 @@ def gen_random_purchase(n_nodes: int, density: float, edge_cap=(2, 8),
         chosen += rng.sample(rest, min(n_candidates - len(chosen), len(rest)))
     potential = {v: float(rng.randint(*potential_cap)) for v in chosen}
     cost = {v: float(rng.randint(*cost_range)) for v in chosen}
-    return ParsedInstance(base.net, demands, cost, potential, budget)
+    return ParsedInstance(base.net, demands, potential, cost, budget)
 
 
 def _cover_gadget(sets: list, universe: list, budget: float | None):
@@ -140,7 +140,7 @@ def _cover_gadget(sets: list, universe: list, budget: float | None):
     demands = [Demand("s", "t", float(len(uni)))]
     potential = {f"set{j}": float(n) for j in range(len(norm))}
     cost = {f"set{j}": 1.0 for j in range(len(norm))}
-    return ParsedInstance(net, demands, cost, potential, budget)
+    return ParsedInstance(net, demands, potential, cost, budget)
 
 
 def gen_reduction_instance(kind: str, spec: dict) -> ParsedInstance:
@@ -191,7 +191,7 @@ def _vertex_cover_gadget(edge_list) -> ParsedInstance:
         demands.append(Demand(v, u, 1.0))
     potential = {v: float(n) for v in nodes}
     cost = {v: 1.0 for v in nodes}
-    return ParsedInstance(net, demands, cost, potential, None)
+    return ParsedInstance(net, demands, potential, cost)
 
 
 def _bisection_gadget(edge_list) -> ParsedInstance:
@@ -217,4 +217,4 @@ def _bisection_gadget(edge_list) -> ParsedInstance:
     demands = [Demand(f"u_{a}", f"w_{b}", 3.0) for b in verts for a in verts]
     potential = {f"u_{v}": 3.0 * len(verts) for v in verts}
     cost = {f"u_{v}": 1.0 for v in verts}
-    return ParsedInstance(net, demands, cost, potential, len(verts) / 2.0)
+    return ParsedInstance(net, demands, potential, cost, len(verts) / 2.0)

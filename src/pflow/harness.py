@@ -89,7 +89,8 @@ def _capacitate(net: FlowNetwork, c: float, dist: str,
 
 def run_solver(alg: str, net: FlowNetwork, demands: list[Demand],
                epsilon: float, objective: Objective = Objective()):
-    """The one solver dispatch behind `pflow solve` and `compare_runs`.
+    """The solver dispatch behind `pflow solve`. `compare_runs` calls it for
+    mwu only: it runs lp and naive itself, to share work across grid points.
 
     lp returns its edge flows (an EdgeFlowSolution, not yet decomposed);
     mwu, with accuracy `epsilon`, and naive return walks. Only lp takes an

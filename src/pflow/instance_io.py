@@ -17,30 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
-from .model import (Demand, EdgeFlowSolution, FlowNetwork, StructuralError,
-                    WalkEntry, WalkFlowSolution)
-from .purchase import PurchaseInstance, PurchaseSolution
+from .model import (Demand, EdgeFlowSolution, FlowNetwork, ParsedInstance,
+                    PurchaseSolution, StructuralError, WalkEntry,
+                    WalkFlowSolution)
 
 
 class InstanceFormatError(ValueError):
     """Malformed instance text; message carries the 1-based line number."""
-
-
-@dataclass
-class ParsedInstance:
-    net: FlowNetwork
-    demands: list[Demand]
-    cost: dict[str, float] = field(default_factory=dict)
-    potential: dict[str, float] = field(default_factory=dict)
-    budget: float | None = None
-
-    def purchase(self) -> PurchaseInstance:
-        if not self.potential:
-            raise StructuralError("instance declares no purchasable nodes")
-        return PurchaseInstance(self.net, self.demands, dict(self.potential),
-                                dict(self.cost), self.budget)
 
 
 def _num(token: str, ln: int, what: str) -> float:
@@ -141,7 +125,7 @@ def parse_instance_text(text: str) -> ParsedInstance:
     if directed is None:
         raise InstanceFormatError("line 1: empty instance, expected graph directive")
     net = FlowNetwork(order, edges, caps, directed=directed)
-    return ParsedInstance(net, demands, cost, potential, budget)
+    return ParsedInstance(net, demands, potential, cost, budget)
 
 
 def parse_instance(path: str) -> ParsedInstance:

@@ -106,6 +106,16 @@ class LPResult:
     iterations: int = 0
     basis: HighsBasis | None = None  # HiGHS's final basis of an optimal solve
 
+    def optimal_x(self, what: str, infeasible: str = "") -> np.ndarray:
+        """`x` of an optimal solve, or the error this status maps to:
+        InfeasibleError (message `infeasible`, by default "{what} infeasible"),
+        or ResourceLimitError ("{what} ended {status}") for any other end."""
+        if self.status == "infeasible":
+            raise InfeasibleError(infeasible or f"{what} infeasible")
+        if self.status != "optimal":
+            raise ResourceLimitError(f"{what} ended {self.status}")
+        return self.x
+
 
 class LoadedLP:
     """An LPModel in the form HiGHS takes, built once and solved on demand.
@@ -455,13 +465,10 @@ def solve_edge_lp(net: FlowNetwork, demands: list[Demand],
 
 def edge_lp_solution(model: LPModel, res: LPResult, net: FlowNetwork,
                      demands: list[Demand]) -> EdgeFlowSolution:
-    """The edge flows of a solved edge LP, or the error its status maps to:
-    InfeasibleError, or ResourceLimitError for any other non-optimal end."""
-    if res.status == "infeasible":
-        raise InfeasibleError("edge LP infeasible (demands cannot all be met)")
-    if res.status != "optimal":
-        raise ResourceLimitError(f"edge LP ended {res.status}")
-    sol = extract_edge_solution(model, res.x, net, demands)
+    """The edge flows of a solved edge LP, or the error its status maps to
+    (`LPResult.optimal_x`)."""
+    x = res.optimal_x("edge LP", "edge LP infeasible (demands cannot all be met)")
+    sol = extract_edge_solution(model, x, net, demands)
     sol.meta["lp_objective"] = res.objective
     sol.meta["lp_iterations"] = res.iterations
     return sol

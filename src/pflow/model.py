@@ -427,3 +427,51 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
 
     problems += _capacity_problems(net, sol)
     return ValidationReport(not problems, problems)
+
+
+@dataclass
+class PurchaseInstance:
+    """A network and its demands, plus the processing capacity for sale.
+
+    Every instance file parses into this class (also named ParsedInstance);
+    the routing solvers read only `net` and `demands`. `potential` maps
+    node -> capacity available if purchased; absent or zero means the node
+    is not for sale. `cost` maps node -> purchase price (defaults to 0 for
+    nodes with potential, which makes them free). `budget` is only
+    meaningful for the budgeted variant.
+    """
+
+    net: FlowNetwork
+    demands: list[Demand]
+    potential: dict[str, float] = field(default_factory=dict)
+    cost: dict[str, float] = field(default_factory=dict)
+    budget: float | None = None
+
+    def candidates(self) -> list[str]:
+        """Purchasable nodes, in network node order."""
+        return [v for v in self.net.nodes if self.potential.get(v, 0.0) > 0.0]
+
+    def price(self, v: str) -> float:
+        return float(self.cost.get(v, 0.0))
+
+    def purchase(self) -> PurchaseInstance:
+        """This instance, once it is known to sell some node's capacity."""
+        if not self.potential:
+            raise StructuralError("instance declares no purchasable nodes")
+        return self
+
+
+ParsedInstance = PurchaseInstance
+
+
+@dataclass
+class PurchaseSolution:
+    purchased: set[str]
+    cost: float
+    flows: EdgeFlowSolution
+    served: dict[int, float]  # demand -> delivered fraction of its amount
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def value(self) -> float:
+        return self.flows.objective

@@ -229,13 +229,13 @@ class MWUState:
     demands: list[Demand]
     epsilon: float
     delta: float
-    group_gain: list[float] = field(default_factory=list)   # per coupling group
-    node_gain: dict[str, float] = field(default_factory=dict)  # nodes with C>0
-    active: list[bool] = field(default_factory=list)
-    placed_raw: list[float] = field(default_factory=list)   # pre-scaling per demand
-    placements: list[tuple[int, tuple, float, dict]] = field(default_factory=list)
-    iteration: int = 0
-    stopped: bool = False
+    group_gain: list[float] = field(init=False)   # per coupling group
+    node_gain: dict[str, float] = field(init=False)  # nodes with C>0
+    active: list[bool] = field(init=False)
+    placed_raw: list[float] = field(init=False)   # pre-scaling per demand
+    placements: list[tuple[int, tuple, float, dict]] = field(init=False)
+    iteration: int = field(default=0, init=False)
+    stopped: bool = field(default=False, init=False)
     # min over rounds of total_weight / (round's cheapest walk cost); an upper
     # bound on the optimum when no demand is capped
     upper_bound: float = field(default=math.inf, init=False)
@@ -248,14 +248,11 @@ class MWUState:
 
     def __post_init__(self):
         net = self.net
-        if not self.group_gain:
-            self.group_gain = [0.0] * len(net.group_capacity)
-        if not self.node_gain:
-            self.node_gain = {v: 0.0 for v in net.nodes if net.capacity(v) > 0}
-        if not self.active:
-            self.active = [True] * len(self.demands)
-        if not self.placed_raw:
-            self.placed_raw = [0.0] * len(self.demands)
+        self.group_gain = [0.0] * len(net.group_capacity)
+        self.node_gain = {v: 0.0 for v in net.nodes if net.capacity(v) > 0}
+        self.active = [True] * len(self.demands)
+        self.placed_raw = [0.0] * len(self.demands)
+        self.placements = []
         group_w = [self.weight(g) for g in self.group_gain]
         caps = net.group_capacity
         self.arc_cost = [group_w[a.group] / caps[a.group] if caps[a.group] > 0

@@ -22,8 +22,6 @@ from .model import (
     SNAP,
     Demand,
     FlowNetwork,
-    InfeasibleError,
-    ResourceLimitError,
     WalkEntry,
     WalkFlowSolution,
 )
@@ -72,14 +70,10 @@ class Routing:
 def route_paths(net: FlowNetwork, demands: list[Demand]) -> Routing:
     """Phase 1: the max-flow routing, split into paths per demand."""
     res = solve_lp(build_routing_lp(net, demands, net.group_capacity))
-    if res.status == "infeasible":
-        raise InfeasibleError("routing LP infeasible")
-    if res.status != "optimal":
-        raise ResourceLimitError(f"routing LP ended {res.status}")
+    x = res.optimal_x("routing LP").tolist()
 
     paths = []
     routed = 0.0
-    x = res.x.tolist()
     for i, d in enumerate(demands):
         flow = [val if val >= SNAP else 0.0
                 for val in x[i * net.n_arcs:(i + 1) * net.n_arcs]]

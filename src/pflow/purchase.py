@@ -19,36 +19,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .lp import LPModel, LPResult, balance, build_routing_lp, solve_lp
-from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
-                    StructuralError, ValidationReport, feas_slack,
-                    validate_instance)
-
-
-@dataclass
-class PurchaseInstance:
-    """A network whose processing capacity must be bought before use.
-
-    `potential` maps node -> capacity available if purchased; absent or zero
-    means the node is not for sale. `cost` maps node -> purchase price
-    (defaults to 0 for nodes with potential, which makes them free).
-    `budget` is only meaningful for the budgeted variant.
-    """
-
-    net: FlowNetwork
-    demands: list[Demand]
-    potential: dict[str, float] = field(default_factory=dict)
-    cost: dict[str, float] = field(default_factory=dict)
-    budget: float | None = None
-
-    def candidates(self) -> list[str]:
-        """Purchasable nodes, in network node order."""
-        return [v for v in self.net.nodes if self.potential.get(v, 0.0) > 0.0]
-
-    def price(self, v: str) -> float:
-        return float(self.cost.get(v, 0.0))
+from .model import (SNAP, EdgeFlowSolution, InfeasibleError, PurchaseInstance,
+                    PurchaseSolution, StructuralError, ValidationReport,
+                    feas_slack, validate_instance)
 
 
 def validate_purchase_instance(inst: PurchaseInstance,
@@ -101,22 +77,6 @@ class PurchaseLPSolution:
     processed: dict[tuple[int, str], float]
     objective: float
     meta: dict = field(default_factory=dict)
-
-    def served_total(self, i: int) -> float:
-        return sum(val for (j, _), val in self.served.items() if j == i)
-
-
-@dataclass
-class PurchaseSolution:
-    purchased: set[str]
-    cost: float
-    flows: EdgeFlowSolution
-    served: dict[int, float]  # demand -> delivered fraction of its amount
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def value(self) -> float:
-        return self.flows.objective
 
 
 def _empty_purchase(inst: PurchaseInstance, reason: str, **meta) -> PurchaseSolution:
@@ -293,7 +253,8 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     """Build, solve, and unpack the purchase relaxation.
 
     Min mode raises InfeasibleError when the demands cannot be met even with
-    every candidate bought outright.
+    every candidate bought outright; an LP that ends otherwise than optimal
+    or infeasible raises ResourceLimitError.
     """
     rep = validate_purchase_instance(inst, mode)
     if not rep:
@@ -303,14 +264,9 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
 
     model = build_purchase_lp(inst, mode, budget_cap=budget_cap, fix=fix)
     res = solve_lp(model)
-    if res.status == "infeasible":
-        if mode == "min":
-            raise InfeasibleError("demands unsatisfiable even buying everything")
-        raise InfeasibleError("budgeted relaxation infeasible")
-    if res.status != "optimal":
-        raise InfeasibleError(f"purchase LP ended {res.status}")
-
-    vals = res.x.tolist()
+    infeasible = ("demands unsatisfiable even buying everything" if mode == "min"
+                  else "budgeted relaxation infeasible")
+    vals = res.optimal_x("purchase LP", infeasible).tolist()
     info = model.info
     x = {v: min(1.0, max(0.0, vals[j])) for v, j in info["x"].items()}
     pre_leg = {key: _leg_values(leg, vals) for key, leg in info["pre"].items()}
@@ -326,98 +282,68 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     return sol, res
 
 
-def _superpose(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
-               weight: dict[str, float]) -> tuple[list, list, list, list]:
-    """Combine leg flows over processing vertices with per-vertex weights.
+def _realize(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
+             weight: dict[str, float], meta: dict) -> PurchaseSolution:
+    """Buy the vertices `weight` names and route each (i, v) leg pair of
+    `lp_sol` at weight[v], scaled down to hard feasibility.
 
-    weight[v] multiplies every (i, v) leg pair; vertices absent from the map
-    contribute nothing. Returns per-demand flow / unprocessed / processing
-    sparse maps plus delivered totals.
+    Two scalings, both no-ops when nothing overshoots: one global factor
+    gamma for the worst edge/node overload, recorded as meta["gamma"], then
+    per-demand factors so nobody is credited more than they asked for.
     """
     n = len(inst.demands)
-    flow: list[dict[int, float]] = [{} for _ in range(n)]
-    unproc: list[dict[int, float]] = [{} for _ in range(n)]
-    proc: list[dict[str, float]] = [{} for _ in range(n)]
-    delivered = [0.0] * n
-    for (i, v), wmap in lp_sol.pre_leg.items():
-        w = weight.get(v, 0.0)
-        if w <= 0.0:
-            continue
-        for a, val in wmap.items():
-            flow[i][a] = flow[i].get(a, 0.0) + w * val
-            unproc[i][a] = unproc[i].get(a, 0.0) + w * val
-    for (i, v), wmap in lp_sol.post_leg.items():
-        w = weight.get(v, 0.0)
-        if w <= 0.0:
-            continue
-        for a, val in wmap.items():
-            flow[i][a] = flow[i].get(a, 0.0) + w * val
+    flows = EdgeFlowSolution([{} for _ in range(n)], [{} for _ in range(n)],
+                             [{} for _ in range(n)], 0.0)
+    for legs, unprocessed in ((lp_sol.pre_leg, True), (lp_sol.post_leg, False)):
+        for (i, v), leg in legs.items():
+            if v not in weight:
+                continue
+            w, f, u = weight[v], flows.flow[i], flows.unprocessed[i]
+            for a, val in leg.items():
+                f[a] = f.get(a, 0.0) + w * val
+                if unprocessed:
+                    u[a] = u.get(a, 0.0) + w * val
     for (i, v), val in lp_sol.processed.items():
-        w = weight.get(v, 0.0)
-        if w > 0.0 and val > 0.0:
-            proc[i][v] = proc[i].get(v, 0.0) + w * val
+        if v in weight and val > 0.0:
+            flows.processing[i][v] = weight[v] * val
+    delivered = [0.0] * n
     for (i, v), val in lp_sol.served.items():
         delivered[i] += weight.get(v, 0.0) * val
-    return flow, unproc, proc, delivered
 
-
-def _clamp_to_caps(inst: PurchaseInstance, purchased: set[str],
-                   flow, unproc, proc, delivered) -> float:
-    """Scale everything down to hard feasibility; returns the factor used.
-
-    Two stages, both no-ops when nothing overshoots: one global factor for
-    the worst edge/node overload, then per-demand factors so nobody is
-    credited more than they asked for.
-    """
-    net = inst.net
-    peak = 1.0
-    group_load: dict[int, float] = {}
-    for fm in flow:
-        for a, val in fm.items():
-            g = net.arcs[a].group
-            group_load[g] = group_load.get(g, 0.0) + val
-    for g, load in group_load.items():
-        cap = net.group_capacity[g]
-        if load > cap:
-            peak = max(peak, math.inf if cap <= 0.0 else load / cap)
-    node_load: dict[str, float] = {}
-    for pm in proc:
-        for v, val in pm.items():
-            node_load[v] = node_load.get(v, 0.0) + val
-    for v, load in node_load.items():
-        cap = inst.potential.get(v, 0.0) if v in purchased else 0.0
-        if load > cap:
-            peak = max(peak, math.inf if cap <= 0.0 else load / cap)
+    caps = inst.net.group_capacity
+    loads = [(load, caps[g]) for g, load in flows.group_loads(inst.net).items()]
+    loads += [(load, inst.potential[v]) for v, load in flows.node_loads().items()]
+    peak = max([1.0] + [math.inf if cap <= 0.0 else load / cap
+                        for load, cap in loads if load > cap])
     if not math.isfinite(peak):
         raise StructuralError("flow on a zero-capacity resource")
-
     gamma = peak * (1.0 + 1e-12) if peak > 1.0 else 1.0
-    if gamma > 1.0:
-        for maps in (flow, unproc, proc):
+
+    for i, d in enumerate(inst.demands):
+        maps = (flows.flow[i], flows.unprocessed[i], flows.processing[i])
+        if gamma > 1.0:
             for m_ in maps:
                 for key in m_:
                     m_[key] /= gamma
-        for i in range(len(delivered)):
             delivered[i] /= gamma
-
-    for i, d in enumerate(inst.demands):
         if delivered[i] > d.amount:
             s = d.amount / (delivered[i] * (1.0 + 1e-12))
-            for m_ in (flow[i], unproc[i], proc[i]):
+            for m_ in maps:
                 for key in m_:
                     m_[key] *= s
             delivered[i] = d.amount
-    return gamma
+    return _package(inst, set(weight), flows, delivered, {**meta, "gamma": gamma})
 
 
-def _package(inst: PurchaseInstance, purchased: set[str], flow, unproc, proc,
-             delivered, meta: dict) -> PurchaseSolution:
-    cost = sum(inst.price(v) for v in purchased)
-    flows = EdgeFlowSolution(flow, unproc, proc, sum(delivered), meta=dict(meta))
+def _package(inst: PurchaseInstance, purchased: set[str], flows: EdgeFlowSolution,
+             delivered: list[float], meta: dict) -> PurchaseSolution:
+    flows.objective = sum(delivered)
+    flows.meta = dict(meta)
     served = {}
     for i, d in enumerate(inst.demands):
         served[i] = delivered[i] / d.amount if d.amount > 0 else 1.0
-    return PurchaseSolution(set(purchased), cost, flows, served, dict(meta))
+    cost = sum(inst.price(v) for v in purchased)
+    return PurchaseSolution(purchased, cost, flows, served, dict(meta))
 
 
 def rounding_rounds(n_nodes: int, delta: float) -> int:
@@ -458,19 +384,16 @@ def round_min_purchase(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
             if rng.random() < lp_sol.x[v]:
                 counts[v] += 1
 
-    purchased = {v for v, c in counts.items() if c > 0}
-    weight = {v: counts[v] / (lp_sol.x[v] * t) for v in purchased}
-    flow, unproc, proc, delivered = _superpose(inst, lp_sol, weight)
-    gamma = _clamp_to_caps(inst, purchased, flow, unproc, proc, delivered)
-    meta = {"algorithm": "purchase-min-rounding", "delta": delta,
-            "epsilon": eps, "rounds": t, "seed": rng_seed, "gamma": gamma,
-            "lp_cost": lp_sol.objective}
-    return _package(inst, purchased, flow, unproc, proc, delivered, meta)
+    weight = {v: c / (lp_sol.x[v] * t) for v, c in counts.items() if c > 0}
+    return _realize(inst, lp_sol, weight,
+                    {"algorithm": "purchase-min-rounding", "delta": delta,
+                     "epsilon": eps, "rounds": t, "seed": rng_seed,
+                     "lp_cost": lp_sol.objective})
 
 
 def _prune_potential(inst: PurchaseInstance, keep) -> PurchaseInstance:
-    pot = {v: c for v, c in inst.potential.items() if keep(v)}
-    return PurchaseInstance(inst.net, inst.demands, pot, inst.cost, inst.budget)
+    return replace(inst, potential={v: c for v, c in inst.potential.items()
+                                    if keep(v)})
 
 
 def _best_single(cands: list[str], bound: list[float], evaluate):
@@ -541,14 +464,9 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
         fix = {u: (1.0 if u in subset else 0.0) for u in cands}
         sol_f, _ = solve_purchase_lp(affordable, "budgeted", budget_cap=None,
                                      fix=fix)
-        weight = {u: 1.0 for u in subset}
-        flow, unproc, proc, delivered = _superpose(affordable, sol_f, weight)
-        gamma = _clamp_to_caps(affordable, set(subset), flow, unproc, proc,
-                               delivered)
-        return _package(inst, set(subset), flow, unproc, proc, delivered,
+        return _realize(affordable, sol_f, dict.fromkeys(subset, 1.0),
                         {"algorithm": "purchase-budgeted", "branch": branch,
-                         "gamma": gamma, "seed": rng_seed,
-                         "lp_value": lp_sol.objective})
+                         "seed": rng_seed, "lp_value": lp_sol.objective})
 
     pool: list[PurchaseSolution] = []
     total = sum(d.amount for d in inst.demands)
@@ -579,15 +497,10 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
                 if sum(inst.price(v) for v in picked) > k:
                     continue  # busting the budget disqualifies the attempt
                 weight = {v: scale / sample_sol.x[v] for v in picked}
-                flow, unproc, proc, delivered = _superpose(pruned, sample_sol,
-                                                           weight)
-                gamma = _clamp_to_caps(pruned, set(picked), flow, unproc,
-                                       proc, delivered)
-                pool.append(_package(inst, set(picked), flow, unproc, proc,
-                                     delivered,
+                pool.append(_realize(pruned, sample_sol, weight,
                                      {"algorithm": "purchase-budgeted",
                                       "branch": "sampled", "repetition": r,
-                                      "gamma": gamma, "seed": rng_seed,
+                                      "seed": rng_seed,
                                       "lp_value": lp_sol.objective}))
 
     if not pool:
@@ -815,13 +728,10 @@ def greedy_budgeted_single_source(inst: PurchaseInstance,
     net = inst.net
     m = build_routing_lp(net, inst.demands, [c / 2.0 for c in net.group_capacity])
     m.add_constraint(list(m.objective.items()), "<=", proc_value)
-    res = solve_lp(m)
-    if res.status != "optimal":
-        raise InfeasibleError(f"routing LP ended {res.status}")
+    x = solve_lp(m).optimal_x("routing LP").tolist()
 
     n = len(inst.demands)
     flow, delivered = [], []
-    x = res.x.tolist()
     for i, d in enumerate(inst.demands):
         f = x[i * net.n_arcs:(i + 1) * net.n_arcs]
         flow.append({a: val for a, val in enumerate(f) if val > SNAP})
@@ -846,4 +756,5 @@ def greedy_budgeted_single_source(inst: PurchaseInstance,
             "route_value": served_total, "depth": depth,
             "halving": {"route": 0.5, "detour_each_way": 0.25},
             "processing_load": proc_load}
-    return _package(inst, set(chosen), flow, unproc, proc, delivered, meta)
+    return _package(inst, set(chosen), EdgeFlowSolution(flow, unproc, proc, 0.0),
+                    delivered, meta)

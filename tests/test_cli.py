@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
 
 import pytest
 
 import pflow.harness as harness
+import pflow.purchase as purchase
 from pflow.cli import main
+from pflow.lp import LPResult
 from pflow.model import ResourceLimitError
 
 LINE = """\
@@ -281,6 +284,16 @@ class TestPurchase:
                           .replace("amount=4", "amount=5"))
         assert run("purchase", "--mode", "min", "--input", src,
                    "-o", tmp_path / "x.json") == 3
+
+    @pytest.mark.parametrize("mode", ["min", "budget"])
+    def test_unbounded_purchase_lp_is_a_resource_limit(self, mode, pur_pf,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(purchase, "solve_lp",
+                            lambda model: LPResult("unbounded", None, math.inf))
+        assert run("purchase", "--mode", mode, "--budget", "5", "--input",
+                   pur_pf, "-o", tmp_path / "x.json") == 4
+        assert "purchase LP ended unbounded" in capsys.readouterr().err
 
 
 class TestGen:

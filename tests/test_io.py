@@ -1,10 +1,14 @@
 """Instance text format and solution documents."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from pflow import generators, instance_io
+from pflow.generators import gen_random_purchase
 from pflow.instance_io import (InstanceFormatError, emit_edge_solution,
                                emit_instance, emit_solution, instance_text,
                                parse_instance, parse_instance_text,
@@ -47,6 +51,31 @@ def test_text_round_trip_is_fixed_point():
     assert [(d.source, d.sink, d.amount) for d in inst2.demands] == \
            [(d.source, d.sink, d.amount) for d in inst.demands]
     assert inst2.budget == 9.0 and inst2.cost == inst.cost
+
+
+def test_purchase_fields_round_trip():
+    # disjoint ranges, so a potential read as a cost shows
+    inst = gen_random_purchase(9, 0.4, potential_cap=(1, 6), cost_range=(10, 19),
+                               n_candidates=4, budget=3.5, seed=4)
+    back = parse_instance_text(instance_text(inst)).purchase()
+    assert back.potential == inst.potential and len(back.potential) == 4
+    assert back.cost == inst.cost and min(back.cost.values()) >= 10
+    assert max(back.potential.values()) <= 6 and back.budget == 3.5
+
+
+@pytest.mark.parametrize("module", [instance_io, generators])
+def test_instance_modules_import_no_solver(module):
+    # instances are data: the purchase solvers import them, not the reverse
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("purchase" in name.split(".") for name in names), \
+            ast.unparse(node)
 
 
 def test_file_round_trip(tmp_path):

@@ -36,7 +36,8 @@ class TestMinCoverageLP:
         sol, res = solve_purchase_lp(inst, "min")
         assert sol.objective == pytest.approx(5.0, abs=1e-6)
         assert sol.x["a"] == pytest.approx(1.0, abs=1e-9)
-        assert sol.served_total(0) == pytest.approx(4.0, abs=1e-6)
+        served = sum(val for (i, _), val in sol.served.items() if i == 0)
+        assert served == pytest.approx(4.0, abs=1e-6)
         assert res.status == "optimal"
 
     def test_integral_lp_rounds_to_itself(self, pur1):
@@ -195,6 +196,60 @@ class TestBudgetedRounding:
         assert r.purchased == {"a"}
         assert r.value == pytest.approx(4.0, abs=1e-6)   # demand cap binds
         assert r.meta["shortcut"] is True
+
+
+class TestRealizedLoads:
+    """Rounded answers fit what they buy, checked by sums made here."""
+
+    @staticmethod
+    def peak_ratio(inst, sol):
+        """Assert the loads fit and no demand is over-served; return the
+        largest load/capacity ratio."""
+        net = inst.net
+        group_load = [0.0] * net.edge_count
+        node_load = {}
+        for i in range(len(inst.demands)):
+            for a, val in sol.flows.flow[i].items():
+                group_load[net.arcs[a].group] += val
+            for v, val in sol.flows.processing[i].items():
+                node_load[v] = node_load.get(v, 0.0) + val
+        for g, load in enumerate(group_load):
+            assert load <= net.group_capacity[g], f"group {g}"
+        for v, load in node_load.items():
+            assert v in sol.purchased and load <= inst.potential[v], v
+        assert all(frac <= 1.0 for frac in sol.served.values())
+        return max([load / net.group_capacity[g]
+                    for g, load in enumerate(group_load) if load > 0.0]
+                   + [load / inst.potential[v] for v, load in node_load.items()])
+
+    def test_sampled_attempts_on_a_relay_star(self):
+        # one relay serves 1 of the 14.5 the half-budget relaxation promises,
+        # under the 1/(2 ln 32) shortcut share, so the sampled stage runs
+        relays = [f"p{j}" for j in range(30)]
+        net = FlowNetwork(["s", *relays, "t"],
+                          [("s", p, 1.0) for p in relays]
+                          + [(p, "t", 1.0) for p in relays])
+        inst = PurchaseInstance(net, [Demand("s", "t", 30.0)],
+                                dict.fromkeys(relays, 1.0),
+                                dict.fromkeys(relays, 1.0), 29.0)
+        sol = round_budgeted_purchase(inst, rng_seed=1)
+        assert sol.meta["branch"] == "sampled" and sol.meta["shortcut"] is False
+        assert sol.meta["pool_size"] == 9
+        assert sol.cost == 15.0 and sol.cost <= inst.budget
+        assert len(sol.purchased) == 15
+        # each bought relay routes 1/(4 ln 32) of the unit it could carry
+        assert sol.value == pytest.approx(1.0820212806667227, rel=1e-9)
+        assert 0.0 < self.peak_ratio(inst, sol) <= 1.0
+
+    def test_overloaded_average_is_scaled_to_capacity(self):
+        inst = gen_random_purchase(10, 0.35, n_candidates=4, n_demands=2,
+                                   seed=1).purchase()
+        lp_sol, _ = solve_purchase_lp(inst, "min")
+        sol = round_min_purchase(inst, lp_sol, delta=0.2, rng_seed=1)
+        assert sol.meta["gamma"] == pytest.approx(1.0017, abs=1e-4)
+        assert sol.cost == sum(inst.price(v) for v in sol.purchased)
+        # the global scaling stops where the worst resource is full
+        assert self.peak_ratio(inst, sol) == pytest.approx(1.0, abs=1e-9)
 
 
 def _budgeted_instances(count):
