@@ -15,10 +15,11 @@ all 2-walks directly. It splits each demand's flow as the paper does: an
 unprocessed part w and a processed part g on each arc, plus the volume p
 processed at each node, which moves flow from the first part to the second.
 Flow leaves the source unprocessed (g = 0 on its out-arcs) and reaches the
-sink processed (w = 0 on its in-arcs). An arc's load is w + g, and the
-delivered value of a demand is the net w + g out of its source (gross outflow
-minus anything that circles back, which processing detours through the
-source can legitimately do).
+sink processed (w = 0 on its in-arcs); nothing enters the source or leaves
+the sink, as a walk that returned to either could start at its last visit to
+the source and end at its first visit to the sink, with the same processing
+and less load. An arc's load is w + g, and the delivered value of a demand is
+its source outflow.
 """
 
 from __future__ import annotations
@@ -41,12 +42,15 @@ from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError
 
 MAXITER = 200_000
 
-# row sense -> sign that turns the row into a `<=` row; 0 marks an equation
-_SIGN = {"<=": 1.0, ">=": -1.0, "==": 0.0}
+_SENSES = ("<=", ">=", "==")
 
-# the HiGHS options linprog(method="highs-ds") sets; threads stays HiGHS's default
-_OPTIONS = {"solver": "simplex", "simplex_strategy": 1, "presolve": "on",
-            "output_flag": False}
+# every pflow LP is small and its max-total-flow LPs are feasible at x = 0:
+# presolve costs more than it saves there, and a cold solve runs primal
+# simplex (strategy 4) from that feasible all-slack basis; a warm solve from
+# an optimal basis whose right-hand sides moved runs dual simplex (1), as that
+# basis is still dual feasible. threads stays HiGHS's default
+_OPTIONS = {"solver": "simplex", "presolve": "off", "output_flag": False}
+_COLD, _WARM = 4, 1
 
 
 class LPModel:
@@ -75,7 +79,7 @@ class LPModel:
         return len(self.lo) - 1
 
     def add_constraint(self, coeffs, sense: str, rhs: float) -> int:
-        if sense not in _SIGN:
+        if sense not in _SENSES:
             raise ValueError(f"bad constraint sense {sense!r}")
         k = len(self.rhs)
         for j, coef in coeffs:
@@ -120,13 +124,13 @@ class LPResult:
 class LoadedLP:
     """An LPModel in the form HiGHS takes, built once and solved on demand.
 
-    HiGHS gets the model scipy's `linprog(method="highs-ds")` would hand it:
-    the `<=` rows (`>=` rows sign-flipped) first, then the equations, each
-    in model order, and a minimized objective. That order fixes the vertex
-    HiGHS lands on. `set_rhs` changes one model row's right-hand side in
-    place, so LPs that differ only there share one build. Every `solve` runs
-    a fresh HiGHS instance, started from `basis` when one is given, so its
-    result depends only on the loaded LP and that basis.
+    HiGHS gets the rows in model order, each with the bounds its sense
+    gives, and a minimized objective. Columns fixed at lo = hi = 0 (the
+    edge LP's barred arcs, for one) stay out of it; `x` has them back at 0.
+    `set_rhs` changes one model row's right-hand side in place, so LPs that
+    differ only there share one build. Every `solve` runs a fresh HiGHS
+    instance, started from `basis` when one is given, so its result depends
+    only on the loaded LP and that basis.
 
     Raises ValueError on a non-finite objective or matrix coefficient or
     rhs, or a NaN column bound.
@@ -134,7 +138,6 @@ class LoadedLP:
 
     def __init__(self, model: LPModel):
         n = model.n_vars
-        sign = np.array([_SIGN[s] for s in model.senses])
         rhs = np.asarray(model.rhs, dtype=float)
         coefs = np.asarray(model.coefs, dtype=float)
         lo = np.asarray(model.lo, dtype=float)
@@ -150,75 +153,77 @@ class LoadedLP:
             raise ValueError(f"LP {model.name!r} has a NaN column bound")
         self.name = model.name
         self.sense = model.sense
-        self._sign = sign.tolist()
-        self._rhs = rhs
+        self._n = n
+        self._senses = list(model.senses)
+        # the binding copies a list into HiGHS's vectors faster than a numpy
+        # array, and hands the vectors back as copies, so the row bounds are
+        # kept here as lists and passed again whenever one changes
+        bounds = list(zip(model.senses, rhs.tolist()))
+        self._lower = [-math.inf if s == "<=" else r for s, r in bounds]
+        self._upper = [math.inf if s == ">=" else r for s, r in bounds]
+        self._cols = np.flatnonzero((lo != 0.0) | (hi != 0.0))  # the columns HiGHS gets
         self._lp = None
-        if n == 0:
+        if self._cols.size == 0:
             return
         if model.sense == "max":
             c = -c
 
-        ub = sign != 0.0
-        order = np.argsort(~ub, kind="stable")  # `<=` rows first, then equations
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
-        rows = np.asarray(model.rows, dtype=np.intp)
-        flip = np.where(ub, sign, 1.0)
-        A = csc_matrix((coefs * flip[rows], (pos[rows], model.cols)), shape=(order.size, n))
+        # model column j is HiGHS column new[j]; entries in dropped columns go
+        new = np.full(n, -1, dtype=np.intp)
+        new[self._cols] = np.arange(self._cols.size)
+        cols = new[np.asarray(model.cols, dtype=np.intp)]
+        kept = cols >= 0
+        A = csc_matrix((coefs[kept], (np.asarray(model.rows, dtype=np.intp)[kept],
+                                      cols[kept])),
+                       shape=(model.n_rows, self._cols.size))
 
-        # the binding copies a list into HiGHS's vectors faster than a numpy
-        # array, and hands the vectors back as copies, so the row bounds are
-        # kept here as lists and passed again whenever one changes
         lp = HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = order.size
+        lp.num_col_ = lp.a_matrix_.num_col_ = self._cols.size
+        lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
         lp.a_matrix_.format_ = MatrixFormat.kColwise
         lp.a_matrix_.start_ = A.indptr.tolist()
         lp.a_matrix_.index_ = A.indices.tolist()
         lp.a_matrix_.value_ = A.data.tolist()
-        lp.col_cost_ = c.tolist()
-        lp.col_lower_ = model.lo
-        lp.col_upper_ = model.hi
-        self._lower = np.where(ub, -math.inf, rhs)[order].tolist()
-        self._upper = (flip * rhs)[order].tolist()
+        lp.col_cost_ = c[self._cols].tolist()
+        lp.col_lower_ = lo[self._cols].tolist()
+        lp.col_upper_ = hi[self._cols].tolist()
         lp.row_lower_ = self._lower
         lp.row_upper_ = self._upper
-        self._pos = pos.tolist()
         self._lp = lp
 
     def set_rhs(self, k: int, value: float) -> None:
         """Make `value` the right-hand side of model row k."""
         if not math.isfinite(value):
             raise ValueError(f"LP {self.name!r} has a non-finite rhs")
-        self._rhs[k] = value
-        if self._lp is None:
-            return
-        r, sign = self._pos[k], self._sign[k]
-        if sign == 0.0:
-            self._lower[r] = self._upper[r] = value
-            self._lp.row_lower_ = self._lower
-        else:
-            self._upper[r] = sign * value
-        self._lp.row_upper_ = self._upper
+        sense = self._senses[k]
+        if sense != "<=":
+            self._lower[k] = value
+            if self._lp is not None:
+                self._lp.row_lower_ = self._lower
+        if sense != ">=":
+            self._upper[k] = value
+            if self._lp is not None:
+                self._lp.row_upper_ = self._upper
 
     def solve(self, basis: HighsBasis | None = None) -> LPResult:
-        """Solve with HiGHS's dual simplex, from `basis` if given (a basis of
-        an earlier optimal solve of this LP). Raises ResourceLimitError if
-        the iteration budget is exhausted or HiGHS ends in any other state.
+        """Solve without presolve: cold by primal simplex, or by dual simplex
+        from `basis` (a basis of an earlier optimal solve of this LP). Raises
+        ResourceLimitError if the iteration budget is exhausted or HiGHS ends
+        in any other state.
         """
         if self._lp is None:
             # every row reads 0, so the model is feasible iff each row holds at 0
-            if all(rhs == 0.0 if sign == 0.0 else sign * rhs >= 0.0
-                   for sign, rhs in zip(self._sign, self._rhs.tolist())):
-                return LPResult("optimal", np.zeros(0), 0.0, 0)
+            if all(lo <= 0.0 <= hi for lo, hi in zip(self._lower, self._upper)):
+                return LPResult("optimal", np.zeros(self._n), 0.0, 0)
             return LPResult("infeasible", None, math.nan, 0)
         highs = _Highs()
         for key, val in _OPTIONS.items():
             highs.setOptionValue(key, val)
+        highs.setOptionValue("simplex_strategy", _COLD if basis is None else _WARM)
         highs.setOptionValue("simplex_iteration_limit", MAXITER)
         if highs.passModel(self._lp) == HighsStatus.kError:
             # a model HiGHS cannot load, e.g. with a lower bound of inf, has no
-            # feasible point; scipy's front end reported it infeasible too
+            # feasible point
             return LPResult("infeasible", None, math.nan, 0)
         if basis is not None and highs.setBasis(basis) == HighsStatus.kError:
             raise ValueError(f"basis does not fit LP {self.name!r}")
@@ -228,7 +233,8 @@ class LoadedLP:
         nit = int(info.simplex_iteration_count)
         if status == HighsModelStatus.kOptimal:
             obj = float(info.objective_function_value)
-            x = np.array(highs.getSolution().col_value)
+            x = np.zeros(self._n)
+            x[self._cols] = highs.getSolution().col_value
             return LPResult("optimal", x, -obj if self.sense == "max" else obj, nit,
                             highs.getBasis())
         if status in (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit):
@@ -243,10 +249,11 @@ class LoadedLP:
 
 
 def solve_lp(model: LPModel) -> LPResult:
-    """Solve once, cold, with HiGHS's dual simplex; desk-scale models only.
+    """Solve once, cold, by HiGHS's primal simplex without presolve;
+    desk-scale models only.
 
     Every LP in pflow reaches HiGHS through here or a LoadedLP, whose
-    checks, row order and errors it shares.
+    checks and errors it shares.
     """
     return LoadedLP(model).solve()
 
@@ -309,14 +316,16 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     """Arc formulation of the processed-flow problem, split as in the paper.
 
     Per demand and arc: w (unprocessed flow), barred from arcs into the sink,
-    and g (processed flow), barred from arcs out of the source; per demand and
-    non-source node: p (volume processed there). Node processing links the two
-    parts: p = w_in - w_out at every non-source node, and g_out - g_in = p
-    away from both endpoints. An arc's total flow w + g draws on its shared
-    bandwidth, Σp on node capacity, and the net source outflow of w + g is
-    what a demand delivers: capped by a finite amount, or required in full
-    under the congestion objectives, where a zero-capacity edge carries
-    nothing and a zero-capacity node processes nothing.
+    and g (processed flow), barred from arcs out of the source; both are
+    barred from arcs into the source and out of the sink, so the endpoints
+    only emit and absorb. Per demand and non-source node: p (volume processed
+    there). Node processing links the two parts: p = w_in - w_out at every
+    non-source node, and g_out - g_in = p away from both endpoints. An arc's
+    total flow w + g draws on its shared bandwidth, Σp on node capacity, and
+    the source outflow, all of it w, is what a demand delivers: capped by a
+    finite amount, or exactly that amount under the congestion objectives,
+    where a zero-capacity edge carries nothing and a zero-capacity node
+    processes nothing.
     """
     kind = objective.kind
     if kind not in ("max-total-flow", "min-max-congestion", "min-weighted-congestion"):
@@ -333,7 +342,8 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
 
     for i, d in enumerate(demands):
         for arc in net.arcs:
-            shut = congestion and net.group_capacity[arc.group] <= 0
+            shut = (arc.head == d.source or arc.tail == d.sink
+                    or congestion and net.group_capacity[arc.group] <= 0)
             wvar[i].append(m.add_var(hi=0.0 if shut or arc.head == d.sink else math.inf))
             gvar[i].append(m.add_var(hi=0.0 if shut or arc.tail == d.source else math.inf))
         for v in net.nodes:
@@ -350,10 +360,9 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
             m.add_constraint(p + balance(net, wvar[i], v, -1.0), "==", 0.0)
             if v != d.sink:
                 m.add_constraint(p + balance(net, gvar[i], v), "==", 0.0)
-        out_i = (balance(net, wvar[i], d.source, -1.0)
-                 + balance(net, gvar[i], d.source, -1.0))
+        out_i = [(wvar[i][a], 1.0) for a in net.out_arcs[d.source]]
         if congestion:
-            m.add_constraint(out_i, ">=", d.amount)
+            m.add_constraint(out_i, "==", d.amount)
         elif math.isfinite(d.amount) and out_i:
             m.add_constraint(out_i, "<=", d.amount)
         net_out += out_i

@@ -370,9 +370,10 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
     Verifies, per demand: flow conservation away from the endpoints, the
     processing balance (processed volume at v equals unprocessed inflow minus
     unprocessed outflow), unprocessed <= total on every arc, everything leaving
-    the source unprocessed, everything entering the sink processed. Then joint
-    bandwidth and processing budgets, softened for a congestion solution by
-    its reported congestion.
+    the source unprocessed, everything entering the sink processed, and
+    nothing entering the source or leaving the sink, as the edge LP builds
+    it. Then joint bandwidth and processing budgets, softened for a
+    congestion solution by its reported congestion.
     """
     problems = []
     if not (len(sol.flow) == len(sol.unprocessed) == len(sol.processing) == len(demands)):
@@ -421,6 +422,14 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
             if w.get(a, 0.0) > tol:
                 problems.append(
                     f"demand {i}: unprocessed flow enters sink on {net.arcs[a].tail}->{net.arcs[a].head}")
+        for a in net.in_arcs[d.source]:
+            if f.get(a, 0.0) > tol:
+                problems.append(
+                    f"demand {i}: flow enters source on {net.arcs[a].tail}->{net.arcs[a].head}")
+        for a in net.out_arcs[d.sink]:
+            if f.get(a, 0.0) > tol:
+                problems.append(
+                    f"demand {i}: flow leaves sink on {net.arcs[a].tail}->{net.arcs[a].head}")
         got = sol.delivered(net, demands, i)
         if got > d.amount + feas_slack(d.amount):
             problems.append(f"demand {i}: delivered {got} exceeds requested {d.amount}")

@@ -152,6 +152,11 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     name nodes that must not be *entered* during the respective pass (used to
     keep the unprocessed leg away from a demand's sink and the processed leg
     away from its source); they never block a node from seeding.
+
+    Arc costs must be non-negative. An improving relaxation that would give
+    a node a label below the one it is relaxed from raises ValueError: only
+    a negative cost does that, and on a negative cycle Dijkstra would relax
+    forever. The check runs only on improving relaxations.
     """
     n = net.n_nodes
     adj = net.adjacency
@@ -174,6 +179,8 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
                 continue
             nd = dv + edge_cost[a]
             if nd < dist[u]:
+                if nd < dv:
+                    raise ValueError(f"walk oracle: negative arc cost {edge_cost[a]}")
                 dist[u] = nd
                 pred[u] = a
                 heapq.heappush(pq, (nd, u))
@@ -200,6 +207,8 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
                 continue
             nr = rv + edge_cost[a]
             if nr < r[u]:
+                if nr < rv:
+                    raise ValueError(f"walk oracle: negative arc cost {edge_cost[a]}")
                 r[u] = nr
                 origin[u] = a
                 heapq.heappush(pq, (nr, u))

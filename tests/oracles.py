@@ -4,8 +4,8 @@ Everything here trades efficiency for obviousness: explicit enumeration of
 2-walks, simple paths, and purchase subsets on instances small enough that
 brute force is the ground truth. The only shared component with the package
 under test is the LP backend; every formulation is built independently.
-`solve_lp_linprog` reaches HiGHS through scipy's `linprog` front end instead;
-`solve_lp` must agree with it bit for bit.
+`solve_lp_linprog` reaches HiGHS through scipy's `linprog` front end instead,
+by dual simplex with presolve; `solve_lp` must reach its status and optimum.
 """
 
 from __future__ import annotations
@@ -337,8 +337,9 @@ def mwu_full_scan_placements(net: FlowNetwork, demands: list[Demand],
 
 
 def solve_lp_linprog(model: LPModel) -> LPResult:
-    """`solve_lp` through scipy's `linprog(method="highs-ds")` front end. The
-    reference for `pflow.lp.solve_lp`, which hands HiGHS the same LP itself."""
+    """The model solved through scipy's `linprog(method="highs-ds")` front
+    end: the reference for the status and optimum of `pflow.lp.solve_lp`,
+    which hands HiGHS the LP itself and solves it by another method."""
     sign_of = {"<=": 1.0, ">=": -1.0, "==": 0.0}
     n = model.n_vars
     sign = np.array([sign_of[s] for s in model.senses])

@@ -46,6 +46,26 @@ def test_recirculation_arc_does_not_confuse_extraction():
     assert walks.objective == pytest.approx(sol.objective, abs=1e-6)
 
 
+def test_flow_into_the_source_or_out_of_the_sink_is_rejected():
+    # 2 units go s->a->t, processed at a, and 1 returns t->s: the net source
+    # outflow is the 1 asked for, but the walks would deliver 2
+    net = FlowNetwork("sat", [("s", "a", 10.0), ("a", "t", 10.0), ("t", "s", 10.0)],
+                      {"a": 10.0})
+    demands = [Demand("s", "t", 1.0)]
+    arc = net.arc_index
+    unprocessed = {arc["s", "a"]: 2.0}
+    flow = {**unprocessed, arc["a", "t"]: 2.0, arc["t", "s"]: 1.0}
+    sol = EdgeFlowSolution([flow], [unprocessed], [{"a": 2.0}], 1.0)
+    assert sol.delivered(net, demands, 0) == 1.0
+    assert verify_edge_solution(net, demands, sol).problems == [
+        "demand 0: flow enters source on t->s", "demand 0: flow leaves sink on t->s"]
+    assert not verify_walk_solution(net, demands, decompose(sol, net, demands)).ok
+    # the edge LP bars that arc and delivers the 1 on s->a->t alone
+    lp_sol, walks = _solve_and_decompose(net, demands)
+    assert lp_sol.flow == [{arc["s", "a"]: 1.0, arc["a", "t"]: 1.0}]
+    assert verify_walk_solution(net, demands, walks).ok
+
+
 def test_extraction_bound_formula():
     net = FlowNetwork("sat", [("s", "a", 1.0), ("a", "t", 1.0)])
     assert extraction_bound(net) == 3 + 2 * 2

@@ -47,6 +47,19 @@ def test_walk_to_unreachable_is_none():
     assert res.cost_to("z") == math.inf
 
 
+@pytest.mark.parametrize("forbid_first", [(), ("x",)], ids=["first-pass", "second-pass"])
+def test_walk_oracle_rejects_a_negative_arc_cost(forbid_first):
+    # both arcs of edge c-x cost -1e-17, a negative cycle Dijkstra would
+    # relax forever; blocking x in pass one leaves it to pass two
+    net = FlowNetwork(["c", "x", "y"], [("c", "x", 1.0), ("c", "y", 1.0)], directed=False)
+    cost = [1.0] * net.n_arcs
+    for a in net.groups[0]:
+        cost[a] = -1e-17
+    with pytest.raises(ValueError, match="negative arc cost"):
+        shortest_processing_2walk(net, cost, {"c": 0.0, "y": 1.0}, "c",
+                                  forbid_first=forbid_first)
+
+
 def test_walk_oracle_matches_bruteforce():
     # Dyadic weights keep every path sum exact, so equality can be strict.
     rng = random.Random(40412)

@@ -251,6 +251,19 @@ class TestRealizedLoads:
         # the global scaling stops where the worst resource is full
         assert self.peak_ratio(inst, sol) == pytest.approx(1.0, abs=1e-9)
 
+    def test_over_credited_demand_is_scaled_to_its_amount(self):
+        # at weight 3 the relay's leg pair would deliver 3 of the 1 asked for,
+        # inside every capacity, so only the per-demand scaling applies
+        net = FlowNetwork(["s", "a", "t"], [("s", "a", 10.0), ("a", "t", 10.0)])
+        inst = PurchaseInstance(net, [Demand("s", "t", 1.0)], {"a": 10.0}, {"a": 1.0})
+        lp_sol, _ = solve_purchase_lp(inst, "min")
+        assert lp_sol.served == {(0, "a"): pytest.approx(1.0, rel=1e-12)}
+        sol = purchase._realize(inst, lp_sol, {"a": 3.0}, {})
+        assert sol.meta["gamma"] == 1.0
+        assert sol.served == {0: 1.0}
+        assert sol.flows.delivered(net, inst.demands, 0) == pytest.approx(1.0, rel=1e-9)
+        assert self.peak_ratio(inst, sol) == pytest.approx(0.1, rel=1e-9)
+
 
 def _budgeted_instances(count):
     # every third draw sells all its candidates at one potential, so their
