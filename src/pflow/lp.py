@@ -14,12 +14,11 @@ The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
 unprocessed part w and a processed part g on each arc, plus the volume p
 processed at each node, which moves flow from the first part to the second.
-Flow leaves the source unprocessed (g = 0 on its out-arcs) and reaches the
-sink processed (w = 0 on its in-arcs); nothing enters the source or leaves
-the sink, as a walk that returned to either could start at its last visit to
-the source and end at its first visit to the sink, with the same processing
-and less load. An arc's load is w + g, and the delivered value of a demand is
-its source outflow.
+Which arcs each part may use is the processing rule `FlowNetwork.barred`
+states in the model module, which the walk oracle and both verifiers read
+too: flow leaves the source unprocessed, reaches the sink processed, and
+never enters the source or leaves the sink. An arc's load is w + g, and the
+delivered value of a demand is its source outflow.
 """
 
 from __future__ import annotations
@@ -315,12 +314,11 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
                   objective: Objective = Objective()) -> LPModel:
     """Arc formulation of the processed-flow problem, split as in the paper.
 
-    Per demand and arc: w (unprocessed flow), barred from arcs into the sink,
-    and g (processed flow), barred from arcs out of the source; both are
-    barred from arcs into the source and out of the sink, so the endpoints
-    only emit and absorb. Per demand and non-source node: p (volume processed
-    there). Node processing links the two parts: p = w_in - w_out at every
-    non-source node, and g_out - g_in = p away from both endpoints. An arc's
+    Per demand and arc: w (unprocessed flow) and g (processed flow), each
+    fixed at 0 on the arcs `FlowNetwork.barred` bars to it. Per demand and
+    non-source node: p (volume processed there). Node processing links the
+    two parts: p = w_in - w_out at every non-source node, and
+    g_out - g_in = p away from both endpoints. An arc's
     total flow w + g draws on its shared bandwidth, Σp on node capacity, and
     the source outflow, all of it w, is what a demand delivers: capped by a
     finite amount, or exactly that amount under the congestion objectives,
@@ -341,11 +339,11 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     pvar: list[dict[str, int]] = [{} for _ in range(nd)]
 
     for i, d in enumerate(demands):
-        for arc in net.arcs:
-            shut = (arc.head == d.source or arc.tail == d.sink
-                    or congestion and net.group_capacity[arc.group] <= 0)
-            wvar[i].append(m.add_var(hi=0.0 if shut or arc.head == d.sink else math.inf))
-            gvar[i].append(m.add_var(hi=0.0 if shut or arc.tail == d.source else math.inf))
+        wbar, gbar = net.barred(d.source, d.sink)
+        for a, arc in enumerate(net.arcs):
+            shut = congestion and net.group_capacity[arc.group] <= 0
+            wvar[i].append(m.add_var(hi=0.0 if shut or wbar[a] else math.inf))
+            gvar[i].append(m.add_var(hi=0.0 if shut or gbar[a] else math.inf))
         for v in net.nodes:
             if v != d.source:
                 hi = 0.0 if congestion and net.node_capacity[v] <= 0 else math.inf

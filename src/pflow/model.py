@@ -2,10 +2,11 @@
 
 Flow here is always "processed flow": every unit routed from a demand's source
 to its sink must also be processed, exactly once, at some node it visits
-strictly between leaving the source and reaching the sink. Bandwidth lives on
-edges, processing capacity on nodes. Routes are 2-walks: they may visit a
-vertex (and hence an edge) at most twice, which is what makes detours through
-off-path processing nodes expressible.
+strictly between leaving the source and reaching the sink. `FlowNetwork.barred`
+states, once, which arcs that leaves to a demand's unprocessed and processed
+parts. Bandwidth lives on edges, processing capacity on nodes. Routes are
+2-walks: they may visit a vertex (and hence an edge) at most twice, which is
+what makes detours through off-path processing nodes expressible.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ class FlowNetwork:
         for i, a in enumerate(self.arcs):
             groups[a.group].append(i)
         self.groups = tuple(tuple(g) for g in groups)
+        self._barred: dict = {}  # (source, sink) -> barred(source, sink)
 
     @property
     def n_nodes(self) -> int:
@@ -128,6 +130,25 @@ class FlowNetwork:
         idx = self._index
         return tuple(tuple((idx[self.arcs[a].head], a) for a in self.out_arcs[v])
                      for v in self.nodes)
+
+    def barred(self, source: str, sink: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        """The processing rule of a `source`->`sink` demand: per arc index,
+        whether its unprocessed part w, and whether its processed part g,
+        may not use the arc. Computed once per pair.
+
+        Flow leaves the source unprocessed (g is barred from arcs out of
+        the source) and reaches the sink processed (w is barred from arcs
+        into the sink). Neither part enters the source or leaves the sink:
+        a walk that returned to either could start at its last visit to the
+        source and end at its first visit to the sink, with the same
+        processing and less load.
+        """
+        rule = self._barred.get((source, sink))
+        if rule is None:
+            w = tuple(a.head in (source, sink) or a.tail == sink for a in self.arcs)
+            g = tuple(a.head == source or a.tail in (source, sink) for a in self.arcs)
+            rule = self._barred[source, sink] = (w, g)
+        return rule
 
     def node_index(self, v: str) -> int:
         try:
@@ -271,8 +292,11 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
                          sol: WalkFlowSolution) -> ValidationReport:
     """Feasibility check for a walk solution against network and demands.
 
-    Processing may sit only at nodes visited after the walk's last visit to
-    its source and before its first arrival at its sink. Structural nonsense
+    A walk runs from its demand's source to its sink and uses no arc that
+    `FlowNetwork.barred` bars to both parts of the flow: it never enters
+    the source, never leaves the sink, and never takes an arc straight from
+    the source to the sink. Processing sits at nodes of the walk other than
+    the two endpoints. That is the edge LP's rule. Structural nonsense
     (unknown demand, node, or arc) raises StructuralError; quantitative
     violations come back in the report with their magnitude.
     """
@@ -283,15 +307,16 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
         d = demands[e.demand]
         for v in e.nodes:
             net.node_index(v)
+        wbar, gbar = net.barred(d.source, d.sink)
         for u, v in zip(e.nodes, e.nodes[1:]):
-            if (u, v) not in net.arc_index:
+            a = net.arc_index.get((u, v))
+            if a is None:
                 raise StructuralError(f"entry {k}: missing arc {u!r}->{v!r}")
+            if wbar[a] and gbar[a]:
+                problems.append(f"entry {k}: arc {u}->{v} is barred to demand "
+                                f"{e.demand}'s flow")
         if len(e.nodes) < 2 or e.nodes[0] != d.source or e.nodes[-1] != d.sink:
             problems.append(f"entry {k}: not a {d.source}->{d.sink} route")
-            between = set(e.nodes)
-        else:
-            last_s = len(e.nodes) - 1 - e.nodes[::-1].index(d.source)
-            between = set(e.nodes[last_s + 1:e.nodes.index(d.sink)])
         visits: dict[str, int] = {}
         for v in e.nodes:
             visits[v] = visits.get(v, 0) + 1
@@ -306,9 +331,6 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
                 problems.append(f"entry {k}: processing at {v} which is not on the walk")
             if v == d.source or v == d.sink:
                 problems.append(f"entry {k}: processing at demand endpoint {v}")
-            elif v in visits and v not in between:
-                problems.append(f"entry {k}: processing at {v} outside the stretch "
-                                f"between leaving {d.source} and reaching {d.sink}")
             if p < -ABS_TOL:
                 problems.append(f"entry {k}: negative processing {p} at {v}")
             total_p += p
@@ -369,11 +391,11 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
 
     Verifies, per demand: flow conservation away from the endpoints, the
     processing balance (processed volume at v equals unprocessed inflow minus
-    unprocessed outflow), unprocessed <= total on every arc, everything leaving
-    the source unprocessed, everything entering the sink processed, and
-    nothing entering the source or leaving the sink, as the edge LP builds
-    it. Then joint bandwidth and processing budgets, softened for a
-    congestion solution by its reported congestion.
+    unprocessed outflow), unprocessed <= total on every arc, no processing at
+    the source, and no unprocessed or processed flow on an arc
+    `FlowNetwork.barred` bars to that part, as the edge LP builds it. Then
+    joint bandwidth and processing budgets, softened for a congestion
+    solution by its reported congestion.
     """
     problems = []
     if not (len(sol.flow) == len(sol.unprocessed) == len(sol.processing) == len(demands)):
@@ -389,6 +411,7 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
             net.node_index(v)
         scale = max([1.0] + [abs(x) for x in f.values()])
         tol = max(ABS_TOL, REL_TOL * scale)
+        wbar, gbar = net.barred(d.source, d.sink)
         for idx in set(f) | set(w):
             fv, wv = f.get(idx, 0.0), w.get(idx, 0.0)
             a = net.arcs[idx]
@@ -397,6 +420,9 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
             if wv > fv + tol:
                 problems.append(
                     f"demand {i} arc {a.tail}->{a.head}: unprocessed {wv} > total {fv}")
+            barred = (wv if wbar[idx] else 0.0) + (fv - wv if gbar[idx] else 0.0)
+            if barred > tol:
+                problems.append(f"demand {i}: barred flow {barred} on arc {a.tail}->{a.head}")
         for v in net.nodes:
             fin = sum(f.get(a, 0.0) for a in net.in_arcs[v])
             fout = sum(f.get(a, 0.0) for a in net.out_arcs[v])
@@ -414,22 +440,6 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
                     problems.append(f"demand {i} node {v}: negative processing {pv}")
         if p.get(d.source, 0.0) > tol:
             problems.append(f"demand {i}: processing at source {d.source}")
-        for a in net.out_arcs[d.source]:
-            if abs(f.get(a, 0.0) - w.get(a, 0.0)) > tol:
-                problems.append(
-                    f"demand {i}: flow leaving source on arc {net.arcs[a].tail}->{net.arcs[a].head} not fully unprocessed")
-        for a in net.in_arcs[d.sink]:
-            if w.get(a, 0.0) > tol:
-                problems.append(
-                    f"demand {i}: unprocessed flow enters sink on {net.arcs[a].tail}->{net.arcs[a].head}")
-        for a in net.in_arcs[d.source]:
-            if f.get(a, 0.0) > tol:
-                problems.append(
-                    f"demand {i}: flow enters source on {net.arcs[a].tail}->{net.arcs[a].head}")
-        for a in net.out_arcs[d.sink]:
-            if f.get(a, 0.0) > tol:
-                problems.append(
-                    f"demand {i}: flow leaves sink on {net.arcs[a].tail}->{net.arcs[a].head}")
         got = sol.delivered(net, demands, i)
         if got > d.amount + feas_slack(d.amount):
             problems.append(f"demand {i}: delivered {got} exceeds requested {d.amount}")

@@ -138,9 +138,12 @@ class ShortestWalkResult:
         return tuple(nodes), net.nodes[proc], arcs
 
 
+def _bad_cost(c: float) -> str:
+    return f"walk oracle: {'NaN' if math.isnan(c) else 'negative'} arc cost {c}"
+
+
 def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
-                              source: str,
-                              forbid_first=(), forbid_second=()) -> ShortestWalkResult:
+                              source: str, sink: str | None = None) -> ShortestWalkResult:
     """Two chained Dijkstra passes over arc costs plus one node-cost charge.
 
     `edge_cost[a]` is read per arc index, so it must be a list or an
@@ -148,24 +151,26 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
 
     Pass one computes plain distances d(v); pass two re-runs Dijkstra seeded
     with d(v) + node_cost(v), so settling v at cost r(v) means some walk
-    reaches v with its processing already paid. forbid_first / forbid_second
-    name nodes that must not be *entered* during the respective pass (used to
-    keep the unprocessed leg away from a demand's sink and the processed leg
-    away from its source); they never block a node from seeding.
+    reaches v with its processing already paid. Given the demand's `sink`,
+    pass one skips the arcs `FlowNetwork.barred` bars to unprocessed flow
+    and pass two those it bars to processed flow, so walks to the sink
+    follow the edge LP's rule; without it no arc is skipped.
 
     Arc costs must be non-negative. An improving relaxation that would give
     a node a label below the one it is relaxed from raises ValueError: only
     a negative cost does that, and on a negative cycle Dijkstra would relax
-    forever. The check runs only on improving relaxations.
+    forever. A NaN cost counts as improving, so it raises too. The check
+    runs only on improving relaxations.
     """
     n = net.n_nodes
     adj = net.adjacency
     src = net.node_index(source)
     inf = math.inf
+    if sink is None:
+        wbar = gbar = (False,) * net.n_arcs
+    else:
+        wbar, gbar = net.barred(source, sink)
 
-    block1 = [False] * n
-    for v in forbid_first:
-        block1[net.node_index(v)] = True
     dist = [inf] * n
     pred = [-1] * n
     dist[src] = 0.0
@@ -175,19 +180,17 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
         if dv > dist[v]:
             continue
         for u, a in adj[v]:
-            if block1[u]:
+            if wbar[a]:
                 continue
             nd = dv + edge_cost[a]
-            if nd < dist[u]:
-                if nd < dv:
-                    raise ValueError(f"walk oracle: negative arc cost {edge_cost[a]}")
+            # `not >=` rather than `<`, so that a NaN cost counts as improving
+            if not nd >= dist[u]:
+                if not nd >= dv:
+                    raise ValueError(_bad_cost(edge_cost[a]))
                 dist[u] = nd
                 pred[u] = a
                 heapq.heappush(pq, (nd, u))
 
-    block2 = [False] * n
-    for v in forbid_second:
-        block2[net.node_index(v)] = True
     r = [inf] * n
     origin = [-1] * n
     pq = []
@@ -203,12 +206,12 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
         if rv > r[v]:
             continue
         for u, a in adj[v]:
-            if block2[u]:
+            if gbar[a]:
                 continue
             nr = rv + edge_cost[a]
-            if nr < r[u]:
-                if nr < rv:
-                    raise ValueError(f"walk oracle: negative arc cost {edge_cost[a]}")
+            if not nr >= r[u]:
+                if not nr >= rv:
+                    raise ValueError(_bad_cost(edge_cost[a]))
                 r[u] = nr
                 origin[u] = a
                 heapq.heappush(pq, (nr, u))
@@ -295,25 +298,14 @@ def _reprice(state: MWUState) -> dict[int, tuple[float, ShortestWalkResult]]:
     walk drops out.
     """
     net, demands, heap = state.net, state.demands, state.heap
-    node_cost = state.node_cost
     slack = 2.0 * _TIE * len(heap)
     fresh = {}
     alpha = math.inf
     while heap and heap[0][0] <= alpha * (1.0 + _REPRICE_MARGIN) + slack:
         _, i = heapq.heappop(heap)
         d = demands[i]
-        # no processing at the source; the sink is never entered by the
-        # first leg, so its node cost is never charged
-        saved = node_cost.get(d.source)
-        if saved is not None:
-            node_cost[d.source] = math.inf
-        try:
-            res = shortest_processing_2walk(net, state.arc_cost, node_cost, d.source,
-                                            forbid_first=(d.sink,),
-                                            forbid_second=(d.source,))
-        finally:
-            if saved is not None:
-                node_cost[d.source] = saved
+        res = shortest_processing_2walk(net, state.arc_cost, state.node_cost,
+                                        d.source, d.sink)
         c = res.cost_to(d.sink)
         if not math.isfinite(c):
             state.active[i] = False  # structurally no valid processing walk

@@ -338,12 +338,11 @@ def _realize(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
 def _package(inst: PurchaseInstance, purchased: set[str], flows: EdgeFlowSolution,
              delivered: list[float], meta: dict) -> PurchaseSolution:
     flows.objective = sum(delivered)
-    flows.meta = dict(meta)
     served = {}
     for i, d in enumerate(inst.demands):
         served[i] = delivered[i] / d.amount if d.amount > 0 else 1.0
     cost = sum(inst.price(v) for v in purchased)
-    return PurchaseSolution(purchased, cost, flows, served, dict(meta))
+    return PurchaseSolution(purchased, cost, flows, served, meta)
 
 
 def rounding_rounds(n_nodes: int, delta: float) -> int:
@@ -353,18 +352,18 @@ def rounding_rounds(n_nodes: int, delta: float) -> int:
 
 
 def round_min_purchase(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
-                       delta: float, rng_seed: int,
-                       rounds: int | None = None) -> PurchaseSolution:
+                       delta: float, rng_seed: int) -> PurchaseSolution:
     """Randomized rounding of the min-cost relaxation.
 
-    Runs t independent rounds, each buying candidate v with probability x(v)
-    and routing its leg flows scaled up by 1/x(v); the union is purchased and
-    the superposed flow is averaged over rounds. The average respects node
-    budgets outright and edge budgets in expectation (the aggregate edge
-    constraint makes the expectation exactly the LP load), so the final clamp
-    is almost always the identity; it exists because the service guarantee is
-    probabilistic but the feasibility contract here is not. Delivered amounts
-    land at (1-delta)R_i or better with high probability.
+    Runs t = `rounding_rounds(n, delta)` independent rounds, each buying
+    candidate v with probability x(v) and routing its leg flows scaled up by
+    1/x(v); the union is purchased and the superposed flow is averaged over
+    rounds. The average respects node budgets outright and edge budgets in
+    expectation (the aggregate edge constraint makes the expectation exactly
+    the LP load), so the final clamp is almost always the identity; it
+    exists because the service guarantee is probabilistic but the
+    feasibility contract here is not. Delivered amounts land at
+    (1-delta)R_i or better with high probability.
 
     An integral LP solution passes through exactly: every round buys the
     support, the average equals the LP flow, and the clamps change nothing.
@@ -372,9 +371,7 @@ def round_min_purchase(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     eps = delta / 2.0
-    t = rounds if rounds is not None else rounding_rounds(inst.net.n_nodes, delta)
-    if t < 1:
-        raise ValueError(f"need at least one round, got {t}")
+    t = rounding_rounds(inst.net.n_nodes, delta)
     rng = random.Random(rng_seed)
 
     support = [v for v in inst.candidates() if lp_sol.x.get(v, 0.0) > SNAP]
@@ -416,18 +413,18 @@ def _best_single(cands: list[str], bound: list[float], evaluate):
     return best
 
 
-def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
-                            repetitions: int | None = None) -> PurchaseSolution:
+def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int) -> PurchaseSolution:
     """Budget-constrained purchase by LP rounding, best of several attempts.
 
     Solves the relaxation at half budget. If some single affordable vertex
     already supports a 1/(2 ln n) fraction of the relaxation value (checked
     by re-solving with the purchase vector pinned to that vertex), the
     randomized stage is skipped. Otherwise vertices costing k/ln n or more
-    are pruned, the relaxation is re-solved, and each repetition samples a
-    purchase set (v with probability x(v)) whose flows are scaled by
-    1/(4 x(v) ln n); repetitions that bust the budget are discarded outright,
-    so the returned cost is <= k always, not merely in expectation.
+    are pruned, the relaxation is re-solved, and each of ceil(log2 n) + 3
+    repetitions samples a purchase set (v with probability x(v)) whose
+    flows are scaled by 1/(4 x(v) ln n); repetitions that bust the budget
+    are discarded outright, so the returned cost is <= k always, not merely
+    in expectation.
 
     The answer is the best of a candidate pool that always contains the best
     single vertex and, when the budget covers every candidate at once, the
@@ -484,11 +481,9 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
         sample_sol = None
         if pruned.candidates():
             sample_sol, _ = solve_purchase_lp(pruned, "budgeted")
-        reps = repetitions if repetitions is not None \
-            else math.ceil(math.log2(n)) + 3
         if sample_sol is not None and sample_sol.objective > SNAP:
             scale = 1.0 / (4.0 * ln_n)
-            for r in range(reps):
+            for r in range(math.ceil(math.log2(n)) + 3):
                 picked = [v for v in pruned.candidates()
                           if sample_sol.x.get(v, 0.0) > SNAP
                           and rng.random() < sample_sol.x[v]]
@@ -509,7 +504,6 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int,
     best = max(pool, key=lambda s: s.value)
     best.meta["pool_size"] = len(pool)
     best.meta["shortcut"] = shortcut
-    best.flows.meta.update(pool_size=len(pool), shortcut=shortcut)
     return best
 
 
@@ -636,19 +630,23 @@ class _ProcessingFlowOracle:
         return out
 
 
-def _knapsack_greedy(oracle, items: list[str], price, budget: float,
-                     depth: int) -> tuple[set[str], float]:
+# the partial-enumeration depth of the knapsack greedy
+_DEPTH = 3
+
+
+def _knapsack_greedy(oracle, items: list[str], price,
+                     budget: float) -> tuple[set[str], float]:
     """Partial-enumeration greedy for monotone submodular max under knapsack.
 
-    Every seed set of size <= depth that fits the budget is extended
+    Every seed set of size <= _DEPTH that fits the budget is extended
     greedily by the best marginal gain per unit cost; depth 3 carries the
-    classic (1-1/e) factor, depth 1 only max(greedy, best singleton).
+    classic (1-1/e) factor.
     """
     from itertools import combinations
 
     best: tuple[set[str], float] = (set(), oracle(frozenset()))
     seeds = [()]
-    for size in range(1, min(depth, len(items)) + 1):
+    for size in range(1, min(_DEPTH, len(items)) + 1):
         seeds += list(combinations(items, size))
     for seed in seeds:
         S = set(seed)
@@ -678,8 +676,7 @@ def _knapsack_greedy(oracle, items: list[str], price, budget: float,
     return best
 
 
-def greedy_budgeted_single_source(inst: PurchaseInstance,
-                                  depth: int = 3) -> PurchaseSolution:
+def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
     """Greedy purchase for undirected networks where all demands share one
     source.
 
@@ -693,10 +690,8 @@ def greedy_budgeted_single_source(inst: PurchaseInstance,
     through the routing half toward the sinks, demand-capped. Each oracle
     call is a combinatorial max-flow (`_max_flow`, Edmonds-Karp), and its
     net flow on each feeder arc is that node's processing load; the routing
-    LP is the only LP solved.
-
-    `depth` is the partial-enumeration depth (3 for the guarantee, 1 as a
-    faster weaker mode).
+    LP is the only LP solved. Seed sets are enumerated up to size 3, the
+    depth the (1-1/e) guarantee needs.
     """
     rep = validate_purchase_instance(inst, "budgeted")
     if not rep:
@@ -717,7 +712,7 @@ def greedy_budgeted_single_source(inst: PurchaseInstance,
     # the source itself is a fine place to process (its feeder reaches the
     # oracle sink without touching any edge budget)
     items = [v for v in inst.candidates() if inst.price(v) <= k]
-    chosen, proc_value = _knapsack_greedy(oracle, items, inst.price, k, depth)
+    chosen, proc_value = _knapsack_greedy(oracle, items, inst.price, k)
     if proc_value <= SNAP:
         return _empty_purchase(inst, "no processable flow",
                                candidates=len(items))
@@ -753,7 +748,7 @@ def greedy_budgeted_single_source(inst: PurchaseInstance,
                     proc[i][v] = val
     unproc = [{} for _ in range(n)]
     meta = {"algorithm": "purchase-greedy", "processable": proc_value,
-            "route_value": served_total, "depth": depth,
+            "route_value": served_total, "depth": _DEPTH,
             "halving": {"route": 0.5, "detour_each_way": 0.25},
             "processing_load": proc_load}
     return _package(inst, set(chosen), EdgeFlowSolution(flow, unproc, proc, 0.0),

@@ -298,9 +298,7 @@ def mwu_full_scan_placements(net: FlowNetwork, demands: list[Demand],
                 continue
             node_cost = {v: weight(g) / net.capacity(v) for v, g in node_gain.items()}
             node_cost[d.source] = node_cost[d.sink] = math.inf
-            res = shortest_processing_2walk(net, arc_cost, node_cost, d.source,
-                                            forbid_first=(d.sink,),
-                                            forbid_second=(d.source,))
+            res = shortest_processing_2walk(net, arc_cost, node_cost, d.source, d.sink)
             c = res.cost_to(d.sink)
             if not math.isfinite(c):
                 active[i] = False

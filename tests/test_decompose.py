@@ -58,11 +58,29 @@ def test_flow_into_the_source_or_out_of_the_sink_is_rejected():
     sol = EdgeFlowSolution([flow], [unprocessed], [{"a": 2.0}], 1.0)
     assert sol.delivered(net, demands, 0) == 1.0
     assert verify_edge_solution(net, demands, sol).problems == [
-        "demand 0: flow enters source on t->s", "demand 0: flow leaves sink on t->s"]
+        "demand 0: barred flow 1.0 on arc t->s"]
     assert not verify_walk_solution(net, demands, decompose(sol, net, demands)).ok
     # the edge LP bars that arc and delivers the 1 on s->a->t alone
     lp_sol, walks = _solve_and_decompose(net, demands)
     assert lp_sol.flow == [{arc["s", "a"]: 1.0, arc["a", "t"]: 1.0}]
+    assert verify_walk_solution(net, demands, walks).ok
+
+
+def test_a_processed_loop_back_into_the_source_is_extracted_without_a_walk():
+    # 1e-10 of the processed flow returns a->s, below the verifier's
+    # tolerance; a->s comes before a->t, so the first forward trace ends at
+    # the source and that extraction emits no walk
+    net = FlowNetwork("sat", [("s", "a", 9.0), ("a", "s", 9.0), ("a", "t", 9.0)],
+                      {"a": 9.0})
+    demands = [Demand("s", "t", 1.0)]
+    arc = net.arc_index
+    unprocessed = {arc["s", "a"]: 1.0 + 1e-10}
+    flow = {**unprocessed, arc["a", "s"]: 1e-10, arc["a", "t"]: 1.0}
+    sol = EdgeFlowSolution([flow], [unprocessed], [{"a": 1.0 + 1e-10}], 1.0)
+    assert verify_edge_solution(net, demands, sol).ok
+    walks = decompose(sol, net, demands)
+    assert walks.objective == 1.0
+    assert walks.meta["extractions"] == [len(walks.entries) + 1]
     assert verify_walk_solution(net, demands, walks).ok
 
 

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from pflow.model import (Demand, FlowNetwork, StructuralError, WalkEntry,
-                         WalkFlowSolution, feas_slack, validate_instance,
-                         verify_walk_solution)
+from pflow.decompose import decompose
+from pflow.lp import solve_edge_lp
+from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, StructuralError,
+                         WalkEntry, WalkFlowSolution, feas_slack, validate_instance,
+                         verify_edge_solution, verify_walk_solution)
 
 
 def test_directed_network_indexing():
@@ -149,8 +151,8 @@ def test_verify_enforces_demand_cap():
 
 
 def test_verify_enforces_processing_position():
-    # processing sits after the walk's last visit to the source and before
-    # its first arrival at the sink, as in the edge LP
+    # a walk neither enters its source nor leaves its sink, as in the edge
+    # LP, so processing sits strictly between them
     net = FlowNetwork(
         "sabt",
         [("s", "a", 9.0), ("a", "t", 9.0), ("t", "b", 9.0), ("b", "t", 9.0),
@@ -162,9 +164,62 @@ def test_verify_enforces_processing_position():
             [WalkEntry(0, nodes, 1.0, {at: 1.0})]))
 
     assert report(("s", "a", "t"), "a").ok
-    assert report(("s", "a", "t", "b", "t"), "a").ok
-    for nodes, at in [(("s", "a", "t", "b", "t"), "b"),
-                      (("s", "a", "s", "t"), "a")]:
+    for nodes, at, arc in [(("s", "a", "t", "b", "t"), "a", "t->b"),
+                           (("s", "a", "t", "b", "t"), "b", "t->b"),
+                           (("s", "a", "s", "t"), "a", "a->s")]:
         rep = report(nodes, at)
         assert not rep.ok
-        assert any("outside the stretch" in p for p in rep.problems)
+        assert f"entry 0: arc {arc} is barred to demand 0's flow" in rep.problems
+
+
+def test_barred_arcs_follow_the_processing_rule():
+    net = FlowNetwork("sabt", [("s", "a", 1.0), ("a", "t", 1.0), ("a", "s", 1.0),
+                               ("s", "t", 1.0), ("t", "b", 1.0)])
+    w, g = net.barred("s", "t")
+    by_arc = {(a.tail, a.head): (w[i], g[i]) for i, a in enumerate(net.arcs)}
+    assert by_arc == {("s", "a"): (False, True), ("a", "t"): (True, False),
+                      ("a", "s"): (True, True), ("s", "t"): (True, True),
+                      ("t", "b"): (True, True)}
+    assert net.barred("s", "t") is net.barred("s", "t")
+
+
+_RULE_NET = FlowNetwork("sat", [("s", "a", 9.0), ("a", "s", 9.0), ("a", "t", 9.0),
+                                ("t", "a", 9.0)], {"a": 9.0, "t": 9.0})
+_ARC = _RULE_NET.arc_index
+
+
+@pytest.mark.parametrize("flow,unprocessed,processing,problem,walk,at", [
+    # 2 leave s unprocessed and 1 of them returns before processing
+    ({("s", "a"): 2.0, ("a", "s"): 1.0, ("a", "t"): 1.0},
+     {("s", "a"): 2.0, ("a", "s"): 1.0}, {"a": 1.0},
+     "barred flow 1.0 on arc a->s", ("s", "a", "s", "a", "t"), "a"),
+    # 1 unit goes on from t and comes back
+    ({("s", "a"): 1.0, ("a", "t"): 2.0, ("t", "a"): 1.0},
+     {("s", "a"): 1.0}, {"a": 1.0},
+     "barred flow 1.0 on arc t->a", ("s", "a", "t", "a", "t"), "a"),
+    # flow that leaves s as if processed there
+    ({("s", "a"): 1.0, ("a", "t"): 1.0}, {}, {},
+     "barred flow 1.0 on arc s->a", ("s", "a", "t"), "s"),
+    # processed on arrival at the sink
+    ({("s", "a"): 1.0, ("a", "t"): 1.0}, {("s", "a"): 1.0, ("a", "t"): 1.0}, {"t": 1.0},
+     "barred flow 1.0 on arc a->t", ("s", "a", "t"), "t"),
+], ids=["into-source", "out-of-sink", "processed-out-of-source", "unprocessed-into-sink"])
+def test_verifiers_reject_each_barred_case(flow, unprocessed, processing, problem,
+                                           walk, at):
+    demands = [Demand("s", "t", 1.0)]
+    sol = EdgeFlowSolution([{_ARC[k]: v for k, v in flow.items()}],
+                           [{_ARC[k]: v for k, v in unprocessed.items()}],
+                           [processing], 1.0)
+    assert sol.delivered(_RULE_NET, demands, 0) == 1.0
+    assert verify_edge_solution(_RULE_NET, demands, sol).problems == [f"demand 0: {problem}"]
+    # the same flow as one walk
+    walks = WalkFlowSolution([WalkEntry(0, walk, 1.0, {at: 1.0})])
+    assert not verify_walk_solution(_RULE_NET, demands, walks).ok
+
+
+def test_a_clean_lp_solution_passes_both_verifiers():
+    demands = [Demand("s", "t", 1.0)]
+    sol, _ = solve_edge_lp(_RULE_NET, demands)
+    assert sol.objective == 1.0
+    assert verify_edge_solution(_RULE_NET, demands, sol).ok
+    assert verify_walk_solution(_RULE_NET, demands, decompose(sol, _RULE_NET, demands)).ok

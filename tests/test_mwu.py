@@ -47,17 +47,25 @@ def test_walk_to_unreachable_is_none():
     assert res.cost_to("z") == math.inf
 
 
-@pytest.mark.parametrize("forbid_first", [(), ("x",)], ids=["first-pass", "second-pass"])
-def test_walk_oracle_rejects_a_negative_arc_cost(forbid_first):
-    # both arcs of edge c-x cost -1e-17, a negative cycle Dijkstra would
-    # relax forever; blocking x in pass one leaves it to pass two
+@pytest.mark.parametrize("sink", [None, "x"], ids=["first-pass", "second-pass"])
+def test_walk_oracle_rejects_a_negative_arc_cost(sink):
+    # walks start at y; both arcs of edge c-x cost -1e-17, a negative cycle
+    # Dijkstra would relax forever. With x as the sink, pass one may not
+    # enter x, which leaves the arc c->x to pass two
     net = FlowNetwork(["c", "x", "y"], [("c", "x", 1.0), ("c", "y", 1.0)], directed=False)
-    cost = [1.0] * net.n_arcs
+    cost = [0.0] * net.n_arcs
     for a in net.groups[0]:
         cost[a] = -1e-17
     with pytest.raises(ValueError, match="negative arc cost"):
-        shortest_processing_2walk(net, cost, {"c": 0.0, "y": 1.0}, "c",
-                                  forbid_first=forbid_first)
+        shortest_processing_2walk(net, cost, {"c": 0.0, "y": 1.0}, "y", sink)
+
+
+def test_walk_oracle_rejects_a_nan_arc_cost():
+    # a NaN compares false both ways, so a `<` relaxation would skip the arc
+    # and report t unreachable
+    net = FlowNetwork("sat", [("s", "a", 1.0), ("a", "t", 1.0)])
+    with pytest.raises(ValueError, match="NaN arc cost"):
+        shortest_processing_2walk(net, [math.nan, 1.0], {"a": 1.0}, "s", "t")
 
 
 def test_walk_oracle_matches_bruteforce():
