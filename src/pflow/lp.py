@@ -7,8 +7,10 @@ A LoadedLP is an LPModel loaded once into HiGHS's form: it re-solves after
 `set_rhs` changes right-hand sides, optionally starting from the optimal
 basis of an earlier solve, which is how a capacity sweep solves its grid
 points. solve_lp is a LoadedLP solved once, cold.
-`balance` writes the flow-conservation terms every formulation here and in
-the purchase module shares. write_mps names column j C<j> and row k R<k>.
+`commodity` adds one demand's split flow (below) with its balance rows; the
+edge LP and the purchase module's LP are both built from it. `balance`
+writes the flow-conservation terms. write_mps names column j C<j> and row
+k R<k>.
 
 The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
@@ -264,6 +266,35 @@ def balance(net: FlowNetwork, var, v: str, sign: float = 1.0) -> list[tuple[int,
             + [(var[a], -sign) for a in net.out_arcs[v]])
 
 
+def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
+              p_hi: dict[str, float]) -> tuple[list[int], list[int], dict[str, int]]:
+    """Add one demand's processed flow to `m`, split as in the paper.
+
+    Columns: per arc a, w (unprocessed) then g (processed), each fixed at 0
+    where its bar list `wbar` / `gbar` bars the arc; then per node v of
+    `p_hi`, in its order, the volume p processed at v, at most p_hi[v].
+    Rows, node by node: at every node but the source, w's inflow minus
+    outflow is p there; at every node but the sink, g's outflow minus
+    inflow is p there (0 at a node without p). A row at a node without p
+    whose arcs are all barred to its part only says 0 = 0 and is left out.
+    Returns the w and g columns by arc index and the p columns by node.
+    """
+    w: list[int] = []
+    g: list[int] = []
+    for a in range(net.n_arcs):
+        w.append(m.add_var(hi=0.0 if wbar[a] else math.inf))
+        g.append(m.add_var(hi=0.0 if gbar[a] else math.inf))
+    p = {v: m.add_var(hi=hi) for v, hi in p_hi.items()}
+    for v in net.nodes:
+        at = [(p[v], 1.0)] if v in p else []
+        arcs = net.in_arcs[v] + net.out_arcs[v]
+        if v != d.source and (at or not all(wbar[a] for a in arcs)):
+            m.add_constraint(at + balance(net, w, v, -1.0), "==", 0.0)
+        if v != d.sink and (at or not all(gbar[a] for a in arcs)):
+            m.add_constraint(at + balance(net, g, v), "==", 0.0)
+    return w, g, p
+
+
 def build_routing_lp(net: FlowNetwork, demands: list[Demand],
                      group_cap) -> LPModel:
     """Plain multicommodity max flow, blind to processing.
@@ -314,11 +345,11 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
                   objective: Objective = Objective()) -> LPModel:
     """Arc formulation of the processed-flow problem, split as in the paper.
 
-    Per demand and arc: w (unprocessed flow) and g (processed flow), each
-    fixed at 0 on the arcs `FlowNetwork.barred` bars to it. Per demand and
-    non-source node: p (volume processed there). Node processing links the
-    two parts: p = w_in - w_out at every non-source node, and
-    g_out - g_in = p away from both endpoints. An arc's
+    Each demand is one `commodity`: per arc, w (unprocessed flow) and g
+    (processed flow), each fixed at 0 on the arcs `FlowNetwork.barred` bars
+    to it; per non-source node, p (volume processed there), with
+    p = w_in - w_out at every non-source node and g_out - g_in = p away from
+    both endpoints. An arc's
     total flow w + g draws on its shared bandwidth, Σp on node capacity, and
     the source outflow, all of it w, is what a demand delivers: capped by a
     finite amount, or exactly that amount under the congestion objectives,
@@ -333,32 +364,21 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
         raise ValueError("congestion objectives need finite demand amounts")
 
     m = LPModel(name=f"edge-{kind}", sense="min" if congestion else "max")
-    nd = len(demands)
-    wvar: list[list[int]] = [[] for _ in range(nd)]
-    gvar: list[list[int]] = [[] for _ in range(nd)]
-    pvar: list[dict[str, int]] = [{} for _ in range(nd)]
-
-    for i, d in enumerate(demands):
-        wbar, gbar = net.barred(d.source, d.sink)
-        for a, arc in enumerate(net.arcs):
-            shut = congestion and net.group_capacity[arc.group] <= 0
-            wvar[i].append(m.add_var(hi=0.0 if shut or wbar[a] else math.inf))
-            gvar[i].append(m.add_var(hi=0.0 if shut or gbar[a] else math.inf))
-        for v in net.nodes:
-            if v != d.source:
-                hi = 0.0 if congestion and net.node_capacity[v] <= 0 else math.inf
-                pvar[i][v] = m.add_var(hi=hi)
-
+    wvar: list[list[int]] = []
+    gvar: list[list[int]] = []
+    pvar: list[dict[str, int]] = []
+    shut = [congestion and net.group_capacity[arc.group] <= 0 for arc in net.arcs]
     net_out = []
-    for i, d in enumerate(demands):
-        for v in net.nodes:
-            if v == d.source:
-                continue
-            p = [(pvar[i][v], 1.0)]
-            m.add_constraint(p + balance(net, wvar[i], v, -1.0), "==", 0.0)
-            if v != d.sink:
-                m.add_constraint(p + balance(net, gvar[i], v), "==", 0.0)
-        out_i = [(wvar[i][a], 1.0) for a in net.out_arcs[d.source]]
+    for d in demands:
+        wbar, gbar = net.barred(d.source, d.sink)
+        p_hi = {v: 0.0 if congestion and net.node_capacity[v] <= 0 else math.inf
+                for v in net.nodes if v != d.source}
+        w, g, p = commodity(m, net, d, [b or s for b, s in zip(wbar, shut)],
+                            [b or s for b, s in zip(gbar, shut)], p_hi)
+        wvar.append(w)
+        gvar.append(g)
+        pvar.append(p)
+        out_i = [(w[a], 1.0) for a in net.out_arcs[d.source]]
         if congestion:
             m.add_constraint(out_i, "==", d.amount)
         elif math.isfinite(d.amount) and out_i:
@@ -387,7 +407,7 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     node_rows: dict[str, int] = {}
     for v in net.nodes:
         cap = net.node_capacity[v]
-        coeffs = [(pvar[i][v], 1.0) for i in range(nd) if v in pvar[i]]
+        coeffs = [(p[v], 1.0) for p in pvar if v in p]
         if not coeffs:
             continue
         if kind == "max-total-flow":

@@ -298,7 +298,8 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
     the source to the sink. Processing sits at nodes of the walk other than
     the two endpoints. That is the edge LP's rule. Structural nonsense
     (unknown demand, node, or arc) raises StructuralError; quantitative
-    violations come back in the report with their magnitude.
+    violations come back in the report with their magnitude, and so does a
+    non-finite flow or processing value.
     """
     problems = []
     for k, e in enumerate(sol.entries):
@@ -323,7 +324,9 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
         for v, n in visits.items():
             if n > 2:
                 problems.append(f"entry {k}: node {v} visited {n} times")
-        if e.flow < -ABS_TOL:
+        if not math.isfinite(e.flow):
+            problems.append(f"entry {k}: non-finite flow {e.flow}")
+        elif e.flow < -ABS_TOL:
             problems.append(f"entry {k}: negative flow {e.flow}")
         total_p = 0.0
         for v, p in e.processing.items():
@@ -331,7 +334,9 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
                 problems.append(f"entry {k}: processing at {v} which is not on the walk")
             if v == d.source or v == d.sink:
                 problems.append(f"entry {k}: processing at demand endpoint {v}")
-            if p < -ABS_TOL:
+            if not math.isfinite(p):
+                problems.append(f"entry {k}: non-finite processing {p} at {v}")
+            elif p < -ABS_TOL:
                 problems.append(f"entry {k}: negative processing {p} at {v}")
             total_p += p
         if abs(total_p - e.flow) > max(ABS_TOL, REL_TOL * abs(e.flow)):
@@ -389,7 +394,8 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
                          sol: EdgeFlowSolution) -> ValidationReport:
     """Feasibility check for an arc-level solution.
 
-    Verifies, per demand: flow conservation away from the endpoints, the
+    Verifies, per demand: every flow, unprocessed and processing value
+    finite, flow conservation away from the endpoints, the
     processing balance (processed volume at v equals unprocessed inflow minus
     unprocessed outflow), unprocessed <= total on every arc, no processing at
     the source, and no unprocessed or processed flow on an arc
@@ -403,12 +409,18 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
 
     for i, d in enumerate(demands):
         f, w, p = sol.flow[i], sol.unprocessed[i], sol.processing[i]
-        for m in (f, w):
-            for idx in m:
+        for part, m in (("flow", f), ("unprocessed flow", w)):
+            for idx, val in m.items():
                 if not 0 <= idx < net.n_arcs:
                     raise StructuralError(f"demand {i}: unknown arc index {idx}")
-        for v in p:
+                if not math.isfinite(val):
+                    a = net.arcs[idx]
+                    problems.append(f"demand {i} arc {a.tail}->{a.head}: non-finite "
+                                    f"{part} {val}")
+        for v, val in p.items():
             net.node_index(v)
+            if not math.isfinite(val):
+                problems.append(f"demand {i} node {v}: non-finite processing {val}")
         scale = max([1.0] + [abs(x) for x in f.values()])
         tol = max(ABS_TOL, REL_TOL * scale)
         wbar, gbar = net.barred(d.source, d.sink)

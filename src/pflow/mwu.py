@@ -160,7 +160,8 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     a node a label below the one it is relaxed from raises ValueError: only
     a negative cost does that, and on a negative cycle Dijkstra would relax
     forever. A NaN cost counts as improving, so it raises too. The check
-    runs only on improving relaxations.
+    runs only on improving relaxations. A NaN (or -inf) node cost raises
+    ValueError too.
     """
     n = net.n_nodes
     adj = net.adjacency
@@ -196,8 +197,11 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     pq = []
     for i, name in enumerate(net.nodes):
         nc = float(node_cost.get(name, inf))
-        seed = dist[i] + nc if math.isfinite(dist[i]) and math.isfinite(nc) else inf
-        if seed < inf:
+        seed = dist[i] + nc
+        # `not >=` rather than `<`, so that a NaN cost gets in and raises
+        if not seed >= inf:
+            if not seed > -inf:
+                raise ValueError(f"walk oracle: node cost {nc} at {name}")
             r[i] = seed
             pq.append((seed, i))
     heapq.heapify(pq)

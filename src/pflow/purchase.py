@@ -9,10 +9,12 @@ undirected single-source budgeted case. That oracle is combinatorial
 (Edmonds-Karp augmenting paths in pure Python), so the greedy solves a
 single LP, its final routing.
 
-Flow bookkeeping differs from the fixed-capacity world: each unit is routed
-as a two-leg itinerary through its chosen processing vertex v, an unprocessed
-leg source->v and a processed leg v->sink. Processing at the source or sink
-itself is legitimate here (the itinerary then has a single leg).
+Each unit is routed as a two-leg itinerary through its chosen processing
+vertex v, an unprocessed leg source->v and a processed leg v->sink: per
+(demand, candidate) pair, the edge LP's split flow (`lp.commodity`, w then
+g, with p only at v) under the pair's own bar lists. Unlike the
+fixed-capacity world, processing at the source or sink itself is
+legitimate here (the itinerary then has a single leg).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .lp import LPModel, LPResult, balance, build_routing_lp, solve_lp
+from .lp import LPModel, LPResult, build_routing_lp, commodity, solve_lp
 from .model import (SNAP, EdgeFlowSolution, InfeasibleError, PurchaseInstance,
                     PurchaseSolution, StructuralError, ValidationReport,
                     feas_slack, validate_instance)
@@ -62,19 +64,18 @@ class PurchaseLPSolution:
 
     `pre_leg[(i, v)]` and `post_leg[(i, v)]` are sparse arc->flow maps for
     demand i's unprocessed (source->v) and processed (v->sink) legs through
-    processing vertex v. When v is the demand's own source only a post leg
-    exists (flow departs processed); when v is its sink only a pre leg does
-    (flow converts on arrival). `served[(i, v)]` is what that leg pair
-    delivers, `processed[(i, v)]` the processing volume it uses at v. A
-    candidate pinned to 0 by `fix` has no entry in any of these four maps;
-    `x` still lists every candidate.
+    processing vertex v: the w and g of its commodity. When v is the
+    demand's own source the pre leg is empty (flow departs processed); when
+    v is its sink the post leg is (flow converts on arrival).
+    `served[(i, v)]` is the commodity's p: what the leg pair delivers, and
+    the processing volume it uses at v. A candidate pinned to 0 by `fix` has
+    no entry in any of these three maps; `x` still lists every candidate.
     """
 
     x: dict[str, float]
     pre_leg: dict[tuple[int, str], dict[int, float]]
     post_leg: dict[tuple[int, str], dict[int, float]]
     served: dict[tuple[int, str], float]
-    processed: dict[tuple[int, str], float]
     objective: float
     meta: dict = field(default_factory=dict)
 
@@ -90,37 +91,40 @@ def _empty_purchase(inst: PurchaseInstance, reason: str, **meta) -> PurchaseSolu
 def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                       budget_cap: float | None = None,
                       fix: dict[str, float] | None = None) -> LPModel:
-    """Edge-based LP over fractional purchases.
+    """Arc LP over fractional purchases.
 
-    Variables: x(v) in [0,1] per candidate, plus the two leg flows per
-    (demand, candidate, arc). A leg pair routes unprocessed flow source->v
-    (forbidden to leave v or to enter the source, so it terminates where it
-    is processed) and processed flow v->sink (forbidden to enter v or leave
-    the sink). A candidate coinciding with the demand's own source or sink
-    collapses to a single leg: processed at departure (all flow leaves the
-    source already processed) or on arrival (the whole route is unprocessed
-    and conversion happens at the sink). Cover-style reductions lean on
-    these degenerate legs, so they are first-class here.
+    Variables: x(v) in [0,1] per candidate, plus one `lp.commodity` per
+    (demand i, open candidate v): w and g columns per arc and a single p
+    column, at v. Its bar lists are the pair's leg rule: w may not enter
+    the source or leave v, so the unprocessed leg runs source->v and ends
+    where it is processed; g may not enter v or leave the sink, so the
+    processed leg runs v->sink. A candidate at the demand's source bars w
+    from every arc (flow departs processed), one at its sink bars g from
+    every arc (flow converts on arrival). Cover-style reductions lean on
+    these endpoint candidates, so they are first-class here. p(i, v) is
+    both what the pair delivers and the processing it uses at v.
 
-    Coupling: processing at v <= C(v)x(v); per candidate, the flow its legs
-    put on an edge <= B(e)x(v); per demand, what its v-legs deliver <=
-    R_i x(v). On top of these, each edge carries the summed load of ALL legs
-    of ALL demands, so the aggregate must fit the actual capacity B(e); any
-    integral purchase satisfies that bound, hence adding it keeps the LP a
-    relaxation while making rounded superpositions fit in expectation.
+    Coupling: per demand, Σ_v p(i, v) >= R_i (min) or <= R_i (budgeted), and
+    p(i, v) <= R_i x(v); per candidate, Σ_i p(i, v) <= C(v)x(v) and the flow
+    its pairs put on an edge <= B(e)x(v). On top of these, each edge
+    carries the summed load of ALL pairs, so the aggregate must fit the
+    actual capacity B(e); any integral purchase satisfies that bound, hence
+    adding it keeps the LP a relaxation while making rounded superpositions
+    fit in expectation.
 
     `mode` "min": minimize total purchase cost, serve every demand in full.
-    "budgeted": maximize served flow, demands become upper bounds, and the
+    "budgeted": maximize Σ p, demands become upper bounds, and the
     purchase cost is capped by `budget_cap` (pass None to drop the cap, e.g.
     when `fix` pins the purchase vector to an integral point and the cost is
     known anyway).
 
     `fix` pins x(v) to fix.get(v, 0). A candidate pinned to 0 keeps its x
-    column but gets no leg columns and none of the rows its legs would feed:
-    served <= R x = 0 and processing <= C x = 0 let such legs deliver
-    nothing, so dropping them leaves the optimum as it is.
+    column but gets no commodities and none of the rows they would feed:
+    p <= R x = 0 lets such pairs deliver nothing, so dropping them leaves
+    the optimum as it is.
     """
     net = inst.net
+    nd = len(inst.demands)
     cands = inst.candidates()
     m = LPModel(f"purchase-{mode}", sense="min" if mode == "min" else "max")
 
@@ -132,114 +136,55 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
         xvar[v] = m.add_var(lo, hi)
     opened = [v for v in cands if fix is None or fix.get(v, 0.0) != 0.0]
 
-    pre: dict[tuple[int, str], list[int]] = {}
-    post: dict[tuple[int, str], list[int]] = {}
-    served_terms: dict[tuple[int, str], list[tuple[int, float]]] = {}
-    proc_terms: dict[tuple[int, str], list[tuple[int, float]]] = {}
-
+    everywhere = (True,) * net.n_arcs
+    wvar: dict[tuple[int, str], list[int]] = {}
+    gvar: dict[tuple[int, str], list[int]] = {}
+    pvar: dict[tuple[int, str], int] = {}
     for i, d in enumerate(inst.demands):
         for v in opened:
-            if v == d.source or v == d.sink:
-                # degenerate leg: one end of the itinerary IS the processing
-                # point, so a single source->sink flow carries everything
-                blocked = set(net.in_arcs[d.source]) | set(net.out_arcs[d.sink])
-                fv = [m.add_var(hi=0.0 if a in blocked else math.inf)
-                      for a in range(net.n_arcs)]
-                if v == d.source:
-                    post[(i, v)] = fv
-                else:
-                    pre[(i, v)] = fv
-                for u in net.nodes:
-                    if u != d.source and u != d.sink:
-                        _conserve(m, balance(net, fv, u))
-                served_terms[(i, v)] = [(fv[a], 1.0)
-                                        for a in net.out_arcs[d.source]]
-                if v == d.source:
-                    proc_terms[(i, v)] = list(served_terms[(i, v)])
-                else:
-                    proc_terms[(i, v)] = [(fv[a], 1.0)
-                                          for a in net.in_arcs[d.sink]]
-                continue
-            # unprocessed leg: may not leave v, may not re-enter the source
-            blocked = set(net.out_arcs[v]) | set(net.in_arcs[d.source])
-            pv = [m.add_var(hi=0.0 if a in blocked else math.inf)
-                  for a in range(net.n_arcs)]
-            # processed leg: may not enter v, may not leave the sink
-            blocked = set(net.in_arcs[v]) | set(net.out_arcs[d.sink])
-            qv = [m.add_var(hi=0.0 if a in blocked else math.inf)
-                  for a in range(net.n_arcs)]
-            pre[(i, v)] = pv
-            post[(i, v)] = qv
+            wbar = everywhere if v == d.source else \
+                [a.head == d.source or a.tail == v for a in net.arcs]
+            gbar = everywhere if v == d.sink else \
+                [a.head == v or a.tail == d.sink for a in net.arcs]
+            wvar[i, v], gvar[i, v], p = commodity(m, net, d, wbar, gbar, {v: math.inf})
+            pvar[i, v] = p[v]
 
-            for u in net.nodes:
-                if u != d.source and u != v:
-                    _conserve(m, balance(net, pv, u))
-                if u != v and u != d.sink:
-                    _conserve(m, balance(net, qv, u))
-            # everything delivered to v unprocessed leaves it processed
-            coeffs = [(pv[a], 1.0) for a in net.in_arcs[v]]
-            coeffs += [(qv[a], -1.0) for a in net.out_arcs[v]]
-            m.add_constraint(coeffs, "==", 0.0)
-
-            served_terms[(i, v)] = [(pv[a], 1.0) for a in net.out_arcs[d.source]]
-            proc_terms[(i, v)] = [(pv[a], 1.0) for a in net.in_arcs[v]]
-
+    sense = ">=" if mode == "min" else "<="
     for i, d in enumerate(inst.demands):
-        terms = []
+        if opened or mode == "min":
+            m.add_constraint([(pvar[i, v], 1.0) for v in opened], sense, d.amount)
         for v in opened:
-            terms += served_terms[(i, v)]
-        sense = ">=" if mode == "min" else "<="
-        if terms or mode == "min":
-            m.add_constraint(terms, sense, d.amount)
-        for v in opened:
-            coeffs = list(served_terms[(i, v)]) + [(xvar[v], -d.amount)]
-            m.add_constraint(coeffs, "<=", 0.0)
+            m.add_constraint([(pvar[i, v], 1.0), (xvar[v], -d.amount)], "<=", 0.0)
 
     for v in opened:
-        coeffs = []
-        for i in range(len(inst.demands)):
-            coeffs += proc_terms[(i, v)]
+        coeffs = [(pvar[i, v], 1.0) for i in range(nd)]
         coeffs.append((xvar[v], -inst.potential[v]))
         m.add_constraint(coeffs, "<=", 0.0)
 
-    for g, arcs in enumerate(net.groups):
-        if not math.isfinite(net.group_capacity[g]):
+    for k, arcs in enumerate(net.groups):
+        cap = net.group_capacity[k]
+        if not math.isfinite(cap):
             continue
         total = []
         for v in opened:
-            coeffs = []
-            for i in range(len(inst.demands)):
-                for leg in (pre.get((i, v)), post.get((i, v))):
-                    if leg is None:
-                        continue
-                    coeffs += [(leg[a], 1.0) for a in arcs]
+            coeffs = [(part[i, v][a], 1.0) for i in range(nd)
+                      for part in (wvar, gvar) for a in arcs]
             total += coeffs
-            coeffs.append((xvar[v], -net.group_capacity[g]))
+            coeffs.append((xvar[v], -cap))
             m.add_constraint(coeffs, "<=", 0.0)
         if total:
-            m.add_constraint(total, "<=", net.group_capacity[g])
+            m.add_constraint(total, "<=", cap)
 
     if mode == "min":
         m.set_objective({xvar[v]: inst.price(v) for v in cands})
     else:
-        obj: dict[int, float] = {}
-        for terms in served_terms.values():
-            for var, coef in terms:
-                obj[var] = obj.get(var, 0.0) + coef
-        m.set_objective(obj)
+        m.set_objective(dict.fromkeys(pvar.values(), 1.0))
         if budget_cap is not None:
             coeffs = [(xvar[v], inst.price(v)) for v in cands]
             m.add_constraint(coeffs, "<=", budget_cap)
 
-    m.info = {"x": xvar, "pre": pre, "post": post,
-              "served": served_terms, "processed": proc_terms, "mode": mode}
+    m.info = {"x": xvar, "w": wvar, "g": gvar, "p": pvar, "mode": mode}
     return m
-
-
-def _conserve(m: LPModel, coeffs: list[tuple[int, float]]) -> None:
-    """A conservation row, skipped at a node with no arcs."""
-    if coeffs:
-        m.add_constraint(coeffs, "==", 0.0)
 
 
 def _leg_values(leg: list[int], x: list[float]) -> dict[int, float]:
@@ -269,14 +214,10 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     vals = res.optimal_x("purchase LP", infeasible).tolist()
     info = model.info
     x = {v: min(1.0, max(0.0, vals[j])) for v, j in info["x"].items()}
-    pre_leg = {key: _leg_values(leg, vals) for key, leg in info["pre"].items()}
-    post_leg = {key: _leg_values(leg, vals) for key, leg in info["post"].items()}
-    served = {key: max(0.0, sum(vals[j] * c for j, c in terms))
-              for key, terms in info["served"].items()}
-    processed = {key: max(0.0, sum(vals[j] * c for j, c in terms))
-                 for key, terms in info["processed"].items()}
-    sol = PurchaseLPSolution(x, pre_leg, post_leg, served, processed,
-                             res.objective,
+    pre_leg = {key: _leg_values(leg, vals) for key, leg in info["w"].items()}
+    post_leg = {key: _leg_values(leg, vals) for key, leg in info["g"].items()}
+    served = {key: max(0.0, vals[j]) for key, j in info["p"].items()}
+    sol = PurchaseLPSolution(x, pre_leg, post_leg, served, res.objective,
                              {"mode": mode, "lp_iterations": res.iterations,
                               "budget_cap": budget_cap})
     return sol, res
@@ -303,12 +244,11 @@ def _realize(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
                 f[a] = f.get(a, 0.0) + w * val
                 if unprocessed:
                     u[a] = u.get(a, 0.0) + w * val
-    for (i, v), val in lp_sol.processed.items():
-        if v in weight and val > 0.0:
-            flows.processing[i][v] = weight[v] * val
     delivered = [0.0] * n
     for (i, v), val in lp_sol.served.items():
-        delivered[i] += weight.get(v, 0.0) * val
+        if v in weight and val > 0.0:
+            flows.processing[i][v] = weight[v] * val
+            delivered[i] += weight[v] * val
 
     caps = inst.net.group_capacity
     loads = [(load, caps[g]) for g, load in flows.group_loads(inst.net).items()]

@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 
 import pflow.lp
 from pflow.lp import LPModel, LPResult, solve_lp
-from pflow.model import Demand, FlowNetwork, ResourceLimitError
+from pflow.model import Demand, FlowNetwork, PurchaseInstance, ResourceLimitError
 
 
 class OracleBlowup(RuntimeError):
@@ -381,3 +381,165 @@ def solve_lp_linprog(model: LPModel) -> LPResult:
     if model.sense == "max":
         obj = -obj
     return LPResult("optimal", res.x, obj, nit)
+
+
+def _balance(net: FlowNetwork, var, v: str) -> list[tuple[int, float]]:
+    """Inflow minus outflow at node v of the per-arc columns `var[a]`."""
+    return ([(var[a], 1.0) for a in net.in_arcs[v]]
+            + [(var[a], -1.0) for a in net.out_arcs[v]])
+
+
+def arc_leg_purchase_lp(inst: PurchaseInstance, mode: str = "min",
+                        budget_cap: float | None = None,
+                        fix: dict[str, float] | None = None) -> LPModel:
+    """The purchase relaxation as legs, the reference for
+    `pflow.purchase.build_purchase_lp`, which must reach the same optimum.
+
+    Variables: x(v) in [0,1] per candidate, plus the two leg flows per
+    (demand, candidate, arc). A leg pair routes unprocessed flow source->v
+    (forbidden to leave v or to enter the source, so it terminates where it
+    is processed) and processed flow v->sink (forbidden to enter v or leave
+    the sink). A candidate coinciding with the demand's own source or sink
+    collapses to a single leg: processed at departure (all flow leaves the
+    source already processed) or on arrival (the whole route is unprocessed
+    and conversion happens at the sink). Cover-style reductions lean on
+    these degenerate legs, so they are first-class here.
+
+    Coupling: processing at v <= C(v)x(v); per candidate, the flow its legs
+    put on an edge <= B(e)x(v); per demand, what its v-legs deliver <=
+    R_i x(v). On top of these, each edge carries the summed load of ALL legs
+    of ALL demands, so the aggregate must fit the actual capacity B(e); any
+    integral purchase satisfies that bound, hence adding it keeps the LP a
+    relaxation while making rounded superpositions fit in expectation.
+
+    `mode` "min": minimize total purchase cost, serve every demand in full.
+    "budgeted": maximize served flow, demands become upper bounds, and the
+    purchase cost is capped by `budget_cap` (pass None to drop the cap, e.g.
+    when `fix` pins the purchase vector to an integral point and the cost is
+    known anyway).
+
+    `fix` pins x(v) to fix.get(v, 0). A candidate pinned to 0 keeps its x
+    column but gets no leg columns and none of the rows its legs would feed:
+    served <= R x = 0 and processing <= C x = 0 let such legs deliver
+    nothing, so dropping them leaves the optimum as it is.
+    """
+    net = inst.net
+    cands = inst.candidates()
+    m = LPModel(f"purchase-{mode}", sense="min" if mode == "min" else "max")
+
+    xvar: dict[str, int] = {}
+    for v in cands:
+        lo, hi = 0.0, 1.0
+        if fix is not None:
+            lo = hi = float(fix.get(v, 0.0))
+        xvar[v] = m.add_var(lo, hi)
+    opened = [v for v in cands if fix is None or fix.get(v, 0.0) != 0.0]
+
+    pre: dict[tuple[int, str], list[int]] = {}
+    post: dict[tuple[int, str], list[int]] = {}
+    served_terms: dict[tuple[int, str], list[tuple[int, float]]] = {}
+    proc_terms: dict[tuple[int, str], list[tuple[int, float]]] = {}
+
+    for i, d in enumerate(inst.demands):
+        for v in opened:
+            if v == d.source or v == d.sink:
+                # degenerate leg: one end of the itinerary IS the processing
+                # point, so a single source->sink flow carries everything
+                blocked = set(net.in_arcs[d.source]) | set(net.out_arcs[d.sink])
+                fv = [m.add_var(hi=0.0 if a in blocked else math.inf)
+                      for a in range(net.n_arcs)]
+                if v == d.source:
+                    post[(i, v)] = fv
+                else:
+                    pre[(i, v)] = fv
+                for u in net.nodes:
+                    if u != d.source and u != d.sink:
+                        _conserve(m, _balance(net, fv, u))
+                served_terms[(i, v)] = [(fv[a], 1.0)
+                                        for a in net.out_arcs[d.source]]
+                if v == d.source:
+                    proc_terms[(i, v)] = list(served_terms[(i, v)])
+                else:
+                    proc_terms[(i, v)] = [(fv[a], 1.0)
+                                          for a in net.in_arcs[d.sink]]
+                continue
+            # unprocessed leg: may not leave v, may not re-enter the source
+            blocked = set(net.out_arcs[v]) | set(net.in_arcs[d.source])
+            pv = [m.add_var(hi=0.0 if a in blocked else math.inf)
+                  for a in range(net.n_arcs)]
+            # processed leg: may not enter v, may not leave the sink
+            blocked = set(net.in_arcs[v]) | set(net.out_arcs[d.sink])
+            qv = [m.add_var(hi=0.0 if a in blocked else math.inf)
+                  for a in range(net.n_arcs)]
+            pre[(i, v)] = pv
+            post[(i, v)] = qv
+
+            for u in net.nodes:
+                if u != d.source and u != v:
+                    _conserve(m, _balance(net, pv, u))
+                if u != v and u != d.sink:
+                    _conserve(m, _balance(net, qv, u))
+            # everything delivered to v unprocessed leaves it processed
+            coeffs = [(pv[a], 1.0) for a in net.in_arcs[v]]
+            coeffs += [(qv[a], -1.0) for a in net.out_arcs[v]]
+            m.add_constraint(coeffs, "==", 0.0)
+
+            served_terms[(i, v)] = [(pv[a], 1.0) for a in net.out_arcs[d.source]]
+            proc_terms[(i, v)] = [(pv[a], 1.0) for a in net.in_arcs[v]]
+
+    for i, d in enumerate(inst.demands):
+        terms = []
+        for v in opened:
+            terms += served_terms[(i, v)]
+        sense = ">=" if mode == "min" else "<="
+        if terms or mode == "min":
+            m.add_constraint(terms, sense, d.amount)
+        for v in opened:
+            coeffs = list(served_terms[(i, v)]) + [(xvar[v], -d.amount)]
+            m.add_constraint(coeffs, "<=", 0.0)
+
+    for v in opened:
+        coeffs = []
+        for i in range(len(inst.demands)):
+            coeffs += proc_terms[(i, v)]
+        coeffs.append((xvar[v], -inst.potential[v]))
+        m.add_constraint(coeffs, "<=", 0.0)
+
+    for g, arcs in enumerate(net.groups):
+        if not math.isfinite(net.group_capacity[g]):
+            continue
+        total = []
+        for v in opened:
+            coeffs = []
+            for i in range(len(inst.demands)):
+                for leg in (pre.get((i, v)), post.get((i, v))):
+                    if leg is None:
+                        continue
+                    coeffs += [(leg[a], 1.0) for a in arcs]
+            total += coeffs
+            coeffs.append((xvar[v], -net.group_capacity[g]))
+            m.add_constraint(coeffs, "<=", 0.0)
+        if total:
+            m.add_constraint(total, "<=", net.group_capacity[g])
+
+    if mode == "min":
+        m.set_objective({xvar[v]: inst.price(v) for v in cands})
+    else:
+        obj: dict[int, float] = {}
+        for terms in served_terms.values():
+            for var, coef in terms:
+                obj[var] = obj.get(var, 0.0) + coef
+        m.set_objective(obj)
+        if budget_cap is not None:
+            coeffs = [(xvar[v], inst.price(v)) for v in cands]
+            m.add_constraint(coeffs, "<=", budget_cap)
+
+    m.info = {"x": xvar, "pre": pre, "post": post,
+              "served": served_terms, "processed": proc_terms, "mode": mode}
+    return m
+
+
+def _conserve(m: LPModel, coeffs: list[tuple[int, float]]) -> None:
+    """A conservation row, skipped at a node with no arcs."""
+    if coeffs:
+        m.add_constraint(coeffs, "==", 0.0)

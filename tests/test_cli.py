@@ -182,6 +182,24 @@ class TestDecompose:
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    def test_edge_flows_with_nan_exit_2(self, tmp_path, capsys):
+        # json reads NaN, and every other check of the verifier passes it
+        inst = tmp_path / "inst.pf"
+        assert run("gen", "--kind", "random", "--nodes", 6, "--density", 0.5,
+                   "--demands", 2, "--seed", 3, "-o", inst) == 0
+        edges = tmp_path / "edges.json"
+        assert run("solve", "--alg", "lp", "--format", "edge-flows",
+                   "--input", inst, "-o", edges) == 0
+        doc = json.loads(edges.read_text())
+        doc["flow"] = [{a: math.nan for a in f} for f in doc["flow"]]
+        doc["unprocessed"] = [{a: math.nan for a in w} for w in doc["unprocessed"]]
+        doc["processing"] = [{v: math.nan for v in p} for p in doc["processing"]]
+        edges.write_text(json.dumps(doc))
+        assert "NaN" in edges.read_text()
+        assert run("decompose", "--input", edges, "-o", tmp_path / "w.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+
     @staticmethod
     def _congestion_edges(seed, tmp_path):
         inst = tmp_path / "inst.pf"

@@ -223,3 +223,24 @@ def test_a_clean_lp_solution_passes_both_verifiers():
     assert sol.objective == 1.0
     assert verify_edge_solution(_RULE_NET, demands, sol).ok
     assert verify_walk_solution(_RULE_NET, demands, decompose(sol, _RULE_NET, demands)).ok
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_walk_verifier_rejects_non_finite_values(bad):
+    # every check is a comparison, which a NaN fails both ways
+    net, demands = _line()
+    walks = WalkFlowSolution([WalkEntry(0, ("s", "a", "t"), bad, {"a": bad})])
+    problems = verify_walk_solution(net, demands, walks).problems
+    assert f"entry 0: non-finite flow {bad}" in problems
+    assert f"entry 0: non-finite processing {bad} at a" in problems
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_edge_verifier_rejects_non_finite_values(bad):
+    net, demands = _line()
+    sol = EdgeFlowSolution([{0: bad, 1: bad}], [{0: bad}], [{"a": bad}], 0.0)
+    problems = verify_edge_solution(net, demands, sol).problems
+    assert f"demand 0 arc s->a: non-finite flow {bad}" in problems
+    assert f"demand 0 arc a->t: non-finite flow {bad}" in problems
+    assert f"demand 0 arc s->a: non-finite unprocessed flow {bad}" in problems
+    assert f"demand 0 node a: non-finite processing {bad}" in problems

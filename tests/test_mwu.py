@@ -68,6 +68,16 @@ def test_walk_oracle_rejects_a_nan_arc_cost():
         shortest_processing_2walk(net, [math.nan, 1.0], {"a": 1.0}, "s", "t")
 
 
+@pytest.mark.parametrize("reached", [True, False], ids=["reached", "unreached"])
+def test_walk_oracle_rejects_a_nan_node_cost(reached):
+    # a NaN node cost is not the inf of a node that cannot process: it must
+    # raise, not leave t unreachable, also at a node no walk reaches
+    net = FlowNetwork("sabt", [("s", "a", 1.0), ("a", "t", 1.0), ("b", "a", 1.0)])
+    node = "a" if reached else "b"
+    with pytest.raises(ValueError, match=f"node cost nan at {node}"):
+        shortest_processing_2walk(net, [1.0, 1.0, 1.0], {node: math.nan}, "s", "t")
+
+
 def test_walk_oracle_matches_bruteforce():
     # Dyadic weights keep every path sum exact, so equality can be strict.
     rng = random.Random(40412)

@@ -4,13 +4,15 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from pflow import purchase
-from pflow.generators import gen_random_purchase
+from pflow.generators import gen_random_purchase, gen_reduction_instance
 from pflow.instance_io import solution_document
+from pflow.lp import solve_lp
 from pflow.model import (Demand, FlowNetwork, InfeasibleError, StructuralError,
                          feas_slack)
 from pflow.purchase import (PurchaseInstance, _max_flow, _ProcessingFlowOracle,
@@ -19,7 +21,7 @@ from pflow.purchase import (PurchaseInstance, _max_flow, _ProcessingFlowOracle,
                             rounding_rounds, solve_purchase_lp,
                             validate_purchase_instance)
 
-from oracles import (best_single_exhaustive, max_flow_lp,
+from oracles import (arc_leg_purchase_lp, best_single_exhaustive, max_flow_lp,
                      served_with_purchases)
 
 
@@ -85,7 +87,7 @@ class TestEndpointCandidates:
                                 potential={"s": 10.0}, cost={"s": 3.0})
         sol, _ = solve_purchase_lp(inst, "min")
         assert sol.objective == pytest.approx(3.0, abs=1e-6)
-        assert sol.processed[(0, "s")] == pytest.approx(4.0, abs=1e-6)
+        assert sol.served[(0, "s")] == pytest.approx(4.0, abs=1e-6)
         r = round_min_purchase(inst, sol, delta=0.1, rng_seed=2)
         assert r.purchased == {"s"}
         assert r.served[0] == pytest.approx(1.0, abs=1e-9)
@@ -96,7 +98,7 @@ class TestEndpointCandidates:
                                 potential={"t": 10.0}, cost={"t": 2.0})
         sol, _ = solve_purchase_lp(inst, "min")
         assert sol.objective == pytest.approx(2.0, abs=1e-6)
-        assert sol.processed[(0, "t")] == pytest.approx(4.0, abs=1e-6)
+        assert sol.served[(0, "t")] == pytest.approx(4.0, abs=1e-6)
 
 
 class TestBudgetedGreedy:
@@ -419,13 +421,70 @@ class TestPinnedLP:
             arcs = inst.net.n_arcs
             for v in names:
                 model = build_purchase_lp(inst, "budgeted", fix={v: 1.0})
-                # a candidate on a demand's endpoint has a single leg for it
-                legs = sum(arcs if v in (d.source, d.sink) else 2 * arcs
-                           for d in inst.demands)
+                # per demand, a w and a g column per arc and one p, at v; on
+                # a demand's endpoint one of the two legs is barred everywhere
+                legs = len(inst.demands) * (2 * arcs + 1)
                 assert model.n_vars == len(names) + legs
                 sol, _ = solve_purchase_lp(inst, "budgeted", fix={v: 1.0})
                 assert sorted(sol.x) == sorted(names)
                 assert {u for _, u in sol.served} <= {v}
+
+
+def _reference_families():
+    """Seeded purchase instances for the arc-leg reference, by family."""
+    gadgets = [("setcover", {"sets": [[1, 2], [2, 3]], "universe": [1, 2, 3]}),
+               ("maxkcover", {"sets": [[1, 2], [2, 3], [3, 4]],
+                              "universe": [1, 2, 3, 4], "k": 1}),
+               ("vertexcover", {"edges": [("a", "b"), ("b", "c"), ("c", "a"),
+                                          ("c", "d")]}),
+               ("bisection", {"edges": [("a", "b"), ("a", "c"), ("a", "d"),
+                                        ("b", "c"), ("b", "d"), ("c", "d")]})]
+    return {
+        "n4-7": list(_random_purchase_instances(16)),
+        "n10-12": [gen_random_purchase(10 + 2 * (seed % 2), 0.35, n_candidates=4,
+                                       n_demands=2 + seed % 2, seed=seed,
+                                       budget=3.0, directed=seed % 3 != 0).purchase()
+                   for seed in range(4)],
+        "gadgets": [gen_reduction_instance(kind, spec).purchase()
+                    for kind, spec in gadgets],
+    }
+
+
+def _relaxation(solve, inst, mode, cap, fix):
+    try:
+        return solve(inst, mode, cap, fix)
+    except InfeasibleError:
+        return "infeasible"
+
+
+def _reference(inst, mode, cap, fix):
+    res = solve_lp(arc_leg_purchase_lp(inst, mode, budget_cap=cap, fix=fix))
+    return res.objective if res.status == "optimal" else res.status
+
+
+@pytest.mark.parametrize("family", ["n4-7", "n10-12", "gadgets"])
+def test_relaxation_matches_the_arc_leg_reference(family):
+    # the commodity LP is a reformulation of the arc-leg LP: same optimum,
+    # free and pinned, in both modes, endpoint candidates included
+    rng = random.Random(1414)
+    for inst in _reference_families()[family]:
+        if inst.budget is None:
+            inst = replace(inst, budget=2.0)
+        names = inst.candidates()
+        pins = [None, dict.fromkeys(names, 1.0)]
+        pins += [{u: float(u == v) for u in names} for v in names]
+        pins.append({v: float(rng.random() < 0.5) for v in names})
+        for mode in ("min", "budgeted"):
+            for fix in pins:
+                cap = inst.budget / 2.0 if mode == "budgeted" and fix is None else None
+                got = _relaxation(lambda *a: solve_purchase_lp(*a)[0].objective,
+                                  inst, mode, cap, fix)
+                want = _reference(inst, mode, cap, fix)
+                where = (family, mode, fix)
+                if isinstance(want, str):
+                    assert got == want, where
+                else:
+                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), where
 
 
 def _random_max_flow_case(rng, trial):
