@@ -35,10 +35,13 @@ class SweepSpec:
     repetitions: int = 1
 
     def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise StructuralError(f"bad capacity range [{self.lo}, {self.hi}]")
-        if not self.step > 0:
-            raise StructuralError(f"step must be positive, got {self.step}")
+        # node capacities must be finite and non-negative (validate_instance),
+        # and so must every grid point; a finite step keeps the grid finite
+        if not 0 <= self.lo <= self.hi < math.inf:
+            raise StructuralError(f"bad capacity range [{self.lo}, {self.hi}]: need "
+                                  f"finite 0 <= lo <= hi")
+        if not 0 < self.step < math.inf:
+            raise StructuralError(f"step must be positive and finite, got {self.step}")
         if self.dist not in ("all", "half"):
             raise StructuralError(f"distribution must be all or half, got {self.dist!r}")
         if self.repetitions < 1:
@@ -62,9 +65,9 @@ class RunRecord:
     wall_time: float     # seconds of solver work done for this record; naive's
                          # shared routing and lp's one LP build count in the
                          # sweep's first naive and lp record
-    iterations: int      # lp, naive: simplex iterations of this record's own
-                         # solves (lp's start from the previous grid point's
-                         # basis); mwu: rounds
+    iterations: int      # lp: simplex iterations of this record's own solve,
+                         # from the previous grid point's basis; naive: the
+                         # sweep's one routing LP's, on every record; mwu: rounds
     feasible: bool
     error: str | None = None
 

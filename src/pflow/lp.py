@@ -8,9 +8,9 @@ A LoadedLP is an LPModel loaded once into HiGHS's form: it re-solves after
 basis of an earlier solve, which is how a capacity sweep solves its grid
 points. solve_lp is a LoadedLP solved once, cold.
 `commodity` adds one demand's split flow (below) with its balance rows; the
-edge LP and the purchase module's LP are both built from it. `balance`
-writes the flow-conservation terms. write_mps names column j C<j> and row
-k R<k>.
+edge LP, the routing LP and the purchase module's LP are all built from it,
+each under its own bar lists. `balance` writes the flow-conservation terms.
+write_mps names column j C<j> and row k R<k>.
 
 The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
@@ -261,7 +261,7 @@ def solve_lp(model: LPModel) -> LPResult:
 
 def balance(net: FlowNetwork, var, v: str, sign: float = 1.0) -> list[tuple[int, float]]:
     """Inflow minus outflow at node v, times `sign`, of the per-arc columns
-    `var[a]`: terms for a conservation row, or (sign -1) a net outflow."""
+    `var[a]`: the terms of a conservation row."""
     return ([(var[a], sign) for a in net.in_arcs[v]]
             + [(var[a], -sign) for a in net.out_arcs[v]])
 
@@ -299,29 +299,26 @@ def build_routing_lp(net: FlowNetwork, demands: list[Demand],
                      group_cap) -> LPModel:
     """Plain multicommodity max flow, blind to processing.
 
-    Column i * n_arcs + a is demand i's flow on arc a. Flow is conserved away
-    from each demand's endpoints, a finite amount caps the demand's net
-    source outflow, each bandwidth group g carries at most group_cap[g] over
-    all demands, and the objective is the total net source outflow.
+    Each demand is one `commodity` under the leg rule `FlowNetwork.legs`
+    with v at its sink: w runs from the source to the sink, where all of it
+    is processed on arrival, and g is barred everywhere. p at the sink, what
+    the demand routes, is at most its amount. Each bandwidth group g carries
+    at most group_cap[g] of w over all demands, and the objective is Σ p.
+    `info["w"][i]` holds demand i's w columns by arc and `info["p"][i]` its
+    p column.
     """
     m = LPModel("route", sense="max")
-    for _ in range(len(demands) * net.n_arcs):
-        m.add_var()
-    obj: dict[int, float] = {}
-    for i, d in enumerate(demands):
-        fvar = range(i * net.n_arcs, (i + 1) * net.n_arcs)
-        for v in net.nodes:
-            if v != d.source and v != d.sink:
-                m.add_constraint(balance(net, fvar, v), "==", 0.0)
-        net_out = balance(net, fvar, d.source, -1.0)
-        if math.isfinite(d.amount):
-            m.add_constraint(net_out, "<=", d.amount)
-        for j, coef in net_out:
-            obj[j] = obj.get(j, 0.0) + coef
+    wvar: list[list[int]] = []
+    pvar: list[int] = []
+    for d in demands:
+        w, _, p = commodity(m, net, d, *net.legs(d.source, d.sink, d.sink),
+                            {d.sink: d.amount})
+        wvar.append(w)
+        pvar.append(p[d.sink])
     for g, arcs in enumerate(net.groups):
-        m.add_constraint([(i * net.n_arcs + a, 1.0) for i in range(len(demands))
-                          for a in arcs], "<=", group_cap[g])
-    m.set_objective(obj)
+        m.add_constraint([(w[a], 1.0) for w in wvar for a in arcs], "<=", group_cap[g])
+    m.set_objective(dict.fromkeys(pvar, 1.0))
+    m.info = {"w": wvar, "p": pvar}
     return m
 
 

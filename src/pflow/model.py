@@ -107,6 +107,7 @@ class FlowNetwork:
             groups[a.group].append(i)
         self.groups = tuple(tuple(g) for g in groups)
         self._barred: dict = {}  # (source, sink) -> barred(source, sink)
+        self._legs: dict = {}  # (source, sink, v) -> legs(source, sink, v)
 
     @property
     def n_nodes(self) -> int:
@@ -148,6 +149,25 @@ class FlowNetwork:
             w = tuple(a.head in (source, sink) or a.tail == sink for a in self.arcs)
             g = tuple(a.head == source or a.tail in (source, sink) for a in self.arcs)
             rule = self._barred[source, sink] = (w, g)
+        return rule
+
+    def legs(self, source: str, sink: str,
+             v: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        """The leg rule of a `source`->`sink` demand processed at v, in
+        `barred`'s form. Computed once per triple.
+
+        The unprocessed part w runs source->v and ends where it is
+        processed: it may not enter the source or leave v, and when v is the
+        source it is barred everywhere (flow departs processed). The
+        processed part g runs v->sink: it may not enter v or leave the sink,
+        and when v is the sink it is barred everywhere (flow converts on
+        arrival). With v at the sink, w alone is a plain source->sink flow.
+        """
+        rule = self._legs.get((source, sink, v))
+        if rule is None:
+            w = tuple(v == source or a.head == source or a.tail == v for a in self.arcs)
+            g = tuple(v == sink or a.head == v or a.tail == sink for a in self.arcs)
+            rule = self._legs[source, sink, v] = (w, g)
         return rule
 
     def node_index(self, v: str) -> int:

@@ -354,7 +354,7 @@ def mwu_iterate(state: MWUState):
     bw_limit = min(net.group_capacity[g] / m for g, m in mult.items())
     flow = min(bw_limit, net.capacity(v_star))
 
-    if d.amount is not None and math.isfinite(d.amount):
+    if math.isfinite(d.amount):
         budget = d.amount * scaling_factor(state.epsilon, state.delta)
         remaining = budget - state.placed_raw[i]
         if flow >= remaining - 1e-12:
@@ -422,7 +422,7 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
         "sigma": scaling_factor(config.epsilon, delta), "stopped_by": "demands",
     }
     # the bound prices edges and nodes only; capped demands would need duals
-    uncapped = all(d.amount is None or not math.isfinite(d.amount) for d in demands)
+    uncapped = all(not math.isfinite(d.amount) for d in demands)
     if not demands or all(net.capacity(v) <= 0 for v in net.nodes):
         if uncapped:
             meta["upper_bound"] = 0.0
@@ -457,7 +457,7 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
     demand_load = state.placed_raw
     demand_scale = [scale] * len(demands)
     for i, d in enumerate(demands):
-        if demand_load[i] > 0 and d.amount is not None and math.isfinite(d.amount):
+        if demand_load[i] > 0 and math.isfinite(d.amount):
             if demand_load[i] / scale > d.amount:
                 demand_scale[i] = (demand_load[i] / d.amount) * (1.0 + 1e-12)
 

@@ -1,10 +1,12 @@
 """Route-then-process baseline, in two phases.
 
 Phase 1 (`route_paths`) solves plain max multi-commodity flow (the routing
-LP of `lp.build_routing_lp` at full edge capacity), cancels its cycles and
-splits it into simple paths. It reads only the arcs, their groups and
-capacities and the demands, never node capacity, so its answer holds for
-every processing capacity on one topology: a capacity sweep solves it once.
+LP of `lp.build_routing_lp` at full edge capacity: one `lp.commodity` per
+demand, processed on arrival at its sink), cancels its cycles and splits it
+into simple paths with `decompose.extract_walks`, traced back from the sink.
+It reads only the arcs, their groups and capacities and the demands, never
+node capacity, so its answer holds for every processing capacity on one
+topology: a capacity sweep solves it once.
 Phase 2 (`process_paths`) walks each path in order and assigns processing
 greedily at the first interior vertices that still have capacity left. Flow
 that finds no processing on its own path is discarded; nothing is ever
@@ -16,45 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import DecompositionError, cancel_cycles, subtract
+from .decompose import cancel_cycles, extract_walks
 from .lp import build_routing_lp, solve_lp
-from .model import (
-    SNAP,
-    Demand,
-    FlowNetwork,
-    WalkEntry,
-    WalkFlowSolution,
-)
-
-
-def _paths(net: FlowNetwork, flow: list[float], d: Demand) -> list[tuple[list[str], float]]:
-    """Split one commodity's cycle-free flow into lowest-arc-index paths."""
-    out = []
-    guard = 0
-    while True:
-        u = d.source
-        path = [u]
-        arcs: list[int] = []
-        while u != d.sink:
-            a = next((a for a in net.out_arcs[u] if flow[a] > SNAP), None)
-            if a is None:
-                if u == d.source:
-                    break  # residual source outflow exhausted
-                raise DecompositionError(f"routing flow dead-ends at {u!r}")
-            arcs.append(a)
-            u = net.arcs[a].head
-            path.append(u)
-            if len(arcs) > net.n_arcs:
-                raise DecompositionError("routing flow still contains a cycle")
-        if not arcs:
-            break
-        delta = min(flow[a] for a in arcs)
-        subtract(flow, arcs, delta)
-        out.append((path, delta))
-        guard += 1
-        if guard > net.n_arcs + net.n_nodes:
-            raise DecompositionError("path extraction did not converge")
-    return out
+from .model import SNAP, Demand, FlowNetwork, WalkEntry, WalkFlowSolution
 
 
 @dataclass(frozen=True)
@@ -69,18 +35,21 @@ class Routing:
 
 def route_paths(net: FlowNetwork, demands: list[Demand]) -> Routing:
     """Phase 1: the max-flow routing, split into paths per demand."""
-    res = solve_lp(build_routing_lp(net, demands, net.group_capacity))
+    model = build_routing_lp(net, demands, net.group_capacity)
+    res = solve_lp(model)
     x = res.optimal_x("routing LP").tolist()
 
     paths = []
     routed = 0.0
     for i, d in enumerate(demands):
-        flow = [val if val >= SNAP else 0.0
-                for val in x[i * net.n_arcs:(i + 1) * net.n_arcs]]
-        cancel_cycles(net, flow)
-        for path, amount in _paths(net, flow, d):
-            routed += amount
-            paths.append((i, tuple(path), amount))
+        w = [x[j] if x[j] >= SNAP else 0.0 for j in model.info["w"][i]]
+        cancel_cycles(net, w)
+        # the sink's inflow after snapping, so that it matches w exactly
+        inflow = sum(w[a] for a in net.in_arcs[d.sink])
+        entries, _ = extract_walks(net, d, i, w, [0.0] * net.n_arcs, {d.sink: inflow})
+        for e in entries:
+            routed += e.flow
+            paths.append((i, e.nodes, e.flow))
     return Routing(paths, routed, res.iterations)
 
 

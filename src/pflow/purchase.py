@@ -12,9 +12,10 @@ single LP, its final routing.
 Each unit is routed as a two-leg itinerary through its chosen processing
 vertex v, an unprocessed leg source->v and a processed leg v->sink: per
 (demand, candidate) pair, the edge LP's split flow (`lp.commodity`, w then
-g, with p only at v) under the pair's own bar lists. Unlike the
-fixed-capacity world, processing at the source or sink itself is
-legitimate here (the itinerary then has a single leg).
+g, with p only at v) under the pair's leg rule, `FlowNetwork.legs`. Unlike
+the fixed-capacity world, processing at the source or sink itself is
+legitimate here (the itinerary then has a single leg). The greedy's final
+routing is the routing LP, the same leg rule with v at each demand's sink.
 """
 
 from __future__ import annotations
@@ -95,14 +96,12 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
 
     Variables: x(v) in [0,1] per candidate, plus one `lp.commodity` per
     (demand i, open candidate v): w and g columns per arc and a single p
-    column, at v. Its bar lists are the pair's leg rule: w may not enter
-    the source or leave v, so the unprocessed leg runs source->v and ends
-    where it is processed; g may not enter v or leave the sink, so the
-    processed leg runs v->sink. A candidate at the demand's source bars w
-    from every arc (flow departs processed), one at its sink bars g from
-    every arc (flow converts on arrival). Cover-style reductions lean on
-    these endpoint candidates, so they are first-class here. p(i, v) is
-    both what the pair delivers and the processing it uses at v.
+    column, at v. Its bar lists are the pair's leg rule,
+    `FlowNetwork.legs`: the unprocessed leg runs source->v and the
+    processed leg v->sink, and a candidate at the demand's source or sink
+    leaves a single leg. Cover-style reductions lean on these endpoint
+    candidates, so they are first-class here. p(i, v) is both what the
+    pair delivers and the processing it uses at v.
 
     Coupling: per demand, Σ_v p(i, v) >= R_i (min) or <= R_i (budgeted), and
     p(i, v) <= R_i x(v); per candidate, Σ_i p(i, v) <= C(v)x(v) and the flow
@@ -136,17 +135,13 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
         xvar[v] = m.add_var(lo, hi)
     opened = [v for v in cands if fix is None or fix.get(v, 0.0) != 0.0]
 
-    everywhere = (True,) * net.n_arcs
     wvar: dict[tuple[int, str], list[int]] = {}
     gvar: dict[tuple[int, str], list[int]] = {}
     pvar: dict[tuple[int, str], int] = {}
     for i, d in enumerate(inst.demands):
         for v in opened:
-            wbar = everywhere if v == d.source else \
-                [a.head == d.source or a.tail == v for a in net.arcs]
-            gbar = everywhere if v == d.sink else \
-                [a.head == v or a.tail == d.sink for a in net.arcs]
-            wvar[i, v], gvar[i, v], p = commodity(m, net, d, wbar, gbar, {v: math.inf})
+            wvar[i, v], gvar[i, v], p = commodity(m, net, d, *net.legs(d.source, d.sink, v),
+                                                  {v: math.inf})
             pvar[i, v] = p[v]
 
     sense = ">=" if mode == "min" else "<="
@@ -659,20 +654,15 @@ def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
     _, proc_load = oracle.evaluate(chosen)
 
     # routing half: one commodity per demand over B/2, total throttled by
-    # what the detour can process
+    # what the detour can process; a demand delivers its p
     net = inst.net
     m = build_routing_lp(net, inst.demands, [c / 2.0 for c in net.group_capacity])
     m.add_constraint(list(m.objective.items()), "<=", proc_value)
     x = solve_lp(m).optimal_x("routing LP").tolist()
 
     n = len(inst.demands)
-    flow, delivered = [], []
-    for i, d in enumerate(inst.demands):
-        f = x[i * net.n_arcs:(i + 1) * net.n_arcs]
-        flow.append({a: val for a, val in enumerate(f) if val > SNAP})
-        out = sum(f[a] for a in net.out_arcs[d.source])
-        inc = sum(f[a] for a in net.in_arcs[d.source])
-        delivered.append(max(0.0, out - inc))
+    flow = [_leg_values(w, x) for w in m.info["w"]]
+    delivered = [max(0.0, x[j]) for j in m.info["p"]]
     served_total = sum(delivered)
 
     # attribute processing to demands pro rata; the detour legs live on the

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 import pflow.lp
+from pflow.generators import gen_random_instance
 from pflow.lp import LPModel, LPResult, solve_lp
 from pflow.model import Demand, FlowNetwork, PurchaseInstance, ResourceLimitError
 
@@ -387,6 +389,49 @@ def _balance(net: FlowNetwork, var, v: str) -> list[tuple[int, float]]:
     """Inflow minus outflow at node v of the per-arc columns `var[a]`."""
     return ([(var[a], 1.0) for a in net.in_arcs[v]]
             + [(var[a], -1.0) for a in net.out_arcs[v]])
+
+
+def mixed_routing_instances():
+    """Seeded routing instances, directed and undirected, whose demands mix
+    capped and uncapped amounts."""
+    rng = random.Random(1515)
+    for seed in range(12):
+        inst = gen_random_instance(rng.randint(4, 9), 0.45, n_demands=rng.randint(1, 4),
+                                   seed=seed, directed=seed % 2 == 0)
+        demands = [Demand(d.source, d.sink, rng.choice([math.inf, float(rng.randint(1, 6))]))
+                   for d in inst.demands]
+        yield inst.net, demands
+
+
+def net_outflow_routing_lp(net: FlowNetwork, demands: list[Demand],
+                           group_cap) -> LPModel:
+    """Plain multicommodity max flow, blind to processing: the reference for
+    `pflow.lp.build_routing_lp`, which must reach the same optimum.
+
+    Column i * n_arcs + a is demand i's flow on arc a. Flow is conserved away
+    from each demand's endpoints, a finite amount caps the demand's net
+    source outflow, each bandwidth group g carries at most group_cap[g] over
+    all demands, and the objective is the total net source outflow.
+    """
+    m = LPModel("route", sense="max")
+    for _ in range(len(demands) * net.n_arcs):
+        m.add_var()
+    obj: dict[int, float] = {}
+    for i, d in enumerate(demands):
+        fvar = range(i * net.n_arcs, (i + 1) * net.n_arcs)
+        for v in net.nodes:
+            if v != d.source and v != d.sink:
+                m.add_constraint(_balance(net, fvar, v), "==", 0.0)
+        net_out = [(j, -coef) for j, coef in _balance(net, fvar, d.source)]
+        if math.isfinite(d.amount):
+            m.add_constraint(net_out, "<=", d.amount)
+        for j, coef in net_out:
+            obj[j] = obj.get(j, 0.0) + coef
+    for g, arcs in enumerate(net.groups):
+        m.add_constraint([(i * net.n_arcs + a, 1.0) for i in range(len(demands))
+                          for a in arcs], "<=", group_cap[g])
+    m.set_objective(obj)
+    return m
 
 
 def arc_leg_purchase_lp(inst: PurchaseInstance, mode: str = "min",

@@ -372,6 +372,13 @@ class TestCompare:
         assert run("compare", "--input", line_pf, "--sweep", "3:0:1",
                    "-o", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("sweep", ["-1:0:1", "0:1:inf"])
+    def test_invalid_capacity_grid_rejected(self, line_pf, tmp_path, sweep):
+        # a negative capacity or an infinite step exits 2 before any solve
+        assert run("compare", "--input", line_pf, f"--sweep={sweep}",
+                   "-o", tmp_path / "x.csv") == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_alg_rejected(self, line_pf, tmp_path):
         assert run("compare", "--input", line_pf, "--sweep", "0:3:1",
                    "--algs", "lp,zz", "-o", tmp_path / "x.csv") == 2

@@ -35,8 +35,15 @@ def test_grid_float_accumulation_hits_top():
     dict(lo=0.0, hi=1.0, step=0.5, dist="most"),
     dict(lo=0.0, hi=1.0, step=0.5, repetitions=0),
     dict(lo=math.nan, hi=1.0, step=0.5),
+    # a capacity grid point must be a valid node capacity: finite, >= 0
+    dict(lo=0.0, hi=math.inf, step=1.0),
+    dict(lo=-math.inf, hi=0.0, step=1.0),
+    dict(lo=-1.0, hi=0.0, step=1.0),
+    dict(lo=0.0, hi=1.0, step=math.inf),
+    dict(lo=0.0, hi=1.0, step=math.nan),
 ])
 def test_spec_validation(kwargs):
+    # construction alone must raise: grid() would never end on some of these
     with pytest.raises(StructuralError):
         SweepSpec(**kwargs)
 

@@ -14,7 +14,8 @@ from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                          verify_walk_solution)
 from pflow.purchase import build_purchase_lp
 
-from oracles import solve_lp_linprog, walk_lp_optimum
+from oracles import (mixed_routing_instances, net_outflow_routing_lp, solve_lp_linprog,
+                     walk_lp_optimum)
 
 
 def test_mandatory_relay_caps_throughput(inst_line):
@@ -188,6 +189,22 @@ def _routing_models():
     for seed in range(3):
         inst = gen_random_instance(7, 0.5, n_demands=3, seed=seed, directed=seed % 2 == 0)
         yield build_routing_lp(inst.net, inst.demands, inst.net.group_capacity)
+
+
+@pytest.mark.parametrize("halved", [False, True], ids=["full", "halved"])
+def test_routing_lp_matches_the_net_outflow_reference(halved):
+    # unlike the reference, the commodity routing LP never routes into the
+    # source or out of the sink: same optimum, at full bandwidth and at the
+    # B/2 the purchase greedy routes over
+    kinds = set()
+    for net, demands in mixed_routing_instances():
+        cap = [c / 2.0 if halved else c for c in net.group_capacity]
+        got = solve_lp(build_routing_lp(net, demands, cap))
+        want = solve_lp(net_outflow_routing_lp(net, demands, cap))
+        assert got.status == want.status == "optimal"
+        assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+        kinds |= {(net.directed, math.isfinite(d.amount)) for d in demands}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _purchase_models(mode, fixed):

@@ -183,6 +183,26 @@ def test_barred_arcs_follow_the_processing_rule():
     assert net.barred("s", "t") is net.barred("s", "t")
 
 
+@pytest.mark.parametrize("v, want_w, want_g", [
+    # interior: w runs s->a and g a->t, each free to pass the other endpoint
+    ("a", {("a", "s"), ("a", "t"), ("t", "s")}, {("s", "a"), ("t", "a"), ("t", "s")}),
+    # at the source: no unprocessed leg, g leaves s and never re-enters it
+    ("s", "all", {("a", "s"), ("t", "a"), ("t", "s")}),
+    # at the sink: no processed leg, w reaches t and never leaves it
+    ("t", {("a", "s"), ("t", "a"), ("t", "s")}, "all"),
+])
+def test_legs_follow_the_leg_rule(v, want_w, want_g):
+    net = FlowNetwork("sat", [("s", "a", 1.0), ("a", "s", 1.0), ("a", "t", 1.0),
+                              ("t", "a", 1.0), ("s", "t", 1.0), ("t", "s", 1.0)])
+    arcs = {(a.tail, a.head) for a in net.arcs}
+    w, g = net.legs("s", "t", v)
+    assert {(a.tail, a.head) for a, b in zip(net.arcs, w) if b} == \
+        (arcs if want_w == "all" else want_w)
+    assert {(a.tail, a.head) for a, b in zip(net.arcs, g) if b} == \
+        (arcs if want_g == "all" else want_g)
+    assert net.legs("s", "t", v) is net.legs("s", "t", v)
+
+
 _RULE_NET = FlowNetwork("sat", [("s", "a", 9.0), ("a", "s", 9.0), ("a", "t", 9.0),
                                 ("t", "a", 9.0)], {"a": 9.0, "t": 9.0})
 _ARC = _RULE_NET.arc_index

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from pflow.lp import solve_edge_lp
-from pflow.model import Demand, FlowNetwork, verify_walk_solution
-from pflow.naive import naive_solve
+from pflow.lp import solve_edge_lp, solve_lp
+from pflow.model import Demand, FlowNetwork, feas_slack, verify_walk_solution
+from pflow.naive import naive_solve, route_paths
+
+from oracles import mixed_routing_instances, net_outflow_routing_lp
 
 
 def test_line(inst_line):
@@ -86,3 +88,25 @@ def test_zero_capacity_graph():
     sol = naive_solve(net, [Demand("s", "t", math.inf)])
     assert sol.objective == 0.0
     assert sol.meta["routed"] == pytest.approx(5.0)
+
+
+def test_routed_paths_are_simple_and_add_up_to_the_routing_optimum():
+    directed = set()
+    for net, demands in mixed_routing_instances():
+        routing = route_paths(net, demands)
+        per_demand = [0.0] * len(demands)
+        for i, path, amount in routing.paths:
+            d = demands[i]
+            assert path[0] == d.source and path[-1] == d.sink, path
+            assert d.source not in path[1:] and d.sink not in path[:-1], path
+            assert len(set(path)) == len(path), path
+            assert all((u, v) in net.arc_index for u, v in zip(path, path[1:])), path
+            assert amount > 0.0
+            per_demand[i] += amount
+        for d, got in zip(demands, per_demand):
+            assert got <= d.amount + feas_slack(d.amount)
+        assert sum(per_demand) == pytest.approx(routing.routed, rel=1e-12)
+        want = solve_lp(net_outflow_routing_lp(net, demands, net.group_capacity)).objective
+        assert abs(routing.routed - want) <= 1e-9 * max(1.0, want)
+        directed.add(net.directed)
+    assert directed == {True, False}
