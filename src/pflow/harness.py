@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .lp import LoadedLP, Objective, build_edge_lp, edge_lp_solution, solve_edge_lp
+from .lp import Objective, solve_edge_lp, solve_walk_master
 from .model import Demand, FlowNetwork, StructuralError
 from .mwu import MWUConfig, mwu_solve
 from .naive import naive_solve, process_paths, route_paths
@@ -63,11 +63,10 @@ class RunRecord:
     algorithm: str
     objective: float     # nan when the solver errored
     wall_time: float     # seconds of solver work done for this record; naive's
-                         # shared routing and lp's one LP build count in the
-                         # sweep's first naive and lp record
-    iterations: int      # lp: simplex iterations of this record's own solve,
-                         # from the previous grid point's basis; naive: the
-                         # sweep's one routing LP's, on every record; mwu: rounds
+                         # shared routing counts in the sweep's first naive record
+    iterations: int      # lp: simplex iterations of this record's walk master,
+                         # seeded with the previous grid point's columns; naive:
+                         # the sweep's one routing LP's, on every record; mwu: rounds
     feasible: bool
     error: str | None = None
 
@@ -95,9 +94,10 @@ def run_solver(alg: str, net: FlowNetwork, demands: list[Demand],
     """The solver dispatch behind `pflow solve`. `compare_runs` calls it for
     mwu only: it runs lp and naive itself, to share work across grid points.
 
-    lp returns its edge flows (an EdgeFlowSolution, not yet decomposed);
-    mwu, with accuracy `epsilon`, and naive return walks. Only lp takes an
-    objective other than the default.
+    lp returns its edge flows (an EdgeFlowSolution, not yet decomposed):
+    under max total flow the walk master's, summed over its walks, and
+    otherwise the edge LP's. mwu, with accuracy `epsilon`, and naive return
+    walks. Only lp takes an objective other than the default.
     """
     if alg == "lp":
         return solve_edge_lp(net, demands, objective)[0]
@@ -120,14 +120,14 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     phase against its grid point's capacities. If the routing fails, every
     naive record carries its error.
 
-    lp's edge LP differs between grid points only in the right-hand sides of
-    its node-capacity rows, so it is built and loaded once, inside the timer
-    of the first lp record. Each later grid point sets those right-hand sides
-    and solves from the optimal basis of the previous grid point (the last
-    optimal one, if a point failed); the first point solves cold, and every
-    repetition of a point starts from the same basis. An lp record's
-    iterations are those of its own warm-started solve, and its objective
-    equals a fresh solve_edge_lp of its grid point to rounding.
+    lp solves each grid point with a fresh walk master (`solve_walk_master`):
+    a walk stays valid when only node capacities change, so each later
+    point's master starts with the columns the previous point's ended with
+    (the last optimal point's, if a point failed). The first point starts
+    empty, exactly as a fresh solve_edge_lp does, and every repetition of a
+    point starts from the same columns. An lp record's iterations are those
+    of its own master, and its objective equals a fresh solve_edge_lp of its
+    grid point to rounding.
     """
     algs = list(algorithms)
     for a in algs:
@@ -137,22 +137,13 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     half = half_subset(net, sweep.seed) if sweep.dist == "half" else []
     records: list[RunRecord] = []
     routing = None  # naive's phase 1 once solved, or the exception it raised
-    edge = None     # lp's edge LP once built: the model and its LoadedLP
-    start = basis = None  # optimal bases: the previous grid point's, the latest
+    start = ended = ()  # master columns: the previous grid point's, the latest
 
     def solve(alg: str, capped: FlowNetwork):
-        nonlocal routing, edge, basis
+        nonlocal routing, ended
         if alg == "lp":
-            if edge is None:
-                model = build_edge_lp(capped, demands)
-                edge = model, LoadedLP(model)
-            model, loaded = edge
-            for v, k in model.info["node_rows"].items():
-                loaded.set_rhs(k, capped.node_capacity[v])
-            res = loaded.solve(start)
-            if res.status == "optimal":
-                basis = res.basis
-            return edge_lp_solution(model, res, capped, demands)
+            sol, _, ended = solve_walk_master(capped, demands, start)
+            return sol
         if alg != "naive":
             return run_solver(alg, capped, demands, epsilon)
         if routing is None:
@@ -166,7 +157,7 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
 
     for c in sweep.grid():
         capped = _capacitate(net, c, sweep.dist, half)
-        start = basis
+        start = ended
         for rep in range(1, sweep.repetitions + 1):
             rep_tag = f"/r{rep}" if sweep.repetitions > 1 else ""
             inst_id = f"cap={c:g}/{sweep.dist}{rep_tag}"

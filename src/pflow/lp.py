@@ -1,12 +1,9 @@
-"""Linear programs over flow networks: model container, solver, edge and
-routing formulations.
+"""Linear programs over flow networks: model container, solver, the walk
+master, edge and routing formulations.
 
 An LPModel is plain arrays: columns and rows are added by index and carry no
-names, and solve_lp returns the column values as an array read by index.
-A LoadedLP is an LPModel loaded once into HiGHS's form: it re-solves after
-`set_rhs` changes right-hand sides, optionally starting from the optimal
-basis of an earlier solve, which is how a capacity sweep solves its grid
-points. solve_lp is a LoadedLP solved once, cold.
+names, and solve_lp solves one by HiGHS's primal simplex and returns the
+column values as an array read by index.
 `commodity` adds one demand's split flow (below) with its balance rows; the
 edge LP, the routing LP and the purchase module's LP are all built from it,
 each under its own bar lists. `balance` writes the flow-conservation terms.
@@ -21,23 +18,33 @@ states in the model module, which the walk oracle and both verifiers read
 too: flow leaves the source unprocessed, reaches the sink processed, and
 never enters the source or leaves the sink. An arc's load is w + g, and the
 delivered value of a demand is its source outflow.
+
+Max total flow is solved over the 2-walks instead, by column generation
+(`solve_walk_master`): a master LP over the walks found so far, priced by
+the MWU walk oracle under the master's row duals, so that only walks that
+can raise the flow are ever built. Its edge flows are the sum of its walks,
+so `solve_edge_lp` returns them as the arc formulation would. The arc
+formulation serves the congestion objectives, MPS export and the tests'
+reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
 try:  # the HiGHS binding scipy vendors as highspy's `_core` since 1.15
-    from scipy.optimize._highspy._core import (HighsBasis, HighsLp, HighsModelStatus,
-                                               HighsStatus, MatrixFormat, _Highs)
+    from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
+                                               MatrixFormat, _Highs)
 except ImportError as exc:
     raise ImportError("pflow needs scipy>=1.15: solve_lp calls the HiGHS binding "
                       "scipy.optimize._highspy._core") from exc
 
+from . import mwu
 from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     ResourceLimitError)
 
@@ -46,12 +53,15 @@ MAXITER = 200_000
 _SENSES = ("<=", ">=", "==")
 
 # every pflow LP is small and its max-total-flow LPs are feasible at x = 0:
-# presolve costs more than it saves there, and a cold solve runs primal
-# simplex (strategy 4) from that feasible all-slack basis; a warm solve from
-# an optimal basis whose right-hand sides moved runs dual simplex (1), as that
-# basis is still dual feasible. threads stays HiGHS's default
-_OPTIONS = {"solver": "simplex", "presolve": "off", "output_flag": False}
-_COLD, _WARM = 4, 1
+# presolve costs more than it saves there, and a solve runs primal simplex
+# (strategy 4) from that feasible all-slack basis. The walk master stays
+# primal feasible as columns arrive, so it re-solves by primal simplex from
+# its current basis. threads stays HiGHS's default
+_OPTIONS = {"solver": "simplex", "presolve": "off", "output_flag": False,
+            "simplex_strategy": 4}
+_STATUS = {HighsModelStatus.kOptimal: "optimal",
+           HighsModelStatus.kInfeasible: "infeasible",
+           HighsModelStatus.kUnbounded: "unbounded"}
 
 
 class LPModel:
@@ -109,7 +119,6 @@ class LPResult:
     x: np.ndarray | None  # column values, indexed like the model's columns
     objective: float
     iterations: int = 0
-    basis: HighsBasis | None = None  # HiGHS's final basis of an optimal solve
 
     def optimal_x(self, what: str, infeasible: str = "") -> np.ndarray:
         """`x` of an optimal solve, or the error this status maps to:
@@ -122,141 +131,102 @@ class LPResult:
         return self.x
 
 
-class LoadedLP:
-    """An LPModel in the form HiGHS takes, built once and solved on demand.
+def _highs() -> _Highs:
+    highs = _Highs()
+    for key, val in _OPTIONS.items():
+        highs.setOptionValue(key, val)
+    return highs
+
+
+def _run(highs: _Highs, limit: int) -> tuple[str, int]:
+    """Run HiGHS with at most `limit` simplex iterations; its status as
+    LPResult names it, and the iterations taken. Raises ResourceLimitError
+    once the limit is reached, or if HiGHS ends in any other state."""
+    highs.setOptionValue("simplex_iteration_limit", limit)
+    highs.run()
+    status = highs.getModelStatus()
+    if status in (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit):
+        raise ResourceLimitError(f"simplex iteration limit {MAXITER} exhausted")
+    if status not in _STATUS:
+        raise ResourceLimitError(
+            f"solver failed: HiGHS status {highs.modelStatusToString(status)!r}")
+    return _STATUS[status], int(highs.getInfo().simplex_iteration_count)
+
+
+def solve_lp(model: LPModel) -> LPResult:
+    """Solve once by HiGHS's primal simplex without presolve, from the
+    all-slack basis; desk-scale models only.
 
     HiGHS gets the rows in model order, each with the bounds its sense
     gives, and a minimized objective. Columns fixed at lo = hi = 0 (the
     edge LP's barred arcs, for one) stay out of it; `x` has them back at 0.
-    `set_rhs` changes one model row's right-hand side in place, so LPs that
-    differ only there share one build. Every `solve` runs a fresh HiGHS
-    instance, started from `basis` when one is given, so its result depends
-    only on the loaded LP and that basis.
-
     Raises ValueError on a non-finite objective or matrix coefficient or
-    rhs, or a NaN column bound.
+    rhs, or a NaN column bound, and ResourceLimitError if the iteration
+    budget is exhausted or HiGHS ends in any other state.
     """
+    n = model.n_vars
+    rhs = np.asarray(model.rhs, dtype=float)
+    coefs = np.asarray(model.coefs, dtype=float)
+    lo = np.asarray(model.lo, dtype=float)
+    hi = np.asarray(model.hi, dtype=float)
+    c = np.zeros(n)
+    for j, coef in model.objective.items():
+        c[j] = coef
+    for what, vals in (("objective coefficient", c), ("matrix coefficient", coefs),
+                       ("rhs", rhs)):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"LP {model.name!r} has a non-finite {what}")
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError(f"LP {model.name!r} has a NaN column bound")
+    # the binding copies a list into HiGHS's vectors faster than a numpy array
+    bounds = list(zip(model.senses, rhs.tolist()))
+    lower = [-math.inf if s == "<=" else r for s, r in bounds]
+    upper = [math.inf if s == ">=" else r for s, r in bounds]
+    keep = np.flatnonzero((lo != 0.0) | (hi != 0.0))  # the columns HiGHS gets
+    if keep.size == 0:
+        # every row reads 0, so the model is feasible iff each row holds at 0
+        if all(lb <= 0.0 <= ub for lb, ub in zip(lower, upper)):
+            return LPResult("optimal", np.zeros(n), 0.0, 0)
+        return LPResult("infeasible", None, math.nan, 0)
+    if model.sense == "max":
+        c = -c
 
-    def __init__(self, model: LPModel):
-        n = model.n_vars
-        rhs = np.asarray(model.rhs, dtype=float)
-        coefs = np.asarray(model.coefs, dtype=float)
-        lo = np.asarray(model.lo, dtype=float)
-        hi = np.asarray(model.hi, dtype=float)
-        c = np.zeros(n)
-        for j, coef in model.objective.items():
-            c[j] = coef
-        for what, vals in (("objective coefficient", c), ("matrix coefficient", coefs),
-                           ("rhs", rhs)):
-            if not np.isfinite(vals).all():
-                raise ValueError(f"LP {model.name!r} has a non-finite {what}")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ValueError(f"LP {model.name!r} has a NaN column bound")
-        self.name = model.name
-        self.sense = model.sense
-        self._n = n
-        self._senses = list(model.senses)
-        # the binding copies a list into HiGHS's vectors faster than a numpy
-        # array, and hands the vectors back as copies, so the row bounds are
-        # kept here as lists and passed again whenever one changes
-        bounds = list(zip(model.senses, rhs.tolist()))
-        self._lower = [-math.inf if s == "<=" else r for s, r in bounds]
-        self._upper = [math.inf if s == ">=" else r for s, r in bounds]
-        self._cols = np.flatnonzero((lo != 0.0) | (hi != 0.0))  # the columns HiGHS gets
-        self._lp = None
-        if self._cols.size == 0:
-            return
-        if model.sense == "max":
-            c = -c
+    # model column j is HiGHS column new[j]; entries in dropped columns go
+    new = np.full(n, -1, dtype=np.intp)
+    new[keep] = np.arange(keep.size)
+    cols = new[np.asarray(model.cols, dtype=np.intp)]
+    kept = cols >= 0
+    A = csc_matrix((coefs[kept], (np.asarray(model.rows, dtype=np.intp)[kept],
+                                  cols[kept])),
+                   shape=(model.n_rows, keep.size))
 
-        # model column j is HiGHS column new[j]; entries in dropped columns go
-        new = np.full(n, -1, dtype=np.intp)
-        new[self._cols] = np.arange(self._cols.size)
-        cols = new[np.asarray(model.cols, dtype=np.intp)]
-        kept = cols >= 0
-        A = csc_matrix((coefs[kept], (np.asarray(model.rows, dtype=np.intp)[kept],
-                                      cols[kept])),
-                       shape=(model.n_rows, self._cols.size))
-
-        lp = HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = self._cols.size
-        lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
-        lp.a_matrix_.format_ = MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr.tolist()
-        lp.a_matrix_.index_ = A.indices.tolist()
-        lp.a_matrix_.value_ = A.data.tolist()
-        lp.col_cost_ = c[self._cols].tolist()
-        lp.col_lower_ = lo[self._cols].tolist()
-        lp.col_upper_ = hi[self._cols].tolist()
-        lp.row_lower_ = self._lower
-        lp.row_upper_ = self._upper
-        self._lp = lp
-
-    def set_rhs(self, k: int, value: float) -> None:
-        """Make `value` the right-hand side of model row k."""
-        if not math.isfinite(value):
-            raise ValueError(f"LP {self.name!r} has a non-finite rhs")
-        sense = self._senses[k]
-        if sense != "<=":
-            self._lower[k] = value
-            if self._lp is not None:
-                self._lp.row_lower_ = self._lower
-        if sense != ">=":
-            self._upper[k] = value
-            if self._lp is not None:
-                self._lp.row_upper_ = self._upper
-
-    def solve(self, basis: HighsBasis | None = None) -> LPResult:
-        """Solve without presolve: cold by primal simplex, or by dual simplex
-        from `basis` (a basis of an earlier optimal solve of this LP). Raises
-        ResourceLimitError if the iteration budget is exhausted or HiGHS ends
-        in any other state.
-        """
-        if self._lp is None:
-            # every row reads 0, so the model is feasible iff each row holds at 0
-            if all(lo <= 0.0 <= hi for lo, hi in zip(self._lower, self._upper)):
-                return LPResult("optimal", np.zeros(self._n), 0.0, 0)
-            return LPResult("infeasible", None, math.nan, 0)
-        highs = _Highs()
-        for key, val in _OPTIONS.items():
-            highs.setOptionValue(key, val)
-        highs.setOptionValue("simplex_strategy", _COLD if basis is None else _WARM)
-        highs.setOptionValue("simplex_iteration_limit", MAXITER)
-        if highs.passModel(self._lp) == HighsStatus.kError:
-            # a model HiGHS cannot load, e.g. with a lower bound of inf, has no
-            # feasible point
-            return LPResult("infeasible", None, math.nan, 0)
-        if basis is not None and highs.setBasis(basis) == HighsStatus.kError:
-            raise ValueError(f"basis does not fit LP {self.name!r}")
-        highs.run()
-        status = highs.getModelStatus()
-        info = highs.getInfo()
-        nit = int(info.simplex_iteration_count)
-        if status == HighsModelStatus.kOptimal:
-            obj = float(info.objective_function_value)
-            x = np.zeros(self._n)
-            x[self._cols] = highs.getSolution().col_value
-            return LPResult("optimal", x, -obj if self.sense == "max" else obj, nit,
-                            highs.getBasis())
-        if status in (HighsModelStatus.kIterationLimit, HighsModelStatus.kTimeLimit):
-            raise ResourceLimitError(f"simplex iteration limit {MAXITER} exhausted")
-        if status == HighsModelStatus.kInfeasible:
-            return LPResult("infeasible", None, math.nan, nit)
-        if status == HighsModelStatus.kUnbounded:
-            return LPResult("unbounded", None,
-                            math.inf if self.sense == "max" else -math.inf, nit)
-        raise ResourceLimitError(
-            f"solver failed: HiGHS status {highs.modelStatusToString(status)!r}")
-
-
-def solve_lp(model: LPModel) -> LPResult:
-    """Solve once, cold, by HiGHS's primal simplex without presolve;
-    desk-scale models only.
-
-    Every LP in pflow reaches HiGHS through here or a LoadedLP, whose
-    checks and errors it shares.
-    """
-    return LoadedLP(model).solve()
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = keep.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr.tolist()
+    lp.a_matrix_.index_ = A.indices.tolist()
+    lp.a_matrix_.value_ = A.data.tolist()
+    lp.col_cost_ = c[keep].tolist()
+    lp.col_lower_ = lo[keep].tolist()
+    lp.col_upper_ = hi[keep].tolist()
+    lp.row_lower_ = lower
+    lp.row_upper_ = upper
+    highs = _highs()
+    if highs.passModel(lp) == HighsStatus.kError:
+        # a model HiGHS cannot load, e.g. with a lower bound of inf, has no
+        # feasible point
+        return LPResult("infeasible", None, math.nan, 0)
+    status, nit = _run(highs, MAXITER)
+    if status == "optimal":
+        obj = float(highs.getInfo().objective_function_value)
+        x = np.zeros(n)
+        x[keep] = highs.getSolution().col_value
+        return LPResult("optimal", x, -obj if model.sense == "max" else obj, nit)
+    if status == "infeasible":
+        return LPResult("infeasible", None, math.nan, nit)
+    return LPResult("unbounded", None, math.inf if model.sense == "max" else -math.inf,
+                    nit)
 
 
 def balance(net: FlowNetwork, var, v: str, sign: float = 1.0) -> list[tuple[int, float]]:
@@ -401,14 +371,13 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
             else:
                 for j, c in coeffs:
                     weighted_obj[j] = weighted_obj.get(j, 0.0) + ew.get(g, 1.0) * c / cap
-    node_rows: dict[str, int] = {}
     for v in net.nodes:
         cap = net.node_capacity[v]
         coeffs = [(p[v], 1.0) for p in pvar if v in p]
         if not coeffs:
             continue
         if kind == "max-total-flow":
-            node_rows[v] = m.add_constraint(coeffs, "<=", cap)
+            m.add_constraint(coeffs, "<=", cap)
         elif cap > 0:
             if theta is not None:
                 m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
@@ -426,10 +395,7 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     else:
         m.set_objective(weighted_obj)
 
-    # node_rows: the row whose rhs is node v's capacity, under max-total-flow
-    # (a node that only sources demands processes nothing and has no row)
-    m.info = {"w": wvar, "g": gvar, "p": pvar, "theta": theta, "kind": kind,
-              "node_rows": node_rows}
+    m.info = {"w": wvar, "g": gvar, "p": pvar, "theta": theta, "kind": kind}
     return m
 
 
@@ -479,23 +445,144 @@ def _peak_ratio(net: FlowNetwork, sol: EdgeFlowSolution) -> float:
     return max(ratios, default=0.0)
 
 
+# a walk prices into the master when its reduced cost exceeds this
+_PRICE_TOL = 1e-9
+
+# a master column: (demand index, arc indices of its 2-walk, leg-1 length);
+# the first leg-1-length arcs carry the flow unprocessed to the processing
+# vertex, the head of the last of them
+Column = tuple[int, tuple[int, ...], int]
+
+
+def solve_walk_master(net: FlowNetwork, demands: list[Demand],
+                      columns: Sequence[Column] = ()
+                      ) -> tuple[EdgeFlowSolution, LPResult, list[Column]]:
+    """Max total flow over processed 2-walks, by column generation.
+
+    The master LP has one row per demand (at most its amount), one per
+    bandwidth group (at most its capacity) and one per node (at most C_v),
+    and one column per (demand, 2-walk, processing vertex) it has priced
+    in, worth 1 per unit: 1 on its demand and node rows, and on each group
+    row the number of times the walk uses an arc of that group. It starts
+    with `columns`. Each round negates the master's row duals, clamped at
+    0, into demand prices σ_i, group prices y_g and node prices z_v, and
+    asks the walk oracle (`mwu.shortest_processing_2walk`) for each
+    demand's cheapest 2-walk under arc costs y_g (inf on a group of
+    capacity 0) and node costs z_v (nodes with C_v = 0 cannot process).
+    A walk whose reduced cost 1 - σ_i - cost exceeds 1e-9 and that is not a
+    column yet joins the master, which HiGHS then re-solves by primal
+    simplex from its current basis; the rounds stop when none joins, which
+    they must, as no walk joins twice. The master's solves share the
+    MAXITER budget.
+
+    Returns the edge flows, the LPResult (its `x` indexed like the columns)
+    and the columns the master ended with. The edge flows sum the columns
+    with positive flow: arcs before the processing vertex carry it as
+    unprocessed flow, the arcs after it as processed flow. meta holds the
+    master's objective and simplex iterations, the rounds and columns, the
+    dual bound Σ R_i σ_i (finite R_i) + Σ B_g y_g + Σ C_v z_v under the
+    final prices, and the largest reduced cost the final round saw (-inf
+    when no demand has a walk). Raises ResourceLimitError when the budget
+    runs out or the master ends other than optimal.
+    """
+    k, caps = len(demands), net.group_capacity
+    node_row = {v: k + len(caps) + j for j, v in enumerate(net.nodes)}
+    upper = ([d.amount for d in demands] + list(caps)
+             + [net.node_capacity[v] for v in net.nodes])
+    lp = HighsLp()  # no columns yet
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
+    lp.row_lower_ = [-math.inf] * len(upper)
+    lp.row_upper_ = upper
+    highs = _highs()
+    highs.passModel(lp)
+
+    cols: list[Column] = []
+    known: set[Column] = set()
+    price = [0.0] * len(upper)  # the empty master's duals
+    batch = list(columns)
+    used = rounds = 0
+    objective = 0.0
+    while True:
+        if batch:
+            starts, index, value = [], [], []
+            for i, arcs, split in batch:
+                starts.append(len(index))
+                mult: dict[int, int] = {}
+                for a in arcs:
+                    row = k + net.arcs[a].group
+                    mult[row] = mult.get(row, 0) + 1
+                index += [i, node_row[net.arcs[arcs[split - 1]].head], *mult]
+                value += [1.0, 1.0, *mult.values()]
+            n = len(batch)
+            highs.addCols(n, np.full(n, -1.0), np.zeros(n), np.full(n, math.inf),
+                          len(index), np.array(starts, dtype=np.int32),
+                          np.array(index, dtype=np.int32), np.array(value))
+            cols += batch
+            known.update(batch)
+            status, nit = _run(highs, MAXITER - used)
+            used += nit
+            if status != "optimal":
+                raise ResourceLimitError(f"walk master ended {status}")
+            objective = -float(highs.getInfo().objective_function_value)
+            price = [max(0.0, -y) for y in highs.getSolution().row_dual]
+        rounds += 1
+        arc_cost = [price[k + a.group] if caps[a.group] > 0 else math.inf
+                    for a in net.arcs]
+        node_cost = {v: price[row] for v, row in node_row.items()
+                     if net.node_capacity[v] > 0}
+        batch = []
+        reduced = -math.inf
+        for i, d in enumerate(demands):
+            walks = mwu.shortest_processing_2walk(net, arc_cost, node_cost,
+                                                  d.source, d.sink)
+            gain = 1.0 - price[i] - walks.cost_to(d.sink)
+            reduced = max(reduced, gain)
+            if gain > _PRICE_TOL:
+                _, _, arcs, split = walks.walk_to(d.sink)
+                if (i, arcs, split) not in known:
+                    batch.append((i, arcs, split))
+        if not batch:
+            break
+
+    x = np.asarray(highs.getSolution().col_value)
+    flow: list[dict[int, float]] = [{} for _ in demands]
+    unproc: list[dict[int, float]] = [{} for _ in demands]
+    proc: list[dict[str, float]] = [{} for _ in demands]
+    for (i, arcs, split), val in zip(cols, x.tolist()):
+        if val <= SNAP:
+            continue
+        f, w, p = flow[i], unproc[i], proc[i]
+        for a in arcs:
+            f[a] = f.get(a, 0.0) + val
+        for a in arcs[:split]:
+            w[a] = w.get(a, 0.0) + val
+        v = net.arcs[arcs[split - 1]].head
+        p[v] = p.get(v, 0.0) + val
+    # an uncapped demand's row never binds, so its price is 0
+    bound = sum(b * y for b, y in zip(upper, price) if y > 0.0)
+    sol = EdgeFlowSolution(flow, unproc, proc, 0.0, meta={
+        "algorithm": "lp", "objective_kind": "max-total-flow",
+        "lp_objective": objective, "lp_iterations": used, "rounds": rounds,
+        "columns": len(cols), "dual_bound": bound, "max_reduced_cost": reduced})
+    sol.objective = sum(sol.delivered(net, demands, i) for i in range(k))
+    return sol, LPResult("optimal", x, objective, used), cols
+
+
 def solve_edge_lp(net: FlowNetwork, demands: list[Demand],
                   objective: Objective = Objective()) -> tuple[EdgeFlowSolution, LPResult]:
-    """Build, solve cold, and extract in one go."""
+    """Solve for edge flows under `objective`. Max total flow is the walk
+    master's (`solve_walk_master`); the congestion objectives build the
+    edge LP, solve it and extract its flows. An LP that ends other than
+    optimal raises the error `LPResult.optimal_x` maps its status to."""
+    if objective.kind == "max-total-flow":
+        return solve_walk_master(net, demands)[:2]
     model = build_edge_lp(net, demands, objective)
     res = solve_lp(model)
-    return edge_lp_solution(model, res, net, demands), res
-
-
-def edge_lp_solution(model: LPModel, res: LPResult, net: FlowNetwork,
-                     demands: list[Demand]) -> EdgeFlowSolution:
-    """The edge flows of a solved edge LP, or the error its status maps to
-    (`LPResult.optimal_x`)."""
     x = res.optimal_x("edge LP", "edge LP infeasible (demands cannot all be met)")
     sol = extract_edge_solution(model, x, net, demands)
     sol.meta["lp_objective"] = res.objective
     sol.meta["lp_iterations"] = res.iterations
-    return sol
+    return sol, res
 
 
 def write_mps(model: LPModel, path: str) -> None:

@@ -126,7 +126,8 @@ class FlowNetwork:
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node index, the (head index, arc index) of each out-arc.
 
-        Built on first use; only the MWU walk oracle reads it.
+        Built on first use; the walk oracle reads it, for MWU and for the
+        LP's walk master.
         """
         idx = self._index
         return tuple(tuple((idx[self.arcs[a].head], a) for a in self.out_arcs[v])

@@ -112,7 +112,9 @@ class ShortestWalkResult:
         return self.r[self.net.node_index(target)]
 
     def walk_to(self, target: str):
-        """(node names, processing vertex, arc indices) or None if unreachable."""
+        """(node names, processing vertex, arc indices, leg-1 length) or None
+        if unreachable. The first `leg-1 length` arcs run from the source to
+        the processing vertex; the rest carry processed flow."""
         net = self.net
         x = net.node_index(target)
         if not math.isfinite(self.r[x]):
@@ -135,7 +137,7 @@ class ShortestWalkResult:
         nodes = [net.nodes[self.source_idx]]
         for a in arcs:
             nodes.append(net.arcs[a].head)
-        return tuple(nodes), net.nodes[proc], arcs
+        return tuple(nodes), net.nodes[proc], arcs, len(leg1)
 
 
 def _bad_cost(c: float) -> str:
@@ -345,7 +347,7 @@ def mwu_iterate(state: MWUState):
         state.upper_bound = min(state.upper_bound, state.total_weight / alpha)
     i = best[1]
     d = demands[i]
-    nodes, v_star, arcs = fresh[i][1].walk_to(d.sink)
+    nodes, v_star, arcs, _ = fresh[i][1].walk_to(d.sink)
 
     mult: dict[int, int] = {}
     for a in arcs:

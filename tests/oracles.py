@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 
 import pflow.lp
 from pflow.generators import gen_random_instance
-from pflow.lp import LPModel, LPResult, solve_lp
+from pflow.lp import LPModel, LPResult, build_edge_lp, solve_lp
 from pflow.model import Demand, FlowNetwork, PurchaseInstance, ResourceLimitError
 
 
@@ -117,6 +117,15 @@ def walk_lp_optimum(net: FlowNetwork, demands: list[Demand],
                 m.add_constraint(coeffs, "<=", d.amount)
     m.set_objective({var: 1.0 for _, _, _, var in cols})
     res = solve_lp(m)
+    assert res.status == "optimal", res.status
+    return res.objective
+
+
+def edge_lp_optimum(net: FlowNetwork, demands: list[Demand]) -> float:
+    """Max total flow by the arc formulation, `pflow.lp.build_edge_lp`
+    solved by `solve_lp`: the reference for the walk master behind
+    `pflow.lp.solve_edge_lp`, which must reach the same optimum."""
+    res = solve_lp(build_edge_lp(net, demands))
     assert res.status == "optimal", res.status
     return res.objective
 
@@ -309,7 +318,7 @@ def mwu_full_scan_placements(net: FlowNetwork, demands: list[Demand],
                 best = (c, i, res.walk_to(d.sink))
         if best is None:
             break
-        _, i, (nodes, stop, arcs) = best
+        _, i, (nodes, stop, arcs, _) = best
         mult: dict[int, int] = {}
         for a in arcs:
             mult[net.arcs[a].group] = mult.get(net.arcs[a].group, 0) + 1

@@ -7,6 +7,7 @@ import math
 import pytest
 
 import pflow.harness as harness
+import pflow.lp
 import pflow.purchase as purchase
 from pflow.cli import main
 from pflow.lp import LPResult
@@ -141,6 +142,15 @@ class TestSolve:
         monkeypatch.setattr(harness, "solve_edge_lp", blow_up)
         assert run("solve", "--alg", "lp", "--input", line_pf,
                    "-o", tmp_path / "x.json") == 4
+
+    def test_exhausted_simplex_budget_exits_4(self, line_pf, tmp_path, monkeypatch,
+                                              capsys):
+        # the real path: the walk master's first solve gets no iteration
+        monkeypatch.setattr(pflow.lp, "MAXITER", 0)
+        out = tmp_path / "x.json"
+        assert run("solve", "--alg", "lp", "--input", line_pf, "-o", out) == 4
+        assert "simplex iteration limit 0 exhausted" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDecompose:

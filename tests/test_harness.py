@@ -6,12 +6,15 @@ import pytest
 
 import pflow.harness
 import pflow.lp
+import pflow.mwu
 import pflow.naive
 from pflow.generators import gen_random_instance
 from pflow.harness import (CSV_HEADER, KNOWN_ALGS, RunRecord, SweepSpec,
                            compare_runs, half_subset, write_csv)
-from pflow.lp import LoadedLP, LPResult, solve_edge_lp
-from pflow.model import Demand, FlowNetwork, StructuralError, verify_edge_solution
+from pflow.decompose import decompose
+from pflow.lp import LPResult, solve_edge_lp
+from pflow.model import (Demand, FlowNetwork, StructuralError, verify_edge_solution,
+                         verify_walk_solution)
 from pflow.naive import naive_solve
 from ratios import objective_ratio, ratio_series
 
@@ -195,7 +198,7 @@ def test_lp_records_match_a_fresh_solve_per_point():
             for r in reps:
                 assert r.feasible and r.error is None
                 assert r.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
-                # repetitions of a point start from the same basis
+                # repetitions of a point start from the same columns
                 assert (r.objective, r.iterations) == (reps[0].objective,
                                                        reps[0].iterations)
                 if k == 0:  # the first point solves cold
@@ -203,57 +206,76 @@ def test_lp_records_match_a_fresh_solve_per_point():
                                                            res.iterations)
 
 
-def test_warm_started_sweep_takes_fewer_iterations():
+def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
+    # a grid point seeded with the previous point's columns takes fewer
+    # simplex iterations and far fewer walk-oracle calls than a fresh master
+    calls = 0
+    real = pflow.mwu.shortest_processing_2walk
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(pflow.mwu, "shortest_processing_2walk", counting)
     inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
     spec = SweepSpec(lo=0.0, hi=5.0, step=0.5, dist="half", seed=1)
     recs = compare_runs(inst.net, inst.demands, spec, algorithms=("lp",))
     assert all(r.feasible for r in recs)
-    warm = sum(r.iterations for r in recs)
+    warm, warm_calls, calls = sum(r.iterations for r in recs), calls, 0
     cold = sum(solve_edge_lp(_point_network(inst.net, spec, r.instance),
                              inst.demands)[1].iterations for r in recs)
     assert 0 < warm < cold
+    assert 0 < warm_calls < calls / 2
 
 
 def test_warm_started_solutions_verify(monkeypatch):
     solved = []
-    real = pflow.harness.edge_lp_solution
+    real = pflow.harness.solve_walk_master
 
-    def keeping(model, res, net, demands):
-        sol = real(model, res, net, demands)
-        solved.append((net, demands, sol))
-        return sol
+    def keeping(net, demands, columns):
+        out = real(net, demands, columns)
+        solved.append((net, demands, out[0]))
+        return out
 
-    monkeypatch.setattr(pflow.harness, "edge_lp_solution", keeping)
+    monkeypatch.setattr(pflow.harness, "solve_walk_master", keeping)
     for net, demands, spec in _sweep_cases():
         compare_runs(net, demands, spec, algorithms=("lp",))
     assert len(solved) == 8 * 2 * 3  # sweeps x repetitions x grid points
     for net, demands, sol in solved:
         rep = verify_edge_solution(net, demands, sol)
         assert rep.ok, rep.problems
+        rep = verify_walk_solution(net, demands, decompose(sol, net, demands))
+        assert rep.ok, rep.problems
 
 
 def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
-    # the second grid point's warm solves get no simplex iterations; later
-    # points start from the first point's basis and still solve right
+    # the second grid point's masters get no simplex iterations; later
+    # points start from the first point's columns and still solve right
     calls = 0
-    real = LoadedLP.solve
+    real = pflow.harness.solve_walk_master
 
-    def limited(self, basis=None):
+    def limited(net, demands, columns):
         nonlocal calls
         calls += 1
         if calls not in (3, 4):
-            return real(self, basis)
+            return real(net, demands, columns)
         with monkeypatch.context() as m:
             m.setattr(pflow.lp, "MAXITER", 0)
-            return real(self, basis)
+            return real(net, demands, columns)
 
-    monkeypatch.setattr(LoadedLP, "solve", limited)
+    monkeypatch.setattr(pflow.harness, "solve_walk_master", limited)
+    failed = 0
     for net, demands, spec in _sweep_cases():
         calls = 0
         recs = compare_runs(net, demands, spec, algorithms=("lp",))
         failed_point = f"cap={spec.grid()[1]:g}/{spec.dist}"
         for point, reps in _lp_records(recs).items():
-            if point == failed_point:
+            # a master whose pricing finds no walk at all solves nothing, so
+            # no iteration limit can fail it (the directed cases carry no flow)
+            if point == failed_point and real(_point_network(net, spec, point),
+                                              demands)[1].iterations > 0:
+                failed += 1
                 for r in reps:
                     assert not r.feasible and math.isnan(r.objective)
                     assert r.error == ("ResourceLimitError: "
@@ -263,6 +285,7 @@ def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
             for r in reps:
                 assert r.feasible
                 assert r.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+    assert failed == 4
 
 
 def test_objective_ratio_conventions():

@@ -7,15 +7,15 @@ import pytest
 import pflow.lp
 from pflow.generators import gen_random_instance, gen_random_purchase
 from pflow.decompose import decompose
-from pflow.lp import (LoadedLP, LPModel, Objective, build_edge_lp, build_routing_lp,
+from pflow.lp import (LPModel, Objective, build_edge_lp, build_routing_lp,
                       solve_edge_lp, solve_lp, write_mps)
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                          ResourceLimitError, verify_edge_solution,
                          verify_walk_solution)
 from pflow.purchase import build_purchase_lp
 
-from oracles import (mixed_routing_instances, net_outflow_routing_lp, solve_lp_linprog,
-                     walk_lp_optimum)
+from oracles import (edge_lp_optimum, mixed_routing_instances, net_outflow_routing_lp,
+                     solve_lp_linprog, walk_lp_optimum)
 
 
 def test_mandatory_relay_caps_throughput(inst_line):
@@ -276,45 +276,6 @@ def _assert_satisfies(model, x, tol):
             assert row[k] >= rhs - slack, (k, sense, row[k], rhs)
 
 
-def test_loaded_lp_set_rhs_matches_a_fresh_build():
-    """After set_rhs the loaded LP is the one solve_lp builds from a model with
-    that rhs, for `<=`, `>=` and `==` rows alike, so a cold solve of it is
-    bit-identical; a warm solve from its own optimal basis takes no iteration
-    and, from a refactorised basis, agrees to the last few ulps."""
-    senses, statuses = set(), set()
-    for model in [*_edge_models("max-total-flow"), *_edge_models("min-max-congestion"),
-                  *_purchase_models("min", False)]:
-        loaded = LoadedLP(model)
-        for sense in ("<=", ">=", "=="):
-            rows = [k for k, s in enumerate(model.senses) if s == sense]
-            for k in rows[:1] + rows[-1:]:
-                model.rhs[k] = 0.5 * model.rhs[k] + 0.25
-                loaded.set_rhs(k, model.rhs[k])
-                senses.add(sense)
-        res, ref = loaded.solve(), solve_lp(model)
-        assert (res.status, res.iterations) == (ref.status, ref.iterations)
-        statuses.add(res.status)
-        if ref.status == "optimal":
-            assert res.objective == ref.objective
-            assert np.array_equal(res.x, ref.x)
-            warm = loaded.solve(res.basis)
-            assert warm.iterations == 0
-            assert warm.objective == pytest.approx(res.objective, rel=1e-12)
-            assert warm.x == pytest.approx(res.x, rel=1e-12, abs=1e-12)
-    assert senses == {"<=", ">=", "=="} and statuses == {"optimal", "infeasible"}
-
-
-def test_loaded_lp_rejects_bad_input():
-    first, second = list(_edge_models("max-total-flow"))[:2]
-    loaded = LoadedLP(first)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="non-finite rhs"):
-            loaded.set_rhs(0, bad)
-    other = solve_lp(second)
-    with pytest.raises(ValueError, match="basis does not fit"):
-        loaded.solve(other.basis)
-
-
 def read_mps(path: str) -> LPModel:
     """Parse the subset of the interchange format that write_mps emits."""
     sense = "min"
@@ -427,6 +388,52 @@ def test_matches_walk_enumeration_on_random_instances():
         assert abs(sol.objective - opt) < 1e-6 * max(1.0, opt)
         checked += 1
     assert checked == 20
+
+
+def _master_instances():
+    """`mixed_routing_instances` as they are, again with every third node and
+    every third bandwidth group at capacity 0, and again without demands."""
+    for net, demands in mixed_routing_instances():
+        yield net, demands
+        edges = [(net.arcs[arcs[0]].tail, net.arcs[arcs[0]].head, 0.0 if g % 3 == 0 else cap)
+                 for g, (arcs, cap) in enumerate(zip(net.groups, net.group_capacity))]
+        caps = {v: 0.0 if j % 3 == 0 else net.node_capacity[v]
+                for j, v in enumerate(net.nodes)}
+        yield FlowNetwork(net.nodes, edges, caps, directed=net.directed), demands
+        yield net, []
+
+
+def test_walk_master_matches_the_edge_lp_and_walk_enumeration():
+    # the walk master solves max total flow; the arc formulation and the LP
+    # over every enumerated 2-walk must reach its optimum, its flows and
+    # their walks must verify, and its final prices must certify it: no walk
+    # prices in, and their bound Σ R_i σ_i + Σ B_g y_g + Σ C_v z_v meets
+    # the optimum
+    kinds = set()
+    for net, demands in _master_instances():
+        sol, res = solve_edge_lp(net, demands)
+        walks = walk_lp_optimum(net, demands)
+        for want in (edge_lp_optimum(net, demands), walks):
+            assert abs(sol.objective - want) <= 1e-9 * max(1.0, want)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+        meta = sol.meta
+        assert (meta["lp_objective"], meta["lp_iterations"]) == (res.objective,
+                                                                 res.iterations)
+        assert meta["columns"] == len(res.x) and meta["rounds"] >= 1
+        assert meta["max_reduced_cost"] <= 1e-9
+        assert meta["dual_bound"] >= walks - 1e-9
+        assert abs(meta["dual_bound"] - res.objective) <= 1e-9 * max(1.0, res.objective)
+        rep = verify_edge_solution(net, demands, sol)
+        assert rep.ok, rep.problems
+        rep = verify_walk_solution(net, demands, decompose(sol, net, demands))
+        assert rep.ok, rep.problems
+        kinds |= {(net.directed, math.isfinite(d.amount)) for d in demands}
+        kinds |= {"zero node" for c in net.node_capacity.values() if c == 0}
+        kinds |= {"zero group" for c in net.group_capacity if c == 0}
+        kinds |= {"no demand"} if not demands else {"flow"} if sol.objective > 0 else set()
+    assert kinds == {(True, True), (True, False), (False, True), (False, False),
+                     "zero node", "zero group", "no demand", "flow"}
 
 
 def test_split_model_dimensions(inst_loop):

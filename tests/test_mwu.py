@@ -35,9 +35,9 @@ def test_triangle_walk_cost():
     res = shortest_processing_2walk(net, {0: 1.0, 1: 1.0, 2: 5.0},
                                     {"x": 10.0, "t": 0.5, "s": math.inf}, "s")
     assert res.cost_to("t") == 2.5
-    nodes, stop, arcs = res.walk_to("t")
+    nodes, stop, arcs, split = res.walk_to("t")
     assert nodes[0] == "s" and nodes[-1] == "t"
-    assert stop == "t"
+    assert stop == "t" and nodes[split] == stop
 
 
 def test_walk_to_unreachable_is_none():
