@@ -1,13 +1,15 @@
 """Linear programs over flow networks: model container, solver, the walk
 master, edge and routing formulations.
 
-An LPModel is plain arrays: columns and rows are added by index and carry no
-names, and solve_lp solves one by HiGHS's primal simplex and returns the
-column values as an array read by index.
-`commodity` adds one demand's split flow (below) with its balance rows; the
+An LPModel is plain arrays, its rows in the row-wise form HiGHS reads:
+columns and rows are added by index and carry no names, and solve_lp hands
+one to HiGHS as built, solves it by primal simplex and returns the column
+values as an array read by index. `commodity` adds one demand's split flow
+(below) with its balance rows, a column only where it can carry flow; the
 edge LP, the routing LP and the purchase module's LP are all built from it,
-each under its own bar lists. `balance` writes the flow-conservation terms.
-write_mps names column j C<j> and row k R<k>.
+each under its own bar lists, and read its `{arc: column}` maps.
+`balance` writes the flow-conservation terms. write_mps names column j C<j>
+and row k R<k>.
 
 The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
@@ -35,7 +37,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csr_matrix
 
 try:  # the HiGHS binding scipy vendors as highspy's `_core` since 1.15
     from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
@@ -65,9 +67,10 @@ _STATUS = {HighsModelStatus.kOptimal: "optimal",
 
 
 class LPModel:
-    """A sparse LP held as arrays: column bounds `lo`/`hi`, rows as COO
-    triplets (`rows`, `cols`, `coefs`) with `senses` and `rhs`, and one
-    linear objective keyed by column index."""
+    """A sparse LP held as arrays: column bounds `lo`/`hi`, rows in
+    HiGHS's row-wise form (row k's entries are `cols` and `coefs` at
+    positions starts[k] to starts[k+1], one per column) with `senses` and
+    `rhs`, and one linear objective keyed by column index."""
 
     def __init__(self, name: str = "lp", sense: str = "max"):
         if sense not in ("max", "min"):
@@ -76,7 +79,7 @@ class LPModel:
         self.sense = sense
         self.lo: list[float] = []
         self.hi: list[float] = []
-        self.rows: list[int] = []
+        self.starts: list[int] = [0]
         self.cols: list[int] = []
         self.coefs: list[float] = []
         self.senses: list[str] = []
@@ -89,19 +92,32 @@ class LPModel:
         self.hi.append(hi)
         return len(self.lo) - 1
 
+    def _check_columns(self, coeffs: dict[int, float], what: str) -> None:
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= len(self.lo)):
+            raise ValueError(f"LP {self.name!r}: {what} names a column outside "
+                             f"[0, {len(self.lo)})")
+
     def add_constraint(self, coeffs, sense: str, rhs: float) -> int:
+        """Add the row Σ coef x_j `sense` rhs over the sequence of (j, coef)
+        pairs `coeffs`, summing pairs on one column; ValueError on a bad
+        sense or a j outside [0, n_vars)."""
         if sense not in _SENSES:
             raise ValueError(f"bad constraint sense {sense!r}")
-        k = len(self.rhs)
-        for j, coef in coeffs:
-            self.rows.append(k)
-            self.cols.append(j)
-            self.coefs.append(coef)
+        row = dict(coeffs)
+        if len(row) < len(coeffs):
+            row = {}
+            for j, coef in coeffs:
+                row[j] = row.get(j, 0.0) + coef
+        self._check_columns(row, "a row")
+        self.cols += row
+        self.coefs += row.values()
+        self.starts.append(len(self.cols))
         self.senses.append(sense)
         self.rhs.append(rhs)
-        return k
+        return len(self.rhs) - 1
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
+        self._check_columns(coeffs, "the objective")
         self.objective = dict(coeffs)
 
     @property
@@ -157,59 +173,41 @@ def solve_lp(model: LPModel) -> LPResult:
     """Solve once by HiGHS's primal simplex without presolve, from the
     all-slack basis; desk-scale models only.
 
-    HiGHS gets the rows in model order, each with the bounds its sense
-    gives, and a minimized objective. Columns fixed at lo = hi = 0 (the
-    edge LP's barred arcs, for one) stay out of it; `x` has them back at 0.
-    Raises ValueError on a non-finite objective or matrix coefficient or
-    rhs, or a NaN column bound, and ResourceLimitError if the iteration
-    budget is exhausted or HiGHS ends in any other state.
+    HiGHS gets the model as built: its columns, and its rows in the
+    row-wise form LPModel keeps, each with the bounds its sense gives, and
+    a minimized objective. Raises ValueError on a non-finite objective or
+    matrix coefficient or rhs, or a NaN column bound, and
+    ResourceLimitError if the iteration budget is exhausted or HiGHS ends
+    in any other state.
     """
     n = model.n_vars
-    rhs = np.asarray(model.rhs, dtype=float)
-    coefs = np.asarray(model.coefs, dtype=float)
-    lo = np.asarray(model.lo, dtype=float)
-    hi = np.asarray(model.hi, dtype=float)
-    c = np.zeros(n)
+    c = [0.0] * n
     for j, coef in model.objective.items():
         c[j] = coef
-    for what, vals in (("objective coefficient", c), ("matrix coefficient", coefs),
-                       ("rhs", rhs)):
-        if not np.isfinite(vals).all():
+    for what, vals in (("objective coefficient", c), ("matrix coefficient", model.coefs),
+                       ("rhs", model.rhs)):
+        if not np.isfinite(np.asarray(vals, dtype=float)).all():
             raise ValueError(f"LP {model.name!r} has a non-finite {what}")
-    if np.isnan(lo).any() or np.isnan(hi).any():
+    if np.isnan(np.asarray(model.lo + model.hi, dtype=float)).any():
         raise ValueError(f"LP {model.name!r} has a NaN column bound")
-    # the binding copies a list into HiGHS's vectors faster than a numpy array
-    bounds = list(zip(model.senses, rhs.tolist()))
-    lower = [-math.inf if s == "<=" else r for s, r in bounds]
-    upper = [math.inf if s == ">=" else r for s, r in bounds]
-    keep = np.flatnonzero((lo != 0.0) | (hi != 0.0))  # the columns HiGHS gets
-    if keep.size == 0:
+    lower = [-math.inf if s == "<=" else r for s, r in zip(model.senses, model.rhs)]
+    upper = [math.inf if s == ">=" else r for s, r in zip(model.senses, model.rhs)]
+    if n == 0:
         # every row reads 0, so the model is feasible iff each row holds at 0
         if all(lb <= 0.0 <= ub for lb, ub in zip(lower, upper)):
-            return LPResult("optimal", np.zeros(n), 0.0, 0)
+            return LPResult("optimal", np.zeros(0), 0.0, 0)
         return LPResult("infeasible", None, math.nan, 0)
-    if model.sense == "max":
-        c = -c
-
-    # model column j is HiGHS column new[j]; entries in dropped columns go
-    new = np.full(n, -1, dtype=np.intp)
-    new[keep] = np.arange(keep.size)
-    cols = new[np.asarray(model.cols, dtype=np.intp)]
-    kept = cols >= 0
-    A = csc_matrix((coefs[kept], (np.asarray(model.rows, dtype=np.intp)[kept],
-                                  cols[kept])),
-                   shape=(model.n_rows, keep.size))
 
     lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = keep.size
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr.tolist()
-    lp.a_matrix_.index_ = A.indices.tolist()
-    lp.a_matrix_.value_ = A.data.tolist()
-    lp.col_cost_ = c[keep].tolist()
-    lp.col_lower_ = lo[keep].tolist()
-    lp.col_upper_ = hi[keep].tolist()
+    lp.a_matrix_.format_ = MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = model.starts
+    lp.a_matrix_.index_ = model.cols
+    lp.a_matrix_.value_ = model.coefs
+    lp.col_cost_ = [-coef for coef in c] if model.sense == "max" else c
+    lp.col_lower_ = model.lo
+    lp.col_upper_ = model.hi
     lp.row_lower_ = lower
     lp.row_upper_ = upper
     highs = _highs()
@@ -220,8 +218,7 @@ def solve_lp(model: LPModel) -> LPResult:
     status, nit = _run(highs, MAXITER)
     if status == "optimal":
         obj = float(highs.getInfo().objective_function_value)
-        x = np.zeros(n)
-        x[keep] = highs.getSolution().col_value
+        x = np.asarray(highs.getSolution().col_value)
         return LPResult("optimal", x, -obj if model.sense == "max" else obj, nit)
     if status == "infeasible":
         return LPResult("infeasible", None, math.nan, nit)
@@ -229,39 +226,43 @@ def solve_lp(model: LPModel) -> LPResult:
                     nit)
 
 
-def balance(net: FlowNetwork, var, v: str, sign: float = 1.0) -> list[tuple[int, float]]:
+def balance(net: FlowNetwork, var: dict[int, int], v: str,
+            sign: float = 1.0) -> list[tuple[int, float]]:
     """Inflow minus outflow at node v, times `sign`, of the per-arc columns
-    `var[a]`: the terms of a conservation row."""
-    return ([(var[a], sign) for a in net.in_arcs[v]]
-            + [(var[a], -sign) for a in net.out_arcs[v]])
+    `var` ({arc: column}, arcs without a column carry nothing): the terms
+    of a conservation row."""
+    return ([(var[a], sign) for a in net.in_arcs[v] if a in var]
+            + [(var[a], -sign) for a in net.out_arcs[v] if a in var])
 
 
 def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
-              p_hi: dict[str, float]) -> tuple[list[int], list[int], dict[str, int]]:
+              p_hi: dict[str, float]
+              ) -> tuple[dict[int, int], dict[int, int], dict[str, int]]:
     """Add one demand's processed flow to `m`, split as in the paper.
 
-    Columns: per arc a, w (unprocessed) then g (processed), each fixed at 0
-    where its bar list `wbar` / `gbar` bars the arc; then per node v of
-    `p_hi`, in its order, the volume p processed at v, at most p_hi[v].
-    Rows, node by node: at every node but the source, w's inflow minus
-    outflow is p there; at every node but the sink, g's outflow minus
-    inflow is p there (0 at a node without p). A row at a node without p
-    whose arcs are all barred to its part only says 0 = 0 and is left out.
-    Returns the w and g columns by arc index and the p columns by node.
+    Columns: per arc a, w (unprocessed) then g (processed), each only where
+    its bar list `wbar` / `gbar` leaves the arc open; then per node v of
+    `p_hi` with p_hi[v] > 0, in its order, the volume p processed at v, at
+    most p_hi[v]. Rows, node by node: at every node but the source, w's
+    inflow minus outflow is p there; at every node but the sink, g's
+    outflow minus inflow is p there (0 at a node without p). A row is
+    written exactly when it has a term. Returns the w and g columns as
+    {arc: column} maps and the p columns as {node: column}.
     """
-    w: list[int] = []
-    g: list[int] = []
+    w: dict[int, int] = {}
+    g: dict[int, int] = {}
     for a in range(net.n_arcs):
-        w.append(m.add_var(hi=0.0 if wbar[a] else math.inf))
-        g.append(m.add_var(hi=0.0 if gbar[a] else math.inf))
-    p = {v: m.add_var(hi=hi) for v, hi in p_hi.items()}
+        if not wbar[a]:
+            w[a] = m.add_var()
+        if not gbar[a]:
+            g[a] = m.add_var()
+    p = {v: m.add_var(hi=hi) for v, hi in p_hi.items() if hi > 0}
     for v in net.nodes:
         at = [(p[v], 1.0)] if v in p else []
-        arcs = net.in_arcs[v] + net.out_arcs[v]
-        if v != d.source and (at or not all(wbar[a] for a in arcs)):
-            m.add_constraint(at + balance(net, w, v, -1.0), "==", 0.0)
-        if v != d.sink and (at or not all(gbar[a] for a in arcs)):
-            m.add_constraint(at + balance(net, g, v), "==", 0.0)
+        if v != d.source and (row := at + balance(net, w, v, -1.0)):
+            m.add_constraint(row, "==", 0.0)
+        if v != d.sink and (row := at + balance(net, g, v)):
+            m.add_constraint(row, "==", 0.0)
     return w, g, p
 
 
@@ -275,19 +276,20 @@ def build_routing_lp(net: FlowNetwork, demands: list[Demand],
     the demand routes, is at most its amount. Each bandwidth group g carries
     at most group_cap[g] of w over all demands, and the objective is Σ p.
     `info["w"][i]` holds demand i's w columns by arc and `info["p"][i]` its
-    p column.
+    p column by node: the sink's, or none when its amount is 0.
     """
     m = LPModel("route", sense="max")
-    wvar: list[list[int]] = []
-    pvar: list[int] = []
+    wvar: list[dict[int, int]] = []
+    pvar: list[dict[str, int]] = []
     for d in demands:
         w, _, p = commodity(m, net, d, *net.legs(d.source, d.sink, d.sink),
                             {d.sink: d.amount})
         wvar.append(w)
-        pvar.append(p[d.sink])
+        pvar.append(p)
     for g, arcs in enumerate(net.groups):
-        m.add_constraint([(w[a], 1.0) for w in wvar for a in arcs], "<=", group_cap[g])
-    m.set_objective(dict.fromkeys(pvar, 1.0))
+        m.add_constraint([(w[a], 1.0) for w in wvar for a in arcs if a in w], "<=",
+                         group_cap[g])
+    m.set_objective({j: 1.0 for p in pvar for j in p.values()})
     m.info = {"w": wvar, "p": pvar}
     return m
 
@@ -313,15 +315,19 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     """Arc formulation of the processed-flow problem, split as in the paper.
 
     Each demand is one `commodity`: per arc, w (unprocessed flow) and g
-    (processed flow), each fixed at 0 on the arcs `FlowNetwork.barred` bars
-    to it; per non-source node, p (volume processed there), with
+    (processed flow), each only on the arcs `FlowNetwork.barred` leaves open
+    to it (and under the congestion objectives, only on edges of positive
+    capacity); per non-source node, p (volume processed there; under the
+    congestion objectives, only where C_v > 0), with
     p = w_in - w_out at every non-source node and g_out - g_in = p away from
     both endpoints. An arc's
     total flow w + g draws on its shared bandwidth, Σp on node capacity, and
     the source outflow, all of it w, is what a demand delivers: capped by a
     finite amount, or exactly that amount under the congestion objectives,
     where a zero-capacity edge carries nothing and a zero-capacity node
-    processes nothing.
+    processes nothing. Rows with no column are left out.
+    `info["w"][i]`, `info["g"][i]` and `info["p"][i]` map demand i's arcs
+    and nodes to its columns.
     """
     kind = objective.kind
     if kind not in ("max-total-flow", "min-max-congestion", "min-weighted-congestion"):
@@ -331,8 +337,8 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
         raise ValueError("congestion objectives need finite demand amounts")
 
     m = LPModel(name=f"edge-{kind}", sense="min" if congestion else "max")
-    wvar: list[list[int]] = []
-    gvar: list[list[int]] = []
+    wvar: list[dict[int, int]] = []
+    gvar: list[dict[int, int]] = []
     pvar: list[dict[str, int]] = []
     shut = [congestion and net.group_capacity[arc.group] <= 0 for arc in net.arcs]
     net_out = []
@@ -345,7 +351,7 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
         wvar.append(w)
         gvar.append(g)
         pvar.append(p)
-        out_i = [(w[a], 1.0) for a in net.out_arcs[d.source]]
+        out_i = [(w[a], 1.0) for a in net.out_arcs[d.source] if a in w]
         if congestion:
             m.add_constraint(out_i, "==", d.amount)
         elif math.isfinite(d.amount) and out_i:
@@ -357,39 +363,26 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
         theta = m.add_var()
     ew = objective.edge_weights or {}
     nw = objective.node_weights or {}
+    # each bandwidth group's load Σ(w + g) and each node's Σp, with its
+    # capacity and weight; a resource with no column carries nothing
+    loads = [([(part[a], 1.0) for a in arcs for part in wvar + gvar if a in part],
+              cap, ew.get(g, 1.0))
+             for g, (arcs, cap) in enumerate(zip(net.groups, net.group_capacity))]
+    loads += [([(p[v], 1.0) for p in pvar if v in p], net.node_capacity[v], nw.get(v, 1.0))
+              for v in net.nodes]
     weighted_obj: dict[int, float] = {}
-
-    for g, cap in enumerate(net.group_capacity):
-        coeffs = [(part[a], 1.0) for a in net.groups[g] for part in wvar + gvar]
+    for coeffs, cap, weight in loads:
         if not coeffs:
             continue
         if kind == "max-total-flow":
             m.add_constraint(coeffs, "<=", cap)
-        elif cap > 0:
-            if theta is not None:
-                m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
-            else:
-                for j, c in coeffs:
-                    weighted_obj[j] = weighted_obj.get(j, 0.0) + ew.get(g, 1.0) * c / cap
-    for v in net.nodes:
-        cap = net.node_capacity[v]
-        coeffs = [(p[v], 1.0) for p in pvar if v in p]
-        if not coeffs:
-            continue
-        if kind == "max-total-flow":
-            m.add_constraint(coeffs, "<=", cap)
-        elif cap > 0:
-            if theta is not None:
-                m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
-            else:
-                for j, c in coeffs:
-                    weighted_obj[j] = weighted_obj.get(j, 0.0) + nw.get(v, 1.0) * c / cap
+        elif theta is not None:
+            m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
+        else:
+            weighted_obj.update((j, weight * c / cap) for j, c in coeffs)
 
     if kind == "max-total-flow":
-        obj: dict[int, float] = {}
-        for j, c in net_out:
-            obj[j] = obj.get(j, 0.0) + c
-        m.set_objective(obj)
+        m.set_objective(dict(net_out))
     elif kind == "min-max-congestion":
         m.set_objective({theta: 1.0})
     else:
@@ -419,10 +412,10 @@ def extract_edge_solution(model: LPModel, x: np.ndarray,
     info = model.info
     flow, unproc, proc = [], [], []
     for i in range(len(demands)):
-        w = [vals[j] for j in info["w"][i]]
-        g = [vals[j] for j in info["g"][i]]
-        flow.append(_sparse({a: w[a] + g[a] for a in range(len(w))}))
-        unproc.append(_sparse(dict(enumerate(w))))
+        w = {a: vals[j] for a, j in info["w"][i].items()}
+        g = {a: vals[j] for a, j in info["g"][i].items()}
+        flow.append(_sparse({a: w.get(a, 0.0) + g.get(a, 0.0) for a in range(net.n_arcs)}))
+        unproc.append(_sparse(w))
         proc.append(_sparse({v: vals[j] for v, j in info["p"][i].items()}))
     sol = EdgeFlowSolution(flow, unproc, proc, 0.0,
                            meta={"algorithm": "lp", "objective_kind": info["kind"]})
@@ -590,8 +583,8 @@ def write_mps(model: LPModel, path: str) -> None:
 
     Column j is named C<j> and row k R<k>.
     """
-    A = csc_matrix((model.coefs, (model.rows, model.cols)),
-                   shape=(model.n_rows, model.n_vars))
+    A = csr_matrix((model.coefs, model.cols, model.starts),
+                   shape=(model.n_rows, model.n_vars)).tocsc()
     sense_tag = {"<=": "L", ">=": "G", "==": "E"}
     lines = [f"NAME          {model.name}", "OBJSENSE",
              f"    {'MAXIMIZE' if model.sense == 'max' else 'MINIMIZE'}", "ROWS",

@@ -107,7 +107,6 @@ class FlowNetwork:
             groups[a.group].append(i)
         self.groups = tuple(tuple(g) for g in groups)
         self._barred: dict = {}  # (source, sink) -> barred(source, sink)
-        self._legs: dict = {}  # (source, sink, v) -> legs(source, sink, v)
 
     @property
     def n_nodes(self) -> int:
@@ -155,7 +154,7 @@ class FlowNetwork:
     def legs(self, source: str, sink: str,
              v: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """The leg rule of a `source`->`sink` demand processed at v, in
-        `barred`'s form. Computed once per triple.
+        `barred`'s form, computed on each call.
 
         The unprocessed part w runs source->v and ends where it is
         processed: it may not enter the source or leave v, and when v is the
@@ -164,12 +163,9 @@ class FlowNetwork:
         and when v is the sink it is barred everywhere (flow converts on
         arrival). With v at the sink, w alone is a plain source->sink flow.
         """
-        rule = self._legs.get((source, sink, v))
-        if rule is None:
-            w = tuple(v == source or a.head == source or a.tail == v for a in self.arcs)
-            g = tuple(v == sink or a.head == v or a.tail == sink for a in self.arcs)
-            rule = self._legs[source, sink, v] = (w, g)
-        return rule
+        w = tuple(v == source or a.head == source or a.tail == v for a in self.arcs)
+        g = tuple(v == sink or a.head == v or a.tail == sink for a in self.arcs)
+        return w, g
 
     def node_index(self, v: str) -> int:
         try:

@@ -42,7 +42,9 @@ def route_paths(net: FlowNetwork, demands: list[Demand]) -> Routing:
     paths = []
     routed = 0.0
     for i, d in enumerate(demands):
-        w = [x[j] if x[j] >= SNAP else 0.0 for j in model.info["w"][i]]
+        w = [0.0] * net.n_arcs
+        for a, j in model.info["w"][i].items():
+            w[a] = x[j] if x[j] >= SNAP else 0.0
         cancel_cycles(net, w)
         # the sink's inflow after snapping, so that it matches w exactly
         inflow = sum(w[a] for a in net.in_arcs[d.sink])

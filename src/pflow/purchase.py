@@ -70,7 +70,8 @@ class PurchaseLPSolution:
     v is its sink the post leg is (flow converts on arrival).
     `served[(i, v)]` is the commodity's p: what the leg pair delivers, and
     the processing volume it uses at v. A candidate pinned to 0 by `fix` has
-    no entry in any of these three maps; `x` still lists every candidate.
+    no entry in any of these three maps and no column; `x` still lists every
+    candidate, at 0 for those.
     """
 
     x: dict[str, float]
@@ -94,9 +95,10 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                       fix: dict[str, float] | None = None) -> LPModel:
     """Arc LP over fractional purchases.
 
-    Variables: x(v) in [0,1] per candidate, plus one `lp.commodity` per
-    (demand i, open candidate v): w and g columns per arc and a single p
-    column, at v. Its bar lists are the pair's leg rule,
+    Variables: x(v) in [0,1] per open candidate, plus one `lp.commodity`
+    per (demand i, open candidate v): w and g columns on the arcs its bar
+    lists leave open and a single p column, at v. Its bar lists are the
+    pair's leg rule,
     `FlowNetwork.legs`: the unprocessed leg runs source->v and the
     processed leg v->sink, and a candidate at the demand's source or sink
     leaves a single leg. Cover-style reductions lean on these endpoint
@@ -117,41 +119,42 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     when `fix` pins the purchase vector to an integral point and the cost is
     known anyway).
 
-    `fix` pins x(v) to fix.get(v, 0). A candidate pinned to 0 keeps its x
-    column but gets no commodities and none of the rows they would feed:
-    p <= R x = 0 lets such pairs deliver nothing, so dropping them leaves
-    the optimum as it is.
+    `fix` pins x(v) to fix.get(v, 0). A candidate pinned to 0 gets no x
+    column, no commodities and none of the rows they would feed: p <= R x = 0
+    lets such pairs deliver nothing, so dropping them leaves the optimum as
+    it is. `info["x"]` maps the open candidates to their x columns, and
+    `info["w"]`, `info["g"]` and `info["p"]` each (i, v) pair to its
+    commodity's columns.
     """
     net = inst.net
     nd = len(inst.demands)
     cands = inst.candidates()
     m = LPModel(f"purchase-{mode}", sense="min" if mode == "min" else "max")
 
-    xvar: dict[str, int] = {}
+    xvar: dict[str, int] = {}  # the open candidates' x columns
     for v in cands:
-        lo, hi = 0.0, 1.0
-        if fix is not None:
-            lo = hi = float(fix.get(v, 0.0))
-        xvar[v] = m.add_var(lo, hi)
-    opened = [v for v in cands if fix is None or fix.get(v, 0.0) != 0.0]
+        if fix is None:
+            xvar[v] = m.add_var(0.0, 1.0)
+        elif fix.get(v, 0.0) != 0.0:
+            xvar[v] = m.add_var(float(fix[v]), float(fix[v]))
 
-    wvar: dict[tuple[int, str], list[int]] = {}
-    gvar: dict[tuple[int, str], list[int]] = {}
+    wvar: dict[tuple[int, str], dict[int, int]] = {}
+    gvar: dict[tuple[int, str], dict[int, int]] = {}
     pvar: dict[tuple[int, str], int] = {}
     for i, d in enumerate(inst.demands):
-        for v in opened:
+        for v in xvar:
             wvar[i, v], gvar[i, v], p = commodity(m, net, d, *net.legs(d.source, d.sink, v),
                                                   {v: math.inf})
             pvar[i, v] = p[v]
 
     sense = ">=" if mode == "min" else "<="
     for i, d in enumerate(inst.demands):
-        if opened or mode == "min":
-            m.add_constraint([(pvar[i, v], 1.0) for v in opened], sense, d.amount)
-        for v in opened:
+        if xvar or mode == "min":
+            m.add_constraint([(pvar[i, v], 1.0) for v in xvar], sense, d.amount)
+        for v in xvar:
             m.add_constraint([(pvar[i, v], 1.0), (xvar[v], -d.amount)], "<=", 0.0)
 
-    for v in opened:
+    for v in xvar:
         coeffs = [(pvar[i, v], 1.0) for i in range(nd)]
         coeffs.append((xvar[v], -inst.potential[v]))
         m.add_constraint(coeffs, "<=", 0.0)
@@ -161,29 +164,31 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
         if not math.isfinite(cap):
             continue
         total = []
-        for v in opened:
+        for v in xvar:
             coeffs = [(part[i, v][a], 1.0) for i in range(nd)
-                      for part in (wvar, gvar) for a in arcs]
+                      for part in (wvar, gvar) for a in arcs if a in part[i, v]]
             total += coeffs
             coeffs.append((xvar[v], -cap))
             m.add_constraint(coeffs, "<=", 0.0)
-        if total:
+        if xvar and nd:
+            # written even when the legs leave none of the group's arcs open:
+            # without the empty row, the simplex stops at another optimal vertex
             m.add_constraint(total, "<=", cap)
 
     if mode == "min":
-        m.set_objective({xvar[v]: inst.price(v) for v in cands})
+        m.set_objective({j: inst.price(v) for v, j in xvar.items()})
     else:
         m.set_objective(dict.fromkeys(pvar.values(), 1.0))
         if budget_cap is not None:
-            coeffs = [(xvar[v], inst.price(v)) for v in cands]
+            coeffs = [(j, inst.price(v)) for v, j in xvar.items()]
             m.add_constraint(coeffs, "<=", budget_cap)
 
     m.info = {"x": xvar, "w": wvar, "g": gvar, "p": pvar, "mode": mode}
     return m
 
 
-def _leg_values(leg: list[int], x: list[float]) -> dict[int, float]:
-    return {a: x[j] for a, j in enumerate(leg) if x[j] > SNAP}
+def _leg_values(leg: dict[int, int], x: list[float]) -> dict[int, float]:
+    return {a: x[j] for a, j in leg.items() if x[j] > SNAP}
 
 
 def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
@@ -208,7 +213,8 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                   else "budgeted relaxation infeasible")
     vals = res.optimal_x("purchase LP", infeasible).tolist()
     info = model.info
-    x = {v: min(1.0, max(0.0, vals[j])) for v, j in info["x"].items()}
+    x = {v: min(1.0, max(0.0, vals[info["x"][v]])) if v in info["x"] else 0.0
+         for v in inst.candidates()}
     pre_leg = {key: _leg_values(leg, vals) for key, leg in info["w"].items()}
     post_leg = {key: _leg_values(leg, vals) for key, leg in info["g"].items()}
     served = {key: max(0.0, vals[j]) for key, j in info["p"].items()}
@@ -662,7 +668,8 @@ def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
 
     n = len(inst.demands)
     flow = [_leg_values(w, x) for w in m.info["w"]]
-    delivered = [max(0.0, x[j]) for j in m.info["p"]]
+    delivered = [max(0.0, x[p[d.sink]]) if p else 0.0
+                 for d, p in zip(inst.demands, m.info["p"])]
     served_total = sum(delivered)
 
     # attribute processing to demands pro rata; the detour legs live on the

@@ -90,32 +90,36 @@ def walk_lp_optimum(net: FlowNetwork, demands: list[Demand],
                     max_columns: int = 300_000) -> float:
     """Optimum of the LP over all (walk, processing vertex) route choices."""
     m = LPModel(name="walk-enum", sense="max")
-    cols: list[tuple[int, dict[int, int], str, int]] = []
+    # each row's entries in column order, gathered as the columns are made
+    group_rows: list[list[tuple[int, float]]] = [[] for _ in net.group_capacity]
+    node_rows: dict[str, list[tuple[int, float]]] = {v: [] for v in net.nodes}
+    demand_rows: list[list[tuple[int, float]]] = [[] for _ in demands]
     for i, d in enumerate(demands):
         for walk in enumerate_two_walks(net, d.source, d.sink):
             mult = _group_multiplicity(net, walk)
             for v in processing_vertices(walk, d.source, d.sink, allow_endpoints):
                 if net.node_capacity[v] > 0:
-                    cols.append((i, mult, v, m.add_var()))
-    if len(cols) > max_columns:
-        raise OracleBlowup(f"{len(cols)} columns")
-    if not cols:
+                    var = m.add_var()
+                    once = (var, 1.0)  # shared by the column's unit entries
+                    for g, times in mult.items():
+                        group_rows[g].append(once if times == 1 else (var, float(times)))
+                    node_rows[v].append(once)
+                    demand_rows[i].append(once)
+    if m.n_vars > max_columns:
+        raise OracleBlowup(f"{m.n_vars} columns")
+    if not m.n_vars:
         return 0.0
 
     for g, cap in enumerate(net.group_capacity):
-        coeffs = [(var, float(mult[g])) for _, mult, _, var in cols if g in mult]
-        if coeffs:
-            m.add_constraint(coeffs, "<=", cap)
+        if group_rows[g]:
+            m.add_constraint(group_rows[g], "<=", cap)
     for v in net.nodes:
-        coeffs = [(var, 1.0) for _, _, pv, var in cols if pv == v]
-        if coeffs:
-            m.add_constraint(coeffs, "<=", net.node_capacity[v])
+        if node_rows[v]:
+            m.add_constraint(node_rows[v], "<=", net.node_capacity[v])
     for i, d in enumerate(demands):
-        if math.isfinite(d.amount):
-            coeffs = [(var, 1.0) for j, _, _, var in cols if j == i]
-            if coeffs:
-                m.add_constraint(coeffs, "<=", d.amount)
-    m.set_objective({var: 1.0 for _, _, _, var in cols})
+        if math.isfinite(d.amount) and demand_rows[i]:
+            m.add_constraint(demand_rows[i], "<=", d.amount)
+    m.set_objective(dict.fromkeys(range(m.n_vars), 1.0))
     res = solve_lp(m)
     assert res.status == "optimal", res.status
     return res.objective
@@ -368,8 +372,9 @@ def solve_lp_linprog(model: LPModel) -> LPResult:
 
     maxiter = pflow.lp.MAXITER
     flip = np.where(ub, sign, 1.0)
-    data = np.asarray(model.coefs, dtype=float) * flip[np.asarray(model.rows, dtype=np.intp)]
-    A = csr_matrix((data, (model.rows, model.cols)), shape=(model.n_rows, n))
+    row_of = np.repeat(np.arange(model.n_rows), np.diff(model.starts))
+    data = np.asarray(model.coefs, dtype=float) * flip[row_of]
+    A = csr_matrix((data, model.cols, model.starts), shape=(model.n_rows, n))
     has_ub, has_eq = bool(ub.any()), not ub.all()
     res = linprog(c, A_ub=A[ub] if has_ub else None,
                   b_ub=(flip * rhs)[ub] if has_ub else None,

@@ -169,6 +169,17 @@ def test_non_finite_input_rejected(rows, bounds, objective):
         solve_lp(_lp("max", rows, bounds, objective))
 
 
+@pytest.mark.parametrize("j", [-1, 2], ids=["minus-one", "n-vars"])
+def test_column_index_out_of_range_rejected(j):
+    # two columns: index -1 must not wrap around to the last one
+    m = _lp("max", [([(0, 1.0)], "<=", 1.0)])
+    with pytest.raises(ValueError, match="outside"):
+        m.add_constraint([(0, 1.0), (j, 1.0)], "<=", 2.0)
+    with pytest.raises(ValueError, match="outside"):
+        m.set_objective({0: 1.0, j: 1.0})
+    assert (m.n_rows, m.starts, m.objective) == (1, [0, 1], {0: 1.0, 1: 1.0})
+
+
 def test_iteration_limit_raises(monkeypatch):
     inst = gen_random_instance(8, 0.5, n_demands=3, seed=3, amounts=(1, 4))
     model = build_edge_lp(inst.net, inst.demands)
@@ -267,7 +278,8 @@ def _assert_satisfies(model, x, tol):
     assert np.all(x >= lo - tol * np.maximum(1.0, np.abs(lo)))
     assert np.all(x <= hi + tol * np.maximum(1.0, np.abs(hi)))
     row = np.zeros(model.n_rows)
-    np.add.at(row, model.rows, np.asarray(model.coefs) * x[model.cols])
+    row_of = np.repeat(np.arange(model.n_rows), np.diff(model.starts))
+    np.add.at(row, row_of, np.asarray(model.coefs) * x[model.cols])
     for k, (sense, rhs) in enumerate(zip(model.senses, model.rhs)):
         slack = tol * max(1.0, abs(rhs))
         if sense != ">=":
@@ -437,15 +449,37 @@ def test_walk_master_matches_the_edge_lp_and_walk_enumeration():
 
 
 def test_split_model_dimensions(inst_loop):
-    # per demand: one unprocessed-balance row per non-source node, one
-    # processed-balance row per node off both endpoints, a cap row when the
-    # amount is finite; then one bandwidth row per edge and one node-capacity
-    # row per node that some demand may process at. No row ties w to a total.
+    # arcs s->a, a->p, p->a, a->t. Under `FlowNetwork.barred`, w may not
+    # enter either endpoint or leave the sink, and g may not enter the
+    # source or leave either endpoint. So demand s->t has w on s->a, a->p
+    # and p->a, g on a->p, p->a and a->t, and p at a, p and t; demand a->t
+    # has w on a->p only, no g, and p at s, p and t.
     net, _ = inst_loop
     demands = [Demand("s", "t"), Demand("a", "t", 1.0)]
     model = build_edge_lp(net, demands)
+    assert model.n_vars == (3 + 3 + 3) + (1 + 0 + 3)
+    for i, d in enumerate(demands):
+        for part, bar in zip("wg", net.barred(d.source, d.sink)):
+            assert list(model.info[part][i]) == [a for a, b in enumerate(bar) if not b]
+    # per demand: a w-balance row at every non-source node and a g-balance
+    # row at every non-sink node, each only where it has a term (no g row at
+    # s for s->t, nor at a for a->t), and a cap row for the finite amount;
+    # then one bandwidth row per edge and one node-capacity row per node
+    # that some demand may process at. No row ties w to a total.
     assert model.n_rows == (3 + 2) + (3 + 2 + 1) + 4 + 4
-    assert model.n_vars == 2 * (2 * net.n_arcs + 3)
+
+
+def test_models_hold_no_column_fixed_at_zero():
+    # a column is built only where it can carry flow: the bar lists leave
+    # its arc open, its node may process, its candidate is not pinned to 0
+    models = [m for kind in ("max-total-flow", "min-max-congestion",
+                             "min-weighted-congestion") for m in _edge_models(kind)]
+    models += _routing_models()
+    models += [m for mode in ("min", "budgeted") for fixed in (False, True)
+               for m in _purchase_models(mode, fixed)]
+    for model in models:
+        fixed = [j for j, (lo, hi) in enumerate(zip(model.lo, model.hi)) if lo == hi == 0.0]
+        assert not fixed, (model.name, fixed)
 
 
 def _peak_ratio(net, sol):

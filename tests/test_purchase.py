@@ -418,16 +418,31 @@ class TestPinnedLP:
     def test_one_open_candidate_has_one_set_of_legs(self):
         for inst in _random_purchase_instances(12):
             names = inst.candidates()
-            arcs = inst.net.n_arcs
             for v in names:
                 model = build_purchase_lp(inst, "budgeted", fix={v: 1.0})
-                # per demand, a w and a g column per arc and one p, at v; on
-                # a demand's endpoint one of the two legs is barred everywhere
-                legs = len(inst.demands) * (2 * arcs + 1)
-                assert model.n_vars == len(names) + legs
+                # v's x, then per demand a w and a g column on each arc its
+                # leg rule leaves open to them, and one p, at v; on a
+                # demand's endpoint one of the two legs is barred everywhere
+                open_arcs = sum(bar.count(False) for d in inst.demands
+                                for bar in inst.net.legs(d.source, d.sink, v))
+                assert model.n_vars == 1 + open_arcs + len(inst.demands)
                 sol, _ = solve_purchase_lp(inst, "budgeted", fix={v: 1.0})
                 assert sorted(sol.x) == sorted(names)
                 assert {u for _, u in sol.served} <= {v}
+
+    def test_x_lists_the_closed_candidates_at_zero(self):
+        for inst in _random_purchase_instances(12):
+            names = inst.candidates()
+            closed = set(names[1::2])
+            fix = {v: 0.0 if v in closed else 1.0 for v in names}
+            for mode in ("min", "budgeted"):
+                model = build_purchase_lp(inst, mode, fix=fix)
+                assert list(model.info["x"]) == [v for v in names if v not in closed]
+                try:
+                    sol, _ = solve_purchase_lp(inst, mode, budget_cap=None, fix=fix)
+                except InfeasibleError:
+                    continue
+                assert list(sol.x) == names and sol.x == fix
 
 
 def _reference_families():
