@@ -7,9 +7,11 @@ one to HiGHS as built, solves it by primal simplex and returns the column
 values as an array read by index. `commodity` adds one demand's split flow
 (below) with its balance rows, a column only where it can carry flow; the
 edge LP, the routing LP and the purchase module's LP are all built from it,
-each under its own bar lists, and read its `{arc: column}` maps.
-`balance` writes the flow-conservation terms. write_mps names column j C<j>
-and row k R<k>.
+each under its own bar lists, and read its `{arc: column}` maps. The
+builders write most rows in bulk and unchecked, through `LPModel.add_rows`
+(`commodity` its balance rows, the purchase LP its coupling rows); solve_lp
+and write_mps check every row of a model once (`LPModel.check`) before
+HiGHS or the file sees it. write_mps names column j C<j> and row k R<k>.
 
 The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
@@ -70,7 +72,13 @@ class LPModel:
     """A sparse LP held as arrays: column bounds `lo`/`hi`, rows in
     HiGHS's row-wise form (row k's entries are `cols` and `coefs` at
     positions starts[k] to starts[k+1], one per column) with `senses` and
-    `rhs`, and one linear objective keyed by column index."""
+    `rhs`, and one linear objective keyed by column index.
+
+    `add_constraint` checks and sums each row it adds; `add_rows` writes
+    many at once, as built, for the builders (`commodity`, the purchase
+    LP's coupling rows). `check` validates every row at once, and
+    `solve_lp` and `write_mps` run it before HiGHS or the file sees the
+    model."""
 
     def __init__(self, name: str = "lp", sense: str = "max"):
         if sense not in ("max", "min"):
@@ -116,9 +124,44 @@ class LPModel:
         self.rhs.append(rhs)
         return len(self.rhs) - 1
 
+    def add_rows(self, cols: list[int], coefs: list[float], ends: list[int],
+                 senses: list[str], rhs: list[float]) -> None:
+        """Append rows in bulk, as built: row k holds the entries of `cols`
+        and `coefs` before position ends[k] and from ends[k-1] (0 for the
+        first row) on, with senses[k] and rhs[k]. Nothing is summed or
+        checked here; `check` does that for the whole model."""
+        base = len(self.cols)
+        self.cols += cols
+        self.coefs += coefs
+        self.starts += [base + end for end in ends] if base else ends
+        self.senses += senses
+        self.rhs += rhs
+
     def set_objective(self, coeffs: dict[int, float]) -> None:
         self._check_columns(coeffs, "the objective")
         self.objective = dict(coeffs)
+
+    def check(self) -> None:
+        """Raise ValueError unless the rows are well formed: every sense is
+        known, the row-wise arrays agree in length, and each row names
+        columns in [0, n_vars), none of them twice."""
+        if not set(self.senses) <= set(_SENSES):
+            raise ValueError(f"LP {self.name!r} has a bad constraint sense")
+        counts = np.diff(np.fromiter(self.starts, np.int64, len(self.starts)))
+        if not (len(self.rhs) == len(self.senses) == len(counts)
+                and self.starts[0] == 0 and self.starts[-1] == len(self.cols)
+                == len(self.coefs) and (counts >= 0).all()):
+            raise ValueError(f"LP {self.name!r} has malformed rows")
+        if not self.cols:
+            return
+        n = self.n_vars
+        cols = np.fromiter(self.cols, np.int64, len(self.cols))
+        if cols.min() < 0 or cols.max() >= n:
+            raise ValueError(f"LP {self.name!r}: a row names a column outside [0, {n})")
+        keys = np.repeat(np.arange(len(counts)) * n, counts) + cols
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError(f"LP {self.name!r}: a row names a column twice")
 
     @property
     def n_vars(self) -> int:
@@ -175,11 +218,13 @@ def solve_lp(model: LPModel) -> LPResult:
 
     HiGHS gets the model as built: its columns, and its rows in the
     row-wise form LPModel keeps, each with the bounds its sense gives, and
-    a minimized objective. Raises ValueError on a non-finite objective or
-    matrix coefficient or rhs, or a NaN column bound, and
-    ResourceLimitError if the iteration budget is exhausted or HiGHS ends
-    in any other state.
+    a minimized objective. Raises ValueError, before HiGHS sees the model,
+    on rows `LPModel.check` rejects (a bad sense, or a column outside the
+    model or named twice in one row), a non-finite objective or matrix
+    coefficient or rhs, or a NaN column bound, and ResourceLimitError if
+    the iteration budget is exhausted or HiGHS ends in any other state.
     """
+    model.check()
     n = model.n_vars
     c = [0.0] * n
     for j, coef in model.objective.items():
@@ -226,15 +271,6 @@ def solve_lp(model: LPModel) -> LPResult:
                     nit)
 
 
-def balance(net: FlowNetwork, var: dict[int, int], v: str,
-            sign: float = 1.0) -> list[tuple[int, float]]:
-    """Inflow minus outflow at node v, times `sign`, of the per-arc columns
-    `var` ({arc: column}, arcs without a column carry nothing): the terms
-    of a conservation row."""
-    return ([(var[a], sign) for a in net.in_arcs[v] if a in var]
-            + [(var[a], -sign) for a in net.out_arcs[v] if a in var])
-
-
 def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
               p_hi: dict[str, float]
               ) -> tuple[dict[int, int], dict[int, int], dict[str, int]]:
@@ -245,24 +281,48 @@ def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
     `p_hi` with p_hi[v] > 0, in its order, the volume p processed at v, at
     most p_hi[v]. Rows, node by node: at every node but the source, w's
     inflow minus outflow is p there; at every node but the sink, g's
-    outflow minus inflow is p there (0 at a node without p). A row is
-    written exactly when it has a term. Returns the w and g columns as
-    {arc: column} maps and the p columns as {node: column}.
+    outflow minus inflow is p there (0 at a node without p). A row lists p,
+    then the in-arcs, then the out-arcs, and is written exactly when it
+    has a term. An arc u->u enters and leaves u, so it is in no row.
+    Columns and rows go into the model in bulk, unchecked.
+    Returns the w and g columns as {arc: column} maps and the p columns as
+    {node: column}.
     """
+    j = n0 = m.n_vars
     w: dict[int, int] = {}
     g: dict[int, int] = {}
-    for a in range(net.n_arcs):
-        if not wbar[a]:
-            w[a] = m.add_var()
-        if not gbar[a]:
-            g[a] = m.add_var()
+    for a, (wb, gb) in enumerate(zip(wbar, gbar)):
+        if not wb:
+            w[a] = j
+            j += 1
+        if not gb:
+            g[a] = j
+            j += 1
+    m.lo += [0.0] * (j - n0)
+    m.hi += [math.inf] * (j - n0)
     p = {v: m.add_var(hi=hi) for v, hi in p_hi.items() if hi > 0}
+
+    cols: list[int] = []
+    coefs: list[float] = []
+    ends: list[int] = []
+    loops = net.loops
     for v in net.nodes:
-        at = [(p[v], 1.0)] if v in p else []
-        if v != d.source and (row := at + balance(net, w, v, -1.0)):
-            m.add_constraint(row, "==", 0.0)
-        if v != d.sink and (row := at + balance(net, g, v)):
-            m.add_constraint(row, "==", 0.0)
+        ins, outs = net.in_arcs[v], net.out_arcs[v]
+        if loops:
+            ins = [a for a in ins if a not in loops]
+            outs = [a for a in outs if a not in loops]
+        at = [p[v]] if v in p else []
+        # w: p - inflow + outflow == 0; g: p + inflow - outflow == 0
+        for part, sign, end in ((w, -1.0, d.source), (g, 1.0, d.sink)):
+            if v == end:
+                continue
+            into = [part[a] for a in ins if a in part]
+            out = [part[a] for a in outs if a in part]
+            if at or into or out:
+                cols += at + into + out
+                coefs += [1.0] * len(at) + [sign] * len(into) + [-sign] * len(out)
+                ends.append(len(cols))
+    m.add_rows(cols, coefs, ends, ["=="] * len(ends), [0.0] * len(ends))
     return w, g, p
 
 
@@ -581,8 +641,10 @@ def solve_edge_lp(net: FlowNetwork, demands: list[Demand],
 def write_mps(model: LPModel, path: str) -> None:
     """Serialize to the row/column interchange format most LP tools accept.
 
-    Column j is named C<j> and row k R<k>.
+    Column j is named C<j> and row k R<k>. Raises ValueError on a model
+    `LPModel.check` rejects.
     """
+    model.check()
     A = csr_matrix((model.coefs, model.cols, model.starts),
                    shape=(model.n_rows, model.n_vars)).tocsc()
     sense_tag = {"<=": "L", ">=": "G", "==": "E"}

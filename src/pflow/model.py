@@ -132,6 +132,12 @@ class FlowNetwork:
         return tuple(tuple((idx[self.arcs[a].head], a) for a in self.out_arcs[v])
                      for v in self.nodes)
 
+    @functools.cached_property
+    def loops(self) -> frozenset[int]:
+        """The arcs u->u. `validate_instance` rejects them; the LP builders
+        leave them out of every flow-conservation row."""
+        return frozenset(a for a, arc in enumerate(self.arcs) if arc.tail == arc.head)
+
     def barred(self, source: str, sink: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """The processing rule of a `source`->`sink` demand: per arc index,
         whether its unprocessed part w, and whether its processed part g,

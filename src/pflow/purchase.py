@@ -147,41 +147,54 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                                                   {v: math.inf})
             pvar[i, v] = p[v]
 
-    sense = ">=" if mode == "min" else "<="
+    # the coupling rows, gathered row-wise and added in one bulk call
+    cols: list[int] = []
+    coefs: list[float] = []
+    ends: list[int] = []
+    senses: list[str] = []
+    rhs: list[float] = []
+
+    def row(entries, values, sense: str, bound: float) -> None:
+        cols.extend(entries)
+        coefs.extend(values)
+        ends.append(len(cols))
+        senses.append(sense)
+        rhs.append(bound)
+
     for i, d in enumerate(inst.demands):
         if xvar or mode == "min":
-            m.add_constraint([(pvar[i, v], 1.0) for v in xvar], sense, d.amount)
-        for v in xvar:
-            m.add_constraint([(pvar[i, v], 1.0), (xvar[v], -d.amount)], "<=", 0.0)
+            row([pvar[i, v] for v in xvar], [1.0] * len(xvar),
+                ">=" if mode == "min" else "<=", d.amount)
+        for v, x in xvar.items():  # p(i, v) <= R_i x(v)
+            row((pvar[i, v], x), (1.0, -d.amount), "<=", 0.0)
 
-    for v in xvar:
-        coeffs = [(pvar[i, v], 1.0) for i in range(nd)]
-        coeffs.append((xvar[v], -inst.potential[v]))
-        m.add_constraint(coeffs, "<=", 0.0)
+    for v, x in xvar.items():  # Σ_i p(i, v) <= C(v) x(v)
+        row([pvar[i, v] for i in range(nd)] + [x], [1.0] * nd + [-inst.potential[v]],
+            "<=", 0.0)
 
+    # each open candidate's columns by arc, pair by pair, w before g
+    legs = {v: [part[i, v] for i in range(nd) for part in (wvar, gvar)] for v in xvar}
     for k, arcs in enumerate(net.groups):
         cap = net.group_capacity[k]
         if not math.isfinite(cap):
             continue
         total = []
-        for v in xvar:
-            coeffs = [(part[i, v][a], 1.0) for i in range(nd)
-                      for part in (wvar, gvar) for a in arcs if a in part[i, v]]
-            total += coeffs
-            coeffs.append((xvar[v], -cap))
-            m.add_constraint(coeffs, "<=", 0.0)
+        for v, x in xvar.items():  # v's pairs' load on the group <= B x(v)
+            load = [leg[a] for leg in legs[v] for a in arcs if a in leg]
+            total += load
+            row(load + [x], [1.0] * len(load) + [-cap], "<=", 0.0)
         if xvar and nd:
             # written even when the legs leave none of the group's arcs open:
             # without the empty row, the simplex stops at another optimal vertex
-            m.add_constraint(total, "<=", cap)
+            row(total, [1.0] * len(total), "<=", cap)
 
     if mode == "min":
         m.set_objective({j: inst.price(v) for v, j in xvar.items()})
     else:
         m.set_objective(dict.fromkeys(pvar.values(), 1.0))
         if budget_cap is not None:
-            coeffs = [(j, inst.price(v)) for v, j in xvar.items()]
-            m.add_constraint(coeffs, "<=", budget_cap)
+            row(xvar.values(), [inst.price(v) for v in xvar], "<=", budget_cap)
+    m.add_rows(cols, coefs, ends, senses, rhs)
 
     m.info = {"x": xvar, "w": wvar, "g": gvar, "p": pvar, "mode": mode}
     return m

@@ -60,8 +60,9 @@ def enumerate_two_walks(net: FlowNetwork, source: str, sink: str,
 
 
 def processing_vertices(walk: tuple[str, ...], source: str, sink: str,
-                        allow_endpoints: bool = False) -> set[str]:
-    """Vertices at which flow on this walk may be processed.
+                        allow_endpoints: bool = False) -> list[str]:
+    """Vertices at which flow on this walk may be processed, each once, in
+    the order the walk first reaches them.
 
     Flow leaves the source unprocessed on every departure and must be
     processed before it first reaches the sink, so valid spots sit strictly
@@ -71,10 +72,10 @@ def processing_vertices(walk: tuple[str, ...], source: str, sink: str,
     """
     last_s = max(j for j, v in enumerate(walk) if v == source)
     first_t = min(j for j, v in enumerate(walk) if v == sink)
-    spots = {walk[j] for j in range(last_s + 1, first_t)}
+    spots = walk[last_s + 1:first_t]
     if allow_endpoints:
-        spots |= {source, sink}
-    return spots
+        spots = (source, *spots, sink)
+    return list(dict.fromkeys(spots))
 
 
 def _group_multiplicity(net: FlowNetwork, walk: tuple[str, ...]) -> dict[int, int]:
@@ -602,3 +603,92 @@ def _conserve(m: LPModel, coeffs: list[tuple[int, float]]) -> None:
     """A conservation row, skipped at a node with no arcs."""
     if coeffs:
         m.add_constraint(coeffs, "==", 0.0)
+
+
+def balance(net: FlowNetwork, var: dict[int, int], v: str,
+            sign: float = 1.0) -> list[tuple[int, float]]:
+    """Inflow minus outflow at node v, times `sign`, of the per-arc columns
+    `var` ({arc: column}, arcs without a column carry nothing): the terms
+    of a conservation row."""
+    return ([(var[a], sign) for a in net.in_arcs[v] if a in var]
+            + [(var[a], -sign) for a in net.out_arcs[v] if a in var])
+
+
+def row_by_row_commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
+                         p_hi: dict[str, float]
+                         ) -> tuple[dict[int, int], dict[int, int], dict[str, int]]:
+    """`pflow.lp.commodity` built one checked `add_constraint` row at a
+    time: the reference for the rows that `commodity` writes in bulk, which
+    must be the same, entry for entry, on any network without an arc u->u
+    (here such an arc's two entries in u's rows sum to one 0.0 entry)."""
+    w: dict[int, int] = {}
+    g: dict[int, int] = {}
+    for a in range(net.n_arcs):
+        if not wbar[a]:
+            w[a] = m.add_var()
+        if not gbar[a]:
+            g[a] = m.add_var()
+    p = {v: m.add_var(hi=hi) for v, hi in p_hi.items() if hi > 0}
+    for v in net.nodes:
+        at = [(p[v], 1.0)] if v in p else []
+        if v != d.source and (row := at + balance(net, w, v, -1.0)):
+            m.add_constraint(row, "==", 0.0)
+        if v != d.sink and (row := at + balance(net, g, v)):
+            m.add_constraint(row, "==", 0.0)
+    return w, g, p
+
+
+def row_by_row_purchase_lp(inst: PurchaseInstance, mode: str = "min",
+                           budget_cap: float | None = None,
+                           fix: dict[str, float] | None = None) -> LPModel:
+    """`pflow.purchase.build_purchase_lp` built one checked `add_constraint`
+    row at a time, on `row_by_row_commodity`: the reference for the
+    coupling rows it adds in bulk, which must be the same, entry for entry.
+    """
+    net = inst.net
+    nd = len(inst.demands)
+    m = LPModel(f"purchase-{mode}", sense="min" if mode == "min" else "max")
+    xvar: dict[str, int] = {}
+    for v in inst.candidates():
+        if fix is None:
+            xvar[v] = m.add_var(0.0, 1.0)
+        elif fix.get(v, 0.0) != 0.0:
+            xvar[v] = m.add_var(float(fix[v]), float(fix[v]))
+    wvar, gvar, pvar = {}, {}, {}
+    for i, d in enumerate(inst.demands):
+        for v in xvar:
+            wvar[i, v], gvar[i, v], p = row_by_row_commodity(
+                m, net, d, *net.legs(d.source, d.sink, v), {v: math.inf})
+            pvar[i, v] = p[v]
+
+    sense = ">=" if mode == "min" else "<="
+    for i, d in enumerate(inst.demands):
+        if xvar or mode == "min":
+            m.add_constraint([(pvar[i, v], 1.0) for v in xvar], sense, d.amount)
+        for v in xvar:
+            m.add_constraint([(pvar[i, v], 1.0), (xvar[v], -d.amount)], "<=", 0.0)
+    for v in xvar:
+        coeffs = [(pvar[i, v], 1.0) for i in range(nd)]
+        coeffs.append((xvar[v], -inst.potential[v]))
+        m.add_constraint(coeffs, "<=", 0.0)
+    for k, arcs in enumerate(net.groups):
+        cap = net.group_capacity[k]
+        if not math.isfinite(cap):
+            continue
+        total = []
+        for v in xvar:
+            coeffs = [(part[i, v][a], 1.0) for i in range(nd)
+                      for part in (wvar, gvar) for a in arcs if a in part[i, v]]
+            total += coeffs
+            coeffs.append((xvar[v], -cap))
+            m.add_constraint(coeffs, "<=", 0.0)
+        if xvar and nd:
+            m.add_constraint(total, "<=", cap)
+    if mode == "min":
+        m.set_objective({j: inst.price(v) for v, j in xvar.items()})
+    else:
+        m.set_objective(dict.fromkeys(pvar.values(), 1.0))
+        if budget_cap is not None:
+            m.add_constraint([(j, inst.price(v)) for v, j in xvar.items()], "<=",
+                             budget_cap)
+    return m

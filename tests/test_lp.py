@@ -15,6 +15,7 @@ from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
 from pflow.purchase import build_purchase_lp
 
 from oracles import (edge_lp_optimum, mixed_routing_instances, net_outflow_routing_lp,
+                     processing_vertices, row_by_row_commodity, row_by_row_purchase_lp,
                      solve_lp_linprog, walk_lp_optimum)
 
 
@@ -180,6 +181,25 @@ def test_column_index_out_of_range_rejected(j):
     assert (m.n_rows, m.starts, m.objective) == (1, [0, 1], {0: 1.0, 1: 1.0})
 
 
+@pytest.mark.parametrize("cols, ends, senses", [
+    ([0, -1], [2], ["<="]), ([0, 2], [2], ["<="]), ([1, 0, 1], [3], ["<="]),
+    ([0, 1], [2], ["<>"]), ([0, 1], [3], ["<="]), ([0, 1], [2, 1], ["<=", "<="]),
+], ids=["minus-one", "n-vars", "twice", "bad-sense", "past-the-end", "backwards"])
+def test_bulk_rows_are_checked_before_highs(cols, ends, senses, monkeypatch, tmp_path):
+    # add_rows writes as built; solve_lp and write_mps reject the model
+    # before HiGHS or the file sees it, where HiGHS would have refused to
+    # load it and the solve would have read "infeasible"
+    m = _lp("max", [([(0, 1.0)], "<=", 1.0)])
+    m.add_rows(cols, [1.0] * len(cols), ends, senses, [2.0] * len(ends))
+    monkeypatch.setattr(pflow.lp, "_highs", lambda: pytest.fail("HiGHS was called"))
+    with pytest.raises(ValueError):
+        solve_lp(m)
+    path = tmp_path / "bad.mps"
+    with pytest.raises(ValueError):
+        write_mps(m, str(path))
+    assert not path.exists()
+
+
 def test_iteration_limit_raises(monkeypatch):
     inst = gen_random_instance(8, 0.5, n_demands=3, seed=3, amounts=(1, 4))
     model = build_edge_lp(inst.net, inst.demands)
@@ -218,14 +238,14 @@ def test_routing_lp_matches_the_net_outflow_reference(halved):
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def _purchase_models(mode, fixed):
+def _purchase_models(mode, fixed, build=build_purchase_lp):
     for seed in range(4):
         inst = gen_random_purchase(6 + seed % 3, 0.5, n_candidates=3, n_demands=2,
                                    seed=seed, budget=2.0).purchase()
         # pinning only the first candidate leaves some min models infeasible
         fix = {inst.candidates()[0]: 1.0} if fixed else None
         cap = inst.budget / 2.0 if mode == "budgeted" and not fixed else None
-        yield build_purchase_lp(inst, mode, budget_cap=cap, fix=fix)
+        yield build(inst, mode, budget_cap=cap, fix=fix)
 
 
 def _infeasible_models():
@@ -480,6 +500,67 @@ def test_models_hold_no_column_fixed_at_zero():
     for model in models:
         fixed = [j for j, (lo, hi) in enumerate(zip(model.lo, model.hi)) if lo == hi == 0.0]
         assert not fixed, (model.name, fixed)
+
+
+def _arrays(model):
+    return (model.lo, model.hi, model.starts, model.cols, model.coefs, model.senses,
+            model.rhs, model.objective)
+
+
+def _plain_models():
+    kinds = ("max-total-flow", "min-max-congestion", "min-weighted-congestion")
+    return [m for kind in kinds for m in _edge_models(kind)] + list(_routing_models())
+
+
+def test_bulk_rows_match_the_row_by_row_reference(monkeypatch):
+    # commodity's balance rows and the purchase LP's coupling rows are
+    # written in bulk: entry for entry what checked add_constraint rows give
+    purchase = [(mode, fixed) for mode in ("min", "budgeted") for fixed in (False, True)]
+    got = _plain_models() + [m for mode, fixed in purchase
+                             for m in _purchase_models(mode, fixed)]
+    want = [m for mode, fixed in purchase
+            for m in _purchase_models(mode, fixed, build=row_by_row_purchase_lp)]
+    monkeypatch.setattr(pflow.lp, "commodity", row_by_row_commodity)
+    want = _plain_models() + want
+    assert len(got) == len(want) == 9 + 3 + 16
+    for built, ref in zip(got, want):
+        assert _arrays(built) == _arrays(ref), built.name
+
+
+@pytest.mark.parametrize("kind, optimum", [("min-max-congestion", 2.0),
+                                           ("min-weighted-congestion", 3.5)])
+def test_self_loop_stays_out_of_the_balance_rows(kind, optimum):
+    # s->a (B 2), a->t (B 4), C_a = 1 and a demand of 2: the load ratios
+    # are 1 on s->a, 0.5 on a->t and 2 at a, and the loop a->a (B 1) can
+    # carry nothing useful. It enters and leaves a, so it is in no
+    # conservation row, and the optimum is the loop-free network's
+    edges = [("s", "a", 2.0), ("a", "t", 4.0)]
+    loop = FlowNetwork("sat", edges + [("a", "a", 1.0)], {"a": 1.0})
+    assert loop.loops == {2}
+    demands = [Demand("s", "t", 2.0)]
+    model = build_edge_lp(loop, demands, Objective(kind=kind))
+    model.check()
+    looped = {model.info[part][0][2] for part in "wg"}
+    for k, sense in enumerate(model.senses):
+        if sense == "==":
+            assert not looped & set(model.cols[model.starts[k]:model.starts[k + 1]]), k
+    res = solve_lp(model)
+    plain = solve_lp(build_edge_lp(FlowNetwork("sat", edges, {"a": 1.0}), demands,
+                                   Objective(kind=kind)))
+    assert res.status == plain.status == "optimal"
+    assert res.objective == pytest.approx(optimum, abs=1e-9)
+    assert plain.objective == pytest.approx(optimum, abs=1e-9)
+
+
+def test_processing_vertices_follow_the_walk():
+    # each vertex once, where the walk first reaches it: walk_lp_optimum's
+    # columns, and so its vertex, do not depend on string hashing
+    walk = ("s", "b", "s", "c", "a", "c", "t", "a", "t")
+    assert processing_vertices(walk, "s", "t") == ["c", "a"]
+    assert processing_vertices(walk, "s", "t", allow_endpoints=True) == ["s", "c", "a", "t"]
+    # back at the source after the sink: nowhere between them to process
+    assert processing_vertices(("s", "t", "s", "t"), "s", "t") == []
+    assert processing_vertices(("s", "t", "s", "t"), "s", "t", True) == ["s", "t"]
 
 
 def _peak_ratio(net, sol):
