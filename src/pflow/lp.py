@@ -24,22 +24,26 @@ never enters the source or leaves the sink. An arc's load is w + g, and the
 delivered value of a demand is its source outflow.
 
 Max total flow is solved over the 2-walks instead, by column generation
-(`solve_walk_master`): a master LP over the walks found so far, priced by
-the MWU walk oracle under the master's row duals, so that only walks that
-can raise the flow are ever built. Its edge flows are the sum of its walks,
-so `solve_edge_lp` returns them as the arc formulation would. The arc
-formulation serves the congestion objectives, MPS export and the tests'
-reference.
+(`solve_walk_master`): a master LP over the walks found so far, priced
+under the master's row duals, so that only walks that can raise the flow
+are ever built. A round prices every demand with one scipy Dijkstra run
+(`price_walks`) over a block-diagonal graph, one two-layer copy of the
+network per demand, whose weights are rewritten in place each round; the
+graph is built once per network and list of (source, sink) pairs. Its edge
+flows are the sum of its walks, so `solve_edge_lp` returns them as the arc
+formulation would. The arc formulation serves the congestion objectives,
+MPS export and the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 try:  # the HiGHS binding scipy vendors as highspy's `_core` since 1.15
     from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
@@ -48,7 +52,6 @@ except ImportError as exc:
     raise ImportError("pflow needs scipy>=1.15: solve_lp calls the HiGHS binding "
                       "scipy.optimize._highspy._core") from exc
 
-from . import mwu
 from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     ResourceLimitError)
 
@@ -507,6 +510,90 @@ _PRICE_TOL = 1e-9
 Column = tuple[int, tuple[int, ...], int]
 
 
+class _WalkGraph:
+    """The pricing graph of one list of (source, sink) pairs: block b is a
+    two-layer copy of the network for pair b, nodes 2nb + v (unprocessed)
+    and 2nb + n + v (processed). Layer 0 holds the arcs `FlowNetwork.barred`
+    leaves open to w, layer 1 those open to g, and v0->v1 processes at v.
+    Each entry's weight is the price of the master row its key names: the
+    arc's group row k + g, or node v's row k + G + v. Only the weights
+    change from round to round."""
+
+    __slots__ = ("csr", "keys", "sources", "sinks", "arc")
+
+    def __init__(self, net: FlowNetwork, pairs: list[tuple[str, str]]):
+        n, k = net.n_nodes, len(pairs)
+        tail = np.array([net.node_index(a.tail) for a in net.arcs], dtype=np.int64)
+        head = np.array([net.node_index(a.head) for a in net.arcs], dtype=np.int64)
+        group = k + np.array([a.group for a in net.arcs], dtype=np.int64)
+        # open[b, layer, a]: arc a is open to pair b's w (layer 0) or g (layer 1);
+        # bytes() of a tuple of bools is its 0/1 bytes, faster than np.array
+        bars = b"".join(bytes(bar) for s, t in pairs for bar in net.barred(s, t))
+        is_open = ~np.frombuffer(bars, dtype=bool).reshape(k, 2, net.n_arcs)
+        b, layer, a = np.nonzero(is_open)
+        first = n * (2 * b + layer)
+        unprocessed = (2 * n * np.arange(k)[:, None] + np.arange(n)).ravel()
+        rows = np.concatenate((first + tail[a], unprocessed))
+        cols = np.concatenate((first + head[a], unprocessed + n))
+        keys = np.concatenate((group[a], np.tile(k + net.edge_count + np.arange(n), k)))
+        order = np.argsort(rows, kind="stable")
+        size = 2 * n * k
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        self.csr = csr_matrix((np.zeros(len(order)), cols[order].astype(np.int32), indptr),
+                              shape=(size, size))
+        self.keys = keys[order]
+        ends = np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs],
+                        dtype=np.int64).reshape(k, 2)
+        self.sources = 2 * n * np.arange(k) + ends[:, 0]
+        self.sinks = 2 * n * np.arange(k) + n + ends[:, 1]
+        self.arc = {uh: a for a, uh in enumerate(zip(tail.tolist(), head.tolist()))}
+
+
+def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
+                ) -> tuple[np.ndarray, Callable[[int], Column]]:
+    """Every demand's cheapest processed 2-walk under the master's row
+    prices, by one Dijkstra run over the pricing graph.
+
+    `price` is indexed like the master's rows (demands, then bandwidth
+    groups, then nodes) and must be non-negative. An arc costs its group's
+    price and processing at v costs v's; a group of capacity 0 and a node of
+    capacity 0 cost inf. The graph is built once per network and list of
+    (source, sink) pairs, and `FlowNetwork.with_node_capacity` hands it on.
+    Returns each demand's cost (inf without a walk; the demand rows' prices
+    are not part of it) and a function that rebuilds the walk of a demand i
+    whose cost is finite, as a master column; ties between walks break in
+    csgraph's order.
+    """
+    pairs = [(d.source, d.sink) for d in demands]
+    graph = net._walk_graphs.get(tuple(pairs))
+    if graph is None:
+        graph = net._walk_graphs[tuple(pairs)] = _WalkGraph(net, pairs)
+    closed = [c <= 0 for c in net.group_capacity]
+    closed += [net.node_capacity[v] <= 0 for v in net.nodes]
+    weight = np.array(price, dtype=float)
+    weight[len(pairs):][closed] = math.inf
+    np.take(weight, graph.keys, out=graph.csr.data)
+    dist, pred, _ = dijkstra(graph.csr, indices=graph.sources, min_only=True,
+                             return_predecessors=True)
+    n, pred = net.n_nodes, pred.tolist()
+
+    def walk(i: int) -> Column:
+        base, source, y = 2 * n * i, int(graph.sources[i]), int(graph.sinks[i])
+        arcs: list[int] = []
+        after = 0  # arcs that carry the flow processed
+        while y != source:
+            x = pred[y]
+            if x - base < n <= y - base:  # x -> y is v0 -> v1, processing at v
+                after = len(arcs)
+            else:
+                arcs.append(graph.arc[(x - base) % n, (y - base) % n])
+            y = x
+        return i, tuple(reversed(arcs)), len(arcs) - after
+
+    return dist[graph.sinks], walk
+
+
 def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                       columns: Sequence[Column] = ()
                       ) -> tuple[EdgeFlowSolution, LPResult, list[Column]]:
@@ -518,15 +605,16 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     in, worth 1 per unit: 1 on its demand and node rows, and on each group
     row the number of times the walk uses an arc of that group. It starts
     with `columns`. Each round negates the master's row duals, clamped at
-    0, into demand prices σ_i, group prices y_g and node prices z_v, and
-    asks the walk oracle (`mwu.shortest_processing_2walk`) for each
-    demand's cheapest 2-walk under arc costs y_g (inf on a group of
-    capacity 0) and node costs z_v (nodes with C_v = 0 cannot process).
-    A walk whose reduced cost 1 - σ_i - cost exceeds 1e-9 and that is not a
-    column yet joins the master, which HiGHS then re-solves by primal
-    simplex from its current basis; the rounds stop when none joins, which
-    they must, as no walk joins twice. The master's solves share the
-    MAXITER budget.
+    0, into demand prices σ_i, group prices y_g and node prices z_v (a
+    non-finite dual raises ResourceLimitError), and prices every demand at
+    once (`price_walks`: one Dijkstra run over a two-layer graph per
+    demand) for its cheapest 2-walk under arc costs y_g (inf on a group of
+    capacity 0) and node costs z_v (nodes with C_v = 0 cannot process);
+    when no node can process, no round prices anything. A walk whose
+    reduced cost 1 - σ_i - cost exceeds 1e-9 and that is not a column yet
+    joins the master, which HiGHS then re-solves by primal simplex from its
+    current basis; the rounds stop when none joins, which they must, as no
+    walk joins twice. The master's solves share the MAXITER budget.
 
     Returns the edge flows, the LPResult (its `x` indexed like the columns)
     and the columns the master ended with. The edge flows sum the columns
@@ -549,9 +637,11 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     highs = _highs()
     highs.passModel(lp)
 
+    # with no processing capacity no walk has a finite cost: price nothing
+    pricing = any(c > 0 for c in net.node_capacity.values())
     cols: list[Column] = []
     known: set[Column] = set()
-    price = [0.0] * len(upper)  # the empty master's duals
+    price = np.zeros(len(upper))  # the empty master's duals
     batch = list(columns)
     used = rounds = 0
     objective = 0.0
@@ -577,23 +667,18 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
             if status != "optimal":
                 raise ResourceLimitError(f"walk master ended {status}")
             objective = -float(highs.getInfo().objective_function_value)
-            price = [max(0.0, -y) for y in highs.getSolution().row_dual]
+            dual = np.asarray(highs.getSolution().row_dual)
+            if not np.isfinite(dual).all():
+                raise ResourceLimitError("walk master returned a non-finite row dual")
+            price = np.maximum(-dual, 0.0)
         rounds += 1
-        arc_cost = [price[k + a.group] if caps[a.group] > 0 else math.inf
-                    for a in net.arcs]
-        node_cost = {v: price[row] for v, row in node_row.items()
-                     if net.node_capacity[v] > 0}
-        batch = []
-        reduced = -math.inf
-        for i, d in enumerate(demands):
-            walks = mwu.shortest_processing_2walk(net, arc_cost, node_cost,
-                                                  d.source, d.sink)
-            gain = 1.0 - price[i] - walks.cost_to(d.sink)
-            reduced = max(reduced, gain)
-            if gain > _PRICE_TOL:
-                _, _, arcs, split = walks.walk_to(d.sink)
-                if (i, arcs, split) not in known:
-                    batch.append((i, arcs, split))
+        batch, reduced = [], -math.inf
+        if pricing and k:
+            cost, walk = price_walks(net, demands, price)
+            gain = 1.0 - price[:k] - cost
+            reduced = float(gain.max())
+            batch = [col for col in map(walk, np.flatnonzero(gain > _PRICE_TOL).tolist())
+                     if col not in known]
         if not batch:
             break
 
@@ -612,7 +697,7 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
         v = net.arcs[arcs[split - 1]].head
         p[v] = p.get(v, 0.0) + val
     # an uncapped demand's row never binds, so its price is 0
-    bound = sum(b * y for b, y in zip(upper, price) if y > 0.0)
+    bound = sum(b * y for b, y in zip(upper, price.tolist()) if y > 0.0)
     sol = EdgeFlowSolution(flow, unproc, proc, 0.0, meta={
         "algorithm": "lp", "objective_kind": "max-total-flow",
         "lp_objective": objective, "lp_iterations": used, "rounds": rounds,

@@ -106,7 +106,9 @@ class FlowNetwork:
         for i, a in enumerate(self.arcs):
             groups[a.group].append(i)
         self.groups = tuple(tuple(g) for g in groups)
+        # topology caches, which with_node_capacity hands on to its copy
         self._barred: dict = {}  # (source, sink) -> barred(source, sink)
+        self._walk_graphs: dict = {}  # (source, sink) pairs -> lp's pricing graph
 
     @property
     def n_nodes(self) -> int:
@@ -125,8 +127,7 @@ class FlowNetwork:
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node index, the (head index, arc index) of each out-arc.
 
-        Built on first use; the walk oracle reads it, for MWU and for the
-        LP's walk master.
+        Built on first use; MWU's walk oracle reads it.
         """
         idx = self._index
         return tuple(tuple((idx[self.arcs[a].head], a) for a in self.out_arcs[v])
@@ -141,7 +142,8 @@ class FlowNetwork:
     def barred(self, source: str, sink: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """The processing rule of a `source`->`sink` demand: per arc index,
         whether its unprocessed part w, and whether its processed part g,
-        may not use the arc. Computed once per pair.
+        may not use the arc. Computed once per pair, and shared with the
+        copies `with_node_capacity` makes.
 
         Flow leaves the source unprocessed (g is barred from arcs out of
         the source) and reaches the sink processed (w is barred from arcs
@@ -183,7 +185,12 @@ class FlowNetwork:
         return self.node_capacity[v]
 
     def with_node_capacity(self, caps: dict[str, float]) -> "FlowNetwork":
-        """Copy of this network with node processing capacities replaced."""
+        """Copy of this network with node processing capacities replaced.
+
+        The copy shares this network's topology caches: the `barred` rules
+        and the walk master's pricing graphs, whose structure no node
+        capacity changes. So a capacity sweep builds them once per
+        instance, not once per grid point."""
         edges = []
         done = set()
         for a in self.arcs:
@@ -191,7 +198,9 @@ class FlowNetwork:
                 continue
             done.add(a.group)
             edges.append((a.tail, a.head, a.capacity))
-        return FlowNetwork(self.nodes, edges, caps, directed=self.directed)
+        net = FlowNetwork(self.nodes, edges, caps, directed=self.directed)
+        net._barred, net._walk_graphs = self._barred, self._walk_graphs
+        return net
 
 
 @dataclass

@@ -6,7 +6,6 @@ import pytest
 
 import pflow.harness
 import pflow.lp
-import pflow.mwu
 import pflow.naive
 from pflow.generators import gen_random_instance
 from pflow.harness import (CSV_HEADER, KNOWN_ALGS, RunRecord, SweepSpec,
@@ -118,10 +117,12 @@ def test_solver_failure_becomes_row(naive_gap):
 
 
 def _sweep_cases():
-    """Seeded random instances, each with both distributions, two reps."""
+    """Seeded random instances, each with both distributions, two reps. The
+    directed ones are denser, so that they too carry processed flow."""
     for seed in range(4):
-        inst = gen_random_instance(8, 0.35, n_demands=3, seed=seed,
-                                   directed=seed % 2 == 0)
+        directed = seed % 2 == 0
+        inst = gen_random_instance(8, 0.45 if directed else 0.35, n_demands=3,
+                                   seed=seed, directed=directed)
         for dist in ("all", "half"):
             yield inst.net, inst.demands, SweepSpec(
                 lo=0.0, hi=3.0, step=1.5, dist=dist, seed=seed, repetitions=2)
@@ -208,16 +209,16 @@ def test_lp_records_match_a_fresh_solve_per_point():
 
 def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
     # a grid point seeded with the previous point's columns takes fewer
-    # simplex iterations and far fewer walk-oracle calls than a fresh master
-    calls = 0
-    real = pflow.mwu.shortest_processing_2walk
+    # simplex iterations and prices far fewer demands than a fresh master
+    calls = 0  # demands priced
+    real = pflow.lp.price_walks
 
-    def counting(*args):
+    def counting(net, demands, price):
         nonlocal calls
-        calls += 1
-        return real(*args)
+        calls += len(demands)
+        return real(net, demands, price)
 
-    monkeypatch.setattr(pflow.mwu, "shortest_processing_2walk", counting)
+    monkeypatch.setattr(pflow.lp, "price_walks", counting)
     inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
     spec = SweepSpec(lo=0.0, hi=5.0, step=0.5, dist="half", seed=1)
     recs = compare_runs(inst.net, inst.demands, spec, algorithms=("lp",))
@@ -272,7 +273,7 @@ def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
         failed_point = f"cap={spec.grid()[1]:g}/{spec.dist}"
         for point, reps in _lp_records(recs).items():
             # a master whose pricing finds no walk at all solves nothing, so
-            # no iteration limit can fail it (the directed cases carry no flow)
+            # no iteration limit can fail it; every case here has a walk there
             if point == failed_point and real(_point_network(net, spec, point),
                                               demands)[1].iterations > 0:
                 failed += 1
@@ -285,7 +286,7 @@ def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
             for r in reps:
                 assert r.feasible
                 assert r.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
-    assert failed == 4
+    assert failed == 8
 
 
 def test_objective_ratio_conventions():

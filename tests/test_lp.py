@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pflow.lp import (LPModel, Objective, build_edge_lp, build_routing_lp,
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                          ResourceLimitError, verify_edge_solution,
                          verify_walk_solution)
+from pflow.mwu import shortest_processing_2walk
 from pflow.purchase import build_purchase_lp
 
 from oracles import (edge_lp_optimum, mixed_routing_instances, net_outflow_routing_lp,
@@ -466,6 +468,86 @@ def test_walk_master_matches_the_edge_lp_and_walk_enumeration():
         kinds |= {"no demand"} if not demands else {"flow"} if sol.objective > 0 else set()
     assert kinds == {(True, True), (True, False), (False, True), (False, False),
                      "zero node", "zero group", "no demand", "flow"}
+
+
+def _check_priced_walk(net, demands, price, i, column, cost):
+    """Demand i's column runs from its source to its sink, w and g on arcs
+    `FlowNetwork.barred` leaves open to them, is processed where C > 0 and,
+    summed in walk order, costs `cost` under the row prices."""
+    k, d = len(demands), demands[i]
+    j, arcs, split = column
+    assert j == i and 1 <= split <= len(arcs)
+    path = [net.arcs[a] for a in arcs]
+    assert path[0].tail == d.source and path[-1].head == d.sink
+    assert all(a.head == b.tail for a, b in zip(path, path[1:]))
+    wbar, gbar = net.barred(d.source, d.sink)
+    assert not any(wbar[a] for a in arcs[:split])
+    assert not any(gbar[a] for a in arcs[split:])
+    proc = path[split - 1].head
+    assert net.node_capacity[proc] > 0
+    terms = [price[k + net.arcs[a].group] for a in arcs]
+    terms.insert(split, price[k + net.edge_count + net.node_index(proc)])
+    assert sum(terms) == cost
+
+
+def _priced_instances():
+    """The master's instances with demands, and a path whose only walk is
+    priced all zero."""
+    for net, demands in _master_instances():
+        if demands:
+            yield net, demands
+    yield FlowNetwork("sat", [("s", "a", 1.0), ("a", "t", 1.0)], {"a": 1.0}), \
+        [Demand("s", "t")]
+
+
+def test_batched_pricing_matches_the_walk_oracle():
+    # one Dijkstra run over the two-layer graphs prices every demand as the
+    # walk oracle does, demand by demand; the prices are dyadic, so both
+    # sum them exactly. The graph serves later rounds and a recapacitated copy
+    rng = random.Random(2020)
+    zero_walks = 0
+    for net, demands in _priced_instances():
+        k, rows = len(demands), len(demands) + net.edge_count + net.n_nodes
+        copy = net.with_node_capacity({v: float(rng.randint(0, 2)) for v in net.nodes})
+        assert copy._walk_graphs is net._walk_graphs
+        rounds = [np.zeros(rows)] + [np.array([rng.randint(0, 8) / 8 for _ in range(rows)])
+                                     for _ in range(3)]
+        for cnet, price in [(net, p) for p in rounds] + [(copy, rounds[-1])]:
+            cost, walk = pflow.lp.price_walks(cnet, demands, price)
+            assert len(net._walk_graphs) == 1
+            arc_cost = [price[k + a.group] if cnet.group_capacity[a.group] > 0 else math.inf
+                        for a in cnet.arcs]
+            node_cost = {v: price[k + cnet.edge_count + j] for j, v in enumerate(cnet.nodes)
+                         if cnet.node_capacity[v] > 0}
+            for i, d in enumerate(demands):
+                want = shortest_processing_2walk(cnet, arc_cost, node_cost, d.source, d.sink)
+                assert cost[i] == want.cost_to(d.sink)
+                if math.isfinite(cost[i]):
+                    _check_priced_walk(cnet, demands, price, i, walk(i), cost[i])
+                    zero_walks += cost[i] == 0.0
+    assert zero_walks > 0
+
+
+def test_walk_master_rejects_a_non_finite_dual(monkeypatch, inst_line):
+    # a NaN row dual must not become a price of 0
+    real = pflow.lp._highs
+
+    class NanDual:
+        def __init__(self):
+            self.highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def getSolution(self):
+            sol = self.highs.getSolution()
+            return SimpleNamespace(col_value=sol.col_value,
+                                   row_dual=[math.nan, *sol.row_dual[1:]])
+
+    monkeypatch.setattr(pflow.lp, "_highs", NanDual)
+    net, demands = inst_line
+    with pytest.raises(ResourceLimitError, match="non-finite row dual"):
+        solve_edge_lp(net, demands)
 
 
 def test_split_model_dimensions(inst_loop):
