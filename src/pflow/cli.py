@@ -57,8 +57,8 @@ def _cmd_solve(args) -> int:
             raise StructuralError("--format edge-flows needs --alg lp")
 
     if args.emit_lp:
-        # the arc model exists for the instance regardless of which
-        # algorithm then solves it
+        # the instance's arc LP, for other solvers; whichever algorithm
+        # runs below, pflow does not solve this model
         write_mps(build_edge_lp(inst.net, inst.demands, objective), args.emit_lp)
 
     sol = run_solver(args.alg, inst.net, inst.demands, args.epsilon, objective)

@@ -1,10 +1,10 @@
 """Turn a feasible arc-level processed-flow solution into explicit 2-walks.
 
 Input contract: a feasible edge solution for the given network and demands,
-such as `extract_edge_solution` returns or a document that passed
+such as `lp.solve_edge_lp` returns or a document that passed
 `verify_edge_solution`. Values are read as they are; nothing is clamped.
 
-Each commodity's flow splits into the edge LP's two parts: unprocessed w and
+Each commodity's flow splits into the paper's two parts: unprocessed w and
 processed g = flow - unprocessed. After cancelling the cycles that lie
 entirely in one part, every remaining unit can be pulled out as a walk: from
 a node with processed volume, trace w backwards to the source and g forwards

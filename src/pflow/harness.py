@@ -94,10 +94,9 @@ def run_solver(alg: str, net: FlowNetwork, demands: list[Demand],
     """The solver dispatch behind `pflow solve`. `compare_runs` calls it for
     mwu only: it runs lp and naive itself, to share work across grid points.
 
-    lp returns its edge flows (an EdgeFlowSolution, not yet decomposed):
-    under max total flow the walk master's, summed over its walks, and
-    otherwise the edge LP's. mwu, with accuracy `epsilon`, and naive return
-    walks. Only lp takes an objective other than the default.
+    lp returns the walk master's walks summed into edge flows (an
+    EdgeFlowSolution, not yet decomposed), under any objective; mwu, with
+    accuracy `epsilon`, and naive return walks under the default one.
     """
     if alg == "lp":
         return solve_edge_lp(net, demands, objective)[0]

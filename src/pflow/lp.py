@@ -23,16 +23,16 @@ too: flow leaves the source unprocessed, reaches the sink processed, and
 never enters the source or leaves the sink. An arc's load is w + g, and the
 delivered value of a demand is its source outflow.
 
-Max total flow is solved over the 2-walks instead, by column generation
-(`solve_walk_master`): a master LP over the walks found so far, priced
-under the master's row duals, so that only walks that can raise the flow
-are ever built. A round prices every demand with one scipy Dijkstra run
-(`price_walks`) over a block-diagonal graph, one two-layer copy of the
-network per demand, whose weights are rewritten in place each round; the
-graph is built once per network and list of (source, sink) pairs. Its edge
-flows are the sum of its walks, so `solve_edge_lp` returns them as the arc
-formulation would. The arc formulation serves the congestion objectives,
-MPS export and the tests' reference.
+Every objective is solved over the 2-walks instead (`solve_walk_master`).
+Max total flow and min-max congestion are column generation: a master LP
+over the walks found so far, priced under its row duals, so that only
+walks that can improve it are ever built; min-weighted congestion is one
+pricing call. Pricing is one scipy Dijkstra run (`price_walks`) over a
+block-diagonal graph, one two-layer copy of the network per demand, whose
+weights are rewritten in place each round; the graph is built once per
+network and list of (source, sink) pairs. `solve_edge_lp` returns the
+walks summed into edge flows, as the arc formulation would. The arc
+formulation (`build_edge_lp`) serves MPS export and the tests' reference.
 """
 
 from __future__ import annotations
@@ -359,13 +359,14 @@ def build_routing_lp(net: FlowNetwork, demands: list[Demand],
 
 @dataclass(frozen=True)
 class Objective:
-    """What the edge LP optimizes.
+    """What `solve_edge_lp` optimizes over 2-walks, and `build_edge_lp` writes.
 
     max-total-flow: maximize total delivered processed flow under hard caps.
     min-max-congestion: demands become hard requirements, capacities soften
     into load/capacity ratios, and the largest ratio is minimized.
     min-weighted-congestion: same, minimizing a weighted sum of the ratios.
     Weights are keyed by bandwidth group index / node id; missing means 1.
+    Each must be finite and non-negative and name a group or node.
     """
 
     kind: str = "max-total-flow"
@@ -373,32 +374,41 @@ class Objective:
     node_weights: dict | None = None
 
 
-def build_edge_lp(net: FlowNetwork, demands: list[Demand],
-                  objective: Objective = Objective()) -> LPModel:
-    """Arc formulation of the processed-flow problem, split as in the paper.
-
-    Each demand is one `commodity`: per arc, w (unprocessed flow) and g
-    (processed flow), each only on the arcs `FlowNetwork.barred` leaves open
-    to it (and under the congestion objectives, only on edges of positive
-    capacity); per non-source node, p (volume processed there; under the
-    congestion objectives, only where C_v > 0), with
-    p = w_in - w_out at every non-source node and g_out - g_in = p away from
-    both endpoints. An arc's
-    total flow w + g draws on its shared bandwidth, Σp on node capacity, and
-    the source outflow, all of it w, is what a demand delivers: capped by a
-    finite amount, or exactly that amount under the congestion objectives,
-    where a zero-capacity edge carries nothing and a zero-capacity node
-    processes nothing. Rows with no column are left out.
-    `info["w"][i]`, `info["g"][i]` and `info["p"][i]` map demand i's arcs
-    and nodes to its columns.
-    """
+def _check_objective(net: FlowNetwork, demands: list[Demand], objective: Objective) -> str:
+    """The objective's kind; ValueError on an unknown kind, an uncapped
+    demand under congestion, or a weight that `Objective` does not allow."""
     kind = objective.kind
     if kind not in ("max-total-flow", "min-max-congestion", "min-weighted-congestion"):
         raise ValueError(f"unknown objective kind {kind!r}")
-    congestion = kind != "max-total-flow"
-    if congestion and any(not math.isfinite(d.amount) for d in demands):
+    if kind != "max-total-flow" and any(not math.isfinite(d.amount) for d in demands):
         raise ValueError("congestion objectives need finite demand amounts")
+    for noun, weights, keys in (("bandwidth group", objective.edge_weights, range(net.edge_count)),
+                                ("node", objective.node_weights, net.node_capacity)):
+        for key, weight in (weights or {}).items():
+            if key not in keys:
+                raise ValueError(f"weight key {key!r} names no {noun}")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"weight {weight!r} of {noun} {key!r} is negative or not finite")
+    return kind
 
+
+def build_edge_lp(net: FlowNetwork, demands: list[Demand],
+                  objective: Objective = Objective()) -> LPModel:
+    """Arc formulation of the processed-flow problem, split as in the paper,
+    once `_check_objective` passes `objective`: what `--emit-lp` writes, and
+    the tests' reference for `solve_walk_master`.
+
+    Each demand is one `commodity` under `FlowNetwork.barred`, with p at
+    every non-source node. An arc's load w + g draws on its group's
+    bandwidth, Σp on node capacity, and a demand delivers its source
+    outflow: at most a finite amount, or exactly that amount under the
+    congestion objectives, where an edge or node of capacity 0 gets no
+    column. Rows with no column are left out. `info["w"][i]`,
+    `info["g"][i]` and `info["p"][i]` map demand i's arcs and nodes to its
+    columns.
+    """
+    kind = _check_objective(net, demands, objective)
+    congestion = kind != "max-total-flow"
     m = LPModel(name=f"edge-{kind}", sense="min" if congestion else "max")
     wvar: list[dict[int, int]] = []
     gvar: list[dict[int, int]] = []
@@ -421,11 +431,8 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
             m.add_constraint(out_i, "<=", d.amount)
         net_out += out_i
 
-    theta = None
-    if kind == "min-max-congestion":
-        theta = m.add_var()
-    ew = objective.edge_weights or {}
-    nw = objective.node_weights or {}
+    theta = m.add_var() if kind == "min-max-congestion" else None
+    ew, nw = objective.edge_weights or {}, objective.node_weights or {}
     # each bandwidth group's load Σ(w + g) and each node's Σp, with its
     # capacity and weight; a resource with no column carries nothing
     loads = [([(part[a], 1.0) for a in arcs for part in wvar + gvar if a in part],
@@ -433,67 +440,24 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
              for g, (arcs, cap) in enumerate(zip(net.groups, net.group_capacity))]
     loads += [([(p[v], 1.0) for p in pvar if v in p], net.node_capacity[v], nw.get(v, 1.0))
               for v in net.nodes]
-    weighted_obj: dict[int, float] = {}
+    obj = {theta: 1.0} if theta is not None else {} if congestion else dict(net_out)
     for coeffs, cap, weight in loads:
         if not coeffs:
             continue
-        if kind == "max-total-flow":
+        if not congestion:
             m.add_constraint(coeffs, "<=", cap)
         elif theta is not None:
             m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
         else:
-            weighted_obj.update((j, weight * c / cap) for j, c in coeffs)
-
-    if kind == "max-total-flow":
-        m.set_objective(dict(net_out))
-    elif kind == "min-max-congestion":
-        m.set_objective({theta: 1.0})
-    else:
-        m.set_objective(weighted_obj)
-
-    m.info = {"w": wvar, "g": gvar, "p": pvar, "theta": theta, "kind": kind}
+            obj.update((j, weight * c / cap) for j, c in coeffs)
+    m.set_objective(obj)
+    m.info = {"w": wvar, "g": gvar, "p": pvar}
     return m
-
-
-def _sparse(values: dict) -> dict:
-    return {key: x for key, x in values.items() if x > SNAP}
-
-
-def extract_edge_solution(model: LPModel, x: np.ndarray,
-                          net: FlowNetwork, demands: list[Demand]) -> EdgeFlowSolution:
-    """Pull per-demand flows out of a solved edge LP, snapping float dust to zero.
-
-    The solution carries each arc's total flow w + g next to its unprocessed
-    part w, so flow >= unprocessed holds by construction. A congestion
-    solution reports its peak load/capacity ratio as meta["congestion"]: the
-    LP's theta under min-max, the ratio of the extracted loads under
-    min-weighted.
-    """
-    if not model.info or "g" not in model.info:
-        raise ValueError("model was not built by build_edge_lp")
-    vals = [max(0.0, val) for val in x.tolist()]
-    info = model.info
-    flow, unproc, proc = [], [], []
-    for i in range(len(demands)):
-        w = {a: vals[j] for a, j in info["w"][i].items()}
-        g = {a: vals[j] for a, j in info["g"][i].items()}
-        flow.append(_sparse({a: w.get(a, 0.0) + g.get(a, 0.0) for a in range(net.n_arcs)}))
-        unproc.append(_sparse(w))
-        proc.append(_sparse({v: vals[j] for v, j in info["p"][i].items()}))
-    sol = EdgeFlowSolution(flow, unproc, proc, 0.0,
-                           meta={"algorithm": "lp", "objective_kind": info["kind"]})
-    sol.objective = sum(sol.delivered(net, demands, i) for i in range(len(demands)))
-    theta = info.get("theta")
-    if theta is not None:
-        sol.meta["congestion"] = float(x[theta])
-    elif info["kind"] == "min-weighted-congestion":
-        sol.meta["congestion"] = _peak_ratio(net, sol)
-    return sol
 
 
 def _peak_ratio(net: FlowNetwork, sol: EdgeFlowSolution) -> float:
     """The largest load/capacity ratio over the resources with capacity;
-    a congestion LP puts no load on the others."""
+    a congestion solution puts no load on the others."""
     caps = net.group_capacity
     ratios = [load / caps[g] for g, load in sol.group_loads(net).items() if caps[g] > 0]
     ratios += [load / net.node_capacity[v] for v, load in sol.node_loads().items()
@@ -556,7 +520,7 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
     prices, by one Dijkstra run over the pricing graph.
 
     `price` is indexed like the master's rows (demands, then bandwidth
-    groups, then nodes) and must be non-negative. An arc costs its group's
+    groups, then nodes), non-negative on the last two. An arc costs its group's
     price and processing at v costs v's; a group of capacity 0 and a node of
     capacity 0 cost inf. The graph is built once per network and list of
     (source, sink) pairs, and `FlowNetwork.with_node_capacity` hands it on.
@@ -595,59 +559,85 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
 
 
 def solve_walk_master(net: FlowNetwork, demands: list[Demand],
-                      columns: Sequence[Column] = ()
+                      columns: Sequence[Column] = (), objective: Objective = Objective()
                       ) -> tuple[EdgeFlowSolution, LPResult, list[Column]]:
-    """Max total flow over processed 2-walks, by column generation.
+    """`objective` over processed 2-walks, once `_check_objective` passes it.
 
-    The master LP has one row per demand (at most its amount), one per
-    bandwidth group (at most its capacity) and one per node (at most C_v),
-    and one column per (demand, 2-walk, processing vertex) it has priced
-    in, worth 1 per unit: 1 on its demand and node rows, and on each group
-    row the number of times the walk uses an arc of that group. It starts
-    with `columns`. Each round negates the master's row duals, clamped at
-    0, into demand prices σ_i, group prices y_g and node prices z_v (a
-    non-finite dual raises ResourceLimitError), and prices every demand at
-    once (`price_walks`: one Dijkstra run over a two-layer graph per
-    demand) for its cheapest 2-walk under arc costs y_g (inf on a group of
-    capacity 0) and node costs z_v (nodes with C_v = 0 cannot process);
-    when no node can process, no round prices anything. A walk whose
-    reduced cost 1 - σ_i - cost exceeds 1e-9 and that is not a column yet
-    joins the master, which HiGHS then re-solves by primal simplex from its
-    current basis; the rounds stop when none joins, which they must, as no
-    walk joins twice. The master's solves share the MAXITER budget.
+    Max total flow is column generation. The master LP has a row per demand
+    (at most R_i), group (at most B_g) and node (at most C_v), and a column
+    per (demand, 2-walk, processing vertex) priced in, worth 1: 1 on its
+    demand and node rows, and on each group row the times the walk uses that
+    group. It starts with `columns`. Each round turns the negated row duals,
+    clamped at 0 (a non-finite one raises ResourceLimitError), into prices
+    σ_i, y_g and z_v, and prices every demand's cheapest 2-walk at once
+    (`price_walks`) unless no node can process. A new walk joins when its
+    worth - σ_i - cost exceeds 1e-9, and HiGHS re-solves by primal simplex
+    from the current basis, all solves within one MAXITER budget. The
+    rounds stop when none joins; as no walk joins twice, they do.
 
-    Returns the edge flows, the LPResult (its `x` indexed like the columns)
-    and the columns the master ended with. The edge flows sum the columns
-    with positive flow: arcs before the processing vertex carry it as
-    unprocessed flow, the arcs after it as processed flow. meta holds the
-    master's objective and simplex iterations, the rounds and columns, the
-    dual bound Σ R_i σ_i (finite R_i) + Σ B_g y_g + Σ C_v z_v under the
-    final prices, and the largest reduced cost the final round saw (-inf
-    when no demand has a walk). Raises ResourceLimitError when the budget
-    runs out or the master ends other than optimal.
+    Min-max congestion is this master with demand rows fixed at R_i,
+    capacity rows at most 0, walks worth 0, σ_i unclamped, and a column θ of
+    cost 1 and -B_g (-C_v) on each group (node) row of positive capacity;
+    it also starts with each demand's cheapest walk at zero prices.
+    Min-weighted congestion puts each R_i on the demand's cheapest walk
+    under y_g = w_g/B_g and z_v = w_v/C_v, for Σ R_i cost_i. Under both, a
+    demand without a walk raises InfeasibleError, and meta["congestion"] is
+    the peak load/capacity ratio (θ under min-max).
+
+    Returns the edge flows (`_edge_solution`), the LPResult (`x` indexed
+    like the columns) and the columns. A master's meta holds its objective,
+    simplex iterations, rounds and columns, the final round's largest gain
+    (-inf without walks), and the dual bound under the final prices:
+    Σ R_i σ_i (finite R_i) + Σ B_g y_g + Σ C_v z_v, or Σ R_i cost_i under
+    min-max. ResourceLimitError when the budget runs out or the master ends
+    other than optimal.
     """
+    kind = _check_objective(net, demands, objective)
     k, caps = len(demands), net.group_capacity
     node_row = {v: k + len(caps) + j for j, v in enumerate(net.nodes)}
-    upper = ([d.amount for d in demands] + list(caps)
-             + [net.node_capacity[v] for v in net.nodes])
+    amounts = [d.amount for d in demands]
+    capacity = list(caps) + [net.node_capacity[v] for v in net.nodes]
+    meta = {"algorithm": "lp", "objective_kind": kind}
+    if kind == "min-weighted-congestion":
+        ew, nw = objective.edge_weights or {}, objective.node_weights or {}
+        weight = [ew.get(g, 1.0) for g in range(len(caps))] + [nw.get(v, 1.0) for v in net.nodes]
+        # a resource of capacity 0 costs inf in price_walks, whatever its price
+        price = [0.0] * k + [w / c if c > 0 else 0.0 for w, c in zip(weight, capacity)]
+        cost, cols = _cheapest_walks(net, demands, np.array(price))
+        value = float(np.dot(amounts, cost))
+        sol = _edge_solution(net, demands, cols, amounts,
+                             {**meta, "lp_objective": value, "lp_iterations": 0})
+        sol.meta["congestion"] = _peak_ratio(net, sol)
+        return sol, LPResult("optimal", np.array(amounts), value, 0), cols
+
+    minmax = kind == "min-max-congestion"
+    upper = amounts + capacity
     lp = HighsLp()  # no columns yet
     lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
-    lp.row_lower_ = [-math.inf] * len(upper)
-    lp.row_upper_ = upper
+    lp.row_lower_ = (amounts if minmax else [-math.inf] * k) + [-math.inf] * len(capacity)
+    lp.row_upper_ = amounts + [0.0] * len(capacity) if minmax else upper
     highs = _highs()
     highs.passModel(lp)
+    price = np.zeros(len(upper))  # the empty master's duals
+    batch = list(columns)
+    if minmax:  # θ is column 0; each demand's cheapest walk at zero prices joins
+        rows = np.flatnonzero(np.array(capacity) > 0)
+        highs.addCols(1, np.ones(1), np.zeros(1), np.full(1, math.inf), len(rows),
+                      np.zeros(1, dtype=np.int32), (rows + k).astype(np.int32),
+                      -np.array(capacity)[rows])
+        batch = list(dict.fromkeys(batch + _cheapest_walks(net, demands, price)[1]))
 
     # with no processing capacity no walk has a finite cost: price nothing
     pricing = any(c > 0 for c in net.node_capacity.values())
     cols: list[Column] = []
     known: set[Column] = set()
-    price = np.zeros(len(upper))  # the empty master's duals
-    batch = list(columns)
-    used = rounds = 0
-    objective = 0.0
+    # a fixed demand row's dual, under min-max, may take either sign
+    floor = np.repeat([-math.inf if minmax else 0.0, 0.0], [k, len(capacity)])
+    worth = 0.0 if minmax else 1.0
+    used, rounds, value = 0, 0, 0.0
     while True:
         if batch:
-            starts, index, value = [], [], []
+            starts, index, coefs = [], [], []
             for i, arcs, split in batch:
                 starts.append(len(index))
                 mult: dict[int, int] = {}
@@ -655,38 +645,52 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                     row = k + net.arcs[a].group
                     mult[row] = mult.get(row, 0) + 1
                 index += [i, node_row[net.arcs[arcs[split - 1]].head], *mult]
-                value += [1.0, 1.0, *mult.values()]
+                coefs += [1.0, 1.0, *mult.values()]
             n = len(batch)
-            highs.addCols(n, np.full(n, -1.0), np.zeros(n), np.full(n, math.inf),
+            highs.addCols(n, np.full(n, -worth), np.zeros(n), np.full(n, math.inf),
                           len(index), np.array(starts, dtype=np.int32),
-                          np.array(index, dtype=np.int32), np.array(value))
+                          np.array(index, dtype=np.int32), np.array(coefs))
             cols += batch
             known.update(batch)
             status, nit = _run(highs, MAXITER - used)
             used += nit
             if status != "optimal":
                 raise ResourceLimitError(f"walk master ended {status}")
-            objective = -float(highs.getInfo().objective_function_value)
+            value = (1.0 if minmax else -1.0) * float(highs.getInfo().objective_function_value)
             dual = np.asarray(highs.getSolution().row_dual)
             if not np.isfinite(dual).all():
                 raise ResourceLimitError("walk master returned a non-finite row dual")
-            price = np.maximum(-dual, 0.0)
+            price = np.maximum(-dual, floor)
         rounds += 1
-        batch, reduced = [], -math.inf
+        batch, reduced, cost = [], -math.inf, np.zeros(0)
         if pricing and k:
             cost, walk = price_walks(net, demands, price)
-            gain = 1.0 - price[:k] - cost
+            gain = worth - price[:k] - cost
             reduced = float(gain.max())
             batch = [col for col in map(walk, np.flatnonzero(gain > _PRICE_TOL).tolist())
                      if col not in known]
         if not batch:
             break
 
-    x = np.asarray(highs.getSolution().col_value)
-    flow: list[dict[int, float]] = [{} for _ in demands]
-    unproc: list[dict[int, float]] = [{} for _ in demands]
-    proc: list[dict[str, float]] = [{} for _ in demands]
-    for (i, arcs, split), val in zip(cols, x.tolist()):
+    x = np.asarray(highs.getSolution().col_value)[int(minmax):]
+    if minmax:
+        meta["congestion"] = value
+        bound = float(np.dot(amounts, cost))
+    else:  # an uncapped demand's row never binds, so its price is 0
+        bound = sum(b * y for b, y in zip(upper, price.tolist()) if y > 0.0)
+    meta.update(lp_objective=value, lp_iterations=used, rounds=rounds, columns=len(cols),
+                dual_bound=bound, max_reduced_cost=reduced)
+    sol = _edge_solution(net, demands, cols, x.tolist(), meta)
+    return sol, LPResult("optimal", x, value, used), cols
+
+
+def _edge_solution(net: FlowNetwork, demands: list[Demand], cols: Sequence[Column],
+                   values: list[float], meta: dict) -> EdgeFlowSolution:
+    """Sum (column, value) pairs with values above SNAP into edge flows: a
+    column's arcs before its processing vertex carry its value unprocessed,
+    the arcs after it processed. The objective is what the demands deliver."""
+    flow, unproc, proc = ([{} for _ in demands] for _ in range(3))
+    for (i, arcs, split), val in zip(cols, values):
         if val <= SNAP:
             continue
         f, w, p = flow[i], unproc[i], proc[i]
@@ -696,31 +700,27 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
             w[a] = w.get(a, 0.0) + val
         v = net.arcs[arcs[split - 1]].head
         p[v] = p.get(v, 0.0) + val
-    # an uncapped demand's row never binds, so its price is 0
-    bound = sum(b * y for b, y in zip(upper, price.tolist()) if y > 0.0)
-    sol = EdgeFlowSolution(flow, unproc, proc, 0.0, meta={
-        "algorithm": "lp", "objective_kind": "max-total-flow",
-        "lp_objective": objective, "lp_iterations": used, "rounds": rounds,
-        "columns": len(cols), "dual_bound": bound, "max_reduced_cost": reduced})
-    sol.objective = sum(sol.delivered(net, demands, i) for i in range(k))
-    return sol, LPResult("optimal", x, objective, used), cols
+    sol = EdgeFlowSolution(flow, unproc, proc, 0.0, meta)
+    sol.objective = sum(sol.delivered(net, demands, i) for i in range(len(demands)))
+    return sol
+
+
+def _cheapest_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
+                    ) -> tuple[np.ndarray, list[Column]]:
+    """Each demand's cheapest walk under `price`, its cost and its column;
+    InfeasibleError when a demand has none."""
+    cost, walk = price_walks(net, demands, price) if demands else (np.zeros(0), None)
+    if not np.isfinite(cost).all():
+        raise InfeasibleError(f"demand {np.flatnonzero(~np.isfinite(cost))[0]} has no "
+                              f"processed 2-walk (demands cannot all be met)")
+    return cost, [walk(i) for i in range(len(demands))]
 
 
 def solve_edge_lp(net: FlowNetwork, demands: list[Demand],
                   objective: Objective = Objective()) -> tuple[EdgeFlowSolution, LPResult]:
-    """Solve for edge flows under `objective`. Max total flow is the walk
-    master's (`solve_walk_master`); the congestion objectives build the
-    edge LP, solve it and extract its flows. An LP that ends other than
-    optimal raises the error `LPResult.optimal_x` maps its status to."""
-    if objective.kind == "max-total-flow":
-        return solve_walk_master(net, demands)[:2]
-    model = build_edge_lp(net, demands, objective)
-    res = solve_lp(model)
-    x = res.optimal_x("edge LP", "edge LP infeasible (demands cannot all be met)")
-    sol = extract_edge_solution(model, x, net, demands)
-    sol.meta["lp_objective"] = res.objective
-    sol.meta["lp_iterations"] = res.iterations
-    return sol, res
+    """Edge flows optimal under `objective`, and the LPResult: the walk
+    master's (`solve_walk_master`), its walks summed."""
+    return solve_walk_master(net, demands, objective=objective)[:2]
 
 
 def write_mps(model: LPModel, path: str) -> None:

@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 
 import pflow.lp
 from pflow.generators import gen_random_instance
-from pflow.lp import LPModel, LPResult, build_edge_lp, solve_lp
+from pflow.lp import LPModel, LPResult, Objective, build_edge_lp, solve_lp
 from pflow.model import Demand, FlowNetwork, PurchaseInstance, ResourceLimitError
 
 
@@ -126,12 +126,14 @@ def walk_lp_optimum(net: FlowNetwork, demands: list[Demand],
     return res.objective
 
 
-def edge_lp_optimum(net: FlowNetwork, demands: list[Demand]) -> float:
-    """Max total flow by the arc formulation, `pflow.lp.build_edge_lp`
-    solved by `solve_lp`: the reference for the walk master behind
-    `pflow.lp.solve_edge_lp`, which must reach the same optimum."""
-    res = solve_lp(build_edge_lp(net, demands))
-    assert res.status == "optimal", res.status
+def edge_lp_optimum(net: FlowNetwork, demands: list[Demand],
+                    kind: str = "max-total-flow") -> float:
+    """The optimum of objective `kind` by the arc formulation,
+    `pflow.lp.build_edge_lp` solved by `solve_lp`: the reference for the
+    walks behind `pflow.lp.solve_edge_lp`, which must reach the same
+    optimum. Raises InfeasibleError when the LP is infeasible."""
+    res = solve_lp(build_edge_lp(net, demands, Objective(kind)))
+    res.optimal_x("edge LP")
     return res.objective
 
 

@@ -152,6 +152,17 @@ class TestSolve:
         assert "simplex iteration limit 0 exhausted" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exhausted_congestion_budget_exits_4(self, tmp_path, monkeypatch, capsys):
+        # the min-max master shares the same budget
+        src = tmp_path / "cong.pf"
+        src.write_text(LINE.replace("demand s t", "demand s t amount=2"))
+        monkeypatch.setattr(pflow.lp, "MAXITER", 0)
+        out = tmp_path / "x.json"
+        assert run("solve", "--alg", "lp", "--objective", "congestion",
+                   "--input", src, "-o", out) == 4
+        assert "simplex iteration limit 0 exhausted" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDecompose:
     def test_round_trip(self, line_pf, tmp_path):

@@ -101,9 +101,47 @@ class TestCongestion:
                           Objective(kind="min-max-congestion"))
 
     def test_uncapped_demand_rejected(self):
-        with pytest.raises(ValueError):
-            build_edge_lp(self.net(), [Demand("s", "t")],
-                          Objective(kind="min-max-congestion"))
+        for kind in ("min-max-congestion", "min-weighted-congestion"):
+            for solve in (build_edge_lp, solve_edge_lp):
+                with pytest.raises(ValueError, match="finite demand amounts"):
+                    solve(self.net(), [Demand("s", "t")], Objective(kind=kind))
+
+    @pytest.mark.parametrize("weights, match", [
+        ({"edge_weights": {0: -1.0}}, "negative or not finite"),
+        ({"edge_weights": {0: math.nan}}, "negative or not finite"),
+        ({"node_weights": {"a": math.inf}}, "negative or not finite"),
+        ({"edge_weights": {2: 1.0}}, "names no bandwidth group"),
+        ({"edge_weights": {"0": 1.0}}, "names no bandwidth group"),
+        ({"node_weights": {"b": 1.0}}, "names no node"),
+    ])
+    @pytest.mark.parametrize("solve", [build_edge_lp, solve_edge_lp])
+    def test_bad_weights_rejected(self, weights, match, solve):
+        # a negative weight made the s->a->t objective 1.0 (-0.3 + 0.3 + 1.0);
+        # a weight keyed by no group or node was ignored
+        obj = Objective(kind="min-weighted-congestion", **weights)
+        with pytest.raises(ValueError, match=match):
+            solve(self.net(), [Demand("s", "t", 3.0)], obj)
+
+    def test_min_max_master_shares_the_iteration_budget(self, monkeypatch):
+        # every solve of the master takes fewer than the whole run's
+        # iterations less one, so only a shared budget of that size ends it
+        inst = gen_random_instance(8, 0.5, node_cap=(0, 4), n_demands=4, seed=4,
+                                   amounts=(1, 4))
+        obj = Objective(kind="min-max-congestion")
+        real, nits = pflow.lp._run, []
+
+        def counting(highs, limit):
+            status, nit = real(highs, limit)
+            nits.append(nit)
+            return status, nit
+
+        monkeypatch.setattr(pflow.lp, "_run", counting)
+        _, res = solve_edge_lp(inst.net, inst.demands, obj)
+        assert len(nits) >= 3 and sum(nits) == res.iterations
+        assert max(nits) < res.iterations - 1
+        monkeypatch.setattr(pflow.lp, "MAXITER", res.iterations - 1)
+        with pytest.raises(ResourceLimitError, match="iteration limit"):
+            solve_edge_lp(inst.net, inst.demands, obj)
 
 
 def _lp(sense, rows, bounds=None, objective=None):
@@ -468,6 +506,41 @@ def test_walk_master_matches_the_edge_lp_and_walk_enumeration():
         kinds |= {"no demand"} if not demands else {"flow"} if sol.objective > 0 else set()
     assert kinds == {(True, True), (True, False), (False, True), (False, False),
                      "zero node", "zero group", "no demand", "flow"}
+
+
+@pytest.mark.parametrize("kind", ["min-max-congestion", "min-weighted-congestion"])
+def test_congestion_walks_match_the_edge_lp(kind):
+    # the congestion objectives over 2-walks: the master with a θ column for
+    # min-max, one pricing call for min-weighted. Both are infeasible exactly
+    # where the arc formulation is, reach its optimum, and their flows and
+    # walks verify; min-max's final prices price no walk in, and Σ R_i x
+    # each demand's cheapest walk under them meets θ
+    rng = random.Random(2121)
+    seen = set()
+    for net, demands in _master_instances():
+        demands = [d if math.isfinite(d.amount) else
+                   Demand(d.source, d.sink, float(rng.randint(1, 6))) for d in demands]
+        try:
+            want = edge_lp_optimum(net, demands, kind)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_edge_lp(net, demands, Objective(kind=kind))
+            seen.add("infeasible")
+            continue
+        sol, res = solve_edge_lp(net, demands, Objective(kind=kind))
+        assert abs(res.objective - want) <= 1e-9 * max(1.0, want)
+        assert sol.meta["lp_objective"] == res.objective
+        rep = verify_edge_solution(net, demands, sol)
+        assert rep.ok, rep.problems
+        rep = verify_walk_solution(net, demands, decompose(sol, net, demands))
+        assert rep.ok, rep.problems
+        if kind == "min-max-congestion":
+            meta = sol.meta
+            assert meta["congestion"] == res.objective
+            assert meta["max_reduced_cost"] <= 1e-9
+            assert abs(meta["dual_bound"] - res.objective) <= 1e-9 * max(1.0, res.objective)
+        seen.add("flow" if demands else "no demand")
+    assert seen == {"infeasible", "flow", "no demand"}
 
 
 def _check_priced_walk(net, demands, price, i, column, cost):
