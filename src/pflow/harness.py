@@ -66,7 +66,7 @@ class RunRecord:
                          # shared routing counts in the sweep's first naive record
     iterations: int      # lp: simplex iterations of this record's walk master,
                          # seeded with the previous grid point's columns; naive:
-                         # the sweep's one routing LP's, on every record; mwu: rounds
+                         # the sweep's one path master's, on every record; mwu: rounds
     feasible: bool
     error: str | None = None
 

@@ -151,12 +151,7 @@ def instance_text(inst: ParsedInstance) -> str:
         if v in inst.potential:
             parts.append(f"potential={_fmt(inst.potential[v])}")
         lines.append(" ".join(parts))
-    done = set()
-    for a in net.arcs:
-        if a.group in done:
-            continue
-        done.add(a.group)
-        lines.append(f"edge {a.tail} {a.head} cap={_fmt(a.capacity)}")
+    lines += [f"edge {u} {v} cap={_fmt(cap)}" for u, v, cap in net.edges]
     for d in inst.demands:
         if math.isfinite(d.amount):
             lines.append(f"demand {d.source} {d.sink} amount={_fmt(d.amount)}")

@@ -1,17 +1,17 @@
 """Linear programs over flow networks: model container, solver, the walk
-master, edge and routing formulations.
+master and the edge formulation.
 
 An LPModel is plain arrays, its rows in the row-wise form HiGHS reads:
 columns and rows are added by index and carry no names, and solve_lp hands
 one to HiGHS as built, solves it by primal simplex and returns the column
 values as an array read by index. `commodity` adds one demand's split flow
 (below) with its balance rows, a column only where it can carry flow; the
-edge LP, the routing LP and the purchase module's LP are all built from it,
-each under its own bar lists, and read its `{arc: column}` maps. The
-builders write most rows in bulk and unchecked, through `LPModel.add_rows`
-(`commodity` its balance rows, the purchase LP its coupling rows); solve_lp
-and write_mps check every row of a model once (`LPModel.check`) before
-HiGHS or the file sees it. write_mps names column j C<j> and row k R<k>.
+edge LP and the purchase module's LP are both built from it, each under its
+own bar lists, and read its `{arc: column}` maps. The builders write most
+rows in bulk and unchecked, through `LPModel.add_rows` (`commodity` its
+balance rows, the purchase LP its coupling rows); solve_lp and write_mps
+check every row of a model once (`LPModel.check`) before HiGHS or the file
+sees it. write_mps names column j C<j> and row k R<k>.
 
 The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
@@ -33,6 +33,9 @@ weights are rewritten in place each round; the graph is built once per
 network and list of (source, sink) pairs. `solve_edge_lp` returns the
 walks summed into edge flows, as the arc formulation would. The arc
 formulation (`build_edge_lp`) serves MPS export and the tests' reference.
+The same master over plain source->sink paths, one layer per demand, is
+the processing-blind multicommodity max flow that the naive baseline and
+the purchase greedy route by.
 """
 
 from __future__ import annotations
@@ -274,15 +277,13 @@ def solve_lp(model: LPModel) -> LPResult:
                     nit)
 
 
-def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
-              p_hi: dict[str, float]
+def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar, p_at: list[str]
               ) -> tuple[dict[int, int], dict[int, int], dict[str, int]]:
     """Add one demand's processed flow to `m`, split as in the paper.
 
     Columns: per arc a, w (unprocessed) then g (processed), each only where
     its bar list `wbar` / `gbar` leaves the arc open; then per node v of
-    `p_hi` with p_hi[v] > 0, in its order, the volume p processed at v, at
-    most p_hi[v]. Rows, node by node: at every node but the source, w's
+    `p_at`, in its order, the volume p processed at v. Rows, node by node: at every node but the source, w's
     inflow minus outflow is p there; at every node but the sink, g's
     outflow minus inflow is p there (0 at a node without p). A row lists p,
     then the in-arcs, then the out-arcs, and is written exactly when it
@@ -303,7 +304,7 @@ def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
             j += 1
     m.lo += [0.0] * (j - n0)
     m.hi += [math.inf] * (j - n0)
-    p = {v: m.add_var(hi=hi) for v, hi in p_hi.items() if hi > 0}
+    p = {v: m.add_var() for v in p_at}
 
     cols: list[int] = []
     coefs: list[float] = []
@@ -327,34 +328,6 @@ def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
                 ends.append(len(cols))
     m.add_rows(cols, coefs, ends, ["=="] * len(ends), [0.0] * len(ends))
     return w, g, p
-
-
-def build_routing_lp(net: FlowNetwork, demands: list[Demand],
-                     group_cap) -> LPModel:
-    """Plain multicommodity max flow, blind to processing.
-
-    Each demand is one `commodity` under the leg rule `FlowNetwork.legs`
-    with v at its sink: w runs from the source to the sink, where all of it
-    is processed on arrival, and g is barred everywhere. p at the sink, what
-    the demand routes, is at most its amount. Each bandwidth group g carries
-    at most group_cap[g] of w over all demands, and the objective is Σ p.
-    `info["w"][i]` holds demand i's w columns by arc and `info["p"][i]` its
-    p column by node: the sink's, or none when its amount is 0.
-    """
-    m = LPModel("route", sense="max")
-    wvar: list[dict[int, int]] = []
-    pvar: list[dict[str, int]] = []
-    for d in demands:
-        w, _, p = commodity(m, net, d, *net.legs(d.source, d.sink, d.sink),
-                            {d.sink: d.amount})
-        wvar.append(w)
-        pvar.append(p)
-    for g, arcs in enumerate(net.groups):
-        m.add_constraint([(w[a], 1.0) for w in wvar for a in arcs if a in w], "<=",
-                         group_cap[g])
-    m.set_objective({j: 1.0 for p in pvar for j in p.values()})
-    m.info = {"w": wvar, "p": pvar}
-    return m
 
 
 @dataclass(frozen=True)
@@ -417,10 +390,10 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     net_out = []
     for d in demands:
         wbar, gbar = net.barred(d.source, d.sink)
-        p_hi = {v: 0.0 if congestion and net.node_capacity[v] <= 0 else math.inf
-                for v in net.nodes if v != d.source}
+        p_at = [v for v in net.nodes
+                if v != d.source and not (congestion and net.node_capacity[v] <= 0)]
         w, g, p = commodity(m, net, d, [b or s for b, s in zip(wbar, shut)],
-                            [b or s for b, s in zip(gbar, shut)], p_hi)
+                            [b or s for b, s in zip(gbar, shut)], p_at)
         wvar.append(w)
         gvar.append(g)
         pvar.append(p)
@@ -468,73 +441,81 @@ def _peak_ratio(net: FlowNetwork, sol: EdgeFlowSolution) -> float:
 # a walk prices into the master when its reduced cost exceeds this
 _PRICE_TOL = 1e-9
 
-# a master column: (demand index, arc indices of its 2-walk, leg-1 length);
-# the first leg-1-length arcs carry the flow unprocessed to the processing
-# vertex, the head of the last of them
+# a master column: (demand index, arc indices of its 2-walk or path, leg-1
+# length); the first leg-1-length arcs carry the flow unprocessed to the
+# processing vertex, the head of the last of them (a path's sink)
 Column = tuple[int, tuple[int, ...], int]
 
 
 class _WalkGraph:
     """The pricing graph of one list of (source, sink) pairs: block b is a
-    two-layer copy of the network for pair b, nodes 2nb + v (unprocessed)
-    and 2nb + n + v (processed). Layer 0 holds the arcs `FlowNetwork.barred`
-    leaves open to w, layer 1 those open to g, and v0->v1 processes at v.
-    Each entry's weight is the price of the master row its key names: the
-    arc's group row k + g, or node v's row k + G + v. Only the weights
-    change from round to round."""
+    copy of the network for pair b. For 2-walks it has two layers, nodes
+    2nb + v (unprocessed) and 2nb + n + v (processed): layer 0 holds the arcs
+    `FlowNetwork.barred` leaves open to w, layer 1 those open to g, and
+    v0->v1 processes at v. For plain paths it is the one layer nb + v of the
+    arcs `FlowNetwork.legs` with v at the sink leaves open to w. Each
+    entry's weight is the price of the master row its key names: the arc's
+    group row k + g, or node v's row k + G + v. Only the weights change from
+    round to round."""
 
-    __slots__ = ("csr", "keys", "sources", "sinks", "arc")
+    __slots__ = ("csr", "keys", "sources", "sinks", "arc", "block")
 
-    def __init__(self, net: FlowNetwork, pairs: list[tuple[str, str]]):
-        n, k = net.n_nodes, len(pairs)
+    def __init__(self, net: FlowNetwork, pairs: list[tuple[str, str]], paths: bool):
+        n, k, layers = net.n_nodes, len(pairs), 1 if paths else 2
         tail = np.array([net.node_index(a.tail) for a in net.arcs], dtype=np.int64)
         head = np.array([net.node_index(a.head) for a in net.arcs], dtype=np.int64)
         group = k + np.array([a.group for a in net.arcs], dtype=np.int64)
         # open[b, layer, a]: arc a is open to pair b's w (layer 0) or g (layer 1);
         # bytes() of a tuple of bools is its 0/1 bytes, faster than np.array
-        bars = b"".join(bytes(bar) for s, t in pairs for bar in net.barred(s, t))
-        is_open = ~np.frombuffer(bars, dtype=bool).reshape(k, 2, net.n_arcs)
+        rules = [net.legs(s, t, t)[:1] if paths else net.barred(s, t) for s, t in pairs]
+        bars = b"".join(bytes(bar) for rule in rules for bar in rule)
+        is_open = ~np.frombuffer(bars, dtype=bool).reshape(k, layers, net.n_arcs)
         b, layer, a = np.nonzero(is_open)
-        first = n * (2 * b + layer)
-        unprocessed = (2 * n * np.arange(k)[:, None] + np.arange(n)).ravel()
-        rows = np.concatenate((first + tail[a], unprocessed))
-        cols = np.concatenate((first + head[a], unprocessed + n))
-        keys = np.concatenate((group[a], np.tile(k + net.edge_count + np.arange(n), k)))
+        first = n * (layers * b + layer)
+        rows, cols, keys = first + tail[a], first + head[a], group[a]
+        if not paths:
+            unprocessed = (2 * n * np.arange(k)[:, None] + np.arange(n)).ravel()
+            rows = np.concatenate((rows, unprocessed))
+            cols = np.concatenate((cols, unprocessed + n))
+            keys = np.concatenate((keys, np.tile(k + net.edge_count + np.arange(n), k)))
         order = np.argsort(rows, kind="stable")
-        size = 2 * n * k
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        self.block = block = layers * n  # nodes per pair
+        indptr = np.zeros(block * k + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=block * k), out=indptr[1:])
         self.csr = csr_matrix((np.zeros(len(order)), cols[order].astype(np.int32), indptr),
-                              shape=(size, size))
+                              shape=(block * k, block * k))
         self.keys = keys[order]
         ends = np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs],
                         dtype=np.int64).reshape(k, 2)
-        self.sources = 2 * n * np.arange(k) + ends[:, 0]
-        self.sinks = 2 * n * np.arange(k) + n + ends[:, 1]
+        self.sources = block * np.arange(k) + ends[:, 0]
+        self.sinks = block * np.arange(k) + block - n + ends[:, 1]
         self.arc = {uh: a for a, uh in enumerate(zip(tail.tolist(), head.tolist()))}
 
 
-def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
-                ) -> tuple[np.ndarray, Callable[[int], Column]]:
+def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray,
+                paths: bool = False) -> tuple[np.ndarray, Callable[[int], Column]]:
     """Every demand's cheapest processed 2-walk under the master's row
-    prices, by one Dijkstra run over the pricing graph.
+    prices, by one Dijkstra run over the pricing graph; with `paths`, its
+    cheapest plain source->sink path instead, which reads no node capacity.
 
     `price` is indexed like the master's rows (demands, then bandwidth
-    groups, then nodes), non-negative on the last two. An arc costs its group's
-    price and processing at v costs v's; a group of capacity 0 and a node of
-    capacity 0 cost inf. The graph is built once per network and list of
-    (source, sink) pairs, and `FlowNetwork.with_node_capacity` hands it on.
-    Returns each demand's cost (inf without a walk; the demand rows' prices
-    are not part of it) and a function that rebuilds the walk of a demand i
-    whose cost is finite, as a master column; ties between walks break in
-    csgraph's order.
+    groups, then nodes, which `paths` has none of), non-negative on the last
+    two. An arc costs its group's price and processing at v costs v's; a
+    group of capacity 0 and a node of capacity 0 cost inf. The graph is
+    built once per network, list of (source, sink) pairs and mode, and
+    `FlowNetwork.with_node_capacity` hands it on. Returns each demand's cost
+    (inf without a walk; the demand rows' prices are not part of it) and a
+    function that rebuilds the walk of a demand i whose cost is finite, as a
+    master column (a path is processed at its sink); ties between walks
+    break in csgraph's order.
     """
     pairs = [(d.source, d.sink) for d in demands]
-    graph = net._walk_graphs.get(tuple(pairs))
+    graph = net._walk_graphs.get((paths, *pairs))
     if graph is None:
-        graph = net._walk_graphs[tuple(pairs)] = _WalkGraph(net, pairs)
+        graph = net._walk_graphs[(paths, *pairs)] = _WalkGraph(net, pairs, paths)
     closed = [c <= 0 for c in net.group_capacity]
-    closed += [net.node_capacity[v] <= 0 for v in net.nodes]
+    if not paths:
+        closed += [net.node_capacity[v] <= 0 for v in net.nodes]
     weight = np.array(price, dtype=float)
     weight[len(pairs):][closed] = math.inf
     np.take(weight, graph.keys, out=graph.csr.data)
@@ -543,7 +524,7 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
     n, pred = net.n_nodes, pred.tolist()
 
     def walk(i: int) -> Column:
-        base, source, y = 2 * n * i, int(graph.sources[i]), int(graph.sinks[i])
+        base, source, y = graph.block * i, int(graph.sources[i]), int(graph.sinks[i])
         arcs: list[int] = []
         after = 0  # arcs that carry the flow processed
         while y != source:
@@ -559,9 +540,11 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
 
 
 def solve_walk_master(net: FlowNetwork, demands: list[Demand],
-                      columns: Sequence[Column] = (), objective: Objective = Objective()
-                      ) -> tuple[EdgeFlowSolution, LPResult, list[Column]]:
-    """`objective` over processed 2-walks, once `_check_objective` passes it.
+                      columns: Sequence[Column] = (), objective: Objective = Objective(),
+                      paths: bool = False
+                      ) -> tuple[EdgeFlowSolution | None, LPResult, list[Column]]:
+    """`objective` over processed 2-walks, once `_check_objective` passes it;
+    with `paths`, max total flow over plain source->sink paths.
 
     Max total flow is column generation. The master LP has a row per demand
     (at most R_i), group (at most B_g) and node (at most C_v), and a column
@@ -575,14 +558,21 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     from the current basis, all solves within one MAXITER budget. The
     rounds stop when none joins; as no walk joins twice, they do.
 
+    With `paths` the master is the plain multicommodity max flow of Ford
+    and Fulkerson, blind to processing: it has no node rows, never reads
+    node capacity, and prices each demand's cheapest simple path under
+    `FlowNetwork.legs` with v at its sink (`price_walks` with `paths`). Its
+    columns are those paths, each processed at its sink, and no edge flows
+    are summed: the solution returned is None.
+
     Min-max congestion is this master with demand rows fixed at R_i,
     capacity rows at most 0, walks worth 0, σ_i unclamped, and a column θ of
     cost 1 and -B_g (-C_v) on each group (node) row of positive capacity;
     it also starts with each demand's cheapest walk at zero prices.
     Min-weighted congestion puts each R_i on the demand's cheapest walk
     under y_g = w_g/B_g and z_v = w_v/C_v, for Σ R_i cost_i. Under both, a
-    demand without a walk raises InfeasibleError, and meta["congestion"] is
-    the peak load/capacity ratio (θ under min-max).
+    demand of positive amount without a walk raises InfeasibleError, and
+    meta["congestion"] is the peak load/capacity ratio (θ under min-max).
 
     Returns the edge flows (`_edge_solution`), the LPResult (`x` indexed
     like the columns) and the columns. A master's meta holds its objective,
@@ -593,10 +583,12 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     other than optimal.
     """
     kind = _check_objective(net, demands, objective)
+    if paths and kind != "max-total-flow":
+        raise ValueError("the path master maximizes total flow only")
     k, caps = len(demands), net.group_capacity
     node_row = {v: k + len(caps) + j for j, v in enumerate(net.nodes)}
     amounts = [d.amount for d in demands]
-    capacity = list(caps) + [net.node_capacity[v] for v in net.nodes]
+    capacity = list(caps) + ([] if paths else [net.node_capacity[v] for v in net.nodes])
     meta = {"algorithm": "lp", "objective_kind": kind}
     if kind == "min-weighted-congestion":
         ew, nw = objective.edge_weights or {}, objective.node_weights or {}
@@ -605,10 +597,11 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
         price = [0.0] * k + [w / c if c > 0 else 0.0 for w, c in zip(weight, capacity)]
         cost, cols = _cheapest_walks(net, demands, np.array(price))
         value = float(np.dot(amounts, cost))
-        sol = _edge_solution(net, demands, cols, amounts,
+        x = [amounts[i] for i, _, _ in cols]
+        sol = _edge_solution(net, demands, cols, x,
                              {**meta, "lp_objective": value, "lp_iterations": 0})
         sol.meta["congestion"] = _peak_ratio(net, sol)
-        return sol, LPResult("optimal", np.array(amounts), value, 0), cols
+        return sol, LPResult("optimal", np.array(x), value, 0), cols
 
     minmax = kind == "min-max-congestion"
     upper = amounts + capacity
@@ -627,8 +620,8 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                       -np.array(capacity)[rows])
         batch = list(dict.fromkeys(batch + _cheapest_walks(net, demands, price)[1]))
 
-    # with no processing capacity no walk has a finite cost: price nothing
-    pricing = any(c > 0 for c in net.node_capacity.values())
+    # with no processing capacity no 2-walk has a finite cost: price nothing
+    pricing = paths or any(c > 0 for c in net.node_capacity.values())
     cols: list[Column] = []
     known: set[Column] = set()
     # a fixed demand row's dual, under min-max, may take either sign
@@ -640,16 +633,17 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
             starts, index, coefs = [], [], []
             for i, arcs, split in batch:
                 starts.append(len(index))
-                mult: dict[int, int] = {}
+                # its demand row, its processing vertex's row, its group rows
+                mult = {i: 1} if paths else {i: 1, node_row[net.arcs[arcs[split - 1]].head]: 1}
                 for a in arcs:
                     row = k + net.arcs[a].group
                     mult[row] = mult.get(row, 0) + 1
-                index += [i, node_row[net.arcs[arcs[split - 1]].head], *mult]
-                coefs += [1.0, 1.0, *mult.values()]
+                index += mult
+                coefs += mult.values()
             n = len(batch)
             highs.addCols(n, np.full(n, -worth), np.zeros(n), np.full(n, math.inf),
                           len(index), np.array(starts, dtype=np.int32),
-                          np.array(index, dtype=np.int32), np.array(coefs))
+                          np.array(index, dtype=np.int32), np.array(coefs, dtype=float))
             cols += batch
             known.update(batch)
             status, nit = _run(highs, MAXITER - used)
@@ -662,9 +656,9 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                 raise ResourceLimitError("walk master returned a non-finite row dual")
             price = np.maximum(-dual, floor)
         rounds += 1
-        batch, reduced, cost = [], -math.inf, np.zeros(0)
+        batch, reduced, cost = [], -math.inf, np.zeros(k)
         if pricing and k:
-            cost, walk = price_walks(net, demands, price)
+            cost, walk = price_walks(net, demands, price, paths)
             gain = worth - price[:k] - cost
             reduced = float(gain.max())
             batch = [col for col in map(walk, np.flatnonzero(gain > _PRICE_TOL).tolist())
@@ -673,15 +667,18 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
             break
 
     x = np.asarray(highs.getSolution().col_value)[int(minmax):]
+    res = LPResult("optimal", x, value, used)
+    if paths:
+        return None, res, cols
     if minmax:
         meta["congestion"] = value
-        bound = float(np.dot(amounts, cost))
+        # a demand of amount 0 may have no walk, and so cost inf
+        bound = float(np.dot(amounts, np.where(np.isfinite(cost), cost, 0.0)))
     else:  # an uncapped demand's row never binds, so its price is 0
         bound = sum(b * y for b, y in zip(upper, price.tolist()) if y > 0.0)
     meta.update(lp_objective=value, lp_iterations=used, rounds=rounds, columns=len(cols),
                 dual_bound=bound, max_reduced_cost=reduced)
-    sol = _edge_solution(net, demands, cols, x.tolist(), meta)
-    return sol, LPResult("optimal", x, value, used), cols
+    return _edge_solution(net, demands, cols, x.tolist(), meta), res, cols
 
 
 def _edge_solution(net: FlowNetwork, demands: list[Demand], cols: Sequence[Column],
@@ -707,13 +704,16 @@ def _edge_solution(net: FlowNetwork, demands: list[Demand], cols: Sequence[Colum
 
 def _cheapest_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
                     ) -> tuple[np.ndarray, list[Column]]:
-    """Each demand's cheapest walk under `price`, its cost and its column;
-    InfeasibleError when a demand has none."""
+    """Each demand's cheapest walk under `price`: its cost (0 for a demand
+    without one, which asks for nothing) and the column of each demand that
+    has one; InfeasibleError when a demand of positive amount has none."""
     cost, walk = price_walks(net, demands, price) if demands else (np.zeros(0), None)
-    if not np.isfinite(cost).all():
-        raise InfeasibleError(f"demand {np.flatnonzero(~np.isfinite(cost))[0]} has no "
-                              f"processed 2-walk (demands cannot all be met)")
-    return cost, [walk(i) for i in range(len(demands))]
+    has = np.isfinite(cost)
+    stuck = [i for i, d in enumerate(demands) if d.amount > 0 and not has[i]]
+    if stuck:
+        raise InfeasibleError(f"demand {stuck[0]} has no processed 2-walk "
+                              f"(demands cannot all be met)")
+    return np.where(has, cost, 0.0), [walk(i) for i in np.flatnonzero(has).tolist()]
 
 
 def solve_edge_lp(net: FlowNetwork, demands: list[Demand],

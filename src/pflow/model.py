@@ -108,7 +108,7 @@ class FlowNetwork:
         self.groups = tuple(tuple(g) for g in groups)
         # topology caches, which with_node_capacity hands on to its copy
         self._barred: dict = {}  # (source, sink) -> barred(source, sink)
-        self._walk_graphs: dict = {}  # (source, sink) pairs -> lp's pricing graph
+        self._walk_graphs: dict = {}  # (paths, *(source, sink) pairs) -> pricing graph
 
     @property
     def n_nodes(self) -> int:
@@ -122,6 +122,13 @@ class FlowNetwork:
     def edge_count(self) -> int:
         """Number of independent bandwidth budgets (undirected edges count once)."""
         return len(self.group_capacity)
+
+    @property
+    def edges(self) -> list[tuple[str, str, float]]:
+        """(tail, head, capacity) per bandwidth group, in group order: the
+        edge list this network was built from."""
+        return [(self.arcs[arcs[0]].tail, self.arcs[arcs[0]].head, cap)
+                for arcs, cap in zip(self.groups, self.group_capacity)]
 
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -191,14 +198,7 @@ class FlowNetwork:
         and the walk master's pricing graphs, whose structure no node
         capacity changes. So a capacity sweep builds them once per
         instance, not once per grid point."""
-        edges = []
-        done = set()
-        for a in self.arcs:
-            if a.group in done:
-                continue
-            done.add(a.group)
-            edges.append((a.tail, a.head, a.capacity))
-        net = FlowNetwork(self.nodes, edges, caps, directed=self.directed)
+        net = FlowNetwork(self.nodes, self.edges, caps, directed=self.directed)
         net._barred, net._walk_graphs = self._barred, self._walk_graphs
         return net
 

@@ -1,12 +1,11 @@
 """Route-then-process baseline, in two phases.
 
-Phase 1 (`route_paths`) solves plain max multi-commodity flow (the routing
-LP of `lp.build_routing_lp` at full edge capacity: one `lp.commodity` per
-demand, processed on arrival at its sink), cancels its cycles and splits it
-into simple paths with `decompose.extract_walks`, traced back from the sink.
-It reads only the arcs, their groups and capacities and the demands, never
-node capacity, so its answer holds for every processing capacity on one
-topology: a capacity sweep solves it once.
+Phase 1 (`route_paths`) solves plain max multi-commodity flow at full edge
+capacity: the walk master over simple source->sink paths
+(`lp.solve_walk_master` with `paths`), each processed on arrival at its
+sink. It reads only the arcs, their groups and capacities and the demands,
+never node capacity, so its answer holds for every processing capacity on
+one topology: a capacity sweep solves it once.
 Phase 2 (`process_paths`) walks each path in order and assigns processing
 greedily at the first interior vertices that still have capacity left. Flow
 that finds no processing on its own path is discarded; nothing is ever
@@ -18,15 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import cancel_cycles, extract_walks
-from .lp import build_routing_lp, solve_lp
+from .lp import solve_walk_master
 from .model import SNAP, Demand, FlowNetwork, WalkEntry, WalkFlowSolution
 
 
 @dataclass(frozen=True)
 class Routing:
     """Phase 1's output: (demand index, path, amount) in processing order,
-    the total routed and the routing LP's iteration count."""
+    the total routed and the path master's simplex iterations."""
 
     paths: list[tuple[int, tuple[str, ...], float]]
     routed: float
@@ -34,25 +32,15 @@ class Routing:
 
 
 def route_paths(net: FlowNetwork, demands: list[Demand]) -> Routing:
-    """Phase 1: the max-flow routing, split into paths per demand."""
-    model = build_routing_lp(net, demands, net.group_capacity)
-    res = solve_lp(model)
-    x = res.optimal_x("routing LP").tolist()
-
+    """Phase 1: the max-flow routing as simple paths, in demand order: the
+    path master's columns that carry more than SNAP."""
+    _, res, cols = solve_walk_master(net, demands, paths=True)
     paths = []
-    routed = 0.0
-    for i, d in enumerate(demands):
-        w = [0.0] * net.n_arcs
-        for a, j in model.info["w"][i].items():
-            w[a] = x[j] if x[j] >= SNAP else 0.0
-        cancel_cycles(net, w)
-        # the sink's inflow after snapping, so that it matches w exactly
-        inflow = sum(w[a] for a in net.in_arcs[d.sink])
-        entries, _ = extract_walks(net, d, i, w, [0.0] * net.n_arcs, {d.sink: inflow})
-        for e in entries:
-            routed += e.flow
-            paths.append((i, e.nodes, e.flow))
-    return Routing(paths, routed, res.iterations)
+    for (i, arcs, _), amount in sorted(zip(cols, res.x.tolist()), key=lambda cx: cx[0][0]):
+        if amount > SNAP:
+            nodes = (net.arcs[arcs[0]].tail, *(net.arcs[a].head for a in arcs))
+            paths.append((i, nodes, amount))
+    return Routing(paths, sum(amount for _, _, amount in paths), res.iterations)
 
 
 def process_paths(net: FlowNetwork, routing: Routing) -> WalkFlowSolution:

@@ -6,8 +6,8 @@ serving every demand in full, or maximize served flow under a budget. Both
 are solved as LP relaxations over fractional purchase levels x(v) in [0,1]
 and rounded randomly; an exact greedy with a max-flow oracle covers the
 undirected single-source budgeted case. That oracle is combinatorial
-(Edmonds-Karp augmenting paths in pure Python), so the greedy solves a
-single LP, its final routing.
+(Edmonds-Karp augmenting paths in pure Python), so the greedy solves no
+purchase LP: its final routing is the walk master over plain paths.
 
 Each unit is routed as a two-leg itinerary through its chosen processing
 vertex v, an unprocessed leg source->v and a processed leg v->sink: per
@@ -15,7 +15,8 @@ vertex v, an unprocessed leg source->v and a processed leg v->sink: per
 g, with p only at v) under the pair's leg rule, `FlowNetwork.legs`. Unlike
 the fixed-capacity world, processing at the source or sink itself is
 legitimate here (the itinerary then has a single leg). The greedy's final
-routing is the routing LP, the same leg rule with v at each demand's sink.
+routing is `lp.solve_walk_master` with `paths`: simple paths under the same
+leg rule with v at each demand's sink.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .lp import LPModel, LPResult, build_routing_lp, commodity, solve_lp
-from .model import (SNAP, EdgeFlowSolution, InfeasibleError, PurchaseInstance,
+from .lp import LPModel, LPResult, commodity, solve_lp, solve_walk_master
+from .model import (SNAP, EdgeFlowSolution, FlowNetwork, InfeasibleError, PurchaseInstance,
                     PurchaseSolution, StructuralError, ValidationReport,
                     feas_slack, validate_instance)
 
@@ -144,7 +145,7 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     for i, d in enumerate(inst.demands):
         for v in xvar:
             wvar[i, v], gvar[i, v], p = commodity(m, net, d, *net.legs(d.source, d.sink, v),
-                                                  {v: math.inf})
+                                                  [v])
             pvar[i, v] = p[v]
 
     # the coupling rows, gathered row-wise and added in one bulk call
@@ -641,11 +642,13 @@ def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
     feasibility is free). Purchases maximize the quarter-capacity flow the
     bought nodes can process and return, a monotone submodular objective
     handled by the knapsack greedy; the delivered value is that flow pushed
-    through the routing half toward the sinks, demand-capped. Each oracle
-    call is a combinatorial max-flow (`_max_flow`, Edmonds-Karp), and its
-    net flow on each feeder arc is that node's processing load; the routing
-    LP is the only LP solved. Seed sets are enumerated up to size 3, the
-    depth the (1-1/e) guarantee needs.
+    through the routing half toward the sinks, demand-capped: the path
+    master's max flow over a copy of the network at half bandwidth, every
+    path scaled by min(1, processable / its value). Each oracle call is a
+    combinatorial max-flow (`_max_flow`, Edmonds-Karp), and its net flow on
+    each feeder arc is that node's processing load; the path master is the
+    only LP solved. Seed sets are enumerated up to size 3, the depth the
+    (1-1/e) guarantee needs.
     """
     rep = validate_purchase_instance(inst, "budgeted")
     if not rep:
@@ -672,17 +675,24 @@ def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
                                candidates=len(items))
     _, proc_load = oracle.evaluate(chosen)
 
-    # routing half: one commodity per demand over B/2, total throttled by
-    # what the detour can process; a demand delivers its p
+    # routing half: the path master over B/2, scaled down to what the
+    # detour can process; a demand delivers what its paths carry
     net = inst.net
-    m = build_routing_lp(net, inst.demands, [c / 2.0 for c in net.group_capacity])
-    m.add_constraint(list(m.objective.items()), "<=", proc_value)
-    x = solve_lp(m).optimal_x("routing LP").tolist()
+    half = FlowNetwork(net.nodes, [(u, v, c / 2.0) for u, v, c in net.edges],
+                       net.node_capacity, directed=False)
+    _, res, cols = solve_walk_master(half, inst.demands, paths=True)
+    # x * processable / value, not x * (processable / value): a single path
+    # then delivers processable exactly
+    carried = res.x * proc_value / res.objective if res.objective > proc_value else res.x
 
     n = len(inst.demands)
-    flow = [_leg_values(w, x) for w in m.info["w"]]
-    delivered = [max(0.0, x[p[d.sink]]) if p else 0.0
-                 for d, p in zip(inst.demands, m.info["p"])]
+    flow: list[dict[int, float]] = [{} for _ in range(n)]
+    delivered = [0.0] * n
+    for (i, arcs, _), x in zip(cols, carried.tolist()):
+        if x > SNAP:
+            delivered[i] += x
+            for a in arcs:
+                flow[i][a] = flow[i].get(a, 0.0) + x
     served_total = sum(delivered)
 
     # attribute processing to demands pro rata; the detour legs live on the

@@ -423,7 +423,9 @@ def mixed_routing_instances():
 def net_outflow_routing_lp(net: FlowNetwork, demands: list[Demand],
                            group_cap) -> LPModel:
     """Plain multicommodity max flow, blind to processing: the reference for
-    `pflow.lp.build_routing_lp`, which must reach the same optimum.
+    the path master (`pflow.lp.solve_walk_master` with `paths`) that routes
+    the naive baseline and the purchase greedy, which must reach the same
+    optimum.
 
     Column i * n_arcs + a is demand i's flow on arc a. Flow is conserved away
     from each demand's endpoints, a finite amount caps the demand's net
@@ -617,7 +619,7 @@ def balance(net: FlowNetwork, var: dict[int, int], v: str,
 
 
 def row_by_row_commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
-                         p_hi: dict[str, float]
+                         p_at: list[str]
                          ) -> tuple[dict[int, int], dict[int, int], dict[str, int]]:
     """`pflow.lp.commodity` built one checked `add_constraint` row at a
     time: the reference for the rows that `commodity` writes in bulk, which
@@ -630,7 +632,7 @@ def row_by_row_commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
             w[a] = m.add_var()
         if not gbar[a]:
             g[a] = m.add_var()
-    p = {v: m.add_var(hi=hi) for v, hi in p_hi.items() if hi > 0}
+    p = {v: m.add_var() for v in p_at}
     for v in net.nodes:
         at = [(p[v], 1.0)] if v in p else []
         if v != d.source and (row := at + balance(net, w, v, -1.0)):
@@ -660,7 +662,7 @@ def row_by_row_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     for i, d in enumerate(inst.demands):
         for v in xvar:
             wvar[i, v], gvar[i, v], p = row_by_row_commodity(
-                m, net, d, *net.legs(d.source, d.sink, v), {v: math.inf})
+                m, net, d, *net.legs(d.source, d.sink, v), [v])
             pvar[i, v] = p[v]
 
     sense = ">=" if mode == "min" else "<="

@@ -11,9 +11,9 @@ from pflow.generators import gen_random_instance
 from pflow.harness import (CSV_HEADER, KNOWN_ALGS, RunRecord, SweepSpec,
                            compare_runs, half_subset, write_csv)
 from pflow.decompose import decompose
-from pflow.lp import LPResult, solve_edge_lp
-from pflow.model import (Demand, FlowNetwork, StructuralError, verify_edge_solution,
-                         verify_walk_solution)
+from pflow.lp import solve_edge_lp
+from pflow.model import (Demand, FlowNetwork, ResourceLimitError, StructuralError,
+                         verify_edge_solution, verify_walk_solution)
 from pflow.naive import naive_solve
 from ratios import objective_ratio, ratio_series
 
@@ -150,32 +150,34 @@ def test_naive_records_match_a_fresh_solve_per_point():
 
 def test_naive_routing_lp_solved_once_per_sweep(monkeypatch):
     # phase 1 ignores node capacity, so no grid point or repetition after
-    # the first needs another routing LP
+    # the first needs another path master
     calls = []
-    real = pflow.naive.solve_lp
+    real = pflow.naive.solve_walk_master
 
-    def counting(model):
-        calls.append(model)
-        return real(model)
+    def counting(net, demands, **kwargs):
+        calls.append(kwargs)
+        return real(net, demands, **kwargs)
 
-    monkeypatch.setattr(pflow.naive, "solve_lp", counting)
+    monkeypatch.setattr(pflow.naive, "solve_walk_master", counting)
     for net, demands, spec in _sweep_cases():
         calls.clear()
         recs = compare_runs(net, demands, spec, algorithms=("lp", "naive"))
         assert all(r.feasible for r in recs)
-        assert len(calls) == 1
+        assert calls == [{"paths": True}]
 
 
 def test_failed_routing_fails_every_naive_record(monkeypatch):
-    monkeypatch.setattr(pflow.naive, "solve_lp",
-                        lambda model: LPResult("unbounded", None, math.nan))
+    def unbounded(net, demands, **kwargs):
+        raise ResourceLimitError("walk master ended unbounded")
+
+    monkeypatch.setattr(pflow.naive, "solve_walk_master", unbounded)
     for net, demands, spec in _sweep_cases():
         recs = compare_runs(net, demands, spec, algorithms=("lp", "naive"))
         naive = [r for r in recs if r.algorithm == "naive"]
         assert len(naive) == 2 * len(spec.grid())
         for r in naive:
             assert not r.feasible and math.isnan(r.objective)
-            assert r.error == "ResourceLimitError: routing LP ended unbounded"
+            assert r.error == "ResourceLimitError: walk master ended unbounded"
         assert all(r.feasible for r in recs if r.algorithm == "lp")
 
 
@@ -213,10 +215,10 @@ def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
     calls = 0  # demands priced
     real = pflow.lp.price_walks
 
-    def counting(net, demands, price):
+    def counting(net, demands, price, paths=False):
         nonlocal calls
         calls += len(demands)
-        return real(net, demands, price)
+        return real(net, demands, price, paths)
 
     monkeypatch.setattr(pflow.lp, "price_walks", counting)
     inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)

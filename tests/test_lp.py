@@ -8,8 +8,8 @@ import pytest
 import pflow.lp
 from pflow.generators import gen_random_instance, gen_random_purchase
 from pflow.decompose import decompose
-from pflow.lp import (LPModel, Objective, build_edge_lp, build_routing_lp,
-                      solve_edge_lp, solve_lp, write_mps)
+from pflow.lp import (LPModel, Objective, build_edge_lp, solve_edge_lp, solve_lp,
+                      solve_walk_master, write_mps)
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                          ResourceLimitError, verify_edge_solution,
                          verify_walk_solution)
@@ -259,23 +259,63 @@ def _edge_models(kind):
 def _routing_models():
     for seed in range(3):
         inst = gen_random_instance(7, 0.5, n_demands=3, seed=seed, directed=seed % 2 == 0)
-        yield build_routing_lp(inst.net, inst.demands, inst.net.group_capacity)
+        yield net_outflow_routing_lp(inst.net, inst.demands, inst.net.group_capacity)
 
 
 @pytest.mark.parametrize("halved", [False, True], ids=["full", "halved"])
 def test_routing_lp_matches_the_net_outflow_reference(halved):
-    # unlike the reference, the commodity routing LP never routes into the
-    # source or out of the sink: same optimum, at full bandwidth and at the
-    # B/2 the purchase greedy routes over
+    # unlike the reference, the path master never routes into the source or
+    # out of the sink: same optimum, at full bandwidth and at the B/2 the
+    # purchase greedy routes over
     kinds = set()
     for net, demands in mixed_routing_instances():
         cap = [c / 2.0 if halved else c for c in net.group_capacity]
-        got = solve_lp(build_routing_lp(net, demands, cap))
+        capped = FlowNetwork(net.nodes, [(u, v, c) for (u, v, _), c in zip(net.edges, cap)],
+                             net.node_capacity, directed=net.directed)
+        got = solve_walk_master(capped, demands, paths=True)[1]
         want = solve_lp(net_outflow_routing_lp(net, demands, cap))
         assert got.status == want.status == "optimal"
         assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
         kinds |= {(net.directed, math.isfinite(d.amount)) for d in demands}
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_path_master_takes_direct_arcs_and_reads_no_node_capacity():
+    # s->t directly (B 1) and s->a->t (B 2), no node able to process and the
+    # sink's capacity 0: the path master routes 3, and each column is a
+    # simple s->t path processed at the sink
+    net = FlowNetwork("sat", [("s", "t", 1.0), ("s", "a", 2.0), ("a", "t", 2.0)],
+                      {"t": 0.0})
+    demands = [Demand("s", "t")]
+    sol, res, cols = solve_walk_master(net, demands, paths=True)
+    assert sol is None and res.objective == 3.0
+    carried = {}
+    for (i, arcs, split), x in zip(cols, res.x.tolist()):
+        nodes = [net.arcs[arcs[0]].tail] + [net.arcs[a].head for a in arcs]
+        assert (i, nodes[0], nodes[-1], split) == (0, "s", "t", len(arcs))
+        assert len(set(nodes)) == len(nodes)
+        carried[tuple(nodes)] = carried.get(tuple(nodes), 0.0) + x
+    assert carried == {("s", "t"): 1.0, ("s", "a", "t"): 2.0}
+    with pytest.raises(ValueError, match="total flow only"):
+        solve_walk_master(net, [Demand("s", "t", 1.0)], objective=Objective("min-max-congestion"),
+                          paths=True)
+
+
+@pytest.mark.parametrize("kind", ["min-max-congestion", "min-weighted-congestion"])
+def test_a_demand_of_amount_zero_needs_no_walk(kind):
+    # s->a->t with C_a = 0: demand s->t has no processed 2-walk, but asks
+    # for nothing. Alone, and beside a demand s->u that goes through b,
+    # the arc LP's optimum holds
+    line = FlowNetwork("sat", [("s", "a", 1.0), ("a", "t", 1.0)], {"a": 0.0})
+    fork = FlowNetwork("satbu", [("s", "a", 1.0), ("a", "t", 1.0), ("s", "b", 2.0),
+                                 ("b", "u", 2.0)], {"a": 0.0, "b": 1.0})
+    for net, demands in ((line, [Demand("s", "t", 0.0)]),
+                         (fork, [Demand("s", "t", 0.0), Demand("s", "u", 1.0)])):
+        sol, res = solve_edge_lp(net, demands, Objective(kind))
+        want = edge_lp_optimum(net, demands, kind)
+        assert abs(res.objective - want) <= 1e-9 * max(1.0, want)
+        assert verify_edge_solution(net, demands, sol).ok
+        assert sol.delivered(net, demands, 0) == 0.0
 
 
 def _purchase_models(mode, fixed, build=build_purchase_lp):
@@ -649,7 +689,6 @@ def test_models_hold_no_column_fixed_at_zero():
     # its arc open, its node may process, its candidate is not pinned to 0
     models = [m for kind in ("max-total-flow", "min-max-congestion",
                              "min-weighted-congestion") for m in _edge_models(kind)]
-    models += _routing_models()
     models += [m for mode in ("min", "budgeted") for fixed in (False, True)
                for m in _purchase_models(mode, fixed)]
     for model in models:
@@ -664,7 +703,7 @@ def _arrays(model):
 
 def _plain_models():
     kinds = ("max-total-flow", "min-max-congestion", "min-weighted-congestion")
-    return [m for kind in kinds for m in _edge_models(kind)] + list(_routing_models())
+    return [m for kind in kinds for m in _edge_models(kind)]
 
 
 def test_bulk_rows_match_the_row_by_row_reference(monkeypatch):
@@ -677,7 +716,7 @@ def test_bulk_rows_match_the_row_by_row_reference(monkeypatch):
             for m in _purchase_models(mode, fixed, build=row_by_row_purchase_lp)]
     monkeypatch.setattr(pflow.lp, "commodity", row_by_row_commodity)
     want = _plain_models() + want
-    assert len(got) == len(want) == 9 + 3 + 16
+    assert len(got) == len(want) == 9 + 16
     for built, ref in zip(got, want):
         assert _arrays(built) == _arrays(ref), built.name
 

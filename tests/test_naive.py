@@ -91,22 +91,27 @@ def test_zero_capacity_graph():
 
 
 def test_routed_paths_are_simple_and_add_up_to_the_routing_optimum():
+    # at full bandwidth and at the B/2 the purchase greedy routes over
     directed = set()
-    for net, demands in mixed_routing_instances():
-        routing = route_paths(net, demands)
-        per_demand = [0.0] * len(demands)
-        for i, path, amount in routing.paths:
-            d = demands[i]
-            assert path[0] == d.source and path[-1] == d.sink, path
-            assert d.source not in path[1:] and d.sink not in path[:-1], path
-            assert len(set(path)) == len(path), path
-            assert all((u, v) in net.arc_index for u, v in zip(path, path[1:])), path
-            assert amount > 0.0
-            per_demand[i] += amount
-        for d, got in zip(demands, per_demand):
-            assert got <= d.amount + feas_slack(d.amount)
-        assert sum(per_demand) == pytest.approx(routing.routed, rel=1e-12)
-        want = solve_lp(net_outflow_routing_lp(net, demands, net.group_capacity)).objective
-        assert abs(routing.routed - want) <= 1e-9 * max(1.0, want)
-        directed.add(net.directed)
+    for full, demands in mixed_routing_instances():
+        for share in (1.0, 0.5):
+            net = FlowNetwork(full.nodes, [(u, v, c * share) for u, v, c in full.edges],
+                              full.node_capacity, directed=full.directed)
+            routing = route_paths(net, demands)
+            per_demand = [0.0] * len(demands)
+            for i, path, amount in routing.paths:
+                d = demands[i]
+                assert path[0] == d.source and path[-1] == d.sink, path
+                assert d.source not in path[1:] and d.sink not in path[:-1], path
+                assert len(set(path)) == len(path), path
+                assert all((u, v) in net.arc_index for u, v in zip(path, path[1:])), path
+                assert amount > 0.0
+                per_demand[i] += amount
+            assert [i for i, _, _ in routing.paths] == sorted(i for i, _, _ in routing.paths)
+            for d, got in zip(demands, per_demand):
+                assert got <= d.amount + feas_slack(d.amount)
+            assert sum(per_demand) == pytest.approx(routing.routed, rel=1e-12)
+            want = solve_lp(net_outflow_routing_lp(net, demands, net.group_capacity)).objective
+            assert abs(routing.routed - want) <= 1e-9 * max(1.0, want)
+        directed.add(full.directed)
     assert directed == {True, False}
