@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 try:  # the HiGHS binding scipy vendors as highspy's `_core` since 1.15
     from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
@@ -509,6 +508,10 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray,
     master column (a path is processed at its sink); ties between walks
     break in csgraph's order.
     """
+    # imported here: `import pflow`, MWU and the purchase LPs need not pay
+    # the ~1 MB of RSS that csgraph costs
+    from scipy.sparse.csgraph import dijkstra
+
     pairs = [(d.source, d.sink) for d in demands]
     graph = net._walk_graphs.get((paths, *pairs))
     if graph is None:

@@ -33,6 +33,15 @@ total weight of the experts with capacity, D/alpha bounds the optimum from
 above (weak duality); when no demand is capped, the least such value is
 reported as meta["upper_bound"].
 
+One search prices every walk: `shortest_processing_2walk`, two chained
+Dijkstra passes on node indices over a plan built once per network and
+(source, sink) pair, the out-arcs `FlowNetwork.barred` leaves open to each
+pass. A round calls it once for each demand it reprices, with node costs
+kept as a list by node index, and asks it to end pass two once the sink is
+settled: costs are non-negative, so the sink's cost and the walk that leads
+to it are final then, and a round reads nothing else. Only the round's
+winner has its walk rebuilt.
+
 All of a round's processing lands on the single vertex that minimizes
 weight/capacity along the walk. Spreading it over the other walk vertices
 proportionally to C(v) looks natural but silently charges the C-weighted
@@ -144,19 +153,46 @@ def _bad_cost(c: float) -> str:
     return f"walk oracle: {'NaN' if math.isnan(c) else 'negative'} arc cost {c}"
 
 
+def _walk_plan(net: FlowNetwork, source: str, sink: str):
+    """What the walk oracle searches for a `source`->`sink` demand: (source
+    index, sink index, out-arcs open to unprocessed flow, out-arcs open to
+    processed flow). The out-arcs are `FlowNetwork.adjacency`'s (head index,
+    arc index) pairs, per node index, less the arcs `FlowNetwork.barred`
+    bars to that part. Built once per network and pair, and handed on by
+    `FlowNetwork.with_node_capacity`."""
+    wbar, gbar = net.barred(source, sink)
+    adj = net.adjacency
+    plan = net._walk_plans[source, sink] = (
+        net.node_index(source), net.node_index(sink),
+        tuple(tuple(e for e in out if not wbar[e[1]]) for out in adj),
+        tuple(tuple(e for e in out if not gbar[e[1]]) for out in adj))
+    return plan
+
+
 def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
-                              source: str, sink: str | None = None) -> ShortestWalkResult:
+                              source: str, sink: str | None = None, *,
+                              stop_at_sink: bool = False) -> ShortestWalkResult:
     """Two chained Dijkstra passes over arc costs plus one node-cost charge.
 
     `edge_cost[a]` is read per arc index, so it must be a list or an
-    int-keyed mapping that covers every arc.
+    int-keyed mapping that covers every arc. `node_cost` is either a list
+    by node index, with inf where a node cannot process, or a mapping by
+    node name, where a node it leaves out cannot process.
 
     Pass one computes plain distances d(v); pass two re-runs Dijkstra seeded
     with d(v) + node_cost(v), so settling v at cost r(v) means some walk
     reaches v with its processing already paid. Given the demand's `sink`,
-    pass one skips the arcs `FlowNetwork.barred` bars to unprocessed flow
-    and pass two those it bars to processed flow, so walks to the sink
-    follow the edge LP's rule; without it no arc is skipped.
+    the passes run on its plan (`_walk_plan`): pass one skips the arcs
+    `FlowNetwork.barred` bars to unprocessed flow and pass two those it
+    bars to processed flow, so walks to the sink follow the edge LP's rule;
+    without it no arc is skipped.
+
+    Both passes settle every node, so every r(v) is exact, unless a `sink`
+    is given with `stop_at_sink`: then pass two ends once the sink is
+    settled. Costs are non-negative, so r(sink) and the walk to the sink
+    are final by then, while other labels may still be too high. MWU
+    prices each demand this way, with list node costs; the tests check it
+    against the full search.
 
     Arc costs must be non-negative. An improving relaxation that would give
     a node a label below the one it is relaxed from raises ValueError: only
@@ -165,26 +201,29 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     runs only on improving relaxations. A NaN (or -inf) node cost raises
     ValueError too.
     """
-    n = net.n_nodes
-    adj = net.adjacency
-    src = net.node_index(source)
     inf = math.inf
     if sink is None:
-        wbar = gbar = (False,) * net.n_arcs
+        src, stop = net.node_index(source), -1
+        wadj = gadj = net.adjacency
     else:
-        wbar, gbar = net.barred(source, sink)
+        plan = net._walk_plans.get((source, sink)) or _walk_plan(net, source, sink)
+        src, stop, wadj, gadj = plan
+        if not stop_at_sink:
+            stop = -1
+    if not isinstance(node_cost, list):
+        node_cost = [float(node_cost.get(v, inf)) for v in net.nodes]
+    push, pop = heapq.heappush, heapq.heappop
 
+    n = len(wadj)
     dist = [inf] * n
     pred = [-1] * n
     dist[src] = 0.0
     pq = [(0.0, src)]
     while pq:
-        dv, v = heapq.heappop(pq)
+        dv, v = pop(pq)
         if dv > dist[v]:
             continue
-        for u, a in adj[v]:
-            if wbar[a]:
-                continue
+        for u, a in wadj[v]:
             nd = dv + edge_cost[a]
             # `not >=` rather than `<`, so that a NaN cost counts as improving
             if not nd >= dist[u]:
@@ -192,35 +231,34 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
                     raise ValueError(_bad_cost(edge_cost[a]))
                 dist[u] = nd
                 pred[u] = a
-                heapq.heappush(pq, (nd, u))
+                push(pq, (nd, u))
 
     r = [inf] * n
     origin = [-1] * n
     pq = []
-    for i, name in enumerate(net.nodes):
-        nc = float(node_cost.get(name, inf))
-        seed = dist[i] + nc
+    for i, d in enumerate(dist):
+        seed = d + node_cost[i]
         # `not >=` rather than `<`, so that a NaN cost gets in and raises
         if not seed >= inf:
             if not seed > -inf:
-                raise ValueError(f"walk oracle: node cost {nc} at {name}")
+                raise ValueError(f"walk oracle: node cost {node_cost[i]} at {net.nodes[i]}")
             r[i] = seed
             pq.append((seed, i))
     heapq.heapify(pq)
     while pq:
-        rv, v = heapq.heappop(pq)
+        rv, v = pop(pq)
         if rv > r[v]:
             continue
-        for u, a in adj[v]:
-            if gbar[a]:
-                continue
+        if v == stop:
+            break
+        for u, a in gadj[v]:
             nr = rv + edge_cost[a]
             if not nr >= r[u]:
                 if not nr >= rv:
                     raise ValueError(_bad_cost(edge_cost[a]))
                 r[u] = nr
                 origin[u] = a
-                heapq.heappush(pq, (nr, u))
+                push(pq, (nr, u))
 
     return ShortestWalkResult(net, src, dist, pred, r, origin)
 
@@ -238,7 +276,9 @@ class MWUState:
     """Everything the outer loop mutates between rounds.
 
     `arc_cost`, `node_cost`, `total_weight` and the loads follow the expert
-    weights and change only where a round's walk touched them. `heap` holds
+    weights and change only where a round's walk touched them. `node_cost`
+    is read by node index and holds inf where a node cannot process, the
+    form `shortest_processing_2walk` reads without converting. `heap` holds
     (last walk cost, demand index) for every active demand; weights only
     grow, so each entry bounds that demand's current cost from below.
     """
@@ -258,11 +298,14 @@ class MWUState:
     # bound on the optimum when no demand is capped
     upper_bound: float = field(default=math.inf, init=False)
     arc_cost: list[float] = field(init=False)
-    node_cost: dict[str, float] = field(init=False)
+    node_cost: list[float] = field(init=False)
     total_weight: float = field(init=False)  # experts with capacity > 0
     group_load: list[float] = field(init=False)   # pre-scaling, per group
     node_load: dict[str, float] = field(init=False)
     heap: list[tuple[float, int]] = field(init=False)
+    sinks: list[int] = field(init=False)  # node index per demand
+    # weight > 1  <=>  gain > log_{1+eps}(1/delta)
+    gain_limit: float = field(init=False)
 
     def __post_init__(self):
         net = self.net
@@ -276,20 +319,18 @@ class MWUState:
         self.arc_cost = [group_w[a.group] / caps[a.group] if caps[a.group] > 0
                          else math.inf for a in net.arcs]
         node_w = {v: self.weight(g) for v, g in self.node_gain.items()}
-        self.node_cost = {v: w / net.capacity(v) for v, w in node_w.items()}
+        self.node_cost = [node_w[v] / net.capacity(v) if v in node_w else math.inf
+                          for v in net.nodes]
         self.total_weight = (sum(w for w, c in zip(group_w, caps) if c > 0)
                              + sum(node_w.values()))
         self.group_load = [0.0] * len(caps)
         self.node_load = {}
         self.heap = [(0.0, i) for i, on in enumerate(self.active) if on]
+        self.sinks = [net.node_index(d.sink) for d in self.demands]
+        self.gain_limit = -math.log(self.delta) / math.log1p(self.epsilon)
 
     def weight(self, gain: float) -> float:
         return self.delta * (1.0 + self.epsilon) ** gain
-
-    # weight > 1  <=>  gain > log_{1+eps}(1/delta)
-    @property
-    def gain_limit(self) -> float:
-        return -math.log(self.delta) / math.log1p(self.epsilon)
 
 
 def _reprice(state: MWUState) -> dict[int, tuple[float, ShortestWalkResult]]:
@@ -302,17 +343,22 @@ def _reprice(state: MWUState) -> dict[int, tuple[float, ShortestWalkResult]]:
     2*_TIE (the rounding of `best - _TIE` included) and at most one per
     demand, so no demand left stale could change it. A demand with no valid
     walk drops out.
+
+    Each demand is priced by one call of `shortest_processing_2walk` that
+    stops at its sink: a round reads only the sink's cost, and the walk to
+    the sink of the round's winner.
     """
-    net, demands, heap = state.net, state.demands, state.heap
+    net, demands, heap, sinks = state.net, state.demands, state.heap, state.sinks
+    arc_cost, node_cost = state.arc_cost, state.node_cost
     slack = 2.0 * _TIE * len(heap)
     fresh = {}
     alpha = math.inf
     while heap and heap[0][0] <= alpha * (1.0 + _REPRICE_MARGIN) + slack:
         _, i = heapq.heappop(heap)
         d = demands[i]
-        res = shortest_processing_2walk(net, state.arc_cost, state.node_cost,
-                                        d.source, d.sink)
-        c = res.cost_to(d.sink)
+        res = shortest_processing_2walk(net, arc_cost, node_cost, d.source, d.sink,
+                                        stop_at_sink=True)
+        c = res.r[sinks[i]]
         if not math.isfinite(c):
             state.active[i] = False  # structurally no valid processing walk
             continue
@@ -387,7 +433,7 @@ def mwu_iterate(state: MWUState):
     state.node_gain[v_star] += flow / cap
     w = state.weight(state.node_gain[v_star])
     state.total_weight += w - old
-    state.node_cost[v_star] = w / cap
+    state.node_cost[net.node_index(v_star)] = w / cap
     state.node_load[v_star] = state.node_load.get(v_star, 0.0) + flow
     if state.node_gain[v_star] > limit:
         state.stopped = True

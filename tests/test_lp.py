@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -623,6 +626,7 @@ def test_batched_pricing_matches_the_walk_oracle():
         k, rows = len(demands), len(demands) + net.edge_count + net.n_nodes
         copy = net.with_node_capacity({v: float(rng.randint(0, 2)) for v in net.nodes})
         assert copy._walk_graphs is net._walk_graphs
+        assert copy._walk_plans is net._walk_plans
         rounds = [np.zeros(rows)] + [np.array([rng.randint(0, 8) / 8 for _ in range(rows)])
                                      for _ in range(3)]
         for cnet, price in [(net, p) for p in rounds] + [(copy, rounds[-1])]:
@@ -639,6 +643,16 @@ def test_batched_pricing_matches_the_walk_oracle():
                     _check_priced_walk(cnet, demands, price, i, walk(i), cost[i])
                     zero_walks += cost[i] == 0.0
     assert zero_walks > 0
+
+
+def test_import_pflow_leaves_csgraph_unloaded():
+    # only price_walks runs scipy's csgraph, so `import pflow` must not load
+    # it: MWU and the purchase LPs then never pay the megabyte of RSS its
+    # import costs. A fresh interpreter shows what `import pflow` loads
+    src = os.path.dirname(os.path.dirname(pflow.lp.__file__))
+    code = "import sys, pflow; assert 'scipy.sparse.csgraph' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_walk_master_rejects_a_non_finite_dual(monkeypatch, inst_line):

@@ -264,6 +264,61 @@ def test_lazy_argmin_matches_full_scan_among_near_ties():
         assert st.iteration == rounds
 
 
+def test_round_pricing_matches_the_walk_oracle(monkeypatch):
+    # A round prices each demand with a search whose second pass stops once
+    # the sink is settled. Every demand it reprices must get the cost and
+    # the walk that the full search of shortest_processing_2walk finds on
+    # that round's costs, and a demand that drops out must have no walk
+    # there. Integer capacities make walk costs tie exactly; a twin shares
+    # its pair's plan. Each demand a round prices is one call of the module's
+    # shortest_processing_2walk, the name a tracer wraps to count them.
+    real, oracle = mwu_module._reprice, shortest_processing_2walk
+    priced = dropped = tied = calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return oracle(*args, **kwargs)
+
+    def checking(state):
+        nonlocal priced, dropped, tied
+        net = state.net
+        arc_cost = list(state.arc_cost)
+        node_cost = dict(zip(net.nodes, state.node_cost))
+        was_active = list(state.active)
+        before = calls
+        fresh = real(state)
+        newly_dropped = 0
+        for i, d in enumerate(state.demands):
+            want = oracle(net, arc_cost, node_cost, d.source, d.sink)
+            if i in fresh:
+                cost, res = fresh[i]
+                assert cost == want.cost_to(d.sink)
+                assert res.walk_to(d.sink) == want.walk_to(d.sink)
+                priced += 1
+            elif was_active[i] and not state.active[i]:
+                assert want.cost_to(d.sink) == math.inf
+                newly_dropped += 1
+        assert calls - before == len(fresh) + newly_dropped
+        dropped += newly_dropped
+        costs = [c for c, _ in fresh.values()]
+        tied += len(set(costs)) < len(costs)
+        return fresh
+
+    monkeypatch.setattr(mwu_module, "_reprice", checking)
+    monkeypatch.setattr(mwu_module, "shortest_processing_2walk", counting)
+    rng = random.Random(33391)
+    for _ in range(24):
+        net, names = _random_network(rng, rng.randint(4, 7))
+        demands = [Demand(*rng.sample(names, 2), rng.choice([math.inf, 3.0]))
+                   for _ in range(rng.randint(1, 3))]
+        demands.append(Demand(demands[0].source, demands[0].sink))
+        demands.append(Demand(rng.choice(names), "z"))
+        rng.shuffle(demands)
+        mwu_solve(net, demands, MWUConfig(epsilon=rng.choice([0.2, 0.3, 0.5])))
+    assert priced > 1000 and dropped > 0 and tied > 0
+
+
 def test_upper_bound_certifies_uncapped_instances():
     rng = random.Random(80233)
     checked = 0
