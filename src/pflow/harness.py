@@ -122,11 +122,12 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     lp solves each grid point with a fresh walk master (`solve_walk_master`):
     a walk stays valid when only node capacities change, so each later
     point's master starts with the columns the previous point's ended with
-    (the last optimal point's, if a point failed). The first point starts
-    empty, exactly as a fresh solve_edge_lp does, and every repetition of a
-    point starts from the same columns. An lp record's iterations are those
-    of its own master, and its objective equals a fresh solve_edge_lp of its
-    grid point to rounding.
+    (the last optimal point's, if a point failed), and skips the seed a
+    fresh master starts from. The first point, and a point after one that
+    ended without columns, starts from that seed, exactly as a fresh
+    solve_edge_lp does, and every repetition of a point starts from the same
+    columns. An lp record's iterations are those of its own master, and its
+    objective equals a fresh solve_edge_lp of its grid point to rounding.
     """
     algs = list(algorithms)
     for a in algs:

@@ -27,7 +27,11 @@ Every objective is solved over the 2-walks instead (`solve_walk_master`).
 Max total flow and min-max congestion are column generation: a master LP
 over the walks found so far, priced under its row duals, so that only
 walks that can improve it are ever built; min-weighted congestion is one
-pricing call. Pricing is one scipy Dijkstra run (`price_walks`) over a
+pricing call. A max-total-flow master that starts without columns first
+takes the walks of a few rounds of Garg and Könemann's multiplicative
+weights (`_seed_columns`), the congestion-aware heuristic of the paper's
+approximation algorithm, priced without HiGHS; from there its rounds run
+as before. Pricing is one scipy Dijkstra run (`price_walks`) over a
 block-diagonal graph, one two-layer copy of the network per demand, whose
 weights are rewritten in place each round; the graph is built once per
 network and list of (source, sink) pairs. `solve_edge_lp` returns the
@@ -440,6 +444,12 @@ def _peak_ratio(net: FlowNetwork, sol: EdgeFlowSolution) -> float:
 # a walk prices into the master when its reduced cost exceeds this
 _PRICE_TOL = 1e-9
 
+# a fresh max-total-flow master starts from the walks of SEED_ROUNDS
+# multiplicative-weights pricing rounds at step SEED_EPSILON (`_seed_columns`);
+# both were chosen by measuring the master's rounds and simplex iterations
+SEED_ROUNDS = 8
+SEED_EPSILON = 0.5
+
 # a master column: (demand index, arc indices of its 2-walk or path, leg-1
 # length); the first leg-1-length arcs carry the flow unprocessed to the
 # processing vertex, the head of the last of them (a path's sink)
@@ -464,11 +474,15 @@ class _WalkGraph:
         tail = np.array([net.node_index(a.tail) for a in net.arcs], dtype=np.int64)
         head = np.array([net.node_index(a.head) for a in net.arcs], dtype=np.int64)
         group = k + np.array([a.group for a in net.arcs], dtype=np.int64)
-        # open[b, layer, a]: arc a is open to pair b's w (layer 0) or g (layer 1);
-        # bytes() of a tuple of bools is its 0/1 bytes, faster than np.array
-        rules = [net.legs(s, t, t)[:1] if paths else net.barred(s, t) for s, t in pairs]
-        bars = b"".join(bytes(bar) for rule in rules for bar in rule)
-        is_open = ~np.frombuffer(bars, dtype=bool).reshape(k, layers, net.n_arcs)
+        ends = np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs],
+                        dtype=np.int64).reshape(k, 2)
+        # open[b, layer, a]: arc a is open to pair b's w (layer 0) or g (layer 1)
+        if paths:  # `FlowNetwork.legs(s, t, t)`'s w: never enter s or leave t
+            s, t = ends[:, :1], ends[:, 1:]
+            is_open = ~((s == t) | (head == s) | (tail == t))[:, None, :]
+        else:  # bytes() of a tuple of bools is its 0/1 bytes, faster than np.array
+            bars = b"".join(bytes(bar) for s, t in pairs for bar in net.barred(s, t))
+            is_open = ~np.frombuffer(bars, dtype=bool).reshape(k, layers, net.n_arcs)
         b, layer, a = np.nonzero(is_open)
         first = n * (layers * b + layer)
         rows, cols, keys = first + tail[a], first + head[a], group[a]
@@ -484,8 +498,6 @@ class _WalkGraph:
         self.csr = csr_matrix((np.zeros(len(order)), cols[order].astype(np.int32), indptr),
                               shape=(block * k, block * k))
         self.keys = keys[order]
-        ends = np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs],
-                        dtype=np.int64).reshape(k, 2)
         self.sources = block * np.arange(k) + ends[:, 0]
         self.sinks = block * np.arange(k) + block - n + ends[:, 1]
         self.arc = {uh: a for a, uh in enumerate(zip(tail.tolist(), head.tolist()))}
@@ -516,11 +528,8 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray,
     graph = net._walk_graphs.get((paths, *pairs))
     if graph is None:
         graph = net._walk_graphs[(paths, *pairs)] = _WalkGraph(net, pairs, paths)
-    closed = [c <= 0 for c in net.group_capacity]
-    if not paths:
-        closed += [net.node_capacity[v] <= 0 for v in net.nodes]
     weight = np.array(price, dtype=float)
-    weight[len(pairs):][closed] = math.inf
+    weight[len(pairs):][net.closed[:len(weight) - len(pairs)]] = math.inf
     np.take(weight, graph.keys, out=graph.csr.data)
     dist, pred, _ = dijkstra(graph.csr, indices=graph.sources, min_only=True,
                              return_predecessors=True)
@@ -542,6 +551,54 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray,
     return dist[graph.sinks], walk
 
 
+def _uses(net: FlowNetwork, arcs: tuple[int, ...], split: int, paths: bool
+          ) -> dict[int, int]:
+    """How many times a column uses each resource it uses, by resource index:
+    its processing vertex v at edge_count + v's index (a path has none), then
+    each bandwidth group g at g."""
+    uses = {} if paths else {net.edge_count + net.node_index(net.arcs[arcs[split - 1]].head): 1}
+    for a in arcs:
+        g = net.arcs[a].group
+        uses[g] = uses.get(g, 0) + 1
+    return uses
+
+
+def _seed_columns(net: FlowNetwork, demands: list[Demand], capacity: list[float]
+                  ) -> list[Column]:
+    """The first columns of a fresh max-total-flow master: the walks of
+    SEED_ROUNDS rounds of Garg and Könemann's multiplicative weights, in the
+    order first found.
+
+    Every resource r (bandwidth group, then node) of capacity cap_r starts at
+    weight 1. A round prices every demand's cheapest 2-walk under y_g =
+    w_g/B_g and z_v = w_v/C_v (one `price_walks` call, no HiGHS). Each walk of
+    finite cost is charged its bottleneck f = min(B_g/m_g, C_v), where m_r
+    counts the walk's uses of r (1 for its processing vertex), and multiplies
+    each w_r it uses by exp(SEED_EPSILON * m_r * f / cap_r). Weights are kept
+    as logarithms and scaled by their largest before pricing, which moves no
+    walk."""
+    k = len(demands)
+    cap = np.array(capacity)
+    inv = np.divide(1.0, cap, out=np.zeros_like(cap), where=cap > 0)
+    log_weight = np.zeros(len(cap))
+    price = np.zeros(k + len(cap))
+    seed: dict[Column, None] = {}
+    for _ in range(SEED_ROUNDS):
+        price[k:] = np.exp(log_weight - log_weight.max()) * inv
+        cost, walk = price_walks(net, demands, price)
+        grow = np.zeros(len(cap))
+        for i in np.flatnonzero(np.isfinite(cost)).tolist():
+            col = walk(i)
+            seed[col] = None
+            uses = _uses(net, *col[1:], paths=False)
+            f = min(capacity[r] / m for r, m in uses.items())
+            if f < math.inf:  # a walk on uncapacitated resources only charges none
+                for r, m in uses.items():
+                    grow[r] += m * f / capacity[r]
+        log_weight += SEED_EPSILON * grow
+    return list(seed)
+
+
 def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                       columns: Sequence[Column] = (), objective: Objective = Objective(),
                       paths: bool = False
@@ -559,7 +616,12 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     (`price_walks`) unless no node can process. A new walk joins when its
     worth - σ_i - cost exceeds 1e-9, and HiGHS re-solves by primal simplex
     from the current basis, all solves within one MAXITER budget. The
-    rounds stop when none joins; as no walk joins twice, they do.
+    rounds stop when none joins; as no walk joins twice, they do. Without
+    `columns`, the master starts from the walks of SEED_ROUNDS
+    multiplicative-weights pricing rounds instead (`_seed_columns`), which
+    call no HiGHS; the rounds that follow run and stop as above, so the
+    optimum, the dual bound and the final reduced cost mean what they mean
+    from any other start.
 
     With `paths` the master is the plain multicommodity max flow of Ford
     and Fulkerson, blind to processing: it has no node rows, never reads
@@ -579,8 +641,11 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
 
     Returns the edge flows (`_edge_solution`), the LPResult (`x` indexed
     like the columns) and the columns. A master's meta holds its objective,
-    simplex iterations, rounds and columns, the final round's largest gain
-    (-inf without walks), and the dual bound under the final prices:
+    simplex iterations, rounds (its own pricing rounds, not the seed's),
+    columns, and `seed_columns`, how many of those the seed contributed (0
+    for a master handed `columns`, and under min-max congestion); the final
+    round's largest gain (-inf without walks), and the dual bound under the
+    final prices:
     Σ R_i σ_i (finite R_i) + Σ B_g y_g + Σ C_v z_v, or Σ R_i cost_i under
     min-max. ResourceLimitError when the budget runs out or the master ends
     other than optimal.
@@ -589,7 +654,6 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     if paths and kind != "max-total-flow":
         raise ValueError("the path master maximizes total flow only")
     k, caps = len(demands), net.group_capacity
-    node_row = {v: k + len(caps) + j for j, v in enumerate(net.nodes)}
     amounts = [d.amount for d in demands]
     capacity = list(caps) + ([] if paths else [net.node_capacity[v] for v in net.nodes])
     meta = {"algorithm": "lp", "objective_kind": kind}
@@ -615,7 +679,12 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     highs = _highs()
     highs.passModel(lp)
     price = np.zeros(len(upper))  # the empty master's duals
+    # with no processing capacity no 2-walk has a finite cost: price nothing
+    pricing = paths or any(c > 0 for c in net.node_capacity.values())
     batch = list(columns)
+    if not (batch or paths or minmax) and pricing and k:
+        batch = _seed_columns(net, demands, capacity)
+    seeded = len(batch) - len(columns)
     if minmax:  # θ is column 0; each demand's cheapest walk at zero prices joins
         rows = np.flatnonzero(np.array(capacity) > 0)
         highs.addCols(1, np.ones(1), np.zeros(1), np.full(1, math.inf), len(rows),
@@ -623,8 +692,6 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                       -np.array(capacity)[rows])
         batch = list(dict.fromkeys(batch + _cheapest_walks(net, demands, price)[1]))
 
-    # with no processing capacity no 2-walk has a finite cost: price nothing
-    pricing = paths or any(c > 0 for c in net.node_capacity.values())
     cols: list[Column] = []
     known: set[Column] = set()
     # a fixed demand row's dual, under min-max, may take either sign
@@ -636,13 +703,10 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
             starts, index, coefs = [], [], []
             for i, arcs, split in batch:
                 starts.append(len(index))
-                # its demand row, its processing vertex's row, its group rows
-                mult = {i: 1} if paths else {i: 1, node_row[net.arcs[arcs[split - 1]].head]: 1}
-                for a in arcs:
-                    row = k + net.arcs[a].group
-                    mult[row] = mult.get(row, 0) + 1
-                index += mult
-                coefs += mult.values()
+                # its demand row, then its processing vertex's and group rows
+                uses = _uses(net, arcs, split, paths)
+                index += [i, *(k + r for r in uses)]
+                coefs += [1, *uses.values()]
             n = len(batch)
             highs.addCols(n, np.full(n, -worth), np.zeros(n), np.full(n, math.inf),
                           len(index), np.array(starts, dtype=np.int32),
@@ -680,7 +744,7 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     else:  # an uncapped demand's row never binds, so its price is 0
         bound = sum(b * y for b, y in zip(upper, price.tolist()) if y > 0.0)
     meta.update(lp_objective=value, lp_iterations=used, rounds=rounds, columns=len(cols),
-                dual_bound=bound, max_reduced_cost=reduced)
+                seed_columns=seeded, dual_bound=bound, max_reduced_cost=reduced)
     return _edge_solution(net, demands, cols, x.tolist(), meta), res, cols
 
 

@@ -15,6 +15,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 REL_TOL = 1e-6
 ABS_TOL = 1e-9
 SNAP = 1e-12  # below this a residual is float dust, not flow
@@ -146,6 +148,15 @@ class FlowNetwork:
         """The arcs u->u. `validate_instance` rejects them; the LP builders
         leave them out of every flow-conservation row."""
         return frozenset(a for a, arc in enumerate(self.arcs) if arc.tail == arc.head)
+
+    @functools.cached_property
+    def closed(self) -> np.ndarray:
+        """Per resource, the bandwidth groups then the nodes, whether its
+        capacity is 0 (or less): the walk master's pricer prices those at
+        inf. Built on first use; a `with_node_capacity` copy, whose node
+        capacities differ, builds its own."""
+        caps = self.group_capacity + tuple(self.node_capacity.values())
+        return np.array(caps, dtype=float) <= 0
 
     def barred(self, source: str, sink: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """The processing rule of a `source`->`sink` demand: per arc index,

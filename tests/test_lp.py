@@ -551,6 +551,97 @@ def test_walk_master_matches_the_edge_lp_and_walk_enumeration():
                      "zero node", "zero group", "no demand", "flow"}
 
 
+def _seeded_instances():
+    """The master's instances, then small cases at the edges of the seed: no
+    node can process; a demand without a walk beside one with; a capped
+    demand below its walk's bottleneck; zero-capacity groups and nodes on
+    the cheaper side of a fork; no demands."""
+    yield from _master_instances()
+    line = [("s", "a", 2.0), ("a", "t", 2.0)]
+    yield FlowNetwork("sat", line), [Demand("s", "t")]
+    yield FlowNetwork("satu", line, {"a": 2.0}), [Demand("s", "u"), Demand("s", "t")]
+    yield FlowNetwork("sat", [("s", "a", 5.0), ("a", "t", 5.0)], {"a": 4.0}), \
+        [Demand("s", "t", 2.0)]
+    fork = [("s", "a", 0.0), ("a", "t", 3.0), ("s", "b", 3.0), ("b", "t", 3.0),
+            ("s", "c", 2.0), ("c", "t", 2.0)]
+    yield FlowNetwork("sabct", fork, {"a": 5.0, "b": 0.0, "c": 1.5}, directed=False), \
+        [Demand("s", "t"), Demand("t", "s", 1.0)]
+    yield FlowNetwork("sabct", fork, {"a": 5.0, "b": 0.0, "c": 1.5}), []
+
+
+def test_seeded_master_matches_the_edge_lp(monkeypatch):
+    # a fresh max-total-flow master starts from its multiplicative-weights
+    # seed, and then runs the same rounds as an unseeded one: it reaches
+    # the arc formulation's optimum and the unseeded master's, its final
+    # prices price no walk in and their bound meets it, and its flows and
+    # walks verify
+    seen = set()
+    for net, demands in _seeded_instances():
+        monkeypatch.setattr(pflow.lp, "SEED_ROUNDS", 0)
+        empty = solve_edge_lp(net, demands)[1].objective
+        monkeypatch.undo()
+        sol, res = solve_edge_lp(net, demands)
+        meta, want = sol.meta, edge_lp_optimum(net, demands)
+        for value in (res.objective, meta["dual_bound"], empty):
+            assert abs(value - want) <= 1e-9 * max(1.0, want)
+        assert meta["max_reduced_cost"] <= 1e-9
+        assert 0 <= meta["seed_columns"] <= meta["columns"]
+        rep = verify_edge_solution(net, demands, sol)
+        assert rep.ok, rep.problems
+        rep = verify_walk_solution(net, demands, decompose(sol, net, demands))
+        assert rep.ok, rep.problems
+        if meta["seed_columns"]:
+            seen.add("seeded")
+        elif not demands:
+            seen.add("no demand")
+        elif not any(c > 0 for c in net.node_capacity.values()):
+            seen.add("no processing")
+        else:  # the seed priced every demand at inf
+            assert res.objective == 0.0
+        seen |= {"no walk" for i in range(len(demands)) if sol.delivered(net, demands, i) == 0}
+        seen |= {"capped" for i, d in enumerate(demands)
+                 if 0 < sol.delivered(net, demands, i) == d.amount}
+        seen |= {"zero group" for c in net.group_capacity if c == 0}
+        seen |= {"zero node" for c in net.node_capacity.values() if c == 0}
+    assert seen == {"seeded", "no processing", "no demand", "no walk", "capped",
+                    "zero group", "zero node"}
+
+
+def test_seed_runs_only_on_an_empty_max_flow_master(monkeypatch):
+    # the seed makes SEED_ROUNDS pricing calls before the master's rounds,
+    # each of which makes one; a master handed columns, the path master and
+    # min-max congestion's (one call for its start) make no seed call
+    calls = 0
+    real = pflow.lp.price_walks
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(pflow.lp, "price_walks", counting)
+    inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
+    net, demands = inst.net, inst.demands
+    sol, _, cols = solve_walk_master(net, demands)
+    assert calls == pflow.lp.SEED_ROUNDS + sol.meta["rounds"]
+    assert 0 < sol.meta["seed_columns"] <= len(cols)
+    calls = 0
+    again, _, _ = solve_walk_master(net, demands, cols[:3])
+    assert calls == again.meta["rounds"] and again.meta["seed_columns"] == 0
+    calls = 0
+    solve_walk_master(net, demands, paths=True)
+    paths = calls
+    monkeypatch.setattr(pflow.lp, "SEED_ROUNDS", 0)
+    calls = 0
+    solve_walk_master(net, demands, paths=True)
+    assert paths == calls > 0
+    capped = [Demand(d.source, d.sink, 1.0) for d in demands]
+    calls = 0
+    congestion, _, _ = solve_walk_master(net, capped, objective=Objective("min-max-congestion"))
+    assert calls == 1 + congestion.meta["rounds"]
+    assert congestion.meta["seed_columns"] == 0
+
+
 @pytest.mark.parametrize("kind", ["min-max-congestion", "min-weighted-congestion"])
 def test_congestion_walks_match_the_edge_lp(kind):
     # the congestion objectives over 2-walks: the master with a θ column for
@@ -643,6 +734,39 @@ def test_batched_pricing_matches_the_walk_oracle():
                     _check_priced_walk(cnet, demands, price, i, walk(i), cost[i])
                     zero_walks += cost[i] == 0.0
     assert zero_walks > 0
+
+
+def test_a_recapacitated_copy_prices_its_own_closed_nodes():
+    # the closed-resource mask is cached per network: a with_node_capacity
+    # copy that closes a node prices it at inf, though the original, whose
+    # mask and pricing graph were built first, keeps it open
+    net = FlowNetwork("sabt", [("s", "a", 1.0), ("a", "t", 1.0), ("s", "b", 1.0),
+                               ("b", "t", 1.0)], {"a": 1.0, "b": 1.0})
+    demands, rows = [Demand("s", "t")], 1 + net.edge_count + net.n_nodes
+    price = np.zeros(rows)
+    price[1 + net.edge_count + net.node_index("b")] = 2.0
+    assert pflow.lp.price_walks(net, demands, price)[0].tolist() == [0.0]
+    copy = net.with_node_capacity({"a": 0.0, "b": 1.0})
+    assert copy.closed is not net.closed and copy._walk_graphs is net._walk_graphs
+    assert pflow.lp.price_walks(copy, demands, price)[0].tolist() == [2.0]
+    shut = copy.with_node_capacity({})
+    assert pflow.lp.price_walks(shut, demands, price)[0].tolist() == [math.inf]
+    assert pflow.lp.price_walks(net, demands, price)[0].tolist() == [0.0]
+
+
+def test_path_graph_opens_the_arcs_of_the_sink_leg_rule():
+    # the path master's graph opens, per pair, exactly the arcs
+    # FlowNetwork.legs(s, t, t) leaves open to w; a pair with s = t opens none
+    for net, demands in _master_instances():
+        pairs = [(d.source, d.sink) for d in demands] + [(net.nodes[0], net.nodes[0])]
+        graph = pflow.lp._WalkGraph(net, pairs, paths=True)
+        n, csr = net.n_nodes, graph.csr
+        got = {(int(r) // n, int(r) % n, int(c) % n) for r in range(csr.shape[0])
+               for c in csr.indices[csr.indptr[r]:csr.indptr[r + 1]]}
+        want = {(b, net.node_index(a.tail), net.node_index(a.head))
+                for b, (s, t) in enumerate(pairs)
+                for a, barred in zip(net.arcs, net.legs(s, t, t)[0]) if not barred}
+        assert got == want
 
 
 def test_import_pflow_leaves_csgraph_unloaded():
