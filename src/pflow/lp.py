@@ -11,7 +11,10 @@ own bar lists, and read its `{arc: column}` maps. The builders write most
 rows in bulk and unchecked, through `LPModel.add_rows` (`commodity` its
 balance rows, the purchase LP its coupling rows); solve_lp and write_mps
 check every row of a model once (`LPModel.check`) before HiGHS or the file
-sees it. write_mps names column j C<j> and row k R<k>.
+sees it. write_mps names column j C<j> and row k R<k>. HiGHS objects are
+pooled: a process holds one per concurrent solve, which solve_lp and the
+walk master take (`_highs`), clear of the last model, and give back
+(`_release`), so that options are set once per object, not once per solve.
 
 The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
@@ -199,11 +202,39 @@ class LPResult:
         return self.x
 
 
+# HiGHS objects that hold _OPTIONS and await their next model: `_highs`
+# takes one and `_release` gives it back, so a process creates one per
+# concurrent solve, not one per solve. A list's pop and append are atomic
+_POOL: list[_Highs] = []
+
+
 def _highs() -> _Highs:
-    highs = _Highs()
-    for key, val in _OPTIONS.items():
-        highs.setOptionValue(key, val)
+    """A HiGHS object with _OPTIONS and no model: a pooled one, cleared
+    (`clearModel` drops the model, its basis and solution, and keeps the
+    options), or a new one."""
+    try:
+        highs = _POOL.pop()
+    except IndexError:
+        highs = _Highs()
+        for key, val in _OPTIONS.items():
+            highs.setOptionValue(key, val)
+        return highs
+    highs.clearModel()
     return highs
+
+
+def _release(highs: _Highs) -> None:
+    """Pool `highs` for the next `_highs`; only a plain `_Highs` is kept, so
+    a stand-in a test puts in `_highs`' place never is."""
+    if type(highs) is _Highs:
+        _POOL.append(highs)
+
+
+def _finite(vals: list[float]) -> bool:
+    """Whether every entry is finite. A finite sum has only finite terms, so
+    only a sum that is not finite, which an overflow of finite terms also
+    gives, needs the scan."""
+    return math.isfinite(sum(vals)) or bool(np.isfinite(np.asarray(vals, dtype=float)).all())
 
 
 def _run(highs: _Highs, limit: int) -> tuple[str, int]:
@@ -240,9 +271,11 @@ def solve_lp(model: LPModel) -> LPResult:
         c[j] = coef
     for what, vals in (("objective coefficient", c), ("matrix coefficient", model.coefs),
                        ("rhs", model.rhs)):
-        if not np.isfinite(np.asarray(vals, dtype=float)).all():
+        if not _finite(vals):
             raise ValueError(f"LP {model.name!r} has a non-finite {what}")
-    if np.isnan(np.asarray(model.lo + model.hi, dtype=float)).any():
+    # a bound list sums to NaN if it holds a NaN (or both infinities)
+    if any(math.isnan(sum(b)) and np.isnan(np.asarray(b, dtype=float)).any()
+           for b in (model.lo, model.hi)):
         raise ValueError(f"LP {model.name!r} has a NaN column bound")
     lower = [-math.inf if s == "<=" else r for s, r in zip(model.senses, model.rhs)]
     upper = [math.inf if s == ">=" else r for s, r in zip(model.senses, model.rhs)]
@@ -265,15 +298,18 @@ def solve_lp(model: LPModel) -> LPResult:
     lp.row_lower_ = lower
     lp.row_upper_ = upper
     highs = _highs()
-    if highs.passModel(lp) == HighsStatus.kError:
-        # a model HiGHS cannot load, e.g. with a lower bound of inf, has no
-        # feasible point
-        return LPResult("infeasible", None, math.nan, 0)
-    status, nit = _run(highs, MAXITER)
-    if status == "optimal":
-        obj = float(highs.getInfo().objective_function_value)
-        x = np.asarray(highs.getSolution().col_value)
-        return LPResult("optimal", x, -obj if model.sense == "max" else obj, nit)
+    try:
+        if highs.passModel(lp) == HighsStatus.kError:
+            # a model HiGHS cannot load, e.g. with a lower bound of inf, has
+            # no feasible point
+            return LPResult("infeasible", None, math.nan, 0)
+        status, nit = _run(highs, MAXITER)
+        if status == "optimal":
+            obj = float(highs.getInfo().objective_function_value)
+            x = np.asarray(highs.getSolution().col_value)
+            return LPResult("optimal", x, -obj if model.sense == "max" else obj, nit)
+    finally:
+        _release(highs)
     if status == "infeasible":
         return LPResult("infeasible", None, math.nan, nit)
     return LPResult("unbounded", None, math.inf if model.sense == "max" else -math.inf,
@@ -672,12 +708,6 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
 
     minmax = kind == "min-max-congestion"
     upper = amounts + capacity
-    lp = HighsLp()  # no columns yet
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
-    lp.row_lower_ = (amounts if minmax else [-math.inf] * k) + [-math.inf] * len(capacity)
-    lp.row_upper_ = amounts + [0.0] * len(capacity) if minmax else upper
-    highs = _highs()
-    highs.passModel(lp)
     price = np.zeros(len(upper))  # the empty master's duals
     # with no processing capacity no 2-walk has a finite cost: price nothing
     pricing = paths or any(c > 0 for c in net.node_capacity.values())
@@ -685,55 +715,64 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     if not (batch or paths or minmax) and pricing and k:
         batch = _seed_columns(net, demands, capacity)
     seeded = len(batch) - len(columns)
-    if minmax:  # θ is column 0; each demand's cheapest walk at zero prices joins
-        rows = np.flatnonzero(np.array(capacity) > 0)
-        highs.addCols(1, np.ones(1), np.zeros(1), np.full(1, math.inf), len(rows),
-                      np.zeros(1, dtype=np.int32), (rows + k).astype(np.int32),
-                      -np.array(capacity)[rows])
+    if minmax:  # each demand's cheapest walk at zero prices joins
         batch = list(dict.fromkeys(batch + _cheapest_walks(net, demands, price)[1]))
 
+    lp = HighsLp()  # no columns yet
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
+    lp.row_lower_ = (amounts if minmax else [-math.inf] * k) + [-math.inf] * len(capacity)
+    lp.row_upper_ = amounts + [0.0] * len(capacity) if minmax else upper
     cols: list[Column] = []
     known: set[Column] = set()
     # a fixed demand row's dual, under min-max, may take either sign
     floor = np.repeat([-math.inf if minmax else 0.0, 0.0], [k, len(capacity)])
     worth = 0.0 if minmax else 1.0
     used, rounds, value = 0, 0, 0.0
-    while True:
-        if batch:
-            starts, index, coefs = [], [], []
-            for i, arcs, split in batch:
-                starts.append(len(index))
-                # its demand row, then its processing vertex's and group rows
-                uses = _uses(net, arcs, split, paths)
-                index += [i, *(k + r for r in uses)]
-                coefs += [1, *uses.values()]
-            n = len(batch)
-            highs.addCols(n, np.full(n, -worth), np.zeros(n), np.full(n, math.inf),
-                          len(index), np.array(starts, dtype=np.int32),
-                          np.array(index, dtype=np.int32), np.array(coefs, dtype=float))
-            cols += batch
-            known.update(batch)
-            status, nit = _run(highs, MAXITER - used)
-            used += nit
-            if status != "optimal":
-                raise ResourceLimitError(f"walk master ended {status}")
-            value = (1.0 if minmax else -1.0) * float(highs.getInfo().objective_function_value)
-            dual = np.asarray(highs.getSolution().row_dual)
-            if not np.isfinite(dual).all():
-                raise ResourceLimitError("walk master returned a non-finite row dual")
-            price = np.maximum(-dual, floor)
-        rounds += 1
-        batch, reduced, cost = [], -math.inf, np.zeros(k)
-        if pricing and k:
-            cost, walk = price_walks(net, demands, price, paths)
-            gain = worth - price[:k] - cost
-            reduced = float(gain.max())
-            batch = [col for col in map(walk, np.flatnonzero(gain > _PRICE_TOL).tolist())
-                     if col not in known]
-        if not batch:
-            break
-
-    x = np.asarray(highs.getSolution().col_value)[int(minmax):]
+    highs = _highs()
+    try:
+        highs.passModel(lp)
+        if minmax:  # θ is column 0
+            rows = np.flatnonzero(np.array(capacity) > 0)
+            highs.addCols(1, np.ones(1), np.zeros(1), np.full(1, math.inf), len(rows),
+                          np.zeros(1, dtype=np.int32), (rows + k).astype(np.int32),
+                          -np.array(capacity)[rows])
+        while True:
+            if batch:
+                starts, index, coefs = [], [], []
+                for i, arcs, split in batch:
+                    starts.append(len(index))
+                    # its demand row, then its processing vertex's and group rows
+                    uses = _uses(net, arcs, split, paths)
+                    index += [i, *(k + r for r in uses)]
+                    coefs += [1, *uses.values()]
+                n = len(batch)
+                highs.addCols(n, np.full(n, -worth), np.zeros(n), np.full(n, math.inf),
+                              len(index), np.array(starts, dtype=np.int32),
+                              np.array(index, dtype=np.int32), np.array(coefs, dtype=float))
+                cols += batch
+                known.update(batch)
+                status, nit = _run(highs, MAXITER - used)
+                used += nit
+                if status != "optimal":
+                    raise ResourceLimitError(f"walk master ended {status}")
+                value = (1.0 if minmax else -1.0) * float(highs.getInfo().objective_function_value)
+                dual = np.asarray(highs.getSolution().row_dual)
+                if not np.isfinite(dual).all():
+                    raise ResourceLimitError("walk master returned a non-finite row dual")
+                price = np.maximum(-dual, floor)
+            rounds += 1
+            batch, reduced, cost = [], -math.inf, np.zeros(k)
+            if pricing and k:
+                cost, walk = price_walks(net, demands, price, paths)
+                gain = worth - price[:k] - cost
+                reduced = float(gain.max())
+                batch = [col for col in map(walk, np.flatnonzero(gain > _PRICE_TOL).tolist())
+                         if col not in known]
+            if not batch:
+                break
+        x = np.asarray(highs.getSolution().col_value)[int(minmax):]
+    finally:
+        _release(highs)
     res = LPResult("optimal", x, value, used)
     if paths:
         return None, res, cols

@@ -275,12 +275,14 @@ _REPRICE_MARGIN = 1e-9
 class MWUState:
     """Everything the outer loop mutates between rounds.
 
-    `arc_cost`, `node_cost`, `total_weight` and the loads follow the expert
-    weights and change only where a round's walk touched them. `node_cost`
-    is read by node index and holds inf where a node cannot process, the
-    form `shortest_processing_2walk` reads without converting. `heap` holds
-    (last walk cost, demand index) for every active demand; weights only
-    grow, so each entry bounds that demand's current cost from below.
+    `group_weight`, `node_weight`, `arc_cost`, `node_cost`, `total_weight`
+    and the loads follow the expert weights and change only where a round's
+    walk touched them. `node_cost` is read by node index and holds inf where
+    a node cannot process, the form `shortest_processing_2walk` reads
+    without converting. `heap` holds (last walk cost, demand index) for
+    every active demand; weights only grow, so each entry bounds that
+    demand's current cost from below. `alpha` is the cheapest cost the last
+    `_reprice` found.
     """
 
     net: FlowNetwork
@@ -289,14 +291,18 @@ class MWUState:
     delta: float
     group_gain: list[float] = field(init=False)   # per coupling group
     node_gain: dict[str, float] = field(init=False)  # nodes with C>0
+    group_weight: list[float] = field(init=False)  # weight(group_gain[g])
+    node_weight: dict[str, float] = field(init=False)  # weight(node_gain[v])
     active: list[bool] = field(init=False)
     placed_raw: list[float] = field(init=False)   # pre-scaling per demand
+    budget: list[float] = field(init=False)  # pre-scaling cap: amount * sigma
     placements: list[tuple[int, tuple, float, dict]] = field(init=False)
     iteration: int = field(default=0, init=False)
     stopped: bool = field(default=False, init=False)
     # min over rounds of total_weight / (round's cheapest walk cost); an upper
     # bound on the optimum when no demand is capped
     upper_bound: float = field(default=math.inf, init=False)
+    alpha: float = field(default=math.inf, init=False)
     arc_cost: list[float] = field(init=False)
     node_cost: list[float] = field(init=False)
     total_weight: float = field(init=False)  # experts with capacity > 0
@@ -308,18 +314,20 @@ class MWUState:
     gain_limit: float = field(init=False)
 
     def __post_init__(self):
-        net = self.net
+        net, node_caps = self.net, self.net.node_capacity
         self.group_gain = [0.0] * len(net.group_capacity)
-        self.node_gain = {v: 0.0 for v in net.nodes if net.capacity(v) > 0}
+        self.node_gain = {v: 0.0 for v in net.nodes if node_caps[v] > 0}
         self.active = [True] * len(self.demands)
         self.placed_raw = [0.0] * len(self.demands)
+        sigma = scaling_factor(self.epsilon, self.delta)
+        self.budget = [d.amount * sigma for d in self.demands]
         self.placements = []
-        group_w = [self.weight(g) for g in self.group_gain]
+        self.group_weight = group_w = [self.weight(g) for g in self.group_gain]
         caps = net.group_capacity
         self.arc_cost = [group_w[a.group] / caps[a.group] if caps[a.group] > 0
                          else math.inf for a in net.arcs]
-        node_w = {v: self.weight(g) for v, g in self.node_gain.items()}
-        self.node_cost = [node_w[v] / net.capacity(v) if v in node_w else math.inf
+        self.node_weight = node_w = {v: self.weight(g) for v, g in self.node_gain.items()}
+        self.node_cost = [node_w[v] / node_caps[v] if v in node_w else math.inf
                           for v in net.nodes]
         self.total_weight = (sum(w for w, c in zip(group_w, caps) if c > 0)
                              + sum(node_w.values()))
@@ -342,7 +350,7 @@ def _reprice(state: MWUState) -> dict[int, tuple[float, ShortestWalkResult]]:
     the cheapest cost and a chain of near-ties above it, each link at most
     2*_TIE (the rounding of `best - _TIE` included) and at most one per
     demand, so no demand left stale could change it. A demand with no valid
-    walk drops out.
+    walk drops out. The cheapest fresh cost is kept as `state.alpha`.
 
     Each demand is priced by one call of `shortest_processing_2walk` that
     stops at its sink: a round reads only the sink's cost, and the walk to
@@ -364,6 +372,7 @@ def _reprice(state: MWUState) -> dict[int, tuple[float, ShortestWalkResult]]:
             continue
         fresh[i] = (c, res)
         alpha = min(alpha, c)
+    state.alpha = alpha
     return fresh
 
 
@@ -388,7 +397,7 @@ def mwu_iterate(state: MWUState):
         state.upper_bound = 0.0  # no demand has a valid walk
         return None
     # the scan may settle on a near-tie above the round's exact minimum
-    alpha = min(c for c, _ in fresh.values())
+    alpha = state.alpha
     if alpha > 0.0:
         state.upper_bound = min(state.upper_bound, state.total_weight / alpha)
     i = best[1]
@@ -399,12 +408,12 @@ def mwu_iterate(state: MWUState):
     for a in arcs:
         g = net.arcs[a].group
         mult[g] = mult.get(g, 0) + 1
-    bw_limit = min(net.group_capacity[g] / m for g, m in mult.items())
-    flow = min(bw_limit, net.capacity(v_star))
+    caps, v_cap = net.group_capacity, net.node_capacity[v_star]
+    bw_limit = min(caps[g] / m for g, m in mult.items())
+    flow = min(bw_limit, v_cap)
 
     if math.isfinite(d.amount):
-        budget = d.amount * scaling_factor(state.epsilon, state.delta)
-        remaining = budget - state.placed_raw[i]
+        remaining = state.budget[i] - state.placed_raw[i]
         if flow >= remaining - 1e-12:
             flow = max(remaining, 0.0)
             state.active[i] = False
@@ -418,22 +427,21 @@ def mwu_iterate(state: MWUState):
     processing = {v_star: flow}
     limit = state.gain_limit
     for g, m in mult.items():
-        cap = net.group_capacity[g]
-        old = state.weight(state.group_gain[g])
+        cap = caps[g]
         state.group_gain[g] += m * flow / cap
         w = state.weight(state.group_gain[g])
-        state.total_weight += w - old
+        state.total_weight += w - state.group_weight[g]
+        state.group_weight[g] = w
         for a in net.groups[g]:
             state.arc_cost[a] = w / cap
         state.group_load[g] += m * flow
         if state.group_gain[g] > limit:
             state.stopped = True
-    cap = net.capacity(v_star)
-    old = state.weight(state.node_gain[v_star])
-    state.node_gain[v_star] += flow / cap
+    state.node_gain[v_star] += flow / v_cap
     w = state.weight(state.node_gain[v_star])
-    state.total_weight += w - old
-    state.node_cost[net.node_index(v_star)] = w / cap
+    state.total_weight += w - state.node_weight[v_star]
+    state.node_weight[v_star] = w
+    state.node_cost[net.node_index(v_star)] = w / v_cap
     state.node_load[v_star] = state.node_load.get(v_star, 0.0) + flow
     if state.node_gain[v_star] > limit:
         state.stopped = True

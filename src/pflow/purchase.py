@@ -330,11 +330,14 @@ def round_min_purchase(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
     rng = random.Random(rng_seed)
 
     support = [v for v in inst.candidates() if lp_sol.x.get(v, 0.0) > SNAP]
-    counts = {v: 0 for v in support}
+    xs = [lp_sol.x[v] for v in support]
+    hits = [0] * len(support)
+    draw = rng.random
     for _ in range(t):
-        for v in support:
-            if rng.random() < lp_sol.x[v]:
-                counts[v] += 1
+        for j, x in enumerate(xs):
+            if draw() < x:
+                hits[j] += 1
+    counts = dict(zip(support, hits))
 
     weight = {v: c / (lp_sol.x[v] * t) for v, c in counts.items() if c > 0}
     return _realize(inst, lp_sol, weight,

@@ -213,6 +213,17 @@ def test_non_finite_input_rejected(rows, bounds, objective):
         solve_lp(_lp("max", rows, bounds, objective))
 
 
+def test_finite_input_whose_sum_overflows_is_solved():
+    # solve_lp scans a list for a non-finite entry only when the list's sum
+    # is not finite; two finite rhs of 1e308 sum to inf, and the model is
+    # still accepted and solved: x0 + x1 <= 3 binds
+    m = _lp("max", [([(0, 1.0)], "<=", 1e308), ([(1, 1.0)], "<=", 1e308),
+                    ([(0, 1.0), (1, 1.0)], "<=", 3.0)])
+    assert sum(m.rhs) == math.inf
+    res = solve_lp(m)
+    assert res.status == "optimal" and res.objective == pytest.approx(3.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("j", [-1, 2], ids=["minus-one", "n-vars"])
 def test_column_index_out_of_range_rejected(j):
     # two columns: index -1 must not wrap around to the last one
@@ -250,6 +261,89 @@ def test_iteration_limit_raises(monkeypatch):
     monkeypatch.setattr(pflow.lp, "MAXITER", 1)
     with pytest.raises(ResourceLimitError, match="iteration limit 1 exhausted"):
         solve_lp(model)
+
+
+def _outcome(res, cols=None):
+    """An LPResult (and a master's columns) in a form compared bit for bit."""
+    return (res.status, res.objective, res.iterations,
+            None if res.x is None else res.x.tobytes(), cols)
+
+
+def test_a_pooled_highs_solves_as_new_after_an_iteration_limit(monkeypatch):
+    # solve_lp gives its HiGHS object back to the pool even when the
+    # iteration limit ends the solve; the next solve on that object must
+    # match a solve in a fresh pool bit for bit (a basis left from the
+    # stopped solve would change its iterations), and reach linprog's optimum
+    inst = gen_random_instance(8, 0.5, n_demands=3, seed=3, amounts=(1, 4))
+    model = build_edge_lp(inst.net, inst.demands)
+    monkeypatch.setattr(pflow.lp, "_POOL", [])
+    fresh = solve_lp(model)
+    monkeypatch.setattr(pflow.lp, "_POOL", [])
+    with monkeypatch.context() as limited:
+        limited.setattr(pflow.lp, "MAXITER", 1)
+        with pytest.raises(ResourceLimitError, match="iteration limit 1 exhausted"):
+            solve_lp(model)
+    pooled = list(pflow.lp._POOL)
+    assert len(pooled) == 1
+    res = solve_lp(model)
+    assert pflow.lp._POOL == pooled and pooled[0] is pflow.lp._POOL[0]
+    assert _outcome(res) == _outcome(fresh) and res.iterations > 1
+    ref = solve_lp_linprog(model)
+    assert res.status == ref.status == "optimal"
+    assert res.objective == pytest.approx(ref.objective, rel=1e-9)
+
+
+def test_interleaved_solves_on_pooled_highs_match_fresh_ones(monkeypatch):
+    # as in the purchase greedy, walk masters and solve_lp calls take turns
+    # on the pooled HiGHS object: each result must be bit-equal to the same
+    # call made first in a fresh pool
+    pur = gen_random_purchase(8, 0.5, n_candidates=3, n_demands=2, seed=1,
+                              budget=2.0).purchase()
+    edge = gen_random_instance(8, 0.5, node_cap=(1, 4), n_demands=3, seed=3,
+                               amounts=(1, 4))
+    calls = [
+        lambda: _outcome(*solve_walk_master(pur.net, pur.demands, paths=True)[1:]),
+        lambda: _outcome(solve_lp(build_purchase_lp(pur, "budgeted", budget_cap=1.0))),
+        lambda: _outcome(*solve_walk_master(edge.net, edge.demands)[1:]),
+        lambda: _outcome(solve_lp(build_purchase_lp(pur, "min"))),
+        lambda: _outcome(*solve_walk_master(edge.net, edge.demands,
+                                            objective=Objective("min-max-congestion"))[1:]),
+        lambda: _outcome(solve_lp(build_edge_lp(edge.net, edge.demands))),
+    ]
+    fresh = []
+    for call in calls:
+        monkeypatch.setattr(pflow.lp, "_POOL", [])
+        fresh.append(call())
+    assert {out[0] for out in fresh} == {"optimal"}
+    monkeypatch.setattr(pflow.lp, "_POOL", [])
+    for _ in range(2):
+        assert [call() for call in calls] == fresh
+        assert len(pflow.lp._POOL) == 1
+
+
+def test_the_pool_keeps_only_plain_highs(monkeypatch, inst_line):
+    # a stand-in for `_highs` that completes its solves is never pooled:
+    # the pool holds plain `_Highs` objects only, and they solve as before
+    real = pflow.lp._highs
+    made = []
+
+    class Wrapper:
+        def __init__(self):
+            self.highs = real()
+            made.append(self)
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+    net, demands = inst_line
+    monkeypatch.setattr(pflow.lp, "_POOL", [])
+    want = _outcome(*solve_walk_master(net, demands)[1:])
+    monkeypatch.setattr(pflow.lp, "_highs", Wrapper)
+    assert _outcome(*solve_walk_master(net, demands)[1:]) == want
+    assert made and all(type(h) is pflow.lp._Highs for h in pflow.lp._POOL)
+    monkeypatch.setattr(pflow.lp, "_highs", real)
+    assert _outcome(*solve_walk_master(net, demands)[1:]) == want
+    assert len(pflow.lp._POOL) == 1 and type(pflow.lp._POOL[0]) is pflow.lp._Highs
 
 
 def _edge_models(kind):
@@ -772,9 +866,11 @@ def test_path_graph_opens_the_arcs_of_the_sink_leg_rule():
 def test_import_pflow_leaves_csgraph_unloaded():
     # only price_walks runs scipy's csgraph, so `import pflow` must not load
     # it: MWU and the purchase LPs then never pay the megabyte of RSS its
-    # import costs. A fresh interpreter shows what `import pflow` loads
+    # import costs. Nor does the import create a HiGHS object: the pool
+    # starts empty. A fresh interpreter shows what `import pflow` loads
     src = os.path.dirname(os.path.dirname(pflow.lp.__file__))
-    code = "import sys, pflow; assert 'scipy.sparse.csgraph' not in sys.modules"
+    code = ("import sys, pflow; assert 'scipy.sparse.csgraph' not in sys.modules; "
+            "assert pflow.lp._POOL == []")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
