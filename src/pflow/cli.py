@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alg", required=True, choices=KNOWN_ALGS)
     sp.add_argument("--input", required=True, metavar="F")
     sp.add_argument("--epsilon", type=float, default=0.1,
-                    help="mwu accuracy (ignored by lp/naive)")
+                    help="mwu's certified gap: with no demand capped it stops at "
+                         "(1 - epsilon) of its dual bound (ignored by lp/naive)")
     sp.add_argument("--objective", choices=sorted(_OBJECTIVES),
                     default="maxflow")
     sp.add_argument("--emit-lp", metavar="P",

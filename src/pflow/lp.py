@@ -33,8 +33,9 @@ walks that can improve it are ever built; min-weighted congestion is one
 pricing call. A max-total-flow master that starts without columns first
 takes the walks of a few rounds of Garg and Könemann's multiplicative
 weights (`_seed_columns`), the congestion-aware heuristic of the paper's
-approximation algorithm, priced without HiGHS; from there its rounds run
-as before. Pricing is one scipy Dijkstra run (`price_walks`) over a
+approximation algorithm, priced without HiGHS and charged by the helper
+MWU's rounds share (`charge_walks`); from there its rounds run as
+before. Pricing is one scipy Dijkstra run (`price_walks`) over a
 block-diagonal graph, one two-layer copy of the network per demand, whose
 weights are rewritten in place each round; the graph is built once per
 network and list of (source, sink) pairs. `solve_edge_lp` returns the
@@ -62,7 +63,7 @@ except ImportError as exc:
                       "scipy.optimize._highspy._core") from exc
 
 from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
-                    ResourceLimitError)
+                    ResourceLimitError, reject_degenerate_demands)
 
 MAXITER = 200_000
 
@@ -388,7 +389,9 @@ class Objective:
 
 def _check_objective(net: FlowNetwork, demands: list[Demand], objective: Objective) -> str:
     """The objective's kind; ValueError on an unknown kind, an uncapped
-    demand under congestion, or a weight that `Objective` does not allow."""
+    demand under congestion, or a weight that `Objective` does not allow,
+    and StructuralError on a demand from a node to itself."""
+    reject_degenerate_demands(demands)
     kind = objective.kind
     if kind not in ("max-total-flow", "min-max-congestion", "min-weighted-congestion"):
         raise ValueError(f"unknown objective kind {kind!r}")
@@ -556,8 +559,8 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray,
     master column (a path is processed at its sink); ties between walks
     break in csgraph's order.
     """
-    # imported here: `import pflow`, MWU and the purchase LPs need not pay
-    # the ~1 MB of RSS that csgraph costs
+    # imported here: `import pflow` and the purchase LPs need not pay the
+    # ~1 MB of RSS that csgraph costs
     from scipy.sparse.csgraph import dijkstra
 
     pairs = [(d.source, d.sink) for d in demands]
@@ -599,6 +602,31 @@ def _uses(net: FlowNetwork, arcs: tuple[int, ...], split: int, paths: bool
     return uses
 
 
+def charge_walks(net: FlowNetwork, walk: Callable[[int], Column], chosen: list[int],
+                 capacity: list[float], limit: Sequence[float] | None = None
+                 ) -> tuple[list[tuple[Column, float]], np.ndarray]:
+    """One multiplicative-weights round's charge, shared by `_seed_columns`
+    and `mwu.mwu_solve`: rebuild the walk of each demand in `chosen`, in that
+    order, and give it its bottleneck f = min_r cap_r/m_r over the resources
+    r it uses m_r times (1 for its processing vertex), at most limit[i] for
+    demand i when `limit` is given. Returns each (column, f) and, per
+    resource, u_r = Σ m_r·f/cap_r summed walk by walk; a walk with f = inf
+    (on uncapacitated resources only) adds nothing to u."""
+    use = np.zeros(len(capacity))
+    charged = []
+    for i in chosen:
+        col = walk(i)
+        uses = _uses(net, *col[1:], paths=False)
+        f = min(capacity[r] / m for r, m in uses.items())
+        if limit is not None:
+            f = min(f, limit[i])
+        if f < math.inf:
+            for r, m in uses.items():
+                use[r] += m * f / capacity[r]
+        charged.append((col, f))
+    return charged, use
+
+
 def _seed_columns(net: FlowNetwork, demands: list[Demand], capacity: list[float]
                   ) -> list[Column]:
     """The first columns of a fresh max-total-flow master: the walks of
@@ -608,8 +636,7 @@ def _seed_columns(net: FlowNetwork, demands: list[Demand], capacity: list[float]
     Every resource r (bandwidth group, then node) of capacity cap_r starts at
     weight 1. A round prices every demand's cheapest 2-walk under y_g =
     w_g/B_g and z_v = w_v/C_v (one `price_walks` call, no HiGHS). Each walk of
-    finite cost is charged its bottleneck f = min(B_g/m_g, C_v), where m_r
-    counts the walk's uses of r (1 for its processing vertex), and multiplies
+    finite cost is charged its bottleneck (`charge_walks`), which multiplies
     each w_r it uses by exp(SEED_EPSILON * m_r * f / cap_r). Weights are kept
     as logarithms and scaled by their largest before pricing, which moves no
     walk."""
@@ -622,15 +649,9 @@ def _seed_columns(net: FlowNetwork, demands: list[Demand], capacity: list[float]
     for _ in range(SEED_ROUNDS):
         price[k:] = np.exp(log_weight - log_weight.max()) * inv
         cost, walk = price_walks(net, demands, price)
-        grow = np.zeros(len(cap))
-        for i in np.flatnonzero(np.isfinite(cost)).tolist():
-            col = walk(i)
-            seed[col] = None
-            uses = _uses(net, *col[1:], paths=False)
-            f = min(capacity[r] / m for r, m in uses.items())
-            if f < math.inf:  # a walk on uncapacitated resources only charges none
-                for r, m in uses.items():
-                    grow[r] += m * f / capacity[r]
+        charged, grow = charge_walks(net, walk, np.flatnonzero(np.isfinite(cost)).tolist(),
+                                     capacity)
+        seed.update(dict.fromkeys(col for col, _ in charged))
         log_weight += SEED_EPSILON * grow
     return list(seed)
 

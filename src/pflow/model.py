@@ -137,7 +137,7 @@ class FlowNetwork:
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node index, the (head index, arc index) of each out-arc.
 
-        Built on first use; MWU's walk oracle reads it.
+        Built on first use; the walk oracle `mwu.shortest_processing_2walk` reads it.
         """
         idx = self._index
         return tuple(tuple((idx[self.arcs[a].head], a) for a in self.out_arcs[v])
@@ -207,7 +207,7 @@ class FlowNetwork:
         """Copy of this network with node processing capacities replaced.
 
         The copy shares this network's topology caches: the `barred` rules,
-        MWU's walk-oracle plans and the walk master's pricing graphs, whose
+        the walk oracle's plans and the walk master's pricing graphs, whose
         structure no node capacity changes. So a capacity sweep builds them
         once per instance, not once per grid point."""
         net = FlowNetwork(self.nodes, self.edges, caps, directed=self.directed)
@@ -223,6 +223,19 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _degenerate(i: int, d: Demand) -> str:
+    return f"demand {i}: degenerate demand {d.source}->{d.sink}"
+
+
+def reject_degenerate_demands(demands: list[Demand]) -> None:
+    """StructuralError, in `validate_instance`'s words, for the first demand
+    from a node to itself: the solvers raise it for input that skipped the
+    validator, as no walk serves such a demand."""
+    for i, d in enumerate(demands):
+        if d.source == d.sink:
+            raise StructuralError(_degenerate(i, d))
 
 
 def validate_instance(net: FlowNetwork, demands: list[Demand]) -> ValidationReport:
@@ -247,7 +260,7 @@ def validate_instance(net: FlowNetwork, demands: list[Demand]) -> ValidationRepo
         if d.sink not in net.node_capacity:
             problems.append(f"demand {i}: unknown sink {d.sink!r}")
         if d.source == d.sink:
-            problems.append(f"demand {i}: degenerate demand {d.source}->{d.sink}")
+            problems.append(_degenerate(i, d))
         if math.isnan(d.amount) or d.amount <= 0:
             problems.append(f"demand {i}: amount must be positive, got {d.amount}")
     return ValidationReport(not problems, problems)

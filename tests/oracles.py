@@ -275,83 +275,6 @@ def brute_min_processing_walk_costs(n: int, arcs: list[tuple[int, int, float]],
     return result
 
 
-def mwu_full_scan_placements(net: FlowNetwork, demands: list[Demand],
-                             epsilon: float, delta: float | None = None,
-                             max_rounds: float = math.inf) -> tuple[list[tuple], int]:
-    """MWU rounds that reprice every active demand each round.
-
-    The reference for the lazy argmin in `pflow.mwu`: every round recomputes
-    all expert weights and node costs from the gains, prices each active
-    demand through the public walk oracle and scans them in index order
-    (a demand replaces the running best only if cheaper by more than 1e-15).
-    Returns the placements as (demand, walk nodes, flow) and the round count.
-    `delta` overrides the initial weight; `max_rounds` cuts the run short.
-    """
-    from pflow.mwu import default_delta, scaling_factor, shortest_processing_2walk
-
-    if delta is None:
-        delta = default_delta(epsilon, net.edge_count)
-    sigma = scaling_factor(epsilon, delta)
-    limit = -math.log(delta) / math.log1p(epsilon)
-
-    def weight(gain: float) -> float:
-        return delta * (1.0 + epsilon) ** gain
-
-    group_gain = [0.0] * net.edge_count
-    node_gain = {v: 0.0 for v in net.nodes if net.capacity(v) > 0}
-    active = [True] * len(demands)
-    placed = [0.0] * len(demands)
-    placements: list[tuple] = []
-    rounds = 0
-    if not node_gain:
-        return placements, rounds
-    while any(active) and rounds < max_rounds:
-        arc_cost = []
-        for arc in net.arcs:
-            cap = net.group_capacity[arc.group]
-            arc_cost.append(weight(group_gain[arc.group]) / cap if cap > 0 else math.inf)
-        best = None
-        for i, d in enumerate(demands):
-            if not active[i]:
-                continue
-            node_cost = {v: weight(g) / net.capacity(v) for v, g in node_gain.items()}
-            node_cost[d.source] = node_cost[d.sink] = math.inf
-            res = shortest_processing_2walk(net, arc_cost, node_cost, d.source, d.sink)
-            c = res.cost_to(d.sink)
-            if not math.isfinite(c):
-                active[i] = False
-                continue
-            if best is None or c < best[0] - 1e-15:
-                best = (c, i, res.walk_to(d.sink))
-        if best is None:
-            break
-        _, i, (nodes, stop, arcs, _) = best
-        mult: dict[int, int] = {}
-        for a in arcs:
-            mult[net.arcs[a].group] = mult.get(net.arcs[a].group, 0) + 1
-        flow = min(min(net.group_capacity[g] / m for g, m in mult.items()),
-                   net.capacity(stop))
-        if math.isfinite(demands[i].amount):
-            remaining = demands[i].amount * sigma - placed[i]
-            if flow >= remaining - 1e-12:
-                flow = max(remaining, 0.0)
-                active[i] = False
-        rounds += 1
-        if flow <= 0.0:
-            continue
-        over = False
-        for g, m in mult.items():
-            group_gain[g] += m * flow / net.group_capacity[g]
-            over |= group_gain[g] > limit
-        node_gain[stop] += flow / net.capacity(stop)
-        over |= node_gain[stop] > limit
-        placed[i] += flow
-        placements.append((i, nodes, flow))
-        if over:
-            break
-    return placements, rounds
-
-
 def solve_lp_linprog(model: LPModel) -> LPResult:
     """The model solved through scipy's `linprog(method="highs-ds")` front
     end: the reference for the status and optimum of `pflow.lp.solve_lp`,
@@ -418,6 +341,37 @@ def mixed_routing_instances():
         demands = [Demand(d.source, d.sink, rng.choice([math.inf, float(rng.randint(1, 6))]))
                    for d in inst.demands]
         yield inst.net, demands
+
+
+def master_instances():
+    """`mixed_routing_instances` as they are, again with every third node and
+    every third bandwidth group at capacity 0, and again without demands."""
+    for net, demands in mixed_routing_instances():
+        yield net, demands
+        edges = [(net.arcs[arcs[0]].tail, net.arcs[arcs[0]].head, 0.0 if g % 3 == 0 else cap)
+                 for g, (arcs, cap) in enumerate(zip(net.groups, net.group_capacity))]
+        caps = {v: 0.0 if j % 3 == 0 else net.node_capacity[v]
+                for j, v in enumerate(net.nodes)}
+        yield FlowNetwork(net.nodes, edges, caps, directed=net.directed), demands
+        yield net, []
+
+
+def seeded_instances():
+    """The master's instances, then small cases at the edges of the seed: no
+    node can process; a demand without a walk beside one with; a capped
+    demand below its walk's bottleneck; zero-capacity groups and nodes on
+    the cheaper side of a fork; no demands."""
+    yield from master_instances()
+    line = [("s", "a", 2.0), ("a", "t", 2.0)]
+    yield FlowNetwork("sat", line), [Demand("s", "t")]
+    yield FlowNetwork("satu", line, {"a": 2.0}), [Demand("s", "u"), Demand("s", "t")]
+    yield FlowNetwork("sat", [("s", "a", 5.0), ("a", "t", 5.0)], {"a": 4.0}), \
+        [Demand("s", "t", 2.0)]
+    fork = [("s", "a", 0.0), ("a", "t", 3.0), ("s", "b", 3.0), ("b", "t", 3.0),
+            ("s", "c", 2.0), ("c", "t", 2.0)]
+    yield FlowNetwork("sabct", fork, {"a": 5.0, "b": 0.0, "c": 1.5}, directed=False), \
+        [Demand("s", "t"), Demand("t", "s", 1.0)]
+    yield FlowNetwork("sabct", fork, {"a": 5.0, "b": 0.0, "c": 1.5}), []
 
 
 def net_outflow_routing_lp(net: FlowNetwork, demands: list[Demand],

@@ -14,14 +14,15 @@ from pflow.decompose import decompose
 from pflow.lp import (LPModel, Objective, build_edge_lp, solve_edge_lp, solve_lp,
                       solve_walk_master, write_mps)
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
-                         ResourceLimitError, verify_edge_solution,
-                         verify_walk_solution)
+                         ResourceLimitError, StructuralError, validate_instance,
+                         verify_edge_solution, verify_walk_solution)
 from pflow.mwu import shortest_processing_2walk
 from pflow.purchase import build_purchase_lp
 
-from oracles import (edge_lp_optimum, mixed_routing_instances, net_outflow_routing_lp,
-                     processing_vertices, row_by_row_commodity, row_by_row_purchase_lp,
-                     solve_lp_linprog, walk_lp_optimum)
+from oracles import (edge_lp_optimum, master_instances, mixed_routing_instances,
+                     net_outflow_routing_lp, processing_vertices, row_by_row_commodity,
+                     row_by_row_purchase_lp, seeded_instances, solve_lp_linprog,
+                     walk_lp_optimum)
 
 
 def test_mandatory_relay_caps_throughput(inst_line):
@@ -415,6 +416,18 @@ def test_a_demand_of_amount_zero_needs_no_walk(kind):
         assert sol.delivered(net, demands, 0) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["max-total-flow", "min-max-congestion",
+                                  "min-weighted-congestion"])
+def test_degenerate_demand_raises_the_validators_error(kind, inst_line):
+    # a demand from a node to itself has no walk: every objective raises
+    # what validate_instance reports, not an error from an empty walk
+    net, _ = inst_line
+    demands = [Demand("s", "t", 1.0), Demand("a", "a", 1.0)]
+    assert validate_instance(net, demands).problems == ["demand 1: degenerate demand a->a"]
+    with pytest.raises(StructuralError, match="^demand 1: degenerate demand a->a$"):
+        solve_edge_lp(net, demands, Objective(kind))
+
+
 def _purchase_models(mode, fixed, build=build_purchase_lp):
     for seed in range(4):
         inst = gen_random_purchase(6 + seed % 3, 0.5, n_candidates=3, n_demands=2,
@@ -599,19 +612,6 @@ def test_matches_walk_enumeration_on_random_instances():
     assert checked == 20
 
 
-def _master_instances():
-    """`mixed_routing_instances` as they are, again with every third node and
-    every third bandwidth group at capacity 0, and again without demands."""
-    for net, demands in mixed_routing_instances():
-        yield net, demands
-        edges = [(net.arcs[arcs[0]].tail, net.arcs[arcs[0]].head, 0.0 if g % 3 == 0 else cap)
-                 for g, (arcs, cap) in enumerate(zip(net.groups, net.group_capacity))]
-        caps = {v: 0.0 if j % 3 == 0 else net.node_capacity[v]
-                for j, v in enumerate(net.nodes)}
-        yield FlowNetwork(net.nodes, edges, caps, directed=net.directed), demands
-        yield net, []
-
-
 def test_walk_master_matches_the_edge_lp_and_walk_enumeration():
     # the walk master solves max total flow; the arc formulation and the LP
     # over every enumerated 2-walk must reach its optimum, its flows and
@@ -619,7 +619,7 @@ def test_walk_master_matches_the_edge_lp_and_walk_enumeration():
     # prices in, and their bound Σ R_i σ_i + Σ B_g y_g + Σ C_v z_v meets
     # the optimum
     kinds = set()
-    for net, demands in _master_instances():
+    for net, demands in master_instances():
         sol, res = solve_edge_lp(net, demands)
         walks = walk_lp_optimum(net, demands)
         for want in (edge_lp_optimum(net, demands), walks):
@@ -645,24 +645,6 @@ def test_walk_master_matches_the_edge_lp_and_walk_enumeration():
                      "zero node", "zero group", "no demand", "flow"}
 
 
-def _seeded_instances():
-    """The master's instances, then small cases at the edges of the seed: no
-    node can process; a demand without a walk beside one with; a capped
-    demand below its walk's bottleneck; zero-capacity groups and nodes on
-    the cheaper side of a fork; no demands."""
-    yield from _master_instances()
-    line = [("s", "a", 2.0), ("a", "t", 2.0)]
-    yield FlowNetwork("sat", line), [Demand("s", "t")]
-    yield FlowNetwork("satu", line, {"a": 2.0}), [Demand("s", "u"), Demand("s", "t")]
-    yield FlowNetwork("sat", [("s", "a", 5.0), ("a", "t", 5.0)], {"a": 4.0}), \
-        [Demand("s", "t", 2.0)]
-    fork = [("s", "a", 0.0), ("a", "t", 3.0), ("s", "b", 3.0), ("b", "t", 3.0),
-            ("s", "c", 2.0), ("c", "t", 2.0)]
-    yield FlowNetwork("sabct", fork, {"a": 5.0, "b": 0.0, "c": 1.5}, directed=False), \
-        [Demand("s", "t"), Demand("t", "s", 1.0)]
-    yield FlowNetwork("sabct", fork, {"a": 5.0, "b": 0.0, "c": 1.5}), []
-
-
 def test_seeded_master_matches_the_edge_lp(monkeypatch):
     # a fresh max-total-flow master starts from its multiplicative-weights
     # seed, and then runs the same rounds as an unseeded one: it reaches
@@ -670,7 +652,7 @@ def test_seeded_master_matches_the_edge_lp(monkeypatch):
     # prices price no walk in and their bound meets it, and its flows and
     # walks verify
     seen = set()
-    for net, demands in _seeded_instances():
+    for net, demands in seeded_instances():
         monkeypatch.setattr(pflow.lp, "SEED_ROUNDS", 0)
         empty = solve_edge_lp(net, demands)[1].objective
         monkeypatch.undo()
@@ -745,7 +727,7 @@ def test_congestion_walks_match_the_edge_lp(kind):
     # each demand's cheapest walk under them meets θ
     rng = random.Random(2121)
     seen = set()
-    for net, demands in _master_instances():
+    for net, demands in master_instances():
         demands = [d if math.isfinite(d.amount) else
                    Demand(d.source, d.sink, float(rng.randint(1, 6))) for d in demands]
         try:
@@ -794,7 +776,7 @@ def _check_priced_walk(net, demands, price, i, column, cost):
 def _priced_instances():
     """The master's instances with demands, and a path whose only walk is
     priced all zero."""
-    for net, demands in _master_instances():
+    for net, demands in master_instances():
         if demands:
             yield net, demands
     yield FlowNetwork("sat", [("s", "a", 1.0), ("a", "t", 1.0)], {"a": 1.0}), \
@@ -851,7 +833,7 @@ def test_a_recapacitated_copy_prices_its_own_closed_nodes():
 def test_path_graph_opens_the_arcs_of_the_sink_leg_rule():
     # the path master's graph opens, per pair, exactly the arcs
     # FlowNetwork.legs(s, t, t) leaves open to w; a pair with s = t opens none
-    for net, demands in _master_instances():
+    for net, demands in master_instances():
         pairs = [(d.source, d.sink) for d in demands] + [(net.nodes[0], net.nodes[0])]
         graph = pflow.lp._WalkGraph(net, pairs, paths=True)
         n, csr = net.n_nodes, graph.csr
@@ -865,8 +847,8 @@ def test_path_graph_opens_the_arcs_of_the_sink_leg_rule():
 
 def test_import_pflow_leaves_csgraph_unloaded():
     # only price_walks runs scipy's csgraph, so `import pflow` must not load
-    # it: MWU and the purchase LPs then never pay the megabyte of RSS its
-    # import costs. Nor does the import create a HiGHS object: the pool
+    # it: the purchase LPs then never pay the megabyte of RSS its import
+    # costs. Nor does the import create a HiGHS object: the pool
     # starts empty. A fresh interpreter shows what `import pflow` loads
     src = os.path.dirname(os.path.dirname(pflow.lp.__file__))
     code = ("import sys, pflow; assert 'scipy.sparse.csgraph' not in sys.modules; "

@@ -1,4 +1,4 @@
-"""Width-capped multiplicative-weights solver and its walk oracle."""
+"""Multiplicative-weights solver and its walk oracle."""
 
 import math
 import random
@@ -7,11 +7,12 @@ import pytest
 
 from pflow import mwu as mwu_module
 from pflow.lp import solve_edge_lp
-from pflow.model import Demand, FlowNetwork, verify_walk_solution
-from pflow.mwu import (MWUConfig, MWUState, default_delta, iteration_bound,
-                       mwu_iterate, mwu_solve, shortest_processing_2walk)
+from pflow.model import (Demand, FlowNetwork, ResourceLimitError, StructuralError,
+                         verify_walk_solution)
+from pflow.mwu import (MWUConfig, default_delta, iteration_bound, mwu_solve,
+                       shortest_processing_2walk)
 
-from oracles import brute_min_processing_walk_costs, mwu_full_scan_placements
+from oracles import brute_min_processing_walk_costs, edge_lp_optimum, seeded_instances
 
 
 def test_default_delta_pinned():
@@ -102,28 +103,30 @@ def test_walk_oracle_matches_bruteforce():
         assert got == want, f"trial {trial}: {got} != {want}"
 
 
-def test_first_iteration_line():
-    net = FlowNetwork(["s", "a", "t"], [("s", "a", 10.0), ("a", "t", 10.0)],
-                      node_capacity={"a": 3.0})
-    st = MWUState(net, [Demand("s", "t")], 0.1, default_delta(0.1, 2))
-    idx, nodes, flow, proc = mwu_iterate(st)
-    assert idx == 0
-    assert nodes == ("s", "a", "t")
-    assert abs(flow - 3.0) < 1e-12          # node cap is the width here
-    assert set(proc) == {"a"}
+def _first_round(monkeypatch, net, demands):
+    """The walks and flows `charge_walks` gives MWU's first round."""
+    rounds = []
+
+    def recording(*args, **kwargs):
+        rounds.append(real(*args, **kwargs))
+        return rounds[-1]
+
+    real = mwu_module.charge_walks
+    monkeypatch.setattr(mwu_module, "charge_walks", recording)
+    mwu_solve(net, demands, MWUConfig(epsilon=0.1))
+    return [((net.arcs[arcs[0]].tail, *(net.arcs[a].head for a in arcs)),
+             net.arcs[arcs[split - 1]].head, f) for (_, arcs, split), f in rounds[0][0]]
 
 
-def test_first_iteration_takes_double_visit():
-    # Only p can process, so the first placement must detour a->p->a.
-    net = FlowNetwork(["s", "a", "p", "t"],
-                      [("s", "a", 2.0), ("a", "p", 2.0),
-                       ("p", "a", 2.0), ("a", "t", 2.0)],
-                      node_capacity={"p": 5.0})
-    st = MWUState(net, [Demand("s", "t")], 0.1, default_delta(0.1, 4))
-    _, nodes, flow, proc = mwu_iterate(st)
-    assert nodes == ("s", "a", "p", "a", "t")
-    assert abs(flow - 2.0) < 1e-12
-    assert set(proc) == {"p"}
+def test_first_iteration_line(monkeypatch, inst_line):
+    # the relay's capacity 3 is the walk's bottleneck
+    assert _first_round(monkeypatch, *inst_line) == [(("s", "a", "t"), "a", 3.0)]
+
+
+def test_first_iteration_takes_double_visit(monkeypatch, inst_loop):
+    # Only p can process, so the first round must detour a->p->a, at the
+    # bandwidth 2 of its arcs
+    assert _first_round(monkeypatch, *inst_loop) == [(("s", "a", "p", "a", "t"), "p", 2.0)]
 
 
 @pytest.mark.parametrize("fixture_name,floor", [("inst_line", 2.7), ("inst_loop", 1.8)])
@@ -211,112 +214,100 @@ def _random_network(rng, n):
     return FlowNetwork(names + ["z"], edges, node_capacity=caps, directed=directed), names
 
 
-def test_lazy_argmin_matches_full_scan(monkeypatch):
-    # The solver reprices only demands whose last cost could still win; the
-    # reference reprices every active demand every round. Duplicated demands
-    # tie exactly.
-    seen = []
+def test_every_round_prices_as_the_walk_oracle(monkeypatch):
+    # each round's one price_walks call costs every demand, the inactive
+    # ones included, as shortest_processing_2walk does demand by demand
+    # under the same prices; the two sum a walk's prices in other orders
+    real = mwu_module.price_walks
+    priced = unreachable = 0
 
-    def recording(state):
-        placement = mwu_iterate(state)
-        if placement is not None:
-            seen.append(placement[:3])
-        return placement
-
-    monkeypatch.setattr(mwu_module, "mwu_iterate", recording)
-    rng = random.Random(52117)
-    for trial in range(36):
-        net, names = _random_network(rng, rng.randint(3, 6))
-        demands = []
-        for _ in range(rng.randint(1, 3)):
-            s, t = rng.sample(names, 2)
-            demands.append(Demand(s, t, rng.choice([math.inf, math.inf, 2.0, 5.0])))
-        twin = rng.choice(demands)
-        demands.append(Demand(twin.source, twin.sink, rng.choice([math.inf, 3.0])))
-        demands.append(Demand(rng.choice(names), "z"))
-        rng.shuffle(demands)
-        eps = rng.choice([0.1, 0.3, 0.5])
-
-        seen.clear()
-        sol = mwu_solve(net, demands, MWUConfig(epsilon=eps))
-        want, rounds = mwu_full_scan_placements(net, demands, eps)
-        assert seen == want, f"trial {trial}"
-        assert sol.meta["iterations"] == rounds
-
-
-def test_lazy_argmin_matches_full_scan_among_near_ties():
-    # With an initial weight near 1e-16 the walk costs start below the 1e-15
-    # tie tolerance and climb through it, so the index-order scan follows
-    # chains of near-ties that a purely relative reprice margin would cut.
-    rng = random.Random(61307)
-    for trial in range(20):
-        net, names = _random_network(rng, rng.randint(4, 6))
-        demands = [Demand(*rng.sample(names, 2)) for _ in range(rng.randint(4, 7))]
-        eps, delta = 0.5, rng.choice([1e-17, 1e-16, 4e-16, 1e-15])
-        st = MWUState(net, demands, eps, delta)
-        got = []
-        while not st.stopped and any(st.active) and st.iteration < 60:
-            placement = mwu_iterate(st)
-            if placement is not None:
-                got.append(placement[:3])
-        want, rounds = mwu_full_scan_placements(net, demands, eps, delta, max_rounds=60)
-        assert got == want, f"trial {trial}"
-        assert st.iteration == rounds
-
-
-def test_round_pricing_matches_the_walk_oracle(monkeypatch):
-    # A round prices each demand with a search whose second pass stops once
-    # the sink is settled. Every demand it reprices must get the cost and
-    # the walk that the full search of shortest_processing_2walk finds on
-    # that round's costs, and a demand that drops out must have no walk
-    # there. Integer capacities make walk costs tie exactly; a twin shares
-    # its pair's plan. Each demand a round prices is one call of the module's
-    # shortest_processing_2walk, the name a tracer wraps to count them.
-    real, oracle = mwu_module._reprice, shortest_processing_2walk
-    priced = dropped = tied = calls = 0
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return oracle(*args, **kwargs)
-
-    def checking(state):
-        nonlocal priced, dropped, tied
-        net = state.net
-        arc_cost = list(state.arc_cost)
-        node_cost = dict(zip(net.nodes, state.node_cost))
-        was_active = list(state.active)
-        before = calls
-        fresh = real(state)
-        newly_dropped = 0
-        for i, d in enumerate(state.demands):
-            want = oracle(net, arc_cost, node_cost, d.source, d.sink)
-            if i in fresh:
-                cost, res = fresh[i]
-                assert cost == want.cost_to(d.sink)
-                assert res.walk_to(d.sink) == want.walk_to(d.sink)
+    def checking(net, demands, price):
+        nonlocal priced, unreachable
+        cost, walk = real(net, demands, price)
+        k = len(demands)
+        arc_cost = [price[k + a.group] if net.group_capacity[a.group] > 0 else math.inf
+                    for a in net.arcs]
+        node_cost = [price[k + net.edge_count + j] if net.node_capacity[v] > 0 else math.inf
+                     for j, v in enumerate(net.nodes)]
+        for i, d in enumerate(demands):
+            want = shortest_processing_2walk(net, arc_cost, node_cost, d.source, d.sink)
+            want = want.cost_to(d.sink)
+            if math.isinf(want):
+                assert cost[i] == want
+                unreachable += 1
+            else:
+                assert cost[i] == pytest.approx(want, rel=1e-12, abs=0.0)
                 priced += 1
-            elif was_active[i] and not state.active[i]:
-                assert want.cost_to(d.sink) == math.inf
-                newly_dropped += 1
-        assert calls - before == len(fresh) + newly_dropped
-        dropped += newly_dropped
-        costs = [c for c, _ in fresh.values()]
-        tied += len(set(costs)) < len(costs)
-        return fresh
+        return cost, walk
 
-    monkeypatch.setattr(mwu_module, "_reprice", checking)
-    monkeypatch.setattr(mwu_module, "shortest_processing_2walk", counting)
-    rng = random.Random(33391)
-    for _ in range(24):
-        net, names = _random_network(rng, rng.randint(4, 7))
-        demands = [Demand(*rng.sample(names, 2), rng.choice([math.inf, 3.0]))
-                   for _ in range(rng.randint(1, 3))]
-        demands.append(Demand(demands[0].source, demands[0].sink))
-        demands.append(Demand(rng.choice(names), "z"))
-        rng.shuffle(demands)
-        mwu_solve(net, demands, MWUConfig(epsilon=rng.choice([0.2, 0.3, 0.5])))
-    assert priced > 1000 and dropped > 0 and tied > 0
+    monkeypatch.setattr(mwu_module, "price_walks", checking)
+    for net, demands in seeded_instances():
+        mwu_solve(net, demands, MWUConfig(epsilon=0.3))
+    assert priced > 1000 and unreachable > 0
+
+
+def test_no_round_loads_a_resource_past_its_capacity(monkeypatch):
+    # a round's batch is scaled so that it uses at most each resource's
+    # capacity: between two pricing calls no price grows by more than the
+    # factor 1 + eps that one full capacity's worth of load brings, and on
+    # some round a batch that would overload a resource is scaled to
+    # exactly that
+    real, eps = mwu_module.price_walks, 0.3
+    prices = []
+
+    def recording(net, demands, price):
+        prices.append(price[len(demands):].copy())
+        return real(net, demands, price)
+
+    monkeypatch.setattr(mwu_module, "price_walks", recording)
+    full = 0
+    for net, demands in seeded_instances():
+        prices.clear()
+        mwu_solve(net, demands, MWUConfig(epsilon=eps))
+        for before, after in zip(prices, prices[1:]):
+            grown = [math.log(b / a) / math.log1p(eps) for a, b in zip(before, after) if a > 0]
+            assert max(grown) <= 1.0 + 1e-9
+            full += max(grown) > 1.0 - 1e-9
+    assert full > 0
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_certificate_stop_bounds_the_optimum(eps):
+    # when no demand is capped, upper_bound is a dual bound on the arc LP's
+    # optimum, and a run that stops by its certificate returns at least
+    # (1 - eps) of it
+    stops = set()
+    for net, demands in seeded_instances():
+        sol = mwu_solve(net, demands, MWUConfig(epsilon=eps))
+        rep = verify_walk_solution(net, demands, sol)
+        assert rep.ok, rep.problems
+        meta = sol.meta
+        stops.add(meta["stopped_by"])
+        if "upper_bound" in meta:
+            want = edge_lp_optimum(net, demands)
+            assert meta["upper_bound"] >= want * (1.0 - 1e-9)
+        if meta["stopped_by"] == "certificate":
+            assert sol.objective >= (1.0 - eps) * meta["upper_bound"]
+    assert stops == {"certificate", "weight", "demands"}
+
+
+def test_degenerate_demand_raises_the_validators_error(inst_line):
+    net, _ = inst_line
+    with pytest.raises(StructuralError, match="^demand 1: degenerate demand s->s$"):
+        mwu_solve(net, [Demand("s", "t"), Demand("s", "s")])
+
+
+def test_walk_without_a_finite_bottleneck_is_unbounded():
+    # every capacity infinite: the walk master reports such an instance
+    # unbounded, and so does MWU, where a capped demand simply routes its amount
+    net = FlowNetwork("sat", [("s", "a", math.inf), ("a", "t", math.inf)], {"a": math.inf})
+    with pytest.raises(ResourceLimitError, match="unbounded"):
+        solve_edge_lp(net, [Demand("s", "t")])
+    with pytest.raises(ResourceLimitError, match="unbounded"):
+        mwu_solve(net, [Demand("s", "t")])
+    sol = mwu_solve(net, [Demand("s", "t", 2.0)])
+    assert sol.objective == pytest.approx(2.0, rel=1e-9)
+    assert verify_walk_solution(net, [Demand("s", "t", 2.0)], sol).ok
 
 
 def test_upper_bound_certifies_uncapped_instances():
@@ -349,7 +340,7 @@ def test_every_path_reports_the_same_meta_keys(inst_line):
     no_capacity = mwu_solve(FlowNetwork("st", [("s", "t", 1.0)]), [Demand("s", "t")]).meta
     isolated = FlowNetwork("satz", [("s", "a", 1.0), ("a", "t", 1.0)], {"a": 1.0})
     unroutable = mwu_solve(isolated, [Demand("s", "z")]).meta
-    assert main["stopped_by"] == "weight"
+    assert main["stopped_by"] == "certificate"
     for meta in (no_demands, no_capacity, unroutable):
         assert set(meta) == set(main)
         assert meta["stopped_by"] == "demands"
