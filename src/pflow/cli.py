@@ -21,7 +21,7 @@ from .generators import gen_random_instance, gen_reduction_instance
 from .harness import KNOWN_ALGS, SweepSpec, compare_runs, run_solver, write_csv
 from .instance_io import (emit_edge_solution, emit_instance, emit_solution,
                           parse_instance, parse_solution)
-from .lp import Objective, build_edge_lp, write_mps
+from .lp import Objective, build_edge_lp, solve_edge_lp, write_mps
 from .model import (InfeasibleError, ResourceLimitError, StructuralError,
                     validate_instance, verify_edge_solution)
 from .purchase import (round_budgeted_purchase, round_min_purchase,
@@ -61,13 +61,12 @@ def _cmd_solve(args) -> int:
         # runs below, pflow does not solve this model
         write_mps(build_edge_lp(inst.net, inst.demands, objective), args.emit_lp)
 
-    sol = run_solver(args.alg, inst.net, inst.demands, args.epsilon, objective)
-    if args.alg == "lp":
-        if args.format == "edge-flows":
-            emit_edge_solution(sol, inst, args.output)
-            return EXIT_OK
-        sol = decompose(sol, inst.net, inst.demands)
-    emit_solution(sol, args.output, format=args.format)
+    if args.format == "edge-flows":  # the master's walks summed into arc flows
+        emit_edge_solution(solve_edge_lp(inst.net, inst.demands, objective)[0], inst,
+                           args.output)
+    else:
+        sol = run_solver(args.alg, inst.net, inst.demands, args.epsilon, objective)
+        emit_solution(sol, args.output, format=args.format)
     return EXIT_OK
 
 

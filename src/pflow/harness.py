@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .lp import Objective, solve_edge_lp, solve_walk_master
+from .lp import Objective, master_walks, solve_walk_master
 from .model import Demand, FlowNetwork, StructuralError
 from .mwu import MWUConfig, mwu_solve
 from .naive import naive_solve, process_paths, route_paths
@@ -94,12 +94,12 @@ def run_solver(alg: str, net: FlowNetwork, demands: list[Demand],
     """The solver dispatch behind `pflow solve`. `compare_runs` calls it for
     mwu only: it runs lp and naive itself, to share work across grid points.
 
-    lp returns the walk master's walks summed into edge flows (an
-    EdgeFlowSolution, not yet decomposed), under any objective; mwu, with
-    accuracy `epsilon`, and naive return walks under the default one.
+    Every algorithm returns a WalkFlowSolution: lp the walk master's walks
+    (`lp.master_walks`) under any objective; mwu, with accuracy `epsilon`,
+    and naive under the default one.
     """
     if alg == "lp":
-        return solve_edge_lp(net, demands, objective)[0]
+        return master_walks(net, demands, *solve_walk_master(net, demands, objective=objective))
     if alg == "mwu":
         return mwu_solve(net, demands, MWUConfig(epsilon=epsilon))
     if alg == "naive":
@@ -124,10 +124,10 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     point's master starts with the columns the previous point's ended with
     (the last optimal point's, if a point failed), and skips the seed a
     fresh master starts from. The first point, and a point after one that
-    ended without columns, starts from that seed, exactly as a fresh
-    solve_edge_lp does, and every repetition of a point starts from the same
-    columns. An lp record's iterations are those of its own master, and its
-    objective equals a fresh solve_edge_lp of its grid point to rounding.
+    ended without columns, starts from that seed, exactly as a fresh solve
+    does, and every repetition of a point starts from the same columns. An
+    lp record's iterations are those of its own master, and its objective,
+    what the master's walks deliver, equals a fresh solve's to rounding.
     """
     algs = list(algorithms)
     for a in algs:
@@ -142,8 +142,8 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     def solve(alg: str, capped: FlowNetwork):
         nonlocal routing, ended
         if alg == "lp":
-            sol, _, ended = solve_walk_master(capped, demands, start)
-            return sol
+            res, ended, meta = solve_walk_master(capped, demands, start)
+            return master_walks(capped, demands, res, ended, meta)
         if alg != "naive":
             return run_solver(alg, capped, demands, epsilon)
         if routing is None:

@@ -15,6 +15,7 @@ restored on the way back in.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -134,9 +135,9 @@ def parse_instance(path: str) -> ParsedInstance:
 
 
 def _fmt(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == int(x) and abs(x) < 1e15:
+    """A number as instance text writes it; a non-finite one as inf, -inf or
+    nan, which parse_instance_text reads back."""
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
 
@@ -244,20 +245,19 @@ def emit_solution(sol, path: str, format: str = "document",
         return
     if format != "csv":
         raise ValueError(f"unknown solution format {format!r}")
-    lines = []
     if isinstance(sol, WalkFlowSolution):
-        lines.append("demand,flow,nodes,processing")
-        for e in sol.entries:
-            proc = " ".join(f"{v}:{amt}" for v, amt in sorted(e.processing.items()))
-            lines.append(f"{e.demand},{e.flow},{' '.join(e.nodes)},{proc}")
+        rows = [["demand", "flow", "nodes", "processing"]]
+        rows += [[e.demand, e.flow, " ".join(e.nodes),
+                  " ".join(f"{v}:{amt}" for v, amt in sorted(e.processing.items()))]
+                 for e in sol.entries]
     elif isinstance(sol, PurchaseSolution):
-        lines.append("demand,served_fraction")
-        for i in sorted(sol.served):
-            lines.append(f"{i},{sol.served[i]}")
+        rows = [["demand", "served_fraction"]]
+        rows += [[i, sol.served[i]] for i in sorted(sol.served)]
     else:
         raise TypeError(f"cannot emit {type(sol).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # csv quotes a field that holds a comma, such as a node named a,b
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def emit_edge_solution(sol: EdgeFlowSolution, inst: ParsedInstance,

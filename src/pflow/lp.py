@@ -38,9 +38,12 @@ MWU's rounds share (`charge_walks`); from there its rounds run as
 before. Pricing is one scipy Dijkstra run (`price_walks`) over a
 block-diagonal graph, one two-layer copy of the network per demand, whose
 weights are rewritten in place each round; the graph is built once per
-network and list of (source, sink) pairs. `solve_edge_lp` returns the
-walks summed into edge flows, as the arc formulation would. The arc
-formulation (`build_edge_lp`) serves MPS export and the tests' reference.
+network and list of (source, sink) pairs. A master's columns are walks
+already: `master_walks` hands them out through `WalkFold`, the one fold
+from (column, flow) pairs to walk entries, which MWU and naive use too;
+only `solve_edge_lp` sums them into edge flows, as the arc formulation
+would. The arc formulation (`build_edge_lp`) serves MPS export and the
+tests' reference.
 The same master over plain source->sink paths, one layer per demand, is
 the processing-blind multicommodity max flow that the naive baseline and
 the purchase greedy route by.
@@ -49,7 +52,7 @@ the purchase greedy route by.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +66,8 @@ except ImportError as exc:
                       "scipy.optimize._highspy._core") from exc
 
 from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
-                    ResourceLimitError, reject_degenerate_demands)
+                    ResourceLimitError, WalkEntry, WalkFlowSolution,
+                    reject_degenerate_demands)
 
 MAXITER = 200_000
 
@@ -470,16 +474,6 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     return m
 
 
-def _peak_ratio(net: FlowNetwork, sol: EdgeFlowSolution) -> float:
-    """The largest load/capacity ratio over the resources with capacity;
-    a congestion solution puts no load on the others."""
-    caps = net.group_capacity
-    ratios = [load / caps[g] for g, load in sol.group_loads(net).items() if caps[g] > 0]
-    ratios += [load / net.node_capacity[v] for v, load in sol.node_loads().items()
-               if net.node_capacity[v] > 0]
-    return max(ratios, default=0.0)
-
-
 # a walk prices into the master when its reduced cost exceeds this
 _PRICE_TOL = 1e-9
 
@@ -602,6 +596,56 @@ def _uses(net: FlowNetwork, arcs: tuple[int, ...], split: int, paths: bool
     return uses
 
 
+def _peak_ratio(net: FlowNetwork, cols: Sequence[Column], values: list[float]) -> float:
+    """The largest load/capacity ratio over the resources with capacity, the
+    loads summed off the columns (`_uses`); a congestion solution puts no
+    load on the others."""
+    capacity = net.group_capacity + tuple(net.node_capacity.values())
+    load = [0.0] * len(capacity)
+    for (_, arcs, split), val in zip(cols, values):
+        for r, m in _uses(net, arcs, split, paths=False).items():
+            load[r] += m * val
+    return max((x / c for x, c in zip(load, capacity) if c > 0), default=0.0)
+
+
+class WalkFold:
+    """Walk entries folded from (column, flow) pairs: one entry per (demand,
+    node sequence), processed at each column's vertex nodes[split], so that
+    columns of one walk processed at different vertices merge into one entry
+    that carries them all. The walk master's walks (`master_walks`), MWU's
+    rounds and naive's paths are all built through it."""
+
+    def __init__(self, net: FlowNetwork, demands: list[Demand]):
+        self.net, self.demands = net, demands
+        # (demand, nodes) -> [flow, {vertex: flow}], in the order first added
+        self.walks: dict[tuple[int, tuple[str, ...]], list] = {}
+        # column -> its walk's [flow, {vertex: flow}] and its vertex
+        self._ends: dict[Column, tuple[list, str]] = {}
+
+    def add(self, pairs: Iterable[tuple[Column, float]]) -> WalkFold:
+        """Add each column's flow to its walk and to its processing vertex."""
+        ends = self._ends
+        for col, flow in pairs:
+            end = ends.get(col)
+            if end is None:
+                i, arcs, split = col
+                nodes = (self.demands[i].source, *(self.net.arcs[a].head for a in arcs))
+                walk = self.walks.setdefault((i, nodes), [0.0, {}])
+                end = ends[col] = (walk, nodes[split])
+            walk, v = end
+            walk[0] += flow
+            walk[1][v] = walk[1].get(v, 0.0) + flow
+        return self
+
+    def entries(self, scale: Sequence[float] | None = None) -> list[WalkEntry]:
+        """The walks as entries, demand i's flows divided by scale[i] when
+        `scale` is given."""
+        if scale is None:
+            scale = [1.0] * len(self.demands)
+        return [WalkEntry(i, nodes, flow / scale[i], {v: amt / scale[i] for v, amt in proc.items()})
+                for (i, nodes), (flow, proc) in self.walks.items()]
+
+
 def charge_walks(net: FlowNetwork, walk: Callable[[int], Column], chosen: list[int],
                  capacity: list[float], limit: Sequence[float] | None = None
                  ) -> tuple[list[tuple[Column, float]], np.ndarray]:
@@ -658,8 +702,7 @@ def _seed_columns(net: FlowNetwork, demands: list[Demand], capacity: list[float]
 
 def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                       columns: Sequence[Column] = (), objective: Objective = Objective(),
-                      paths: bool = False
-                      ) -> tuple[EdgeFlowSolution | None, LPResult, list[Column]]:
+                      paths: bool = False) -> tuple[LPResult, list[Column], dict]:
     """`objective` over processed 2-walks, once `_check_objective` passes it;
     with `paths`, max total flow over plain source->sink paths.
 
@@ -684,8 +727,7 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     and Fulkerson, blind to processing: it has no node rows, never reads
     node capacity, and prices each demand's cheapest simple path under
     `FlowNetwork.legs` with v at its sink (`price_walks` with `paths`). Its
-    columns are those paths, each processed at its sink, and no edge flows
-    are summed: the solution returned is None.
+    columns are those paths, each processed at its sink.
 
     Min-max congestion is this master with demand rows fixed at R_i,
     capacity rows at most 0, walks worth 0, σ_i unclamped, and a column θ of
@@ -696,16 +738,16 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     demand of positive amount without a walk raises InfeasibleError, and
     meta["congestion"] is the peak load/capacity ratio (θ under min-max).
 
-    Returns the edge flows (`_edge_solution`), the LPResult (`x` indexed
-    like the columns) and the columns. A master's meta holds its objective,
-    simplex iterations, rounds (its own pricing rounds, not the seed's),
-    columns, and `seed_columns`, how many of those the seed contributed (0
-    for a master handed `columns`, and under min-max congestion); the final
-    round's largest gain (-inf without walks), and the dual bound under the
-    final prices:
-    Σ R_i σ_i (finite R_i) + Σ B_g y_g + Σ C_v z_v, or Σ R_i cost_i under
-    min-max. ResourceLimitError when the budget runs out or the master ends
-    other than optimal.
+    Returns the LPResult (`x` indexed like the columns), the columns and the
+    meta, and builds no solution: `master_walks` folds the columns into
+    walks, and `solve_edge_lp` sums them into edge flows. The meta holds the
+    objective, simplex iterations, rounds (its own pricing rounds, not the
+    seed's), columns, and `seed_columns`, how many of those the seed
+    contributed (0 for a master handed `columns`, and under min-max
+    congestion); the final round's largest gain (-inf without walks), and
+    the dual bound under the final prices: Σ R_i σ_i (finite R_i) + Σ B_g y_g
+    + Σ C_v z_v, or Σ R_i cost_i under min-max. ResourceLimitError when the
+    budget runs out or the master ends other than optimal.
     """
     kind = _check_objective(net, demands, objective)
     if paths and kind != "max-total-flow":
@@ -722,10 +764,8 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
         cost, cols = _cheapest_walks(net, demands, np.array(price))
         value = float(np.dot(amounts, cost))
         x = [amounts[i] for i, _, _ in cols]
-        sol = _edge_solution(net, demands, cols, x,
-                             {**meta, "lp_objective": value, "lp_iterations": 0})
-        sol.meta["congestion"] = _peak_ratio(net, sol)
-        return sol, LPResult("optimal", np.array(x), value, 0), cols
+        meta.update(lp_objective=value, lp_iterations=0, congestion=_peak_ratio(net, cols, x))
+        return LPResult("optimal", np.array(x), value, 0), cols, meta
 
     minmax = kind == "min-max-congestion"
     upper = amounts + capacity
@@ -794,9 +834,6 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
         x = np.asarray(highs.getSolution().col_value)[int(minmax):]
     finally:
         _release(highs)
-    res = LPResult("optimal", x, value, used)
-    if paths:
-        return None, res, cols
     if minmax:
         meta["congestion"] = value
         # a demand of amount 0 may have no walk, and so cost inf
@@ -805,7 +842,7 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
         bound = sum(b * y for b, y in zip(upper, price.tolist()) if y > 0.0)
     meta.update(lp_objective=value, lp_iterations=used, rounds=rounds, columns=len(cols),
                 seed_columns=seeded, dual_bound=bound, max_reduced_cost=reduced)
-    return _edge_solution(net, demands, cols, x.tolist(), meta), res, cols
+    return LPResult("optimal", x, value, used), cols, meta
 
 
 def _edge_solution(net: FlowNetwork, demands: list[Demand], cols: Sequence[Column],
@@ -843,11 +880,20 @@ def _cheapest_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
     return np.where(has, cost, 0.0), [walk(i) for i in np.flatnonzero(has).tolist()]
 
 
+def master_walks(net: FlowNetwork, demands: list[Demand], res: LPResult,
+                 cols: Sequence[Column], meta: dict) -> WalkFlowSolution:
+    """A walk master's answer as walks: its columns of value above SNAP,
+    folded (`WalkFold`), with its meta."""
+    pairs = [(col, x) for col, x in zip(cols, res.x.tolist()) if x > SNAP]
+    return WalkFlowSolution(WalkFold(net, demands).add(pairs).entries(), meta)
+
+
 def solve_edge_lp(net: FlowNetwork, demands: list[Demand],
                   objective: Objective = Objective()) -> tuple[EdgeFlowSolution, LPResult]:
     """Edge flows optimal under `objective`, and the LPResult: the walk
     master's (`solve_walk_master`), its walks summed."""
-    return solve_walk_master(net, demands, objective=objective)[:2]
+    res, cols, meta = solve_walk_master(net, demands, objective=objective)
+    return _edge_solution(net, demands, cols, res.x.tolist(), meta), res
 
 
 def write_mps(model: LPModel, path: str) -> None:

@@ -110,7 +110,6 @@ class FlowNetwork:
         self.groups = tuple(tuple(g) for g in groups)
         # topology caches, which with_node_capacity hands on to its copy
         self._barred: dict = {}  # (source, sink) -> barred(source, sink)
-        self._walk_plans: dict = {}  # (source, sink) -> the walk oracle's plan
         self._walk_graphs: dict = {}  # (paths, *(source, sink) pairs) -> pricing graph
 
     @property
@@ -206,13 +205,12 @@ class FlowNetwork:
     def with_node_capacity(self, caps: dict[str, float]) -> "FlowNetwork":
         """Copy of this network with node processing capacities replaced.
 
-        The copy shares this network's topology caches: the `barred` rules,
-        the walk oracle's plans and the walk master's pricing graphs, whose
-        structure no node capacity changes. So a capacity sweep builds them
-        once per instance, not once per grid point."""
+        The copy shares this network's topology caches: the `barred` rules
+        and the walk master's pricing graphs, whose structure no node
+        capacity changes. So a capacity sweep builds them once per instance,
+        not once per grid point."""
         net = FlowNetwork(self.nodes, self.edges, caps, directed=self.directed)
         net._barred, net._walk_graphs = self._barred, self._walk_graphs
-        net._walk_plans = self._walk_plans
         return net
 
 

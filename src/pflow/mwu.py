@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import charge_walks, price_walks
-from .model import (Demand, FlowNetwork, ResourceLimitError, WalkEntry, WalkFlowSolution,
+from .lp import WalkFold, charge_walks, price_walks
+from .model import (Demand, FlowNetwork, ResourceLimitError, WalkFlowSolution,
                     reject_degenerate_demands)
 
 
@@ -91,6 +91,7 @@ def iteration_bound(n_nodes: int, n_edges: int, epsilon: float, delta: float) ->
     return (n_nodes + e) * math.log(1.0 / (e * delta)) / epsilon
 
 
+@dataclass(frozen=True)
 class ShortestWalkResult:
     """Cheapest processed 2-walk costs from one source, with route recovery.
 
@@ -99,15 +100,12 @@ class ShortestWalkResult:
     carry inf. walk_to() rebuilds the argmin route for one target.
     """
 
-    __slots__ = ("net", "source_idx", "dist", "pred", "r", "origin")
-
-    def __init__(self, net, source_idx, dist, pred, r, origin):
-        self.net = net
-        self.source_idx = source_idx
-        self.dist = dist
-        self.pred = pred
-        self.r = r          # per node index
-        self.origin = origin  # arc into v on the processed leg, -1 at the seed
+    net: FlowNetwork
+    source_idx: int
+    dist: list[float]
+    pred: list[int]
+    r: list[float]  # per node index
+    origin: list[int]  # arc into v on the processed leg, -1 at the seed
 
     def cost_to(self, target: str) -> float:
         return self.r[self.net.node_index(target)]
@@ -145,22 +143,6 @@ def _bad_cost(c: float) -> str:
     return f"walk oracle: {'NaN' if math.isnan(c) else 'negative'} arc cost {c}"
 
 
-def _walk_plan(net: FlowNetwork, source: str, sink: str):
-    """What the walk oracle searches for a `source`->`sink` demand: (source
-    index, out-arcs open to unprocessed flow, out-arcs open to processed
-    flow). The out-arcs are `FlowNetwork.adjacency`'s (head index,
-    arc index) pairs, per node index, less the arcs `FlowNetwork.barred`
-    bars to that part. Built once per network and pair, and handed on by
-    `FlowNetwork.with_node_capacity`."""
-    wbar, gbar = net.barred(source, sink)
-    adj = net.adjacency
-    plan = net._walk_plans[source, sink] = (
-        net.node_index(source),
-        tuple(tuple(e for e in out if not wbar[e[1]]) for out in adj),
-        tuple(tuple(e for e in out if not gbar[e[1]]) for out in adj))
-    return plan
-
-
 def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
                               source: str, sink: str | None = None) -> ShortestWalkResult:
     """Two chained Dijkstra passes over arc costs plus one node-cost charge.
@@ -173,10 +155,9 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     Pass one computes plain distances d(v); pass two re-runs Dijkstra seeded
     with d(v) + node_cost(v), so settling v at cost r(v) means some walk
     reaches v with its processing already paid. Given the demand's `sink`,
-    the passes run on its plan (`_walk_plan`): pass one skips the arcs
-    `FlowNetwork.barred` bars to unprocessed flow and pass two those it
-    bars to processed flow, so walks to the sink follow the edge LP's rule;
-    without it no arc is skipped.
+    pass one skips the arcs `FlowNetwork.barred` bars to unprocessed flow
+    and pass two those it bars to processed flow, so walks to the sink
+    follow the edge LP's rule; without it no arc is skipped.
 
     Both passes settle every node, so every r(v) is exact.
 
@@ -188,10 +169,12 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     ValueError too.
     """
     inf = math.inf
-    if sink is None:
-        src, wadj, gadj = net.node_index(source), net.adjacency, net.adjacency
-    else:
-        src, wadj, gadj = net._walk_plans.get((source, sink)) or _walk_plan(net, source, sink)
+    src, adj = net.node_index(source), net.adjacency
+    wadj = gadj = adj
+    if sink is not None:  # `adjacency`'s (head index, arc index) pairs, less the barred arcs
+        wbar, gbar = net.barred(source, sink)
+        wadj = [[e for e in out if not wbar[e[1]]] for out in adj]
+        gadj = [[e for e in out if not gbar[e[1]]] for out in adj]
     if not isinstance(node_cost, list):
         node_cost = [float(node_cost.get(v, inf)) for v in net.nodes]
     push, pop = heapq.heappush, heapq.heappop
@@ -243,20 +226,14 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     return ShortestWalkResult(net, src, dist, pred, r, origin)
 
 
-def _entries(demands: list[Demand], merged: dict, placed: list[float], peak: float
-             ) -> tuple[list[WalkEntry], float]:
-    """The walks as returned, and the shared scale: all placed flow divided
-    by max(1, peak), and a capped demand that still overshoots its amount
-    shrunk alone, which cannot disturb any shared load."""
+def _scales(demands: list[Demand], placed: list[float], peak: float) -> list[float]:
+    """What each demand's placed flow is divided by: max(1, peak) for all,
+    and more for a capped demand that would still overshoot its amount,
+    which shrinks alone and so cannot disturb any shared load."""
     scale = max(peak, 1.0) * (1.0 + 1e-12)
-    demand_scale = [scale] * len(demands)
-    for i, d in enumerate(demands):
-        if placed[i] > 0 and math.isfinite(d.amount) and placed[i] / scale > d.amount:
-            demand_scale[i] = (placed[i] / d.amount) * (1.0 + 1e-12)
-    entries = [WalkEntry(i, nodes, flow / demand_scale[i],
-                         {v: amt / demand_scale[i] for v, amt in proc.items()})
-               for (i, nodes), (flow, proc) in merged.items()]
-    return entries, scale
+    return [(p / d.amount) * (1.0 + 1e-12)
+            if p > 0 and math.isfinite(d.amount) and p / scale > d.amount else scale
+            for d, p in zip(demands, placed)]
 
 
 def mwu_solve(net: FlowNetwork, demands: list[Demand],
@@ -302,9 +279,8 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
     budget = [d.amount * sigma for d in demands]  # pre-scaling caps
     placed = [0.0] * k
     active = np.ones(k, dtype=bool)
-    merged: dict[tuple[int, tuple], tuple[float, dict]] = {}  # (i, nodes) -> flow, {v: flow}
-    ends: dict[tuple, tuple[tuple[int, tuple], str]] = {}  # column -> (i, nodes), its vertex
-    upper, total, rounds, result = math.inf, 0.0, 0, None
+    fold = WalkFold(net, demands)  # the walks placed so far, before scaling
+    upper, total, rounds = math.inf, 0.0, 0
     while True:
         if rounds >= guard:
             raise ResourceLimitError(
@@ -325,8 +301,9 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
                                     [b - p for b, p in zip(budget, placed)])
         most = float(use.max())
         lam = 1.0 / most if most > 1.0 else 1.0
+        routed = []
         for col, f in charged:
-            i, arcs, split = col
+            i = col[0]
             if f == math.inf:
                 raise ResourceLimitError(
                     f"mwu ended unbounded: demand {i}'s walk has no finite capacity")
@@ -334,32 +311,25 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
             placed[i] += flow
             if placed[i] >= budget[i] - 1e-12:
                 active[i] = False
-            if flow <= 0.0:
-                continue
-            total += flow
-            if col not in ends:
-                nodes = (demands[i].source, *(net.arcs[a].head for a in arcs))
-                ends[col] = ((i, nodes), nodes[split])
-            key, v = ends[col]
-            old_f, old_p = merged.get(key, (0.0, {}))
-            old_p[v] = old_p.get(v, 0.0) + flow
-            merged[key] = (old_f + flow, old_p)
+            if flow > 0.0:
+                total += flow
+                routed.append((col, flow))
+        fold.add(routed)
         gain += lam * use
         peak = float(gain.max())
         target = (1.0 - eps) * upper
-        # the cheap test first; the value as returned decides
+        # the cheap test first; the value as returned, Σ flow / scale, decides
         if uncapped and total >= target * max(peak, 1.0) * (1.0 - 1e-9):
-            result = _entries(demands, merged, placed, peak)
-            if sum(e.flow for e in result[0]) >= target:
+            scale = _scales(demands, placed, peak)
+            if sum(walk[0] / scale[i] for (i, _), walk in fold.walks.items()) >= target:
                 meta["stopped_by"] = "certificate"
                 break
-            result = None
         if peak > gain_limit:
             meta["stopped_by"] = "weight"
             break
 
-    entries, scale = result or _entries(demands, merged, placed, float(gain.max()))
-    meta.update(iterations=rounds, scale=scale)
+    peak = float(gain.max())
+    meta.update(iterations=rounds, scale=max(peak, 1.0) * (1.0 + 1e-12))
     if uncapped:
         meta["upper_bound"] = upper
-    return WalkFlowSolution(entries, meta=meta)
+    return WalkFlowSolution(fold.entries(_scales(demands, placed, peak)), meta=meta)

@@ -15,43 +15,28 @@ so its weaknesses are deliberate and must stay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lp import solve_walk_master
+from .lp import master_walks, solve_walk_master
 from .model import SNAP, Demand, FlowNetwork, WalkEntry, WalkFlowSolution
 
 
-@dataclass(frozen=True)
-class Routing:
-    """Phase 1's output: (demand index, path, amount) in processing order,
-    the total routed and the path master's simplex iterations."""
-
-    paths: list[tuple[int, tuple[str, ...], float]]
-    routed: float
-    iterations: int
-
-
-def route_paths(net: FlowNetwork, demands: list[Demand]) -> Routing:
+def route_paths(net: FlowNetwork, demands: list[Demand]) -> WalkFlowSolution:
     """Phase 1: the max-flow routing as simple paths, in demand order: the
-    path master's columns that carry more than SNAP."""
-    _, res, cols = solve_walk_master(net, demands, paths=True)
-    paths = []
-    for (i, arcs, _), amount in sorted(zip(cols, res.x.tolist()), key=lambda cx: cx[0][0]):
-        if amount > SNAP:
-            nodes = (net.arcs[arcs[0]].tail, *(net.arcs[a].head for a in arcs))
-            paths.append((i, nodes, amount))
-    return Routing(paths, sum(amount for _, _, amount in paths), res.iterations)
+    path master's walks (`lp.master_walks`), each processed at its sink,
+    with the master's meta (`lp_iterations` its simplex iterations)."""
+    routing = master_walks(net, demands, *solve_walk_master(net, demands, paths=True))
+    routing.entries.sort(key=lambda e: e.demand)
+    return routing
 
 
-def process_paths(net: FlowNetwork, routing: Routing) -> WalkFlowSolution:
+def process_paths(net: FlowNetwork, routing: WalkFlowSolution) -> WalkFlowSolution:
     """Phase 2: process along each routed path against `net`'s node
     capacities; `routing` must come from a network with the same arcs."""
     residual = {v: net.capacity(v) for v in net.nodes}
     entries: list[WalkEntry] = []
-    for i, path, amount in routing.paths:
-        remaining = amount
+    for e in routing.entries:
+        remaining = e.flow
         processing: dict[str, float] = {}
-        for v in path[1:-1]:
+        for v in e.nodes[1:-1]:
             if remaining <= SNAP:
                 break
             take = min(remaining, residual[v])
@@ -59,14 +44,14 @@ def process_paths(net: FlowNetwork, routing: Routing) -> WalkFlowSolution:
                 processing[v] = processing.get(v, 0.0) + take
                 residual[v] -= take
                 remaining -= take
-        processed = amount - remaining
+        processed = e.flow - remaining
         if processed > SNAP:
-            entries.append(WalkEntry(i, path, processed, processing))
+            entries.append(WalkEntry(e.demand, e.nodes, processed, processing))
 
     return WalkFlowSolution(entries, meta={
         "algorithm": "naive",
-        "routed": routing.routed,
-        "lp_iterations": routing.iterations,
+        "routed": routing.objective,
+        "lp_iterations": routing.meta["lp_iterations"],
     })
 
 

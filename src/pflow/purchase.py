@@ -683,7 +683,7 @@ def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
     net = inst.net
     half = FlowNetwork(net.nodes, [(u, v, c / 2.0) for u, v, c in net.edges],
                        net.node_capacity, directed=False)
-    _, res, cols = solve_walk_master(half, inst.demands, paths=True)
+    res, cols, _ = solve_walk_master(half, inst.demands, paths=True)
     # x * processable / value, not x * (processable / value): a single path
     # then delivers processable exactly
     carried = res.x * proc_value / res.objective if res.objective > proc_value else res.x

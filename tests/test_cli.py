@@ -6,12 +6,14 @@ import math
 
 import pytest
 
+import pflow.cli
 import pflow.harness as harness
 import pflow.lp
 import pflow.purchase as purchase
 from pflow.cli import main
+from pflow.instance_io import parse_instance, parse_instance_text, parse_solution
 from pflow.lp import LPResult
-from pflow.model import ResourceLimitError
+from pflow.model import ResourceLimitError, verify_walk_solution
 
 LINE = """\
 graph directed
@@ -93,6 +95,51 @@ class TestSolve:
                    "--format", "csv", "-o", out) == 0
         assert out.read_text().startswith("demand,flow,nodes,processing")
 
+    def test_csv_quotes_a_node_name_with_a_comma(self, tmp_path):
+        # the parser takes any token as a node name, a,b too
+        src = tmp_path / "comma.pf"
+        src.write_text(LINE.replace("node a ", "node a,b ").replace("s a ", "s a,b ")
+                       .replace("edge a ", "edge a,b "))
+        out = tmp_path / "naive.csv"
+        assert run("solve", "--alg", "naive", "--input", src,
+                   "--format", "csv", "-o", out) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["demand", "flow", "nodes", "processing"],
+                        ["0", "3.0", "s a,b t", "a,b:3.0"]]
+
+    @pytest.mark.parametrize("objective", ["maxflow", "congestion"])
+    def test_lp_writes_the_masters_walks(self, objective, tmp_path, monkeypatch):
+        # the walks are the master's columns, not a decomposition of the
+        # edge flows they sum to: they verify, and deliver what the
+        # edge-flows document of the same solve delivers
+        def refuse(*a, **k):
+            raise AssertionError("solve --alg lp decomposed its edge flows")
+        monkeypatch.setattr(pflow.cli, "decompose", refuse)
+        inst = tmp_path / "inst.pf"
+        assert run("gen", "--kind", "random", "--nodes", 6, "--density", 0.5,
+                   "--demands", 3, "--seed", 3, "--amount", "5:9",
+                   "--node-cap", "1:2", "-o", inst) == 0
+        walks, edges = tmp_path / "walks.json", tmp_path / "edges.json"
+        for fmt, out in (("document", walks), ("edge-flows", edges)):
+            assert run("solve", "--alg", "lp", "--objective", objective, "--format", fmt,
+                       "--input", inst, "-o", out) == 0
+        parsed = parse_instance(inst)
+        rep = verify_walk_solution(parsed.net, parsed.demands, parse_solution(walks))
+        assert rep.ok, rep.problems
+        got, want = (json.loads(p.read_text())["objective"] for p in (walks, edges))
+        assert got > 0 and got == pytest.approx(want, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("value", ["-inf", "nan"])
+    def test_edge_flows_embed_a_non_finite_node_cost(self, tmp_path, value):
+        src = tmp_path / "cost.pf"
+        src.write_text(LINE.replace("node a cap=3", f"node a cap=3 cost={value}"))
+        edges = tmp_path / "edges.json"
+        assert run("solve", "--alg", "lp", "--format", "edge-flows",
+                   "--input", src, "-o", edges) == 0
+        embedded = parse_instance_text(json.loads(edges.read_text())["instance"])
+        assert repr(embedded.cost["a"]) == value
+
     def test_congestion_objective(self, tmp_path):
         src = tmp_path / "cong.pf"
         src.write_text(LINE.replace("demand s t", "demand s t amount=2"))
@@ -139,7 +186,7 @@ class TestSolve:
     def test_resource_limit_maps_to_4(self, line_pf, tmp_path, monkeypatch):
         def blow_up(*a, **k):
             raise ResourceLimitError("walk budget exhausted")
-        monkeypatch.setattr(harness, "solve_edge_lp", blow_up)
+        monkeypatch.setattr(harness, "solve_walk_master", blow_up)
         assert run("solve", "--alg", "lp", "--input", line_pf,
                    "-o", tmp_path / "x.json") == 4
 

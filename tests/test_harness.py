@@ -9,9 +9,9 @@ import pflow.lp
 import pflow.naive
 from pflow.generators import gen_random_instance
 from pflow.harness import (CSV_HEADER, KNOWN_ALGS, RunRecord, SweepSpec,
-                           compare_runs, half_subset, write_csv)
+                           compare_runs, half_subset, run_solver, write_csv)
 from pflow.decompose import decompose
-from pflow.lp import solve_edge_lp
+from pflow.lp import master_walks, solve_edge_lp
 from pflow.model import (Demand, FlowNetwork, ResourceLimitError, StructuralError,
                          verify_edge_solution, verify_walk_solution)
 from pflow.naive import naive_solve
@@ -196,17 +196,18 @@ def test_lp_records_match_a_fresh_solve_per_point():
         points = _lp_records(recs)
         assert len(points) == len(spec.grid())
         for k, (point, reps) in enumerate(points.items()):
-            fresh, res = solve_edge_lp(_point_network(net, spec, point), demands)
+            edges, _ = solve_edge_lp(_point_network(net, spec, point), demands)
+            fresh = run_solver("lp", _point_network(net, spec, point), demands, 0.1)
             assert [r.instance for r in reps] == [f"{point}/r1", f"{point}/r2"]
             for r in reps:
                 assert r.feasible and r.error is None
-                assert r.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+                assert r.objective == pytest.approx(edges.objective, rel=1e-9, abs=1e-9)
                 # repetitions of a point start from the same columns
                 assert (r.objective, r.iterations) == (reps[0].objective,
                                                        reps[0].iterations)
-                if k == 0:  # the first point solves cold
+                if k == 0:  # the first point solves cold: the same walks
                     assert (r.objective, r.iterations) == (fresh.objective,
-                                                           res.iterations)
+                                                           fresh.meta["lp_iterations"])
 
 
 def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
@@ -245,15 +246,18 @@ def test_warm_started_solutions_verify(monkeypatch):
 
     def keeping(net, demands, columns):
         out = real(net, demands, columns)
-        solved.append((net, demands, out[0]))
+        solved.append((net, demands, out))
         return out
 
     monkeypatch.setattr(pflow.harness, "solve_walk_master", keeping)
     for net, demands, spec in _sweep_cases():
         compare_runs(net, demands, spec, algorithms=("lp",))
     assert len(solved) == 8 * 2 * 3  # sweeps x repetitions x grid points
-    for net, demands, sol in solved:
+    for net, demands, (res, cols, meta) in solved:
+        sol = pflow.lp._edge_solution(net, demands, cols, res.x.tolist(), meta)
         rep = verify_edge_solution(net, demands, sol)
+        assert rep.ok, rep.problems
+        rep = verify_walk_solution(net, demands, master_walks(net, demands, res, cols, meta))
         assert rep.ok, rep.problems
         rep = verify_walk_solution(net, demands, decompose(sol, net, demands))
         assert rep.ok, rep.problems
@@ -284,7 +288,7 @@ def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
             # a master whose pricing finds no walk at all solves nothing, so
             # no iteration limit can fail it; every case here has a walk there
             if point == failed_point and real(_point_network(net, spec, point),
-                                              demands)[1].iterations > 0:
+                                              demands)[0].iterations > 0:
                 failed += 1
                 for r in reps:
                     assert not r.feasible and math.isnan(r.objective)

@@ -53,6 +53,18 @@ def test_text_round_trip_is_fixed_point():
     assert inst2.budget == 9.0 and inst2.cost == inst.cost
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_node_attributes_round_trip(value):
+    # validate_instance reads neither cost= nor potential=, so the instance
+    # an edge-flows document embeds may hold any number the parser reads
+    inst = parse_instance_text(LINE_TEXT.replace("cost=2 potential=7",
+                                                 f"cost={value} potential={value}"))
+    text = instance_text(inst)
+    back = parse_instance_text(text)
+    assert instance_text(back) == text
+    assert repr(back.cost["a"]) == repr(back.potential["a"]) == value
+
+
 def test_purchase_fields_round_trip():
     # disjoint ranges, so a potential read as a cost shows
     inst = gen_random_purchase(9, 0.4, potential_cap=(1, 6), cost_range=(10, 19),

@@ -11,10 +11,10 @@ import pytest
 import pflow.lp
 from pflow.generators import gen_random_instance, gen_random_purchase
 from pflow.decompose import decompose
-from pflow.lp import (LPModel, Objective, build_edge_lp, solve_edge_lp, solve_lp,
-                      solve_walk_master, write_mps)
+from pflow.lp import (LPModel, LPResult, Objective, WalkFold, build_edge_lp, master_walks,
+                      solve_edge_lp, solve_lp, solve_walk_master, write_mps)
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
-                         ResourceLimitError, StructuralError, validate_instance,
+                         ResourceLimitError, StructuralError, WalkEntry, validate_instance,
                          verify_edge_solution, verify_walk_solution)
 from pflow.mwu import shortest_processing_2walk
 from pflow.purchase import build_purchase_lp
@@ -303,12 +303,12 @@ def test_interleaved_solves_on_pooled_highs_match_fresh_ones(monkeypatch):
     edge = gen_random_instance(8, 0.5, node_cap=(1, 4), n_demands=3, seed=3,
                                amounts=(1, 4))
     calls = [
-        lambda: _outcome(*solve_walk_master(pur.net, pur.demands, paths=True)[1:]),
+        lambda: _outcome(*solve_walk_master(pur.net, pur.demands, paths=True)[:2]),
         lambda: _outcome(solve_lp(build_purchase_lp(pur, "budgeted", budget_cap=1.0))),
-        lambda: _outcome(*solve_walk_master(edge.net, edge.demands)[1:]),
+        lambda: _outcome(*solve_walk_master(edge.net, edge.demands)[:2]),
         lambda: _outcome(solve_lp(build_purchase_lp(pur, "min"))),
         lambda: _outcome(*solve_walk_master(edge.net, edge.demands,
-                                            objective=Objective("min-max-congestion"))[1:]),
+                                            objective=Objective("min-max-congestion"))[:2]),
         lambda: _outcome(solve_lp(build_edge_lp(edge.net, edge.demands))),
     ]
     fresh = []
@@ -338,12 +338,12 @@ def test_the_pool_keeps_only_plain_highs(monkeypatch, inst_line):
 
     net, demands = inst_line
     monkeypatch.setattr(pflow.lp, "_POOL", [])
-    want = _outcome(*solve_walk_master(net, demands)[1:])
+    want = _outcome(*solve_walk_master(net, demands)[:2])
     monkeypatch.setattr(pflow.lp, "_highs", Wrapper)
-    assert _outcome(*solve_walk_master(net, demands)[1:]) == want
+    assert _outcome(*solve_walk_master(net, demands)[:2]) == want
     assert made and all(type(h) is pflow.lp._Highs for h in pflow.lp._POOL)
     monkeypatch.setattr(pflow.lp, "_highs", real)
-    assert _outcome(*solve_walk_master(net, demands)[1:]) == want
+    assert _outcome(*solve_walk_master(net, demands)[:2]) == want
     assert len(pflow.lp._POOL) == 1 and type(pflow.lp._POOL[0]) is pflow.lp._Highs
 
 
@@ -370,7 +370,7 @@ def test_routing_lp_matches_the_net_outflow_reference(halved):
         cap = [c / 2.0 if halved else c for c in net.group_capacity]
         capped = FlowNetwork(net.nodes, [(u, v, c) for (u, v, _), c in zip(net.edges, cap)],
                              net.node_capacity, directed=net.directed)
-        got = solve_walk_master(capped, demands, paths=True)[1]
+        got = solve_walk_master(capped, demands, paths=True)[0]
         want = solve_lp(net_outflow_routing_lp(net, demands, cap))
         assert got.status == want.status == "optimal"
         assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
@@ -385,8 +385,8 @@ def test_path_master_takes_direct_arcs_and_reads_no_node_capacity():
     net = FlowNetwork("sat", [("s", "t", 1.0), ("s", "a", 2.0), ("a", "t", 2.0)],
                       {"t": 0.0})
     demands = [Demand("s", "t")]
-    sol, res, cols = solve_walk_master(net, demands, paths=True)
-    assert sol is None and res.objective == 3.0
+    res, cols, _ = solve_walk_master(net, demands, paths=True)
+    assert res.objective == 3.0
     carried = {}
     for (i, arcs, split), x in zip(cols, res.x.tolist()):
         nodes = [net.arcs[arcs[0]].tail] + [net.arcs[a].head for a in arcs]
@@ -698,12 +698,12 @@ def test_seed_runs_only_on_an_empty_max_flow_master(monkeypatch):
     monkeypatch.setattr(pflow.lp, "price_walks", counting)
     inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
     net, demands = inst.net, inst.demands
-    sol, _, cols = solve_walk_master(net, demands)
-    assert calls == pflow.lp.SEED_ROUNDS + sol.meta["rounds"]
-    assert 0 < sol.meta["seed_columns"] <= len(cols)
+    _, cols, meta = solve_walk_master(net, demands)
+    assert calls == pflow.lp.SEED_ROUNDS + meta["rounds"]
+    assert 0 < meta["seed_columns"] <= len(cols)
     calls = 0
-    again, _, _ = solve_walk_master(net, demands, cols[:3])
-    assert calls == again.meta["rounds"] and again.meta["seed_columns"] == 0
+    again = solve_walk_master(net, demands, cols[:3])[2]
+    assert calls == again["rounds"] and again["seed_columns"] == 0
     calls = 0
     solve_walk_master(net, demands, paths=True)
     paths = calls
@@ -713,9 +713,9 @@ def test_seed_runs_only_on_an_empty_max_flow_master(monkeypatch):
     assert paths == calls > 0
     capped = [Demand(d.source, d.sink, 1.0) for d in demands]
     calls = 0
-    congestion, _, _ = solve_walk_master(net, capped, objective=Objective("min-max-congestion"))
-    assert calls == 1 + congestion.meta["rounds"]
-    assert congestion.meta["seed_columns"] == 0
+    congestion = solve_walk_master(net, capped, objective=Objective("min-max-congestion"))[2]
+    assert calls == 1 + congestion["rounds"]
+    assert congestion["seed_columns"] == 0
 
 
 @pytest.mark.parametrize("kind", ["min-max-congestion", "min-weighted-congestion"])
@@ -783,6 +783,28 @@ def _priced_instances():
         [Demand("s", "t")]
 
 
+def test_fold_merges_the_columns_of_one_walk():
+    # two columns over s->a->b->t, processed at a and at b, are one walk:
+    # one entry carries both vertices, in the order first added, while the
+    # demand's other walk stays an entry of its own; a scale divides both
+    net = FlowNetwork("sabt", [("s", "a", 4.0), ("a", "b", 4.0), ("b", "t", 4.0),
+                               ("s", "b", 1.0)], {"a": 1.0, "b": 2.0})
+    demands = [Demand("s", "t")]
+    at_a, at_b, direct = (0, (0, 1, 2), 1), (0, (0, 1, 2), 2), (0, (3, 2), 1)
+    fold = WalkFold(net, demands).add([(at_a, 1.0), (direct, 0.5)]).add([(at_b, 2.0)])
+    assert fold.entries() == [WalkEntry(0, ("s", "a", "b", "t"), 3.0, {"a": 1.0, "b": 2.0}),
+                              WalkEntry(0, ("s", "b", "t"), 0.5, {"b": 0.5})]
+    assert fold.entries([2.0]) == [
+        WalkEntry(0, ("s", "a", "b", "t"), 1.5, {"a": 0.5, "b": 1.0}),
+        WalkEntry(0, ("s", "b", "t"), 0.25, {"b": 0.25})]
+    # a master's walks: its columns above SNAP, so the direct walk drops out
+    res = LPResult("optimal", np.array([1.0, 1e-13, 2.0]), 3.0)
+    walks = master_walks(net, demands, res, [at_a, direct, at_b], {"algorithm": "lp"})
+    assert walks.entries == fold.entries()[:1] and walks.meta == {"algorithm": "lp"}
+    rep = verify_walk_solution(net, demands, walks)
+    assert rep.ok, rep.problems
+
+
 def test_batched_pricing_matches_the_walk_oracle():
     # one Dijkstra run over the two-layer graphs prices every demand as the
     # walk oracle does, demand by demand; the prices are dyadic, so both
@@ -793,7 +815,6 @@ def test_batched_pricing_matches_the_walk_oracle():
         k, rows = len(demands), len(demands) + net.edge_count + net.n_nodes
         copy = net.with_node_capacity({v: float(rng.randint(0, 2)) for v in net.nodes})
         assert copy._walk_graphs is net._walk_graphs
-        assert copy._walk_plans is net._walk_plans
         rounds = [np.zeros(rows)] + [np.array([rng.randint(0, 8) / 8 for _ in range(rows)])
                                      for _ in range(3)]
         for cnet, price in [(net, p) for p in rounds] + [(copy, rounds[-1])]:

@@ -99,7 +99,8 @@ def test_routed_paths_are_simple_and_add_up_to_the_routing_optimum():
                               full.node_capacity, directed=full.directed)
             routing = route_paths(net, demands)
             per_demand = [0.0] * len(demands)
-            for i, path, amount in routing.paths:
+            for e in routing.entries:
+                i, path, amount = e.demand, e.nodes, e.flow
                 d = demands[i]
                 assert path[0] == d.source and path[-1] == d.sink, path
                 assert d.source not in path[1:] and d.sink not in path[:-1], path
@@ -107,11 +108,11 @@ def test_routed_paths_are_simple_and_add_up_to_the_routing_optimum():
                 assert all((u, v) in net.arc_index for u, v in zip(path, path[1:])), path
                 assert amount > 0.0
                 per_demand[i] += amount
-            assert [i for i, _, _ in routing.paths] == sorted(i for i, _, _ in routing.paths)
+            assert [e.demand for e in routing.entries] == sorted(e.demand for e in routing.entries)
             for d, got in zip(demands, per_demand):
                 assert got <= d.amount + feas_slack(d.amount)
-            assert sum(per_demand) == pytest.approx(routing.routed, rel=1e-12)
+            assert sum(per_demand) == pytest.approx(routing.objective, rel=1e-12)
             want = solve_lp(net_outflow_routing_lp(net, demands, net.group_capacity)).objective
-            assert abs(routing.routed - want) <= 1e-9 * max(1.0, want)
+            assert abs(routing.objective - want) <= 1e-9 * max(1.0, want)
         directed.add(full.directed)
     assert directed == {True, False}
