@@ -3,15 +3,15 @@ master and the edge formulation.
 
 An LPModel is plain arrays, its rows in the row-wise form HiGHS reads:
 columns and rows are added by index and carry no names, and solve_lp hands
-one to HiGHS as built, solves it by primal simplex and returns the column
-values as an array read by index. `commodity` adds one demand's split flow
-(below) with its balance rows, a column only where it can carry flow; the
-edge LP and the purchase module's LP are both built from it, each under its
-own bar lists, and read its `{arc: column}` maps. The builders write most
-rows in bulk and unchecked, through `LPModel.add_rows` (`commodity` its
-balance rows, the purchase LP its coupling rows); solve_lp and write_mps
-check every row of a model once (`LPModel.check`) before HiGHS or the file
-sees it. write_mps names column j C<j> and row k R<k>. HiGHS objects are
+the arrays to HiGHS as built, solves by primal simplex and returns the
+column values as an array read by index. `commodities` adds the split flow
+(below) of many demands in one batch of array operations, a column only
+where it can carry flow, and returns their balance rows and each demand's
+column layout; the edge LP and the purchase module's LP are both built
+from it, each under its own bar arrays, and each writes all of its rows
+in one `LPModel.add_rows` call, unchecked. solve_lp and write_mps check
+every row of a model once (`LPModel.check`) before HiGHS or the file sees
+it. write_mps names column j C<j> and row k R<k>. HiGHS objects are
 pooled: a process holds one per concurrent solve, which solve_lp and the
 walk master take (`_highs`), clear of the last model, and give back
 (`_release`), so that options are set once per object, not once per solve.
@@ -52,6 +52,7 @@ the purchase greedy route by.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -60,7 +61,7 @@ from scipy.sparse import csr_matrix
 
 try:  # the HiGHS binding scipy vendors as highspy's `_core` since 1.15
     from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
-                                               MatrixFormat, _Highs)
+                                               MatrixFormat, ObjSense, _Highs)
 except ImportError as exc:
     raise ImportError("pflow needs scipy>=1.15: solve_lp calls the HiGHS binding "
                       "scipy.optimize._highspy._core") from exc
@@ -80,22 +81,32 @@ _SENSES = ("<=", ">=", "==")
 # its current basis. threads stays HiGHS's default
 _OPTIONS = {"solver": "simplex", "presolve": "off", "output_flag": False,
             "simplex_strategy": 4}
+_ROWWISE, _MINIMIZE = int(MatrixFormat.kRowwise), int(ObjSense.kMinimize)
 _STATUS = {HighsModelStatus.kOptimal: "optimal",
            HighsModelStatus.kInfeasible: "infeasible",
            HighsModelStatus.kUnbounded: "unbounded"}
 
 
+# the rows of a model without any: starts, cols, coefs, senses, rhs, read-only
+# since every new model shares them until add_rows replaces them
+_NO_ROWS = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
+            np.zeros(0, dtype="<U2"), np.zeros(0))
+for _rows in _NO_ROWS:
+    _rows.flags.writeable = False
+
+
 class LPModel:
-    """A sparse LP held as arrays: column bounds `lo`/`hi`, rows in
-    HiGHS's row-wise form (row k's entries are `cols` and `coefs` at
-    positions starts[k] to starts[k+1], one per column) with `senses` and
-    `rhs`, and one linear objective keyed by column index.
+    """A sparse LP held as arrays: column bounds `lo`/`hi` (lists, one
+    entry per column), rows in HiGHS's row-wise form (row k's entries are
+    `cols` and `coefs` at positions starts[k] to starts[k+1], one per
+    column) with `senses` and `rhs`, all numpy arrays, and one linear
+    objective keyed by column index.
 
     `add_constraint` checks and sums each row it adds; `add_rows` writes
-    many at once, as built, for the builders (`commodity`, the purchase
-    LP's coupling rows). `check` validates every row at once, and
-    `solve_lp` and `write_mps` run it before HiGHS or the file sees the
-    model."""
+    many at once, as built, for the builders (the edge LP and the purchase
+    LP write all their rows in one call). `check` validates every row at
+    once, and `solve_lp` and `write_mps` run it before HiGHS or the file
+    sees the model."""
 
     def __init__(self, name: str = "lp", sense: str = "max"):
         if sense not in ("max", "min"):
@@ -104,11 +115,7 @@ class LPModel:
         self.sense = sense
         self.lo: list[float] = []
         self.hi: list[float] = []
-        self.starts: list[int] = [0]
-        self.cols: list[int] = []
-        self.coefs: list[float] = []
-        self.senses: list[str] = []
-        self.rhs: list[float] = []
+        self.starts, self.cols, self.coefs, self.senses, self.rhs = _NO_ROWS
         self.objective: dict[int, float] = {}
         self.info: dict = {}  # handles set by the formulation, e.g. column index maps
 
@@ -134,51 +141,49 @@ class LPModel:
             for j, coef in coeffs:
                 row[j] = row.get(j, 0.0) + coef
         self._check_columns(row, "a row")
-        self.cols += row
-        self.coefs += row.values()
-        self.starts.append(len(self.cols))
-        self.senses.append(sense)
-        self.rhs.append(rhs)
+        self.add_rows(list(row), list(row.values()), [len(row)], [sense], [rhs])
         return len(self.rhs) - 1
 
-    def add_rows(self, cols: list[int], coefs: list[float], ends: list[int],
-                 senses: list[str], rhs: list[float]) -> None:
+    def add_rows(self, cols, coefs, ends, senses, rhs) -> None:
         """Append rows in bulk, as built: row k holds the entries of `cols`
         and `coefs` before position ends[k] and from ends[k-1] (0 for the
         first row) on, with senses[k] and rhs[k]. Nothing is summed or
         checked here; `check` does that for the whole model."""
-        base = len(self.cols)
-        self.cols += cols
-        self.coefs += coefs
-        self.starts += [base + end for end in ends] if base else ends
-        self.senses += senses
-        self.rhs += rhs
+        rows = (np.asarray(ends, dtype=np.int64) + len(self.cols),
+                np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=float),
+                np.asarray(senses, dtype="<U2"), np.asarray(rhs, dtype=float))
+        if len(self.rhs):  # after the rows already there
+            rows = [np.concatenate(pair) for pair in zip(
+                (self.starts[1:], self.cols, self.coefs, self.senses, self.rhs), rows)]
+        self.starts = np.concatenate((_NO_ROWS[0], rows[0]))
+        self.cols, self.coefs, self.senses, self.rhs = rows[1:]
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
         self._check_columns(coeffs, "the objective")
         self.objective = dict(coeffs)
 
-    def check(self) -> None:
+    def check(self) -> tuple[np.ndarray, np.ndarray]:
         """Raise ValueError unless the rows are well formed: every sense is
         known, the row-wise arrays agree in length, and each row names
-        columns in [0, n_vars), none of them twice."""
-        if not set(self.senses) <= set(_SENSES):
+        columns in [0, n_vars), none of them twice. Returns each row's lower
+        and upper bound, as its sense and rhs give them."""
+        le, ge = self.senses == "<=", self.senses == ">="
+        if not (le | ge | (self.senses == "==")).all():
             raise ValueError(f"LP {self.name!r} has a bad constraint sense")
-        counts = np.diff(np.fromiter(self.starts, np.int64, len(self.starts)))
+        counts = self.starts[1:] - self.starts[:-1]
         if not (len(self.rhs) == len(self.senses) == len(counts)
                 and self.starts[0] == 0 and self.starts[-1] == len(self.cols)
-                == len(self.coefs) and (counts >= 0).all()):
+                == len(self.coefs) and not (counts < 0).any()):
             raise ValueError(f"LP {self.name!r} has malformed rows")
-        if not self.cols:
-            return
-        n = self.n_vars
-        cols = np.fromiter(self.cols, np.int64, len(self.cols))
-        if cols.min() < 0 or cols.max() >= n:
-            raise ValueError(f"LP {self.name!r}: a row names a column outside [0, {n})")
-        keys = np.repeat(np.arange(len(counts)) * n, counts) + cols
-        keys.sort()
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError(f"LP {self.name!r}: a row names a column twice")
+        if len(self.cols):
+            n = self.n_vars
+            if self.cols.min() < 0 or self.cols.max() >= n:
+                raise ValueError(f"LP {self.name!r}: a row names a column outside [0, {n})")
+            keys = np.arange(0, n * len(counts), n).repeat(counts) + self.cols
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
+                raise ValueError(f"LP {self.name!r}: a row names a column twice")
+        return np.where(le, -math.inf, self.rhs), np.where(ge, math.inf, self.rhs)
 
     @property
     def n_vars(self) -> int:
@@ -235,17 +240,11 @@ def _release(highs: _Highs) -> None:
         _POOL.append(highs)
 
 
-def _finite(vals: list[float]) -> bool:
-    """Whether every entry is finite. A finite sum has only finite terms, so
-    only a sum that is not finite, which an overflow of finite terms also
-    gives, needs the scan."""
-    return math.isfinite(sum(vals)) or bool(np.isfinite(np.asarray(vals, dtype=float)).all())
-
-
-def _run(highs: _Highs, limit: int) -> tuple[str, int]:
+def _run(highs: _Highs, limit: int) -> tuple[str, int, float]:
     """Run HiGHS with at most `limit` simplex iterations; its status as
-    LPResult names it, and the iterations taken. Raises ResourceLimitError
-    once the limit is reached, or if HiGHS ends in any other state."""
+    LPResult names it, the iterations taken and the objective value of
+    its last solution (minimized). Raises ResourceLimitError once the limit
+    is reached, or if HiGHS ends in any other state."""
     highs.setOptionValue("simplex_iteration_limit", limit)
     highs.run()
     status = highs.getModelStatus()
@@ -254,7 +253,9 @@ def _run(highs: _Highs, limit: int) -> tuple[str, int]:
     if status not in _STATUS:
         raise ResourceLimitError(
             f"solver failed: HiGHS status {highs.modelStatusToString(status)!r}")
-    return _STATUS[status], int(highs.getInfo().simplex_iteration_count)
+    info = highs.getInfo()  # a copy of every field HiGHS reports
+    return (_STATUS[status], int(info.simplex_iteration_count),
+            float(info.objective_function_value))
 
 
 def solve_lp(model: LPModel) -> LPResult:
@@ -269,109 +270,133 @@ def solve_lp(model: LPModel) -> LPResult:
     coefficient or rhs, or a NaN column bound, and ResourceLimitError if
     the iteration budget is exhausted or HiGHS ends in any other state.
     """
-    model.check()
-    n = model.n_vars
-    c = [0.0] * n
-    for j, coef in model.objective.items():
-        c[j] = coef
-    for what, vals in (("objective coefficient", c), ("matrix coefficient", model.coefs),
-                       ("rhs", model.rhs)):
-        if not _finite(vals):
-            raise ValueError(f"LP {model.name!r} has a non-finite {what}")
-    # a bound list sums to NaN if it holds a NaN (or both infinities)
-    if any(math.isnan(sum(b)) and np.isnan(np.asarray(b, dtype=float)).any()
-           for b in (model.lo, model.hi)):
+    lower, upper = model.check()
+    n, flip = model.n_vars, model.sense == "max"
+    # HiGHS minimizes: a maximized objective goes in negated, every entry
+    cost = np.empty(n)
+    cost.fill(-0.0 if flip else 0.0)
+    cost[list(model.objective)] = [-c if flip else c for c in model.objective.values()]
+    bounds = np.array((model.lo, model.hi), dtype=float)
+    if not np.isfinite(np.concatenate((cost, model.coefs, model.rhs))).all():
+        for what, vals in (("objective coefficient", cost), ("matrix coefficient", model.coefs),
+                           ("rhs", model.rhs)):
+            if not np.isfinite(vals).all():
+                raise ValueError(f"LP {model.name!r} has a non-finite {what}")
+    if np.isnan(bounds).any():
         raise ValueError(f"LP {model.name!r} has a NaN column bound")
-    lower = [-math.inf if s == "<=" else r for s, r in zip(model.senses, model.rhs)]
-    upper = [math.inf if s == ">=" else r for s, r in zip(model.senses, model.rhs)]
     if n == 0:
         # every row reads 0, so the model is feasible iff each row holds at 0
-        if all(lb <= 0.0 <= ub for lb, ub in zip(lower, upper)):
+        if ((lower <= 0.0) & (0.0 <= upper)).all():
             return LPResult("optimal", np.zeros(0), 0.0, 0)
         return LPResult("infeasible", None, math.nan, 0)
 
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = model.n_rows
-    lp.a_matrix_.format_ = MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = model.starts
-    lp.a_matrix_.index_ = model.cols
-    lp.a_matrix_.value_ = model.coefs
-    lp.col_cost_ = [-coef for coef in c] if model.sense == "max" else c
-    lp.col_lower_ = model.lo
-    lp.col_upper_ = model.hi
-    lp.row_lower_ = lower
-    lp.row_upper_ = upper
     highs = _highs()
     try:
-        if highs.passModel(lp) == HighsStatus.kError:
+        # the model's own arrays, which pybind hands on without a
+        # conversion per entry, and no integer columns
+        if highs.passModel(n, model.n_rows, len(model.cols), _ROWWISE, _MINIMIZE, 0.0, cost,
+                           bounds[0], bounds[1], lower, upper, model.starts, model.cols,
+                           model.coefs, np.zeros(n, dtype=np.int32)) == HighsStatus.kError:
             # a model HiGHS cannot load, e.g. with a lower bound of inf, has
             # no feasible point
             return LPResult("infeasible", None, math.nan, 0)
-        status, nit = _run(highs, MAXITER)
+        status, nit, obj = _run(highs, MAXITER)
         if status == "optimal":
-            obj = float(highs.getInfo().objective_function_value)
             x = np.asarray(highs.getSolution().col_value)
-            return LPResult("optimal", x, -obj if model.sense == "max" else obj, nit)
+            return LPResult("optimal", x, -obj if flip else obj, nit)
     finally:
         _release(highs)
     if status == "infeasible":
         return LPResult("infeasible", None, math.nan, nit)
-    return LPResult("unbounded", None, math.inf if model.sense == "max" else -math.inf,
-                    nit)
+    return LPResult("unbounded", None, math.inf if flip else -math.inf, nit)
 
 
-def commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar, p_at: list[str]
-              ) -> tuple[dict[int, int], dict[int, int], dict[str, int]]:
-    """Add one demand's processed flow to `m`, split as in the paper.
+# per network, `_balance_slots`' arrays, which only its topology decides;
+# held weakly, so an entry goes with its network
+_SLOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    Columns: per arc a, w (unprocessed) then g (processed), each only where
-    its bar list `wbar` / `gbar` leaves the arc open; then per node v of
-    `p_at`, in its order, the volume p processed at v. Rows, node by node: at every node but the source, w's
-    inflow minus outflow is p there; at every node but the sink, g's
-    outflow minus inflow is p there (0 at a node without p). A row lists p,
-    then the in-arcs, then the out-arcs, and is written exactly when it
-    has a term. An arc u->u enters and leaves u, so it is in no row.
-    Columns and rows go into the model in bulk, unchecked.
-    Returns the w and g columns as {arc: column} maps and the p columns as
-    {node: column}.
-    """
-    j = n0 = m.n_vars
-    w: dict[int, int] = {}
-    g: dict[int, int] = {}
-    for a, (wb, gb) in enumerate(zip(wbar, gbar)):
-        if not wb:
-            w[a] = j
-            j += 1
-        if not gb:
-            g[a] = j
-            j += 1
-    m.lo += [0.0] * (j - n0)
-    m.hi += [math.inf] * (j - n0)
-    p = {v: m.add_var() for v in p_at}
 
-    cols: list[int] = []
-    coefs: list[float] = []
-    ends: list[int] = []
-    loops = net.loops
-    for v in net.nodes:
-        ins, outs = net.in_arcs[v], net.out_arcs[v]
+def _balance_slots(net: FlowNetwork) -> tuple[np.ndarray, ...]:
+    """Every entry a demand's balance rows may hold, in the order they are
+    written: node by node, the w row then the g row, each listing p, then
+    the in-arcs, then the out-arcs, by arc index; an arc u->u is in none.
+    Per entry, its slot in `commodities`' column layout (w of arc a at 2a,
+    g at 2a + 1, p at node v at 2 n_arcs + v) and its coefficient, and the
+    node of its row if that is a w row (else -1), and if a g row; and where
+    each row starts (w's row at v is row 2v, g's 2v + 1). Built once per
+    network."""
+    slots = _SLOTS.get(net)
+    if slots is not None:
+        return slots
+    first_p = 2 * net.n_arcs
+    loops = {a for a, arc in enumerate(net.arcs) if arc.tail == arc.head}
+    slot, coef, w_at, g_at, starts = [], [], [], [], []
+    for v, node in enumerate(net.nodes):
+        ins, outs = net.in_arcs[node], net.out_arcs[node]
         if loops:
-            ins = [a for a in ins if a not in loops]
-            outs = [a for a in outs if a not in loops]
-        at = [p[v]] if v in p else []
+            ins, outs = [a for a in ins if a not in loops], [a for a in outs if a not in loops]
+        size = 1 + len(ins) + len(outs)
+        starts += [len(slot), len(slot) + size]
+        w = [2 * a for a in (*ins, *outs)]  # the arcs' w slots; each g slot is next
+        slot += [first_p + v, *w, first_p + v, *[j + 1 for j in w]]
         # w: p - inflow + outflow == 0; g: p + inflow - outflow == 0
-        for part, sign, end in ((w, -1.0, d.source), (g, 1.0, d.sink)):
-            if v == end:
-                continue
-            into = [part[a] for a in ins if a in part]
-            out = [part[a] for a in outs if a in part]
-            if at or into or out:
-                cols += at + into + out
-                coefs += [1.0] * len(at) + [sign] * len(into) + [-sign] * len(out)
-                ends.append(len(cols))
-    m.add_rows(cols, coefs, ends, ["=="] * len(ends), [0.0] * len(ends))
-    return w, g, p
+        coef += [1.0, *[-1.0] * len(ins), *[1.0] * len(outs),
+                 1.0, *[1.0] * len(ins), *[-1.0] * len(outs)]
+        w_at += [v] * size + [-1] * size
+        g_at += [-1] * size + [v] * size
+    slots = _SLOTS[net] = tuple(np.array(x) for x in (slot, coef, w_at, g_at, starts))
+    return slots
+
+
+def commodities(m: LPModel, net: FlowNetwork, ends: np.ndarray, bars: np.ndarray,
+                p_at: np.ndarray, outflow: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Add the processed flow of k demands to `m`, each split as in the
+    paper, in one batch: demand b runs from node index ends[b, 0] to
+    ends[b, 1] under the bar arrays bars[b, 0] (w's) and bars[b, 1] (g's),
+    in the form of `FlowNetwork.barred`.
+
+    Columns, demand by demand: per arc a, w (unprocessed) then g
+    (processed), each only where its bar array leaves the arc open; then
+    per node v where p_at[b, v], in node order, the volume p processed at
+    v. Rows, demand by demand and node by node: at every node but the
+    source, w's inflow minus outflow is p there; at every node but the
+    sink, g's outflow minus inflow is p there (0 at a node without p). A
+    row lists p, then the in-arcs, then the out-arcs (`_balance_slots`),
+    and is written exactly when it has a term. Where outflow[b], demand b's
+    rows end with one more: its w columns on the arcs out of its source.
+
+    Only the columns go into the model. Returns `col`, the column of each
+    demand's layout slot (w of arc a at 2a, g at 2a + 1, p at node v at
+    2 n_arcs + v; -1 where it has none), and the rows for the caller to
+    write among its own: their entries' columns and coefficients, in
+    order, and `count`, per demand and row slot (2v: w's row at v, 2v + 1:
+    g's, 2 n_nodes: the outflow row), how many entries that row holds.
+    """
+    n, n_arcs, k = net.n_nodes, net.n_arcs, len(ends)
+    has = np.empty((k, 2 * n_arcs + n), dtype=bool)
+    np.logical_not(bars, out=has[:, :2 * n_arcs].reshape(k, n_arcs, 2).transpose(0, 2, 1))
+    has[:, 2 * n_arcs:] = p_at
+    opened = has.ravel().nonzero()[0]
+    col = np.empty(has.shape, dtype=np.int64)
+    col.fill(-1)
+    col.reshape(-1)[opened] = np.arange(m.n_vars, m.n_vars + len(opened))
+    m.lo += [0.0] * len(opened)
+    m.hi += [math.inf] * len(opened)
+
+    slot, coef, w_at, g_at, starts = _balance_slots(net)
+    # no w row at the source, no g row at the sink
+    live = has[:, slot] & (w_at != ends[:, :1]) & (g_at != ends[:, 1:])
+    count = np.add.reduceat(live, starts, axis=1, dtype=np.int64) if len(slot) else \
+        np.zeros((k, 0), dtype=np.int64)
+    if outflow is not None:
+        out = ~bars[:, 0] & (net.arc_ends[0] == ends[:, :1]) & outflow[:, None]
+        slot = np.concatenate((slot, 2 * np.arange(n_arcs)))
+        coef = np.concatenate((coef, np.ones(n_arcs)))
+        live = np.concatenate((live, out), axis=1)
+        count = np.concatenate((count, out.sum(axis=1, keepdims=True)), axis=1)
+    b, j = live.nonzero()
+    return col, col[b, slot[j]], coef[j], count
 
 
 @dataclass(frozen=True)
@@ -417,60 +442,74 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     once `_check_objective` passes `objective`: what `--emit-lp` writes, and
     the tests' reference for `solve_walk_master`.
 
-    Each demand is one `commodity` under `FlowNetwork.barred`, with p at
-    every non-source node. An arc's load w + g draws on its group's
-    bandwidth, Σp on node capacity, and a demand delivers its source
-    outflow: at most a finite amount, or exactly that amount under the
-    congestion objectives, where an edge or node of capacity 0 gets no
-    column. Rows with no column are left out. `info["w"][i]`,
-    `info["g"][i]` and `info["p"][i]` map demand i's arcs and nodes to its
-    columns.
+    The demands are `commodities` under `FlowNetwork.barred`, with p at
+    every non-source node, each demand's balance rows followed by its
+    source outflow row: the amount it delivers, at most a finite amount, or
+    exactly that amount under the congestion objectives, where an edge or
+    node of capacity 0 gets no column. Then an arc's load w + g draws on its
+    group's bandwidth and Σp on node capacity, one row per group and per
+    node, each listing its columns arc by arc (w of every demand, then g)
+    or demand by demand. Rows with no column are left out, but for a
+    congestion objective's outflow rows. `info["col"][i]` is demand i's
+    column layout in `commodities`' form.
     """
     kind = _check_objective(net, demands, objective)
     congestion = kind != "max-total-flow"
     m = LPModel(name=f"edge-{kind}", sense="min" if congestion else "max")
-    wvar: list[dict[int, int]] = []
-    gvar: list[dict[int, int]] = []
-    pvar: list[dict[str, int]] = []
-    shut = [congestion and net.group_capacity[arc.group] <= 0 for arc in net.arcs]
-    net_out = []
-    for d in demands:
-        wbar, gbar = net.barred(d.source, d.sink)
-        p_at = [v for v in net.nodes
-                if v != d.source and not (congestion and net.node_capacity[v] <= 0)]
-        w, g, p = commodity(m, net, d, [b or s for b, s in zip(wbar, shut)],
-                            [b or s for b, s in zip(gbar, shut)], p_at)
-        wvar.append(w)
-        gvar.append(g)
-        pvar.append(p)
-        out_i = [(w[a], 1.0) for a in net.out_arcs[d.source] if a in w]
-        if congestion:
-            m.add_constraint(out_i, "==", d.amount)
-        elif math.isfinite(d.amount) and out_i:
-            m.add_constraint(out_i, "<=", d.amount)
-        net_out += out_i
+    n, n_arcs, k, groups = net.n_nodes, net.n_arcs, len(demands), net.edge_count
+    pairs = [(d.source, d.sink) for d in demands]
+    ends = np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs],
+                    dtype=np.int64).reshape(k, 2)
+    amount = np.array([d.amount for d in demands], dtype=float)
+    # per resource, the bandwidth groups then the nodes
+    shut = net.closed if congestion else np.zeros(groups + n, dtype=bool)
+    group = np.array([a.group for a in net.arcs], dtype=np.int64)
+    col, cols, coefs, count = commodities(
+        m, net, ends, _barred(net, pairs) | shut[group],
+        (np.arange(n) != ends[:, :1]) & ~shut[groups:], np.full(k, congestion) | np.isfinite(amount))
+    written = count > 0
+    written[:, -1] |= congestion
+    b, row = np.nonzero(written)
+    out = row == 2 * n
+    senses = [np.where(out, "==" if congestion else "<=", "==")]
+    rhs = [np.where(out, amount[b], 0.0)]
+    lengths = [count[b, row]]
 
     theta = m.add_var() if kind == "min-max-congestion" else None
-    ew, nw = objective.edge_weights or {}, objective.node_weights or {}
-    # each bandwidth group's load Σ(w + g) and each node's Σp, with its
-    # capacity and weight; a resource with no column carries nothing
-    loads = [([(part[a], 1.0) for a in arcs for part in wvar + gvar if a in part],
-              cap, ew.get(g, 1.0))
-             for g, (arcs, cap) in enumerate(zip(net.groups, net.group_capacity))]
-    loads += [([(p[v], 1.0) for p in pvar if v in p], net.node_capacity[v], nw.get(v, 1.0))
-              for v in net.nodes]
-    obj = {theta: 1.0} if theta is not None else {} if congestion else dict(net_out)
-    for coeffs, cap, weight in loads:
-        if not coeffs:
-            continue
-        if not congestion:
-            m.add_constraint(coeffs, "<=", cap)
-        elif theta is not None:
-            m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
-        else:
-            obj.update((j, weight * c / cap) for j, c in coeffs)
+    # each resource's columns: slot by slot (arc by arc, w before g, then
+    # node by node), demand by demand within a slot
+    load = col.T.ravel()
+    resource = np.repeat(np.concatenate((np.repeat(group, 2), groups + np.arange(n))), k)
+    load, resource = load[load >= 0], resource[load >= 0]
+    per = np.bincount(resource, minlength=groups + n)
+    used = np.flatnonzero(per)
+    cap = np.array(net.group_capacity + tuple(net.node_capacity.values()))
+    if kind == "max-total-flow":
+        w = col[:, :2 * n_arcs:2]
+        outs = w[(net.arc_ends[0] == ends[:, :1]) & (w >= 0)]
+        obj = dict.fromkeys(outs.tolist(), 1.0)
+        cols, coefs = [cols, load], [coefs, np.ones(len(load))]
+        lengths.append(per[used])
+        senses.append(np.full(len(used), "<="))
+        rhs.append(cap[used])
+    elif theta is not None:
+        obj = {theta: 1.0}
+        at = np.cumsum(per[used])
+        cols = [cols, np.insert(load, at, theta)]
+        coefs = [coefs, np.insert(np.ones(len(load)), at, -cap[used])]
+        lengths.append(per[used] + 1)
+        senses.append(np.full(len(used), "<="))
+        rhs.append(np.zeros(len(used)))
+    else:
+        ew, nw = objective.edge_weights or {}, objective.node_weights or {}
+        weight = np.array([ew.get(g, 1.0) for g in range(groups)]
+                          + [nw.get(v, 1.0) for v in net.nodes], dtype=float)
+        obj = dict(zip(load.tolist(), (weight[resource] / cap[resource]).tolist()))
+        cols, coefs = [cols], [coefs]
+    m.add_rows(np.concatenate(cols), np.concatenate(coefs), np.cumsum(np.concatenate(lengths)),
+               np.concatenate(senses), np.concatenate(rhs))
     m.set_objective(obj)
-    m.info = {"w": wvar, "g": gvar, "p": pvar}
+    m.info = {"col": col}
     return m
 
 
@@ -489,13 +528,22 @@ SEED_EPSILON = 0.5
 Column = tuple[int, tuple[int, ...], int]
 
 
+def _barred(net: FlowNetwork, pairs: list[tuple[str, str]]) -> np.ndarray:
+    """`FlowNetwork.barred` of every (source, sink) pair, as one boolean
+    array of shape (len(pairs), 2, n_arcs): w's bars, then g's."""
+    # bytes() of a tuple of bools is its 0/1 bytes, faster than np.array
+    bars = b"".join(bytes(bar) for s, t in pairs for bar in net.barred(s, t))
+    return np.frombuffer(bars, dtype=bool).reshape(len(pairs), 2, net.n_arcs)
+
+
 class _WalkGraph:
     """The pricing graph of one list of (source, sink) pairs: block b is a
     copy of the network for pair b. For 2-walks it has two layers, nodes
     2nb + v (unprocessed) and 2nb + n + v (processed): layer 0 holds the arcs
     `FlowNetwork.barred` leaves open to w, layer 1 those open to g, and
     v0->v1 processes at v. For plain paths it is the one layer nb + v of the
-    arcs `FlowNetwork.legs` with v at the sink leaves open to w. Each
+    arcs `FlowNetwork.legs` leaves open to the leg source->sink: w's, with v
+    at the sink. Each
     entry's weight is the price of the master row its key names: the arc's
     group row k + g, or node v's row k + G + v. Only the weights change from
     round to round."""
@@ -504,18 +552,15 @@ class _WalkGraph:
 
     def __init__(self, net: FlowNetwork, pairs: list[tuple[str, str]], paths: bool):
         n, k, layers = net.n_nodes, len(pairs), 1 if paths else 2
-        tail = np.array([net.node_index(a.tail) for a in net.arcs], dtype=np.int64)
-        head = np.array([net.node_index(a.head) for a in net.arcs], dtype=np.int64)
+        tail, head = net.arc_ends
         group = k + np.array([a.group for a in net.arcs], dtype=np.int64)
         ends = np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs],
                         dtype=np.int64).reshape(k, 2)
         # open[b, layer, a]: arc a is open to pair b's w (layer 0) or g (layer 1)
-        if paths:  # `FlowNetwork.legs(s, t, t)`'s w: never enter s or leave t
-            s, t = ends[:, :1], ends[:, 1:]
-            is_open = ~((s == t) | (head == s) | (tail == t))[:, None, :]
-        else:  # bytes() of a tuple of bools is its 0/1 bytes, faster than np.array
-            bars = b"".join(bytes(bar) for s, t in pairs for bar in net.barred(s, t))
-            is_open = ~np.frombuffer(bars, dtype=bool).reshape(k, layers, net.n_arcs)
+        if paths:  # one leg, source->sink
+            is_open = ~net.legs(ends[:, :1], ends[:, 1:])
+        else:
+            is_open = ~_barred(net, pairs)
         b, layer, a = np.nonzero(is_open)
         first = n * (layers * b + layer)
         rows, cols, keys = first + tail[a], first + head[a], group[a]
@@ -726,7 +771,8 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     With `paths` the master is the plain multicommodity max flow of Ford
     and Fulkerson, blind to processing: it has no node rows, never reads
     node capacity, and prices each demand's cheapest simple path under
-    `FlowNetwork.legs` with v at its sink (`price_walks` with `paths`). Its
+    `FlowNetwork.legs`, its one leg running source->sink (`price_walks`
+    with `paths`). Its
     columns are those paths, each processed at its sink.
 
     Min-max congestion is this master with demand rows fixed at R_i,
@@ -812,11 +858,11 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                               np.array(index, dtype=np.int32), np.array(coefs, dtype=float))
                 cols += batch
                 known.update(batch)
-                status, nit = _run(highs, MAXITER - used)
+                status, nit, obj = _run(highs, MAXITER - used)
                 used += nit
                 if status != "optimal":
                     raise ResourceLimitError(f"walk master ended {status}")
-                value = (1.0 if minmax else -1.0) * float(highs.getInfo().objective_function_value)
+                value = (1.0 if minmax else -1.0) * obj
                 dual = np.asarray(highs.getSolution().row_dual)
                 if not np.isfinite(dual).all():
                     raise ResourceLimitError("walk master returned a non-finite row dual")
@@ -909,7 +955,7 @@ def write_mps(model: LPModel, path: str) -> None:
     lines = [f"NAME          {model.name}", "OBJSENSE",
              f"    {'MAXIMIZE' if model.sense == 'max' else 'MINIMIZE'}", "ROWS",
              " N  OBJ"]
-    lines += [f" {sense_tag[s]}  R{k}" for k, s in enumerate(model.senses)]
+    lines += [f" {sense_tag[s]}  R{k}" for k, s in enumerate(model.senses.tolist())]
     lines.append("COLUMNS")
     for j in range(model.n_vars):
         span = slice(A.indptr[j], A.indptr[j + 1])
@@ -918,7 +964,7 @@ def write_mps(model: LPModel, path: str) -> None:
         entries.append(("OBJ", model.objective.get(j, 0.0)))
         lines += [f"    C{j}  {row}  {coef!r}" for row, coef in entries if coef != 0.0]
     lines.append("RHS")
-    lines += [f"    RHS  R{k}  {rhs!r}" for k, rhs in enumerate(model.rhs) if rhs != 0.0]
+    lines += [f"    RHS  R{k}  {rhs!r}" for k, rhs in enumerate(model.rhs.tolist()) if rhs != 0.0]
     lines.append("BOUNDS")
     for j, (lo, hi) in enumerate(zip(model.lo, model.hi)):
         if lo == hi:

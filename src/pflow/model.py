@@ -143,12 +143,6 @@ class FlowNetwork:
                      for v in self.nodes)
 
     @functools.cached_property
-    def loops(self) -> frozenset[int]:
-        """The arcs u->u. `validate_instance` rejects them; the LP builders
-        leave them out of every flow-conservation row."""
-        return frozenset(a for a, arc in enumerate(self.arcs) if arc.tail == arc.head)
-
-    @functools.cached_property
     def closed(self) -> np.ndarray:
         """Per resource, the bandwidth groups then the nodes, whether its
         capacity is 0 (or less): the walk master's pricer prices those at
@@ -177,21 +171,29 @@ class FlowNetwork:
             rule = self._barred[source, sink] = (w, g)
         return rule
 
-    def legs(self, source: str, sink: str,
-             v: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-        """The leg rule of a `source`->`sink` demand processed at v, in
-        `barred`'s form, computed on each call.
+    @functools.cached_property
+    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tail and the head node index of every arc, by arc index."""
+        tail = np.array([self._index[a.tail] for a in self.arcs], dtype=np.int64)
+        head = np.array([self._index[a.head] for a in self.arcs], dtype=np.int64)
+        return tail, head
 
-        The unprocessed part w runs source->v and ends where it is
-        processed: it may not enter the source or leave v, and when v is the
-        source it is barred everywhere (flow departs processed). The
-        processed part g runs v->sink: it may not enter v or leave the sink,
-        and when v is the sink it is barred everywhere (flow converts on
-        arrival). With v at the sink, w alone is a plain source->sink flow.
+    def legs(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """The leg rule: a leg from node a to node b may not enter a or
+        leave b, and is empty (barred from every arc) when a = b. For node
+        index arrays `start` and `end` of one shape, whether each leg may
+        not use each arc, as a boolean array of that shape plus (n_arcs,).
+
+        Processed at v, a `source`->`sink` demand's unprocessed part w is
+        the leg source->v, so it never enters the source and ends where it
+        is processed, and is empty when v is the source (flow departs
+        processed). Its processed part g is the leg v->sink, empty when v is
+        the sink (flow converts on arrival). With v at the sink, w alone is
+        a plain source->sink flow.
         """
-        w = tuple(v == source or a.head == source or a.tail == v for a in self.arcs)
-        g = tuple(v == sink or a.head == v or a.tail == sink for a in self.arcs)
-        return w, g
+        tail, head = self.arc_ends
+        start, end = start[..., None], end[..., None]
+        return (start == end) | (head == start) | (tail == end)
 
     def node_index(self, v: str) -> int:
         try:

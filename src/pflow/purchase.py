@@ -11,12 +11,13 @@ purchase LP: its final routing is the walk master over plain paths.
 
 Each unit is routed as a two-leg itinerary through its chosen processing
 vertex v, an unprocessed leg source->v and a processed leg v->sink: per
-(demand, candidate) pair, the edge LP's split flow (`lp.commodity`, w then
-g, with p only at v) under the pair's leg rule, `FlowNetwork.legs`. Unlike
-the fixed-capacity world, processing at the source or sink itself is
-legitimate here (the itinerary then has a single leg). The greedy's final
-routing is `lp.solve_walk_master` with `paths`: simple paths under the same
-leg rule with v at each demand's sink.
+(demand, candidate) pair, the edge LP's split flow (w then g, with p only
+at v) under the pair's leg rule, `FlowNetwork.legs`, all pairs built in one
+batch by `lp.commodities`. Unlike the fixed-capacity world, processing at
+the source or sink itself is legitimate here (the itinerary then has a
+single leg). The greedy's final routing is `lp.solve_walk_master` with
+`paths`: simple paths whose one leg runs from each demand's source to its
+sink under the same rule.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .lp import LPModel, LPResult, commodity, solve_lp, solve_walk_master
+import numpy as np
+
+from .lp import LPModel, LPResult, commodities, solve_lp, solve_walk_master
 from .model import (SNAP, EdgeFlowSolution, FlowNetwork, InfeasibleError, PurchaseInstance,
                     PurchaseSolution, StructuralError, ValidationReport,
                     feas_slack, validate_instance)
@@ -96,11 +99,11 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                       fix: dict[str, float] | None = None) -> LPModel:
     """Arc LP over fractional purchases.
 
-    Variables: x(v) in [0,1] per open candidate, plus one `lp.commodity`
-    per (demand i, open candidate v): w and g columns on the arcs its bar
-    lists leave open and a single p column, at v. Its bar lists are the
-    pair's leg rule,
-    `FlowNetwork.legs`: the unprocessed leg runs source->v and the
+    Variables: x(v) in [0,1] per open candidate, then, per (demand i, open
+    candidate v) pair in that order, the pair's split flow
+    (`lp.commodities`, one batch for all pairs): w and g columns on the
+    arcs its leg rule leaves open and a single p column, at v. The leg rule
+    is `FlowNetwork.legs`: the unprocessed leg runs source->v and the
     processed leg v->sink, and a candidate at the demand's source or sink
     leaves a single leg. Cover-style reductions lean on these endpoint
     candidates, so they are first-class here. p(i, v) is both what the
@@ -112,7 +115,7 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     carries the summed load of ALL pairs, so the aggregate must fit the
     actual capacity B(e); any integral purchase satisfies that bound, hence
     adding it keeps the LP a relaxation while making rounded superpositions
-    fit in expectation.
+    fit in expectation. All rows go into the model in one `add_rows` call.
 
     `mode` "min": minimize total purchase cost, serve every demand in full.
     "budgeted": maximize Σ p, demands become upper bounds, and the
@@ -121,88 +124,114 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     known anyway).
 
     `fix` pins x(v) to fix.get(v, 0). A candidate pinned to 0 gets no x
-    column, no commodities and none of the rows they would feed: p <= R x = 0
+    column, no pairs and none of the rows they would feed: p <= R x = 0
     lets such pairs deliver nothing, so dropping them leaves the optimum as
-    it is. `info["x"]` maps the open candidates to their x columns, and
-    `info["w"]`, `info["g"]` and `info["p"]` each (i, v) pair to its
-    commodity's columns.
+    it is. `info["x"]` maps the open candidates to their x columns,
+    `info["pairs"]` lists the (i, v) pairs, `info["col"]` holds their
+    `commodities` column layouts, pair by pair, and `info["p"]` their p
+    columns.
     """
     net = inst.net
-    nd = len(inst.demands)
-    cands = inst.candidates()
+    nd, n_arcs = len(inst.demands), net.n_arcs
     m = LPModel(f"purchase-{mode}", sense="min" if mode == "min" else "max")
 
     xvar: dict[str, int] = {}  # the open candidates' x columns
-    for v in cands:
+    for v in inst.candidates():
         if fix is None:
             xvar[v] = m.add_var(0.0, 1.0)
         elif fix.get(v, 0.0) != 0.0:
             xvar[v] = m.add_var(float(fix[v]), float(fix[v]))
+    nv, xs = len(xvar), list(xvar.values())
 
-    wvar: dict[tuple[int, str], dict[int, int]] = {}
-    gvar: dict[tuple[int, str], dict[int, int]] = {}
-    pvar: dict[tuple[int, str], int] = {}
-    for i, d in enumerate(inst.demands):
-        for v in xvar:
-            wvar[i, v], gvar[i, v], p = commodity(m, net, d, *net.legs(d.source, d.sink, v),
-                                                  [v])
-            pvar[i, v] = p[v]
+    # the pairs as (source, sink, v) node indices; w's leg runs source->v,
+    # g's v->sink
+    at = [net.node_index(v) for v in xvar]
+    triples = np.array([j for d in inst.demands for v in at
+                        for j in (net.node_index(d.source), net.node_index(d.sink), v)],
+                       dtype=np.int64).reshape(-1, 3)
+    col, balance, balance_coefs, count = commodities(
+        m, net, triples[:, :2], net.legs(triples[:, ::2], triples[:, 2:0:-1]),
+        np.arange(net.n_nodes) == triples[:, 2:])
+    count = count[count > 0]
+    # a pair's one p column is its last; per demand, its pairs' p columns
+    ps = col.max(axis=1, initial=-1).reshape(nd, nv).tolist()
 
-    # the coupling rows, gathered row-wise and added in one bulk call
+    # per demand i: Σ_v p(i, v) >= R_i (min) or <= R_i (budgeted, and only
+    # when some candidate is open), then per v p(i, v) <= R_i x(v); per
+    # candidate v: Σ_i p(i, v) <= C(v) x(v). These rows hold O(demands x
+    # candidates) entries, so they are plain lists
+    first = int(nv > 0 or mode == "min")
     cols: list[int] = []
     coefs: list[float] = []
-    ends: list[int] = []
-    senses: list[str] = []
+    lengths: list[int] = []
     rhs: list[float] = []
+    for p, d in zip(ps, inst.demands):
+        cols += p * first + [j for pair in zip(p, xs) for j in pair]
+        coefs += [1.0] * (nv * first) + [1.0, -d.amount] * nv
+        lengths += [nv] * first + [2] * nv
+        rhs += [d.amount] * first + [0.0] * nv
+    for k, (v, x) in enumerate(zip(xvar, xs)):
+        cols += [p[k] for p in ps] + [x]
+        coefs += [1.0] * nd + [-inst.potential[v]]
+    lengths += [nd + 1] * nv
+    rhs += [0.0] * nv
 
-    def row(entries, values, sense: str, bound: float) -> None:
-        cols.extend(entries)
-        coefs.extend(values)
-        ends.append(len(cols))
-        senses.append(sense)
-        rhs.append(bound)
+    # per bandwidth group of finite capacity B: per candidate v, the load
+    # v's pairs put on the group <= B x(v), then, when there are pairs, the
+    # load of all of them <= B, written even when the legs leave none of the
+    # group's arcs open (without the empty row, the simplex stops at another
+    # optimal vertex). A load lists, pair by pair, w then g on each of the
+    # group's arcs: one arc, or the two consecutive arcs of an undirected
+    # edge. Each row is a slice of one array, its closed slots (-1) dropped
+    group_cols = group_lengths = np.zeros(0, dtype=np.int64)
+    group_coefs = group_rhs = np.zeros(0)
+    if nv:
+        cap = np.array(net.group_capacity)
+        k = len(cap)
+        size = n_arcs // k if k else 1
+        leg = col[:, :2 * n_arcs].reshape(nd, nv, k, size, 2).transpose(2, 1, 0, 4, 3)
+        if not all(map(math.isfinite, net.group_capacity)):
+            finite = np.isfinite(cap)
+            leg, cap, k = leg[finite], cap[finite], int(finite.sum())
+        width = nd * 2 * size + 1  # a candidate's load and its x
+        leg = leg.reshape(k, nv, width - 1)
+        group = np.empty((k, nv, width), dtype=np.int64)
+        group[:, :, :-1] = leg
+        group[:, :, -1] = xs
+        group = group.reshape(k, nv * width)
+        row_at = np.arange(0, nv * width + 1, width)
+        group_rhs = np.zeros((k, nv + 1))
+        group_rhs[:, -1] = cap
+        if nd:
+            group = np.concatenate((group, leg.reshape(k, nv * (width - 1))), axis=1)
+        else:
+            row_at, group_rhs = row_at[:-1], group_rhs[:, :-1]
+        group_coefs = np.empty(group.shape)
+        group_coefs.fill(1.0)
+        group_coefs[:, width - 1:nv * width:width] = -cap[:, None]  # each x carries -B
+        opened = group >= 0
+        group_lengths = np.add.reduceat(opened, row_at, axis=1, dtype=np.int64)
+        group_cols, group_coefs = group[opened], group_coefs[opened]
 
-    for i, d in enumerate(inst.demands):
-        if xvar or mode == "min":
-            row([pvar[i, v] for v in xvar], [1.0] * len(xvar),
-                ">=" if mode == "min" else "<=", d.amount)
-        for v, x in xvar.items():  # p(i, v) <= R_i x(v)
-            row((pvar[i, v], x), (1.0, -d.amount), "<=", 0.0)
-
-    for v, x in xvar.items():  # Σ_i p(i, v) <= C(v) x(v)
-        row([pvar[i, v] for i in range(nd)] + [x], [1.0] * nd + [-inst.potential[v]],
-            "<=", 0.0)
-
-    # each open candidate's columns by arc, pair by pair, w before g
-    legs = {v: [part[i, v] for i in range(nd) for part in (wvar, gvar)] for v in xvar}
-    for k, arcs in enumerate(net.groups):
-        cap = net.group_capacity[k]
-        if not math.isfinite(cap):
-            continue
-        total = []
-        for v, x in xvar.items():  # v's pairs' load on the group <= B x(v)
-            load = [leg[a] for leg in legs[v] for a in arcs if a in leg]
-            total += load
-            row(load + [x], [1.0] * len(load) + [-cap], "<=", 0.0)
-        if xvar and nd:
-            # written even when the legs leave none of the group's arcs open:
-            # without the empty row, the simplex stops at another optimal vertex
-            row(total, [1.0] * len(total), "<=", cap)
-
+    budget: tuple[list, ...] = ([], [], [], [])  # the budget row, if any
     if mode == "min":
         m.set_objective({j: inst.price(v) for v, j in xvar.items()})
     else:
-        m.set_objective(dict.fromkeys(pvar.values(), 1.0))
+        m.set_objective(dict.fromkeys([j for p in ps for j in p], 1.0))
         if budget_cap is not None:
-            row(xvar.values(), [inst.price(v) for v in xvar], "<=", budget_cap)
-    m.add_rows(cols, coefs, ends, senses, rhs)
-
-    m.info = {"x": xvar, "w": wvar, "g": gvar, "p": pvar, "mode": mode}
+            budget = (xs, [inst.price(v) for v in xvar], [nv], [budget_cap])
+    lengths = np.concatenate((count, lengths, group_lengths.ravel(), budget[2]))
+    senses = np.full(len(lengths), "<=")
+    senses[:len(count)] = "=="
+    if mode == "min":
+        senses[len(count):len(count) + nd * (1 + nv):1 + nv] = ">="
+    m.add_rows(np.concatenate((balance, cols, group_cols, budget[0])),
+               np.concatenate((balance_coefs, coefs, group_coefs, budget[1])),
+               np.cumsum(lengths), senses,
+               np.concatenate((np.zeros(len(count)), rhs, group_rhs.ravel(), budget[3])))
+    m.info = {"x": xvar, "pairs": [(i, v) for i in range(nd) for v in xvar], "col": col,
+              "p": [j for p in ps for j in p], "mode": mode}
     return m
-
-
-def _leg_values(leg: dict[int, int], x: list[float]) -> dict[int, float]:
-    return {a: x[j] for a, j in leg.items() if x[j] > SNAP}
 
 
 def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
@@ -229,9 +258,14 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     info = model.info
     x = {v: min(1.0, max(0.0, vals[info["x"][v]])) if v in info["x"] else 0.0
          for v in inst.candidates()}
-    pre_leg = {key: _leg_values(leg, vals) for key, leg in info["w"].items()}
-    post_leg = {key: _leg_values(leg, vals) for key, leg in info["g"].items()}
-    served = {key: max(0.0, vals[j]) for key, j in info["p"].items()}
+    pairs = info["pairs"]
+    # each pair's w and g flow by arc, read off its column layout (-1: none)
+    pre_leg: dict[tuple[int, str], dict[int, float]] = {}
+    post_leg: dict[tuple[int, str], dict[int, float]] = {}
+    for pair, slots in zip(pairs, info["col"][:, :2 * inst.net.n_arcs].tolist()):
+        for legs, part in ((pre_leg, slots[0::2]), (post_leg, slots[1::2])):
+            legs[pair] = {a: f for a, j in enumerate(part) if j >= 0 and (f := vals[j]) > SNAP}
+    served = {pair: max(0.0, vals[j]) for pair, j in zip(pairs, info["p"])}
     sol = PurchaseLPSolution(x, pre_leg, post_leg, served, res.objective,
                              {"mode": mode, "lp_iterations": res.iterations,
                               "budget_cap": budget_cap})

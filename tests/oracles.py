@@ -572,13 +572,27 @@ def balance(net: FlowNetwork, var: dict[int, int], v: str,
             + [(var[a], -sign) for a in net.out_arcs[v] if a in var])
 
 
+def legs(net: FlowNetwork, source: str, sink: str,
+         v: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """The leg rule of a `source`->`sink` demand processed at v, one arc at a
+    time, as (w's bars, g's bars): the reference for `FlowNetwork.legs`. w
+    never enters the source or leaves v, and is barred everywhere when v is
+    the source; g never enters v or leaves the sink, and is barred
+    everywhere when v is the sink."""
+    w = tuple(v == source or a.head == source or a.tail == v for a in net.arcs)
+    g = tuple(v == sink or a.head == v or a.tail == sink for a in net.arcs)
+    return w, g
+
+
 def row_by_row_commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
                          p_at: list[str]
                          ) -> tuple[dict[int, int], dict[int, int], dict[str, int]]:
-    """`pflow.lp.commodity` built one checked `add_constraint` row at a
-    time: the reference for the rows that `commodity` writes in bulk, which
-    must be the same, entry for entry, on any network without an arc u->u
-    (here such an arc's two entries in u's rows sum to one 0.0 entry)."""
+    """One demand's split flow, as `pflow.lp.commodities` lays it out, built
+    one checked `add_constraint` row at a time: the reference for the rows
+    that `commodities` writes in bulk, which must be the same, entry for
+    entry. Columns: per arc, w then g where the bar lists leave it open,
+    then p at each node of `p_at`. An arc u->u enters and leaves u, so it is
+    in no row."""
     w: dict[int, int] = {}
     g: dict[int, int] = {}
     for a in range(net.n_arcs):
@@ -587,21 +601,73 @@ def row_by_row_commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
         if not gbar[a]:
             g[a] = m.add_var()
     p = {v: m.add_var() for v in p_at}
+    loop = {a for a, arc in enumerate(net.arcs) if arc.tail == arc.head}
+    w_rows = {a: j for a, j in w.items() if a not in loop}
+    g_rows = {a: j for a, j in g.items() if a not in loop}
     for v in net.nodes:
         at = [(p[v], 1.0)] if v in p else []
-        if v != d.source and (row := at + balance(net, w, v, -1.0)):
+        if v != d.source and (row := at + balance(net, w_rows, v, -1.0)):
             m.add_constraint(row, "==", 0.0)
-        if v != d.sink and (row := at + balance(net, g, v)):
+        if v != d.sink and (row := at + balance(net, g_rows, v)):
             m.add_constraint(row, "==", 0.0)
     return w, g, p
+
+
+def row_by_row_edge_lp(net: FlowNetwork, demands: list[Demand],
+                       objective: Objective = Objective()) -> LPModel:
+    """`pflow.lp.build_edge_lp` built one checked `add_constraint` row at a
+    time, on `row_by_row_commodity`: the reference its bulk rows must equal,
+    entry for entry. Per demand its commodity under `FlowNetwork.barred`
+    (no column on a group or node of capacity 0 under congestion) and its
+    source outflow row; then per group its load w + g, arc by arc (w of
+    every demand, then g), and per node its Σp, demand by demand."""
+    kind = objective.kind
+    congestion = kind != "max-total-flow"
+    m = LPModel(name=f"edge-{kind}", sense="min" if congestion else "max")
+    wvar, gvar, pvar, net_out = [], [], [], []
+    shut = [congestion and net.group_capacity[arc.group] <= 0 for arc in net.arcs]
+    for d in demands:
+        wbar, gbar = net.barred(d.source, d.sink)
+        p_at = [v for v in net.nodes
+                if v != d.source and not (congestion and net.node_capacity[v] <= 0)]
+        w, g, p = row_by_row_commodity(m, net, d, [b or s for b, s in zip(wbar, shut)],
+                                       [b or s for b, s in zip(gbar, shut)], p_at)
+        wvar.append(w)
+        gvar.append(g)
+        pvar.append(p)
+        out_i = [(w[a], 1.0) for a in net.out_arcs[d.source] if a in w]
+        if congestion:
+            m.add_constraint(out_i, "==", d.amount)
+        elif math.isfinite(d.amount) and out_i:
+            m.add_constraint(out_i, "<=", d.amount)
+        net_out += out_i
+    theta = m.add_var() if kind == "min-max-congestion" else None
+    ew, nw = objective.edge_weights or {}, objective.node_weights or {}
+    loads = [([(part[a], 1.0) for a in arcs for part in wvar + gvar if a in part],
+              cap, ew.get(g, 1.0))
+             for g, (arcs, cap) in enumerate(zip(net.groups, net.group_capacity))]
+    loads += [([(p[v], 1.0) for p in pvar if v in p], net.node_capacity[v], nw.get(v, 1.0))
+              for v in net.nodes]
+    obj = {theta: 1.0} if theta is not None else {} if congestion else dict(net_out)
+    for coeffs, cap, weight in loads:
+        if not coeffs:
+            continue
+        if not congestion:
+            m.add_constraint(coeffs, "<=", cap)
+        elif theta is not None:
+            m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
+        else:
+            obj.update((j, weight * c / cap) for j, c in coeffs)
+    m.set_objective(obj)
+    return m
 
 
 def row_by_row_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                            budget_cap: float | None = None,
                            fix: dict[str, float] | None = None) -> LPModel:
     """`pflow.purchase.build_purchase_lp` built one checked `add_constraint`
-    row at a time, on `row_by_row_commodity`: the reference for the
-    coupling rows it adds in bulk, which must be the same, entry for entry.
+    row at a time, on `row_by_row_commodity` under `legs`: the reference
+    for the rows it writes in bulk, which must be the same, entry for entry.
     """
     net = inst.net
     nd = len(inst.demands)
@@ -616,7 +682,7 @@ def row_by_row_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     for i, d in enumerate(inst.demands):
         for v in xvar:
             wvar[i, v], gvar[i, v], p = row_by_row_commodity(
-                m, net, d, *net.legs(d.source, d.sink, v), [v])
+                m, net, d, *legs(net, d.source, d.sink, v), [v])
             pvar[i, v] = p[v]
 
     sense = ">=" if mode == "min" else "<="

@@ -14,13 +14,13 @@ from pflow.decompose import decompose
 from pflow.lp import (LPModel, LPResult, Objective, WalkFold, build_edge_lp, master_walks,
                       solve_edge_lp, solve_lp, solve_walk_master, write_mps)
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
-                         ResourceLimitError, StructuralError, WalkEntry, validate_instance,
-                         verify_edge_solution, verify_walk_solution)
+                         PurchaseInstance, ResourceLimitError, StructuralError, WalkEntry,
+                         validate_instance, verify_edge_solution, verify_walk_solution)
 from pflow.mwu import shortest_processing_2walk
 from pflow.purchase import build_purchase_lp
 
-from oracles import (edge_lp_optimum, master_instances, mixed_routing_instances,
-                     net_outflow_routing_lp, processing_vertices, row_by_row_commodity,
+from oracles import (edge_lp_optimum, legs, master_instances, mixed_routing_instances,
+                     net_outflow_routing_lp, processing_vertices, row_by_row_edge_lp,
                      row_by_row_purchase_lp, seeded_instances, solve_lp_linprog,
                      walk_lp_optimum)
 
@@ -135,9 +135,9 @@ class TestCongestion:
         real, nits = pflow.lp._run, []
 
         def counting(highs, limit):
-            status, nit = real(highs, limit)
+            status, nit, obj = real(highs, limit)
             nits.append(nit)
-            return status, nit
+            return status, nit, obj
 
         monkeypatch.setattr(pflow.lp, "_run", counting)
         _, res = solve_edge_lp(inst.net, inst.demands, obj)
@@ -215,12 +215,11 @@ def test_non_finite_input_rejected(rows, bounds, objective):
 
 
 def test_finite_input_whose_sum_overflows_is_solved():
-    # solve_lp scans a list for a non-finite entry only when the list's sum
-    # is not finite; two finite rhs of 1e308 sum to inf, and the model is
-    # still accepted and solved: x0 + x1 <= 3 binds
+    # two finite rhs of 1e308 sum to inf, and the model is still accepted
+    # and solved: x0 + x1 <= 3 binds
     m = _lp("max", [([(0, 1.0)], "<=", 1e308), ([(1, 1.0)], "<=", 1e308),
                     ([(0, 1.0), (1, 1.0)], "<=", 3.0)])
-    assert sum(m.rhs) == math.inf
+    assert sum(m.rhs.tolist()) == math.inf
     res = solve_lp(m)
     assert res.status == "optimal" and res.objective == pytest.approx(3.0, abs=1e-9)
 
@@ -233,7 +232,7 @@ def test_column_index_out_of_range_rejected(j):
         m.add_constraint([(0, 1.0), (j, 1.0)], "<=", 2.0)
     with pytest.raises(ValueError, match="outside"):
         m.set_objective({0: 1.0, j: 1.0})
-    assert (m.n_rows, m.starts, m.objective) == (1, [0, 1], {0: 1.0, 1: 1.0})
+    assert (m.n_rows, m.starts.tolist(), m.objective) == (1, [0, 1], {0: 1.0, 1: 1.0})
 
 
 @pytest.mark.parametrize("cols, ends, senses", [
@@ -347,11 +346,11 @@ def test_the_pool_keeps_only_plain_highs(monkeypatch, inst_line):
     assert len(pflow.lp._POOL) == 1 and type(pflow.lp._POOL[0]) is pflow.lp._Highs
 
 
-def _edge_models(kind):
+def _edge_models(kind, build=build_edge_lp):
     for seed in range(3):
         inst = gen_random_instance(7, 0.5, node_cap=(0, 4), n_demands=3, seed=seed,
                                    directed=seed % 2 == 0, amounts=(1, 4))
-        yield build_edge_lp(inst.net, inst.demands, Objective(kind=kind))
+        yield build(inst.net, inst.demands, Objective(kind=kind))
 
 
 def _routing_models():
@@ -852,8 +851,8 @@ def test_a_recapacitated_copy_prices_its_own_closed_nodes():
 
 
 def test_path_graph_opens_the_arcs_of_the_sink_leg_rule():
-    # the path master's graph opens, per pair, exactly the arcs
-    # FlowNetwork.legs(s, t, t) leaves open to w; a pair with s = t opens none
+    # the path master's graph opens, per pair, exactly the arcs the leg
+    # rule with v at the sink leaves open to w; a pair with s = t opens none
     for net, demands in master_instances():
         pairs = [(d.source, d.sink) for d in demands] + [(net.nodes[0], net.nodes[0])]
         graph = pflow.lp._WalkGraph(net, pairs, paths=True)
@@ -862,7 +861,7 @@ def test_path_graph_opens_the_arcs_of_the_sink_leg_rule():
                for c in csr.indices[csr.indptr[r]:csr.indptr[r + 1]]}
         want = {(b, net.node_index(a.tail), net.node_index(a.head))
                 for b, (s, t) in enumerate(pairs)
-                for a, barred in zip(net.arcs, net.legs(s, t, t)[0]) if not barred}
+                for a, barred in zip(net.arcs, legs(net, s, t, t)[0]) if not barred}
         assert got == want
 
 
@@ -911,8 +910,9 @@ def test_split_model_dimensions(inst_loop):
     model = build_edge_lp(net, demands)
     assert model.n_vars == (3 + 3 + 3) + (1 + 0 + 3)
     for i, d in enumerate(demands):
-        for part, bar in zip("wg", net.barred(d.source, d.sink)):
-            assert list(model.info[part][i]) == [a for a, b in enumerate(bar) if not b]
+        for part, bar in enumerate(net.barred(d.source, d.sink)):
+            assert [a for a in range(net.n_arcs) if model.info["col"][i, 2 * a + part] >= 0] \
+                == [a for a, b in enumerate(bar) if not b]
     # per demand: a w-balance row at every non-source node and a g-balance
     # row at every non-sink node, each only where it has a term (no g row at
     # s for s->t, nor at a for a->t), and a cap row for the finite amount;
@@ -934,28 +934,89 @@ def test_models_hold_no_column_fixed_at_zero():
 
 
 def _arrays(model):
-    return (model.lo, model.hi, model.starts, model.cols, model.coefs, model.senses,
-            model.rhs, model.objective)
+    """A model's arrays, to compare entry for entry: floats by their bits."""
+    def bits(vals):
+        return np.asarray(vals, dtype=float).tobytes()
+
+    return (bits(model.lo), bits(model.hi), np.asarray(model.starts).tolist(),
+            np.asarray(model.cols).tolist(), bits(model.coefs),
+            np.asarray(model.senses).tolist(), bits(model.rhs),
+            {j: bits([c]) for j, c in model.objective.items()})
 
 
-def _plain_models():
-    kinds = ("max-total-flow", "min-max-congestion", "min-weighted-congestion")
-    return [m for kind in kinds for m in _edge_models(kind)]
+_KINDS = ("max-total-flow", "min-max-congestion", "min-weighted-congestion")
 
 
-def test_bulk_rows_match_the_row_by_row_reference(monkeypatch):
-    # commodity's balance rows and the purchase LP's coupling rows are
-    # written in bulk: entry for entry what checked add_constraint rows give
+def _plain_models(build=build_edge_lp):
+    models = [m for kind in _KINDS for m in _edge_models(kind, build)]
+    # an arc a->a, a group and a node of capacity 0 (no column under the
+    # congestion objectives), and a demand from the loop's node
+    net = FlowNetwork("sabt", [("s", "a", 2.0), ("a", "a", 1.0), ("a", "t", 0.0),
+                               ("s", "b", 1.0), ("b", "t", 3.0), ("b", "a", 2.0)],
+                      {"a": 0.0, "b": 2.0, "t": 1.0})
+    demands = [Demand("s", "t", 1.0), Demand("a", "t", 2.0), Demand("b", "a")]
+    models += [build(net, demands[:2] if kind != "max-total-flow" else demands,
+                     Objective(kind=kind, node_weights={"b": 2.0}, edge_weights={4: 0.5}))
+               for kind in _KINDS]
+    return models
+
+
+def _purchase_families(build=build_purchase_lp):
+    """Purchase models _purchase_models misses: an arc u->u, candidates at a
+    demand's source and at its sink, undirected networks, a group of
+    infinite capacity, a network without arcs, a fractional pin and a pin of
+    every candidate to 0."""
+    loop = FlowNetwork("sabt", [("s", "a", 2.0), ("a", "a", 1.0), ("a", "t", 3.0),
+                                ("s", "b", math.inf), ("b", "t", 2.0), ("t", "b", 1.0)])
+    demands = [Demand("s", "t", 2.0), Demand("b", "t", 1.0)]
+    insts = [PurchaseInstance(loop, demands, {"s": 2.0, "a": 3.0, "b": 1.0, "t": 2.0},
+                              {"s": 1.0, "a": 2.0, "t": 1.5}, budget=3.0)]
+    insts += [gen_random_purchase(6 + seed, 0.5, n_candidates=3, n_demands=2, seed=seed,
+                                  budget=2.0, directed=False).purchase() for seed in range(3)]
+    insts.append(PurchaseInstance(FlowNetwork("sat", []), [Demand("s", "t", 1.0)],
+                                  {"a": 1.0, "t": 2.0}, budget=1.0))
+    models = []
+    for inst in insts:
+        v = inst.candidates()[0]
+        for mode in ("min", "budgeted"):
+            cap = inst.budget / 2.0 if mode == "budgeted" else None
+            models += [build(inst, mode, budget_cap=cap), build(inst, mode, fix={}),
+                       build(inst, mode, fix={v: 0.5}),
+                       build(inst, mode, fix=dict.fromkeys(inst.candidates(), 1.0))]
+    return models
+
+
+def test_bulk_rows_match_the_row_by_row_reference():
+    # the edge LP and the purchase LP write their rows in bulk: entry for
+    # entry what checked add_constraint rows, one at a time, give
     purchase = [(mode, fixed) for mode in ("min", "budgeted") for fixed in (False, True)]
-    got = _plain_models() + [m for mode, fixed in purchase
-                             for m in _purchase_models(mode, fixed)]
-    want = [m for mode, fixed in purchase
-            for m in _purchase_models(mode, fixed, build=row_by_row_purchase_lp)]
-    monkeypatch.setattr(pflow.lp, "commodity", row_by_row_commodity)
-    want = _plain_models() + want
-    assert len(got) == len(want) == 9 + 16
+    got = (_plain_models() + _purchase_families()
+           + [m for mode, fixed in purchase for m in _purchase_models(mode, fixed)])
+    want = (_plain_models(row_by_row_edge_lp) + _purchase_families(row_by_row_purchase_lp)
+            + [m for mode, fixed in purchase
+               for m in _purchase_models(mode, fixed, build=row_by_row_purchase_lp)])
+    assert len(got) == len(want) == 12 + 40 + 16
     for built, ref in zip(got, want):
         assert _arrays(built) == _arrays(ref), built.name
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda m: m.cols.__setitem__(3, m.n_vars), "outside"),
+    (lambda m: m.cols.__setitem__(m.starts[-2] + 1, m.cols[m.starts[-2]]), "twice"),
+    (lambda m: m.coefs.__setitem__(5, math.nan), "non-finite matrix coefficient"),
+], ids=["column-out-of-range", "column-twice", "nan-coefficient"])
+def test_batched_models_are_checked_before_highs(corrupt, message, monkeypatch):
+    # the purchase LP writes its rows as arrays; solve_lp still checks every
+    # row and number before HiGHS sees the model
+    inst = gen_random_purchase(8, 0.5, n_candidates=3, n_demands=2, seed=1,
+                               budget=2.0).purchase()
+    model = build_purchase_lp(inst, "budgeted", budget_cap=1.0)
+    assert solve_lp(model).status == "optimal"
+    assert model.n_rows > 1 and model.starts[-1] - model.starts[-2] >= 2
+    corrupt(model)
+    monkeypatch.setattr(pflow.lp, "_highs", lambda: pytest.fail("HiGHS was called"))
+    with pytest.raises(ValueError, match=message):
+        solve_lp(model)
 
 
 @pytest.mark.parametrize("kind, optimum", [("min-max-congestion", 2.0),
@@ -967,11 +1028,11 @@ def test_self_loop_stays_out_of_the_balance_rows(kind, optimum):
     # conservation row, and the optimum is the loop-free network's
     edges = [("s", "a", 2.0), ("a", "t", 4.0)]
     loop = FlowNetwork("sat", edges + [("a", "a", 1.0)], {"a": 1.0})
-    assert loop.loops == {2}
+    assert [a for a, arc in enumerate(loop.arcs) if arc.tail == arc.head] == [2]
     demands = [Demand("s", "t", 2.0)]
     model = build_edge_lp(loop, demands, Objective(kind=kind))
     model.check()
-    looped = {model.info[part][0][2] for part in "wg"}
+    looped = set(model.info["col"][0, 4:6].tolist())  # w and g of arc 2
     for k, sense in enumerate(model.senses):
         if sense == "==":
             assert not looped & set(model.cols[model.starts[k]:model.starts[k + 1]]), k

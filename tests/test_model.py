@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pflow.decompose import decompose
@@ -7,6 +8,8 @@ from pflow.lp import solve_edge_lp
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, StructuralError,
                          WalkEntry, WalkFlowSolution, feas_slack, validate_instance,
                          verify_edge_solution, verify_walk_solution)
+
+from oracles import legs
 
 
 def test_directed_network_indexing():
@@ -192,10 +195,19 @@ def test_barred_arcs_follow_the_processing_rule():
     ("t", {("a", "s"), ("t", "a"), ("t", "s")}, "all"),
 ])
 def test_legs_follow_the_leg_rule(v, want_w, want_g):
+    # FlowNetwork.legs states the rule for arrays of legs: processed at u,
+    # w is the leg s->u and g the leg u->t, as the one-arc-at-a-time
+    # reference bars them
     net = FlowNetwork("sat", [("s", "a", 1.0), ("a", "s", 1.0), ("a", "t", 1.0),
                               ("t", "a", 1.0), ("s", "t", 1.0), ("t", "s", 1.0)])
     arcs = {(a.tail, a.head) for a in net.arcs}
-    w, g = net.legs("s", "t", v)
+    s, t = net.node_index("s"), net.node_index("t")
+    triples = np.array([(s, t, u) for u in range(net.n_nodes)])
+    bars = net.legs(triples[:, ::2], triples[:, 2:0:-1])
+    assert bars.shape == (3, 2, net.n_arcs)
+    for (_, _, u), (w, g) in zip(triples, bars.tolist()):
+        assert (tuple(w), tuple(g)) == legs(net, "s", "t", net.nodes[u])
+    w, g = bars[net.node_index(v)].tolist()
     assert {(a.tail, a.head) for a, b in zip(net.arcs, w) if b} == \
         (arcs if want_w == "all" else want_w)
     assert {(a.tail, a.head) for a, b in zip(net.arcs, g) if b} == \

@@ -21,7 +21,7 @@ from pflow.purchase import (PurchaseInstance, _max_flow, _ProcessingFlowOracle,
                             rounding_rounds, solve_purchase_lp,
                             validate_purchase_instance)
 
-from oracles import (arc_leg_purchase_lp, best_single_exhaustive, max_flow_lp,
+from oracles import (arc_leg_purchase_lp, best_single_exhaustive, legs, max_flow_lp,
                      served_with_purchases)
 
 
@@ -424,7 +424,7 @@ class TestPinnedLP:
                 # leg rule leaves open to them, and one p, at v; on a
                 # demand's endpoint one of the two legs is barred everywhere
                 open_arcs = sum(bar.count(False) for d in inst.demands
-                                for bar in inst.net.legs(d.source, d.sink, v))
+                                for bar in legs(inst.net, d.source, d.sink, v))
                 assert model.n_vars == 1 + open_arcs + len(inst.demands)
                 sol, _ = solve_purchase_lp(inst, "budgeted", fix={v: 1.0})
                 assert sorted(sol.x) == sorted(names)
