@@ -8,7 +8,9 @@ Instance format, one directive per line, `#` starts a comment:
     demand S T [amount=FLOAT]     # omitted amount = uncapped
     budget FLOAT                  # budgeted purchase only
 
-Nodes must be declared before edges or demands mention them. Solutions are
+Nodes must be declared before edges or demands mention them. An attribute
+given twice on one line, or a second graph or budget directive, is an
+error, not an override. Solutions are
 emitted as JSON documents; infinities become null on the way out and are
 restored on the way back in.
 """
@@ -43,6 +45,8 @@ def _kv(tokens: list[str], ln: int, allowed: tuple) -> dict[str, float]:
         key, _, val = tok.partition("=")
         if key not in allowed:
             raise InstanceFormatError(f"line {ln}: unknown attribute {key!r}")
+        if key in out:
+            raise InstanceFormatError(f"line {ln}: duplicate attribute {key!r}")
         out[key] = _num(val, ln, key)
     return out
 
@@ -119,6 +123,8 @@ def parse_instance_text(text: str) -> ParsedInstance:
         elif kind == "budget":
             if len(tokens) != 2:
                 raise InstanceFormatError(f"line {ln}: budget needs one number")
+            if budget is not None:
+                raise InstanceFormatError(f"line {ln}: duplicate budget directive")
             budget = _num(tokens[1], ln, "budget")
         else:
             raise InstanceFormatError(f"line {ln}: unknown directive {kind!r}")

@@ -358,6 +358,19 @@ class TestPurchase:
         err = capsys.readouterr().err
         assert err.startswith("error: node a: ") and "potential inf" in err
 
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda text: text.replace("potential=10", "potential=10 potential=2"),
+         "line 3: duplicate attribute 'potential'"),
+        (lambda text: text + "budget 1\nbudget 50\n", "line 9: duplicate budget"),
+    ], ids=["attribute", "budget"])
+    def test_repeated_value_rejected(self, edit, fragment, tmp_path, capsys):
+        # a value given twice is an error, not an override by the last one
+        src = tmp_path / "twice.pf"
+        src.write_text(edit(PUR))
+        assert run("purchase", "--mode", "budget", "--budget", "5", "--input", src,
+                   "-o", tmp_path / "x.json") == 2
+        assert fragment in capsys.readouterr().err
+
     def test_infinite_budget_rejected(self, pur_pf, tmp_path, capsys):
         assert run("purchase", "--mode", "budget", "--budget", "inf",
                    "--input", pur_pf, "-o", tmp_path / "x.json") == 2

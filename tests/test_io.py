@@ -120,6 +120,10 @@ def test_undirected_pairing_survives():
      "edge a b cap=1\nedge b a cap=2", "duplicate edge"),
     ("graph directed\nfrob a b", "unknown directive"),
     ("graph directed\nnode a cap=1\nbudget", "budget needs one number"),
+    ("graph directed\nnode a cap=1 cap=7", "line 2: duplicate attribute 'cap'"),
+    ("graph directed\nnode a cap=1 potential=2 cost=1 potential=9",
+     "line 2: duplicate attribute 'potential'"),
+    ("graph directed\nnode a cap=1\nbudget 1\nbudget 50", "line 4: duplicate budget"),
     ("graph directed\nnode a cap=1\ndemand a", "demand needs"),
 ])
 def test_format_errors(bad, fragment):

@@ -110,7 +110,9 @@ class TestBudgetedGreedy:
         assert g.purchased == {"a"}
         # quarter-capacity cut at s: (4 + 2)/4 = 1.5 bounds the oracle
         assert g.meta["processable"] == pytest.approx(1.5, abs=1e-6)
-        assert g.value == pytest.approx(1.5, abs=1e-6)
+        # routed by the LP pinned to {a}: a's potential 3 and the s-a-t
+        # bandwidth 4 carry 3.0, the brute-force optimum of budget 1
+        assert g.value == pytest.approx(3.0, abs=1e-6)
         assert g.cost == 1.0
 
     def test_rich_budget_stops_at_zero_marginal(self, bud1):
@@ -120,7 +122,8 @@ class TestBudgetedGreedy:
         g = greedy_budgeted_single_source(inst)
         # b adds nothing once a saturates the quarter cut, so it stays unbought
         assert g.purchased == {"a"}
-        assert g.value == pytest.approx(1.5, abs=1e-6)
+        # the LP pinned to {a}: a's potential 3, under the s-a-t bandwidth 4
+        assert g.value == pytest.approx(3.0, abs=1e-6)
 
     def test_nothing_for_sale(self, bud1):
         net, demands, _, _, _ = bud1
@@ -136,8 +139,9 @@ class TestBudgetedGreedy:
         g = greedy_budgeted_single_source(inst)
         assert g.purchased == {"s"}
         assert g.meta["processable"] == pytest.approx(5.0, abs=1e-6)
-        # routing at half capacity caps the realized value
-        assert g.value == pytest.approx(3.0, abs=1e-6)
+        # flow leaves s processed: s's potential 5 under the s-t max flow
+        # 4 + 2 = 6 carries 5.0
+        assert g.value == pytest.approx(5.0, abs=1e-6)
 
     def test_infinite_potential_rejected(self, bud1):
         # the max-flow oracle must never push an unbounded amount
@@ -161,7 +165,9 @@ class TestBudgetedGreedy:
                                     budget=1.0)
             g = greedy_budgeted_single_source(inst)
             results.append((g.value, g.meta["processable"]))
-        assert results[0] == pytest.approx((1.0, 1.0), abs=1e-9)
+        # the oracle's quarter of the s-t bandwidth 4 is 1.0; routed by the
+        # LP pinned to {t}, the s-t edge carries t's potential 3.0 in full
+        assert results[0] == pytest.approx((3.0, 1.0), abs=1e-9)
         assert results[1] == results[0]
 
 
@@ -225,15 +231,7 @@ class TestRealizedLoads:
                    + [load / inst.potential[v] for v, load in node_load.items()])
 
     def test_sampled_attempts_on_a_relay_star(self):
-        # one relay serves 1 of the 14.5 the half-budget relaxation promises,
-        # under the 1/(2 ln 32) shortcut share, so the sampled stage runs
-        relays = [f"p{j}" for j in range(30)]
-        net = FlowNetwork(["s", *relays, "t"],
-                          [("s", p, 1.0) for p in relays]
-                          + [(p, "t", 1.0) for p in relays])
-        inst = PurchaseInstance(net, [Demand("s", "t", 30.0)],
-                                dict.fromkeys(relays, 1.0),
-                                dict.fromkeys(relays, 1.0), 29.0)
+        inst = _relay_star()
         sol = round_budgeted_purchase(inst, rng_seed=1)
         assert sol.meta["branch"] == "sampled" and sol.meta["shortcut"] is False
         assert sol.meta["pool_size"] == 9
@@ -265,6 +263,96 @@ class TestRealizedLoads:
         assert sol.served == {0: 1.0}
         assert sol.flows.delivered(net, inst.demands, 0) == pytest.approx(1.0, rel=1e-9)
         assert self.peak_ratio(inst, sol) == pytest.approx(0.1, rel=1e-9)
+
+    def test_greedy_answer_is_its_sets_pinned_optimum(self, bud1):
+        net, demands, potential, cost, budget = bud1
+        corpus = [PurchaseInstance(net, demands, potential, cost, budget)]
+        corpus += [inst for _, inst in _single_source_instances()]
+        bought = 0
+        for k, inst in enumerate(corpus):
+            g = greedy_budgeted_single_source(inst)
+            # the set is the knapsack greedy's over the max-flow oracle
+            oracle = purchase._ProcessingFlowOracle(inst, inst.demands[0].source)
+            items = [v for v in inst.candidates() if inst.price(v) <= inst.budget]
+            chosen, _ = purchase._knapsack_greedy(oracle, items, inst.price, inst.budget)
+            assert g.purchased == chosen, k
+            want = _pinned_objective(inst, "budgeted", dict.fromkeys(chosen, 1.0))
+            assert abs(g.value - want) <= 1e-9 * max(1.0, want), k
+            if g.purchased:
+                bought += 1
+                assert self.peak_ratio(inst, g) <= 1.0, k
+        assert bought > 20
+
+
+def _relay_star():
+    # one relay serves 1 of the 14.5 the half-budget relaxation promises,
+    # under the 1/(2 ln 32) shortcut share, so the sampled stage runs
+    relays = [f"p{j}" for j in range(30)]
+    net = FlowNetwork(["s", *relays, "t"],
+                      [("s", p, 1.0) for p in relays] + [(p, "t", 1.0) for p in relays])
+    return PurchaseInstance(net, [Demand("s", "t", 30.0)], dict.fromkeys(relays, 1.0),
+                            dict.fromkeys(relays, 1.0), 29.0)
+
+
+def _single_source_instances():
+    # acceptance test_09's corpus: undirected, one shared source
+    for seed in range(1, 31):
+        n = 4 + seed % 5
+        yield seed, gen_random_purchase(n, min(0.5, 2.2 / n), n_candidates=min(3, n - 1),
+                                        n_demands=2, seed=1000 + seed, budget=2.0,
+                                        directed=False, single_source=True).purchase()
+
+
+def _balance_problems(inst, sol):
+    """Per demand, where its flow is not conserved away from its endpoints,
+    or its processing at a node other than its source is not the node's
+    unprocessed inflow minus outflow, to 1e-9 relative."""
+    net, problems = inst.net, []
+
+    def net_in(m, v):
+        return (sum(m.get(a, 0.0) for a in net.in_arcs[v])
+                - sum(m.get(a, 0.0) for a in net.out_arcs[v]))
+
+    for i, d in enumerate(inst.demands):
+        f, w, p = sol.flows.flow[i], sol.flows.unprocessed[i], sol.flows.processing[i]
+        tol = 1e-9 * max([1.0, *f.values(), *p.values()])
+        for v in net.nodes:
+            if v not in (d.source, d.sink) and abs(net_in(f, v)) > tol:
+                problems.append((i, v, "flow", net_in(f, v)))
+            if v != d.source and abs(p.get(v, 0.0) - net_in(w, v)) > tol:
+                problems.append((i, v, "processing", p.get(v, 0.0), net_in(w, v)))
+    return problems
+
+
+class TestFlowBalance:
+    """Every purchase answer's flows balance, unprocessed part included:
+    the checks `verify_edge_solution` makes that hold under either
+    processing rule."""
+
+    def test_greedy(self):
+        for seed, inst in _single_source_instances():
+            sol = greedy_budgeted_single_source(inst)
+            assert not _balance_problems(inst, sol), seed
+
+    def test_budgeted_rounding(self):
+        branches = set()
+        for seed, inst in [*_budgeted_instances(24), (1, _relay_star())]:
+            sol = round_budgeted_purchase(inst, rng_seed=seed)
+            branches.add(sol.meta.get("branch"))
+            assert not _balance_problems(inst, sol), seed
+        assert {"single", "full-set", "sampled"} <= branches
+
+    def test_min_rounding(self):
+        scaled = 0
+        for seed, inst in enumerate(_random_purchase_instances(16)):
+            try:
+                lp_sol, _ = solve_purchase_lp(inst, "min")
+            except InfeasibleError:
+                continue
+            sol = round_min_purchase(inst, lp_sol, delta=0.2, rng_seed=seed)
+            scaled += sol.meta["gamma"] > 1.0
+            assert not _balance_problems(inst, sol), seed
+        assert scaled > 0   # the global scaling keeps the balance too
 
 
 def _budgeted_instances(count):
