@@ -45,8 +45,8 @@ only `solve_edge_lp` sums them into edge flows, as the arc formulation
 would. The arc formulation (`build_edge_lp`) serves MPS export and the
 tests' reference.
 The same master over plain source->sink paths, one layer per demand, is
-the processing-blind multicommodity max flow that the naive baseline
-routes by.
+the processing-blind multicommodity max flow that the naive baseline and
+the purchase greedy route by.
 """
 
 from __future__ import annotations

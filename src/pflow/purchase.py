@@ -4,9 +4,10 @@ Two variants over a network whose node capacity C(v) is only *potential*
 until the node is purchased at cost q(v): minimize purchase cost subject to
 serving every demand in full, or maximize served flow under a budget. Both
 are solved as LP relaxations over fractional purchase levels x(v) in [0,1]
-and rounded randomly; a greedy with a combinatorial max-flow oracle
-(Edmonds-Karp augmenting paths in pure Python) chooses the purchase in the
-undirected single-source budgeted case.
+and rounded randomly; an exact greedy with a max-flow oracle covers the
+undirected single-source budgeted case. That oracle is combinatorial
+(Edmonds-Karp augmenting paths in pure Python), so the greedy solves no
+purchase LP: its final routing is the walk master over plain paths.
 
 Each unit is routed as a two-leg itinerary through its chosen processing
 vertex v, an unprocessed leg source->v and a processed leg v->sink: per
@@ -14,9 +15,9 @@ vertex v, an unprocessed leg source->v and a processed leg v->sink: per
 at v) under the pair's leg rule, `FlowNetwork.legs`, all pairs built in one
 batch by `lp.commodities`. Unlike the fixed-capacity world, processing at
 the source or sink itself is legitimate here (the itinerary then has a
-single leg). A bought set that is not a rounding's weighted superposition,
-the greedy's and each budgeted single-vertex or full-set attempt, is routed
-one way: by the budgeted purchase LP pinned to it (`_route_bought`).
+single leg). The greedy's final routing is `lp.solve_walk_master` with
+`paths`: simple paths whose one leg runs from each demand's source to its
+sink under the same rule.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lp import LPModel, LPResult, commodities, solve_lp
-from .model import (SNAP, EdgeFlowSolution, InfeasibleError, PurchaseInstance,
+from .lp import LPModel, LPResult, commodities, solve_lp, solve_walk_master
+from .model import (SNAP, EdgeFlowSolution, FlowNetwork, InfeasibleError, PurchaseInstance,
                     PurchaseSolution, StructuralError, ValidationReport,
                     feas_slack, validate_instance)
 
@@ -323,15 +324,6 @@ def _realize(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
     return _package(inst, set(weight), flows, delivered, {**meta, "gamma": gamma})
 
 
-def _route_bought(inst: PurchaseInstance, subset: set[str], meta: dict) -> PurchaseSolution:
-    """Buy `subset` and route it by the budgeted purchase LP pinned to it:
-    x(v) = 1 on the subset and 0 elsewhere, no budget row, the legs realized
-    at weight 1. Its value is the most processed flow the subset supports."""
-    bought = dict.fromkeys(subset, 1.0)
-    sol, _ = solve_purchase_lp(inst, "budgeted", budget_cap=None, fix=bought)
-    return _realize(inst, sol, bought, meta)
-
-
 def _package(inst: PurchaseInstance, purchased: set[str], flows: EdgeFlowSolution,
              delivered: list[float], meta: dict) -> PurchaseSolution:
     flows.objective = sum(delivered)
@@ -458,9 +450,12 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int) -> PurchaseSo
                                lp_value=lp_sol.objective)
 
     def restricted(subset: set[str], branch: str) -> PurchaseSolution:
-        return _route_bought(affordable, subset,
-                             {"algorithm": "purchase-budgeted", "branch": branch,
-                              "seed": rng_seed, "lp_value": lp_sol.objective})
+        fix = {u: (1.0 if u in subset else 0.0) for u in cands}
+        sol_f, _ = solve_purchase_lp(affordable, "budgeted", budget_cap=None,
+                                     fix=fix)
+        return _realize(affordable, sol_f, dict.fromkeys(subset, 1.0),
+                        {"algorithm": "purchase-budgeted", "branch": branch,
+                         "seed": rng_seed, "lp_value": lp_sol.objective})
 
     pool: list[PurchaseSolution] = []
     total = sum(d.amount for d in inst.demands)
@@ -589,8 +584,7 @@ def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]
 class _ProcessingFlowOracle:
     """f(P) = max flow a purchased set P can push to the source through the
     quarter-capacity copy of the network, each p in P throttled at its
-    potential: a monotone submodular function of P. Memoized: the greedy
-    re-evaluates overlapping sets heavily.
+    potential. Memoized: the greedy re-evaluates overlapping sets heavily.
     """
 
     def __init__(self, inst: PurchaseInstance, source: str):
@@ -603,18 +597,29 @@ class _ProcessingFlowOracle:
         self.nodes = list(net.nodes) + [self.pool]
         self.base_arcs = [(a.tail, a.head, a.group) for a in net.arcs]
         self.base_caps = [c / 4.0 for c in net.group_capacity]
-        self.cache: dict[frozenset, float] = {}
+        self.cache: dict[frozenset, tuple[float, dict]] = {}
 
     def __call__(self, subset) -> float:
+        return self.evaluate(subset)[0]
+
+    def evaluate(self, subset) -> tuple[float, dict[str, float]]:
+        """Flow value plus the processing load each member carries."""
         key = frozenset(subset)
-        if key not in self.cache:
-            arcs = list(self.base_arcs)
-            caps = list(self.base_caps)
-            for p in sorted(key):
-                arcs.append((self.pool, p, len(caps)))
-                caps.append(self.inst.potential.get(p, 0.0))
-            self.cache[key], _ = _max_flow(self.nodes, arcs, caps, self.pool, self.source)
-        return self.cache[key]
+        if key in self.cache:
+            return self.cache[key]
+        arcs = list(self.base_arcs)
+        caps = list(self.base_caps)
+        feeders = {}
+        for p in sorted(key):
+            g = len(caps)
+            feeders[p] = len(arcs)
+            arcs.append((self.pool, p, g))
+            caps.append(self.inst.potential.get(p, 0.0))
+        value, flows = _max_flow(self.nodes, arcs, caps, self.pool, self.source)
+        load = {p: flows[j] for p, j in feeders.items() if flows[j] > SNAP}
+        out = (value, load)
+        self.cache[key] = out
+        return out
 
 
 # the partial-enumeration depth of the knapsack greedy
@@ -667,17 +672,20 @@ def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
     """Greedy purchase for undirected networks where all demands share one
     source.
 
-    The purchase set maximizes the flow the bought nodes can process and
-    return to the source through a quarter-capacity copy of the network
-    (`_ProcessingFlowOracle`, a combinatorial max-flow per call), a monotone
-    submodular objective handled by the knapsack greedy; seed sets are
-    enumerated up to size 3, the depth the (1-1/e) guarantee needs. That
-    flow is recorded as meta["processable"]. The bought set is then routed
-    by the purchase LP pinned to it (`_route_bought`), so the value is the
-    most processed flow the set supports. That is at least min(processable,
-    the max flow at half bandwidth): half-bandwidth paths to the sinks plus
-    the quarter-capacity detours out to the set and back are a feasible
-    point of the pinned LP.
+    Edge capacity is split: half reserved for final routing toward the
+    sinks, the other half for the processing detour, which itself is split
+    into a quarter out to the purchased nodes and a quarter back (the return
+    trip mirrors the outbound flow on the same undirected edges, so its
+    feasibility is free). Purchases maximize the quarter-capacity flow the
+    bought nodes can process and return, a monotone submodular objective
+    handled by the knapsack greedy; the delivered value is that flow pushed
+    through the routing half toward the sinks, demand-capped: the path
+    master's max flow over a copy of the network at half bandwidth, every
+    path scaled by min(1, processable / its value). Each oracle call is a
+    combinatorial max-flow (`_max_flow`, Edmonds-Karp), and its net flow on
+    each feeder arc is that node's processing load; the path master is the
+    only LP solved. Seed sets are enumerated up to size 3, the depth the
+    (1-1/e) guarantee needs.
     """
     rep = validate_purchase_instance(inst, "budgeted")
     if not rep:
@@ -702,5 +710,43 @@ def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
     if proc_value <= SNAP:
         return _empty_purchase(inst, "no processable flow",
                                candidates=len(items))
-    return _route_bought(inst, chosen, {"algorithm": "purchase-greedy",
-                                        "processable": proc_value, "depth": _DEPTH})
+    _, proc_load = oracle.evaluate(chosen)
+
+    # routing half: the path master over B/2, scaled down to what the
+    # detour can process; a demand delivers what its paths carry
+    net = inst.net
+    half = FlowNetwork(net.nodes, [(u, v, c / 2.0) for u, v, c in net.edges],
+                       net.node_capacity, directed=False)
+    res, cols, _ = solve_walk_master(half, inst.demands, paths=True)
+    # x * processable / value, not x * (processable / value): a single path
+    # then delivers processable exactly
+    carried = res.x * proc_value / res.objective if res.objective > proc_value else res.x
+
+    n = len(inst.demands)
+    flow: list[dict[int, float]] = [{} for _ in range(n)]
+    delivered = [0.0] * n
+    for (i, arcs, _), x in zip(cols, carried.tolist()):
+        if x > SNAP:
+            delivered[i] += x
+            for a in arcs:
+                flow[i][a] = flow[i].get(a, 0.0) + x
+    served_total = sum(delivered)
+
+    # attribute processing to demands pro rata; the detour legs live on the
+    # other half of the capacity and are reported aggregate in meta
+    proc = [{} for _ in range(n)]
+    if served_total > SNAP and proc_value > SNAP:
+        use = served_total / proc_value
+        for i in range(n):
+            share = delivered[i] / served_total
+            for v, amount in proc_load.items():
+                val = amount * use * share
+                if val > SNAP:
+                    proc[i][v] = val
+    unproc = [{} for _ in range(n)]
+    meta = {"algorithm": "purchase-greedy", "processable": proc_value,
+            "route_value": served_total, "depth": _DEPTH,
+            "halving": {"route": 0.5, "detour_each_way": 0.25},
+            "processing_load": proc_load}
+    return _package(inst, set(chosen), EdgeFlowSolution(flow, unproc, proc, 0.0),
+                    delivered, meta)
