@@ -30,9 +30,18 @@ def gen_random_instance(n_nodes: int, density: float, edge_cap=(1, 5),
     truncates the sampled edge set (connectivity patches are exempt).
     `amounts` is an inclusive integer range for demand sizes, or None for
     uncapped demands.
+
+    Every instance it returns passes `validate_instance`: a capacity range
+    with a negative bound, an amount range starting below 1, or a range
+    whose low end exceeds its high end raises ValueError naming the range.
     """
     if n_nodes < 2 or not 0.0 <= density <= 1.0 or n_demands < 0:
         raise ValueError("need n_nodes >= 2, density in [0,1], n_demands >= 0")
+    for name, span, least in (("edge capacity", edge_cap, 0), ("node capacity", node_cap, 0),
+                              ("amount", amounts, 1)):
+        if span is not None and not least <= span[0] <= span[1]:
+            raise ValueError(f"{name} range {span[0]}:{span[1]} must satisfy "
+                             f"{least} <= lo <= hi")
     rng = random.Random(seed)
     nodes = [f"n{i}" for i in range(n_nodes)]
 

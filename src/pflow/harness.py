@@ -91,8 +91,8 @@ def _capacitate(net: FlowNetwork, c: float, dist: str,
 
 def run_solver(alg: str, net: FlowNetwork, demands: list[Demand],
                epsilon: float, objective: Objective = Objective()):
-    """The solver dispatch behind `pflow solve`. `compare_runs` calls it for
-    mwu only: it runs lp and naive itself, to share work across grid points.
+    """The solver dispatch behind `pflow solve`. `compare_runs` runs each
+    algorithm itself, to share work across grid points.
 
     Every algorithm returns a WalkFlowSolution: lp the walk master's walks
     (`lp.master_walks`) under any objective; mwu, with accuracy `epsilon`,
@@ -128,12 +128,17 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     does, and every repetition of a point starts from the same columns. An
     lp record's iterations are those of its own master, and its objective,
     what the master's walks deliver, equals a fresh solve's to rounding.
+
+    An unknown algorithm, and with mwu an `epsilon` that `MWUConfig`
+    rejects, raise before any solve; every mwu record runs under that one
+    config.
     """
     algs = list(algorithms)
     for a in algs:
         if a not in KNOWN_ALGS:
             raise StructuralError(f"unknown algorithm {a!r}; "
                                   f"choose from {', '.join(KNOWN_ALGS)}")
+    config = MWUConfig(epsilon=epsilon) if "mwu" in algs else None
     half = half_subset(net, sweep.seed) if sweep.dist == "half" else []
     records: list[RunRecord] = []
     routing = None  # naive's phase 1 once solved, or the exception it raised
@@ -144,8 +149,8 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
         if alg == "lp":
             res, ended, meta = solve_walk_master(capped, demands, start)
             return master_walks(capped, demands, res, ended, meta)
-        if alg != "naive":
-            return run_solver(alg, capped, demands, epsilon)
+        if alg == "mwu":
+            return mwu_solve(capped, demands, config)
         if routing is None:
             try:
                 routing = route_paths(net, demands)

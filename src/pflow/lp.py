@@ -35,10 +35,15 @@ takes the walks of a few rounds of Garg and Könemann's multiplicative
 weights (`_seed_columns`), the congestion-aware heuristic of the paper's
 approximation algorithm, priced without HiGHS and charged by the helper
 MWU's rounds share (`charge_walks`); from there its rounds run as
-before. Pricing is one scipy Dijkstra run (`price_walks`) over a
-block-diagonal graph, one two-layer copy of the network per demand, whose
-weights are rewritten in place each round; the graph is built once per
-network and list of (source, sink) pairs. A master's columns are walks
+before. Pricing is one scipy Dijkstra run over a block-diagonal graph
+(`_WalkGraph`), one two-layer copy of the network per demand, whose weights
+are rewritten in place each round. The graph is built once per network and
+list of (source, sink) pairs, and a solver that prices round after round
+(MWU, the master, its seed) holds it for the whole solve and prices each
+round on it; `price_walks` is the one-shot entry. The graph also counts
+each column's resource uses once (`_WalkGraph.uses`), which the master's
+rows, the charge of each multiplicative-weights round and the congestion
+ratio then read. A master's columns are walks
 already: `master_walks` hands them out through `WalkFold`, the one fold
 from (column, flow) pairs to walk entries, which MWU and naive use too;
 only `solve_edge_lp` sums them into edge flows, as the arc formulation
@@ -546,11 +551,23 @@ class _WalkGraph:
     at the sink. Each
     entry's weight is the price of the master row its key names: the arc's
     group row k + g, or node v's row k + G + v. Only the weights change from
-    round to round."""
+    round to round: a solver that prices many rounds looks the graph up once
+    (`_walk_graph`) and calls `price` on it each round.
 
-    __slots__ = ("csr", "keys", "sources", "sinks", "arc", "block")
+    The graph also keeps each column's incidence (`uses`), counted once and
+    then reused, since it depends on the topology alone. It holds no
+    reference to its network, which caches it (`FlowNetwork._walk_graphs`,
+    shared with the `with_node_capacity` copies), so that the two do not
+    form a cycle."""
+
+    __slots__ = ("csr", "keys", "sources", "sinks", "arc", "block", "n", "group", "head",
+                 "vertex", "_uses", "_dijkstra")
 
     def __init__(self, net: FlowNetwork, pairs: list[tuple[str, str]], paths: bool):
+        # imported here: `import pflow` and the purchase LPs need not pay the
+        # ~1 MB of RSS that csgraph costs
+        from scipy.sparse.csgraph import dijkstra
+
         n, k, layers = net.n_nodes, len(pairs), 1 if paths else 2
         tail, head = net.arc_ends
         group = k + np.array([a.group for a in net.arcs], dtype=np.int64)
@@ -579,6 +596,73 @@ class _WalkGraph:
         self.sources = block * np.arange(k) + ends[:, 0]
         self.sinks = block * np.arange(k) + block - n + ends[:, 1]
         self.arc = {uh: a for a, uh in enumerate(zip(tail.tolist(), head.tolist()))}
+        self.n, self.head = n, head.tolist()
+        self.group = [a.group for a in net.arcs]
+        # the resource index of processing at node index 0; a path has none
+        self.vertex = None if paths else net.edge_count
+        self._uses: dict[Column, tuple[tuple[int, int], ...]] = {}
+        self._dijkstra = dijkstra
+
+    def closed_rows(self, net: FlowNetwork) -> np.ndarray:
+        """The master rows of `net`'s resources of capacity 0 (`net.closed`)
+        that this graph prices, which `price` prices at inf. `net` is the
+        graph's network or a `with_node_capacity` copy of it."""
+        k, groups = len(self.sources), net.edge_count
+        return k + np.flatnonzero(net.closed[:groups if self.vertex is None else None])
+
+    def price(self, price: np.ndarray, closed: np.ndarray
+              ) -> tuple[np.ndarray, Callable[[int], Column]]:
+        """`price_walks` on this graph: each pair's cheapest walk under the
+        master row prices `price`, which is read, not kept, with the rows
+        `closed` (`closed_rows`) at inf."""
+        weight = np.array(price, dtype=float)
+        weight[closed] = math.inf
+        weight.take(self.keys, out=self.csr.data, mode="clip")  # every key is a row
+        dist, pred, _ = self._dijkstra(self.csr, indices=self.sources, min_only=True,
+                                       return_predecessors=True)
+        n, block, arc, pred = self.n, self.block, self.arc, pred.tolist()
+        sources, sinks = self.sources.tolist(), self.sinks.tolist()
+
+        def walk(i: int) -> Column:
+            base, source, y = block * i, sources[i], sinks[i]
+            arcs: list[int] = []
+            after = 0  # arcs that carry the flow processed
+            while y != source:
+                x = pred[y]
+                if x - base < n <= y - base:  # x -> y is v0 -> v1, processing at v
+                    after = len(arcs)
+                else:
+                    arcs.append(arc[(x - base) % n, (y - base) % n])
+                y = x
+            return i, tuple(reversed(arcs)), len(arcs) - after
+
+        return dist[self.sinks], walk
+
+    def uses(self, col: Column) -> tuple[tuple[int, int], ...]:
+        """How many times `col` uses each resource it uses, as (resource
+        index, times) pairs: its processing vertex v at edge_count + v's
+        index (a path has none), then each bandwidth group g at g, in the
+        order of first use. Counted on a column's first call, then kept."""
+        inc = self._uses.get(col)
+        if inc is None:
+            _, arcs, split = col
+            uses = {} if self.vertex is None else {self.vertex + self.head[arcs[split - 1]]: 1}
+            for a in arcs:
+                g = self.group[a]
+                uses[g] = uses.get(g, 0) + 1
+            inc = self._uses[col] = tuple(uses.items())
+        return inc
+
+
+def _walk_graph(net: FlowNetwork, demands: list[Demand], paths: bool = False) -> _WalkGraph:
+    """The pricing graph of `demands`' (source, sink) pairs in `paths`' mode:
+    built on a network's first call, then cached on it, and handed on by
+    `FlowNetwork.with_node_capacity`."""
+    key = (paths, *((d.source, d.sink) for d in demands))
+    graph = net._walk_graphs.get(key)
+    if graph is None:
+        graph = net._walk_graphs[key] = _WalkGraph(net, list(key[1:]), paths)
+    return graph
 
 
 def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray,
@@ -590,65 +674,29 @@ def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray,
     `price` is indexed like the master's rows (demands, then bandwidth
     groups, then nodes, which `paths` has none of), non-negative on the last
     two. An arc costs its group's price and processing at v costs v's; a
-    group of capacity 0 and a node of capacity 0 cost inf. The graph is
-    built once per network, list of (source, sink) pairs and mode, and
-    `FlowNetwork.with_node_capacity` hands it on. Returns each demand's cost
-    (inf without a walk; the demand rows' prices are not part of it) and a
-    function that rebuilds the walk of a demand i whose cost is finite, as a
-    master column (a path is processed at its sink); ties between walks
-    break in csgraph's order.
+    group of capacity 0 and a node of capacity 0 cost inf. Returns each
+    demand's cost (inf without a walk; the demand rows' prices are not part
+    of it) and a function that rebuilds the walk of a demand i whose cost is
+    finite, as a master column (a path is processed at its sink); ties
+    between walks break in csgraph's order.
+
+    This is the one-shot entry: a cache lookup (`_walk_graph`), then
+    `_WalkGraph.price`. The solvers that price round after round, MWU, the
+    master and its seed, look the graph and its closed rows up once per
+    solve and call `_WalkGraph.price` themselves.
     """
-    # imported here: `import pflow` and the purchase LPs need not pay the
-    # ~1 MB of RSS that csgraph costs
-    from scipy.sparse.csgraph import dijkstra
-
-    pairs = [(d.source, d.sink) for d in demands]
-    graph = net._walk_graphs.get((paths, *pairs))
-    if graph is None:
-        graph = net._walk_graphs[(paths, *pairs)] = _WalkGraph(net, pairs, paths)
-    weight = np.array(price, dtype=float)
-    weight[len(pairs):][net.closed[:len(weight) - len(pairs)]] = math.inf
-    np.take(weight, graph.keys, out=graph.csr.data)
-    dist, pred, _ = dijkstra(graph.csr, indices=graph.sources, min_only=True,
-                             return_predecessors=True)
-    n, pred = net.n_nodes, pred.tolist()
-
-    def walk(i: int) -> Column:
-        base, source, y = graph.block * i, int(graph.sources[i]), int(graph.sinks[i])
-        arcs: list[int] = []
-        after = 0  # arcs that carry the flow processed
-        while y != source:
-            x = pred[y]
-            if x - base < n <= y - base:  # x -> y is v0 -> v1, processing at v
-                after = len(arcs)
-            else:
-                arcs.append(graph.arc[(x - base) % n, (y - base) % n])
-            y = x
-        return i, tuple(reversed(arcs)), len(arcs) - after
-
-    return dist[graph.sinks], walk
+    graph = _walk_graph(net, demands, paths)
+    return graph.price(price, graph.closed_rows(net))
 
 
-def _uses(net: FlowNetwork, arcs: tuple[int, ...], split: int, paths: bool
-          ) -> dict[int, int]:
-    """How many times a column uses each resource it uses, by resource index:
-    its processing vertex v at edge_count + v's index (a path has none), then
-    each bandwidth group g at g."""
-    uses = {} if paths else {net.edge_count + net.node_index(net.arcs[arcs[split - 1]].head): 1}
-    for a in arcs:
-        g = net.arcs[a].group
-        uses[g] = uses.get(g, 0) + 1
-    return uses
-
-
-def _peak_ratio(net: FlowNetwork, cols: Sequence[Column], values: list[float]) -> float:
+def _peak_ratio(graph: _WalkGraph, capacity: Sequence[float], cols: Sequence[Column],
+                values: list[float]) -> float:
     """The largest load/capacity ratio over the resources with capacity, the
-    loads summed off the columns (`_uses`); a congestion solution puts no
-    load on the others."""
-    capacity = net.group_capacity + tuple(net.node_capacity.values())
+    loads summed off the columns' incidences (`_WalkGraph.uses`); a
+    congestion solution puts no load on the others."""
     load = [0.0] * len(capacity)
-    for (_, arcs, split), val in zip(cols, values):
-        for r, m in _uses(net, arcs, split, paths=False).items():
+    for col, val in zip(cols, values):
+        for r, m in graph.uses(col):
             load[r] += m * val
     return max((x / c for x, c in zip(load, capacity) if c > 0), default=0.0)
 
@@ -691,32 +739,34 @@ class WalkFold:
                 for (i, nodes), (flow, proc) in self.walks.items()]
 
 
-def charge_walks(net: FlowNetwork, walk: Callable[[int], Column], chosen: list[int],
+def charge_walks(graph: _WalkGraph, walk: Callable[[int], Column], chosen: list[int],
                  capacity: list[float], limit: Sequence[float] | None = None
-                 ) -> tuple[list[tuple[Column, float]], np.ndarray]:
+                 ) -> tuple[list[tuple[Column, float]], list[float]]:
     """One multiplicative-weights round's charge, shared by `_seed_columns`
     and `mwu.mwu_solve`: rebuild the walk of each demand in `chosen`, in that
     order, and give it its bottleneck f = min_r cap_r/m_r over the resources
     r it uses m_r times (1 for its processing vertex), at most limit[i] for
-    demand i when `limit` is given. Returns each (column, f) and, per
-    resource, u_r = Σ m_r·f/cap_r summed walk by walk; a walk with f = inf
-    (on uncapacitated resources only) adds nothing to u."""
-    use = np.zeros(len(capacity))
+    demand i when `limit` is given. Each walk's incidence is the one `graph`,
+    its pricing graph, keeps (`_WalkGraph.uses`), so a walk that repeats
+    from round to round is counted once. Returns each (column, f) and, per
+    resource, u_r = Σ m_r·f/cap_r summed walk by walk, as a list; a walk
+    with f = inf (on uncapacitated resources only) adds nothing to u."""
+    use = [0.0] * len(capacity)
     charged = []
     for i in chosen:
         col = walk(i)
-        uses = _uses(net, *col[1:], paths=False)
-        f = min(capacity[r] / m for r, m in uses.items())
+        uses = graph.uses(col)
+        f = min(capacity[r] / m for r, m in uses)
         if limit is not None:
             f = min(f, limit[i])
         if f < math.inf:
-            for r, m in uses.items():
+            for r, m in uses:
                 use[r] += m * f / capacity[r]
         charged.append((col, f))
     return charged, use
 
 
-def _seed_columns(net: FlowNetwork, demands: list[Demand], capacity: list[float]
+def _seed_columns(graph: _WalkGraph, closed: np.ndarray, capacity: list[float]
                   ) -> list[Column]:
     """The first columns of a fresh max-total-flow master: the walks of
     SEED_ROUNDS rounds of Garg and Könemann's multiplicative weights, in the
@@ -724,24 +774,26 @@ def _seed_columns(net: FlowNetwork, demands: list[Demand], capacity: list[float]
 
     Every resource r (bandwidth group, then node) of capacity cap_r starts at
     weight 1. A round prices every demand's cheapest 2-walk under y_g =
-    w_g/B_g and z_v = w_v/C_v (one `price_walks` call, no HiGHS). Each walk of
-    finite cost is charged its bottleneck (`charge_walks`), which multiplies
-    each w_r it uses by exp(SEED_EPSILON * m_r * f / cap_r). Weights are kept
-    as logarithms and scaled by their largest before pricing, which moves no
-    walk."""
-    k = len(demands)
-    cap = np.array(capacity)
-    inv = np.divide(1.0, cap, out=np.zeros_like(cap), where=cap > 0)
-    log_weight = np.zeros(len(cap))
-    price = np.zeros(k + len(cap))
+    w_g/B_g and z_v = w_v/C_v (one `graph.price` call under the `closed`
+    rows, on the graph the master prices on; no HiGHS). Each walk of finite
+    cost is charged its bottleneck (`charge_walks`), which multiplies each
+    w_r it uses by exp(SEED_EPSILON * m_r * f / cap_r). Weights are kept as
+    logarithms, a list of floats, and scaled by their largest before
+    pricing, which moves no walk; only that exponential and the price vector
+    are numpy's."""
+    k = len(graph.sources)
+    inv = np.array([1.0 / c if c > 0 else 0.0 for c in capacity])
+    log_weight = [0.0] * len(capacity)
+    price = np.zeros(k + len(capacity))
     seed: dict[Column, None] = {}
     for _ in range(SEED_ROUNDS):
-        price[k:] = np.exp(log_weight - log_weight.max()) * inv
-        cost, walk = price_walks(net, demands, price)
-        charged, grow = charge_walks(net, walk, np.flatnonzero(np.isfinite(cost)).tolist(),
-                                     capacity)
+        top = max(log_weight)
+        np.multiply(np.exp([w - top for w in log_weight]), inv, out=price[k:])
+        cost, walk = graph.price(price, closed)
+        charged, grow = charge_walks(graph, walk, [i for i, c in enumerate(cost.tolist())
+                                                   if c < math.inf], capacity)
         seed.update(dict.fromkeys(col for col, _ in charged))
-        log_weight += SEED_EPSILON * grow
+        log_weight = [w + SEED_EPSILON * g for w, g in zip(log_weight, grow)]
     return list(seed)
 
 
@@ -758,7 +810,9 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     group. It starts with `columns`. Each round turns the negated row duals,
     clamped at 0 (a non-finite one raises ResourceLimitError), into prices
     σ_i, y_g and z_v, and prices every demand's cheapest 2-walk at once
-    (`price_walks`) unless no node can process. A new walk joins when its
+    unless no node can process, on the pricing graph the solve looks up once
+    (`_WalkGraph.price`), whose count of each column's rows
+    (`_WalkGraph.uses`) also writes the columns. A new walk joins when its
     worth - σ_i - cost exceeds 1e-9, and HiGHS re-solves by primal simplex
     from the current basis, all solves within one MAXITER budget. The
     rounds stop when none joins; as no walk joins twice, they do. Without
@@ -771,9 +825,9 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     With `paths` the master is the plain multicommodity max flow of Ford
     and Fulkerson, blind to processing: it has no node rows, never reads
     node capacity, and prices each demand's cheapest simple path under
-    `FlowNetwork.legs`, its one leg running source->sink (`price_walks`
-    with `paths`). Its
-    columns are those paths, each processed at its sink.
+    `FlowNetwork.legs`, its one leg running source->sink (the pricing graph
+    in `paths` mode). Its columns are those paths, each processed at its
+    sink.
 
     Min-max congestion is this master with demand rows fixed at R_i,
     capacity rows at most 0, walks worth 0, σ_i unclamped, and a column θ of
@@ -810,7 +864,8 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
         cost, cols = _cheapest_walks(net, demands, np.array(price))
         value = float(np.dot(amounts, cost))
         x = [amounts[i] for i, _, _ in cols]
-        meta.update(lp_objective=value, lp_iterations=0, congestion=_peak_ratio(net, cols, x))
+        ratio = _peak_ratio(_walk_graph(net, demands), capacity, cols, x)
+        meta.update(lp_objective=value, lp_iterations=0, congestion=ratio)
         return LPResult("optimal", np.array(x), value, 0), cols, meta
 
     minmax = kind == "min-max-congestion"
@@ -818,9 +873,12 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     price = np.zeros(len(upper))  # the empty master's duals
     # with no processing capacity no 2-walk has a finite cost: price nothing
     pricing = paths or any(c > 0 for c in net.node_capacity.values())
+    # the graph the rounds price on, which also counts each column's rows
+    graph = _walk_graph(net, demands, paths)
+    closed = graph.closed_rows(net)
     batch = list(columns)
     if not (batch or paths or minmax) and pricing and k:
-        batch = _seed_columns(net, demands, capacity)
+        batch = _seed_columns(graph, closed, capacity)
     seeded = len(batch) - len(columns)
     if minmax:  # each demand's cheapest walk at zero prices joins
         batch = list(dict.fromkeys(batch + _cheapest_walks(net, demands, price)[1]))
@@ -846,12 +904,12 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
         while True:
             if batch:
                 starts, index, coefs = [], [], []
-                for i, arcs, split in batch:
+                for col in batch:
                     starts.append(len(index))
                     # its demand row, then its processing vertex's and group rows
-                    uses = _uses(net, arcs, split, paths)
-                    index += [i, *(k + r for r in uses)]
-                    coefs += [1, *uses.values()]
+                    uses = graph.uses(col)
+                    index += [col[0], *(k + r for r, _ in uses)]
+                    coefs += [1, *(m for _, m in uses)]
                 n = len(batch)
                 highs.addCols(n, np.full(n, -worth), np.zeros(n), np.full(n, math.inf),
                               len(index), np.array(starts, dtype=np.int32),
@@ -870,7 +928,7 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
             rounds += 1
             batch, reduced, cost = [], -math.inf, np.zeros(k)
             if pricing and k:
-                cost, walk = price_walks(net, demands, price, paths)
+                cost, walk = graph.price(price, closed)
                 gain = worth - price[:k] - cost
                 reduced = float(gain.max())
                 batch = [col for col in map(walk, np.flatnonzero(gain > _PRICE_TOL).tolist())

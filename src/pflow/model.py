@@ -11,6 +11,7 @@ what makes detours through off-path processing nodes expressible.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -73,11 +74,7 @@ class FlowNetwork:
         self.directed = bool(directed)
         self._index = {v: i for i, v in enumerate(self.nodes)}
 
-        caps = dict(node_capacity or {})
-        for v in caps:
-            if v not in self._index:
-                raise StructuralError(f"node capacity for unknown node {v!r}")
-        self.node_capacity = {v: float(caps.get(v, 0.0)) for v in self.nodes}
+        self.node_capacity = self._capacities(node_capacity)
 
         arcs: list[Arc] = []
         group_cap: list[float] = []
@@ -195,6 +192,16 @@ class FlowNetwork:
         start, end = start[..., None], end[..., None]
         return (start == end) | (head == start) | (tail == end)
 
+    def _capacities(self, node_capacity) -> dict[str, float]:
+        """Every node's processing capacity as a float, 0 where
+        `node_capacity` leaves a node out; StructuralError on a node this
+        network lacks."""
+        caps = dict(node_capacity or {})
+        for v in caps:
+            if v not in self._index:
+                raise StructuralError(f"node capacity for unknown node {v!r}")
+        return {v: float(caps.get(v, 0.0)) for v in self.nodes}
+
     def node_index(self, v: str) -> int:
         try:
             return self._index[v]
@@ -205,14 +212,18 @@ class FlowNetwork:
         return self.node_capacity[v]
 
     def with_node_capacity(self, caps: dict[str, float]) -> "FlowNetwork":
-        """Copy of this network with node processing capacities replaced.
+        """Copy of this network with node processing capacities replaced, as
+        `FlowNetwork(nodes, edges, caps, directed)` would build it.
 
-        The copy shares this network's topology caches: the `barred` rules
-        and the walk master's pricing graphs, whose structure no node
-        capacity changes. So a capacity sweep builds them once per instance,
-        not once per grid point."""
-        net = FlowNetwork(self.nodes, self.edges, caps, directed=self.directed)
-        net._barred, net._walk_graphs = self._barred, self._walk_graphs
+        The copy shares this network's topology, which no node capacity
+        changes: its arcs, groups, arc index and in/out-arc maps, and the
+        topology caches (`adjacency`, `arc_ends`, the `barred` rules and the
+        walk master's pricing graphs). So a capacity sweep builds them once
+        per instance, not once per grid point. Only `closed` is the copy's
+        own, built on its first use."""
+        net = copy.copy(self)
+        net.__dict__.pop("closed", None)
+        net.node_capacity = self._capacities(caps)
         return net
 
 

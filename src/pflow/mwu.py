@@ -3,13 +3,14 @@
 Resources are the bandwidth groups and then the nodes, in the walk master's
 row order. Resource r of capacity cap_r has weight w_r = delta*(1+eps)^gain_r,
 gain_r being the load placed on it so far over its capacity, and price
-y_r = w_r/cap_r. A round is one `lp.price_walks` call, which prices every
-demand's cheapest processed 2-walk at once; alpha is the cheapest cost over
-the demands still active. Every active demand whose walk costs at most
-(1+eps)*alpha routes it, in index order, at its bottleneck f = min_r
-cap_r/m_r over the resources it uses m_r times (`lp.charge_walks`, which
-the walk master's seed shares); a capped demand routes at most what is left
-of its pre-scaling budget amount*sigma, and drops out once that is used up.
+y_r = w_r/cap_r. A round is one pricing call on the pricing graph the solve
+holds (`lp._WalkGraph.price`), which prices every demand's cheapest processed
+2-walk at once; alpha is the cheapest cost over the demands still active.
+Every active demand whose walk costs at most (1+eps)*alpha routes it, in
+index order, at its bottleneck f = min_r cap_r/m_r over the resources it
+uses m_r times (`lp.charge_walks`, which the walk master's seed shares); a
+capped demand routes at most what is left of its pre-scaling budget
+amount*sigma, and drops out once that is used up.
 The batch is scaled by lambda = min(1, 1/max_r u_r), u_r = sum of m_r*f/cap_r
 over the batch, so that no round loads a resource past its capacity, and
 gain_r grows by lambda*u_r. This is the phase scheme of L. Fleischer,
@@ -39,8 +40,13 @@ only by weight or demands, with no ratio certified.
 Dividing all placed flow by max(1, peak utilization) makes the solution
 feasible; a capped demand still above its amount then shrinks alone.
 
+A round's bookkeeping (gains, activity, costs, charges) is plain Python
+floats. Only the weights' power and their sum stay numpy's, whose results
+can differ from a Python loop's in the last bit, and so does the price
+vector the pricing graph reads.
+
 `shortest_processing_2walk` is the walk oracle in plain Python, sharing no
-code with `price_walks`: the tests check each round's pricing against it.
+code with the pricing graph: the tests check each round's pricing against it.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import WalkFold, charge_walks, price_walks
+from .lp import WalkFold, _walk_graph, charge_walks
 from .model import (Demand, FlowNetwork, ResourceLimitError, WalkFlowSolution,
                     reject_degenerate_demands)
 
@@ -270,15 +276,18 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
 
     k = len(demands)
     capacity = list(net.group_capacity) + [net.node_capacity[v] for v in net.nodes]
-    cap = np.array(capacity)
-    inv = np.divide(1.0, cap, out=np.zeros_like(cap), where=cap > 0)
-    positive = cap > 0
-    gain = np.zeros(len(cap))  # load placed so far over capacity
+    # numpy only where a round's arithmetic must stay numpy's: the weights'
+    # power and sum, and the price vector the pricing graph reads
+    inv = np.array([1.0 / c if c > 0 else 0.0 for c in capacity])
+    positive = np.flatnonzero(np.array(capacity) > 0)
+    gain = [0.0] * len(capacity)  # load placed so far over capacity
     gain_limit = -math.log(delta) / math.log1p(eps)  # weight > 1
-    price = np.zeros(k + len(cap))
+    graph = _walk_graph(net, demands)
+    closed = graph.closed_rows(net)
+    price = np.zeros(k + len(capacity))
     budget = [d.amount * sigma for d in demands]  # pre-scaling caps
     placed = [0.0] * k
-    active = np.ones(k, dtype=bool)
+    active = [True] * k
     fold = WalkFold(net, demands)  # the walks placed so far, before scaling
     upper, total, rounds = math.inf, 0.0, 0
     while True:
@@ -286,20 +295,21 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
             raise ResourceLimitError(
                 f"mwu exceeded the iteration guard of {guard}; "
                 f"epsilon={eps} may be pathologically small")
-        weight = delta * (1.0 + eps) ** gain
-        price[k:] = weight * inv
-        cost, walk = price_walks(net, demands, price)
-        cost[~active] = math.inf
-        alpha = float(cost.min())
+        weight = delta * np.power(1.0 + eps, gain)
+        np.multiply(weight, inv, out=price[k:])
+        cost, walk = graph.price(price, closed)
+        cost = cost.tolist()
+        alpha = min([c for c, on in zip(cost, active) if on], default=math.inf)
         if uncapped and alpha > 0.0:
             upper = min(upper, float(weight[positive].sum()) / alpha)
         if alpha == math.inf:
             break
         rounds += 1
-        chosen = np.flatnonzero(cost <= (1.0 + eps) * alpha).tolist()
-        charged, use = charge_walks(net, walk, chosen, capacity,
+        bar = (1.0 + eps) * alpha
+        chosen = [i for i, c in enumerate(cost) if c <= bar and active[i]]
+        charged, use = charge_walks(graph, walk, chosen, capacity,
                                     [b - p for b, p in zip(budget, placed)])
-        most = float(use.max())
+        most = max(use)
         lam = 1.0 / most if most > 1.0 else 1.0
         routed = []
         for col, f in charged:
@@ -315,8 +325,8 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
                 total += flow
                 routed.append((col, flow))
         fold.add(routed)
-        gain += lam * use
-        peak = float(gain.max())
+        gain = [g + lam * u for g, u in zip(gain, use)]
+        peak = max(gain)
         target = (1.0 - eps) * upper
         # the cheap test first; the value as returned, Σ flow / scale, decides
         if uncapped and total >= target * max(peak, 1.0) * (1.0 - 1e-9):
@@ -328,7 +338,7 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
             meta["stopped_by"] = "weight"
             break
 
-    peak = float(gain.max())
+    peak = max(gain)
     meta.update(iterations=rounds, scale=max(peak, 1.0) * (1.0 + 1e-12))
     if uncapped:
         meta["upper_bound"] = upper

@@ -86,6 +86,20 @@ def _group_multiplicity(net: FlowNetwork, walk: tuple[str, ...]) -> dict[int, in
     return mult
 
 
+def column_uses(net: FlowNetwork, col: tuple, paths: bool = False) -> list[tuple[int, int]]:
+    """A master column's (resource index, times used) pairs, recounted from
+    its arcs and its split: its processing vertex first, the head of its
+    split-th arc, at edge_count + the vertex's place in `net.nodes` (a plain
+    path has none), then each bandwidth group in the order the column first
+    crosses it, with the number of its arcs in that group."""
+    _, arcs, split = col
+    groups = [net.arcs[a].group for a in arcs]
+    counted = [(g, groups.count(g)) for j, g in enumerate(groups) if g not in groups[:j]]
+    if paths:
+        return counted
+    return [(net.edge_count + net.nodes.index(net.arcs[arcs[split - 1]].head), 1)] + counted
+
+
 def walk_lp_optimum(net: FlowNetwork, demands: list[Demand],
                     allow_endpoints: bool = False,
                     max_columns: int = 300_000) -> float:

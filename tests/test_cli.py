@@ -433,6 +433,17 @@ class TestGen:
     def test_bad_specs(self, tmp_path, args):
         assert run("gen", *args, "-o", tmp_path / "x.pf") == 2
 
+    @pytest.mark.parametrize("flag", ["--amount=0:0", "--node-cap=-3:-1", "--edge-cap=-2:-1",
+                                      "--edge-cap=5:1"])
+    def test_random_ranges_that_solve_would_reject(self, tmp_path, capsys, flag):
+        # an amount below 1 or a negative capacity would be written and then
+        # refused by `pflow solve`; a reversed range is named, not passed to
+        # `random` to fail there
+        out = tmp_path / "x.pf"
+        assert run("gen", "--kind", "random", "--nodes", "5", flag, "-o", out) == 2
+        assert f"range {flag.split('=')[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_sweep_csv(self, line_pf, tmp_path, capsys):
@@ -459,6 +470,17 @@ class TestCompare:
         assert run("compare", "--input", line_pf, f"--sweep={sweep}",
                    "-o", tmp_path / "x.csv") == 2
         assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_mwu_epsilon_exits_2(self, line_pf, tmp_path, capsys):
+        # as `pflow solve --alg mwu --epsilon 1.5` does, before any solve
+        # and without a CSV, rather than a row of errors and exit 0
+        out = tmp_path / "x.csv"
+        assert run("compare", "--input", line_pf, "--sweep", "0:3:1", "--epsilon", "1.5",
+                   "--algs", "lp,mwu", "-o", out) == 2
+        assert "epsilon must lie strictly between 0 and 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("solve", "--alg", "mwu", "--epsilon", "1.5", "--input", line_pf,
+                   "-o", tmp_path / "x.json") == 2
 
     def test_unknown_alg_rejected(self, line_pf, tmp_path):
         assert run("compare", "--input", line_pf, "--sweep", "0:3:1",

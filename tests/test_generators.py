@@ -8,7 +8,7 @@ import pytest
 from pflow.generators import (gen_random_instance, gen_random_purchase,
                               gen_reduction_instance)
 from pflow.instance_io import instance_text
-from pflow.model import InfeasibleError
+from pflow.model import InfeasibleError, validate_instance
 from pflow.purchase import round_budgeted_purchase, solve_purchase_lp
 
 
@@ -36,6 +36,25 @@ class TestRandomInstance:
                                   directed=False)
         assert not und.net.directed
         assert und.net.n_arcs == 2 * und.net.edge_count
+
+
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"amounts": (0, 0)}, "amount range 0:0"),
+        ({"amounts": (3, 2)}, "amount range 3:2"),
+        ({"node_cap": (-3, -1)}, "node capacity range -3:-1"),
+        ({"edge_cap": (-2, -1)}, "edge capacity range -2:-1"),
+        ({"edge_cap": (5, 1)}, "edge capacity range 5:1"),
+    ])
+    def test_rejects_ranges_that_make_invalid_instances(self, kwargs, fragment):
+        # each would make an amount or capacity `validate_instance` rejects,
+        # or an empty range
+        with pytest.raises(ValueError, match=fragment):
+            gen_random_instance(6, 0.4, n_demands=2, seed=1, **kwargs)
+
+    def test_range_edges_make_valid_instances(self):
+        inst = gen_random_instance(6, 0.4, (0, 0), (0, 0), 2, seed=1, amounts=(1, 1))
+        assert validate_instance(inst.net, inst.demands).ok
+        assert {d.amount for d in inst.demands} == {1.0}
 
 
 class TestRandomPurchase:

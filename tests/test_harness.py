@@ -14,6 +14,7 @@ from pflow.decompose import decompose
 from pflow.lp import master_walks, solve_edge_lp
 from pflow.model import (Demand, FlowNetwork, ResourceLimitError, StructuralError,
                          verify_edge_solution, verify_walk_solution)
+from pflow.mwu import MWUConfig
 from pflow.naive import naive_solve
 from ratios import objective_ratio, ratio_series
 
@@ -102,6 +103,40 @@ def test_unknown_algorithm_rejected(naive_gap):
     sweep = SweepSpec(lo=0.0, hi=1.0, step=1.0)
     with pytest.raises(StructuralError):
         compare_runs(net, demands, sweep, algorithms=("lp", "simplex2000"))
+
+
+@pytest.mark.parametrize("epsilon", [1.5, 0.0])
+def test_bad_mwu_epsilon_rejected_before_any_solve(naive_gap, monkeypatch, epsilon):
+    # as an unknown algorithm does: no row is written, lp included, and a
+    # sweep without mwu never reads epsilon
+    net, demands = naive_gap
+    sweep = SweepSpec(lo=0.0, hi=1.0, step=1.0)
+    solved = []
+    monkeypatch.setattr(pflow.harness, "solve_walk_master",
+                        lambda *args: solved.append(args) or None)
+    with pytest.raises(ValueError, match="epsilon must lie strictly between 0 and 1"):
+        compare_runs(net, demands, sweep, algorithms=("lp", "mwu"), epsilon=epsilon)
+    assert solved == []
+    monkeypatch.undo()
+    recs = compare_runs(net, demands, sweep, algorithms=("lp",), epsilon=epsilon)
+    assert [r.feasible for r in recs] == [True, True]
+
+
+def test_every_mwu_record_runs_under_one_config(naive_gap, monkeypatch):
+    net, demands = naive_gap
+    configs = []
+    real = pflow.harness.mwu_solve
+
+    def keeping(net, demands, config):
+        configs.append(config)
+        return real(net, demands, config)
+
+    monkeypatch.setattr(pflow.harness, "mwu_solve", keeping)
+    recs = compare_runs(net, demands, SweepSpec(lo=0.0, hi=2.0, step=1.0, repetitions=2),
+                        algorithms=("mwu",), epsilon=0.3)
+    assert len(recs) == len(configs) == 6 and all(r.feasible for r in recs)
+    assert configs[0] == MWUConfig(epsilon=0.3)
+    assert all(c is configs[0] for c in configs)
 
 
 def test_solver_failure_becomes_row(naive_gap):
@@ -218,14 +253,14 @@ def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
     # seed (121 against 179 here). A fresh seeded master can take fewer
     # still (111): the hand-off spares the seed's pricing, not its pivots
     calls = 0  # demands priced
-    real = pflow.lp.price_walks
+    real = pflow.lp._WalkGraph.price
 
-    def counting(net, demands, price, paths=False):
+    def counting(graph, price, closed):
         nonlocal calls
-        calls += len(demands)
-        return real(net, demands, price, paths)
+        calls += len(graph.sources)
+        return real(graph, price, closed)
 
-    monkeypatch.setattr(pflow.lp, "price_walks", counting)
+    monkeypatch.setattr(pflow.lp._WalkGraph, "price", counting)
     inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
     spec = SweepSpec(lo=0.0, hi=5.0, step=0.5, dist="half", seed=1)
     recs = compare_runs(inst.net, inst.demands, spec, algorithms=("lp",))

@@ -16,10 +16,11 @@ from pflow.lp import (LPModel, LPResult, Objective, WalkFold, build_edge_lp, mas
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                          PurchaseInstance, ResourceLimitError, StructuralError, WalkEntry,
                          validate_instance, verify_edge_solution, verify_walk_solution)
-from pflow.mwu import shortest_processing_2walk
+import pflow.mwu
+from pflow.mwu import MWUConfig, mwu_solve, shortest_processing_2walk
 from pflow.purchase import build_purchase_lp
 
-from oracles import (edge_lp_optimum, legs, master_instances, mixed_routing_instances,
+from oracles import (column_uses, edge_lp_optimum, legs, master_instances, mixed_routing_instances,
                      net_outflow_routing_lp, processing_vertices, row_by_row_edge_lp,
                      row_by_row_purchase_lp, seeded_instances, solve_lp_linprog,
                      walk_lp_optimum)
@@ -687,14 +688,14 @@ def test_seed_runs_only_on_an_empty_max_flow_master(monkeypatch):
     # each of which makes one; a master handed columns, the path master and
     # min-max congestion's (one call for its start) make no seed call
     calls = 0
-    real = pflow.lp.price_walks
+    real = pflow.lp._WalkGraph.price
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(pflow.lp, "price_walks", counting)
+    monkeypatch.setattr(pflow.lp._WalkGraph, "price", counting)
     inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
     net, demands = inst.net, inst.demands
     _, cols, meta = solve_walk_master(net, demands)
@@ -863,6 +864,66 @@ def test_path_graph_opens_the_arcs_of_the_sink_leg_rule():
                 for b, (s, t) in enumerate(pairs)
                 for a, barred in zip(net.arcs, legs(net, s, t, t)[0]) if not barred}
         assert got == want
+
+
+def test_every_column_counts_its_resources_as_recounted(monkeypatch):
+    # each column the master, its seed and MWU make, in walk and in path
+    # mode and through a recapacitated copy, which shares the network's
+    # pricing graph, has the incidence the graph keeps for it: its resource
+    # uses, recounted from its arcs and split in the tests' own code
+    charged = []
+    real = pflow.mwu.charge_walks
+
+    def recording(*args):
+        out = real(*args)
+        charged.extend(col for col, _ in out[0])
+        return out
+
+    monkeypatch.setattr(pflow.mwu, "charge_walks", recording)
+    seen = {"seed": 0, "master": 0, "paths": 0, "mwu": 0, "copy": 0}
+    for net, demands in master_instances():
+        if not demands:
+            continue
+        copy = net.with_node_capacity({v: 1.0 for v in net.nodes})
+        made = {False: [], True: []}
+        for cnet in (net, copy):
+            charged.clear()
+            mwu_solve(cnet, demands, MWUConfig(epsilon=0.3))
+            _, cols, meta = solve_walk_master(cnet, demands)
+            paths = solve_walk_master(cnet, demands, paths=True)[1]
+            made[False] += cols + charged
+            made[True] += paths
+            seen["seed"] += meta["seed_columns"]
+            seen["master"] += len(cols) - meta["seed_columns"]
+            seen["paths"] += len(paths)
+            seen["mwu"] += len(charged)
+            seen["copy"] += (cnet is copy) * len(cols + paths + charged)
+        for mode, cols in made.items():
+            graph = pflow.lp._walk_graph(net, demands, mode)
+            assert copy._walk_graphs[(mode, *((d.source, d.sink) for d in demands))] is graph
+            for col in cols:
+                assert graph._uses[col] == tuple(column_uses(net, col, mode))
+            for col, uses in graph._uses.items():
+                assert uses == tuple(column_uses(net, col, mode))
+    assert all(seen.values()), seen
+
+
+def test_a_held_graph_answers_as_a_fresh_network():
+    # a second solve on one network prices on the graph, and reads the
+    # incidences, the first left behind; its answer is a fresh network's,
+    # entry for entry
+    def solves(net, demands):
+        res, cols, meta = solve_walk_master(net, demands)
+        paths, pcols, pmeta = solve_walk_master(net, demands, paths=True)
+        return (master_walks(net, demands, res, cols, meta), cols, res.x.tolist(),
+                pcols, paths.x.tolist(), pmeta, mwu_solve(net, demands, MWUConfig(epsilon=0.3)))
+
+    for net, demands in master_instances():
+        first = solves(net, demands)
+        assert not demands or len(net._walk_graphs) == 2
+        again = solves(net, demands)
+        fresh = FlowNetwork(net.nodes, net.edges, net.node_capacity, directed=net.directed)
+        assert first == again == solves(fresh, demands)
 
 
 def test_import_pflow_leaves_csgraph_unloaded():

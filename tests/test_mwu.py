@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import pflow.lp
 from pflow import mwu as mwu_module
 from pflow.lp import solve_edge_lp
 from pflow.model import (Demand, FlowNetwork, ResourceLimitError, StructuralError,
@@ -215,15 +216,17 @@ def _random_network(rng, n):
 
 
 def test_every_round_prices_as_the_walk_oracle(monkeypatch):
-    # each round's one price_walks call costs every demand, the inactive
-    # ones included, as shortest_processing_2walk does demand by demand
-    # under the same prices; the two sum a walk's prices in other orders
-    real = mwu_module.price_walks
+    # each round's one pricing call, on the graph the solve holds, costs
+    # every demand, the inactive ones included, as shortest_processing_2walk
+    # does demand by demand under the same prices; the two sum a walk's
+    # prices in other orders
+    real = pflow.lp._WalkGraph.price
     priced = unreachable = 0
+    net = demands = None  # the instance being solved
 
-    def checking(net, demands, price):
+    def checking(graph, price, closed):
         nonlocal priced, unreachable
-        cost, walk = real(net, demands, price)
+        cost, walk = real(graph, price, closed)
         k = len(demands)
         arc_cost = [price[k + a.group] if net.group_capacity[a.group] > 0 else math.inf
                     for a in net.arcs]
@@ -240,7 +243,7 @@ def test_every_round_prices_as_the_walk_oracle(monkeypatch):
                 priced += 1
         return cost, walk
 
-    monkeypatch.setattr(mwu_module, "price_walks", checking)
+    monkeypatch.setattr(pflow.lp._WalkGraph, "price", checking)
     for net, demands in seeded_instances():
         mwu_solve(net, demands, MWUConfig(epsilon=0.3))
     assert priced > 1000 and unreachable > 0
@@ -252,14 +255,14 @@ def test_no_round_loads_a_resource_past_its_capacity(monkeypatch):
     # factor 1 + eps that one full capacity's worth of load brings, and on
     # some round a batch that would overload a resource is scaled to
     # exactly that
-    real, eps = mwu_module.price_walks, 0.3
+    real, eps = pflow.lp._WalkGraph.price, 0.3
     prices = []
 
-    def recording(net, demands, price):
-        prices.append(price[len(demands):].copy())
-        return real(net, demands, price)
+    def recording(graph, price, closed):
+        prices.append(price[len(graph.sources):].copy())
+        return real(graph, price, closed)
 
-    monkeypatch.setattr(mwu_module, "price_walks", recording)
+    monkeypatch.setattr(pflow.lp._WalkGraph, "price", recording)
     full = 0
     for net, demands in seeded_instances():
         prices.clear()
