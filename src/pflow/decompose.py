@@ -11,6 +11,16 @@ a node with processed volume, trace w backwards to the source and g forwards
 to the sink, each leg guided by the unprocessed fraction rho = w/(w+g).
 Cancellation leaves both part-subgraphs acyclic, so the two legs are simple
 paths and their concatenation visits no vertex more than twice.
+
+Each commodity is read only on its support, the arcs its `flow` and
+`unprocessed` maps name: w and g are maps over those arcs, each node's in-
+and out-arcs among them are kept in arc-index order, and the processed
+volume comes from the support's nodes in node order. The cycle searches
+start from the support's tails in node order and extraction from the first
+node in node order with processed volume left. So a commodity costs time
+in proportion to its support, not to the network (as in Ahuja, Magnanti
+and Orlin, "Network Flows", 1993, section 3.5), and the walks, their order
+and the meta come out exactly as a scan of the whole network gives them.
 """
 
 from __future__ import annotations
@@ -22,35 +32,39 @@ class DecompositionError(RuntimeError):
     """Input flows were not internally consistent (infeasible or corrupted)."""
 
 
-def _find_cycle(net: FlowNetwork, value: list[float]) -> list[int] | None:
-    """Some directed cycle among arcs with value[a] > SNAP, as arc indices."""
-    color = {v: 0 for v in net.nodes}
+def _find_cycle(net: FlowNetwork, value, out: dict) -> list[int] | None:
+    """Some directed cycle among arcs with value[a] > SNAP, as arc indices:
+    a depth-first search from each node `out` maps to its out-arcs, in the
+    order of its keys, over those lists."""
+    arcs = net.arcs
+    color: dict[str, int] = {}
     parent: dict[str, int] = {}
-    for start in net.nodes:
-        if color[start]:
+    for start in out:
+        if color.get(start):
             continue
         color[start] = 1
-        stack = [(start, iter(net.out_arcs[start]))]
+        stack = [(start, iter(out[start]))]
         while stack:
-            v, arcs = stack[-1]
+            v, it = stack[-1]
             advanced = False
-            for a in arcs:
+            for a in it:
                 if value[a] <= SNAP:
                     continue
-                u = net.arcs[a].head
-                if color[u] == 1:
+                u = arcs[a].head
+                seen = color.get(u)
+                if seen == 1:
                     cycle = [a]
                     x = v
                     while x != u:
                         pa = parent[x]
                         cycle.append(pa)
-                        x = net.arcs[pa].tail
+                        x = arcs[pa].tail
                     cycle.reverse()
                     return cycle
-                if color[u] == 0:
+                if not seen:
                     color[u] = 1
                     parent[u] = a
-                    stack.append((u, iter(net.out_arcs[u])))
+                    stack.append((u, iter(out.get(u, ()))))
                     advanced = True
                     break
             if not advanced:
@@ -59,12 +73,22 @@ def _find_cycle(net: FlowNetwork, value: list[float]) -> list[int] | None:
     return None
 
 
-def subtract(value: list[float], arcs, delta: float) -> None:
+def subtract(value, arcs, delta: float) -> None:
     """Take `delta` off value[a] for each arc in `arcs`, snapping dust to 0."""
     for a in arcs:
         value[a] -= delta
         if value[a] < SNAP:
             value[a] = 0.0
+
+
+def _cancel(net: FlowNetwork, value, out: dict) -> int:
+    """`cancel_cycles` over the out-lists `out`, which `_find_cycle`
+    searches; `value` may be a map over their arcs alone."""
+    count = 0
+    while (cycle := _find_cycle(net, value, out)) is not None:
+        subtract(value, cycle, min(value[a] for a in cycle))
+        count += 1
+    return count
 
 
 def cancel_cycles(net: FlowNetwork, value: list[float]) -> int:
@@ -73,11 +97,7 @@ def cancel_cycles(net: FlowNetwork, value: list[float]) -> int:
     Each pass removes the bottleneck value of one cycle, so at least one arc
     drops to zero. Returns the number of cancelled cycles.
     """
-    count = 0
-    while (cycle := _find_cycle(net, value)) is not None:
-        subtract(value, cycle, min(value[a] for a in cycle))
-        count += 1
-    return count
+    return _cancel(net, value, net.out_arcs)
 
 
 def extraction_bound(net: FlowNetwork) -> int:
@@ -85,13 +105,18 @@ def extraction_bound(net: FlowNetwork) -> int:
     return net.n_nodes + 2 * net.n_arcs
 
 
-def extract_walks(net: FlowNetwork, d: Demand, index: int, w: list[float],
-                  g: list[float], p: dict[str, float]) -> tuple[list[WalkEntry], int]:
+def extract_walks(net: FlowNetwork, d: Demand, index: int, w: dict[int, float],
+                  g: dict[int, float], p: dict[str, float], ins: dict, outs: dict
+                  ) -> tuple[list[WalkEntry], int]:
     """Pull processing-anchored walks out of one commodity's cancelled parts.
 
-    `p` maps each node to its processed volume. Tracing back takes the first
-    in-arc with w > SNAP of largest rho; tracing forward, the first out-arc
-    with g > SNAP of smallest rho. w, g and p are consumed in place.
+    w and g map each arc of the commodity's support to its part; `ins` and
+    `outs` map a node to its support in-arcs and out-arcs, by arc index.
+    `p` maps nodes to their processed volume, in node order, and each
+    extraction starts at its first node with p > SNAP. Tracing back takes
+    the first in-arc with w > SNAP of largest rho; tracing forward, the
+    first out-arc with g > SNAP of smallest rho. w, g and p are consumed in
+    place.
 
     Returns (entries, iterations). Iterations may exceed len(entries): a
     degenerate optimum can hold a zero-value loop that leaves the source
@@ -102,11 +127,12 @@ def extract_walks(net: FlowNetwork, d: Demand, index: int, w: list[float],
     def rho(a: int) -> float:
         return w[a] / (w[a] + g[a])
 
+    arcs, limit = net.arcs, net.n_arcs
     entries: list[WalkEntry] = []
     iterations = 0
     bound = extraction_bound(net)
     while True:
-        v = next((x for x in net.nodes if p.get(x, 0.0) > SNAP), None)
+        v = next((x for x, vol in p.items() if vol > SNAP), None)
         if v is None:
             break
         iterations += 1
@@ -116,27 +142,27 @@ def extract_walks(net: FlowNetwork, d: Demand, index: int, w: list[float],
         back: list[int] = []
         u = v
         while u != d.source:
-            a = max((a for a in net.in_arcs[u] if w[a] > SNAP), key=rho, default=None)
+            a = max((a for a in ins.get(u, ()) if w[a] > SNAP), key=rho, default=None)
             if a is None:
                 raise DecompositionError(f"no unprocessed flow into {u!r} while tracing back")
             back.append(a)
-            u = net.arcs[a].tail
-            if len(back) > net.n_arcs:
+            u = arcs[a].tail
+            if len(back) > limit:
                 raise DecompositionError("backward trace loops; cancellation incomplete")
 
         fwd: list[int] = []
         u = v
         phantom = False
         while u != d.sink:
-            a = min((a for a in net.out_arcs[u] if g[a] > SNAP), key=rho, default=None)
+            a = min((a for a in outs.get(u, ()) if g[a] > SNAP), key=rho, default=None)
             if a is None:
                 if u == d.source:
                     phantom = True
                     break
                 raise DecompositionError(f"no processed flow out of {u!r} while tracing forward")
             fwd.append(a)
-            u = net.arcs[a].head
-            if len(fwd) > net.n_arcs:
+            u = arcs[a].head
+            if len(fwd) > limit:
                 raise DecompositionError("forward trace loops; cancellation incomplete")
 
         delta = min([p[v]] + [w[a] for a in back] + [g[a] for a in fwd])
@@ -149,34 +175,48 @@ def extract_walks(net: FlowNetwork, d: Demand, index: int, w: list[float],
         if not phantom:
             nodes = [d.source]
             for a in reversed(back):
-                nodes.append(net.arcs[a].head)
+                nodes.append(arcs[a].head)
             for a in fwd:
-                nodes.append(net.arcs[a].head)
+                nodes.append(arcs[a].head)
             entries.append(WalkEntry(index, tuple(nodes), delta, {v: delta}))
     return entries, iterations
 
 
 def decompose(edge_sol: EdgeFlowSolution, net: FlowNetwork,
               demands: list[Demand]) -> WalkFlowSolution:
-    """Per commodity: split into w and g, cancel their cycles, extract walks."""
+    """Per commodity: split into w and g over its support, cancel their
+    cycles, extract walks."""
+    arcs, order, n_arcs = net.arcs, net._index.__getitem__, net.n_arcs
     entries: list[WalkEntry] = []
     extractions: list[int] = []
     cancelled: list[int] = []
     for i, d in enumerate(demands):
         flow, unprocessed = edge_sol.flow[i], edge_sol.unprocessed[i]
-        w = [unprocessed.get(a, 0.0) for a in range(net.n_arcs)]
-        g = [flow.get(a, 0.0) - w[a] for a in range(net.n_arcs)]
+        support = sorted(flow.keys() | unprocessed.keys())
+        if support and (support[0] < 0 or support[-1] >= n_arcs):
+            support = [a for a in support if 0 <= a < n_arcs]
+        w = {a: unprocessed.get(a, 0.0) for a in support}
+        g = {a: flow.get(a, 0.0) - w[a] for a in support}
+        ins: dict[str, list[int]] = {}
+        outs: dict[str, list[int]] = {}
+        for a in support:
+            arc = arcs[a]
+            outs.setdefault(arc.tail, []).append(a)
+            ins.setdefault(arc.head, []).append(a)
+        nodes = sorted(ins.keys() | outs.keys(), key=order)
+        outs = {v: outs[v] for v in nodes if v in outs}
         # processed volume is re-derived from the unprocessed balance so it
         # is exactly consistent with w
         p: dict[str, float] = {}
-        for v in net.nodes:
+        for v in nodes:
             if v == d.source:
                 continue
-            bal = sum(w[a] for a in net.in_arcs[v]) - sum(w[a] for a in net.out_arcs[v])
+            into, out = ins.get(v, ()), outs.get(v, ())
+            bal = sum(map(w.__getitem__, into)) - sum(map(w.__getitem__, out))
             if bal > SNAP:
                 p[v] = bal
-        cancelled.append(cancel_cycles(net, w) + cancel_cycles(net, g))
-        got, iters = extract_walks(net, d, i, w, g, p)
+        cancelled.append(_cancel(net, w, outs) + _cancel(net, g, outs))
+        got, iters = extract_walks(net, d, i, w, g, p, ins, outs)
         entries.extend(got)
         extractions.append(iters)
     meta = dict(edge_sol.meta)

@@ -20,11 +20,12 @@ The arc formulation is polynomially sized and equivalent to optimizing over
 all 2-walks directly. It splits each demand's flow as the paper does: an
 unprocessed part w and a processed part g on each arc, plus the volume p
 processed at each node, which moves flow from the first part to the second.
-Which arcs each part may use is the processing rule `FlowNetwork.barred`
+Which arcs each part may use is the processing rule `FlowNetwork.bars`
 states in the model module, which the walk oracle and both verifiers read
-too: flow leaves the source unprocessed, reaches the sink processed, and
-never enters the source or leaves the sink. An arc's load is w + g, and the
-delivered value of a demand is its source outflow.
+too, through `FlowNetwork.barred`: flow leaves the source unprocessed,
+reaches the sink processed, and never enters the source or leaves the
+sink. An arc's load is w + g, and the delivered value of a demand is its
+source outflow.
 
 Every objective is solved over the 2-walks instead (`solve_walk_master`).
 Max total flow and min-max congestion are column generation: a master LP
@@ -77,8 +78,6 @@ from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError
 
 MAXITER = 200_000
 
-_SENSES = ("<=", ">=", "==")
-
 # every pflow LP is small and its max-total-flow LPs are feasible at x = 0:
 # presolve costs more than it saves there, and a solve runs primal simplex
 # (strategy 4) from that feasible all-slack basis. The walk master stays
@@ -103,15 +102,14 @@ for _rows in _NO_ROWS:
 class LPModel:
     """A sparse LP held as arrays: column bounds `lo`/`hi` (lists, one
     entry per column), rows in HiGHS's row-wise form (row k's entries are
-    `cols` and `coefs` at positions starts[k] to starts[k+1], one per
-    column) with `senses` and `rhs`, all numpy arrays, and one linear
+    `cols` and `coefs` at positions starts[k] to starts[k+1], each column
+    at most once) with `senses` and `rhs`, all numpy arrays, and one linear
     objective keyed by column index.
 
-    `add_constraint` checks and sums each row it adds; `add_rows` writes
-    many at once, as built, for the builders (the edge LP and the purchase
-    LP write all their rows in one call). `check` validates every row at
-    once, and `solve_lp` and `write_mps` run it before HiGHS or the file
-    sees the model."""
+    Rows go in only through `add_rows`, many at once and as built: the edge
+    LP and the purchase LP each write all of theirs in one call. Nothing is
+    checked there; `check` validates every row at once, and `solve_lp` and
+    `write_mps` run it before HiGHS or the file sees the model."""
 
     def __init__(self, name: str = "lp", sense: str = "max"):
         if sense not in ("max", "min"):
@@ -129,26 +127,6 @@ class LPModel:
         self.hi.append(hi)
         return len(self.lo) - 1
 
-    def _check_columns(self, coeffs: dict[int, float], what: str) -> None:
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= len(self.lo)):
-            raise ValueError(f"LP {self.name!r}: {what} names a column outside "
-                             f"[0, {len(self.lo)})")
-
-    def add_constraint(self, coeffs, sense: str, rhs: float) -> int:
-        """Add the row Σ coef x_j `sense` rhs over the sequence of (j, coef)
-        pairs `coeffs`, summing pairs on one column; ValueError on a bad
-        sense or a j outside [0, n_vars)."""
-        if sense not in _SENSES:
-            raise ValueError(f"bad constraint sense {sense!r}")
-        row = dict(coeffs)
-        if len(row) < len(coeffs):
-            row = {}
-            for j, coef in coeffs:
-                row[j] = row.get(j, 0.0) + coef
-        self._check_columns(row, "a row")
-        self.add_rows(list(row), list(row.values()), [len(row)], [sense], [rhs])
-        return len(self.rhs) - 1
-
     def add_rows(self, cols, coefs, ends, senses, rhs) -> None:
         """Append rows in bulk, as built: row k holds the entries of `cols`
         and `coefs` before position ends[k] and from ends[k-1] (0 for the
@@ -164,7 +142,9 @@ class LPModel:
         self.cols, self.coefs, self.senses, self.rhs = rows[1:]
 
     def set_objective(self, coeffs: dict[int, float]) -> None:
-        self._check_columns(coeffs, "the objective")
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= len(self.lo)):
+            raise ValueError(f"LP {self.name!r}: the objective names a column outside "
+                             f"[0, {len(self.lo)})")
         self.objective = dict(coeffs)
 
     def check(self) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +339,7 @@ def commodities(m: LPModel, net: FlowNetwork, ends: np.ndarray, bars: np.ndarray
     """Add the processed flow of k demands to `m`, each split as in the
     paper, in one batch: demand b runs from node index ends[b, 0] to
     ends[b, 1] under the bar arrays bars[b, 0] (w's) and bars[b, 1] (g's),
-    in the form of `FlowNetwork.barred`.
+    in the form of `FlowNetwork.bars`.
 
     Columns, demand by demand: per arc a, w (unprocessed) then g
     (processed), each only where its bar array leaves the arc open; then
@@ -447,7 +427,7 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     once `_check_objective` passes `objective`: what `--emit-lp` writes, and
     the tests' reference for `solve_walk_master`.
 
-    The demands are `commodities` under `FlowNetwork.barred`, with p at
+    The demands are `commodities` under `FlowNetwork.bars`, with p at
     every non-source node, each demand's balance rows followed by its
     source outflow row: the amount it delivers, at most a finite amount, or
     exactly that amount under the congestion objectives, where an edge or
@@ -462,15 +442,14 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     congestion = kind != "max-total-flow"
     m = LPModel(name=f"edge-{kind}", sense="min" if congestion else "max")
     n, n_arcs, k, groups = net.n_nodes, net.n_arcs, len(demands), net.edge_count
-    pairs = [(d.source, d.sink) for d in demands]
-    ends = np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs],
+    ends = np.array([(net.node_index(d.source), net.node_index(d.sink)) for d in demands],
                     dtype=np.int64).reshape(k, 2)
     amount = np.array([d.amount for d in demands], dtype=float)
     # per resource, the bandwidth groups then the nodes
     shut = net.closed if congestion else np.zeros(groups + n, dtype=bool)
     group = np.array([a.group for a in net.arcs], dtype=np.int64)
     col, cols, coefs, count = commodities(
-        m, net, ends, _barred(net, pairs) | shut[group],
+        m, net, ends, net.bars(ends) | shut[group],
         (np.arange(n) != ends[:, :1]) & ~shut[groups:], np.full(k, congestion) | np.isfinite(amount))
     written = count > 0
     written[:, -1] |= congestion
@@ -533,19 +512,11 @@ SEED_EPSILON = 0.5
 Column = tuple[int, tuple[int, ...], int]
 
 
-def _barred(net: FlowNetwork, pairs: list[tuple[str, str]]) -> np.ndarray:
-    """`FlowNetwork.barred` of every (source, sink) pair, as one boolean
-    array of shape (len(pairs), 2, n_arcs): w's bars, then g's."""
-    # bytes() of a tuple of bools is its 0/1 bytes, faster than np.array
-    bars = b"".join(bytes(bar) for s, t in pairs for bar in net.barred(s, t))
-    return np.frombuffer(bars, dtype=bool).reshape(len(pairs), 2, net.n_arcs)
-
-
 class _WalkGraph:
     """The pricing graph of one list of (source, sink) pairs: block b is a
     copy of the network for pair b. For 2-walks it has two layers, nodes
     2nb + v (unprocessed) and 2nb + n + v (processed): layer 0 holds the arcs
-    `FlowNetwork.barred` leaves open to w, layer 1 those open to g, and
+    `FlowNetwork.bars` leaves open to w, layer 1 those open to g, and
     v0->v1 processes at v. For plain paths it is the one layer nb + v of the
     arcs `FlowNetwork.legs` leaves open to the leg source->sink: w's, with v
     at the sink. Each
@@ -577,7 +548,7 @@ class _WalkGraph:
         if paths:  # one leg, source->sink
             is_open = ~net.legs(ends[:, :1], ends[:, 1:])
         else:
-            is_open = ~_barred(net, pairs)
+            is_open = ~net.bars(ends)
         b, layer, a = np.nonzero(is_open)
         first = n * (layers * b + layer)
         rows, cols, keys = first + tail[a], first + head[a], group[a]

@@ -2,7 +2,7 @@
 
 Flow here is always "processed flow": every unit routed from a demand's source
 to its sink must also be processed, exactly once, at some node it visits
-strictly between leaving the source and reaching the sink. `FlowNetwork.barred`
+strictly between leaving the source and reaching the sink. `FlowNetwork.bars`
 states, once, which arcs that leaves to a demand's unprocessed and processed
 parts. Bandwidth lives on edges, processing capacity on nodes. Routes are
 2-walks: they may visit a vertex (and hence an edge) at most twice, which is
@@ -148,11 +148,20 @@ class FlowNetwork:
         caps = self.group_capacity + tuple(self.node_capacity.values())
         return np.array(caps, dtype=float) <= 0
 
-    def barred(self, source: str, sink: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-        """The processing rule of a `source`->`sink` demand: per arc index,
-        whether its unprocessed part w, and whether its processed part g,
-        may not use the arc. Computed once per pair, and shared with the
-        copies `with_node_capacity` makes.
+    @functools.cached_property
+    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tail and the head node index of every arc, by arc index."""
+        tail = np.array([self._index[a.tail] for a in self.arcs], dtype=np.int64)
+        head = np.array([self._index[a.head] for a in self.arcs], dtype=np.int64)
+        return tail, head
+
+    def bars(self, ends: np.ndarray) -> np.ndarray:
+        """The processing rule of the demands from node index ends[b, 0] to
+        ends[b, 1], in one broadcast over `arc_ends`: per demand and arc,
+        whether its unprocessed part w (row 0), and whether its processed
+        part g (row 1), may not use the arc, as a boolean array of shape
+        (len(ends), 2, n_arcs). Each pair's rows also go into the cache
+        that `barred` reads, so the verifiers after a solve find them there.
 
         Flow leaves the source unprocessed (g is barred from arcs out of
         the source) and reaches the sink processed (w is barred from arcs
@@ -161,19 +170,29 @@ class FlowNetwork:
         source and end at its first visit to the sink, with the same
         processing and less load.
         """
+        tail, head = self.arc_ends
+        source, sink = ends[:, :1], ends[:, 1:]
+        into_source, out_of_sink = head == source, tail == sink
+        bars = np.stack((into_source | (head == sink) | out_of_sink,
+                         into_source | (tail == source) | out_of_sink), axis=1)
+        nodes, cache = self.nodes, self._barred
+        for (s, t), (w, g) in zip(ends.tolist(), bars.tolist()):
+            if (nodes[s], nodes[t]) not in cache:
+                cache[nodes[s], nodes[t]] = (tuple(w), tuple(g))
+        return bars
+
+    def barred(self, source: str, sink: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        """The processing rule of a `source`->`sink` demand, `bars`' two
+        rows for it as tuples of bools by arc index: whether w, and whether
+        g, may not use each arc. Cached per pair, filled by any `bars` call
+        that covers the pair (the pricing graph's and the edge LP's build),
+        and shared with the copies `with_node_capacity` makes.
+        StructuralError on a node this network lacks."""
         rule = self._barred.get((source, sink))
         if rule is None:
-            w = tuple(a.head in (source, sink) or a.tail == sink for a in self.arcs)
-            g = tuple(a.head == source or a.tail in (source, sink) for a in self.arcs)
-            rule = self._barred[source, sink] = (w, g)
+            self.bars(np.array([[self.node_index(source), self.node_index(sink)]]))
+            rule = self._barred[source, sink]
         return rule
-
-    @functools.cached_property
-    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The tail and the head node index of every arc, by arc index."""
-        tail = np.array([self._index[a.tail] for a in self.arcs], dtype=np.int64)
-        head = np.array([self._index[a.head] for a in self.arcs], dtype=np.int64)
-        return tail, head
 
     def legs(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         """The leg rule: a leg from node a to node b may not enter a or

@@ -43,7 +43,11 @@ feasible; a capped demand still above its amount then shrinks alone.
 A round's bookkeeping (gains, activity, costs, charges) is plain Python
 floats. Only the weights' power and their sum stay numpy's, whose results
 can differ from a Python loop's in the last bit, and so does the price
-vector the pricing graph reads.
+vector the pricing graph reads. numpy picks its `power` routine by CPU: on
+an AVX-512 host its SIMD routine differs from libm's `pow` in the last bit
+on about 5% of inputs. So one instance's MWU document may differ from one
+CPU to another: in the last bit of its numbers, and where that breaks a
+tie the other way, in its walks and round count.
 
 `shortest_processing_2walk` is the walk oracle in plain Python, sharing no
 code with the pricing graph: the tests check each round's pricing against it.

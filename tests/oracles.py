@@ -19,9 +19,29 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 import pflow.lp
+from pflow.decompose import DecompositionError, extraction_bound
 from pflow.generators import gen_random_instance
 from pflow.lp import LPModel, LPResult, Objective, build_edge_lp, solve_lp
-from pflow.model import Demand, FlowNetwork, PurchaseInstance, ResourceLimitError
+from pflow.model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, PurchaseInstance,
+                         ResourceLimitError, WalkEntry, WalkFlowSolution)
+
+
+def add_constraint(m: LPModel, coeffs, sense: str, rhs: float) -> int:
+    """Add the row Σ coef x_j `sense` rhs to `m` over the sequence of (j,
+    coef) pairs `coeffs`, summing pairs on one column, by one
+    `LPModel.add_rows` call; ValueError on a bad sense or a j outside
+    [0, n_vars). Returns the row's index."""
+    if sense not in ("<=", ">=", "=="):
+        raise ValueError(f"bad constraint sense {sense!r}")
+    row = dict(coeffs)
+    if len(row) < len(coeffs):
+        row = {}
+        for j, coef in coeffs:
+            row[j] = row.get(j, 0.0) + coef
+    if row and (min(row) < 0 or max(row) >= m.n_vars):
+        raise ValueError(f"LP {m.name!r}: a row names a column outside [0, {m.n_vars})")
+    m.add_rows(list(row), list(row.values()), [len(row)], [sense], [rhs])
+    return m.n_rows - 1
 
 
 class OracleBlowup(RuntimeError):
@@ -127,13 +147,13 @@ def walk_lp_optimum(net: FlowNetwork, demands: list[Demand],
 
     for g, cap in enumerate(net.group_capacity):
         if group_rows[g]:
-            m.add_constraint(group_rows[g], "<=", cap)
+            add_constraint(m, group_rows[g], "<=", cap)
     for v in net.nodes:
         if node_rows[v]:
-            m.add_constraint(node_rows[v], "<=", net.node_capacity[v])
+            add_constraint(m, node_rows[v], "<=", net.node_capacity[v])
     for i, d in enumerate(demands):
         if math.isfinite(d.amount) and demand_rows[i]:
-            m.add_constraint(demand_rows[i], "<=", d.amount)
+            add_constraint(m, demand_rows[i], "<=", d.amount)
     m.set_objective(dict.fromkeys(range(m.n_vars), 1.0))
     res = solve_lp(m)
     assert res.status == "optimal", res.status
@@ -222,14 +242,14 @@ def max_flow_lp(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float
         coeffs = [(var[j], 1.0) for j in by_head[u]]
         coeffs += [(var[j], -1.0) for j in by_tail[u]]
         if coeffs:
-            m.add_constraint(coeffs, "==", 0.0)
+            add_constraint(m, coeffs, "==", 0.0)
     groups: dict[int, list[int]] = {}
     for j, (_, _, g) in enumerate(arcs):
         groups.setdefault(g, []).append(j)
     for g, members in groups.items():
         cap = group_cap[g]
         if math.isfinite(cap):
-            m.add_constraint([(var[j], 1.0) for j in members], "<=", cap)
+            add_constraint(m, [(var[j], 1.0) for j in members], "<=", cap)
     obj = {var[j]: 1.0 for j in by_tail[source]}
     for j in by_head[source]:
         obj[var[j]] = obj.get(var[j], 0.0) - 1.0
@@ -408,14 +428,14 @@ def net_outflow_routing_lp(net: FlowNetwork, demands: list[Demand],
         fvar = range(i * net.n_arcs, (i + 1) * net.n_arcs)
         for v in net.nodes:
             if v != d.source and v != d.sink:
-                m.add_constraint(_balance(net, fvar, v), "==", 0.0)
+                add_constraint(m, _balance(net, fvar, v), "==", 0.0)
         net_out = [(j, -coef) for j, coef in _balance(net, fvar, d.source)]
         if math.isfinite(d.amount):
-            m.add_constraint(net_out, "<=", d.amount)
+            add_constraint(m, net_out, "<=", d.amount)
         for j, coef in net_out:
             obj[j] = obj.get(j, 0.0) + coef
     for g, arcs in enumerate(net.groups):
-        m.add_constraint([(i * net.n_arcs + a, 1.0) for i in range(len(demands))
+        add_constraint(m, [(i * net.n_arcs + a, 1.0) for i in range(len(demands))
                           for a in arcs], "<=", group_cap[g])
     m.set_objective(obj)
     return m
@@ -514,7 +534,7 @@ def arc_leg_purchase_lp(inst: PurchaseInstance, mode: str = "min",
             # everything delivered to v unprocessed leaves it processed
             coeffs = [(pv[a], 1.0) for a in net.in_arcs[v]]
             coeffs += [(qv[a], -1.0) for a in net.out_arcs[v]]
-            m.add_constraint(coeffs, "==", 0.0)
+            add_constraint(m, coeffs, "==", 0.0)
 
             served_terms[(i, v)] = [(pv[a], 1.0) for a in net.out_arcs[d.source]]
             proc_terms[(i, v)] = [(pv[a], 1.0) for a in net.in_arcs[v]]
@@ -525,17 +545,17 @@ def arc_leg_purchase_lp(inst: PurchaseInstance, mode: str = "min",
             terms += served_terms[(i, v)]
         sense = ">=" if mode == "min" else "<="
         if terms or mode == "min":
-            m.add_constraint(terms, sense, d.amount)
+            add_constraint(m, terms, sense, d.amount)
         for v in opened:
             coeffs = list(served_terms[(i, v)]) + [(xvar[v], -d.amount)]
-            m.add_constraint(coeffs, "<=", 0.0)
+            add_constraint(m, coeffs, "<=", 0.0)
 
     for v in opened:
         coeffs = []
         for i in range(len(inst.demands)):
             coeffs += proc_terms[(i, v)]
         coeffs.append((xvar[v], -inst.potential[v]))
-        m.add_constraint(coeffs, "<=", 0.0)
+        add_constraint(m, coeffs, "<=", 0.0)
 
     for g, arcs in enumerate(net.groups):
         if not math.isfinite(net.group_capacity[g]):
@@ -550,9 +570,9 @@ def arc_leg_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                     coeffs += [(leg[a], 1.0) for a in arcs]
             total += coeffs
             coeffs.append((xvar[v], -net.group_capacity[g]))
-            m.add_constraint(coeffs, "<=", 0.0)
+            add_constraint(m, coeffs, "<=", 0.0)
         if total:
-            m.add_constraint(total, "<=", net.group_capacity[g])
+            add_constraint(m, total, "<=", net.group_capacity[g])
 
     if mode == "min":
         m.set_objective({xvar[v]: inst.price(v) for v in cands})
@@ -564,7 +584,7 @@ def arc_leg_purchase_lp(inst: PurchaseInstance, mode: str = "min",
         m.set_objective(obj)
         if budget_cap is not None:
             coeffs = [(xvar[v], inst.price(v)) for v in cands]
-            m.add_constraint(coeffs, "<=", budget_cap)
+            add_constraint(m, coeffs, "<=", budget_cap)
 
     m.info = {"x": xvar, "pre": pre, "post": post,
               "served": served_terms, "processed": proc_terms, "mode": mode}
@@ -574,7 +594,7 @@ def arc_leg_purchase_lp(inst: PurchaseInstance, mode: str = "min",
 def _conserve(m: LPModel, coeffs: list[tuple[int, float]]) -> None:
     """A conservation row, skipped at a node with no arcs."""
     if coeffs:
-        m.add_constraint(coeffs, "==", 0.0)
+        add_constraint(m, coeffs, "==", 0.0)
 
 
 def balance(net: FlowNetwork, var: dict[int, int], v: str,
@@ -584,6 +604,17 @@ def balance(net: FlowNetwork, var: dict[int, int], v: str,
     of a conservation row."""
     return ([(var[a], sign) for a in net.in_arcs[v] if a in var]
             + [(var[a], -sign) for a in net.out_arcs[v] if a in var])
+
+
+def processing_bars(net: FlowNetwork, source: str,
+                    sink: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """The processing rule of a `source`->`sink` demand, one arc at a time,
+    as (w's bars, g's bars): the reference for `FlowNetwork.bars`. w never
+    enters either endpoint or leaves the sink; g never enters the source
+    or leaves either endpoint."""
+    w = tuple(a.head in (source, sink) or a.tail == sink for a in net.arcs)
+    g = tuple(a.head == source or a.tail in (source, sink) for a in net.arcs)
+    return w, g
 
 
 def legs(net: FlowNetwork, source: str, sink: str,
@@ -621,9 +652,9 @@ def row_by_row_commodity(m: LPModel, net: FlowNetwork, d: Demand, wbar, gbar,
     for v in net.nodes:
         at = [(p[v], 1.0)] if v in p else []
         if v != d.source and (row := at + balance(net, w_rows, v, -1.0)):
-            m.add_constraint(row, "==", 0.0)
+            add_constraint(m, row, "==", 0.0)
         if v != d.sink and (row := at + balance(net, g_rows, v)):
-            m.add_constraint(row, "==", 0.0)
+            add_constraint(m, row, "==", 0.0)
     return w, g, p
 
 
@@ -631,7 +662,7 @@ def row_by_row_edge_lp(net: FlowNetwork, demands: list[Demand],
                        objective: Objective = Objective()) -> LPModel:
     """`pflow.lp.build_edge_lp` built one checked `add_constraint` row at a
     time, on `row_by_row_commodity`: the reference its bulk rows must equal,
-    entry for entry. Per demand its commodity under `FlowNetwork.barred`
+    entry for entry. Per demand its commodity under `processing_bars`
     (no column on a group or node of capacity 0 under congestion) and its
     source outflow row; then per group its load w + g, arc by arc (w of
     every demand, then g), and per node its Σp, demand by demand."""
@@ -641,7 +672,7 @@ def row_by_row_edge_lp(net: FlowNetwork, demands: list[Demand],
     wvar, gvar, pvar, net_out = [], [], [], []
     shut = [congestion and net.group_capacity[arc.group] <= 0 for arc in net.arcs]
     for d in demands:
-        wbar, gbar = net.barred(d.source, d.sink)
+        wbar, gbar = processing_bars(net, d.source, d.sink)
         p_at = [v for v in net.nodes
                 if v != d.source and not (congestion and net.node_capacity[v] <= 0)]
         w, g, p = row_by_row_commodity(m, net, d, [b or s for b, s in zip(wbar, shut)],
@@ -651,9 +682,9 @@ def row_by_row_edge_lp(net: FlowNetwork, demands: list[Demand],
         pvar.append(p)
         out_i = [(w[a], 1.0) for a in net.out_arcs[d.source] if a in w]
         if congestion:
-            m.add_constraint(out_i, "==", d.amount)
+            add_constraint(m, out_i, "==", d.amount)
         elif math.isfinite(d.amount) and out_i:
-            m.add_constraint(out_i, "<=", d.amount)
+            add_constraint(m, out_i, "<=", d.amount)
         net_out += out_i
     theta = m.add_var() if kind == "min-max-congestion" else None
     ew, nw = objective.edge_weights or {}, objective.node_weights or {}
@@ -667,9 +698,9 @@ def row_by_row_edge_lp(net: FlowNetwork, demands: list[Demand],
         if not coeffs:
             continue
         if not congestion:
-            m.add_constraint(coeffs, "<=", cap)
+            add_constraint(m, coeffs, "<=", cap)
         elif theta is not None:
-            m.add_constraint(coeffs + [(theta, -cap)], "<=", 0.0)
+            add_constraint(m, coeffs + [(theta, -cap)], "<=", 0.0)
         else:
             obj.update((j, weight * c / cap) for j, c in coeffs)
     m.set_objective(obj)
@@ -702,13 +733,13 @@ def row_by_row_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     sense = ">=" if mode == "min" else "<="
     for i, d in enumerate(inst.demands):
         if xvar or mode == "min":
-            m.add_constraint([(pvar[i, v], 1.0) for v in xvar], sense, d.amount)
+            add_constraint(m, [(pvar[i, v], 1.0) for v in xvar], sense, d.amount)
         for v in xvar:
-            m.add_constraint([(pvar[i, v], 1.0), (xvar[v], -d.amount)], "<=", 0.0)
+            add_constraint(m, [(pvar[i, v], 1.0), (xvar[v], -d.amount)], "<=", 0.0)
     for v in xvar:
         coeffs = [(pvar[i, v], 1.0) for i in range(nd)]
         coeffs.append((xvar[v], -inst.potential[v]))
-        m.add_constraint(coeffs, "<=", 0.0)
+        add_constraint(m, coeffs, "<=", 0.0)
     for k, arcs in enumerate(net.groups):
         cap = net.group_capacity[k]
         if not math.isfinite(cap):
@@ -719,14 +750,158 @@ def row_by_row_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                       for part in (wvar, gvar) for a in arcs if a in part[i, v]]
             total += coeffs
             coeffs.append((xvar[v], -cap))
-            m.add_constraint(coeffs, "<=", 0.0)
+            add_constraint(m, coeffs, "<=", 0.0)
         if xvar and nd:
-            m.add_constraint(total, "<=", cap)
+            add_constraint(m, total, "<=", cap)
     if mode == "min":
         m.set_objective({j: inst.price(v) for v, j in xvar.items()})
     else:
         m.set_objective(dict.fromkeys(pvar.values(), 1.0))
         if budget_cap is not None:
-            m.add_constraint([(j, inst.price(v)) for v, j in xvar.items()], "<=",
+            add_constraint(m, [(j, inst.price(v)) for v, j in xvar.items()], "<=",
                              budget_cap)
     return m
+
+
+# --- the whole-network decomposition ------------------------------------------
+
+def _whole_network_cycle(net: FlowNetwork, value: list[float]) -> list[int] | None:
+    """Some directed cycle among arcs with value[a] > SNAP, as arc indices,
+    by a depth-first search from every node in node order."""
+    color = {v: 0 for v in net.nodes}
+    parent: dict[str, int] = {}
+    for start in net.nodes:
+        if color[start]:
+            continue
+        color[start] = 1
+        stack = [(start, iter(net.out_arcs[start]))]
+        while stack:
+            v, arcs = stack[-1]
+            advanced = False
+            for a in arcs:
+                if value[a] <= SNAP:
+                    continue
+                u = net.arcs[a].head
+                if color[u] == 1:
+                    cycle = [a]
+                    x = v
+                    while x != u:
+                        pa = parent[x]
+                        cycle.append(pa)
+                        x = net.arcs[pa].tail
+                    cycle.reverse()
+                    return cycle
+                if color[u] == 0:
+                    color[u] = 1
+                    parent[u] = a
+                    stack.append((u, iter(net.out_arcs[u])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[v] = 2
+                stack.pop()
+    return None
+
+
+def _subtract(value: list[float], arcs, delta: float) -> None:
+    for a in arcs:
+        value[a] -= delta
+        if value[a] < SNAP:
+            value[a] = 0.0
+
+
+def _whole_network_cancel(net: FlowNetwork, value: list[float]) -> int:
+    count = 0
+    while (cycle := _whole_network_cycle(net, value)) is not None:
+        _subtract(value, cycle, min(value[a] for a in cycle))
+        count += 1
+    return count
+
+
+def _whole_network_extract(net: FlowNetwork, d: Demand, index: int, w: list[float],
+                           g: list[float], p: dict[str, float]
+                           ) -> tuple[list[WalkEntry], int]:
+    """Walks out of one commodity's cancelled parts, each starting at the
+    first node in node order with p > SNAP, every trace scanning a node's
+    full in- or out-list."""
+    def rho(a: int) -> float:
+        return w[a] / (w[a] + g[a])
+
+    entries: list[WalkEntry] = []
+    iterations = 0
+    bound = extraction_bound(net)
+    while True:
+        v = next((x for x in net.nodes if p.get(x, 0.0) > SNAP), None)
+        if v is None:
+            break
+        iterations += 1
+        if iterations > bound:
+            raise DecompositionError(f"extraction did not converge in {bound} steps")
+        back: list[int] = []
+        u = v
+        while u != d.source:
+            a = max((a for a in net.in_arcs[u] if w[a] > SNAP), key=rho, default=None)
+            if a is None:
+                raise DecompositionError(f"no unprocessed flow into {u!r} while tracing back")
+            back.append(a)
+            u = net.arcs[a].tail
+            if len(back) > net.n_arcs:
+                raise DecompositionError("backward trace loops; cancellation incomplete")
+        fwd: list[int] = []
+        u = v
+        phantom = False
+        while u != d.sink:
+            a = min((a for a in net.out_arcs[u] if g[a] > SNAP), key=rho, default=None)
+            if a is None:
+                if u == d.source:
+                    phantom = True
+                    break
+                raise DecompositionError(f"no processed flow out of {u!r} while tracing forward")
+            fwd.append(a)
+            u = net.arcs[a].head
+            if len(fwd) > net.n_arcs:
+                raise DecompositionError("forward trace loops; cancellation incomplete")
+        delta = min([p[v]] + [w[a] for a in back] + [g[a] for a in fwd])
+        _subtract(w, back, delta)
+        _subtract(g, fwd, delta)
+        p[v] -= delta
+        if p[v] < SNAP:
+            del p[v]
+        if not phantom:
+            nodes = [d.source]
+            for a in reversed(back):
+                nodes.append(net.arcs[a].head)
+            for a in fwd:
+                nodes.append(net.arcs[a].head)
+            entries.append(WalkEntry(index, tuple(nodes), delta, {v: delta}))
+    return entries, iterations
+
+
+def whole_network_decompose(edge_sol: EdgeFlowSolution, net: FlowNetwork,
+                            demands: list[Demand]) -> WalkFlowSolution:
+    """`pflow.decompose` as it scanned the whole network per commodity: w
+    and g as lists over every arc, p from every node's full in- and
+    out-lists, cycle searches from every node. The reference that the
+    support-only scan must equal, entry for entry and in its meta."""
+    entries: list[WalkEntry] = []
+    extractions: list[int] = []
+    cancelled: list[int] = []
+    for i, d in enumerate(demands):
+        flow, unprocessed = edge_sol.flow[i], edge_sol.unprocessed[i]
+        w = [unprocessed.get(a, 0.0) for a in range(net.n_arcs)]
+        g = [flow.get(a, 0.0) - w[a] for a in range(net.n_arcs)]
+        p: dict[str, float] = {}
+        for v in net.nodes:
+            if v == d.source:
+                continue
+            bal = sum(w[a] for a in net.in_arcs[v]) - sum(w[a] for a in net.out_arcs[v])
+            if bal > SNAP:
+                p[v] = bal
+        cancelled.append(_whole_network_cancel(net, w) + _whole_network_cancel(net, g))
+        got, iters = _whole_network_extract(net, d, i, w, g, p)
+        entries.extend(got)
+        extractions.append(iters)
+    meta = dict(edge_sol.meta)
+    meta["extractions"] = extractions
+    meta["cancelled_cycles"] = cancelled
+    return WalkFlowSolution(entries, meta=meta)

@@ -2,12 +2,24 @@ import random
 
 import pytest
 
-from pflow.decompose import cancel_cycles, decompose, extraction_bound
+from pflow.decompose import DecompositionError, cancel_cycles, decompose, extraction_bound
+from pflow.generators import gen_random_instance
 from pflow.lp import solve_edge_lp
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork,
                          verify_edge_solution, verify_walk_solution)
 
-from oracles import walk_lp_optimum
+from oracles import walk_lp_optimum, whole_network_decompose
+
+
+def _same_as_whole_network(sol, net, demands):
+    """decompose(sol), which reads each commodity's support alone, after
+    checking that it equals the whole-network reference: the same walks in
+    the same order, bit for bit, and the same meta."""
+    walks = decompose(sol, net, demands)
+    want = whole_network_decompose(sol, net, demands)
+    assert walks.entries == want.entries
+    assert walks.meta == want.meta
+    return walks
 
 
 def _solve_and_decompose(net, demands):
@@ -78,7 +90,7 @@ def test_a_processed_loop_back_into_the_source_is_extracted_without_a_walk():
     flow = {**unprocessed, arc["a", "s"]: 1e-10, arc["a", "t"]: 1.0}
     sol = EdgeFlowSolution([flow], [unprocessed], [{"a": 1.0 + 1e-10}], 1.0)
     assert verify_edge_solution(net, demands, sol).ok
-    walks = decompose(sol, net, demands)
+    walks = _same_as_whole_network(sol, net, demands)
     assert walks.objective == 1.0
     assert walks.meta["extractions"] == [len(walks.entries) + 1]
     assert verify_walk_solution(net, demands, walks).ok
@@ -113,16 +125,30 @@ def test_cycles_in_both_parts_are_cancelled():
     flow = {**unprocessed, arc["a", "t"]: 1.0, arc["a", "c"]: 1.0, arc["c", "a"]: 1.0}
     sol = EdgeFlowSolution([flow], [unprocessed], [{"a": 1.0}], 1.0)
     assert verify_edge_solution(net, demands, sol).ok
-    walks = decompose(sol, net, demands)
+    walks = _same_as_whole_network(sol, net, demands)
     assert walks.meta["cancelled_cycles"] == [2]
     assert verify_walk_solution(net, demands, walks).ok
     assert walks.objective == pytest.approx(sol.objective, abs=1e-12)
     assert [e.nodes for e in walks.entries] == [("s", "a", "t")]
 
 
+def test_arc_keys_outside_the_network_are_ignored():
+    # the whole-network scan read only arcs 0 .. n_arcs - 1 of the maps;
+    # the support scan skips any other key as well, rather than wrapping -1
+    # around to the last arc
+    net = FlowNetwork("sat", [("s", "a", 9.0), ("a", "t", 9.0)], {"a": 9.0})
+    demands = [Demand("s", "t")]
+    arc = net.arc_index
+    sol = EdgeFlowSolution([{arc["s", "a"]: 1.0, arc["a", "t"]: 1.0, -1: 5.0, 2: 5.0}],
+                           [{arc["s", "a"]: 1.0, -1: 5.0}], [{"a": 1.0}], 1.0)
+    walks = _same_as_whole_network(sol, net, demands)
+    assert [(e.nodes, e.flow) for e in walks.entries] == [(("s", "a", "t"), 1.0)]
+
+
 def test_random_instances_round_trip():
     """Reduced copy of the acceptance corpus: every decomposition must
-    verify, preserve the objective, and respect the extraction bound."""
+    equal the whole-network reference, verify, preserve the objective, and
+    respect the extraction bound."""
     rng = random.Random(818)
     for trial in range(40):
         n = rng.randint(3, 6)
@@ -138,7 +164,8 @@ def test_random_instances_round_trip():
         net = FlowNetwork(names, edges, caps, directed=directed)
         demands = [Demand(*rng.sample(names, 2))
                    for _ in range(rng.randint(1, 2))]
-        sol, walks = _solve_and_decompose(net, demands)
+        sol, _ = solve_edge_lp(net, demands)
+        walks = _same_as_whole_network(sol, net, demands)
         rep = verify_walk_solution(net, demands, walks)
         assert rep.ok, (trial, rep.problems[:3])
         assert walks.objective == pytest.approx(sol.objective, abs=1e-6)
@@ -149,3 +176,70 @@ def test_random_instances_round_trip():
         # and the edge optimum itself equals the walk-level optimum
         opt = walk_lp_optimum(net, demands)
         assert abs(opt - sol.objective) <= 1e-6 * max(1.0, abs(opt))
+
+
+def _random_cycle(net, rng):
+    """A directed cycle of `net` as arc indices, closed by a random walk
+    from a random node; None if the walk reaches a node with no out-arc."""
+    v = rng.choice(net.nodes)
+    at, arcs = {v: 0}, []
+    while net.out_arcs[v]:
+        a = rng.choice(net.out_arcs[v])
+        arcs.append(a)
+        v = net.arcs[a].head
+        if v in at:
+            return arcs[at[v]:]
+        at[v] = len(arcs)
+    return None
+
+
+def _outcome(decomp, sol, net, demands):
+    try:
+        walks = decomp(sol, net, demands)
+    except DecompositionError as exc:
+        return str(exc)
+    return walks.entries, walks.meta
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+def test_support_scan_equals_the_whole_network_scan(directed):
+    # perfbench's exact shape (16 nodes, 28 edges, 14 demands): decompose
+    # reads each commodity's support alone and must give what the
+    # whole-network scan gives, walk for walk and bit for bit, on the LP's
+    # flows; and with circulations added to both parts of every commodity,
+    # which make the cycle searches start, meet and cancel in earnest. Each
+    # network is also rebuilt from its edges shuffled, so that arc order
+    # and node order disagree
+    rng = random.Random(31)
+    cancelled = 0
+    for seed in range(10):
+        inst = gen_random_instance(16, 4.0 * 28 / (16 * 15), n_demands=14, seed=seed,
+                                   directed=directed, max_arcs=28)
+        edges = rng.sample(inst.net.edges, len(inst.net.edges))
+        shuffled = FlowNetwork(inst.net.nodes, edges, inst.net.node_capacity, directed)
+        for net in (inst.net, shuffled):
+            cancelled += _check_support_scan(net, inst.demands, rng)
+    assert cancelled > 0
+
+
+def _check_support_scan(net, demands, rng):
+    """Check decompose against the whole-network reference on the LP's
+    flows, then on them with random circulations added; returns how many
+    cycles the second cancelled."""
+    sol, _ = solve_edge_lp(net, demands)
+    walks = _same_as_whole_network(sol, net, demands)
+    assert verify_walk_solution(net, demands, walks).ok
+    flow = [dict(f) for f in sol.flow]
+    unprocessed = [dict(w) for w in sol.unprocessed]
+    for i in range(len(demands)):
+        for part in (flow[i], unprocessed[i]) * 2:
+            cycle = _random_cycle(net, rng)
+            extra = rng.uniform(0.1, 1.0)
+            for a in cycle or ():
+                flow[i][a] = flow[i].get(a, 0.0) + extra
+                if part is unprocessed[i]:
+                    unprocessed[i][a] = unprocessed[i].get(a, 0.0) + extra
+    looped = EdgeFlowSolution(flow, unprocessed, sol.processing, sol.objective)
+    got = _outcome(decompose, looped, net, demands)
+    assert got == _outcome(whole_network_decompose, looped, net, demands)
+    return 0 if isinstance(got, str) else sum(got[1]["cancelled_cycles"])

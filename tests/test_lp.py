@@ -20,10 +20,10 @@ import pflow.mwu
 from pflow.mwu import MWUConfig, mwu_solve, shortest_processing_2walk
 from pflow.purchase import build_purchase_lp
 
-from oracles import (column_uses, edge_lp_optimum, legs, master_instances, mixed_routing_instances,
-                     net_outflow_routing_lp, processing_vertices, row_by_row_edge_lp,
-                     row_by_row_purchase_lp, seeded_instances, solve_lp_linprog,
-                     walk_lp_optimum)
+from oracles import (add_constraint, column_uses, edge_lp_optimum, legs, master_instances,
+                     mixed_routing_instances, net_outflow_routing_lp, processing_vertices,
+                     row_by_row_edge_lp, row_by_row_purchase_lp, seeded_instances,
+                     solve_lp_linprog, walk_lp_optimum)
 
 
 def test_mandatory_relay_caps_throughput(inst_line):
@@ -156,7 +156,7 @@ def _lp(sense, rows, bounds=None, objective=None):
     for lo, hi in [(0.0, math.inf)] * 2 if bounds is None else bounds:
         m.add_var(lo, hi)
     for coeffs, row_sense, rhs in rows:
-        m.add_constraint(coeffs, row_sense, rhs)
+        add_constraint(m, coeffs, row_sense, rhs)
     m.set_objective(objective if objective is not None else {0: 1.0, 1: 1.0})
     return m
 
@@ -230,7 +230,7 @@ def test_column_index_out_of_range_rejected(j):
     # two columns: index -1 must not wrap around to the last one
     m = _lp("max", [([(0, 1.0)], "<=", 1.0)])
     with pytest.raises(ValueError, match="outside"):
-        m.add_constraint([(0, 1.0), (j, 1.0)], "<=", 2.0)
+        add_constraint(m, [(0, 1.0), (j, 1.0)], "<=", 2.0)
     with pytest.raises(ValueError, match="outside"):
         m.set_objective({0: 1.0, j: 1.0})
     assert (m.n_rows, m.starts.tolist(), m.objective) == (1, [0, 1], {0: 1.0, 1: 1.0})
@@ -567,7 +567,7 @@ def read_mps(path: str) -> LPModel:
                 per_row[rname].append((var_idx[cname], val))
     sense_of = {"L": "<=", "G": ">=", "E": "=="}
     for rname in order:
-        model.add_constraint(per_row[rname], sense_of[rows[rname]], rhs.get(rname, 0.0))
+        add_constraint(model, per_row[rname], sense_of[rows[rname]], rhs.get(rname, 0.0))
     model.set_objective(obj)
     return model
 
@@ -1059,6 +1059,18 @@ def test_bulk_rows_match_the_row_by_row_reference():
     assert len(got) == len(want) == 12 + 40 + 16
     for built, ref in zip(got, want):
         assert _arrays(built) == _arrays(ref), built.name
+
+
+def test_edge_lp_mps_matches_the_row_by_row_reference(tmp_path):
+    # build_edge_lp reads its bars from one broadcast (FlowNetwork.bars);
+    # the reference writes its rows one at a time under the rule spelled
+    # out arc by arc. The MPS files, as --emit-lp writes them, are the same
+    # byte for byte
+    for j, (built, ref) in enumerate(zip(_plain_models(), _plain_models(row_by_row_edge_lp))):
+        write_mps(built, str(tmp_path / f"built{j}.mps"))
+        write_mps(ref, str(tmp_path / f"ref{j}.mps"))
+        assert (tmp_path / f"built{j}.mps").read_bytes() == \
+            (tmp_path / f"ref{j}.mps").read_bytes(), built.name
 
 
 @pytest.mark.parametrize("corrupt, message", [

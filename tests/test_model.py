@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from pflow.decompose import decompose
-from pflow.lp import solve_edge_lp
+from pflow.generators import gen_random_instance
+from pflow.lp import _walk_graph, build_edge_lp, solve_edge_lp
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, StructuralError,
                          WalkEntry, WalkFlowSolution, feas_slack, validate_instance,
                          verify_edge_solution, verify_walk_solution)
 
-from oracles import legs
+from oracles import legs, processing_bars
 
 
 def test_directed_network_indexing():
@@ -212,6 +213,53 @@ def test_barred_arcs_follow_the_processing_rule():
                       ("a", "s"): (True, True), ("s", "t"): (True, True),
                       ("t", "b"): (True, True)}
     assert net.barred("s", "t") is net.barred("s", "t")
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+def test_bars_broadcast_equals_the_per_arc_rule(directed):
+    # FlowNetwork.bars states the rule for every ordered (s, t) pair at
+    # once, and fills the cache barred reads: both equal the rule written
+    # out one arc at a time, as tuples of Python bools. The networks have
+    # pairs with an s->t arc and antiparallel pairs of arcs
+    found_arc = found_antiparallel = False
+    for seed in range(4):
+        net = gen_random_instance(7, 0.45, n_demands=0, seed=seed, directed=directed).net
+        pairs = [(s, t) for s in net.nodes for t in net.nodes if s != t]
+        ends = np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs])
+        bars = net.bars(ends)
+        assert bars.shape == (len(pairs), 2, net.n_arcs) and bars.dtype == bool
+        fresh = FlowNetwork(net.nodes, net.edges, net.node_capacity, net.directed)
+        for (s, t), rows in zip(pairs, bars.tolist()):
+            want = processing_bars(net, s, t)
+            assert (tuple(rows[0]), tuple(rows[1])) == want, (seed, s, t)
+            assert net.barred(s, t) == want == fresh.barred(s, t), (seed, s, t)
+            assert all(type(b) is bool for part in net.barred(s, t) for b in part)
+            found_arc |= (s, t) in net.arc_index
+            found_antiparallel |= (s, t) in net.arc_index and (t, s) in net.arc_index
+    assert found_arc and found_antiparallel
+
+
+def test_bars_fill_the_cache_copies_share():
+    # a bars call on a with_node_capacity copy, the pricing graph's build
+    # and the edge LP's build each leave every pair they cover in the one
+    # cache, so the verifiers afterwards read barred's rows from it; a pair
+    # already there keeps its rows
+    net = FlowNetwork("sabt", [("s", "a", 2.0), ("a", "t", 1.0), ("s", "b", 1.0),
+                               ("b", "t", 3.0), ("t", "s", 1.0)], {"a": 1.0, "b": 2.0})
+    first = net.barred("s", "t")
+    copy = net.with_node_capacity({"a": 2.0})
+    copy.bars(np.array([[net.node_index("s"), net.node_index("t")],
+                        [net.node_index("a"), net.node_index("t")]]))
+    assert copy._barred is net._barred
+    assert net.barred("s", "t") is first and ("a", "t") in net._barred
+    assert net.barred("a", "t") is copy.barred("a", "t")
+    _walk_graph(copy, [Demand("b", "t")])
+    build_edge_lp(net, [Demand("s", "b")])
+    assert set(net._barred) == {("s", "t"), ("a", "t"), ("b", "t"), ("s", "b")}
+    for s, t in net._barred:
+        assert net.barred(s, t) == processing_bars(net, s, t)
+    with pytest.raises(StructuralError, match="unknown node 'q'"):
+        net.barred("s", "q")
 
 
 @pytest.mark.parametrize("v, want_w, want_g", [
