@@ -19,8 +19,7 @@ from .model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     PurchaseInstance, PurchaseSolution, ResourceLimitError,
                     StructuralError, WalkEntry, WalkFlowSolution,
                     validate_instance, verify_walk_solution)
-from .mwu import (MWUConfig, default_delta, iteration_bound, mwu_solve,
-                  shortest_processing_2walk)
+from .mwu import MWUConfig, default_delta, iteration_bound, mwu_solve
 from .naive import naive_solve
 from .purchase import (PurchaseLPSolution, greedy_budgeted_single_source,
                        round_budgeted_purchase, round_min_purchase,
@@ -42,7 +41,7 @@ __all__ = [
     "greedy_budgeted_single_source", "instance_text", "mwu_solve", "naive_solve", "parse_instance",
     "parse_instance_text", "parse_solution",
     "round_budgeted_purchase", "round_min_purchase", "rounding_rounds",
-    "shortest_processing_2walk", "solution_document", "solve_edge_lp",
+    "solution_document", "solve_edge_lp",
     "solve_lp", "solve_purchase_lp", "validate_instance",
     "validate_purchase_instance", "verify_walk_solution", "write_csv",
     "write_mps",

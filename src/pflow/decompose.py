@@ -82,22 +82,18 @@ def subtract(value, arcs, delta: float) -> None:
 
 
 def _cancel(net: FlowNetwork, value, out: dict) -> int:
-    """`cancel_cycles` over the out-lists `out`, which `_find_cycle`
-    searches; `value` may be a map over their arcs alone."""
+    """Cancel every directed cycle of one per-arc value in place, over the
+    out-lists `out`, which `_find_cycle` searches; `value` may be a map
+    over their arcs alone.
+
+    Each pass removes the bottleneck value of one cycle, so at least one arc
+    drops to zero. Returns the number of cancelled cycles.
+    """
     count = 0
     while (cycle := _find_cycle(net, value, out)) is not None:
         subtract(value, cycle, min(value[a] for a in cycle))
         count += 1
     return count
-
-
-def cancel_cycles(net: FlowNetwork, value: list[float]) -> int:
-    """Cancel every directed cycle of one per-arc list in place.
-
-    Each pass removes the bottleneck value of one cycle, so at least one arc
-    drops to zero. Returns the number of cancelled cycles.
-    """
-    return _cancel(net, value, net.out_arcs)
 
 
 def extraction_bound(net: FlowNetwork) -> int:

@@ -19,6 +19,9 @@ from .mwu import MWUConfig, mwu_solve
 from .naive import naive_solve, process_paths, route_paths
 
 KNOWN_ALGS = ("lp", "mwu", "naive")
+# the most grid points a sweep may have, floor((hi - lo)/step) + 1: compare_runs
+# builds the whole grid before its first solve
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass
@@ -42,6 +45,11 @@ class SweepSpec:
                                   f"finite 0 <= lo <= hi")
         if not 0 < self.step < math.inf:
             raise StructuralError(f"step must be positive and finite, got {self.step}")
+        # floor(x) + 1 > MAX_GRID_POINTS exactly when x >= MAX_GRID_POINTS; the
+        # quotient may overflow to inf, which floor would reject
+        if (self.hi - self.lo) / self.step >= MAX_GRID_POINTS:
+            raise StructuralError(f"step {self.step} over [{self.lo}, {self.hi}] gives more "
+                                  f"than {MAX_GRID_POINTS} grid points")
         if self.dist not in ("all", "half"):
             raise StructuralError(f"distribution must be all or half, got {self.dist!r}")
         if self.repetitions < 1:

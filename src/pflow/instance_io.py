@@ -8,11 +8,12 @@ Instance format, one directive per line, `#` starts a comment:
     demand S T [amount=FLOAT]     # omitted amount = uncapped
     budget FLOAT                  # budgeted purchase only
 
-Nodes must be declared before edges or demands mention them. An attribute
-given twice on one line, or a second graph or budget directive, is an
-error, not an override. Solutions are
-emitted as JSON documents; infinities become null on the way out and are
-restored on the way back in.
+Nodes must be declared before edges or demands mention them. A node name
+may not contain `->`, which solution documents put between an arc's ends:
+with it, two arcs could share one key. An attribute given twice on one
+line, or a second graph or budget directive, is an error, not an override.
+Solutions are emitted as JSON documents; infinities become null on the way
+out and are restored on the way back in.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ def parse_instance_text(text: str) -> ParsedInstance:
             name = tokens[1]
             if name in caps:
                 raise InstanceFormatError(f"line {ln}: duplicate node {name!r}")
+            if "->" in name:
+                raise InstanceFormatError(f"line {ln}: node name {name!r} contains '->', "
+                                          f"which solution documents use to key an arc")
             attrs = _kv(tokens[2:], ln, ("cap", "cost", "potential"))
             if "cap" not in attrs:
                 raise InstanceFormatError(f"line {ln}: node {name!r} missing cap=")

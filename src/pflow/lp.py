@@ -21,8 +21,8 @@ all 2-walks directly. It splits each demand's flow as the paper does: an
 unprocessed part w and a processed part g on each arc, plus the volume p
 processed at each node, which moves flow from the first part to the second.
 Which arcs each part may use is the processing rule `FlowNetwork.bars`
-states in the model module, which the walk oracle and both verifiers read
-too, through `FlowNetwork.barred`: flow leaves the source unprocessed,
+states in the model module, which the pricing graph reads too, and both
+verifiers through `FlowNetwork.barred`: flow leaves the source unprocessed,
 reaches the sink processed, and never enters the source or leaves the
 sink. An arc's load is w + g, and the delivered value of a demand is its
 source outflow.
@@ -39,9 +39,9 @@ MWU's rounds share (`charge_walks`); from there its rounds run as
 before. Pricing is one scipy Dijkstra run over a block-diagonal graph
 (`_WalkGraph`), one two-layer copy of the network per demand, whose weights
 are rewritten in place each round. The graph is built once per network and
-list of (source, sink) pairs, and a solver that prices round after round
-(MWU, the master, its seed) holds it for the whole solve and prices each
-round on it; `price_walks` is the one-shot entry. The graph also counts
+list of (source, sink) pairs, and every solver that prices (MWU, the
+master, its seed) holds it for the whole solve and prices each round on it
+(`_WalkGraph.price`). The graph also counts
 each column's resource uses once (`_WalkGraph.uses`), which the master's
 rows, the charge of each multiplicative-weights round and the congestion
 ratio then read. A master's columns are walks
@@ -583,9 +583,19 @@ class _WalkGraph:
 
     def price(self, price: np.ndarray, closed: np.ndarray
               ) -> tuple[np.ndarray, Callable[[int], Column]]:
-        """`price_walks` on this graph: each pair's cheapest walk under the
-        master row prices `price`, which is read, not kept, with the rows
-        `closed` (`closed_rows`) at inf."""
+        """Every pair's cheapest processed 2-walk (in `paths` mode, its
+        cheapest plain source->sink path, which reads no node capacity)
+        under the master's row prices, by one Dijkstra run.
+
+        `price` is indexed like the master's rows (demands, then bandwidth
+        groups, then nodes, which `paths` has none of), non-negative on the
+        last two, and is read, not kept. An arc costs its group's price and
+        processing at v costs v's; the rows `closed` (`closed_rows`), the
+        resources of capacity 0, cost inf. Returns each pair's cost (inf
+        without a walk; the demand rows' prices are not part of it) and a
+        function that rebuilds the walk of a pair i whose cost is finite,
+        as a master column (a path is processed at its sink); ties between
+        walks break in csgraph's order."""
         weight = np.array(price, dtype=float)
         weight[closed] = math.inf
         weight.take(self.keys, out=self.csr.data, mode="clip")  # every key is a row
@@ -634,30 +644,6 @@ def _walk_graph(net: FlowNetwork, demands: list[Demand], paths: bool = False) ->
     if graph is None:
         graph = net._walk_graphs[key] = _WalkGraph(net, list(key[1:]), paths)
     return graph
-
-
-def price_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray,
-                paths: bool = False) -> tuple[np.ndarray, Callable[[int], Column]]:
-    """Every demand's cheapest processed 2-walk under the master's row
-    prices, by one Dijkstra run over the pricing graph; with `paths`, its
-    cheapest plain source->sink path instead, which reads no node capacity.
-
-    `price` is indexed like the master's rows (demands, then bandwidth
-    groups, then nodes, which `paths` has none of), non-negative on the last
-    two. An arc costs its group's price and processing at v costs v's; a
-    group of capacity 0 and a node of capacity 0 cost inf. Returns each
-    demand's cost (inf without a walk; the demand rows' prices are not part
-    of it) and a function that rebuilds the walk of a demand i whose cost is
-    finite, as a master column (a path is processed at its sink); ties
-    between walks break in csgraph's order.
-
-    This is the one-shot entry: a cache lookup (`_walk_graph`), then
-    `_WalkGraph.price`. The solvers that price round after round, MWU, the
-    master and its seed, look the graph and its closed rows up once per
-    solve and call `_WalkGraph.price` themselves.
-    """
-    graph = _walk_graph(net, demands, paths)
-    return graph.price(price, graph.closed_rows(net))
 
 
 def _peak_ratio(graph: _WalkGraph, capacity: Sequence[float], cols: Sequence[Column],
@@ -827,15 +813,18 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     amounts = [d.amount for d in demands]
     capacity = list(caps) + ([] if paths else [net.node_capacity[v] for v in net.nodes])
     meta = {"algorithm": "lp", "objective_kind": kind}
+    # the graph every objective prices on, which also counts each column's rows
+    graph = _walk_graph(net, demands, paths)
+    closed = graph.closed_rows(net)
     if kind == "min-weighted-congestion":
         ew, nw = objective.edge_weights or {}, objective.node_weights or {}
         weight = [ew.get(g, 1.0) for g in range(len(caps))] + [nw.get(v, 1.0) for v in net.nodes]
-        # a resource of capacity 0 costs inf in price_walks, whatever its price
+        # a resource of capacity 0 is a closed row, which costs inf whatever its price
         price = [0.0] * k + [w / c if c > 0 else 0.0 for w, c in zip(weight, capacity)]
-        cost, cols = _cheapest_walks(net, demands, np.array(price))
+        cost, cols = _cheapest_walks(graph, closed, demands, np.array(price))
         value = float(np.dot(amounts, cost))
         x = [amounts[i] for i, _, _ in cols]
-        ratio = _peak_ratio(_walk_graph(net, demands), capacity, cols, x)
+        ratio = _peak_ratio(graph, capacity, cols, x)
         meta.update(lp_objective=value, lp_iterations=0, congestion=ratio)
         return LPResult("optimal", np.array(x), value, 0), cols, meta
 
@@ -844,15 +833,12 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     price = np.zeros(len(upper))  # the empty master's duals
     # with no processing capacity no 2-walk has a finite cost: price nothing
     pricing = paths or any(c > 0 for c in net.node_capacity.values())
-    # the graph the rounds price on, which also counts each column's rows
-    graph = _walk_graph(net, demands, paths)
-    closed = graph.closed_rows(net)
     batch = list(columns)
     if not (batch or paths or minmax) and pricing and k:
         batch = _seed_columns(graph, closed, capacity)
     seeded = len(batch) - len(columns)
     if minmax:  # each demand's cheapest walk at zero prices joins
-        batch = list(dict.fromkeys(batch + _cheapest_walks(net, demands, price)[1]))
+        batch = list(dict.fromkeys(batch + _cheapest_walks(graph, closed, demands, price)[1]))
 
     lp = HighsLp()  # no columns yet
     lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
@@ -941,12 +927,13 @@ def _edge_solution(net: FlowNetwork, demands: list[Demand], cols: Sequence[Colum
     return sol
 
 
-def _cheapest_walks(net: FlowNetwork, demands: list[Demand], price: np.ndarray
-                    ) -> tuple[np.ndarray, list[Column]]:
-    """Each demand's cheapest walk under `price`: its cost (0 for a demand
-    without one, which asks for nothing) and the column of each demand that
-    has one; InfeasibleError when a demand of positive amount has none."""
-    cost, walk = price_walks(net, demands, price) if demands else (np.zeros(0), None)
+def _cheapest_walks(graph: _WalkGraph, closed: np.ndarray, demands: list[Demand],
+                    price: np.ndarray) -> tuple[np.ndarray, list[Column]]:
+    """Each demand's cheapest walk under `price` on `demands`' pricing graph
+    (`_WalkGraph.price`): its cost (0 for a demand without one, which asks
+    for nothing) and the column of each demand that has one;
+    InfeasibleError when a demand of positive amount has none."""
+    cost, walk = graph.price(price, closed) if demands else (np.zeros(0), None)
     has = np.isfinite(cost)
     stuck = [i for i, d in enumerate(demands) if d.amount > 0 and not has[i]]
     if stuck:

@@ -7,6 +7,9 @@ states, once, which arcs that leaves to a demand's unprocessed and processed
 parts. Bandwidth lives on edges, processing capacity on nodes. Routes are
 2-walks: they may visit a vertex (and hence an edge) at most twice, which is
 what makes detours through off-path processing nodes expressible.
+A network caches only what the package's solvers and verifiers read: arc
+ends, the `barred` rules and the walk master's pricing graphs, which
+`with_node_capacity` hands on to its copies.
 """
 
 from __future__ import annotations
@@ -130,16 +133,6 @@ class FlowNetwork:
                 for arcs, cap in zip(self.groups, self.group_capacity)]
 
     @functools.cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node index, the (head index, arc index) of each out-arc.
-
-        Built on first use; the walk oracle `mwu.shortest_processing_2walk` reads it.
-        """
-        idx = self._index
-        return tuple(tuple((idx[self.arcs[a].head], a) for a in self.out_arcs[v])
-                     for v in self.nodes)
-
-    @functools.cached_property
     def closed(self) -> np.ndarray:
         """Per resource, the bandwidth groups then the nodes, whether its
         capacity is 0 (or less): the walk master's pricer prices those at
@@ -236,8 +229,8 @@ class FlowNetwork:
 
         The copy shares this network's topology, which no node capacity
         changes: its arcs, groups, arc index and in/out-arc maps, and the
-        topology caches (`adjacency`, `arc_ends`, the `barred` rules and the
-        walk master's pricing graphs). So a capacity sweep builds them once
+        topology caches (`arc_ends`, the `barred` rules and the walk
+        master's pricing graphs). So a capacity sweep builds them once
         per instance, not once per grid point. Only `closed` is the copy's
         own, built on its first use."""
         net = copy.copy(self)

@@ -49,13 +49,12 @@ on about 5% of inputs. So one instance's MWU document may differ from one
 CPU to another: in the last bit of its numbers, and where that breaks a
 tie the other way, in its walks and round count.
 
-`shortest_processing_2walk` is the walk oracle in plain Python, sharing no
-code with the pricing graph: the tests check each round's pricing against it.
+The tests check each round's pricing against a walk oracle in plain Python
+that shares no code with the pricing graph (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -99,141 +98,6 @@ def iteration_bound(n_nodes: int, n_edges: int, epsilon: float, delta: float) ->
     """Analytic cap on rounds: (|V|+|E|) * ln(1/(|E|*delta)) / eps."""
     e = max(n_edges, 1)
     return (n_nodes + e) * math.log(1.0 / (e * delta)) / epsilon
-
-
-@dataclass(frozen=True)
-class ShortestWalkResult:
-    """Cheapest processed 2-walk costs from one source, with route recovery.
-
-    r[v] is the minimum over walks source->v and processing vertices u on the
-    walk of (sum of traversed arc costs) + node_cost(u). Unreachable targets
-    carry inf. walk_to() rebuilds the argmin route for one target.
-    """
-
-    net: FlowNetwork
-    source_idx: int
-    dist: list[float]
-    pred: list[int]
-    r: list[float]  # per node index
-    origin: list[int]  # arc into v on the processed leg, -1 at the seed
-
-    def cost_to(self, target: str) -> float:
-        return self.r[self.net.node_index(target)]
-
-    def walk_to(self, target: str):
-        """(node names, processing vertex, arc indices, leg-1 length) or None
-        if unreachable. The first `leg-1 length` arcs run from the source to
-        the processing vertex; the rest carry processed flow."""
-        net = self.net
-        x = net.node_index(target)
-        if not math.isfinite(self.r[x]):
-            return None
-        leg2: list[int] = []
-        while self.origin[x] >= 0:
-            a = self.origin[x]
-            leg2.append(a)
-            x = net.node_index(net.arcs[a].tail)
-        proc = x
-        leg1: list[int] = []
-        y = proc
-        while y != self.source_idx:
-            a = self.pred[y]
-            if a < 0:
-                raise AssertionError("finite r(v) without a first-leg path")
-            leg1.append(a)
-            y = net.node_index(net.arcs[a].tail)
-        arcs = tuple(reversed(leg1)) + tuple(reversed(leg2))
-        nodes = [net.nodes[self.source_idx]]
-        for a in arcs:
-            nodes.append(net.arcs[a].head)
-        return tuple(nodes), net.nodes[proc], arcs, len(leg1)
-
-
-def _bad_cost(c: float) -> str:
-    return f"walk oracle: {'NaN' if math.isnan(c) else 'negative'} arc cost {c}"
-
-
-def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
-                              source: str, sink: str | None = None) -> ShortestWalkResult:
-    """Two chained Dijkstra passes over arc costs plus one node-cost charge.
-
-    `edge_cost[a]` is read per arc index, so it must be a list or an
-    int-keyed mapping that covers every arc. `node_cost` is either a list
-    by node index, with inf where a node cannot process, or a mapping by
-    node name, where a node it leaves out cannot process.
-
-    Pass one computes plain distances d(v); pass two re-runs Dijkstra seeded
-    with d(v) + node_cost(v), so settling v at cost r(v) means some walk
-    reaches v with its processing already paid. Given the demand's `sink`,
-    pass one skips the arcs `FlowNetwork.barred` bars to unprocessed flow
-    and pass two those it bars to processed flow, so walks to the sink
-    follow the edge LP's rule; without it no arc is skipped.
-
-    Both passes settle every node, so every r(v) is exact.
-
-    Arc costs must be non-negative. An improving relaxation that would give
-    a node a label below the one it is relaxed from raises ValueError: only
-    a negative cost does that, and on a negative cycle Dijkstra would relax
-    forever. A NaN cost counts as improving, so it raises too. The check
-    runs only on improving relaxations. A NaN (or -inf) node cost raises
-    ValueError too.
-    """
-    inf = math.inf
-    src, adj = net.node_index(source), net.adjacency
-    wadj = gadj = adj
-    if sink is not None:  # `adjacency`'s (head index, arc index) pairs, less the barred arcs
-        wbar, gbar = net.barred(source, sink)
-        wadj = [[e for e in out if not wbar[e[1]]] for out in adj]
-        gadj = [[e for e in out if not gbar[e[1]]] for out in adj]
-    if not isinstance(node_cost, list):
-        node_cost = [float(node_cost.get(v, inf)) for v in net.nodes]
-    push, pop = heapq.heappush, heapq.heappop
-
-    n = len(wadj)
-    dist = [inf] * n
-    pred = [-1] * n
-    dist[src] = 0.0
-    pq = [(0.0, src)]
-    while pq:
-        dv, v = pop(pq)
-        if dv > dist[v]:
-            continue
-        for u, a in wadj[v]:
-            nd = dv + edge_cost[a]
-            # `not >=` rather than `<`, so that a NaN cost counts as improving
-            if not nd >= dist[u]:
-                if not nd >= dv:
-                    raise ValueError(_bad_cost(edge_cost[a]))
-                dist[u] = nd
-                pred[u] = a
-                push(pq, (nd, u))
-
-    r = [inf] * n
-    origin = [-1] * n
-    pq = []
-    for i, d in enumerate(dist):
-        seed = d + node_cost[i]
-        # `not >=` rather than `<`, so that a NaN cost gets in and raises
-        if not seed >= inf:
-            if not seed > -inf:
-                raise ValueError(f"walk oracle: node cost {node_cost[i]} at {net.nodes[i]}")
-            r[i] = seed
-            pq.append((seed, i))
-    heapq.heapify(pq)
-    while pq:
-        rv, v = pop(pq)
-        if rv > r[v]:
-            continue
-        for u, a in gadj[v]:
-            nr = rv + edge_cost[a]
-            if not nr >= r[u]:
-                if not nr >= rv:
-                    raise ValueError(_bad_cost(edge_cost[a]))
-                r[u] = nr
-                origin[u] = a
-                push(pq, (nr, u))
-
-    return ShortestWalkResult(net, src, dist, pred, r, origin)
 
 
 def _scales(demands: list[Demand], placed: list[float], peak: float) -> list[float]:

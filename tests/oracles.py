@@ -6,13 +6,20 @@ brute force is the ground truth. The only shared component with the package
 under test is the LP backend; every formulation is built independently.
 `solve_lp_linprog` reaches HiGHS through scipy's `linprog` front end instead,
 by dual simplex with presolve; `solve_lp` must reach its status and optimum.
+`shortest_processing_2walk` is the walk oracle in plain Python, two Dijkstra
+passes that share no code with the package's pricing graph
+(`pflow.lp._WalkGraph.price`): the tests check the graph's costs against it,
+and it against enumeration (`brute_min_processing_walk_costs`).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -308,6 +315,156 @@ def brute_min_processing_walk_costs(n: int, arcs: list[tuple[int, int, float]],
                     result[v] = cand
     return result
 
+
+
+# per network, the (head index, arc index) of each out-arc by node index
+_ADJACENCY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _adjacency(net: FlowNetwork) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per node index, the (head index, arc index) of each out-arc: built on
+    a network's first call, then kept for as long as the network lives."""
+    adj = _ADJACENCY.get(net)
+    if adj is None:
+        adj = _ADJACENCY[net] = tuple(
+            tuple((net.node_index(net.arcs[a].head), a) for a in net.out_arcs[v])
+            for v in net.nodes)
+    return adj
+
+
+@dataclass(frozen=True)
+class ShortestWalkResult:
+    """Cheapest processed 2-walk costs from one source, with route recovery.
+
+    r[v] is the minimum over walks source->v and processing vertices u on the
+    walk of (sum of traversed arc costs) + node_cost(u). Unreachable targets
+    carry inf. walk_to() rebuilds the argmin route for one target.
+    """
+
+    net: FlowNetwork
+    source_idx: int
+    dist: list[float]
+    pred: list[int]
+    r: list[float]  # per node index
+    origin: list[int]  # arc into v on the processed leg, -1 at the seed
+
+    def cost_to(self, target: str) -> float:
+        return self.r[self.net.node_index(target)]
+
+    def walk_to(self, target: str):
+        """(node names, processing vertex, arc indices, leg-1 length) or None
+        if unreachable. The first `leg-1 length` arcs run from the source to
+        the processing vertex; the rest carry processed flow."""
+        net = self.net
+        x = net.node_index(target)
+        if not math.isfinite(self.r[x]):
+            return None
+        leg2: list[int] = []
+        while self.origin[x] >= 0:
+            a = self.origin[x]
+            leg2.append(a)
+            x = net.node_index(net.arcs[a].tail)
+        proc = x
+        leg1: list[int] = []
+        y = proc
+        while y != self.source_idx:
+            a = self.pred[y]
+            if a < 0:
+                raise AssertionError("finite r(v) without a first-leg path")
+            leg1.append(a)
+            y = net.node_index(net.arcs[a].tail)
+        arcs = tuple(reversed(leg1)) + tuple(reversed(leg2))
+        nodes = [net.nodes[self.source_idx]]
+        for a in arcs:
+            nodes.append(net.arcs[a].head)
+        return tuple(nodes), net.nodes[proc], arcs, len(leg1)
+
+
+def _bad_cost(c: float) -> str:
+    return f"walk oracle: {'NaN' if math.isnan(c) else 'negative'} arc cost {c}"
+
+
+def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
+                              source: str, sink: str | None = None) -> ShortestWalkResult:
+    """Two chained Dijkstra passes over arc costs plus one node-cost charge.
+
+    `edge_cost[a]` is read per arc index, so it must be a list or an
+    int-keyed mapping that covers every arc. `node_cost` is either a list
+    by node index, with inf where a node cannot process, or a mapping by
+    node name, where a node it leaves out cannot process.
+
+    Pass one computes plain distances d(v); pass two re-runs Dijkstra seeded
+    with d(v) + node_cost(v), so settling v at cost r(v) means some walk
+    reaches v with its processing already paid. Given the demand's `sink`,
+    pass one skips the arcs `FlowNetwork.barred` bars to unprocessed flow
+    and pass two those it bars to processed flow, so walks to the sink
+    follow the edge LP's rule; without it no arc is skipped.
+
+    Both passes settle every node, so every r(v) is exact.
+
+    Arc costs must be non-negative. An improving relaxation that would give
+    a node a label below the one it is relaxed from raises ValueError: only
+    a negative cost does that, and on a negative cycle Dijkstra would relax
+    forever. A NaN cost counts as improving, so it raises too. The check
+    runs only on improving relaxations. A NaN (or -inf) node cost raises
+    ValueError too.
+    """
+    inf = math.inf
+    src, adj = net.node_index(source), _adjacency(net)
+    wadj = gadj = adj
+    if sink is not None:  # `_adjacency`'s (head index, arc index) pairs, less the barred arcs
+        wbar, gbar = net.barred(source, sink)
+        wadj = [[e for e in out if not wbar[e[1]]] for out in adj]
+        gadj = [[e for e in out if not gbar[e[1]]] for out in adj]
+    if not isinstance(node_cost, list):
+        node_cost = [float(node_cost.get(v, inf)) for v in net.nodes]
+    push, pop = heapq.heappush, heapq.heappop
+
+    n = len(wadj)
+    dist = [inf] * n
+    pred = [-1] * n
+    dist[src] = 0.0
+    pq = [(0.0, src)]
+    while pq:
+        dv, v = pop(pq)
+        if dv > dist[v]:
+            continue
+        for u, a in wadj[v]:
+            nd = dv + edge_cost[a]
+            # `not >=` rather than `<`, so that a NaN cost counts as improving
+            if not nd >= dist[u]:
+                if not nd >= dv:
+                    raise ValueError(_bad_cost(edge_cost[a]))
+                dist[u] = nd
+                pred[u] = a
+                push(pq, (nd, u))
+
+    r = [inf] * n
+    origin = [-1] * n
+    pq = []
+    for i, d in enumerate(dist):
+        seed = d + node_cost[i]
+        # `not >=` rather than `<`, so that a NaN cost gets in and raises
+        if not seed >= inf:
+            if not seed > -inf:
+                raise ValueError(f"walk oracle: node cost {node_cost[i]} at {net.nodes[i]}")
+            r[i] = seed
+            pq.append((seed, i))
+    heapq.heapify(pq)
+    while pq:
+        rv, v = pop(pq)
+        if rv > r[v]:
+            continue
+        for u, a in gadj[v]:
+            nr = rv + edge_cost[a]
+            if not nr >= r[u]:
+                if not nr >= rv:
+                    raise ValueError(_bad_cost(edge_cost[a]))
+                r[u] = nr
+                origin[u] = a
+                push(pq, (nr, u))
+
+    return ShortestWalkResult(net, src, dist, pred, r, origin)
 
 def solve_lp_linprog(model: LPModel) -> LPResult:
     """The model solved through scipy's `linprog(method="highs-ds")` front

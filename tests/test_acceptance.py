@@ -13,7 +13,8 @@ import time
 import pytest
 
 from oracles import (budgeted_purchase_bruteforce,
-                     brute_min_processing_walk_costs, walk_lp_optimum)
+                     brute_min_processing_walk_costs, shortest_processing_2walk,
+                     walk_lp_optimum)
 from pflow.decompose import decompose, extraction_bound
 from pflow.generators import (gen_random_instance, gen_random_purchase,
                               gen_reduction_instance)
@@ -21,8 +22,7 @@ from pflow.harness import SweepSpec, compare_runs
 from pflow.lp import solve_edge_lp
 from pflow.model import (Demand, FlowNetwork, InfeasibleError,
                          verify_walk_solution)
-from pflow.mwu import (MWUConfig, default_delta, mwu_solve,
-                       shortest_processing_2walk)
+from pflow.mwu import MWUConfig, default_delta, mwu_solve
 from pflow.naive import naive_solve
 from pflow.purchase import (PurchaseInstance, greedy_budgeted_single_source,
                             round_budgeted_purchase, round_min_purchase,

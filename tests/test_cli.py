@@ -174,6 +174,21 @@ class TestSolve:
         assert run("solve", "--alg", "lp", "--input", bad,
                    "-o", tmp_path / "x.json") == 2
 
+    @pytest.mark.parametrize("nodes", [("s", "a->b", "a", "b", "t"),
+                                       ("s", "a", "b->t", "a->b", "t")])
+    def test_node_name_with_an_arrow_rejected(self, nodes, tmp_path, capsys):
+        # documents key an arc as tail->head: with these names, the edge-flows
+        # document named an arc a->b->t that decompose could not find, or gave
+        # the arcs a->(b->t) and (a->b)->t one key, one flow overwriting the other
+        lines = ["graph directed", *(f"node {v} cap=1" for v in nodes)]
+        lines += [f"edge {u} {v} cap=1" for u, v in zip(nodes, nodes[1:])]
+        src, out = tmp_path / "arrow.pf", tmp_path / "edges.json"
+        src.write_text("\n".join(lines + ["demand s t"]) + "\n")
+        assert run("solve", "--alg", "lp", "--format", "edge-flows", "--input", src,
+                   "-o", out) == 2
+        assert "contains '->'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alg", ["lp", "naive", "mwu"])
     @pytest.mark.parametrize("line", ["edge s a cap=10", "node a cap=3"])
     def test_infinite_capacity_rejected(self, tmp_path, capsys, alg, line):

@@ -51,6 +51,21 @@ def test_spec_validation(kwargs):
         SweepSpec(**kwargs)
 
 
+@pytest.mark.parametrize("lo,hi,step", [(0.0, 5.0, 1e-300), (0.0, 5.0, 1e-9),
+                                        (0.0, 10_000.0, 1.0)])
+def test_spec_rejects_a_grid_too_fine_to_build(lo, hi, step):
+    # construction alone: grid() would never end, or fill memory, on the first two
+    with pytest.raises(StructuralError, match="more than 10000 grid points"):
+        SweepSpec(lo=lo, hi=hi, step=step)
+
+
+def test_spec_accepts_a_grid_of_the_largest_size():
+    # floor((hi - lo)/step) + 1 points, here 10,000, is what the cap counts
+    assert pflow.harness.MAX_GRID_POINTS == 10_000
+    SweepSpec(lo=0.0, hi=9_999.0, step=1.0)
+    SweepSpec(lo=1.0, hi=10_000.0, step=1.0)
+
+
 def test_half_subset_deterministic(naive_gap):
     net, _ = naive_gap
     sub = half_subset(net, seed=7)

@@ -125,6 +125,9 @@ def test_undirected_pairing_survives():
      "line 2: duplicate attribute 'potential'"),
     ("graph directed\nnode a cap=1\nbudget 1\nbudget 50", "line 4: duplicate budget"),
     ("graph directed\nnode a cap=1\ndemand a", "demand needs"),
+    # solution documents key an arc as tail->head
+    ("graph directed\nnode s cap=0\nnode a->b cap=1", "line 3: node name 'a->b' contains '->'"),
+    ("graph directed\nnode -> cap=1", "line 2: node name '->'"),
 ])
 def test_format_errors(bad, fragment):
     with pytest.raises(InstanceFormatError, match=fragment):

@@ -17,13 +17,13 @@ from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                          PurchaseInstance, ResourceLimitError, StructuralError, WalkEntry,
                          validate_instance, verify_edge_solution, verify_walk_solution)
 import pflow.mwu
-from pflow.mwu import MWUConfig, mwu_solve, shortest_processing_2walk
+from pflow.mwu import MWUConfig, mwu_solve
 from pflow.purchase import build_purchase_lp
 
 from oracles import (add_constraint, column_uses, edge_lp_optimum, legs, master_instances,
                      mixed_routing_instances, net_outflow_routing_lp, processing_vertices,
                      row_by_row_edge_lp, row_by_row_purchase_lp, seeded_instances,
-                     solve_lp_linprog, walk_lp_optimum)
+                     shortest_processing_2walk, solve_lp_linprog, walk_lp_optimum)
 
 
 def test_mandatory_relay_caps_throughput(inst_line):
@@ -818,7 +818,8 @@ def test_batched_pricing_matches_the_walk_oracle():
         rounds = [np.zeros(rows)] + [np.array([rng.randint(0, 8) / 8 for _ in range(rows)])
                                      for _ in range(3)]
         for cnet, price in [(net, p) for p in rounds] + [(copy, rounds[-1])]:
-            cost, walk = pflow.lp.price_walks(cnet, demands, price)
+            graph = pflow.lp._walk_graph(cnet, demands)
+            cost, walk = graph.price(price, graph.closed_rows(cnet))
             assert len(net._walk_graphs) == 1
             arc_cost = [price[k + a.group] if cnet.group_capacity[a.group] > 0 else math.inf
                         for a in cnet.arcs]
@@ -842,13 +843,18 @@ def test_a_recapacitated_copy_prices_its_own_closed_nodes():
     demands, rows = [Demand("s", "t")], 1 + net.edge_count + net.n_nodes
     price = np.zeros(rows)
     price[1 + net.edge_count + net.node_index("b")] = 2.0
-    assert pflow.lp.price_walks(net, demands, price)[0].tolist() == [0.0]
+
+    def cost(n):
+        graph = pflow.lp._walk_graph(n, demands)
+        return graph.price(price, graph.closed_rows(n))[0].tolist()
+
+    assert cost(net) == [0.0]
     copy = net.with_node_capacity({"a": 0.0, "b": 1.0})
     assert copy.closed is not net.closed and copy._walk_graphs is net._walk_graphs
-    assert pflow.lp.price_walks(copy, demands, price)[0].tolist() == [2.0]
+    assert cost(copy) == [2.0]
     shut = copy.with_node_capacity({})
-    assert pflow.lp.price_walks(shut, demands, price)[0].tolist() == [math.inf]
-    assert pflow.lp.price_walks(net, demands, price)[0].tolist() == [0.0]
+    assert cost(shut) == [math.inf]
+    assert cost(net) == [0.0]
 
 
 def test_path_graph_opens_the_arcs_of_the_sink_leg_rule():
@@ -927,9 +933,9 @@ def test_a_held_graph_answers_as_a_fresh_network():
 
 
 def test_import_pflow_leaves_csgraph_unloaded():
-    # only price_walks runs scipy's csgraph, so `import pflow` must not load
-    # it: the purchase LPs then never pay the megabyte of RSS its import
-    # costs. Nor does the import create a HiGHS object: the pool
+    # only the pricing graph (`_WalkGraph`) runs scipy's csgraph, so `import
+    # pflow` must not load it: the purchase LPs then never pay the megabyte
+    # of RSS its import costs. Nor does the import create a HiGHS object: the pool
     # starts empty. A fresh interpreter shows what `import pflow` loads
     src = os.path.dirname(os.path.dirname(pflow.lp.__file__))
     code = ("import sys, pflow; assert 'scipy.sparse.csgraph' not in sys.modules; "

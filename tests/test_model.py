@@ -71,21 +71,21 @@ def test_with_node_capacity_equals_a_fresh_network(directed):
     # are its own, built after the original's
     net = FlowNetwork("sabt", [("s", "a", 2.0), ("a", "t", 0.0), ("s", "b", 1.0),
                                ("b", "a", 3.0)], {"a": 1.0, "b": 2.0}, directed=directed)
-    net.adjacency, net.arc_ends, net.closed  # built first, then handed on
+    net.arc_ends, net.closed  # built first, then handed on
     caps = {"b": 0, "t": 4}
     copy = net.with_node_capacity(caps)
     fresh = FlowNetwork(net.nodes, net.edges, caps, directed=directed)
     assert copy.node_capacity == fresh.node_capacity == {"s": 0.0, "a": 0.0, "b": 0.0, "t": 4.0}
     assert all(type(c) is float for c in copy.node_capacity.values())
     for name in ("nodes", "directed", "_index", "arcs", "group_capacity", "arc_index",
-                 "out_arcs", "in_arcs", "groups", "adjacency", "edges"):
+                 "out_arcs", "in_arcs", "groups", "edges"):
         assert getattr(copy, name) == getattr(fresh, name), name
     for mine, theirs in zip(copy.arc_ends, fresh.arc_ends):
         assert mine.tolist() == theirs.tolist()
     assert copy.closed.tolist() == fresh.closed.tolist() != net.closed.tolist()
     assert copy.closed is not net.closed
     assert copy.arcs is net.arcs and copy._walk_graphs is net._walk_graphs
-    assert copy._barred is net._barred and copy.adjacency is net.adjacency
+    assert copy._barred is net._barred
     assert net.node_capacity == {"s": 0.0, "a": 1.0, "b": 2.0, "t": 0.0}
     with pytest.raises(StructuralError, match="unknown node 'q'"):
         net.with_node_capacity({"q": 1.0})

@@ -10,10 +10,10 @@ from pflow import mwu as mwu_module
 from pflow.lp import solve_edge_lp
 from pflow.model import (Demand, FlowNetwork, ResourceLimitError, StructuralError,
                          verify_walk_solution)
-from pflow.mwu import (MWUConfig, default_delta, iteration_bound, mwu_solve,
-                       shortest_processing_2walk)
+from pflow.mwu import MWUConfig, default_delta, iteration_bound, mwu_solve
 
-from oracles import brute_min_processing_walk_costs, edge_lp_optimum, seeded_instances
+from oracles import (brute_min_processing_walk_costs, edge_lp_optimum, seeded_instances,
+                     shortest_processing_2walk)
 
 
 def test_default_delta_pinned():
