@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .lp import Objective, master_walks, solve_walk_master
+from .lp import Objective, WalkMaster, master_walks, solve_walk_master
 from .model import Demand, FlowNetwork, StructuralError
 from .mwu import MWUConfig, mwu_solve
 from .naive import naive_solve, process_paths, route_paths
@@ -72,9 +72,9 @@ class RunRecord:
     objective: float     # nan when the solver errored
     wall_time: float     # seconds of solver work done for this record; naive's
                          # shared routing counts in the sweep's first naive record
-    iterations: int      # lp: simplex iterations of this record's walk master,
-                         # seeded with the previous grid point's columns; naive:
-                         # the sweep's one path master's, on every record; mwu: rounds
+    iterations: int      # lp: simplex iterations of this point's re-solve of the
+                         # sweep's one walk master; naive: the sweep's one path
+                         # master's, on every record; mwu: rounds
     feasible: bool
     error: str | None = None
 
@@ -127,15 +127,18 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     phase against its grid point's capacities. If the routing fails, every
     naive record carries its error.
 
-    lp solves each grid point with a fresh walk master (`solve_walk_master`):
-    a walk stays valid when only node capacities change, so each later
-    point's master starts with the columns the previous point's ended with
-    (the last optimal point's, if a point failed), and skips the seed a
-    fresh master starts from. The first point, and a point after one that
-    ended without columns, starts from that seed, exactly as a fresh solve
-    does, and every repetition of a point starts from the same columns. An
-    lp record's iterations are those of its own master, and its objective,
-    what the master's walks deliver, equals a fresh solve's to rounding.
+    lp holds one walk master (`lp.WalkMaster`) across the grid and
+    re-solves it at each point: a walk stays valid when only node
+    capacities change, so a point rewrites the node rows and re-optimizes
+    from the basis and columns the previous point left (whatever a failed
+    point left), each point within its own MAXITER budget. A master without
+    columns, as at the first point, starts from the seed exactly as a fresh
+    solve does. With repetitions, every repetition of a point, the first
+    included, restores the point's start (`WalkMaster.mark` and `rewind`),
+    so all report the same objective and iterations. An lp record's
+    iterations are its point's re-solve, and its objective, what the
+    master's walks deliver, equals a fresh solve's to rounding. The master's
+    HiGHS object goes back to the pool when the sweep ends.
 
     An unknown algorithm, and with mwu an `epsilon` that `MWUConfig`
     rejects, raise before any solve; every mwu record runs under that one
@@ -150,13 +153,17 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     half = half_subset(net, sweep.seed) if sweep.dist == "half" else []
     records: list[RunRecord] = []
     routing = None  # naive's phase 1 once solved, or the exception it raised
-    start = ended = ()  # master columns: the previous grid point's, the latest
+    master = None  # lp's walk master, built by its first solve
+    start = None  # with repetitions, the grid point's start in the master
 
     def solve(alg: str, capped: FlowNetwork):
-        nonlocal routing, ended
+        nonlocal routing, master
         if alg == "lp":
-            res, ended, meta = solve_walk_master(capped, demands, start)
-            return master_walks(capped, demands, res, ended, meta)
+            if master is None:
+                master = WalkMaster(net, demands)
+            elif start:
+                master.rewind(start)
+            return master_walks(capped, demands, *master.solve(capped))
         if alg == "mwu":
             return mwu_solve(capped, demands, config)
         if routing is None:
@@ -168,23 +175,29 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
             raise routing
         return process_paths(capped, routing)
 
-    for c in sweep.grid():
-        capped = _capacitate(net, c, sweep.dist, half)
-        start = ended
-        for rep in range(1, sweep.repetitions + 1):
-            rep_tag = f"/r{rep}" if sweep.repetitions > 1 else ""
-            inst_id = f"cap={c:g}/{sweep.dist}{rep_tag}"
-            for alg in algs:
-                try:
-                    t0 = time.perf_counter()
-                    sol = solve(alg, capped)
-                    dt = time.perf_counter() - t0
-                    iters = sol.meta["iterations" if alg == "mwu" else "lp_iterations"]
-                    records.append(RunRecord(inst_id, alg, sol.objective, dt,
-                                             int(iters), True))
-                except Exception as exc:  # record and continue, per contract
-                    records.append(RunRecord(inst_id, alg, math.nan, 0.0, 0,
-                                             False, f"{type(exc).__name__}: {exc}"))
+    try:
+        for c in sweep.grid():
+            capped = _capacitate(net, c, sweep.dist, half)
+            if sweep.repetitions > 1:
+                # before the master's first solve: no columns and no basis
+                start = master.mark() if master else (0, None)
+            for rep in range(1, sweep.repetitions + 1):
+                rep_tag = f"/r{rep}" if sweep.repetitions > 1 else ""
+                inst_id = f"cap={c:g}/{sweep.dist}{rep_tag}"
+                for alg in algs:
+                    try:
+                        t0 = time.perf_counter()
+                        sol = solve(alg, capped)
+                        dt = time.perf_counter() - t0
+                        iters = sol.meta["iterations" if alg == "mwu" else "lp_iterations"]
+                        records.append(RunRecord(inst_id, alg, sol.objective, dt,
+                                                 int(iters), True))
+                    except Exception as exc:  # record and continue, per contract
+                        records.append(RunRecord(inst_id, alg, math.nan, 0.0, 0,
+                                                 False, f"{type(exc).__name__}: {exc}"))
+    finally:
+        if master is not None:
+            master.release()
     return records
 
 

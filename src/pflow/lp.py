@@ -36,9 +36,14 @@ takes the walks of a few rounds of Garg and Könemann's multiplicative
 weights (`_seed_columns`), the congestion-aware heuristic of the paper's
 approximation algorithm, priced without HiGHS and charged by the helper
 MWU's rounds share (`charge_walks`); from there its rounds run as
-before. Pricing is one scipy Dijkstra run over a block-diagonal graph
-(`_WalkGraph`), one two-layer copy of the network per demand, whose weights
-are rewritten in place each round. The graph is built once per network and
+before. The master is an object (`WalkMaster`) that owns its HiGHS model,
+columns and pricing graph: `solve_walk_master` solves one once and
+releases it, and a capacity sweep holds one across its grid, rewriting
+the node rows at each point and re-solving from the basis the last point
+left, since a walk stays valid when only node capacities change. Pricing
+is one scipy Dijkstra run over a block-diagonal graph (`_WalkGraph`), one
+two-layer copy of the network per demand, whose weights are rewritten in
+place each round. The graph is built once per network and
 list of (source, sink) pairs, and every solver that prices (MWU, the
 master, its seed) holds it for the whole solve and prices each round on it
 (`_WalkGraph.price`). The graph also counts
@@ -238,9 +243,10 @@ def _run(highs: _Highs, limit: int) -> tuple[str, int, float]:
     if status not in _STATUS:
         raise ResourceLimitError(
             f"solver failed: HiGHS status {highs.modelStatusToString(status)!r}")
-    info = highs.getInfo()  # a copy of every field HiGHS reports
-    return (_STATUS[status], int(info.simplex_iteration_count),
-            float(info.objective_function_value))
+    # two fields read by name: getInfo() would copy every one
+    _, nit = highs.getInfoValue("simplex_iteration_count")
+    _, obj = highs.getInfoValue("objective_function_value")
+    return _STATUS[status], int(nit), float(obj)
 
 
 def solve_lp(model: LPModel) -> LPResult:
@@ -754,30 +760,196 @@ def _seed_columns(graph: _WalkGraph, closed: np.ndarray, capacity: list[float]
     return list(seed)
 
 
+class WalkMaster:
+    """The column-generation master of max total flow (over 2-walks, or
+    plain paths with `paths`) or min-max congestion, held so that it can be
+    re-solved as node capacities change; `solve_walk_master` solves one
+    once and releases it.
+
+    It owns one pooled HiGHS object, which `release` gives back, the pricing
+    graph of its demands (`_walk_graph`), and its columns, which stay valid
+    when only node capacities change. `solve` takes the network the master
+    was built on or a `with_node_capacity` copy of it and rewrites the node
+    rows whose capacity changed: a row's upper bound under max total flow,
+    θ's coefficient on it under min-max. HiGHS then re-optimizes by primal
+    simplex from the basis the last solve left, and the rounds run from
+    there. `mark` and `rewind` save and restore the columns and basis, so
+    that solves from one start repeat."""
+
+    def __init__(self, net: FlowNetwork, demands: list[Demand],
+                 objective: Objective = Objective(), paths: bool = False):
+        kind = _check_objective(net, demands, objective)
+        if paths and kind != "max-total-flow":
+            raise ValueError("the path master maximizes total flow only")
+        if kind == "min-weighted-congestion":
+            raise ValueError("min-weighted congestion is one pricing call, which "
+                             "solve_walk_master makes, not a master")
+        self.demands, self.kind, self.paths = demands, kind, paths
+        self.minmax = minmax = kind == "min-max-congestion"
+        self.graph = _walk_graph(net, demands, paths)
+        self.capacity = capacity = _capacities(net, paths)
+        k, amounts = len(demands), [d.amount for d in demands]
+        lp = HighsLp()  # no columns yet
+        lp.num_row_ = lp.a_matrix_.num_row_ = k + len(capacity)
+        lp.row_lower_ = (amounts if minmax else [-math.inf] * k) + [-math.inf] * len(capacity)
+        lp.row_upper_ = amounts + ([0.0] * len(capacity) if minmax else capacity)
+        self.cols: list[Column] = []
+        self.known: set[Column] = set()
+        self.highs = highs = _highs()
+        highs.passModel(lp)
+        if minmax:  # θ is column 0
+            rows = np.flatnonzero(np.array(capacity) > 0)
+            highs.addCols(1, np.ones(1), np.zeros(1), np.full(1, math.inf), len(rows),
+                          np.zeros(1, dtype=np.int32), (rows + k).astype(np.int32),
+                          -np.array(capacity)[rows])
+
+    def release(self) -> None:
+        """Give the master's HiGHS object back to the pool; the master is
+        not solved again."""
+        _release(self.highs)
+
+    def mark(self) -> tuple[int, object]:
+        """The master's start as `rewind` restores it: its column count and
+        HiGHS's basis, None while the basis is not valid."""
+        basis = self.highs.getBasis()
+        return len(self.cols), basis if basis.valid else None
+
+    def rewind(self, mark: tuple[int, object]) -> None:
+        """Back to `mark`: the columns added since are deleted, and its basis
+        set (without one, HiGHS starts from the slack basis). Node rows keep
+        the capacities of the last solve. HiGHS's solver state is cleared
+        first: the simplex keeps more than the basis from run to run, so that
+        four runs of one LP from one set basis took 6, 4, 5 and 6 iterations."""
+        n, basis = mark
+        extra = len(self.cols) - n
+        if extra:
+            first = n + int(self.minmax)
+            self.highs.deleteCols(extra, np.arange(first, first + extra, dtype=np.int32))
+            self.known.difference_update(self.cols[n:])
+            del self.cols[n:]
+        self.highs.clearSolver()
+        if basis is not None:
+            self.highs.setBasis(basis)
+
+    def solve(self, net: FlowNetwork) -> tuple[LPResult, list[Column], dict]:
+        """The master optimal on `net`, as `solve_walk_master` describes it,
+        from the columns and basis the master holds, within one MAXITER
+        budget. A master without columns starts as a fresh one does (the
+        seed under max total flow over 2-walks); one with columns re-solves
+        them under `net`'s node rows first, then prices. Under min-max, each
+        demand's cheapest walk at zero prices joins unless already held.
+        ValueError when `net` is not the master's network or a
+        `with_node_capacity` copy of it (its pricing graph is not the
+        master's)."""
+        graph, demands, minmax, highs = self.graph, self.demands, self.minmax, self.highs
+        if _walk_graph(net, demands, self.paths) is not graph:
+            raise ValueError("a walk master solves its own network or a "
+                             "with_node_capacity copy of it")
+        k, groups = len(demands), net.edge_count
+        capacity = _capacities(net, self.paths)
+        for v, (old, new) in enumerate(zip(self.capacity[groups:], capacity[groups:])):
+            if old != new:  # node v's row
+                if minmax:
+                    highs.changeCoeff(k + groups + v, 0, -new)
+                else:
+                    highs.changeRowBounds(k + groups + v, -math.inf, new)
+        self.capacity = capacity
+        amounts = [d.amount for d in demands]
+        upper = amounts + capacity
+        closed = graph.closed_rows(net)
+        price = np.zeros(len(upper))  # the empty master's duals
+        # with no processing capacity no 2-walk has a finite cost: price nothing
+        pricing = self.paths or any(c > 0 for c in net.node_capacity.values())
+        cols, known, batch = self.cols, self.known, []
+        if not (cols or self.paths or minmax) and pricing and k:
+            batch = _seed_columns(graph, closed, capacity)
+        seeded = len(batch)
+        if minmax:  # each demand's cheapest walk at zero prices joins
+            batch = [col for col in _cheapest_walks(graph, closed, demands, price)[1]
+                     if col not in known]
+        rerun = bool(cols)  # the columns held re-solve under the new rows
+        # a fixed demand row's dual, under min-max, may take either sign
+        floor = np.repeat([-math.inf if minmax else 0.0, 0.0], [k, len(capacity)])
+        worth = 0.0 if minmax else 1.0
+        used, rounds, value = 0, 0, 0.0
+        while True:
+            if batch:
+                starts, index, coefs = [], [], []
+                for col in batch:
+                    starts.append(len(index))
+                    # its demand row, then its processing vertex's and group rows
+                    uses = graph.uses(col)
+                    index += [col[0], *(k + r for r, _ in uses)]
+                    coefs += [1, *(m for _, m in uses)]
+                n = len(batch)
+                highs.addCols(n, np.full(n, -worth), np.zeros(n), np.full(n, math.inf),
+                              len(index), np.array(starts, dtype=np.int32),
+                              np.array(index, dtype=np.int32), np.array(coefs, dtype=float))
+                cols += batch
+                known.update(batch)
+            if batch or rerun:
+                rerun = False
+                status, nit, obj = _run(highs, MAXITER - used)
+                used += nit
+                if status != "optimal":
+                    raise ResourceLimitError(f"walk master ended {status}")
+                value = (1.0 if minmax else -1.0) * obj
+                dual = np.asarray(highs.getSolution().row_dual)
+                if not np.isfinite(dual).all():
+                    raise ResourceLimitError("walk master returned a non-finite row dual")
+                price = np.maximum(-dual, floor)
+            rounds += 1
+            batch, reduced, cost = [], -math.inf, np.zeros(k)
+            if pricing and k:
+                cost, walk = graph.price(price, closed)
+                gain = worth - price[:k] - cost
+                reduced = float(gain.max())
+                batch = [col for col in map(walk, np.flatnonzero(gain > _PRICE_TOL).tolist())
+                         if col not in known]
+            if not batch:
+                break
+        x = np.asarray(highs.getSolution().col_value)[int(minmax):]
+        meta = {"algorithm": "lp", "objective_kind": self.kind}
+        if minmax:
+            meta["congestion"] = value
+            # a demand of amount 0 may have no walk, and so cost inf
+            bound = float(np.dot(amounts, np.where(np.isfinite(cost), cost, 0.0)))
+        else:  # an uncapped demand's row never binds, so its price is 0
+            bound = sum(b * y for b, y in zip(upper, price.tolist()) if y > 0.0)
+        meta.update(lp_objective=value, lp_iterations=used, rounds=rounds, columns=len(cols),
+                    seed_columns=seeded, dual_bound=bound, max_reduced_cost=reduced)
+        return LPResult("optimal", x, value, used), list(cols), meta
+
+
+def _capacities(net: FlowNetwork, paths: bool) -> list[float]:
+    """The capacity of each master row after the demands': the bandwidth
+    groups', then, but for a path master, the nodes'."""
+    return list(net.group_capacity) + ([] if paths else [net.node_capacity[v] for v in net.nodes])
+
+
 def solve_walk_master(net: FlowNetwork, demands: list[Demand],
-                      columns: Sequence[Column] = (), objective: Objective = Objective(),
+                      objective: Objective = Objective(),
                       paths: bool = False) -> tuple[LPResult, list[Column], dict]:
     """`objective` over processed 2-walks, once `_check_objective` passes it;
-    with `paths`, max total flow over plain source->sink paths.
+    with `paths`, max total flow over plain source->sink paths. Max total
+    flow and min-max congestion solve a `WalkMaster` once and release it.
 
     Max total flow is column generation. The master LP has a row per demand
     (at most R_i), group (at most B_g) and node (at most C_v), and a column
     per (demand, 2-walk, processing vertex) priced in, worth 1: 1 on its
     demand and node rows, and on each group row the times the walk uses that
-    group. It starts with `columns`. Each round turns the negated row duals,
-    clamped at 0 (a non-finite one raises ResourceLimitError), into prices
-    σ_i, y_g and z_v, and prices every demand's cheapest 2-walk at once
-    unless no node can process, on the pricing graph the solve looks up once
-    (`_WalkGraph.price`), whose count of each column's rows
-    (`_WalkGraph.uses`) also writes the columns. A new walk joins when its
-    worth - σ_i - cost exceeds 1e-9, and HiGHS re-solves by primal simplex
-    from the current basis, all solves within one MAXITER budget. The
-    rounds stop when none joins; as no walk joins twice, they do. Without
-    `columns`, the master starts from the walks of SEED_ROUNDS
-    multiplicative-weights pricing rounds instead (`_seed_columns`), which
-    call no HiGHS; the rounds that follow run and stop as above, so the
-    optimum, the dual bound and the final reduced cost mean what they mean
-    from any other start.
+    group. It starts from the walks of SEED_ROUNDS multiplicative-weights
+    pricing rounds (`_seed_columns`), which call no HiGHS. Each round turns
+    the negated row duals, clamped at 0 (a non-finite one raises
+    ResourceLimitError), into prices σ_i, y_g and z_v, and prices every
+    demand's cheapest 2-walk at once unless no node can process, on the
+    pricing graph the master holds (`_WalkGraph.price`), whose count of each
+    column's rows (`_WalkGraph.uses`) also writes the columns. A new walk
+    joins when its worth - σ_i - cost exceeds 1e-9, and HiGHS re-solves by
+    primal simplex from the current basis, all solves within one MAXITER
+    budget. The rounds stop when none joins; as no walk joins twice, they
+    do, and the optimum, the dual bound and the final reduced cost mean what
+    they mean from any start, the seed's or a held master's.
 
     With `paths` the master is the plain multicommodity max flow of Ford
     and Fulkerson, blind to processing: it has no node rows, never reads
@@ -800,110 +972,33 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     walks, and `solve_edge_lp` sums them into edge flows. The meta holds the
     objective, simplex iterations, rounds (its own pricing rounds, not the
     seed's), columns, and `seed_columns`, how many of those the seed
-    contributed (0 for a master handed `columns`, and under min-max
+    contributed (0 for a master that held columns, and under min-max
     congestion); the final round's largest gain (-inf without walks), and
     the dual bound under the final prices: Σ R_i σ_i (finite R_i) + Σ B_g y_g
     + Σ C_v z_v, or Σ R_i cost_i under min-max. ResourceLimitError when the
     budget runs out or the master ends other than optimal.
     """
-    kind = _check_objective(net, demands, objective)
-    if paths and kind != "max-total-flow":
-        raise ValueError("the path master maximizes total flow only")
-    k, caps = len(demands), net.group_capacity
-    amounts = [d.amount for d in demands]
-    capacity = list(caps) + ([] if paths else [net.node_capacity[v] for v in net.nodes])
-    meta = {"algorithm": "lp", "objective_kind": kind}
-    # the graph every objective prices on, which also counts each column's rows
-    graph = _walk_graph(net, demands, paths)
-    closed = graph.closed_rows(net)
-    if kind == "min-weighted-congestion":
+    if objective.kind == "min-weighted-congestion" and not paths:
+        _check_objective(net, demands, objective)
+        k, caps = len(demands), net.group_capacity
+        amounts = [d.amount for d in demands]
+        capacity = _capacities(net, paths)
+        graph = _walk_graph(net, demands)
         ew, nw = objective.edge_weights or {}, objective.node_weights or {}
         weight = [ew.get(g, 1.0) for g in range(len(caps))] + [nw.get(v, 1.0) for v in net.nodes]
         # a resource of capacity 0 is a closed row, which costs inf whatever its price
         price = [0.0] * k + [w / c if c > 0 else 0.0 for w, c in zip(weight, capacity)]
-        cost, cols = _cheapest_walks(graph, closed, demands, np.array(price))
+        cost, cols = _cheapest_walks(graph, graph.closed_rows(net), demands, np.array(price))
         value = float(np.dot(amounts, cost))
         x = [amounts[i] for i, _, _ in cols]
-        ratio = _peak_ratio(graph, capacity, cols, x)
-        meta.update(lp_objective=value, lp_iterations=0, congestion=ratio)
+        meta = {"algorithm": "lp", "objective_kind": objective.kind, "lp_objective": value,
+                "lp_iterations": 0, "congestion": _peak_ratio(graph, capacity, cols, x)}
         return LPResult("optimal", np.array(x), value, 0), cols, meta
-
-    minmax = kind == "min-max-congestion"
-    upper = amounts + capacity
-    price = np.zeros(len(upper))  # the empty master's duals
-    # with no processing capacity no 2-walk has a finite cost: price nothing
-    pricing = paths or any(c > 0 for c in net.node_capacity.values())
-    batch = list(columns)
-    if not (batch or paths or minmax) and pricing and k:
-        batch = _seed_columns(graph, closed, capacity)
-    seeded = len(batch) - len(columns)
-    if minmax:  # each demand's cheapest walk at zero prices joins
-        batch = list(dict.fromkeys(batch + _cheapest_walks(graph, closed, demands, price)[1]))
-
-    lp = HighsLp()  # no columns yet
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
-    lp.row_lower_ = (amounts if minmax else [-math.inf] * k) + [-math.inf] * len(capacity)
-    lp.row_upper_ = amounts + [0.0] * len(capacity) if minmax else upper
-    cols: list[Column] = []
-    known: set[Column] = set()
-    # a fixed demand row's dual, under min-max, may take either sign
-    floor = np.repeat([-math.inf if minmax else 0.0, 0.0], [k, len(capacity)])
-    worth = 0.0 if minmax else 1.0
-    used, rounds, value = 0, 0, 0.0
-    highs = _highs()
+    master = WalkMaster(net, demands, objective, paths)
     try:
-        highs.passModel(lp)
-        if minmax:  # θ is column 0
-            rows = np.flatnonzero(np.array(capacity) > 0)
-            highs.addCols(1, np.ones(1), np.zeros(1), np.full(1, math.inf), len(rows),
-                          np.zeros(1, dtype=np.int32), (rows + k).astype(np.int32),
-                          -np.array(capacity)[rows])
-        while True:
-            if batch:
-                starts, index, coefs = [], [], []
-                for col in batch:
-                    starts.append(len(index))
-                    # its demand row, then its processing vertex's and group rows
-                    uses = graph.uses(col)
-                    index += [col[0], *(k + r for r, _ in uses)]
-                    coefs += [1, *(m for _, m in uses)]
-                n = len(batch)
-                highs.addCols(n, np.full(n, -worth), np.zeros(n), np.full(n, math.inf),
-                              len(index), np.array(starts, dtype=np.int32),
-                              np.array(index, dtype=np.int32), np.array(coefs, dtype=float))
-                cols += batch
-                known.update(batch)
-                status, nit, obj = _run(highs, MAXITER - used)
-                used += nit
-                if status != "optimal":
-                    raise ResourceLimitError(f"walk master ended {status}")
-                value = (1.0 if minmax else -1.0) * obj
-                dual = np.asarray(highs.getSolution().row_dual)
-                if not np.isfinite(dual).all():
-                    raise ResourceLimitError("walk master returned a non-finite row dual")
-                price = np.maximum(-dual, floor)
-            rounds += 1
-            batch, reduced, cost = [], -math.inf, np.zeros(k)
-            if pricing and k:
-                cost, walk = graph.price(price, closed)
-                gain = worth - price[:k] - cost
-                reduced = float(gain.max())
-                batch = [col for col in map(walk, np.flatnonzero(gain > _PRICE_TOL).tolist())
-                         if col not in known]
-            if not batch:
-                break
-        x = np.asarray(highs.getSolution().col_value)[int(minmax):]
+        return master.solve(net)
     finally:
-        _release(highs)
-    if minmax:
-        meta["congestion"] = value
-        # a demand of amount 0 may have no walk, and so cost inf
-        bound = float(np.dot(amounts, np.where(np.isfinite(cost), cost, 0.0)))
-    else:  # an uncapped demand's row never binds, so its price is 0
-        bound = sum(b * y for b, y in zip(upper, price.tolist()) if y > 0.0)
-    meta.update(lp_objective=value, lp_iterations=used, rounds=rounds, columns=len(cols),
-                seed_columns=seeded, dual_bound=bound, max_reduced_cost=reduced)
-    return LPResult("optimal", x, value, used), cols, meta
+        master.release()
 
 
 def _edge_solution(net: FlowNetwork, demands: list[Demand], cols: Sequence[Column],

@@ -66,7 +66,8 @@ class FlowNetwork:
     Undirected networks are materialized as antiparallel arc pairs; the two
     directions of one edge share a single bandwidth budget (their "group").
     Directed arcs each form a singleton group, so capacity accounting is
-    uniformly per group. Node ids are opaque strings; dense indices follow
+    uniformly per group. Node ids are opaque strings, but for `->`, which
+    solution documents put between an arc's ends; dense indices follow
     first appearance in `nodes`.
     """
 
@@ -74,6 +75,10 @@ class FlowNetwork:
         self.nodes = tuple(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise StructuralError("duplicate node id")
+        for v in self.nodes:
+            if isinstance(v, str) and "->" in v:
+                raise StructuralError(f"node id {v!r} contains '->', which solution "
+                                      f"documents use to key an arc")
         self.directed = bool(directed)
         self._index = {v: i for i, v in enumerate(self.nodes)}
 

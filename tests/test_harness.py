@@ -127,7 +127,7 @@ def test_bad_mwu_epsilon_rejected_before_any_solve(naive_gap, monkeypatch, epsil
     net, demands = naive_gap
     sweep = SweepSpec(lo=0.0, hi=1.0, step=1.0)
     solved = []
-    monkeypatch.setattr(pflow.harness, "solve_walk_master",
+    monkeypatch.setattr(pflow.harness, "WalkMaster",
                         lambda *args: solved.append(args) or None)
     with pytest.raises(ValueError, match="epsilon must lie strictly between 0 and 1"):
         compare_runs(net, demands, sweep, algorithms=("lp", "mwu"), epsilon=epsilon)
@@ -261,12 +261,11 @@ def test_lp_records_match_a_fresh_solve_per_point():
 
 
 def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
-    # a grid point seeded with the previous point's columns prices far fewer
-    # demands than a fresh master, which spends SEED_ROUNDS pricing calls on
-    # its multiplicative-weights seed before HiGHS sees it; and it takes fewer
-    # simplex iterations than a fresh master started empty, without that
-    # seed (121 against 179 here). A fresh seeded master can take fewer
-    # still (111): the hand-off spares the seed's pricing, not its pivots
+    # the sweep's one master, re-solved at each grid point from the previous
+    # point's basis, prices far fewer demands than fresh masters, each of
+    # which spends SEED_ROUNDS pricing calls on its multiplicative-weights
+    # seed before HiGHS sees it; and it takes fewer simplex iterations than
+    # fresh masters, seeded or started empty (38 against 111 and 179 here)
     calls = 0  # demands priced
     real = pflow.lp._WalkGraph.price
 
@@ -281,25 +280,43 @@ def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
     recs = compare_runs(inst.net, inst.demands, spec, algorithms=("lp",))
     assert all(r.feasible for r in recs)
     warm, warm_calls, calls = sum(r.iterations for r in recs), calls, 0
-    for r in recs:
-        solve_edge_lp(_point_network(inst.net, spec, r.instance), inst.demands)
+    seeded = sum(solve_edge_lp(_point_network(inst.net, spec, r.instance),
+                               inst.demands)[1].iterations for r in recs)
     assert 0 < warm_calls < calls / 2
     monkeypatch.setattr(pflow.lp, "SEED_ROUNDS", 0)
     empty = sum(solve_edge_lp(_point_network(inst.net, spec, r.instance),
                               inst.demands)[1].iterations for r in recs)
-    assert 0 < warm < empty
+    assert 0 < warm < seeded < empty
+
+
+def test_every_repetition_of_a_point_starts_where_its_first_did():
+    # three repetitions of each point restore its start, the previous point's
+    # columns and basis: the same objective and iterations, run after run,
+    # and the master's HiGHS object goes back to the pool when the sweep ends
+    inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
+    spec = SweepSpec(lo=0.0, hi=5.0, step=0.5, dist="half", seed=1, repetitions=3)
+    pooled = len(pflow.lp._POOL)
+    recs = compare_runs(inst.net, inst.demands, spec, algorithms=("lp", "naive"))
+    assert len(pflow.lp._POOL) >= max(pooled, 1)
+    points = _lp_records(recs)
+    assert len(points) == len(spec.grid())
+    for point, reps in points.items():
+        assert [r.instance for r in reps] == [f"{point}/r{j}" for j in (1, 2, 3)]
+        assert all(r.feasible for r in reps)
+        assert len({(r.objective, r.iterations) for r in reps}) == 1, (point, reps)
+    assert sum(reps[0].iterations for reps in points.values()) > 0
 
 
 def test_warm_started_solutions_verify(monkeypatch):
     solved = []
-    real = pflow.harness.solve_walk_master
+    real = pflow.lp.WalkMaster.solve
 
-    def keeping(net, demands, columns):
-        out = real(net, demands, columns)
-        solved.append((net, demands, out))
+    def keeping(master, net):
+        out = real(master, net)
+        solved.append((net, master.demands, out))
         return out
 
-    monkeypatch.setattr(pflow.harness, "solve_walk_master", keeping)
+    monkeypatch.setattr(pflow.lp.WalkMaster, "solve", keeping)
     for net, demands, spec in _sweep_cases():
         compare_runs(net, demands, spec, algorithms=("lp",))
     assert len(solved) == 8 * 2 * 3  # sweeps x repetitions x grid points
@@ -314,21 +331,21 @@ def test_warm_started_solutions_verify(monkeypatch):
 
 
 def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
-    # the second grid point's masters get no simplex iterations; later
-    # points start from the first point's columns and still solve right
+    # the second grid point's re-solves get no simplex iterations; later
+    # points re-solve from what the failed point left and still solve right
     calls = 0
-    real = pflow.harness.solve_walk_master
+    real = pflow.lp.WalkMaster.solve
 
-    def limited(net, demands, columns):
+    def limited(master, net):
         nonlocal calls
         calls += 1
         if calls not in (3, 4):
-            return real(net, demands, columns)
+            return real(master, net)
         with monkeypatch.context() as m:
             m.setattr(pflow.lp, "MAXITER", 0)
-            return real(net, demands, columns)
+            return real(master, net)
 
-    monkeypatch.setattr(pflow.harness, "solve_walk_master", limited)
+    monkeypatch.setattr(pflow.lp.WalkMaster, "solve", limited)
     failed = 0
     for net, demands, spec in _sweep_cases():
         calls = 0
@@ -337,8 +354,8 @@ def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
         for point, reps in _lp_records(recs).items():
             # a master whose pricing finds no walk at all solves nothing, so
             # no iteration limit can fail it; every case here has a walk there
-            if point == failed_point and real(_point_network(net, spec, point),
-                                              demands)[0].iterations > 0:
+            if point == failed_point and pflow.lp.solve_walk_master(
+                    _point_network(net, spec, point), demands)[0].iterations > 0:
                 failed += 1
                 for r in reps:
                     assert not r.feasible and math.isnan(r.objective)

@@ -11,8 +11,8 @@ import pytest
 import pflow.lp
 from pflow.generators import gen_random_instance, gen_random_purchase
 from pflow.decompose import decompose
-from pflow.lp import (LPModel, LPResult, Objective, WalkFold, build_edge_lp, master_walks,
-                      solve_edge_lp, solve_lp, solve_walk_master, write_mps)
+from pflow.lp import (LPModel, LPResult, Objective, WalkFold, WalkMaster, build_edge_lp,
+                      master_walks, solve_edge_lp, solve_lp, solve_walk_master, write_mps)
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                          PurchaseInstance, ResourceLimitError, StructuralError, WalkEntry,
                          validate_instance, verify_edge_solution, verify_walk_solution)
@@ -685,8 +685,8 @@ def test_seeded_master_matches_the_edge_lp(monkeypatch):
 
 def test_seed_runs_only_on_an_empty_max_flow_master(monkeypatch):
     # the seed makes SEED_ROUNDS pricing calls before the master's rounds,
-    # each of which makes one; a master handed columns, the path master and
-    # min-max congestion's (one call for its start) make no seed call
+    # each of which makes one; a held master that has columns, the path
+    # master and min-max congestion's (one call for its start) make no seed call
     calls = 0
     real = pflow.lp._WalkGraph.price
 
@@ -701,8 +701,13 @@ def test_seed_runs_only_on_an_empty_max_flow_master(monkeypatch):
     _, cols, meta = solve_walk_master(net, demands)
     assert calls == pflow.lp.SEED_ROUNDS + meta["rounds"]
     assert 0 < meta["seed_columns"] <= len(cols)
-    calls = 0
-    again = solve_walk_master(net, demands, cols[:3])[2]
+    master = WalkMaster(net, demands)
+    try:  # the columns of a solve at half the node capacities, then re-solved
+        master.solve(net.with_node_capacity({v: c / 2 for v, c in net.node_capacity.items()}))
+        calls = 0
+        again = master.solve(net)[2]
+    finally:
+        master.release()
     assert calls == again["rounds"] and again["seed_columns"] == 0
     calls = 0
     solve_walk_master(net, demands, paths=True)
@@ -716,6 +721,76 @@ def test_seed_runs_only_on_an_empty_max_flow_master(monkeypatch):
     congestion = solve_walk_master(net, capped, objective=Objective("min-max-congestion"))[2]
     assert calls == 1 + congestion["rounds"]
     assert congestion["seed_columns"] == 0
+
+
+# multiples of the node capacities a held master steps through: ascending,
+# descending, mixed, and all nodes closed before they open, and again after
+CAPACITY_STEPS = {"ascending": (0.25, 0.5, 1.0, 2.0), "descending": (2.0, 1.0, 0.5, 0.25),
+                  "mixed": (1.0, 0.25, 2.0, 0.5, 1.0), "closed-then-open": (0.0, 1.0, 0.0, 2.0)}
+
+
+def _stepped(net, steps):
+    """`net` with its node capacities times each of `steps`, in order."""
+    for f in steps:
+        yield net.with_node_capacity({v: f * c for v, c in net.node_capacity.items()})
+
+
+@pytest.mark.parametrize("steps", CAPACITY_STEPS.values(), ids=list(CAPACITY_STEPS))
+def test_a_held_master_resolves_as_a_fresh_one_solves(steps):
+    # each step rewrites the node rows and re-solves from the columns and
+    # basis the last step left: a fresh master's objective, and walks that
+    # verify against the step's capacities
+    for net, demands in master_instances():
+        capped = [Demand(d.source, d.sink, min(d.amount, 1.5)) for d in demands]
+        for amounts in (demands, capped):
+            master = WalkMaster(net, amounts)
+            try:
+                for step in _stepped(net, steps):
+                    res, cols, meta = master.solve(step)
+                    fresh = solve_walk_master(step, amounts)[0]
+                    assert res.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+                    walks = master_walks(step, amounts, res, cols, meta)
+                    rep = verify_walk_solution(step, amounts, walks)
+                    assert rep.ok, rep.problems
+            finally:
+                master.release()
+
+
+@pytest.mark.parametrize("steps", CAPACITY_STEPS.values(), ids=list(CAPACITY_STEPS))
+def test_a_held_min_max_master_resolves_as_a_fresh_one_solves(steps):
+    # under min-max a node's capacity is θ's coefficient on its row, which
+    # each step rewrites; a step where a demand has no walk raises as a
+    # fresh master does, and the next step solves on
+    for net, demands in master_instances():
+        capped = [Demand(d.source, d.sink, 1.5) for d in demands]
+        master = WalkMaster(net, capped, Objective("min-max-congestion"))
+        try:
+            for step in _stepped(net, steps):
+                try:
+                    fresh = solve_walk_master(step, capped,
+                                              objective=Objective("min-max-congestion"))[0]
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        master.solve(step)
+                    continue
+                res = master.solve(step)[0]
+                assert res.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+        finally:
+            master.release()
+
+
+def test_a_held_master_solves_only_its_own_network():
+    inst = gen_random_instance(6, 0.5, n_demands=2, seed=3, directed=False)
+    other = gen_random_instance(6, 0.5, n_demands=2, seed=4, directed=False)
+    master = WalkMaster(inst.net, inst.demands)
+    try:
+        with pytest.raises(ValueError, match="with_node_capacity copy"):
+            master.solve(other.net)
+    finally:
+        master.release()
+    capped = [Demand(d.source, d.sink, 1.0) for d in inst.demands]
+    with pytest.raises(ValueError, match="one pricing call"):
+        WalkMaster(inst.net, capped, Objective("min-weighted-congestion"))
 
 
 @pytest.mark.parametrize("kind", ["min-max-congestion", "min-weighted-congestion"])

@@ -44,6 +44,14 @@ def test_bad_construction_rejected(nodes, edges):
         FlowNetwork(nodes, edges)
 
 
+def test_node_id_with_an_arrow_rejected():
+    # documents key an arc as tail->head: built with these names, the walk
+    # master's document gave the arcs a->(b->t) and (a->b)->t one key, a->b->t
+    nodes = ["s", "a", "b->t", "a->b", "t"]
+    with pytest.raises(StructuralError, match="node id 'b->t' contains '->'"):
+        FlowNetwork(nodes, [(u, v, 1.0) for u, v in zip(nodes, nodes[1:])])
+
+
 def test_undirected_duplicate_via_reversal():
     with pytest.raises(StructuralError):
         FlowNetwork("ab", [("a", "b", 1.0), ("b", "a", 1.0)], directed=False)
