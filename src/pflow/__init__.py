@@ -19,7 +19,7 @@ from .model import (Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError,
                     PurchaseInstance, PurchaseSolution, ResourceLimitError,
                     StructuralError, WalkEntry, WalkFlowSolution,
                     validate_instance, verify_walk_solution)
-from .mwu import MWUConfig, default_delta, iteration_bound, mwu_solve
+from .mwu import MWUConfig, mwu_solve
 from .naive import naive_solve
 from .purchase import (PurchaseLPSolution, greedy_budgeted_single_source,
                        round_budgeted_purchase, round_min_purchase,
@@ -35,7 +35,6 @@ __all__ = [
     "PurchaseLPSolution", "PurchaseSolution", "ResourceLimitError",
     "RunRecord", "StructuralError", "SweepSpec", "WalkEntry",
     "WalkFlowSolution", "build_edge_lp", "compare_runs", "decompose",
-    "default_delta", "iteration_bound",
     "emit_instance", "emit_solution", "extraction_bound",
     "gen_random_instance", "gen_random_purchase", "gen_reduction_instance",
     "greedy_budgeted_single_source", "instance_text", "mwu_solve", "naive_solve", "parse_instance",

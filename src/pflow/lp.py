@@ -21,11 +21,10 @@ all 2-walks directly. It splits each demand's flow as the paper does: an
 unprocessed part w and a processed part g on each arc, plus the volume p
 processed at each node, which moves flow from the first part to the second.
 Which arcs each part may use is the processing rule `FlowNetwork.bars`
-states in the model module, which the pricing graph reads too, and both
-verifiers through `FlowNetwork.barred`: flow leaves the source unprocessed,
-reaches the sink processed, and never enters the source or leaves the
-sink. An arc's load is w + g, and the delivered value of a demand is its
-source outflow.
+states in the model module, which the pricing graph and both verifiers
+read too: flow leaves the source unprocessed, reaches the sink processed,
+and never enters the source or leaves the sink. An arc's load is w + g,
+and the delivered value of a demand is its source outflow.
 
 Every objective is solved over the 2-walks instead (`solve_walk_master`).
 Max total flow and min-max congestion are column generation: a master LP
@@ -63,7 +62,6 @@ the purchase greedy route by.
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -302,11 +300,6 @@ def solve_lp(model: LPModel) -> LPResult:
     return LPResult("unbounded", None, math.inf if flip else -math.inf, nit)
 
 
-# per network, `_balance_slots`' arrays, which only its topology decides;
-# held weakly, so an entry goes with its network
-_SLOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _balance_slots(net: FlowNetwork) -> tuple[np.ndarray, ...]:
     """Every entry a demand's balance rows may hold, in the order they are
     written: node by node, the w row then the g row, each listing p, then
@@ -315,8 +308,8 @@ def _balance_slots(net: FlowNetwork) -> tuple[np.ndarray, ...]:
     g at 2a + 1, p at node v at 2 n_arcs + v) and its coefficient, and the
     node of its row if that is a w row (else -1), and if a g row; and where
     each row starts (w's row at v is row 2v, g's 2v + 1). Built once per
-    network."""
-    slots = _SLOTS.get(net)
+    topology, in the network's cache."""
+    slots = net._cache.get("balance slots")
     if slots is not None:
         return slots
     first_p = 2 * net.n_arcs
@@ -335,7 +328,8 @@ def _balance_slots(net: FlowNetwork) -> tuple[np.ndarray, ...]:
                  1.0, *[1.0] * len(ins), *[-1.0] * len(outs)]
         w_at += [v] * size + [-1] * size
         g_at += [-1] * size + [v] * size
-    slots = _SLOTS[net] = tuple(np.array(x) for x in (slot, coef, w_at, g_at, starts))
+    slots = tuple(np.array(x) for x in (slot, coef, w_at, g_at, starts))
+    net._cache["balance slots"] = slots
     return slots
 
 
@@ -427,6 +421,13 @@ def _check_objective(net: FlowNetwork, demands: list[Demand], objective: Objecti
     return kind
 
 
+def _capacities(net: FlowNetwork, paths: bool = False) -> list[float]:
+    """The capacity of each resource, in the order of the master's rows
+    after the demands': the bandwidth groups', then, but for a path master,
+    the nodes'. Every solver and the edge LP read capacities through it."""
+    return list(net.group_capacity) + ([] if paths else [net.node_capacity[v] for v in net.nodes])
+
+
 def build_edge_lp(net: FlowNetwork, demands: list[Demand],
                   objective: Objective = Objective()) -> LPModel:
     """Arc formulation of the processed-flow problem, split as in the paper,
@@ -451,8 +452,8 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     ends = np.array([(net.node_index(d.source), net.node_index(d.sink)) for d in demands],
                     dtype=np.int64).reshape(k, 2)
     amount = np.array([d.amount for d in demands], dtype=float)
-    # per resource, the bandwidth groups then the nodes
-    shut = net.closed if congestion else np.zeros(groups + n, dtype=bool)
+    cap = np.array(_capacities(net))
+    shut = (cap <= 0) & congestion  # closed resources get no column under congestion
     group = np.array([a.group for a in net.arcs], dtype=np.int64)
     col, cols, coefs, count = commodities(
         m, net, ends, net.bars(ends) | shut[group],
@@ -473,7 +474,6 @@ def build_edge_lp(net: FlowNetwork, demands: list[Demand],
     load, resource = load[load >= 0], resource[load >= 0]
     per = np.bincount(resource, minlength=groups + n)
     used = np.flatnonzero(per)
-    cap = np.array(net.group_capacity + tuple(net.node_capacity.values()))
     if kind == "max-total-flow":
         w = col[:, :2 * n_arcs:2]
         outs = w[(net.arc_ends[0] == ends[:, :1]) & (w >= 0)]
@@ -533,9 +533,9 @@ class _WalkGraph:
 
     The graph also keeps each column's incidence (`uses`), counted once and
     then reused, since it depends on the topology alone. It holds no
-    reference to its network, which caches it (`FlowNetwork._walk_graphs`,
-    shared with the `with_node_capacity` copies), so that the two do not
-    form a cycle."""
+    reference to its network, which caches it (`FlowNetwork._cache`, shared
+    with the `with_node_capacity` copies), so that the two do not form a
+    cycle."""
 
     __slots__ = ("csr", "keys", "sources", "sinks", "arc", "block", "n", "group", "head",
                  "vertex", "_uses", "_dijkstra")
@@ -580,12 +580,11 @@ class _WalkGraph:
         self._uses: dict[Column, tuple[tuple[int, int], ...]] = {}
         self._dijkstra = dijkstra
 
-    def closed_rows(self, net: FlowNetwork) -> np.ndarray:
-        """The master rows of `net`'s resources of capacity 0 (`net.closed`)
-        that this graph prices, which `price` prices at inf. `net` is the
-        graph's network or a `with_node_capacity` copy of it."""
-        k, groups = len(self.sources), net.edge_count
-        return k + np.flatnonzero(net.closed[:groups if self.vertex is None else None])
+    def closed_rows(self, capacity: Sequence[float]) -> np.ndarray:
+        """The master rows of the resources of capacity 0 (or less) in
+        `capacity`, the row capacities (`_capacities`) of the graph's network
+        or of a `with_node_capacity` copy of it: `price` prices them at inf."""
+        return len(self.sources) + np.flatnonzero(np.array(capacity) <= 0)
 
     def price(self, price: np.ndarray, closed: np.ndarray
               ) -> tuple[np.ndarray, Callable[[int], Column]]:
@@ -646,9 +645,9 @@ def _walk_graph(net: FlowNetwork, demands: list[Demand], paths: bool = False) ->
     built on a network's first call, then cached on it, and handed on by
     `FlowNetwork.with_node_capacity`."""
     key = (paths, *((d.source, d.sink) for d in demands))
-    graph = net._walk_graphs.get(key)
+    graph = net._cache.get(key)
     if graph is None:
-        graph = net._walk_graphs[key] = _WalkGraph(net, list(key[1:]), paths)
+        graph = net._cache[key] = _WalkGraph(net, list(key[1:]), paths)
     return graph
 
 
@@ -786,6 +785,7 @@ class WalkMaster:
                              "solve_walk_master makes, not a master")
         self.demands, self.kind, self.paths = demands, kind, paths
         self.minmax = minmax = kind == "min-max-congestion"
+        self.topology = net._cache  # what its with_node_capacity copies share
         self.graph = _walk_graph(net, demands, paths)
         self.capacity = capacity = _capacities(net, paths)
         k, amounts = len(demands), [d.amount for d in demands]
@@ -838,11 +838,11 @@ class WalkMaster:
         seed under max total flow over 2-walks); one with columns re-solves
         them under `net`'s node rows first, then prices. Under min-max, each
         demand's cheapest walk at zero prices joins unless already held.
-        ValueError when `net` is not the master's network or a
-        `with_node_capacity` copy of it (its pricing graph is not the
-        master's)."""
+        ValueError, before anything is built, when `net` is not the master's
+        network or a `with_node_capacity` copy of it (it does not share the
+        master's topology cache)."""
         graph, demands, minmax, highs = self.graph, self.demands, self.minmax, self.highs
-        if _walk_graph(net, demands, self.paths) is not graph:
+        if net._cache is not self.topology:
             raise ValueError("a walk master solves its own network or a "
                              "with_node_capacity copy of it")
         k, groups = len(demands), net.edge_count
@@ -856,7 +856,7 @@ class WalkMaster:
         self.capacity = capacity
         amounts = [d.amount for d in demands]
         upper = amounts + capacity
-        closed = graph.closed_rows(net)
+        closed = graph.closed_rows(capacity)
         price = np.zeros(len(upper))  # the empty master's duals
         # with no processing capacity no 2-walk has a finite cost: price nothing
         pricing = self.paths or any(c > 0 for c in net.node_capacity.values())
@@ -921,12 +921,6 @@ class WalkMaster:
         return LPResult("optimal", x, value, used), list(cols), meta
 
 
-def _capacities(net: FlowNetwork, paths: bool) -> list[float]:
-    """The capacity of each master row after the demands': the bandwidth
-    groups', then, but for a path master, the nodes'."""
-    return list(net.group_capacity) + ([] if paths else [net.node_capacity[v] for v in net.nodes])
-
-
 def solve_walk_master(net: FlowNetwork, demands: list[Demand],
                       objective: Objective = Objective(),
                       paths: bool = False) -> tuple[LPResult, list[Column], dict]:
@@ -982,13 +976,13 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
         _check_objective(net, demands, objective)
         k, caps = len(demands), net.group_capacity
         amounts = [d.amount for d in demands]
-        capacity = _capacities(net, paths)
+        capacity = _capacities(net)
         graph = _walk_graph(net, demands)
         ew, nw = objective.edge_weights or {}, objective.node_weights or {}
         weight = [ew.get(g, 1.0) for g in range(len(caps))] + [nw.get(v, 1.0) for v in net.nodes]
         # a resource of capacity 0 is a closed row, which costs inf whatever its price
         price = [0.0] * k + [w / c if c > 0 else 0.0 for w, c in zip(weight, capacity)]
-        cost, cols = _cheapest_walks(graph, graph.closed_rows(net), demands, np.array(price))
+        cost, cols = _cheapest_walks(graph, graph.closed_rows(capacity), demands, np.array(price))
         value = float(np.dot(amounts, cost))
         x = [amounts[i] for i, _, _ in cols]
         meta = {"algorithm": "lp", "objective_kind": objective.kind, "lp_objective": value,

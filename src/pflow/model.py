@@ -7,9 +7,9 @@ states, once, which arcs that leaves to a demand's unprocessed and processed
 parts. Bandwidth lives on edges, processing capacity on nodes. Routes are
 2-walks: they may visit a vertex (and hence an edge) at most twice, which is
 what makes detours through off-path processing nodes expressible.
-A network caches only what the package's solvers and verifiers read: arc
-ends, the `barred` rules and the walk master's pricing graphs, which
-`with_node_capacity` hands on to its copies.
+A network caches only what its topology decides: arc ends, and one
+dict that holds the lp module's pricing graphs and balance-row template,
+which `with_node_capacity` hands on to its copies.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ class FlowNetwork:
         for i, a in enumerate(self.arcs):
             groups[a.group].append(i)
         self.groups = tuple(tuple(g) for g in groups)
-        # topology caches, which with_node_capacity hands on to its copy
-        self._barred: dict = {}  # (source, sink) -> barred(source, sink)
-        self._walk_graphs: dict = {}  # (paths, *(source, sink) pairs) -> pricing graph
+        # the topology cache, which with_node_capacity hands on to its copies:
+        # the lp module's pricing graphs and balance-row template
+        self._cache: dict = {}
 
     @property
     def n_nodes(self) -> int:
@@ -138,15 +138,6 @@ class FlowNetwork:
                 for arcs, cap in zip(self.groups, self.group_capacity)]
 
     @functools.cached_property
-    def closed(self) -> np.ndarray:
-        """Per resource, the bandwidth groups then the nodes, whether its
-        capacity is 0 (or less): the walk master's pricer prices those at
-        inf. Built on first use; a `with_node_capacity` copy, whose node
-        capacities differ, builds its own."""
-        caps = self.group_capacity + tuple(self.node_capacity.values())
-        return np.array(caps, dtype=float) <= 0
-
-    @functools.cached_property
     def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The tail and the head node index of every arc, by arc index."""
         tail = np.array([self._index[a.tail] for a in self.arcs], dtype=np.int64)
@@ -158,8 +149,7 @@ class FlowNetwork:
         ends[b, 1], in one broadcast over `arc_ends`: per demand and arc,
         whether its unprocessed part w (row 0), and whether its processed
         part g (row 1), may not use the arc, as a boolean array of shape
-        (len(ends), 2, n_arcs). Each pair's rows also go into the cache
-        that `barred` reads, so the verifiers after a solve find them there.
+        (len(ends), 2, n_arcs).
 
         Flow leaves the source unprocessed (g is barred from arcs out of
         the source) and reaches the sink processed (w is barred from arcs
@@ -171,26 +161,8 @@ class FlowNetwork:
         tail, head = self.arc_ends
         source, sink = ends[:, :1], ends[:, 1:]
         into_source, out_of_sink = head == source, tail == sink
-        bars = np.stack((into_source | (head == sink) | out_of_sink,
+        return np.stack((into_source | (head == sink) | out_of_sink,
                          into_source | (tail == source) | out_of_sink), axis=1)
-        nodes, cache = self.nodes, self._barred
-        for (s, t), (w, g) in zip(ends.tolist(), bars.tolist()):
-            if (nodes[s], nodes[t]) not in cache:
-                cache[nodes[s], nodes[t]] = (tuple(w), tuple(g))
-        return bars
-
-    def barred(self, source: str, sink: str) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-        """The processing rule of a `source`->`sink` demand, `bars`' two
-        rows for it as tuples of bools by arc index: whether w, and whether
-        g, may not use each arc. Cached per pair, filled by any `bars` call
-        that covers the pair (the pricing graph's and the edge LP's build),
-        and shared with the copies `with_node_capacity` makes.
-        StructuralError on a node this network lacks."""
-        rule = self._barred.get((source, sink))
-        if rule is None:
-            self.bars(np.array([[self.node_index(source), self.node_index(sink)]]))
-            rule = self._barred[source, sink]
-        return rule
 
     def legs(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         """The leg rule: a leg from node a to node b may not enter a or
@@ -233,13 +205,11 @@ class FlowNetwork:
         `FlowNetwork(nodes, edges, caps, directed)` would build it.
 
         The copy shares this network's topology, which no node capacity
-        changes: its arcs, groups, arc index and in/out-arc maps, and the
-        topology caches (`arc_ends`, the `barred` rules and the walk
-        master's pricing graphs). So a capacity sweep builds them once
-        per instance, not once per grid point. Only `closed` is the copy's
-        own, built on its first use."""
+        changes: its arcs, groups, arc index and in/out-arc maps, `arc_ends`
+        and the topology cache (the lp module's pricing graphs and
+        balance-row template). So a capacity sweep builds them once per
+        instance, not once per grid point."""
         net = copy.copy(self)
-        net.__dict__.pop("closed", None)
         net.node_capacity = self._capacities(caps)
         return net
 
@@ -379,7 +349,7 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
     """Feasibility check for a walk solution against network and demands.
 
     A walk runs from its demand's source to its sink and uses no arc that
-    `FlowNetwork.barred` bars to both parts of the flow: it never enters
+    `FlowNetwork.bars` bars to both parts of the flow: it never enters
     the source, never leaves the sink, and never takes an arc straight from
     the source to the sink. Processing sits at nodes of the walk other than
     the two endpoints. That is the edge LP's rule. Structural nonsense
@@ -388,18 +358,20 @@ def verify_walk_solution(net: FlowNetwork, demands: list[Demand],
     non-finite flow or processing value.
     """
     problems = []
+    ends = np.array([(net.node_index(d.source), net.node_index(d.sink)) for d in demands],
+                    dtype=np.int64).reshape(-1, 2)
+    barred = net.bars(ends).all(axis=1).tolist()  # per demand and arc: to both parts
     for k, e in enumerate(sol.entries):
         if not 0 <= e.demand < len(demands):
             raise StructuralError(f"entry {k}: unknown demand {e.demand}")
         d = demands[e.demand]
         for v in e.nodes:
             net.node_index(v)
-        wbar, gbar = net.barred(d.source, d.sink)
         for u, v in zip(e.nodes, e.nodes[1:]):
             a = net.arc_index.get((u, v))
             if a is None:
                 raise StructuralError(f"entry {k}: missing arc {u!r}->{v!r}")
-            if wbar[a] and gbar[a]:
+            if barred[e.demand][a]:
                 problems.append(f"entry {k}: arc {u}->{v} is barred to demand "
                                 f"{e.demand}'s flow")
         if len(e.nodes) < 2 or e.nodes[0] != d.source or e.nodes[-1] != d.sink:
@@ -485,13 +457,16 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
     processing balance (processed volume at v equals unprocessed inflow minus
     unprocessed outflow), unprocessed <= total on every arc, no processing at
     the source, and no unprocessed or processed flow on an arc
-    `FlowNetwork.barred` bars to that part, as the edge LP builds it. Then
+    `FlowNetwork.bars` bars to that part, as the edge LP builds it. Then
     joint bandwidth and processing budgets, softened for a congestion
     solution by its reported congestion.
     """
     problems = []
     if not (len(sol.flow) == len(sol.unprocessed) == len(sol.processing) == len(demands)):
         raise StructuralError("solution demand count does not match demands")
+    ends = np.array([(net.node_index(d.source), net.node_index(d.sink)) for d in demands],
+                    dtype=np.int64).reshape(-1, 2)
+    rules = net.bars(ends).tolist()
 
     for i, d in enumerate(demands):
         f, w, p = sol.flow[i], sol.unprocessed[i], sol.processing[i]
@@ -509,7 +484,8 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
                 problems.append(f"demand {i} node {v}: non-finite processing {val}")
         scale = max([1.0] + [abs(x) for x in f.values()])
         tol = max(ABS_TOL, REL_TOL * scale)
-        wbar, gbar = net.barred(d.source, d.sink)
+        wbar, gbar = rules[i]
+        touched = set(p)  # the nodes some map touches, the only ones that can fail
         for idx in set(f) | set(w):
             fv, wv = f.get(idx, 0.0), w.get(idx, 0.0)
             a = net.arcs[idx]
@@ -521,7 +497,8 @@ def verify_edge_solution(net: FlowNetwork, demands: list[Demand],
             barred = (wv if wbar[idx] else 0.0) + (fv - wv if gbar[idx] else 0.0)
             if barred > tol:
                 problems.append(f"demand {i}: barred flow {barred} on arc {a.tail}->{a.head}")
-        for v in net.nodes:
+            touched.update((a.tail, a.head))
+        for v in sorted(touched, key=net.node_index):
             fin = sum(f.get(a, 0.0) for a in net.in_arcs[v])
             fout = sum(f.get(a, 0.0) for a in net.out_arcs[v])
             win = sum(w.get(a, 0.0) for a in net.in_arcs[v])

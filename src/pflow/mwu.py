@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import WalkFold, _walk_graph, charge_walks
+from .lp import WalkFold, _capacities, _walk_graph, charge_walks
 from .model import (Demand, FlowNetwork, ResourceLimitError, WalkFlowSolution,
                     reject_degenerate_demands)
 
@@ -143,7 +143,7 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
         return WalkFlowSolution([], meta=meta)
 
     k = len(demands)
-    capacity = list(net.group_capacity) + [net.node_capacity[v] for v in net.nodes]
+    capacity = _capacities(net)
     # numpy only where a round's arithmetic must stay numpy's: the weights'
     # power and sum, and the price vector the pricing graph reads
     inv = np.array([1.0 / c if c > 0 else 0.0 for c in capacity])
@@ -151,7 +151,7 @@ def mwu_solve(net: FlowNetwork, demands: list[Demand],
     gain = [0.0] * len(capacity)  # load placed so far over capacity
     gain_limit = -math.log(delta) / math.log1p(eps)  # weight > 1
     graph = _walk_graph(net, demands)
-    closed = graph.closed_rows(net)
+    closed = graph.closed_rows(capacity)
     price = np.zeros(k + len(capacity))
     budget = [d.amount * sigma for d in demands]  # pre-scaling caps
     placed = [0.0] * k

@@ -29,8 +29,9 @@ import pflow.lp
 from pflow.decompose import DecompositionError, extraction_bound
 from pflow.generators import gen_random_instance
 from pflow.lp import LPModel, LPResult, Objective, build_edge_lp, solve_lp
-from pflow.model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, PurchaseInstance,
-                         ResourceLimitError, WalkEntry, WalkFlowSolution)
+from pflow.model import (ABS_TOL, REL_TOL, SNAP, Demand, EdgeFlowSolution, FlowNetwork,
+                         PurchaseInstance, ResourceLimitError, WalkEntry, WalkFlowSolution,
+                         _capacity_problems, feas_slack)
 
 
 def add_constraint(m: LPModel, coeffs, sense: str, rhs: float) -> int:
@@ -396,7 +397,7 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     Pass one computes plain distances d(v); pass two re-runs Dijkstra seeded
     with d(v) + node_cost(v), so settling v at cost r(v) means some walk
     reaches v with its processing already paid. Given the demand's `sink`,
-    pass one skips the arcs `FlowNetwork.barred` bars to unprocessed flow
+    pass one skips the arcs `processing_bars` bars to unprocessed flow
     and pass two those it bars to processed flow, so walks to the sink
     follow the edge LP's rule; without it no arc is skipped.
 
@@ -413,7 +414,7 @@ def shortest_processing_2walk(net: FlowNetwork, edge_cost, node_cost,
     src, adj = net.node_index(source), _adjacency(net)
     wadj = gadj = adj
     if sink is not None:  # `_adjacency`'s (head index, arc index) pairs, less the barred arcs
-        wbar, gbar = net.barred(source, sink)
+        wbar, gbar = processing_bars(net, source, sink)
         wadj = [[e for e in out if not wbar[e[1]]] for out in adj]
         gadj = [[e for e in out if not gbar[e[1]]] for out in adj]
     if not isinstance(node_cost, list):
@@ -1062,3 +1063,60 @@ def whole_network_decompose(edge_sol: EdgeFlowSolution, net: FlowNetwork,
     meta["extractions"] = extractions
     meta["cancelled_cycles"] = cancelled
     return WalkFlowSolution(entries, meta=meta)
+
+
+def whole_network_verify_edge_solution(net: FlowNetwork, demands: list[Demand],
+                                       sol: EdgeFlowSolution) -> list[str]:
+    """The problems `pflow.model.verify_edge_solution` reports, as it found
+    them by scanning every node's full in- and out-lists for each demand,
+    under the rule written out one arc at a time (`processing_bars`). The
+    reference that the scan of only the nodes a demand's maps touch must
+    equal, problem for problem and in order; the capacity check is the
+    package's own (`_capacity_problems`)."""
+    problems = []
+    for i, d in enumerate(demands):
+        f, w, p = sol.flow[i], sol.unprocessed[i], sol.processing[i]
+        for part, m in (("flow", f), ("unprocessed flow", w)):
+            for idx, val in m.items():
+                if not math.isfinite(val):
+                    a = net.arcs[idx]
+                    problems.append(f"demand {i} arc {a.tail}->{a.head}: non-finite "
+                                    f"{part} {val}")
+        for v, val in p.items():
+            if not math.isfinite(val):
+                problems.append(f"demand {i} node {v}: non-finite processing {val}")
+        scale = max([1.0] + [abs(x) for x in f.values()])
+        tol = max(ABS_TOL, REL_TOL * scale)
+        wbar, gbar = processing_bars(net, d.source, d.sink)
+        for idx in set(f) | set(w):
+            fv, wv = f.get(idx, 0.0), w.get(idx, 0.0)
+            a = net.arcs[idx]
+            if fv < -tol or wv < -tol:
+                problems.append(f"demand {i} arc {a.tail}->{a.head}: negative flow")
+            if wv > fv + tol:
+                problems.append(
+                    f"demand {i} arc {a.tail}->{a.head}: unprocessed {wv} > total {fv}")
+            barred = (wv if wbar[idx] else 0.0) + (fv - wv if gbar[idx] else 0.0)
+            if barred > tol:
+                problems.append(f"demand {i}: barred flow {barred} on arc {a.tail}->{a.head}")
+        for v in net.nodes:
+            fin = sum(f.get(a, 0.0) for a in net.in_arcs[v])
+            fout = sum(f.get(a, 0.0) for a in net.out_arcs[v])
+            win = sum(w.get(a, 0.0) for a in net.in_arcs[v])
+            wout = sum(w.get(a, 0.0) for a in net.out_arcs[v])
+            if v not in (d.source, d.sink) and abs(fin - fout) > tol:
+                problems.append(
+                    f"demand {i} node {v}: conservation off by {fin - fout}")
+            if v != d.source:
+                pv = p.get(v, 0.0)
+                if abs(pv - (win - wout)) > tol:
+                    problems.append(
+                        f"demand {i} node {v}: processing {pv} != unprocessed balance {win - wout}")
+                if pv < -tol:
+                    problems.append(f"demand {i} node {v}: negative processing {pv}")
+        if p.get(d.source, 0.0) > tol:
+            problems.append(f"demand {i}: processing at source {d.source}")
+        got = sol.delivered(net, demands, i)
+        if got > d.amount + feas_slack(d.amount):
+            problems.append(f"demand {i}: delivered {got} exceeds requested {d.amount}")
+    return problems + _capacity_problems(net, sol)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from pflow.lp import solve_edge_lp
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork,
                          verify_edge_solution, verify_walk_solution)
 
-from oracles import walk_lp_optimum, whole_network_decompose
+from oracles import (walk_lp_optimum, whole_network_decompose,
+                     whole_network_verify_edge_solution)
 
 
 def _same_as_whole_network(sol, net, demands):
@@ -145,12 +147,11 @@ def test_arc_keys_outside_the_network_are_ignored():
     assert [(e.nodes, e.flow) for e in walks.entries] == [(("s", "a", "t"), 1.0)]
 
 
-def test_random_instances_round_trip():
-    """Reduced copy of the acceptance corpus: every decomposition must
-    equal the whole-network reference, verify, preserve the objective, and
-    respect the extraction bound."""
+def _small_instances():
+    """The reduced copy of the acceptance corpus: 40 networks of 3 to 6
+    nodes, directed or not, with one or two uncapped demands."""
     rng = random.Random(818)
-    for trial in range(40):
+    for _ in range(40):
         n = rng.randint(3, 6)
         names = [f"v{i}" for i in range(n)]
         directed = rng.random() < 0.6
@@ -164,6 +165,14 @@ def test_random_instances_round_trip():
         net = FlowNetwork(names, edges, caps, directed=directed)
         demands = [Demand(*rng.sample(names, 2))
                    for _ in range(rng.randint(1, 2))]
+        yield net, demands
+
+
+def test_random_instances_round_trip():
+    """Reduced copy of the acceptance corpus: every decomposition must
+    equal the whole-network reference, verify, preserve the objective, and
+    respect the extraction bound."""
+    for trial, (net, demands) in enumerate(_small_instances()):
         sol, _ = solve_edge_lp(net, demands)
         walks = _same_as_whole_network(sol, net, demands)
         rep = verify_walk_solution(net, demands, walks)
@@ -243,3 +252,68 @@ def _check_support_scan(net, demands, rng):
     got = _outcome(decompose, looped, net, demands)
     assert got == _outcome(whole_network_decompose, looped, net, demands)
     return 0 if isinstance(got, str) else sum(got[1]["cancelled_cycles"])
+
+
+def _perturbed(sol, net, rng):
+    """`sol`, then copies of it: with a circulation added to each demand's
+    flow (and to its unprocessed part, every other demand), with 0.5 more
+    flow on one arc a demand uses and on one it does not, with one
+    processing value moved to another node, and with one flow value made
+    NaN."""
+    def copied():
+        return EdgeFlowSolution([dict(f) for f in sol.flow], [dict(w) for w in sol.unprocessed],
+                                [dict(p) for p in sol.processing], sol.objective)
+
+    yield sol
+    looped = copied()
+    for i, (f, w) in enumerate(zip(looped.flow, looped.unprocessed)):
+        for a in _random_cycle(net, rng) or ():
+            f[a] = f.get(a, 0.0) + 0.25
+            if i % 2:
+                w[a] = w.get(a, 0.0) + 0.25
+    yield looped
+    routed = [i for i, f in enumerate(sol.flow) if f]
+    if routed:
+        bumped = copied()
+        f = bumped.flow[rng.choice(routed)]
+        f[rng.choice(sorted(f))] += 0.5
+        yield bumped
+        fresh = copied()
+        f = fresh.flow[rng.choice(routed)]
+        unused = [a for a in range(net.n_arcs) if a not in f]
+        if unused:
+            f[rng.choice(unused)] = 0.5
+            yield fresh
+        nan = copied()
+        f = nan.flow[rng.choice(routed)]
+        f[rng.choice(sorted(f))] = math.nan
+        yield nan
+    processed = [i for i, p in enumerate(sol.processing) if p]
+    if processed:
+        moved = copied()
+        p = moved.processing[rng.choice(processed)]
+        v = rng.choice(sorted(p))
+        u = rng.choice([x for x in net.nodes if x != v])
+        p[u] = p.get(u, 0.0) + p.pop(v)
+        yield moved
+
+
+def test_touched_node_scan_reports_as_the_whole_network_scan():
+    # verify_edge_solution checks the balances only at the nodes that a
+    # demand's flow, unprocessed and processing maps touch, since any other
+    # balances at 0. On the LP's flows over the small corpus and
+    # perfbench's exact shape, and on perturbed copies of them, its report
+    # equals the scan of every node's full in- and out-lists, problem for
+    # problem and in order
+    rng = random.Random(34)
+    shape = [gen_random_instance(16, 4.0 * 28 / (16 * 15), n_demands=14, seed=seed,
+                                 directed=directed, max_arcs=28)
+             for seed in range(5) for directed in (True, False)]
+    reports = {False: 0, True: 0}
+    for net, demands in [*_small_instances(), *((i.net, i.demands) for i in shape)]:
+        sol, _ = solve_edge_lp(net, demands)
+        for variant in _perturbed(sol, net, rng):
+            got = verify_edge_solution(net, demands, variant).problems
+            assert got == whole_network_verify_edge_solution(net, demands, variant)
+            reports[bool(got)] += 1
+    assert reports[False] and reports[True] > 100, reports

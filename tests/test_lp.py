@@ -21,9 +21,10 @@ from pflow.mwu import MWUConfig, mwu_solve
 from pflow.purchase import build_purchase_lp
 
 from oracles import (add_constraint, column_uses, edge_lp_optimum, legs, master_instances,
-                     mixed_routing_instances, net_outflow_routing_lp, processing_vertices,
-                     row_by_row_edge_lp, row_by_row_purchase_lp, seeded_instances,
-                     shortest_processing_2walk, solve_lp_linprog, walk_lp_optimum)
+                     mixed_routing_instances, net_outflow_routing_lp, processing_bars,
+                     processing_vertices, row_by_row_edge_lp, row_by_row_purchase_lp,
+                     seeded_instances, shortest_processing_2walk, solve_lp_linprog,
+                     walk_lp_optimum)
 
 
 def test_mandatory_relay_caps_throughput(inst_line):
@@ -793,6 +794,25 @@ def test_a_held_master_solves_only_its_own_network():
         WalkMaster(inst.net, capped, Objective("min-weighted-congestion"))
 
 
+@pytest.mark.parametrize("paths", [False, True])
+def test_a_rejected_network_keeps_an_empty_cache(paths):
+    # the master rejects a network outside its topology cache before it
+    # builds anything there: neither another instance nor a fresh copy of
+    # its own topology gains a pricing graph from the rejected call
+    inst = gen_random_instance(6, 0.5, n_demands=2, seed=3, directed=False)
+    fresh = FlowNetwork(inst.net.nodes, inst.net.edges, inst.net.node_capacity,
+                        directed=inst.net.directed)
+    other = gen_random_instance(6, 0.5, n_demands=2, seed=4, directed=False).net
+    master = WalkMaster(inst.net, inst.demands, paths=paths)
+    try:
+        for foreign in (fresh, other):
+            with pytest.raises(ValueError, match="with_node_capacity copy"):
+                master.solve(foreign)
+            assert foreign._cache == {}
+    finally:
+        master.release()
+
+
 @pytest.mark.parametrize("kind", ["min-max-congestion", "min-weighted-congestion"])
 def test_congestion_walks_match_the_edge_lp(kind):
     # the congestion objectives over 2-walks: the master with a θ column for
@@ -830,15 +850,16 @@ def test_congestion_walks_match_the_edge_lp(kind):
 
 def _check_priced_walk(net, demands, price, i, column, cost):
     """Demand i's column runs from its source to its sink, w and g on arcs
-    `FlowNetwork.barred` leaves open to them, is processed where C > 0 and,
-    summed in walk order, costs `cost` under the row prices."""
+    the processing rule (`processing_bars`) leaves open to them, is
+    processed where C > 0 and, summed in walk order, costs `cost` under the
+    row prices."""
     k, d = len(demands), demands[i]
     j, arcs, split = column
     assert j == i and 1 <= split <= len(arcs)
     path = [net.arcs[a] for a in arcs]
     assert path[0].tail == d.source and path[-1].head == d.sink
     assert all(a.head == b.tail for a, b in zip(path, path[1:]))
-    wbar, gbar = net.barred(d.source, d.sink)
+    wbar, gbar = processing_bars(net, d.source, d.sink)
     assert not any(wbar[a] for a in arcs[:split])
     assert not any(gbar[a] for a in arcs[split:])
     proc = path[split - 1].head
@@ -889,13 +910,13 @@ def test_batched_pricing_matches_the_walk_oracle():
     for net, demands in _priced_instances():
         k, rows = len(demands), len(demands) + net.edge_count + net.n_nodes
         copy = net.with_node_capacity({v: float(rng.randint(0, 2)) for v in net.nodes})
-        assert copy._walk_graphs is net._walk_graphs
+        assert copy._cache is net._cache
         rounds = [np.zeros(rows)] + [np.array([rng.randint(0, 8) / 8 for _ in range(rows)])
                                      for _ in range(3)]
         for cnet, price in [(net, p) for p in rounds] + [(copy, rounds[-1])]:
             graph = pflow.lp._walk_graph(cnet, demands)
-            cost, walk = graph.price(price, graph.closed_rows(cnet))
-            assert len(net._walk_graphs) == 1
+            cost, walk = graph.price(price, graph.closed_rows(pflow.lp._capacities(cnet)))
+            assert len(net._cache) == 1
             arc_cost = [price[k + a.group] if cnet.group_capacity[a.group] > 0 else math.inf
                         for a in cnet.arcs]
             node_cost = {v: price[k + cnet.edge_count + j] for j, v in enumerate(cnet.nodes)
@@ -910,9 +931,9 @@ def test_batched_pricing_matches_the_walk_oracle():
 
 
 def test_a_recapacitated_copy_prices_its_own_closed_nodes():
-    # the closed-resource mask is cached per network: a with_node_capacity
-    # copy that closes a node prices it at inf, though the original, whose
-    # mask and pricing graph were built first, keeps it open
+    # the closed rows come from each network's own capacities: a
+    # with_node_capacity copy that closes a node prices it at inf, though
+    # the original, whose pricing graph it shares, keeps it open
     net = FlowNetwork("sabt", [("s", "a", 1.0), ("a", "t", 1.0), ("s", "b", 1.0),
                                ("b", "t", 1.0)], {"a": 1.0, "b": 1.0})
     demands, rows = [Demand("s", "t")], 1 + net.edge_count + net.n_nodes
@@ -921,11 +942,11 @@ def test_a_recapacitated_copy_prices_its_own_closed_nodes():
 
     def cost(n):
         graph = pflow.lp._walk_graph(n, demands)
-        return graph.price(price, graph.closed_rows(n))[0].tolist()
+        return graph.price(price, graph.closed_rows(pflow.lp._capacities(n)))[0].tolist()
 
     assert cost(net) == [0.0]
     copy = net.with_node_capacity({"a": 0.0, "b": 1.0})
-    assert copy.closed is not net.closed and copy._walk_graphs is net._walk_graphs
+    assert copy._cache is net._cache
     assert cost(copy) == [2.0]
     shut = copy.with_node_capacity({})
     assert cost(shut) == [math.inf]
@@ -981,7 +1002,7 @@ def test_every_column_counts_its_resources_as_recounted(monkeypatch):
             seen["copy"] += (cnet is copy) * len(cols + paths + charged)
         for mode, cols in made.items():
             graph = pflow.lp._walk_graph(net, demands, mode)
-            assert copy._walk_graphs[(mode, *((d.source, d.sink) for d in demands))] is graph
+            assert copy._cache[(mode, *((d.source, d.sink) for d in demands))] is graph
             for col in cols:
                 assert graph._uses[col] == tuple(column_uses(net, col, mode))
             for col, uses in graph._uses.items():
@@ -1001,7 +1022,7 @@ def test_a_held_graph_answers_as_a_fresh_network():
 
     for net, demands in master_instances():
         first = solves(net, demands)
-        assert not demands or len(net._walk_graphs) == 2
+        assert not demands or len(net._cache) == 2
         again = solves(net, demands)
         fresh = FlowNetwork(net.nodes, net.edges, net.node_capacity, directed=net.directed)
         assert first == again == solves(fresh, demands)
@@ -1042,7 +1063,7 @@ def test_walk_master_rejects_a_non_finite_dual(monkeypatch, inst_line):
 
 
 def test_split_model_dimensions(inst_loop):
-    # arcs s->a, a->p, p->a, a->t. Under `FlowNetwork.barred`, w may not
+    # arcs s->a, a->p, p->a, a->t. Under `FlowNetwork.bars`, w may not
     # enter either endpoint or leave the sink, and g may not enter the
     # source or leave either endpoint. So demand s->t has w on s->a, a->p
     # and p->a, g on a->p, p->a and a->t, and p at a, p and t; demand a->t
@@ -1052,7 +1073,7 @@ def test_split_model_dimensions(inst_loop):
     model = build_edge_lp(net, demands)
     assert model.n_vars == (3 + 3 + 3) + (1 + 0 + 3)
     for i, d in enumerate(demands):
-        for part, bar in enumerate(net.barred(d.source, d.sink)):
+        for part, bar in enumerate(processing_bars(net, d.source, d.sink)):
             assert [a for a in range(net.n_arcs) if model.info["col"][i, 2 * a + part] >= 0] \
                 == [a for a, b in enumerate(bar) if not b]
     # per demand: a w-balance row at every non-source node and a g-balance

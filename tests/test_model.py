@@ -5,7 +5,7 @@ import pytest
 
 from pflow.decompose import decompose
 from pflow.generators import gen_random_instance
-from pflow.lp import _walk_graph, build_edge_lp, solve_edge_lp
+from pflow.lp import _capacities, _walk_graph, build_edge_lp, solve_edge_lp
 from pflow.model import (Demand, EdgeFlowSolution, FlowNetwork, StructuralError,
                          WalkEntry, WalkFlowSolution, feas_slack, validate_instance,
                          verify_edge_solution, verify_walk_solution)
@@ -76,10 +76,10 @@ def test_with_node_capacity_equals_a_fresh_network(directed):
     # the copy shares the topology instead of rebuilding it, and is what
     # __init__ builds from the same nodes, edges and capacities, attribute by
     # attribute (integer capacities arrive as floats); its closed resources
-    # are its own, built after the original's
+    # follow its own capacities, and its processing rule is the original's
     net = FlowNetwork("sabt", [("s", "a", 2.0), ("a", "t", 0.0), ("s", "b", 1.0),
                                ("b", "a", 3.0)], {"a": 1.0, "b": 2.0}, directed=directed)
-    net.arc_ends, net.closed  # built first, then handed on
+    net.arc_ends  # built first, then handed on
     caps = {"b": 0, "t": 4}
     copy = net.with_node_capacity(caps)
     fresh = FlowNetwork(net.nodes, net.edges, caps, directed=directed)
@@ -90,10 +90,11 @@ def test_with_node_capacity_equals_a_fresh_network(directed):
         assert getattr(copy, name) == getattr(fresh, name), name
     for mine, theirs in zip(copy.arc_ends, fresh.arc_ends):
         assert mine.tolist() == theirs.tolist()
-    assert copy.closed.tolist() == fresh.closed.tolist() != net.closed.tolist()
-    assert copy.closed is not net.closed
-    assert copy.arcs is net.arcs and copy._walk_graphs is net._walk_graphs
-    assert copy._barred is net._barred
+    closed = [[c <= 0 for c in _capacities(n)] for n in (copy, fresh, net)]
+    assert closed[0] == closed[1] != closed[2]
+    ends = np.array([(s, t) for s in range(4) for t in range(4) if s != t])
+    assert copy.bars(ends).tolist() == fresh.bars(ends).tolist() == net.bars(ends).tolist()
+    assert copy.arcs is net.arcs and copy._cache is net._cache
     assert net.node_capacity == {"s": 0.0, "a": 1.0, "b": 2.0, "t": 0.0}
     with pytest.raises(StructuralError, match="unknown node 'q'"):
         net.with_node_capacity({"q": 1.0})
@@ -215,20 +216,20 @@ def test_verify_enforces_processing_position():
 def test_barred_arcs_follow_the_processing_rule():
     net = FlowNetwork("sabt", [("s", "a", 1.0), ("a", "t", 1.0), ("a", "s", 1.0),
                                ("s", "t", 1.0), ("t", "b", 1.0)])
-    w, g = net.barred("s", "t")
+    w, g = net.bars(np.array([[net.node_index("s"), net.node_index("t")]]))[0].tolist()
     by_arc = {(a.tail, a.head): (w[i], g[i]) for i, a in enumerate(net.arcs)}
     assert by_arc == {("s", "a"): (False, True), ("a", "t"): (True, False),
                       ("a", "s"): (True, True), ("s", "t"): (True, True),
                       ("t", "b"): (True, True)}
-    assert net.barred("s", "t") is net.barred("s", "t")
 
 
 @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
 def test_bars_broadcast_equals_the_per_arc_rule(directed):
     # FlowNetwork.bars states the rule for every ordered (s, t) pair at
-    # once, and fills the cache barred reads: both equal the rule written
-    # out one arc at a time, as tuples of Python bools. The networks have
-    # pairs with an s->t arc and antiparallel pairs of arcs
+    # once, on this network and on a fresh one of the same topology: both
+    # equal the rule written out one arc at a time, as lists of Python
+    # bools. The networks have pairs with an s->t arc and antiparallel
+    # pairs of arcs
     found_arc = found_antiparallel = False
     for seed in range(4):
         net = gen_random_instance(7, 0.45, n_demands=0, seed=seed, directed=directed).net
@@ -237,37 +238,44 @@ def test_bars_broadcast_equals_the_per_arc_rule(directed):
         bars = net.bars(ends)
         assert bars.shape == (len(pairs), 2, net.n_arcs) and bars.dtype == bool
         fresh = FlowNetwork(net.nodes, net.edges, net.node_capacity, net.directed)
-        for (s, t), rows in zip(pairs, bars.tolist()):
+        for (s, t), rows, again in zip(pairs, bars.tolist(), fresh.bars(ends).tolist()):
             want = processing_bars(net, s, t)
             assert (tuple(rows[0]), tuple(rows[1])) == want, (seed, s, t)
-            assert net.barred(s, t) == want == fresh.barred(s, t), (seed, s, t)
-            assert all(type(b) is bool for part in net.barred(s, t) for b in part)
+            assert (tuple(again[0]), tuple(again[1])) == want, (seed, s, t)
+            assert all(type(b) is bool for part in rows for b in part)
             found_arc |= (s, t) in net.arc_index
             found_antiparallel |= (s, t) in net.arc_index and (t, s) in net.arc_index
     assert found_arc and found_antiparallel
 
 
-def test_bars_fill_the_cache_copies_share():
-    # a bars call on a with_node_capacity copy, the pricing graph's build
-    # and the edge LP's build each leave every pair they cover in the one
-    # cache, so the verifiers afterwards read barred's rows from it; a pair
-    # already there keeps its rows
+def test_a_copy_and_each_reader_follow_one_rule():
+    # a bars call on a with_node_capacity copy, the pricing graph and the
+    # edge LP each open to w and g exactly the arcs the rule, written out
+    # one arc at a time, leaves open; a demand at a node the network lacks
+    # is a StructuralError in each reader
     net = FlowNetwork("sabt", [("s", "a", 2.0), ("a", "t", 1.0), ("s", "b", 1.0),
                                ("b", "t", 3.0), ("t", "s", 1.0)], {"a": 1.0, "b": 2.0})
-    first = net.barred("s", "t")
     copy = net.with_node_capacity({"a": 2.0})
-    copy.bars(np.array([[net.node_index("s"), net.node_index("t")],
-                        [net.node_index("a"), net.node_index("t")]]))
-    assert copy._barred is net._barred
-    assert net.barred("s", "t") is first and ("a", "t") in net._barred
-    assert net.barred("a", "t") is copy.barred("a", "t")
-    _walk_graph(copy, [Demand("b", "t")])
-    build_edge_lp(net, [Demand("s", "b")])
-    assert set(net._barred) == {("s", "t"), ("a", "t"), ("b", "t"), ("s", "b")}
-    for s, t in net._barred:
-        assert net.barred(s, t) == processing_bars(net, s, t)
-    with pytest.raises(StructuralError, match="unknown node 'q'"):
-        net.barred("s", "q")
+    pairs = [("s", "t"), ("a", "t")]
+    rows = copy.bars(np.array([(net.node_index(s), net.node_index(t)) for s, t in pairs]))
+    for (s, t), (w, g) in zip(pairs, rows.tolist()):
+        assert (tuple(w), tuple(g)) == processing_bars(net, s, t)
+    graph = _walk_graph(copy, [Demand("b", "t")])
+    n, csr = net.n_nodes, graph.csr
+    opened = {(int(r) // n, int(r) % n, int(c) % n) for r in range(csr.shape[0])
+              for c in csr.indices[csr.indptr[r]:csr.indptr[r + 1]] if c // n == r // n}
+    assert opened == {(layer, net.node_index(a.tail), net.node_index(a.head))
+                      for layer, bar in enumerate(processing_bars(net, "b", "t"))
+                      for a, barred in zip(net.arcs, bar) if not barred}
+    col = build_edge_lp(net, [Demand("s", "b")]).info["col"]
+    for part, bar in enumerate(processing_bars(net, "s", "b")):
+        assert [a for a in range(net.n_arcs) if col[0, 2 * a + part] >= 0] == \
+            [a for a, b in enumerate(bar) if not b]
+    for reader in (lambda d: _walk_graph(net, d), lambda d: build_edge_lp(net, d),
+                   lambda d: verify_walk_solution(net, d, WalkFlowSolution([])),
+                   lambda d: verify_edge_solution(net, d, EdgeFlowSolution([{}], [{}], [{}], 0.0))):
+        with pytest.raises(StructuralError, match="unknown node 'q'"):
+            reader([Demand("s", "q")])
 
 
 @pytest.mark.parametrize("v, want_w, want_g", [
