@@ -12,8 +12,9 @@ Nodes must be declared before edges or demands mention them. A node name
 may not contain `->`, which solution documents put between an arc's ends:
 with it, two arcs could share one key. An attribute given twice on one
 line, or a second graph or budget directive, is an error, not an override.
-Solutions are emitted as JSON documents; infinities become null on the way
-out and are restored on the way back in.
+Solutions are emitted as JSON documents, with null for any non-finite
+number. Read back, a walk or edge-flows document whose flow or processing
+value is not a number, null included, is invalid input (StructuralError).
 """
 
 from __future__ import annotations
@@ -294,6 +295,12 @@ def emit_edge_solution(sol: EdgeFlowSolution, inst: ParsedInstance,
         fh.write("\n")
 
 
+def _number(val, key: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise StructuralError(f"solution value {json.dumps(val)} at {key} is not a number")
+    return val
+
+
 def parse_solution(path: str):
     """Read a solution document back.
 
@@ -305,9 +312,9 @@ def parse_solution(path: str):
         doc = json.load(fh)
     kind = doc.get("kind")
     if kind == "walks":
-        entries = [WalkEntry(w["demand"], tuple(w["nodes"]), w["flow"],
-                             dict(w["processing"]))
-                   for w in doc.get("walks", [])]
+        entries = [WalkEntry(w["demand"], tuple(w["nodes"]), _number(w["flow"], f"walk {k}"),
+                             {v: _number(x, v) for v, x in w["processing"].items()})
+                   for k, w in enumerate(doc.get("walks", []))]
         return WalkFlowSolution(entries, meta=doc.get("meta", {}))
     if kind == "edge-flows":
         inst = parse_instance_text(doc["instance"])
@@ -319,12 +326,13 @@ def parse_solution(path: str):
                 u, _, v = key.partition("->")
                 if (u, v) not in net.arc_index:
                     raise StructuralError(f"solution uses missing arc {key}")
-                out[net.arc_index[(u, v)]] = val
+                out[net.arc_index[(u, v)]] = _number(val, key)
             return out
 
         sol = EdgeFlowSolution([unmap(m) for m in doc["flow"]],
                                [unmap(m) for m in doc["unprocessed"]],
-                               [dict(m) for m in doc["processing"]],
+                               [{v: _number(x, v) for v, x in m.items()}
+                                for m in doc["processing"]],
                                doc["objective"], meta=doc.get("meta", {}))
         return sol, inst
     if kind == "purchase":

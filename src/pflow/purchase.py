@@ -119,9 +119,9 @@ def build_purchase_lp(inst: PurchaseInstance, mode: str = "min",
 
     `mode` "min": minimize total purchase cost, serve every demand in full.
     "budgeted": maximize Σ p, demands become upper bounds, and the
-    purchase cost is capped by `budget_cap` (pass None to drop the cap, e.g.
-    when `fix` pins the purchase vector to an integral point and the cost is
-    known anyway).
+    purchase cost is capped by `budget_cap`; None sets no cap, e.g. when
+    `fix` pins the purchase vector to an integral point and the cost is
+    known anyway.
 
     `fix` pins x(v) to fix.get(v, 0). A candidate pinned to 0 gets no x
     column, no pairs and none of the rows they would feed: p <= R x = 0
@@ -238,7 +238,8 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
                       budget_cap: float | None = None,
                       fix: dict[str, float] | None = None
                       ) -> tuple[PurchaseLPSolution, LPResult]:
-    """Build, solve, and unpack the purchase relaxation.
+    """Build, solve, and unpack the purchase relaxation, its cost capped by
+    `budget_cap` in budgeted mode (None, the default: no cap).
 
     Min mode raises InfeasibleError when the demands cannot be met even with
     every candidate bought outright; an LP that ends otherwise than optimal
@@ -247,8 +248,6 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     rep = validate_purchase_instance(inst, mode)
     if not rep:
         raise StructuralError("; ".join(rep.problems))
-    if mode == "budgeted" and budget_cap is None and fix is None:
-        budget_cap = inst.budget / 2.0
 
     model = build_purchase_lp(inst, mode, budget_cap=budget_cap, fix=fix)
     res = solve_lp(model)
@@ -444,15 +443,14 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int) -> PurchaseSo
     cands = affordable.candidates()
     if not cands:
         return _empty_purchase(inst, "no affordable candidates")
-    lp_sol, _ = solve_purchase_lp(affordable, "budgeted")
+    lp_sol, _ = solve_purchase_lp(affordable, "budgeted", budget_cap=k / 2)
     if lp_sol.objective <= SNAP:
         return _empty_purchase(inst, "relaxation value zero",
                                lp_value=lp_sol.objective)
 
     def restricted(subset: set[str], branch: str) -> PurchaseSolution:
         fix = {u: (1.0 if u in subset else 0.0) for u in cands}
-        sol_f, _ = solve_purchase_lp(affordable, "budgeted", budget_cap=None,
-                                     fix=fix)
+        sol_f, _ = solve_purchase_lp(affordable, "budgeted", fix=fix)
         return _realize(affordable, sol_f, dict.fromkeys(subset, 1.0),
                         {"algorithm": "purchase-budgeted", "branch": branch,
                          "seed": rng_seed, "lp_value": lp_sol.objective})
@@ -472,7 +470,7 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int) -> PurchaseSo
         pruned = _prune_potential(affordable, lambda v: inst.price(v) < k / ln_n)
         sample_sol = None
         if pruned.candidates():
-            sample_sol, _ = solve_purchase_lp(pruned, "budgeted")
+            sample_sol, _ = solve_purchase_lp(pruned, "budgeted", budget_cap=k / 2)
         if sample_sol is not None and sample_sol.objective > SNAP:
             scale = 1.0 / (4.0 * ln_n)
             for r in range(math.ceil(math.log2(n)) + 3):
@@ -501,12 +499,15 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int) -> PurchaseSo
 
 # --- undirected single-source greedy ---------------------------------------
 
-def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]:
-    """Max source->sink flow; arcs as (tail, head, group), caps per group.
+def _max_flow(net: FlowNetwork, caps: list[float], feed: dict[str, float],
+              sink: str) -> tuple[float, list[float]]:
+    """Max flow into `sink` from a private pool that feeds each node v of
+    `feed` by an arc of capacity feed[v], over `net`'s bandwidth groups at
+    the per-group capacities `caps`.
 
-    Returns the value and the flow on each arc. A group is either one arc or
-    the two opposite arcs of one undirected edge, whose directions share the
-    capacity; any other shape is rejected. Edmonds-Karp: augment along
+    Returns the value and phi, each group's net flow along its first arc:
+    `net.groups` first, then the feeders in `feed` order. An undirected
+    edge's two directions share its capacity. Edmonds-Karp: augment along
     BFS-shortest paths of the residual network, in which a residual at or
     below SNAP counts as saturated. An edge of capacity c carrying net flow
     phi from a to b has residual c - phi forward and c + phi back (0 + phi
@@ -514,36 +515,25 @@ def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]
     waste capacity. An augmenting path of infinite capacity raises
     InfeasibleError.
     """
-    members: dict[int, list[int]] = {}
-    for j, (_, _, g) in enumerate(arcs):
-        members.setdefault(g, []).append(j)
-    groups = list(members.values())
-    # group k's first arc is (a, b); phi[k] is its net flow from a to b,
-    # up[k] the capacity a->b and down[k] the capacity b->a
-    up, down = [], []
-    adj: dict[str, list[tuple[int, int, str]]] = {v: [] for v in nodes}
-    for k, js in enumerate(groups):
-        a, b, g = arcs[js[0]]
-        if len(js) == 1:
-            down.append(0.0)
-        elif len(js) == 2 and arcs[js[1]][:2] == (b, a):
-            down.append(group_cap[g])
-        else:
-            raise StructuralError(
-                f"max-flow group {g} is neither one arc nor one undirected edge")
-        up.append(group_cap[g])
+    pool = object()  # an object, not a string, so that no node id can be it
+    # group k runs from a to b; up[k] is its capacity a->b and down[k] b->a
+    ends = [(a, b) for a, b, _ in net.edges] + [(pool, v) for v in feed]
+    up = list(caps) + list(feed.values())
+    down = ([0.0] * len(caps) if net.directed else list(caps)) + [0.0] * len(feed)
+    adj: dict = {v: [] for v in (*net.nodes, pool)}
+    for k, (a, b) in enumerate(ends):
         adj[a].append((k, 1, b))
         adj[b].append((k, -1, a))
 
-    phi = [0.0] * len(groups)
+    phi = [0.0] * len(up)
 
     def residual(k: int, sign: int) -> float:
         return up[k] - phi[k] if sign > 0 else down[k] + phi[k]
 
     value = 0.0
     while True:
-        prev: dict[str, tuple[str, int, int] | None] = {source: None}
-        layer = [source]
+        prev: dict = {pool: None}
+        layer = [pool]
         while layer and sink not in prev:
             reached = []
             for u in layer:
@@ -572,52 +562,35 @@ def _max_flow(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]
             else:
                 phi[k] = max(phi[k] - delta, -down[k])
         value += delta
-
-    flows = [0.0] * len(arcs)
-    for k, js in enumerate(groups):
-        flows[js[0]] = max(phi[k], 0.0)
-        if len(js) == 2:
-            flows[js[1]] = max(-phi[k], 0.0)
-    return value, flows
+    return value, phi
 
 
 class _ProcessingFlowOracle:
     """f(P) = max flow a purchased set P can push to the source through the
-    quarter-capacity copy of the network, each p in P throttled at its
-    potential. Memoized: the greedy re-evaluates overlapping sets heavily.
+    quarter-capacity copy of the network, each p in P fed at its potential:
+    `_max_flow` on the network at c/4 per group, fed at P's members in
+    sorted order. Memoized: the greedy re-evaluates overlapping sets heavily.
     """
 
     def __init__(self, inst: PurchaseInstance, source: str):
-        net = inst.net
         self.inst = inst
         self.source = source
-        # the super-source feeding every purchased node: an object, not a
-        # string, so that no node id can be it
-        self.pool = object()
-        self.nodes = list(net.nodes) + [self.pool]
-        self.base_arcs = [(a.tail, a.head, a.group) for a in net.arcs]
-        self.base_caps = [c / 4.0 for c in net.group_capacity]
+        self.caps = [c / 4.0 for c in inst.net.group_capacity]
         self.cache: dict[frozenset, tuple[float, dict]] = {}
 
     def __call__(self, subset) -> float:
         return self.evaluate(subset)[0]
 
     def evaluate(self, subset) -> tuple[float, dict[str, float]]:
-        """Flow value plus the processing load each member carries."""
+        """Flow value plus the processing load each member carries: the
+        intake of its feeder."""
         key = frozenset(subset)
         if key in self.cache:
             return self.cache[key]
-        arcs = list(self.base_arcs)
-        caps = list(self.base_caps)
-        feeders = {}
-        for p in sorted(key):
-            g = len(caps)
-            feeders[p] = len(arcs)
-            arcs.append((self.pool, p, g))
-            caps.append(self.inst.potential.get(p, 0.0))
-        value, flows = _max_flow(self.nodes, arcs, caps, self.pool, self.source)
-        load = {p: flows[j] for p, j in feeders.items() if flows[j] > SNAP}
-        out = (value, load)
+        feed = {p: self.inst.potential.get(p, 0.0) for p in sorted(key)}
+        value, phi = _max_flow(self.inst.net, self.caps, feed, self.source)
+        intake = phi[len(self.caps):]
+        out = (value, {p: f for p, f in zip(feed, intake) if f > SNAP})
         self.cache[key] = out
         return out
 
@@ -682,8 +655,8 @@ def greedy_budgeted_single_source(inst: PurchaseInstance) -> PurchaseSolution:
     through the routing half toward the sinks, demand-capped: the path
     master's max flow over a copy of the network at half bandwidth, every
     path scaled by min(1, processable / its value). Each oracle call is a
-    combinatorial max-flow (`_max_flow`, Edmonds-Karp), and its net flow on
-    each feeder arc is that node's processing load; the path master is the
+    combinatorial max-flow (`_max_flow`, Edmonds-Karp), and each bought
+    node's feeder intake is its processing load; the path master is the
     only LP solved. Seed sets are enumerated up to size 3, the depth the
     (1-1/e) guarantee needs.
     """

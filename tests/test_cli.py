@@ -273,7 +273,8 @@ class TestDecompose:
         edges = tmp_path / "edges.json"
         assert run("solve", "--alg", "lp", "--format", "edge-flows",
                    "--input", inst, "-o", edges) == 0
-        doc = json.loads(edges.read_text())
+        good = edges.read_text()
+        doc = json.loads(good)
         doc["flow"] = [{a: math.nan for a in f} for f in doc["flow"]]
         doc["unprocessed"] = [{a: math.nan for a in w} for w in doc["unprocessed"]]
         doc["processing"] = [{v: math.nan for v in p} for p in doc["processing"]]
@@ -282,6 +283,18 @@ class TestDecompose:
         assert run("decompose", "--input", edges, "-o", tmp_path / "w.json") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err
+        # null, which pflow writes for any non-finite number, and a string are
+        # no numbers at all, as a flow or as a processing value
+        for bad in (None, "2"):
+            for part in ("flow", "processing"):
+                doc = json.loads(good)
+                values = next(m for m in doc[part] if m)
+                values[next(iter(values))] = bad
+                edges.write_text(json.dumps(doc))
+                assert run("decompose", "--input", edges, "-o", tmp_path / "w.json") == 2, \
+                    (bad, part)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "is not a number" in err, (bad, part)
 
     @staticmethod
     def _congestion_edges(seed, tmp_path):
@@ -410,6 +423,29 @@ class TestPurchase:
         assert "purchase LP ended unbounded" in capsys.readouterr().err
 
 
+# gen arguments that exit 2, with the start of the error each reports
+_BAD_SPECS = {
+    ("--kind", "bisection", "--edges", "1-2 2-3"): "bisection input must be 3-regular",
+    ("--kind", "maxkcover", "--sets", "a b"): "gen --kind maxkcover needs --k",
+    ("--kind", "random"): "gen --kind random needs --nodes",
+    ("--kind", "random", "--nodes", "5", "--edge-cap", "5"): "expected LO:HI, got '5'",
+    ("--kind", "random", "--nodes", "5", "--edge-cap", "a:b"):
+        "expected integers in LO:HI, got 'a:b'",
+    ("--kind", "vertexcover", "--edges", "ab"): "expected U-V edge token, got 'ab'",
+    ("--kind", "setcover", "--sets", ";"): "no sets given",
+    ("--kind", "setcover"): "gen --kind setcover needs --sets",
+    ("--kind", "vertexcover"): "gen --kind vertexcover needs --edges",
+}
+
+# compare --sweep grids that exit 2, likewise
+_BAD_GRIDS = {
+    "-1:0:1": "bad capacity range [-1.0, 0.0]",
+    "0:1:inf": "step must be positive and finite, got inf",
+    "0:5": "expected LO:HI:STEP, got '0:5'",
+    "a:b:c": "non-numeric sweep bound in 'a:b:c'",
+}
+
+
 class TestGen:
     def test_random_solves(self, tmp_path):
         pf = tmp_path / "rand.pf"
@@ -440,13 +476,11 @@ class TestGen:
                    "--edges", "1-2 1-3 1-4 2-3 2-4 3-4",
                    "-o", tmp_path / "bi.pf") == 0
 
-    @pytest.mark.parametrize("args", [
-        ("--kind", "bisection", "--edges", "1-2 2-3"),   # not 3-regular
-        ("--kind", "maxkcover", "--sets", "a b"),        # k missing
-        ("--kind", "random",),                           # nodes missing
-    ])
-    def test_bad_specs(self, tmp_path, args):
+    @pytest.mark.parametrize("args", list(_BAD_SPECS))
+    def test_bad_specs(self, tmp_path, capsys, args):
         assert run("gen", *args, "-o", tmp_path / "x.pf") == 2
+        assert f"error: {_BAD_SPECS[args]}" in capsys.readouterr().err
+        assert not (tmp_path / "x.pf").exists()
 
     @pytest.mark.parametrize("flag", ["--amount=0:0", "--node-cap=-3:-1", "--edge-cap=-2:-1",
                                       "--edge-cap=5:1"])
@@ -479,11 +513,13 @@ class TestCompare:
         assert run("compare", "--input", line_pf, "--sweep", "3:0:1",
                    "-o", tmp_path / "x.csv") == 2
 
-    @pytest.mark.parametrize("sweep", ["-1:0:1", "0:1:inf"])
-    def test_invalid_capacity_grid_rejected(self, line_pf, tmp_path, sweep):
-        # a negative capacity or an infinite step exits 2 before any solve
+    @pytest.mark.parametrize("sweep", list(_BAD_GRIDS))
+    def test_invalid_capacity_grid_rejected(self, line_pf, tmp_path, capsys, sweep):
+        # a negative capacity, an infinite step, two bounds alone or bounds
+        # that are no numbers exit 2 before any solve
         assert run("compare", "--input", line_pf, f"--sweep={sweep}",
                    "-o", tmp_path / "x.csv") == 2
+        assert f"error: {_BAD_GRIDS[sweep]}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_bad_mwu_epsilon_exits_2(self, line_pf, tmp_path, capsys):
@@ -497,6 +533,10 @@ class TestCompare:
         assert run("solve", "--alg", "mwu", "--epsilon", "1.5", "--input", line_pf,
                    "-o", tmp_path / "x.json") == 2
 
-    def test_unknown_alg_rejected(self, line_pf, tmp_path):
+    def test_unknown_alg_rejected(self, line_pf, tmp_path, capsys):
         assert run("compare", "--input", line_pf, "--sweep", "0:3:1",
                    "--algs", "lp,zz", "-o", tmp_path / "x.csv") == 2
+        # and a list that names none
+        assert run("compare", "--input", line_pf, "--sweep", "0:3:1",
+                   "--algs", ",", "-o", tmp_path / "x.csv") == 2
+        assert "--algs must name at least one algorithm" in capsys.readouterr().err

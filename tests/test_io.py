@@ -14,7 +14,7 @@ from pflow.instance_io import (InstanceFormatError, emit_edge_solution,
                                parse_instance, parse_instance_text,
                                parse_solution, solution_document)
 from pflow.lp import solve_edge_lp
-from pflow.model import Demand, WalkEntry, WalkFlowSolution
+from pflow.model import Demand, StructuralError, WalkEntry, WalkFlowSolution
 
 LINE_TEXT = """\
 # line-shaped, one relay
@@ -154,6 +154,20 @@ def test_walk_document_round_trip(tmp_path):
     back = parse_solution(p)
     assert isinstance(back, WalkFlowSolution)
     assert back.entries == wsol.entries
+    # null, written for a non-finite number, and a string are no flow or
+    # processing value
+    for bad in (None, "3"):
+        for key in ("flow", "processing"):
+            doc = json.loads(p.read_text())
+            walk = doc["walks"][0]
+            if key == "flow":
+                walk["flow"] = bad
+            else:
+                walk["processing"]["a"] = bad
+            q = tmp_path / "bad.json"
+            q.write_text(json.dumps(doc))
+            with pytest.raises(StructuralError, match="is not a number"):
+                parse_solution(q)
 
 
 def test_walk_csv(tmp_path):

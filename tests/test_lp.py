@@ -589,6 +589,17 @@ def test_mps_round_trip(inst_line, tmp_path):
     b = solve_lp(back)
     assert a.status == b.status == "optimal"
     assert abs(a.objective - b.objective) < 1e-9
+    # the edge LP's columns all lie in [0, inf), which BOUNDS leaves unsaid;
+    # these five take a line of each kind: FX, MI alone, MI with UP, LO, UP
+    bounds = [(2.5, 2.5), (-math.inf, math.inf), (-math.inf, 3.0), (1.5, math.inf),
+              (0.0, 2.0)]
+    bounded = LPModel("bounded")
+    for lo, hi in bounds:
+        bounded.add_var(lo, hi)
+    add_constraint(bounded, [(j, 1.0) for j in range(len(bounds))], "<=", 10.0)
+    write_mps(bounded, str(path))
+    back = read_mps(str(path))
+    assert list(zip(back.lo, back.hi)) == bounds
 
 
 def test_matches_walk_enumeration_on_random_instances():

@@ -115,6 +115,9 @@ def test_validate_instance_reports_each_problem():
     assert "degenerate" in joined
     assert "unknown source" in joined
     assert "amount must be positive" in joined
+    looped = FlowNetwork("st", [("s", "t", 1.0), ("t", "t", 1.0)])
+    assert validate_instance(looped, [Demand("s", "q")]).problems == [
+        "edge t->t: self-loop", "demand 0: unknown sink 'q'"]
 
 
 def test_feas_slack_scales_with_capacity():
@@ -159,6 +162,15 @@ def test_verify_rejects_quantitative_violations():
     # wrong route
     rep = report(WalkEntry(0, ("a", "t"), 1.0, {"a": 1.0}))
     assert any("route" in p for p in rep.problems)
+    # negative flow, processed negatively
+    assert report(WalkEntry(0, ("s", "a", "t"), -1.0, {"a": -1.0})).problems == [
+        "entry 0: negative flow -1.0", "entry 0: negative processing -1.0 at a"]
+    # processing at a node the walk does not visit
+    forked = FlowNetwork("sabt", [("s", "a", 10.0), ("a", "t", 10.0), ("s", "b", 10.0),
+                                  ("b", "t", 10.0)], {"a": 3.0, "b": 3.0})
+    rep = verify_walk_solution(forked, demands, WalkFlowSolution(
+        [WalkEntry(0, ("s", "a", "t"), 1.0, {"b": 1.0})]))
+    assert rep.problems == ["entry 0: processing at b which is not on the walk"]
 
 
 def test_verify_rejects_triple_visit():
@@ -182,6 +194,28 @@ def test_verify_raises_on_structural_nonsense():
     with pytest.raises(StructuralError):
         verify_walk_solution(net, demands, WalkFlowSolution(
             [WalkEntry(0, ("s", "t"), 1.0, {})]))  # no s->t arc
+    # the edge verifier: one map per demand, and only the network's arcs
+    with pytest.raises(StructuralError, match="demand count does not match"):
+        verify_edge_solution(net, demands, EdgeFlowSolution([], [], [], 0.0))
+    with pytest.raises(StructuralError, match="demand 0: unknown arc index 7"):
+        verify_edge_solution(net, demands, EdgeFlowSolution([{7: 1.0}], [{}], [{}], 1.0))
+
+
+@pytest.mark.parametrize("amount, flow, unprocessed, processing, want", [
+    (math.inf, -1.0, -1.0, -1.0,
+     {"demand 0 arc s->a: negative flow", "demand 0 arc a->t: negative flow",
+      "demand 0 arc a->t: unprocessed 0.0 > total -1.0",
+      "demand 0 node a: negative processing -1.0"}),
+    (1.0, 2.0, 2.0, 2.0, {"demand 0: delivered 2.0 exceeds requested 1.0"}),
+], ids=["negative", "over-the-amount"])
+def test_edge_verifier_reports_each_violation(amount, flow, unprocessed, processing, want):
+    # s->a->t, processed at a, and each value balances: only the rule at
+    # stake reports, and for negative flows also the unprocessed 0 on a->t
+    # above its total
+    net, _ = _line()
+    sol = EdgeFlowSolution([{0: flow, 1: flow}], [{0: unprocessed}], [{"a": processing}],
+                           flow)
+    assert set(verify_edge_solution(net, [Demand("s", "t", amount)], sol).problems) == want
 
 
 def test_verify_enforces_demand_cap():

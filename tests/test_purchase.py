@@ -273,6 +273,10 @@ class TestRealizedLoads:
             # no more than the most processed flow the set supports
             want = _pinned_objective(inst, "budgeted", dict.fromkeys(chosen, 1.0))
             assert g.value <= want + 1e-9 * max(1.0, want), k
+            # it processes what it delivers, at bought nodes within their potential
+            load = g.flows.node_loads()
+            assert math.isclose(sum(load.values()), g.value, rel_tol=1e-9), k
+            assert all(v in g.purchased and x <= inst.potential[v] for v, x in load.items()), k
             if g.purchased:
                 bought += 1
                 assert self.peak_ratio(inst, g) <= 1.0, k
@@ -582,80 +586,71 @@ def test_relaxation_matches_the_arc_leg_reference(family):
 
 
 def _random_max_flow_case(rng, trial):
-    """Nodes, arcs (tail, head, group), group caps, sink and feeder arcs of
-    a random network fed from a '+pool' source, as the greedy's oracle
-    builds it: directed or undirected edges, parallel ones included, plus
-    one directed feeder arc per chosen node."""
+    """A random network, its group capacities, a sink and a feed, as the
+    greedy's oracle hands them to `_max_flow`: directed or undirected
+    edges, antiparallel directed arcs included, and a feeder into each of
+    a few nodes, now and then the sink itself."""
     n = rng.randint(2, 7)
     names = [f"v{i}" for i in range(n)]
     directed = trial % 2 == 0
-    arcs, caps = [], []
-    for _ in range(rng.randint(0, 3 * n)):
-        a, b = rng.sample(names, 2)
-        g = len(caps)
-        caps.append(rng.choice([0.0, float(rng.randint(1, 4)),
-                                rng.uniform(0.05, 5.0)]))
-        arcs.append((a, b, g))
-        if not directed:
-            arcs.append((b, a, g))
+    pairs = list(itertools.permutations(names, 2) if directed
+                 else itertools.combinations(names, 2))
+    edges = [(a, b, rng.choice([0.0, float(rng.randint(1, 4)), rng.uniform(0.05, 5.0)]))
+             for a, b in rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))]
+    net = FlowNetwork(names, edges, directed=directed)
     sink = rng.choice(names)
     fed = rng.sample(names, rng.randint(1, n))
     if trial % 3 == 0 and sink not in fed:
         fed.append(sink)   # a feeder straight into the sink
-    feeders = {}
-    for p in fed:
-        feeders[p] = len(arcs)
-        arcs.append(("+pool", p, len(caps)))
-        caps.append(rng.choice([float(rng.randint(1, 3)), rng.uniform(0.05, 4.0)]))
-    return names + ["+pool"], arcs, caps, sink, feeders
+    feed = {p: rng.choice([float(rng.randint(1, 3)), rng.uniform(0.05, 4.0)]) for p in fed}
+    return net, [c for _, _, c in edges], sink, feed
 
 
 class TestMaxFlow:
     def test_matches_the_lp_reference(self):
         rng = random.Random(707)
         for trial in range(120):
-            nodes, arcs, caps, sink, feeders = _random_max_flow_case(rng, trial)
-            value, flows = _max_flow(nodes, arcs, caps, "+pool", sink)
-            want, _ = max_flow_lp(nodes, arcs, caps, "+pool", sink)
+            net, caps, sink, feed = _random_max_flow_case(rng, trial)
+            value, phi = _max_flow(net, caps, feed, sink)
+            # the reference reads the same flow problem as plain arcs, the
+            # feeders leaving a '+pool' node
+            arcs = [(a.tail, a.head, a.group) for a in net.arcs]
+            arcs += [("+pool", p, len(caps) + j) for j, p in enumerate(feed)]
+            want, _ = max_flow_lp([*net.nodes, "+pool"], arcs, caps + list(feed.values()),
+                                  "+pool", sink)
             assert value == pytest.approx(want, abs=1e-9), trial
-            for p, j in feeders.items():
-                assert 0.0 <= flows[j] <= caps[arcs[j][2]], (trial, p)
-            assert sum(flows[j] for j in feeders.values()) == \
-                pytest.approx(value, abs=1e-9), trial
-            # and the arc flows are a feasible flow of that value
-            load, net_out = [0.0] * len(caps), {v: 0.0 for v in nodes}
-            for (tail, head, g), f in zip(arcs, flows):
-                assert f >= 0.0
-                load[g] += f
-                net_out[tail] += f
-                net_out[head] -= f
-            for g, cap in enumerate(caps):
-                assert load[g] <= cap + 1e-9, (trial, g)
-            for v in nodes:
-                if v not in ("+pool", sink):
+            assert len(phi) == len(caps) + len(feed), trial
+            intake = phi[len(caps):]
+            for (p, cap), f in zip(feed.items(), intake):
+                assert 0.0 <= f <= cap, (trial, p)
+            assert sum(intake) == pytest.approx(value, abs=1e-9), trial
+            # and phi is a feasible flow of that value: within each group's
+            # capacity, one way only on a directed arc, and conserved at
+            # every node but the sink
+            net_out = {v: 0.0 for v in net.nodes}
+            for arcs_, cap, f in zip(net.groups, caps, phi):
+                a = net.arcs[arcs_[0]]
+                assert (-cap if len(arcs_) == 2 else 0.0) <= f <= cap, (trial, a)
+                net_out[a.tail] += f
+                net_out[a.head] -= f
+            for p, f in zip(feed, intake):
+                net_out[p] -= f
+            for v in net.nodes:
+                if v != sink:
                     assert net_out[v] == pytest.approx(0.0, abs=1e-9), (trial, v)
-            assert net_out["+pool"] == pytest.approx(value, abs=1e-9), trial
+            assert net_out[sink] == pytest.approx(-value, abs=1e-9), trial
 
     def test_reroutes_through_a_reverse_residual(self):
         # The one shortest path s-a-b-t blocks both longer paths; the second
         # augmentation must send flow back along b->a to reach value 2.
-        arcs = [("s", "a", 0), ("a", "b", 1), ("b", "t", 2), ("a", "c", 3),
-                ("c", "d", 4), ("d", "t", 5), ("s", "e", 6), ("e", "f", 7),
-                ("f", "b", 8)]
-        nodes = sorted({u for arc in arcs for u in arc[:2]})
-        caps = [1.0] * len(arcs)
-        value, flows = _max_flow(nodes, arcs, caps, "s", "t")
+        edges = [("s", "a"), ("a", "b"), ("b", "t"), ("a", "c"), ("c", "d"), ("d", "t"),
+                 ("s", "e"), ("e", "f"), ("f", "b")]
+        net = FlowNetwork(sorted({u for e in edges for u in e}),
+                          [(u, v, 1.0) for u, v in edges])
+        value, phi = _max_flow(net, [1.0] * len(edges), {"s": 3.0}, "t")
         assert value == pytest.approx(2.0, abs=1e-12)
-        assert flows[1] == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("arcs", [
-        [("a", "b", 0), ("b", "c", 0)],     # a path, not one edge
-        [("a", "b", 0), ("a", "b", 0)],     # the same direction twice
-        [("a", "b", 0), ("b", "a", 0), ("a", "b", 0)],
-    ])
-    def test_rejects_other_group_shapes(self, arcs):
-        with pytest.raises(StructuralError, match="group 0"):
-            _max_flow(["a", "b", "c"], arcs, [1.0], "a", "c")
+        assert phi[1] == pytest.approx(0.0, abs=1e-12)
+        assert phi[-1] == pytest.approx(2.0, abs=1e-12)
 
 
 def _vertex_cover_brute(inst):
