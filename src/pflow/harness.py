@@ -33,8 +33,9 @@ class SweepSpec:
     step: float
     dist: str = "all"   # all | half
     seed: int = 0
-    # >1 repeats each run (e.g. to average wall times); a repeated naive run
-    # repeats only its processing phase, as the routing is solved once per sweep
+    # >1 replays the whole sweep (e.g. to average wall times), each replay as
+    # a sweep without repetitions runs; naive replays only its processing
+    # phase, as the routing is solved once per compare_runs call
     repetitions: int = 1
 
     def __post_init__(self):
@@ -52,8 +53,9 @@ class SweepSpec:
                                   f"than {MAX_GRID_POINTS} grid points")
         if self.dist not in ("all", "half"):
             raise StructuralError(f"distribution must be all or half, got {self.dist!r}")
-        if self.repetitions < 1:
-            raise StructuralError("repetitions must be >= 1")
+        if type(self.repetitions) is not int or self.repetitions < 1:
+            raise StructuralError(f"repetitions must be an integer >= 1, "
+                                  f"got {self.repetitions!r}")
 
     def grid(self) -> list[float]:
         out = []
@@ -72,8 +74,8 @@ class RunRecord:
     objective: float     # nan when the solver errored
     wall_time: float     # seconds of solver work done for this record; naive's
                          # shared routing counts in the sweep's first naive record
-    iterations: int      # lp: simplex iterations of this point's re-solve of the
-                         # sweep's one walk master; naive: the sweep's one path
+    iterations: int      # lp: simplex iterations of this point's re-solve of its
+                         # repetition's walk master; naive: the one path
                          # master's, on every record; mwu: rounds
     feasible: bool
     error: str | None = None
@@ -127,18 +129,19 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
     phase against its grid point's capacities. If the routing fails, every
     naive record carries its error.
 
-    lp holds one walk master (`lp.WalkMaster`) across the grid and
-    re-solves it at each point: a walk stays valid when only node
+    Each repetition replays the whole grid, so its records equal those of a
+    sweep without repetitions but for wall times and the /r<n> of their
+    ids; records are listed point by point, each point's repetitions in
+    order. lp holds one walk master (`lp.WalkMaster`) across a repetition's
+    grid and re-solves it at each point: a walk stays valid when only node
     capacities change, so a point rewrites the node rows and re-optimizes
     from the basis and columns the previous point left (whatever a failed
-    point left), each point within its own MAXITER budget. A master without
-    columns, as at the first point, starts from the seed exactly as a fresh
-    solve does. With repetitions, every repetition of a point, the first
-    included, restores the point's start (`WalkMaster.mark` and `rewind`),
-    so all report the same objective and iterations. An lp record's
-    iterations are its point's re-solve, and its objective, what the
-    master's walks deliver, equals a fresh solve's to rounding. The master's
-    HiGHS object goes back to the pool when the sweep ends.
+    point left), each point within its own MAXITER budget. The master is
+    built at the repetition's first lp solve and starts from the seed
+    exactly as a fresh solve does; its HiGHS object goes back to the pool
+    when the repetition ends. An lp record's iterations are its point's
+    re-solve, and its objective, what the master's walks deliver, equals a
+    fresh solve's to rounding.
 
     An unknown algorithm, and with mwu an `epsilon` that `MWUConfig`
     rejects, raise before any solve; every mwu record runs under that one
@@ -151,18 +154,16 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
                                   f"choose from {', '.join(KNOWN_ALGS)}")
     config = MWUConfig(epsilon=epsilon) if "mwu" in algs else None
     half = half_subset(net, sweep.seed) if sweep.dist == "half" else []
-    records: list[RunRecord] = []
+    grid = sweep.grid()
+    points: list[list[RunRecord]] = [[] for _ in grid]  # each point's, rep by rep
     routing = None  # naive's phase 1 once solved, or the exception it raised
-    master = None  # lp's walk master, built by its first solve
-    start = None  # with repetitions, the grid point's start in the master
+    master = None  # the repetition's walk master, built by its first lp solve
 
     def solve(alg: str, capped: FlowNetwork):
         nonlocal routing, master
         if alg == "lp":
             if master is None:
                 master = WalkMaster(net, demands)
-            elif start:
-                master.rewind(start)
             return master_walks(capped, demands, *master.solve(capped))
         if alg == "mwu":
             return mwu_solve(capped, demands, config)
@@ -175,14 +176,11 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
             raise routing
         return process_paths(capped, routing)
 
-    try:
-        for c in sweep.grid():
-            capped = _capacitate(net, c, sweep.dist, half)
-            if sweep.repetitions > 1:
-                # before the master's first solve: no columns and no basis
-                start = master.mark() if master else (0, None)
-            for rep in range(1, sweep.repetitions + 1):
-                rep_tag = f"/r{rep}" if sweep.repetitions > 1 else ""
+    for rep in range(1, sweep.repetitions + 1):
+        rep_tag = f"/r{rep}" if sweep.repetitions > 1 else ""
+        try:
+            for c, records in zip(grid, points):
+                capped = _capacitate(net, c, sweep.dist, half)
                 inst_id = f"cap={c:g}/{sweep.dist}{rep_tag}"
                 for alg in algs:
                     try:
@@ -195,10 +193,11 @@ def compare_runs(net: FlowNetwork, demands: list[Demand], sweep: SweepSpec,
                     except Exception as exc:  # record and continue, per contract
                         records.append(RunRecord(inst_id, alg, math.nan, 0.0, 0,
                                                  False, f"{type(exc).__name__}: {exc}"))
-    finally:
-        if master is not None:
-            master.release()
-    return records
+        finally:
+            if master is not None:
+                master.release()
+                master = None
+    return [r for records in points for r in records]
 
 
 CSV_HEADER = "instance,algorithm,objective,wall_time,iterations,feasible,error"

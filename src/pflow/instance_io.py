@@ -13,8 +13,10 @@ may not contain `->`, which solution documents put between an arc's ends:
 with it, two arcs could share one key. An attribute given twice on one
 line, or a second graph or budget directive, is an error, not an override.
 Solutions are emitted as JSON documents, with null for any non-finite
-number. Read back, a walk or edge-flows document whose flow or processing
-value is not a number, null included, is invalid input (StructuralError).
+number. Read back, a walk or edge-flows document of another shape is
+invalid input (StructuralError): a field missing or of the wrong JSON type,
+a flow or processing value that is not a number (null included), or a
+walk's demand that is not a non-negative integer.
 """
 
 from __future__ import annotations
@@ -295,10 +297,35 @@ def emit_edge_solution(sol: EdgeFlowSolution, inst: ParsedInstance,
         fh.write("\n")
 
 
-def _number(val, key: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise StructuralError(f"solution value {json.dumps(val)} at {key} is not a number")
+# the JSON names of the types a solution document's values are checked for
+_JSON = {(int, float): "a number", int: "an integer", str: "a string",
+         list: "an array", dict: "an object"}
+
+
+def _value(val, where: str, kind=(int, float)):
+    """`val` if it is a `kind` and not a bool, else StructuralError."""
+    if isinstance(val, bool) or not isinstance(val, kind):
+        shown = _JSON[type(val)] if isinstance(val, (list, dict)) else json.dumps(val)
+        raise StructuralError(f"solution value {shown} at {where} is not {_JSON[kind]}")
     return val
+
+
+def _field(doc: dict, key: str, where: str, kind=(int, float)):
+    """`doc[key]`, checked by `_value`; StructuralError if it is absent."""
+    if key not in doc:
+        raise StructuralError(f"{where} has no {key!r}")
+    return _value(doc[key], f"{where}'s {key}", kind)
+
+
+def _walk_entry(k: int, w) -> WalkEntry:
+    where = f"walk {k}"
+    w = _value(w, where, dict)
+    demand = _field(w, "demand", where, int)
+    if demand < 0:
+        raise StructuralError(f"{where}'s demand {demand} is not a demand index")
+    nodes = [_value(v, f"{where}'s nodes", str) for v in _field(w, "nodes", where, list)]
+    return WalkEntry(demand, tuple(nodes), _field(w, "flow", where),
+                     {v: _value(x, v) for v, x in _field(w, "processing", where, dict).items()})
 
 
 def parse_solution(path: str):
@@ -307,17 +334,19 @@ def parse_solution(path: str):
     Returns a WalkFlowSolution for walk documents, an (EdgeFlowSolution,
     ParsedInstance) pair for edge-flow documents, and the raw dict for
     purchase documents (which are terminal artifacts, not solver inputs).
+    A walk or edge-flows document of another shape is invalid input, as
+    the module docstring says (StructuralError); the verifiers check the
+    rest, a demand index past the last demand included.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _value(json.load(fh), "the top level", dict)
     kind = doc.get("kind")
     if kind == "walks":
-        entries = [WalkEntry(w["demand"], tuple(w["nodes"]), _number(w["flow"], f"walk {k}"),
-                             {v: _number(x, v) for v, x in w["processing"].items()})
-                   for k, w in enumerate(doc.get("walks", []))]
-        return WalkFlowSolution(entries, meta=doc.get("meta", {}))
+        walks = _value(doc.get("walks", []), "walks", list)
+        return WalkFlowSolution([_walk_entry(k, w) for k, w in enumerate(walks)],
+                                meta=_value(doc.get("meta", {}), "meta", dict))
     if kind == "edge-flows":
-        inst = parse_instance_text(doc["instance"])
+        inst = parse_instance_text(_field(doc, "instance", "the document", str))
         net = inst.net
 
         def unmap(m: dict[str, float]) -> dict[int, float]:
@@ -326,14 +355,19 @@ def parse_solution(path: str):
                 u, _, v = key.partition("->")
                 if (u, v) not in net.arc_index:
                     raise StructuralError(f"solution uses missing arc {key}")
-                out[net.arc_index[(u, v)]] = _number(val, key)
+                out[net.arc_index[(u, v)]] = _value(val, key)
             return out
 
-        sol = EdgeFlowSolution([unmap(m) for m in doc["flow"]],
-                               [unmap(m) for m in doc["unprocessed"]],
-                               [{v: _number(x, v) for v, x in m.items()}
-                                for m in doc["processing"]],
-                               doc["objective"], meta=doc.get("meta", {}))
+        def maps(key: str) -> list[dict]:
+            return [_value(m, f"{key} {i}", dict)
+                    for i, m in enumerate(_field(doc, key, "the document", list))]
+
+        sol = EdgeFlowSolution([unmap(m) for m in maps("flow")],
+                               [unmap(m) for m in maps("unprocessed")],
+                               [{v: _value(x, v) for v, x in m.items()}
+                                for m in maps("processing")],
+                               _field(doc, "objective", "the document"),
+                               meta=_value(doc.get("meta", {}), "meta", dict))
         return sol, inst
     if kind == "purchase":
         return doc

@@ -37,12 +37,13 @@ approximation algorithm, priced without HiGHS and charged by the helper
 MWU's rounds share (`charge_walks`); from there its rounds run as
 before. The master is an object (`WalkMaster`) that owns its HiGHS model,
 columns and pricing graph: `solve_walk_master` solves one once and
-releases it, and a capacity sweep holds one across its grid, rewriting
-the node rows at each point and re-solving from the basis the last point
-left, since a walk stays valid when only node capacities change. Pricing
-is one scipy Dijkstra run over a block-diagonal graph (`_WalkGraph`), one
-two-layer copy of the network per demand, whose weights are rewritten in
-place each round. The graph is built once per network and
+releases it, and a capacity sweep holds one across each pass over its
+grid, rewriting the node rows at each point and re-solving from the basis
+the last point left, since a walk stays valid when only node capacities
+change. Pricing is one scipy Dijkstra run over a block-diagonal graph
+(`_WalkGraph`), one two-layer copy of the network per demand, whose
+weights are rewritten in place each round. The graph is built once per
+network and
 list of (source, sink) pairs, and every solver that prices (MWU, the
 master, its seed) holds it for the whole solve and prices each round on it
 (`_WalkGraph.price`). The graph also counts
@@ -772,8 +773,7 @@ class WalkMaster:
     rows whose capacity changed: a row's upper bound under max total flow,
     θ's coefficient on it under min-max. HiGHS then re-optimizes by primal
     simplex from the basis the last solve left, and the rounds run from
-    there. `mark` and `rewind` save and restore the columns and basis, so
-    that solves from one start repeat."""
+    there."""
 
     def __init__(self, net: FlowNetwork, demands: list[Demand],
                  objective: Objective = Objective(), paths: bool = False):
@@ -807,29 +807,6 @@ class WalkMaster:
         """Give the master's HiGHS object back to the pool; the master is
         not solved again."""
         _release(self.highs)
-
-    def mark(self) -> tuple[int, object]:
-        """The master's start as `rewind` restores it: its column count and
-        HiGHS's basis, None while the basis is not valid."""
-        basis = self.highs.getBasis()
-        return len(self.cols), basis if basis.valid else None
-
-    def rewind(self, mark: tuple[int, object]) -> None:
-        """Back to `mark`: the columns added since are deleted, and its basis
-        set (without one, HiGHS starts from the slack basis). Node rows keep
-        the capacities of the last solve. HiGHS's solver state is cleared
-        first: the simplex keeps more than the basis from run to run, so that
-        four runs of one LP from one set basis took 6, 4, 5 and 6 iterations."""
-        n, basis = mark
-        extra = len(self.cols) - n
-        if extra:
-            first = n + int(self.minmax)
-            self.highs.deleteCols(extra, np.arange(first, first + extra, dtype=np.int32))
-            self.known.difference_update(self.cols[n:])
-            del self.cols[n:]
-        self.highs.clearSolver()
-        if basis is not None:
-            self.highs.setBasis(basis)
 
     def solve(self, net: FlowNetwork) -> tuple[LPResult, list[Column], dict]:
         """The master optimal on `net`, as `solve_walk_master` describes it,

@@ -226,6 +226,30 @@ class TestSolve:
         assert not out.exists()
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# each malformation of a seed-3 solution document, and the message decompose
+# exits 2 with
+_MALFORMED = {
+    "no_unprocessed": (lambda d: _without(d, "unprocessed"),
+                       "the document has no 'unprocessed'"),
+    "flow_object": (lambda d: {**d, "flow": {"a": 1}},
+                    "solution value an object at the document's flow is not an array"),
+    "top_level_array": (lambda d: [d],
+                        "solution value an array at the top level is not an object"),
+    "flow_map_array": (lambda d: {**d, "flow": [[1], *d["flow"][1:]]},
+                       "solution value an array at flow 0 is not an object"),
+    "instance_number": (lambda d: {**d, "instance": 3},
+                        "solution value 3 at the document's instance is not a string"),
+    "no_objective": (lambda d: _without(d, "objective"), "the document has no 'objective'"),
+    "walk_processing_list": (
+        lambda d: {**d, "walks": [{**d["walks"][0], "processing": [1]}, *d["walks"][1:]]},
+        "solution value an array at walk 0's processing is not an object"),
+}
+
+
 class TestDecompose:
     def test_round_trip(self, line_pf, tmp_path):
         edges = tmp_path / "edges.json"
@@ -295,6 +319,19 @@ class TestDecompose:
                     (bad, part)
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and "is not a number" in err, (bad, part)
+
+    @pytest.mark.parametrize("malform", list(_MALFORMED))
+    def test_malformed_document_exits_2(self, malform, tmp_path, capsys):
+        inst = tmp_path / "inst.pf"
+        assert run("gen", "--kind", "random", "--nodes", 6, "--density", 0.5,
+                   "--demands", 2, "--seed", 3, "-o", inst) == 0
+        doc = tmp_path / "doc.json"
+        fmt = [] if malform.startswith("walk") else ["--format", "edge-flows"]
+        assert run("solve", "--alg", "lp", *fmt, "--input", inst, "-o", doc) == 0
+        malformed, message = _MALFORMED[malform]
+        doc.write_text(json.dumps(malformed(json.loads(doc.read_text()))))
+        assert run("decompose", "--input", doc, "-o", tmp_path / "w.json") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @staticmethod
     def _congestion_edges(seed, tmp_path):

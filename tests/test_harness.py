@@ -1,5 +1,6 @@
 """Sweep harness: grids, distributions, record rows, CSV shape."""
 
+import dataclasses
 import math
 
 import pytest
@@ -44,6 +45,9 @@ def test_grid_float_accumulation_hits_top():
     dict(lo=-1.0, hi=0.0, step=1.0),
     dict(lo=0.0, hi=1.0, step=math.inf),
     dict(lo=0.0, hi=1.0, step=math.nan),
+    # compare_runs counts repetitions with range()
+    dict(lo=0.0, hi=1.0, step=0.5, repetitions=1.5),
+    dict(lo=0.0, hi=1.0, step=0.5, repetitions=2.0),
 ])
 def test_spec_validation(kwargs):
     # construction alone must raise: grid() would never end on some of these
@@ -240,10 +244,19 @@ def _lp_records(recs):
     return points
 
 
+def _single_run(net, demands, spec, algorithms):
+    """(objective, iterations) of each record of the same sweep run once, by
+    record id without its /r<n>."""
+    once = dataclasses.replace(spec, repetitions=1)
+    return {(r.instance, r.algorithm): (r.objective, r.iterations)
+            for r in compare_runs(net, demands, once, algorithms=algorithms)}
+
+
 def test_lp_records_match_a_fresh_solve_per_point():
     for net, demands, spec in _sweep_cases():
         recs = compare_runs(net, demands, spec, algorithms=("lp", "naive"))
         points = _lp_records(recs)
+        once = _single_run(net, demands, spec, ("lp", "naive"))
         assert len(points) == len(spec.grid())
         for k, (point, reps) in enumerate(points.items()):
             edges, _ = solve_edge_lp(_point_network(net, spec, point), demands)
@@ -252,9 +265,8 @@ def test_lp_records_match_a_fresh_solve_per_point():
             for r in reps:
                 assert r.feasible and r.error is None
                 assert r.objective == pytest.approx(edges.objective, rel=1e-9, abs=1e-9)
-                # repetitions of a point start from the same columns
-                assert (r.objective, r.iterations) == (reps[0].objective,
-                                                       reps[0].iterations)
+                # each repetition replays the sweep as a run without repetitions
+                assert (r.objective, r.iterations) == once[point, "lp"], r.instance
                 if k == 0:  # the first point solves cold: the same walks
                     assert (r.objective, r.iterations) == (fresh.objective,
                                                            fresh.meta["lp_iterations"])
@@ -290,20 +302,26 @@ def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
 
 
 def test_every_repetition_of_a_point_starts_where_its_first_did():
-    # three repetitions of each point restore its start, the previous point's
-    # columns and basis: the same objective and iterations, run after run,
-    # and the master's HiGHS object goes back to the pool when the sweep ends
+    # each of three repetitions replays the grid on its own walk master, so
+    # every record equals the one-repetition sweep's in objective and
+    # iterations, record for record; records stay point by point, each
+    # point's repetitions in order, and each repetition's master gives its
+    # HiGHS object back to the pool
     inst = gen_random_instance(12, 0.32, n_demands=6, seed=1, directed=False)
     spec = SweepSpec(lo=0.0, hi=5.0, step=0.5, dist="half", seed=1, repetitions=3)
+    once = _single_run(inst.net, inst.demands, spec, ("lp", "naive"))
     pooled = len(pflow.lp._POOL)
     recs = compare_runs(inst.net, inst.demands, spec, algorithms=("lp", "naive"))
     assert len(pflow.lp._POOL) >= max(pooled, 1)
+    assert [(r.instance, r.algorithm) for r in recs] == [
+        (f"{point}/r{j}", alg) for point in dict.fromkeys(p for p, _ in once)
+        for j in (1, 2, 3) for alg in ("lp", "naive")]
+    for r in recs:
+        assert r.feasible
+        assert (r.objective, r.iterations) == once[r.instance.rsplit("/", 1)[0],
+                                                   r.algorithm], r.instance
     points = _lp_records(recs)
     assert len(points) == len(spec.grid())
-    for point, reps in points.items():
-        assert [r.instance for r in reps] == [f"{point}/r{j}" for j in (1, 2, 3)]
-        assert all(r.feasible for r in reps)
-        assert len({(r.objective, r.iterations) for r in reps}) == 1, (point, reps)
     assert sum(reps[0].iterations for reps in points.values()) > 0
 
 
@@ -331,15 +349,16 @@ def test_warm_started_solutions_verify(monkeypatch):
 
 
 def test_iteration_limit_at_one_point_fails_only_its_records(monkeypatch):
-    # the second grid point's re-solves get no simplex iterations; later
-    # points re-solve from what the failed point left and still solve right
+    # the second grid point's re-solve, in each repetition, gets no simplex
+    # iterations; later points re-solve from what the failed point left and
+    # still solve right
     calls = 0
     real = pflow.lp.WalkMaster.solve
 
     def limited(master, net):
         nonlocal calls
         calls += 1
-        if calls not in (3, 4):
+        if calls not in (2, 2 + len(spec.grid())):
             return real(master, net)
         with monkeypatch.context() as m:
             m.setattr(pflow.lp, "MAXITER", 0)

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,21 @@ def test_walk_document_round_trip(tmp_path):
             q.write_text(json.dumps(doc))
             with pytest.raises(StructuralError, match="is not a number"):
                 parse_solution(q)
+    # a demand is a non-negative integer and a walk a list of node names
+    for key, bad, message in [
+            ("demand", "0", 'value "0" at walk 0\'s demand is not an integer'),
+            ("demand", 0.0, "value 0.0 at walk 0's demand is not an integer"),
+            ("demand", True, "value true at walk 0's demand is not an integer"),
+            ("demand", -1, "walk 0's demand -1 is not a demand index"),
+            ("nodes", "s a t", 'value "s a t" at walk 0\'s nodes is not an array'),
+            ("nodes", ["s", 1, "t"], "value 1 at walk 0's nodes is not a string"),
+            ("processing", [3.0], "value an array at walk 0's processing is not an object")]:
+        doc = json.loads(p.read_text())
+        doc["walks"][0][key] = bad
+        q = tmp_path / "bad.json"
+        q.write_text(json.dumps(doc))
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            parse_solution(q)
 
 
 def test_walk_csv(tmp_path):
