@@ -3,8 +3,9 @@ master and the edge formulation.
 
 An LPModel is plain arrays, its rows in the row-wise form HiGHS reads:
 columns and rows are added by index and carry no names, and solve_lp hands
-the arrays to HiGHS as built, solves by primal simplex and returns the
-column values as an array read by index. `commodities` adds the split flow
+the arrays to HiGHS as built, solves by simplex (dual from a primal
+infeasible start, primal from a feasible one) and returns the column
+values as an array read by index. `commodities` adds the split flow
 (below) of many demands in one batch of array operations, a column only
 where it can carry flow, and returns their balance rows and each demand's
 column layout; the edge LP and the purchase module's LP are both built
@@ -82,13 +83,15 @@ from .model import (SNAP, Demand, EdgeFlowSolution, FlowNetwork, InfeasibleError
 
 MAXITER = 200_000
 
-# every pflow LP is small and its max-total-flow LPs are feasible at x = 0:
-# presolve costs more than it saves there, and a solve runs primal simplex
-# (strategy 4) from that feasible all-slack basis. The walk master stays
-# primal feasible as columns arrive, so it re-solves by primal simplex from
-# its current basis. threads stays HiGHS's default
+# every pflow LP is small, so presolve costs more than it saves. HiGHS
+# chooses the simplex per solve (strategy 0): primal from a primal feasible
+# basis, dual otherwise. Max-total-flow LPs are feasible at x = 0, so they
+# run primal from the all-slack basis, and the walk master stays primal
+# feasible as columns arrive. The min-cost purchase relaxation violates
+# every demand row at x = 0 with no cost below 0, a dual feasible start,
+# and runs dual. threads stays HiGHS's default
 _OPTIONS = {"solver": "simplex", "presolve": "off", "output_flag": False,
-            "simplex_strategy": 4}
+            "simplex_strategy": 0}
 _ROWWISE, _MINIMIZE = int(MatrixFormat.kRowwise), int(ObjSense.kMinimize)
 _STATUS = {HighsModelStatus.kOptimal: "optimal",
            HighsModelStatus.kInfeasible: "infeasible",
@@ -249,8 +252,9 @@ def _run(highs: _Highs, limit: int) -> tuple[str, int, float]:
 
 
 def solve_lp(model: LPModel) -> LPResult:
-    """Solve once by HiGHS's primal simplex without presolve, from the
-    all-slack basis; desk-scale models only.
+    """Solve once by HiGHS's simplex without presolve, from the all-slack
+    basis: primal if that basis is feasible, dual if not; desk-scale models
+    only.
 
     HiGHS gets the model as built: its columns, and its rows in the
     row-wise form LPModel keeps, each with the bounds its sense gives, and
@@ -771,9 +775,10 @@ class WalkMaster:
     when only node capacities change. `solve` takes the network the master
     was built on or a `with_node_capacity` copy of it and rewrites the node
     rows whose capacity changed: a row's upper bound under max total flow,
-    θ's coefficient on it under min-max. HiGHS then re-optimizes by primal
-    simplex from the basis the last solve left, and the rounds run from
-    there."""
+    θ's coefficient on it under min-max. HiGHS then re-optimizes from the
+    basis the last solve left, by primal simplex while that basis stays
+    feasible and by dual simplex when the new capacities leave it primal
+    infeasible, and the rounds run from there."""
 
     def __init__(self, net: FlowNetwork, demands: list[Demand],
                  objective: Objective = Objective(), paths: bool = False):
@@ -917,10 +922,11 @@ def solve_walk_master(net: FlowNetwork, demands: list[Demand],
     pricing graph the master holds (`_WalkGraph.price`), whose count of each
     column's rows (`_WalkGraph.uses`) also writes the columns. A new walk
     joins when its worth - σ_i - cost exceeds 1e-9, and HiGHS re-solves by
-    primal simplex from the current basis, all solves within one MAXITER
-    budget. The rounds stop when none joins; as no walk joins twice, they
-    do, and the optimum, the dual bound and the final reduced cost mean what
-    they mean from any start, the seed's or a held master's.
+    primal simplex from the current basis, which new columns leave
+    feasible, all solves within one MAXITER budget. The rounds stop when
+    none joins; as no walk joins twice, they do, and the optimum, the dual
+    bound and the final reduced cost mean what they mean from any start,
+    the seed's or a held master's.
 
     With `paths` the master is the plain multicommodity max flow of Ford
     and Fulkerson, blind to processing: it has no node rows, never reads

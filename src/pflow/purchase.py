@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -248,7 +249,13 @@ def solve_purchase_lp(inst: PurchaseInstance, mode: str = "min",
     rep = validate_purchase_instance(inst, mode)
     if not rep:
         raise StructuralError("; ".join(rep.problems))
+    return _solve_purchase_lp(inst, mode, budget_cap, fix)
 
+
+def _solve_purchase_lp(inst: PurchaseInstance, mode: str, budget_cap: float | None,
+                       fix: dict[str, float] | None
+                       ) -> tuple[PurchaseLPSolution, LPResult]:
+    """`solve_purchase_lp` on an instance already validated for `mode`."""
     model = build_purchase_lp(inst, mode, budget_cap=budget_cap, fix=fix)
     res = solve_lp(model)
     infeasible = ("demands unsatisfiable even buying everything" if mode == "min"
@@ -339,6 +346,27 @@ def rounding_rounds(n_nodes: int, delta: float) -> int:
     return math.ceil(9.0 * math.log(max(n_nodes, 2)) / (eps * eps))
 
 
+# uniforms compared per numpy batch in `_round_hits`
+_DRAW_CHUNK = 1 << 16
+
+
+def _round_hits(rng: random.Random, xs: list[float], t: int) -> list[int]:
+    """How many of t rounds buy each j, round r buying j when the
+    (r·len(xs) + j)-th `rng.random()` is below xs[j]: the draws of the
+    round-major loop, compared in batches of at most _DRAW_CHUNK."""
+    k, total = len(xs), t * len(xs)
+    x = np.array(xs, dtype=float)
+    hits = np.zeros(k, dtype=np.int64)
+    offsets = np.arange(min(total, _DRAW_CHUNK))
+    draw = rng.random
+    for start in range(0, total, _DRAW_CHUNK):
+        m = min(_DRAW_CHUNK, total - start)
+        u = np.fromiter(starmap(draw, repeat((), m)), dtype=float, count=m)
+        j = (offsets[:m] + start) % k
+        hits += np.bincount(j[u < x[j]], minlength=k)
+    return hits.tolist()
+
+
 def round_min_purchase(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
                        delta: float, rng_seed: int) -> PurchaseSolution:
     """Randomized rounding of the min-cost relaxation.
@@ -360,16 +388,8 @@ def round_min_purchase(inst: PurchaseInstance, lp_sol: PurchaseLPSolution,
         raise ValueError(f"delta must be in (0,1), got {delta}")
     eps = delta / 2.0
     t = rounding_rounds(inst.net.n_nodes, delta)
-    rng = random.Random(rng_seed)
-
     support = [v for v in inst.candidates() if lp_sol.x.get(v, 0.0) > SNAP]
-    xs = [lp_sol.x[v] for v in support]
-    hits = [0] * len(support)
-    draw = rng.random
-    for _ in range(t):
-        for j, x in enumerate(xs):
-            if draw() < x:
-                hits[j] += 1
+    hits = _round_hits(random.Random(rng_seed), [lp_sol.x[v] for v in support], t)
     counts = dict(zip(support, hits))
 
     weight = {v: c / (lp_sol.x[v] * t) for v, c in counts.items() if c > 0}
@@ -428,6 +448,9 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int) -> PurchaseSo
     cannot beat the best value so far is not solved. The best single vertex
     is still the one an exhaustive scan in node order keeps: the first of
     the highest value.
+
+    The instance is validated once, here: its pruned copies only drop
+    potentials, so they stay valid, and their LPs skip the check.
     """
     rep_check = validate_purchase_instance(inst, "budgeted")
     if not rep_check:
@@ -443,14 +466,14 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int) -> PurchaseSo
     cands = affordable.candidates()
     if not cands:
         return _empty_purchase(inst, "no affordable candidates")
-    lp_sol, _ = solve_purchase_lp(affordable, "budgeted", budget_cap=k / 2)
+    lp_sol, _ = _solve_purchase_lp(affordable, "budgeted", k / 2, None)
     if lp_sol.objective <= SNAP:
         return _empty_purchase(inst, "relaxation value zero",
                                lp_value=lp_sol.objective)
 
     def restricted(subset: set[str], branch: str) -> PurchaseSolution:
         fix = {u: (1.0 if u in subset else 0.0) for u in cands}
-        sol_f, _ = solve_purchase_lp(affordable, "budgeted", fix=fix)
+        sol_f, _ = _solve_purchase_lp(affordable, "budgeted", None, fix)
         return _realize(affordable, sol_f, dict.fromkeys(subset, 1.0),
                         {"algorithm": "purchase-budgeted", "branch": branch,
                          "seed": rng_seed, "lp_value": lp_sol.objective})
@@ -470,7 +493,7 @@ def round_budgeted_purchase(inst: PurchaseInstance, rng_seed: int) -> PurchaseSo
         pruned = _prune_potential(affordable, lambda v: inst.price(v) < k / ln_n)
         sample_sol = None
         if pruned.candidates():
-            sample_sol, _ = solve_purchase_lp(pruned, "budgeted", budget_cap=k / 2)
+            sample_sol, _ = _solve_purchase_lp(pruned, "budgeted", k / 2, None)
         if sample_sol is not None and sample_sol.objective > SNAP:
             scale = 1.0 / (4.0 * ln_n)
             for r in range(math.ceil(math.log2(n)) + 3):

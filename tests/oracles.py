@@ -232,6 +232,19 @@ def best_single_exhaustive(cands: list[str], evaluate):
     return best
 
 
+def round_hits_loop(rng: random.Random, xs: list[float], t: int) -> list[int]:
+    """How many of t rounds buy each j: round by round, one `rng.random()`
+    per j in order, bought when below xs[j]. The reference for
+    `pflow.purchase._round_hits`, which compares the same draws in batches."""
+    hits = [0] * len(xs)
+    draw = rng.random
+    for _ in range(t):
+        for j, x in enumerate(xs):
+            if draw() < x:
+                hits[j] += 1
+    return hits
+
+
 def max_flow_lp(nodes, arcs, group_cap, source, sink) -> tuple[float, list[float]]:
     """Max source->sink flow as an LP; arcs as (tail, head, group), caps per
     group, a group's capacity shared by all its arcs. The reference for

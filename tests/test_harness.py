@@ -277,7 +277,9 @@ def test_warm_started_sweep_takes_fewer_iterations(monkeypatch):
     # point's basis, prices far fewer demands than fresh masters, each of
     # which spends SEED_ROUNDS pricing calls on its multiplicative-weights
     # seed before HiGHS sees it; and it takes fewer simplex iterations than
-    # fresh masters, seeded or started empty (38 against 111 and 179 here)
+    # fresh masters, seeded or started empty (25 against 111 and 179 here;
+    # a point whose new capacities leave the last basis primal infeasible
+    # re-solves by dual simplex)
     calls = 0  # demands priced
     real = pflow.lp._WalkGraph.price
 

@@ -180,8 +180,15 @@ def _lp(sense, rows, bounds=None, objective=None):
     # duplicate entries of a row add up: 2 x0 + x1 <= 4 and x0 == 0
     (_lp("max", [([(0, 1.0), (0, 1.0), (1, 1.0)], "<=", 4.0),
                  ([(0, 1.0), (0, -1.0), (0, 1.0)], "==", 0.0)]), "optimal", 4.0, [0.0, 4.0]),
+    # x = 0 violates every row of these two, so HiGHS starts them dual:
+    # min x0 + 2 x1 with x0 + x1 >= 3, x1 - x0 >= 1: x = (1, 2)
+    (_lp("min", [([(0, 1.0), (1, 1.0)], ">=", 3.0), ([(0, -1.0), (1, 1.0)], ">=", 1.0)],
+         objective={0: 1.0, 1: 2.0}), "optimal", 5.0, [1.0, 2.0]),
+    # max x0 + x1 with x0 - x1 >= 1: x0 = x1 + 1 grows without bound
+    (_lp("max", [([(0, 1.0), (1, -1.0)], ">=", 1.0)]), "unbounded", math.inf, None),
 ], ids=["mixed-rows", "min", "infeasible", "unbounded", "empty-feasible",
-        "empty-infeasible", "crossed-bounds", "duplicate-entries"])
+        "empty-infeasible", "crossed-bounds", "duplicate-entries", "infeasible-start",
+        "infeasible-start-unbounded"])
 def test_solve_lp(model, status, objective, x):
     res = solve_lp(model)
     assert res.status == status
@@ -464,9 +471,10 @@ _BOTH = {"optimal", "infeasible"}
         "routing", "purchase-min", "purchase-min-fixed", "purchase-budgeted",
         "purchase-budgeted-fixed", "infeasible"])
 def test_highs_backend_matches_linprog(models, statuses):
-    """solve_lp runs primal simplex without presolve and linprog dual simplex
-    with presolve, so they may stop at different optimal vertices: both reach
-    the same status and optimum, and solve_lp's x satisfies the model."""
+    """solve_lp runs HiGHS's simplex without presolve, dual from a primal
+    infeasible start and primal otherwise, and linprog dual simplex with
+    presolve, so they may stop at different optimal vertices: both reach the
+    same status and optimum, and solve_lp's x satisfies the model."""
     seen = set()
     for model in models():
         res, ref = solve_lp(model), solve_lp_linprog(model)
@@ -480,6 +488,18 @@ def test_highs_backend_matches_linprog(models, statuses):
             assert res.x is None and math.isnan(res.objective)
         seen.add(res.status)
     assert seen == statuses
+
+
+def test_min_purchase_relaxation_starts_dual():
+    # x = 0 violates every demand row of the min-cost relaxation and prices
+    # nothing below 0, so HiGHS solves it by dual simplex, in 431 iterations
+    # here against 10,483 by primal simplex's phase 1
+    inst = gen_random_purchase(25, 0.2, n_candidates=10, n_demands=6, seed=1).purchase()
+    model = build_purchase_lp(inst, "min")
+    res, ref = solve_lp(model), solve_lp_linprog(model)
+    assert res.status == ref.status == "optimal"
+    assert res.iterations < 3000
+    assert res.objective == pytest.approx(ref.objective, rel=1e-9)
 
 
 def _assert_satisfies(model, x, tol):

@@ -22,7 +22,7 @@ from pflow.purchase import (PurchaseInstance, _max_flow, _ProcessingFlowOracle,
                             validate_purchase_instance)
 
 from oracles import (arc_leg_purchase_lp, best_single_exhaustive, legs, max_flow_lp,
-                     served_with_purchases)
+                     round_hits_loop, served_with_purchases)
 
 
 def make_pur1(pur1):
@@ -74,6 +74,27 @@ class TestMinCoverageLP:
         a = round_min_purchase(inst, sol, delta=0.3, rng_seed=41)
         b = round_min_purchase(inst, sol, delta=0.3, rng_seed=41)
         assert a.purchased == b.purchased and a.cost == b.cost
+
+
+@pytest.mark.parametrize("k, t, seed", [(0, 2073, 5), (1, 1, 0), (3, 2073, 1), (4, 2073, 2),
+                                         (7, 2000, 3), (5, 40_000, 4)],
+                         ids=["no-support", "one-draw", "three", "four", "seven",
+                              "several-chunks"])
+def test_round_hits_equal_the_round_major_loop(k, t, seed):
+    # the batched comparison counts what the loop counts, and leaves the
+    # generator where the loop leaves it; 0 and 1 are never and always
+    # bought, and 5 x 40,000 draws span four batches of 2^16, the last partial
+    rng = random.Random(seed)
+    xs = [rng.random() for _ in range(k)]
+    if k > 2:
+        xs[:2] = [0.0, 1.0]
+    got, want = random.Random(seed), random.Random(seed)
+    hits = purchase._round_hits(got, xs, t)
+    assert hits == round_hits_loop(want, xs, t)
+    assert got.random() == want.random()
+    for j, x in enumerate(xs):
+        if x in (0.0, 1.0):
+            assert hits[j] == x * t
 
 
 class TestEndpointCandidates:
@@ -440,6 +461,21 @@ class TestValidation:
                                 budget=math.inf)
         with pytest.raises(StructuralError, match="budget inf"):
             solve(inst)
+
+    def test_budgeted_rounding_validates_once(self, bud1, monkeypatch):
+        # its pruned copies only drop potentials, so their LPs skip the check
+        net, demands, potential, cost, _ = bud1
+        inst = PurchaseInstance(net, demands, potential=potential, cost=cost, budget=1.0)
+        calls = []
+        real = purchase.validate_purchase_instance
+        monkeypatch.setattr(purchase, "validate_purchase_instance",
+                            lambda *a: calls.append(a[1:]) or real(*a))
+        solves = []
+        real_solve = purchase._solve_purchase_lp
+        monkeypatch.setattr(purchase, "_solve_purchase_lp",
+                            lambda *a: solves.append(a) or real_solve(*a))
+        round_budgeted_purchase(inst, rng_seed=1)
+        assert calls == [("budgeted",)] and len(solves) >= 2
 
     def test_rejects_unknown_and_unbounded(self, bud1):
         net, demands, _, _, _ = bud1
